@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Union
@@ -55,6 +56,10 @@ from .tables import (
 )
 from .toricideal import ideal_equal, toric_ideal
 
+# ASCII digits only, with an optional minus sign kept to name negative
+# entries; int() alone would also take "1_0", "+1" and non-ASCII digits
+_COUNT = re.compile(r"(-?)[0-9]+")
+
 _FAMILIES = {
     "indep": ModelFamily.INDEPENDENCE,
     "diag": ModelFamily.DIAGONAL_EFFECT,
@@ -81,13 +86,12 @@ def parse_count_table(text: str) -> CountTable:
             )
         row = []
         for col, part in enumerate(parts, 1):
-            try:
-                value = int(part)
-            except ValueError:
-                raise InputError(f"line {ln}, column {col}: {part!r} is not an integer") from None
-            if value < 0:
-                raise InputError(f"line {ln}, column {col}: negative entry {value}")
-            row.append(value)
+            match = _COUNT.fullmatch(part)
+            if match is None:
+                raise InputError(f"line {ln}, column {col}: {part!r} is not an integer")
+            if match.group(1):
+                raise InputError(f"line {ln}, column {col}: negative entry {part}")
+            row.append(int(part))
         rows.append(row)
     return CountTable.from_rows(rows)
 
@@ -292,11 +296,11 @@ def _cmd_exact_test(args) -> dict:
     model = _model(args.model, table.size)
     config = WalkConfig(steps=args.samples, seed=args.seed, stationary=Stationary.HYPERGEOMETRIC)
     if args.enumerate:
+        if args.chains != 1:
+            raise InputError("--chains cannot be combined with --enumerate")
         result = exact_test(table, model, config, method="enumerate")
-    elif args.chains > 1:
-        result = exact_test_chains(table, model, config, args.chains)
     else:
-        result = exact_test(table, model, config, method="mcmc")
+        result = exact_test_chains(table, model, config, args.chains)
     return result.to_json_dict()
 
 

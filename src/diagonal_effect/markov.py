@@ -359,14 +359,20 @@ class WalkConfig:
     stationary: Stationary = Stationary.HYPERGEOMETRIC
 
     def __post_init__(self):
+        for name in ("steps", "burn_in", "thinning"):
+            value = getattr(self, name)
+            if name == "burn_in" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.steps <= 0:
             raise InputError("steps must be positive")
         if self.burn_in is None:
             object.__setattr__(self, "burn_in", int(10 * math.isqrt(self.steps)))
-        if self.burn_in < 0 or self.thinning < 0:
-            raise InputError("burn_in and thinning must be nonnegative")
-        if self.thinning == 0:
-            object.__setattr__(self, "thinning", 1)
+        if self.burn_in < 0:
+            raise InputError("burn_in must be nonnegative")
+        if self.thinning < 1:
+            raise InputError(f"thinning must be at least 1, got {self.thinning}")
 
     def to_dict(self) -> dict:
         return {
@@ -378,28 +384,20 @@ class WalkConfig:
         }
 
 
-def _acceptance_ratio(flat: List[int], delta: tuple) -> Fraction:
-    """Hypergeometric Metropolis ratio prod f! / prod f'! over changed cells."""
-    ratio = Fraction(1)
-    for k, v in delta:
-        old = flat[k]
-        new = old + v
-        if v > 0:
-            for x in range(old + 1, new + 1):
-                ratio /= x
-        else:
-            for x in range(new + 1, old + 1):
-                ratio *= x
-    return ratio
-
-
 def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> Iterator[CountTable]:
     """Metropolis fiber walk; emits post-burn-in, thinned states.
 
     Proposals draw a move and a sign uniformly; an infeasible proposal is a
     stay-in-place step, which keeps the proposal kernel symmetric.  Under
-    the uniform law every feasible proposal is accepted; under the
-    hypergeometric law the exact factorial ratio decides.
+    the uniform law every feasible proposal is accepted.  Under the
+    hypergeometric law the ratio prod f! / prod f'! over the touched cells
+    is kept as integers num / den: the proposal is accepted without a draw
+    when num >= den, and otherwise when a * den < num * b for
+    a / b = rng.random(), the exact comparison of the uniform draw with
+    the ratio.
+
+    States are immutable, so a state that has not moved since the previous
+    emission is emitted again as the very same CountTable object.
     """
     if not moves:
         raise InputError("fiber_walk needs at least one move")
@@ -409,29 +407,45 @@ def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> 
             raise SizeMismatchError("move size differs from table size")
     deltas = _move_deltas(moves, I)
     rng = random.Random(f"fiber-walk|{config.seed}")
+    hypergeometric = config.stationary is Stationary.HYPERGEOMETRIC
     flat = [x for row in start.cells for x in row]
-    total = config.burn_in + config.steps
-    for step in range(total):
+    state = None
+    moved = True
+    until_emit = config.burn_in
+    for _ in range(config.burn_in + config.steps):
         delta = deltas[rng.randrange(len(deltas))]
-        feasible = True
+        num = den = 1
         for k, v in delta:
-            if flat[k] + v < 0:
-                feasible = False
-                break
-        if feasible:
-            if config.stationary is Stationary.UNIFORM:
-                accept = True
+            old = flat[k]
+            new = old + v
+            if new < 0:
+                break  # infeasible: a stay-in-place step
+            if hypergeometric:
+                # f! / f'! is 1 / ((f+1)...f') when a count rises, f...(f'+1) when it falls
+                if v > 0:
+                    den *= math.perm(new, v)
+                else:
+                    num *= math.perm(old, -v)
+        else:
+            if num < den:
+                a, b = rng.random().as_integer_ratio()
+                accept = a * den < num * b
             else:
-                ratio = _acceptance_ratio(flat, delta)
-                accept = ratio >= 1 or rng.random() < ratio
+                accept = True
             if accept:
                 for k, v in delta:
                     flat[k] += v
-        if step >= config.burn_in and (step - config.burn_in) % config.thinning == 0:
-            yield CountTable(
-                size=I,
-                cells=tuple(tuple(flat[i * I + j] for j in range(I)) for i in range(I)),
-            )
+                moved = True
+        if until_emit:
+            until_emit -= 1
+            continue
+        until_emit = config.thinning - 1
+        if moved:
+            cells = tuple(tuple(flat[i * I:(i + 1) * I]) for i in range(I))
+            if state is None or cells != state.cells:
+                state = CountTable(size=I, cells=cells)
+            moved = False
+        yield state
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +489,8 @@ def pearson_statistic(cells, expected) -> float:
 
 
 def _chi2_threshold(observed: float) -> float:
+    if math.isinf(observed):
+        return observed
     return observed - 1e-9 * (1.0 + abs(observed))
 
 
@@ -536,8 +552,13 @@ def exact_test(
         raise InputError("the sampling test requires the hypergeometric stationary law")
     moves = moves_for_model(model)
     indicators = []
+    last = indicator = None
     for state in fiber_walk(table, moves, config):
-        indicators.append(1.0 if pearson_statistic(state.cells, expected) >= threshold else 0.0)
+        # the walk re-emits an unmoved state as the same object
+        if state is not last:
+            last = state
+            indicator = 1.0 if pearson_statistic(state.cells, expected) >= threshold else 0.0
+        indicators.append(indicator)
     p = sum(indicators) / len(indicators)
     stderr = _batch_means_stderr(indicators)
     return TestResult(

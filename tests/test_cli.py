@@ -30,6 +30,11 @@ class TestParseCountTable:
         with pytest.raises(InputError, match="column 2"):
             parse_count_table("1,x\n0,0")
 
+    @pytest.mark.parametrize("entry", ["1_0", "+1", "\u0661", "\uff11"])
+    def test_only_ascii_digits(self, entry):
+        with pytest.raises(InputError, match="not an integer"):
+            parse_count_table(f"1,{entry}\n0,0")
+
 
 class TestParseParams:
     def test_mixture(self):
@@ -181,6 +186,32 @@ class TestExitCodes:
     def test_missing_file_is_2(self, capsys):
         code, _, err = run_cli(capsys, "boundary-check", "--table", "/nonexistent.csv")
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [
+        ["--enumerate", "--chains", "3"],
+        ["--chains", "0"],
+        ["--chains", "-2"],
+    ])
+    def test_bad_chains_is_2(self, capsys, tmp_path, extra):
+        table = tmp_path / "t.csv"
+        table.write_text("1,2,0\n0,1,2\n2,0,1\n")
+        code, out, err = run_cli(
+            capsys, "exact-test", "--model", "common", "--table", str(table),
+            "--samples", "100", "--seed", "1", *extra,
+        )
+        assert code == 2
+        assert "chains" in err
+        assert out == ""
+
+    def test_zero_thinning_is_2(self, capsys, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text("0,1,0\n0,0,1\n1,0,0\n")
+        code, _, err = run_cli(
+            capsys, "sample", "--model", "diag", "--table", str(table),
+            "--steps", "5", "--seed", "2", "--thinning", "0",
+        )
+        assert code == 2
+        assert "thinning" in err
 
     def test_budget_error_is_3(self, capsys, tmp_path):
         table = tmp_path / "t.csv"

@@ -3,7 +3,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diagonal_effect import markov
 from diagonal_effect import (
     BudgetExceededError,
     CountTable,
@@ -19,6 +22,7 @@ from diagonal_effect import (
     is_connected,
     moves_common_diag,
     moves_diag_effect,
+    moves_for_model,
     sufficient_statistic,
     transpose_apply,
     verify_connectivity,
@@ -173,6 +177,41 @@ class TestFiberWalk:
         with pytest.raises(InputError):
             next(fiber_walk(DERANGEMENT, [], WalkConfig(steps=10)))
 
+    @pytest.mark.parametrize("field, value", [
+        ("thinning", 0), ("thinning", 1.5), ("burn_in", 2.5), ("steps", True),
+    ])
+    def test_bad_schedule_rejected(self, field, value):
+        with pytest.raises(InputError, match=field):
+            WalkConfig(**{"steps": 10, field: value})
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from([ModelFamily.DIAGONAL_EFFECT, ModelFamily.COMMON_DIAGONAL_EFFECT]),
+        size=st.integers(3, 4),
+        data=st.data(),
+        stationary=st.sampled_from(list(Stationary)),
+        seed=st.integers(0, 2**32),
+        steps=st.integers(1, 80),
+        burn_in=st.integers(0, 20),
+        thinning=st.integers(1, 4),
+    )
+    def test_walk_states_stay_in_fiber(self, family, size, data, stationary, seed, steps, burn_in, thinning):
+        m = model(family, size)
+        cells = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=size, max_size=size),
+                                   min_size=size, max_size=size))
+        start = CountTable.from_rows(cells)
+        stat = sufficient_statistic(start, m)
+        config = WalkConfig(steps=steps, burn_in=burn_in, thinning=thinning, seed=seed,
+                            stationary=stationary)
+        previous = None
+        for state in fiber_walk(start, moves_for_model(m), config):
+            assert sufficient_statistic(state, m) == stat
+            assert all(x >= 0 for row in state.cells for x in row)
+            if previous is not None:
+                # an unmoved state is re-emitted as the very same object
+                assert (state is previous) == (state.cells == previous.cells)
+            previous = state
+
 
 class TestExactTest:
     def test_enumeration_on_fit_shaped_table(self):
@@ -197,6 +236,21 @@ class TestExactTest:
         gap = abs(mcmc.p_value - exact.p_value)
         assert gap <= max(3 * mcmc.monte_carlo_stderr, 1e-9)
         assert gap <= 0.02
+
+    def test_pearson_only_for_new_states(self, monkeypatch):
+        t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
+        config = WalkConfig(steps=2_000, seed=4)
+        calls = []
+        real = markov.pearson_statistic
+        monkeypatch.setattr(markov, "pearson_statistic", lambda cells, e: calls.append(cells) or real(cells, e))
+        exact_test(t, COMMON3, config, method="mcmc")
+        states = list(fiber_walk(t, moves_common_diag(3), config))
+        new_states = 1 + sum(a is not b for a, b in zip(states, states[1:]))
+        assert new_states < len(states)
+        assert len(calls) == 1 + new_states  # the observed table, then each new state
+
+    def test_infinite_statistic_threshold(self):
+        assert markov._chi2_threshold(math.inf) == math.inf
 
     def test_chain_merge_is_deterministic(self):
         t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
