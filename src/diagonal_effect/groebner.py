@@ -1,95 +1,127 @@
-"""Buchberger's algorithm over exact rationals, with explicit budgets.
+"""Buchberger's algorithm for binomial ideals, on integer exponent vectors.
 
-Works on `CellPolynomial` values under a `TermOrder`.  Inputs here are
-mostly binomials (lattice ideals), for which S-polynomials and reductions
-stay two-term, so the normal selection strategy plus the coprimality
-criterion is enough; budgets turn pathological inputs into loud errors
-rather than silent truncation.
+Every ideal this package computes is generated by binomials x^a - x^b
+(lattice ideals, and t * prod - 1 on the elimination route), and the
+engine accepts only such generators.  Inside, a monic binomial is a pair
+of dense exponent tuples over the term order's variables, so S-polynomials
+and reductions are tuple arithmetic with no Fraction; each term's order
+key is computed once, and each lead's support bitmask filters divisibility
+tests.  `CellPolynomial` stays the type at the boundary.  Pairs follow the
+normal selection strategy with the Gebauer-Moller criteria, and budgets
+turn pathological inputs into loud errors rather than silent truncation.
 """
 
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import combinations
+from operator import add, le, sub
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import BudgetExceededError, InputError
-from .polynomials import (
-    CellPolynomial,
-    Monomial,
-    TermOrder,
-    mono_coprime,
-    mono_degree,
-    mono_div,
-    mono_lcm,
-)
+from .errors import BudgetExceededError, InputError, SizeMismatchError
+from .polynomials import CellPolynomial, Monomial, TermOrder
 
 DEFAULT_MAX_PAIRS = 100_000
 DEFAULT_MAX_DEGREE: Optional[int] = 12
 
-
-def leading_term(poly: CellPolynomial, order: TermOrder) -> Tuple[Monomial, Fraction]:
-    if poly.is_zero():
-        raise InputError("the zero polynomial has no leading term")
-    m = max(poly.terms, key=order.key)
-    return m, poly.terms[m]
+Exponents = Tuple[int, ...]
 
 
-def monic(poly: CellPolynomial, order: TermOrder) -> CellPolynomial:
-    _, lc = leading_term(poly, order)
-    return poly if lc == 1 else poly.scaled(Fraction(1) / lc)
+class _Binomial(NamedTuple):
+    """x^lead - x^tail, with `lead` the larger term; step = tail - lead."""
+
+    mask: int  # support of lead, one bit per variable position
+    lead: Exponents
+    tail: Exponents
+    step: Exponents
+
+
+def _binomial(a: Exponents, b: Exponents, order: TermOrder) -> Optional[_Binomial]:
+    """The monic binomial of x^a - x^b, or None when it is zero."""
+    if a == b:
+        return None
+    if order.dense_key(a) < order.dense_key(b):
+        a, b = b, a
+    return _Binomial(_support(a), a, b, tuple(map(sub, b, a)))
+
+
+def _support(m: Exponents) -> int:
+    mask = 0
+    for k, e in enumerate(m):
+        if e:
+            mask |= 1 << k
+    return mask
+
+
+def _exponents(m: Monomial, order: TermOrder) -> Exponents:
+    dense = [0] * len(order.variables)
+    for v, e in m:
+        if v not in order.variables:
+            raise InputError(f"variable {v} is outside the term order")
+        dense[order.variables.index(v)] = e
+    return tuple(dense)
+
+
+def _encode(polys: Sequence[CellPolynomial], order: TermOrder, size: int) -> List[_Binomial]:
+    """Monic binomials of the nonzero `polys`, which must be c * (x^a - x^b)
+    over `size` x `size` tables."""
+    out = []
+    for p in polys:
+        if p.size != size:
+            raise SizeMismatchError(f"polynomial over {p.size}x{p.size} cells, expected {size}x{size}")
+        if p.is_zero():
+            continue
+        if p.num_terms() != 2 or sum(p.terms.values()) != 0:
+            raise InputError(f"not a binomial c*(x^a - x^b): {p}")
+        a, b = p.terms
+        out.append(_binomial(_exponents(a, order), _exponents(b, order), order))
+    return out
+
+
+def _monomial(dense: Exponents, order: TermOrder) -> Monomial:
+    return tuple(sorted((order.variables[k], e) for k, e in enumerate(dense) if e))
+
+
+def _decode(basis: Sequence[_Binomial], order: TermOrder, size: int) -> List[CellPolynomial]:
+    return [CellPolynomial(size, {_monomial(g.lead, order): 1, _monomial(g.tail, order): -1})
+            for g in basis]
+
+
+def _reduce(m: Exponents, basis: Sequence[_Binomial]) -> Exponents:
+    """Normal form of the monomial x^m: while the lead of a basis element
+    divides it, the first such element in basis order replaces that lead
+    by its tail."""
+    while True:
+        mask = _support(m)
+        for g_mask, lead, _, step in basis:
+            if g_mask & mask == g_mask and all(map(le, lead, m)):
+                m = tuple(map(add, m, step))
+                break
+        else:
+            return m
+
+
+def _s_remainder(
+    f: _Binomial, g: _Binomial, basis: Sequence[_Binomial], order: TermOrder
+) -> Optional[_Binomial]:
+    """Normal form of the S-polynomial of f and g modulo `basis`, or None
+    when it is zero.  The lcm terms cancel, leaving each lcm with its lead
+    replaced by its tail; a binomial basis reduces each term on its own."""
+    lcm = tuple(map(max, f.lead, g.lead))
+    u = _reduce(tuple(map(add, lcm, f.step)), basis)
+    return _binomial(u, _reduce(tuple(map(add, lcm, g.step)), basis), order)
 
 
 def normal_form(f: CellPolynomial, basis: Sequence[CellPolynomial], order: TermOrder) -> CellPolynomial:
-    """Full remainder of f under multivariate division by `basis`."""
-    leads = [(g, *leading_term(g, order)) for g in basis if not g.is_zero()]
-    work = dict(f.terms)
-    remainder = {}
-    while work:
-        m = max(work, key=order.key)
-        c = work.pop(m)
-        if c == 0:
-            continue
-        for g, lm, lc in leads:
-            if _divides(lm, m):
-                q = mono_div(m, lm)
-                factor = c / lc
-                for gm, gc in g.terms.items():
-                    if gm == lm:
-                        continue
-                    key = _mul(gm, q)
-                    work[key] = work.get(key, Fraction(0)) - factor * gc
-                    if work[key] == 0:
-                        del work[key]
-                break
-        else:
-            remainder[m] = remainder.get(m, Fraction(0)) + c
-    return CellPolynomial(f.size, remainder)
-
-
-def _divides(a: Monomial, b: Monomial) -> bool:
-    bd = dict(b)
-    return all(bd.get(v, 0) >= e for v, e in a)
-
-
-def _mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
-
-
-def s_polynomial(f: CellPolynomial, g: CellPolynomial, order: TermOrder) -> CellPolynomial:
-    fm, fc = leading_term(f, order)
-    gm, gc = leading_term(g, order)
-    lcm = mono_lcm(fm, gm)
-    return f.term_scaled(Fraction(1) / fc, mono_div(lcm, fm)) - g.term_scaled(
-        Fraction(1) / gc, mono_div(lcm, gm)
-    )
+    """Full remainder of an arbitrary f under division by the binomials
+    `basis`.  Dividing by a binomial moves a term's coefficient to a smaller
+    monomial, so the terms of f reduce independently."""
+    reducers = _encode(basis, order, f.size)
+    terms: Dict[Exponents, object] = {}
+    for m, c in f.terms.items():
+        r = _reduce(_exponents(m, order), reducers)
+        terms[r] = terms.get(r, 0) + c
+    return CellPolynomial(f.size, {_monomial(r, order): c for r, c in terms.items()})
 
 
 def buchberger(
@@ -100,49 +132,46 @@ def buchberger(
 ) -> List[CellPolynomial]:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
-    Pairs are processed in increasing lcm degree (normal strategy) and
-    pruned with the Gebauer-Moller criteria (coprimality, chain, and
-    equal-lcm dedup).  `max_pairs` caps the number of S-pairs examined and
-    `max_degree` the lcm degree of any pair that must be processed;
-    exceeding either raises BudgetExceededError.
+    Each generator must be c*(x^a - x^b), over one table size, in the
+    variables of `order`; otherwise InputError (SizeMismatchError for the
+    size) is raised.  Pairs are processed in increasing lcm degree (normal
+    strategy) and pruned with the Gebauer-Moller criteria (coprimality,
+    chain, and equal-lcm dedup).  `max_pairs` caps the number of S-pairs
+    examined and `max_degree` the lcm degree of any pair that must be
+    processed; exceeding either raises BudgetExceededError.
     """
-    basis: List[CellPolynomial] = []
-    for g in gens:
-        if not g.is_zero():
-            basis.append(monic(g, order))
-    if not basis:
+    if not gens:
         return []
-
-    leads: List[Monomial] = [leading_term(g, order)[0] for g in basis]
+    size = gens[0].size
+    basis = _encode(gens, order, size)
     heap: List[tuple] = []
-    alive = {}  # (i, j) -> lcm monomial, pairs not yet discarded
+    alive = {}  # (i, j) -> (lcm, its support mask), pairs not yet discarded
 
     def add_generator_pairs(t: int):
-        lt = leads[t]
-        lcms = {i: mono_lcm(leads[i], lt) for i in range(t)}
+        t_mask, lt, _, _ = basis[t]
+        lcms = [(tuple(map(max, g.lead, lt)), g.mask | t_mask) for g in basis[:t]]
         # chain criterion on existing pairs: (i, j) is redundant once the
         # new leading term divides its lcm and both flanking pairs differ
-        for (i, j), lcm_ij in list(alive.items()):
-            if (
-                _divides(lt, lcm_ij)
-                and lcms[i] != lcm_ij
-                and lcms[j] != lcm_ij
-            ):
-                del alive[(i, j)]
+        for (i, j), (lcm_ij, mask_ij) in list(alive.items()):
+            if t_mask & mask_ij == t_mask and all(map(le, lt, lcm_ij)):
+                if lcm_ij not in (lcms[i][0], lcms[j][0]):
+                    del alive[(i, j)]
         keep: List[int] = []
-        for i in sorted(lcms):
-            lcm_i = lcms[i]
-            if mono_coprime(leads[i], lt):
-                continue  # S-polynomial reduces to zero
-            if any(lcms[j] != lcm_i and _divides(lcms[j], lcm_i) for j in lcms):
+        for i, (lcm_i, mask_i) in enumerate(lcms):
+            if not basis[i].mask & t_mask:
+                continue  # coprime leads: the S-polynomial reduces to zero
+            if any(
+                mask_j & mask_i == mask_j and lcm_j != lcm_i and all(map(le, lcm_j, lcm_i))
+                for lcm_j, mask_j in lcms
+            ):
                 continue  # properly divisible lcm: covered by a smaller pair
-            if any(lcms[j] == lcm_i for j in keep):
+            if any(lcms[j][0] == lcm_i for j in keep):
                 continue  # one representative per lcm
             keep.append(i)
         for i in keep:
-            lcm_i = lcms[i]
-            alive[(i, t)] = lcm_i
-            heapq.heappush(heap, (mono_degree(lcm_i), order.key(lcm_i), i, t))
+            lcm_i = lcms[i][0]
+            alive[(i, t)] = lcms[i]
+            heapq.heappush(heap, (sum(lcm_i), order.dense_key(lcm_i), i, t))
 
     for t in range(len(basis)):
         add_generator_pairs(t)
@@ -159,50 +188,38 @@ def buchberger(
         processed += 1
         if processed > max_pairs:
             raise BudgetExceededError(f"S-pair budget of {max_pairs} pairs exceeded")
-        s = s_polynomial(basis[i], basis[j], order)
-        r = normal_form(s, basis, order)
-        if not r.is_zero():
-            basis.append(monic(r, order))
-            leads.append(leading_term(basis[-1], order)[0])
+        r = _s_remainder(basis[i], basis[j], basis, order)
+        if r is not None:
+            basis.append(r)
             add_generator_pairs(len(basis) - 1)
 
-    return reduce_basis(basis, order)
+    return reduce_basis(_decode(basis, order, size), order)
 
 
 def reduce_basis(basis: Sequence[CellPolynomial], order: TermOrder) -> List[CellPolynomial]:
-    """Minimalize and tail-reduce a Groebner basis; output is the reduced
-    basis, monic, deterministically sorted by leading monomial."""
-    nonzero = [monic(g, order) for g in basis if not g.is_zero()]
+    """Minimalize and tail-reduce a binomial Groebner basis; output is the
+    reduced basis, monic, deterministically sorted by leading monomial."""
+    if not basis:
+        return []
+    size = basis[0].size
     # drop duplicates and any generator whose leading monomial another divides
-    by_lead = sorted(nonzero, key=lambda g: order.key(leading_term(g, order)[0]))
-    minimal: List[CellPolynomial] = []
-    lead_monos: List[Monomial] = []
-    for g in by_lead:
-        lm, _ = leading_term(g, order)
-        if any(_divides(other, lm) for other in lead_monos):
-            continue
-        minimal.append(g)
-        lead_monos.append(lm)
-    reduced = []
-    for k, g in enumerate(minimal):
-        others = minimal[:k] + minimal[k + 1:]
-        r = normal_form(g, others, order) if others else g
-        if not r.is_zero():
-            reduced.append(monic(r, order))
-    reduced.sort(key=lambda g: (order.key(leading_term(g, order)[0]), g.canonical_key()))
-    return reduced
-
-
-def reduces_to_zero(poly: CellPolynomial, groebner_basis: Sequence[CellPolynomial], order: TermOrder) -> bool:
-    return normal_form(poly, groebner_basis, order).is_zero()
+    minimal: List[_Binomial] = []
+    for g in sorted(_encode(basis, order, size), key=lambda g: order.dense_key(g.lead)):
+        if not any(all(map(le, other.lead, g.lead)) for other in minimal):
+            minimal.append(g)
+    # no other lead divides a minimal lead, so tail reduction keeps every
+    # lead and the basis stays sorted by leading term
+    reduced = [
+        _binomial(g.lead, _reduce(g.tail, minimal[:k] + minimal[k + 1:]), order)
+        for k, g in enumerate(minimal)
+    ]
+    return _decode(reduced, order, size)
 
 
 def spoly_reductions_all_zero(groebner_basis: Sequence[CellPolynomial], order: TermOrder) -> bool:
     """Buchberger criterion as a verification: every S-polynomial of basis
     pairs reduces to zero."""
-    for i in range(len(groebner_basis)):
-        for j in range(i + 1, len(groebner_basis)):
-            s = s_polynomial(groebner_basis[i], groebner_basis[j], order)
-            if not reduces_to_zero(s, groebner_basis, order):
-                return False
-    return True
+    if not groebner_basis:
+        return True
+    basis = _encode(groebner_basis, order, groebner_basis[0].size)
+    return all(_s_remainder(f, g, basis, order) is None for f, g in combinations(basis, 2))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .polynomials import CellPolynomial
+from .polynomials import CellPolynomial, binomial_from_vector
 from .tables import Move, ProbTable
 
 
@@ -348,23 +348,7 @@ def gens_common_mixture_families(I: int, mixed8_square_sign: int = -1) -> List[I
 
 def moves_to_binomials(moves: Sequence[Move]) -> List[CellPolynomial]:
     """The pure binomial p^{m+} - p^{m-} of each move."""
-    out = []
-    for move in moves:
-        flat = [x for row in move.cells for x in row]
-        if all(x == 0 for x in flat):
-            raise InputError("the zero move has no binomial")
-        pos = {}
-        neg = {}
-        for v, x in enumerate(flat):
-            if x > 0:
-                pos[v] = x
-            elif x < 0:
-                neg[v] = -x
-        out.append(CellPolynomial(move.size, {
-            tuple(sorted(pos.items())): Fraction(1),
-            tuple(sorted(neg.items())): Fraction(-1),
-        }))
-    return out
+    return [binomial_from_vector([x for row in move.cells for x in row], move.size) for move in moves]
 
 
 @dataclass(frozen=True)

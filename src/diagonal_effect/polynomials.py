@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, SizeMismatchError
@@ -119,16 +120,20 @@ class TermOrder:
 
     def key(self, m: Monomial):
         exps = dict(m)
-        dense = [exps.get(v, 0) for v in self.variables]
+        return self.dense_key([exps.get(v, 0) for v in self.variables])
+
+    def dense_key(self, dense: Sequence[int]):
+        """`key` of the monomial whose exponents, listed in the order of
+        `variables`, are `dense`."""
         if self.block:
             head, tail = dense[: self.block], dense[self.block:]
             return (
                 sum(head),
-                tuple(-e for e in reversed(head)),
+                tuple(map(neg, reversed(head))),
                 sum(tail),
-                tuple(-e for e in reversed(tail)),
+                tuple(map(neg, reversed(tail))),
             )
-        return (sum(dense), tuple(-e for e in reversed(dense)))
+        return (sum(dense), tuple(map(neg, reversed(dense))))
 
     def sort_terms(self, terms: Iterable[Monomial], reverse: bool = True) -> List[Monomial]:
         return sorted(terms, key=self.key, reverse=reverse)
@@ -200,13 +205,6 @@ class CellPolynomial:
                 m = mono_mul(m1, m2)
                 terms[m] = terms.get(m, Fraction(0)) + c1 * c2
         return CellPolynomial(self.size, terms)
-
-    def scaled(self, factor) -> "CellPolynomial":
-        f = Fraction(factor)
-        return CellPolynomial(self.size, {m: c * f for m, c in self.terms.items()})
-
-    def term_scaled(self, coeff: Fraction, mono: Monomial) -> "CellPolynomial":
-        return CellPolynomial(self.size, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
 
     def _check_sibling(self, other: "CellPolynomial"):
         if self.size != other.size:

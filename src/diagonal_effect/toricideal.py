@@ -11,7 +11,6 @@ variable elimination route is kept as an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .errors import InputError, InvariantViolationError
@@ -21,7 +20,7 @@ from .groebner import (
     normal_form,
     reduce_basis,
 )
-from .polynomials import CellPolynomial, TermOrder, binomial_from_vector, mono_div
+from .polynomials import CellPolynomial, TermOrder, binomial_from_vector, mono_degree, mono_div
 from .tables import ModelFamily, ModelForm, ModelSpec
 
 
@@ -138,12 +137,7 @@ def integer_kernel(A: DesignMatrix) -> List[tuple]:
 
 
 def lattice_binomials(A: DesignMatrix) -> List[CellPolynomial]:
-    I = A.size
-    out = []
-    for grid in integer_kernel(A):
-        flat = [x for row in grid for x in row]
-        out.append(binomial_from_vector(flat, I))
-    return out
+    return [binomial_from_vector([x for row in grid for x in row], A.size) for grid in integer_kernel(A)]
 
 
 @dataclass(frozen=True)
@@ -167,9 +161,8 @@ def groebner(
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise InputError("cannot take a Groebner basis of an empty generating set")
-    size = gens[0].size
     if order is None:
-        order = TermOrder.grevlex(range(size * size))
+        order = TermOrder.grevlex(range(gens[0].size ** 2))
     basis = buchberger(gens, order, max_pairs=max_pairs, max_degree=max_degree)
     return GroebnerBasis(generators=tuple(basis), order=order)
 
@@ -178,8 +171,7 @@ def _divide_out_variable(poly: CellPolynomial, var: int) -> CellPolynomial:
     shared = min((dict(m).get(var, 0) for m in poly.terms), default=0)
     if shared == 0:
         return poly
-    divisor = ((var, shared),)
-    return CellPolynomial(poly.size, {mono_div(m, divisor): c for m, c in poly.terms.items()})
+    return CellPolynomial(poly.size, {mono_div(m, ((var, shared),)): c for m, c in poly.terms.items()})
 
 
 def _saturate_homogeneous(
@@ -196,8 +188,7 @@ def _saturate_homogeneous(
     that variable's powers.
     """
     for g in gens:
-        degrees = {sum(e for _, e in m) for m in g.terms}
-        if len(degrees) > 1:
+        if len({mono_degree(m) for m in g.terms}) > 1:
             raise InvariantViolationError("saturation shortcut requires homogeneous generators")
     current = gens
     for v in variables:
@@ -233,19 +224,14 @@ def toric_ideal(
     gens = lattice_binomials(A)
     if not gens:
         return []
-    n_cells = I * I
-    cell_vars = list(range(n_cells))
+    cell_vars = list(range(I * I))
 
     if method == "saturation":
         result = _saturate_homogeneous(gens, cell_vars, max_pairs, max_degree)
         result = reduce_basis(result, TermOrder.grevlex(cell_vars))
     elif method == "elimination":
-        aux = n_cells
-        product_all = tuple(sorted((v, 1) for v in cell_vars + [aux]))
-        rabinowitsch = CellPolynomial(I, {
-            product_all: Fraction(1),
-            (): Fraction(-1),
-        })
+        aux = I * I
+        rabinowitsch = CellPolynomial(I, {tuple((v, 1) for v in cell_vars + [aux]): 1, (): -1})
         order = TermOrder.elimination([aux], cell_vars)
         basis = buchberger(gens + [rabinowitsch], order, max_pairs=max_pairs, max_degree=max_degree)
         kept = [g for g in basis if aux not in g.variables()]
@@ -253,12 +239,11 @@ def toric_ideal(
     else:
         raise InputError(f"unknown method {method!r}; use 'saturation' or 'elimination'")
 
+    result = [g.sign_canonical() for g in result]
     for g in result:
-        if not g.sign_canonical().is_pure_binomial():
-            raise InvariantViolationError(
-                f"toric ideal generator is not a pure binomial: {g}"
-            )
-    return [g.sign_canonical() for g in result]
+        if not g.is_pure_binomial():
+            raise InvariantViolationError(f"toric ideal generator is not a pure binomial: {g}")
+    return result
 
 
 def ideal_equal(
@@ -276,8 +261,6 @@ def ideal_equal(
     list2 = [g for g in gens2 if not g.is_zero()]
     if not list1 or not list2:
         return not list1 and not list2
-    if list1[0].size != list2[0].size:
-        raise InputError("generating sets live over different table sizes")
     size = list1[0].size
     order = TermOrder.grevlex(range(size * size))
     gb1 = buchberger(list1, order, max_pairs=max_pairs, max_degree=max_degree)

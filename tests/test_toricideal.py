@@ -1,3 +1,4 @@
+import importlib
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from diagonal_effect import (
     InputError,
     ModelFamily,
     ModelForm,
+    SizeMismatchError,
     TermOrder,
     design_matrix,
     gens_common_toric_listed3,
@@ -26,12 +28,15 @@ from diagonal_effect import (
     toric_point,
     transpose_apply,
 )
-from diagonal_effect.groebner import buchberger, spoly_reductions_all_zero
+from diagonal_effect.groebner import buchberger, normal_form, spoly_reductions_all_zero
 from diagonal_effect.markov import moves_common_diag, moves_diag_effect
 
 from conftest import model, random_count_table
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# the package exports a function named `groebner`, which hides the module
+groebner_module = importlib.import_module("diagonal_effect.groebner")
 
 
 class TestDesignMatrix:
@@ -186,6 +191,8 @@ class TestToricIdeal:
             ("independence_2", model(ModelFamily.INDEPENDENCE, 2)),
             ("diag_effect_3", model(ModelFamily.DIAGONAL_EFFECT, 3)),
             ("common_diag_3", model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3)),
+            ("diag_effect_4", model(ModelFamily.DIAGONAL_EFFECT, 4)),
+            ("independence_3", model(ModelFamily.INDEPENDENCE, 3)),
         ]
         for name, m in cases:
             expected = (GOLDEN / f"toric_ideal_{name}.txt").read_text().splitlines()
@@ -232,3 +239,86 @@ class TestLatticeBinomials:
                 assert b.is_pure_binomial() or b.num_terms() == 2
                 degrees = {sum(e for _, e in m) for m in b.terms}
                 assert len(degrees) == 1
+
+
+def _minor2():
+    return CellPolynomial.from_cell_terms(2, [(1, [(1, 1), (2, 2)]), (-1, [(1, 2), (2, 1)])])
+
+
+def _minor3():
+    # its leading term is coprime to that of _minor2, so no S-pair mixes them
+    return CellPolynomial.from_cell_terms(3, [(1, [(2, 2), (3, 3)]), (-1, [(2, 3), (3, 2)])])
+
+
+class TestBinomialBoundary:
+    three_terms = CellPolynomial.from_cell_terms(
+        3, [(1, [(1, 1), (2, 2)]), (-1, [(1, 2), (2, 1)]), (1, [(3, 3), (3, 3)])]
+    )
+    plus = CellPolynomial.from_cell_terms(3, [(1, [(1, 1), (2, 2)]), (1, [(1, 2), (2, 1)])])
+
+    def test_groebner_rejects_mixed_sizes(self):
+        with pytest.raises(SizeMismatchError):
+            groebner([_minor3(), _minor2()])
+
+    def test_normal_form_rejects_mixed_sizes(self):
+        with pytest.raises(SizeMismatchError):
+            normal_form(_minor2(), [_minor3()], TermOrder.grevlex(range(9)))
+
+    def test_ideal_equal_rejects_mixed_sizes(self):
+        with pytest.raises(SizeMismatchError):
+            ideal_equal([_minor3()], [_minor3(), _minor2()])
+
+    def test_in_ideal_rejects_mixed_sizes(self):
+        with pytest.raises(SizeMismatchError):
+            in_ideal(_minor2(), [_minor3()])
+
+    @pytest.mark.parametrize("bad", ["three_terms", "plus"])
+    def test_non_binomial_generators_rejected(self, bad):
+        bad = getattr(self, bad)
+        good = [inv.poly for inv in gens_common_toric_listed3()]
+        with pytest.raises(InputError):
+            groebner(good + [bad])
+        with pytest.raises(InputError):
+            ideal_equal(good, good + [bad])
+        with pytest.raises(InputError):
+            in_ideal(good[0], [bad])
+
+    def test_in_ideal_of_four_term_polynomials(self):
+        gens = toric_ideal(model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3))
+        x11 = CellPolynomial.from_cell_terms(3, [(1, [(1, 1)])])
+        x22 = CellPolynomial.from_cell_terms(3, [(2, [(2, 2)])])
+        member = x11 * gens[0] + x22 * gens[1]
+        assert member.num_terms() == 4
+        assert in_ideal(member, gens)
+        # a sum of positive monomials is positive at every model point
+        non_member = CellPolynomial.from_cell_terms(
+            3, [(1, [(1, 1), (2, 2)]), (1, [(1, 2), (2, 1)]), (1, [(1, 3), (3, 1)]), (1, [(2, 3), (3, 2)])]
+        )
+        assert not in_ideal(non_member, gens)
+
+
+# Processed S-pairs of whole toric_ideal computations, recorded on the
+# general Fraction-coefficient Buchberger that preceded the binomial engine
+# (calls to its s_polynomial); the engine processes the same pairs.
+S_PAIRS = [
+    (ModelFamily.DIAGONAL_EFFECT, 4, "saturation", 613),
+    (ModelFamily.COMMON_DIAGONAL_EFFECT, 3, "saturation", 211),
+    (ModelFamily.COMMON_DIAGONAL_EFFECT, 3, "elimination", 83),
+    (ModelFamily.INDEPENDENCE, 3, "elimination", 67),
+    (ModelFamily.INDEPENDENCE, 4, "saturation", 2811),
+    (ModelFamily.COMMON_DIAGONAL_EFFECT, 4, "saturation", 13879),
+]
+
+
+@pytest.mark.parametrize("family, I, method, pairs", S_PAIRS)
+def test_processed_s_pairs_are_pinned(monkeypatch, family, I, method, pairs):
+    calls = []
+    step = groebner_module._s_remainder
+
+    def counted(*args):
+        calls.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(groebner_module, "_s_remainder", counted)
+    toric_ideal(model(family, I), method=method)
+    assert len(calls) == pairs
