@@ -26,6 +26,7 @@ from .errors import (
     InvariantViolationError,
 )
 from .invariants import (
+    Invariant,
     gens_common_mixture_families,
     gens_common_mixture_listed3,
     gens_common_toric_listed3,
@@ -216,7 +217,7 @@ def _cmd_invariants(args) -> dict:
         else:
             model = _model(args.model, args.size)
             gens = [
-                (f"move-binomial #{k}", poly)
+                Invariant(f"move-binomial #{k}", poly)
                 for k, poly in enumerate(moves_to_binomials(moves_for_model(model)), 1)
             ]
     else:
@@ -227,15 +228,9 @@ def _cmd_invariants(args) -> dict:
         else:
             gens = gens_common_mixture_families(args.size)
 
-    def name_of(g):
-        return g[0] if isinstance(g, tuple) else g.name
-
-    def poly_of(g):
-        return g[1] if isinstance(g, tuple) else g.poly
-
     outputs = {
         "count": len(gens),
-        "generators": [{"name": name_of(g), "polynomial": str(poly_of(g))} for g in gens],
+        "generators": [{"name": g.name, "polynomial": str(g.poly)} for g in gens],
     }
     if args.evaluate:
         params = parse_params(
@@ -248,7 +243,7 @@ def _cmd_invariants(args) -> dict:
             point = mixture_point(params)
         if point.size != args.size:
             raise InputError(f"parameters have size {point.size}, expected {args.size}")
-        report = check_vanishing([(name_of(g), poly_of(g)) for g in gens], point)
+        report = check_vanishing(gens, point)
         outputs["vanishing"] = {
             "all_zero": report.all_zero,
             "values": [{"name": n, "value": str(v)} for n, v in report.entries],

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, permutations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .polynomials import CellPolynomial, binomial_from_vector
-from .tables import Move, ProbTable
+from .tables import Move, ProbTable, rectangle_indices, triple_indices
 
 
 @dataclass(frozen=True)
@@ -41,23 +42,29 @@ def gens_independence(I: int) -> List[Invariant]:
     """All 2x2 minors p[i,j]*p[k,h] - p[i,h]*p[k,j], i<k, j<h."""
     if I < 2:
         raise InputError("independence minors need I >= 2")
-    out = []
-    for i in range(1, I + 1):
-        for k in range(i + 1, I + 1):
-            for j in range(1, I + 1):
-                for h in range(j + 1, I + 1):
-                    p = _poly(I, [(1, [(i, j), (k, h)]), (-1, [(i, h), (k, j)])])
-                    out.append(Invariant(f"minor[{i},{k}|{j},{h}]", p))
-    return out
+    pairs = list(combinations(range(1, I + 1), 2))
+    return [Invariant(f"minor[{i},{k}|{j},{h}]", _minor(I, i, k, j, h))
+            for i, k in pairs for j, h in pairs]
 
 
-def _offdiag_minor(I: int, i: int, k: int, j: int, h: int) -> CellPolynomial:
+def _minor(I: int, i: int, k: int, j: int, h: int) -> CellPolynomial:
+    """p[i,j]*p[k,h] - p[i,h]*p[k,j]."""
     return _poly(I, [(1, [(i, j), (k, h)]), (-1, [(i, h), (k, j)])])
 
 
 def _cycle_binomial(I: int, a: int, b: int, c: int) -> CellPolynomial:
     """p[a,b]*p[b,c]*p[c,a] - p[a,c]*p[c,b]*p[b,a]."""
     return _poly(I, [(1, [(a, b), (b, c), (c, a)]), (-1, [(a, c), (c, b), (b, a)])])
+
+
+def _offdiag_minors_and_cycles(I: int) -> List[Invariant]:
+    """The 2x2 minors over four pairwise distinct indices, then one cycle
+    binomial per unordered triple."""
+    out = [Invariant(f"minor[{i},{k}|{j},{h}]", _minor(I, i, k, j, h))
+           for i, k, j, h in rectangle_indices(I)]
+    out += [Invariant(f"cycle[{a},{b},{c}]", _cycle_binomial(I, a, b, c))
+            for a, b, c in triple_indices(I)]
+    return out
 
 
 def gens_diag_effect(I: int) -> List[Invariant]:
@@ -70,30 +77,7 @@ def gens_diag_effect(I: int) -> List[Invariant]:
     """
     if I < 3:
         raise InputError("diagonal-effect generators need I >= 3")
-    out = []
-    idx = range(1, I + 1)
-    for i in idx:
-        for k in idx:
-            if k <= i:
-                continue
-            for j in idx:
-                if j in (i, k):
-                    continue
-                for h in idx:
-                    if h <= j or h in (i, k):
-                        continue
-                    out.append(
-                        Invariant(f"minor[{i},{k}|{j},{h}]", _offdiag_minor(I, i, k, j, h))
-                    )
-    for a in idx:
-        for b in idx:
-            if b <= a:
-                continue
-            for c in idx:
-                if c <= b:
-                    continue
-                out.append(Invariant(f"cycle[{a},{b},{c}]", _cycle_binomial(I, a, b, c)))
-    return out
+    return _offdiag_minors_and_cycles(I)
 
 
 # ---------------------------------------------------------------------------
@@ -283,62 +267,26 @@ def gens_common_mixture_families(I: int, mixed8_square_sign: int = -1) -> List[I
         raise InputError("common-diagonal mixture families need I >= 3")
     if mixed8_square_sign not in (1, -1):
         raise InputError("mixed8_square_sign must be +1 or -1")
-    out = []
+    out = _offdiag_minors_and_cycles(I)
     idx = range(1, I + 1)
-    for i in idx:
-        for k in idx:
-            if k <= i:
+    for i, j in permutations(idx, 2):
+        for k, l in permutations(idx, 2):
+            if (k, l) == (i, j):
                 continue
-            for j in idx:
-                if j in (i, k):
+            for m in idx:
+                if m in (i, j):
                     continue
-                for l in idx:
-                    if l <= j or l in (i, k):
+                for n in idx:
+                    if n in (k, l) or n == m:
                         continue
-                    out.append(Invariant(f"minor[{i},{k}|{j},{l}]", _offdiag_minor(I, i, k, j, l)))
-    for a in idx:
-        for b in idx:
-            if b <= a:
-                continue
-            for c in idx:
-                if c <= b:
-                    continue
-                out.append(Invariant(f"cycle[{a},{b},{c}]", _cycle_binomial(I, a, b, c)))
-    for i in idx:
-        for j in idx:
-            if i == j:
-                continue
-            for k in idx:
-                for l in idx:
-                    if k == l or (k, l) == (i, j):
-                        continue
-                    for m in idx:
-                        if m in (i, j):
-                            continue
-                        for n in idx:
-                            if n in (k, l) or n == m:
-                                continue
-                            out.append(Invariant(
-                                f"diagbal[{i},{j};{k},{l};{m},{n}]",
-                                _diag_balance_poly(I, i, j, k, l, m, n),
-                            ))
-    for i in idx:
-        for j in idx:
-            if i == j:
-                continue
-            for k in idx:
-                if k in (i, j):
-                    continue
-                out.append(Invariant(f"mixed8[{i},{j},{k}]",
-                                     _mixed8_poly(I, i, j, k, mixed8_square_sign)))
-    for a in idx:
-        for b in idx:
-            if b <= a:
-                continue
-            for c in idx:
-                if c <= b:
-                    continue
-                out.append(Invariant(f"diag12[{a},{b},{c}]", _diag12_poly(I, a, b, c)))
+                    out.append(Invariant(
+                        f"diagbal[{i},{j};{k},{l};{m},{n}]",
+                        _diag_balance_poly(I, i, j, k, l, m, n),
+                    ))
+    for i, j, k in permutations(idx, 3):
+        out.append(Invariant(f"mixed8[{i},{j},{k}]", _mixed8_poly(I, i, j, k, mixed8_square_sign)))
+    for a, b, c in triple_indices(I):
+        out.append(Invariant(f"diag12[{a},{b},{c}]", _diag12_poly(I, a, b, c)))
     return out
 
 
@@ -376,18 +324,20 @@ class VanishingReport:
 def _as_invariants(polys) -> List[Invariant]:
     out = []
     for k, item in enumerate(polys, 1):
-        if isinstance(item, Invariant):
-            out.append(item)
-        elif isinstance(item, CellPolynomial):
-            out.append(Invariant(f"poly #{k}", item))
-        else:
-            name, poly = item
-            out.append(Invariant(name, poly))
+        if isinstance(item, CellPolynomial):
+            item = Invariant(f"poly #{k}", item)
+        elif not isinstance(item, Invariant):
+            raise InputError(f"item {k} is neither an Invariant nor a CellPolynomial: {item!r}")
+        out.append(item)
     return out
 
 
 def check_vanishing(polys, P: ProbTable) -> VanishingReport:
-    """Evaluate every polynomial exactly at P; pass iff every value is 0."""
+    """Evaluate every polynomial exactly at P; pass iff every value is 0.
+
+    `polys` holds `Invariant`s or bare `CellPolynomial`s, which are named
+    "poly #k" by position; anything else raises InputError.
+    """
     invs = _as_invariants(polys)
     return VanishingReport(entries=tuple((inv.name, inv.poly.evaluate(P)) for inv in invs))
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, InputError, SizeMismatchError
@@ -25,7 +25,9 @@ from .tables import (
     ModelSpec,
     Move,
     SufficientStat,
+    rectangle_indices,
     sufficient_statistic,
+    triple_indices,
 )
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -69,32 +71,16 @@ def moves_diag_effect(I: int) -> List[Move]:
     if I < 3:
         raise InputError("diagonal-effect moves need I >= 3")
     moves = []
-    idx = range(1, I + 1)
-    for i in idx:
-        for k in idx:
-            if k <= i:
-                continue
-            for j in idx:
-                if j in (i, k):
-                    continue
-                for h in idx:
-                    if h <= j or h in (i, k):
-                        continue
-                    moves.append(Move(size=I, label="rect", cells=_grid(I, {
-                        (i, j): 1, (i, h): -1, (k, j): -1, (k, h): 1,
-                    })))
-    for a in idx:
-        for b in idx:
-            if b <= a:
-                continue
-            for c in idx:
-                if c <= b:
-                    continue
-                moves.append(Move(size=I, label="cycle", cells=_grid(I, {
-                    (a, b): 1, (a, c): -1,
-                    (b, a): -1, (b, c): 1,
-                    (c, a): 1, (c, b): -1,
-                })))
+    for i, k, j, h in rectangle_indices(I):
+        moves.append(Move(size=I, label="rect", cells=_grid(I, {
+            (i, j): 1, (i, h): -1, (k, j): -1, (k, h): 1,
+        })))
+    for a, b, c in triple_indices(I):
+        moves.append(Move(size=I, label="cycle", cells=_grid(I, {
+            (a, b): 1, (a, c): -1,
+            (b, a): -1, (b, c): 1,
+            (c, a): 1, (c, b): -1,
+        })))
     return _dedupe(moves)
 
 
@@ -130,48 +116,34 @@ def moves_common_diag(I: int) -> List[Move]:
             (c, a): 1, (c, c): -1,
         })))
 
-    if I >= 4:
-        for (i, k, j, h) in permutations(idx, 4):
-            # rows (i, k, h), columns (i, k, j)
-            moves.append(Move(size=I, label="diag-shift-rect", cells=_grid(I, {
-                (i, i): 1, (i, j): -1,
-                (k, k): -1, (k, j): 1,
-                (h, i): -1, (h, k): 1,
-            })))
+    for (i, k, j, h) in permutations(idx, 4):
+        # rows (i, k, h), columns (i, k, j)
+        moves.append(Move(size=I, label="diag-shift-rect", cells=_grid(I, {
+            (i, i): 1, (i, j): -1,
+            (k, k): -1, (k, j): 1,
+            (h, i): -1, (h, k): 1,
+        })))
 
     double = []
-    for i in idx:
-        for k in idx:
-            if k <= i:
+    for i, k in combinations(idx, 2):
+        for j in idx:
+            if j in (i, k):
                 continue
-            for j in idx:
-                if j in (i, k):
-                    continue
-                double.append(Move(size=I, label="diag-double", cells=_grid(I, {
-                    (i, i): 1, (i, k): 1, (i, j): -2,
-                    (k, i): -1, (k, k): -1, (k, j): 2,
-                })))
+            double.append(Move(size=I, label="diag-double", cells=_grid(I, {
+                (i, i): 1, (i, k): 1, (i, j): -2,
+                (k, i): -1, (k, k): -1, (k, j): 2,
+            })))
     moves.extend(double)
     moves.extend(m.transposed() for m in double)
 
-    if I >= 4:
-        quad = []
-        for i in idx:
-            for k in idx:
-                if k <= i:
-                    continue
-                for j in idx:
-                    if j in (i, k):
-                        continue
-                    for h in idx:
-                        if h <= j or h in (i, k):
-                            continue
-                        quad.append(Move(size=I, label="diag-quad", cells=_grid(I, {
-                            (i, i): 1, (i, k): 1, (i, j): -1, (i, h): -1,
-                            (k, i): -1, (k, k): -1, (k, j): 1, (k, h): 1,
-                        })))
-        moves.extend(quad)
-        moves.extend(m.transposed() for m in quad)
+    quad = []
+    for i, k, j, h in rectangle_indices(I):
+        quad.append(Move(size=I, label="diag-quad", cells=_grid(I, {
+            (i, i): 1, (i, k): 1, (i, j): -1, (i, h): -1,
+            (k, i): -1, (k, k): -1, (k, j): 1, (k, h): 1,
+        })))
+    moves.extend(quad)
+    moves.extend(m.transposed() for m in quad)
 
     return _dedupe(moves)
 
@@ -286,33 +258,12 @@ class ConnectivityReport:
 
 def is_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     """Graph connectivity of the fiber under single-move transitions."""
-    index = {t.cells: k for k, t in enumerate(fiber.tables)}
-    n = len(fiber.tables)
-    if n <= 1:
-        return ConnectivityReport(connected=True, components=(tuple(fiber.tables),) if n else ())
-    deltas = _move_deltas(moves, fiber.stat.size)
-    seen = [False] * n
-    components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            k = stack.pop()
-            comp.append(k)
-            flat = [x for row in fiber.tables[k].cells for x in row]
-            for delta in deltas:
-                neighbor = _apply_delta(flat, delta, fiber.stat.size)
-                if neighbor is None:
-                    continue
-                kn = index.get(neighbor)
-                if kn is not None and not seen[kn]:
-                    seen[kn] = True
-                    stack.append(kn)
-        components.append(tuple(fiber.tables[k] for k in sorted(comp)))
-    return ConnectivityReport(connected=len(components) == 1, components=tuple(components))
+    members = [tuple(x for row in t.cells for x in row) for t in fiber.tables]
+    components = tuple(
+        tuple(fiber.tables[k] for k in sorted(comp))
+        for comp in _components(members, _move_deltas(moves, fiber.stat.size))
+    )
+    return ConnectivityReport(connected=len(components) <= 1, components=components)
 
 
 def _move_deltas(moves: Sequence[Move], I: int) -> List[tuple]:
@@ -325,14 +276,39 @@ def _move_deltas(moves: Sequence[Move], I: int) -> List[tuple]:
     return deltas
 
 
-def _apply_delta(flat: List[int], delta: tuple, I: int) -> Optional[tuple]:
-    out = list(flat)
-    for k, v in delta:
-        nv = out[k] + v
-        if nv < 0:
-            return None
-        out[k] = nv
-    return tuple(tuple(out[i * I + j] for j in range(I)) for i in range(I))
+def _components(members: Sequence[tuple], deltas: Sequence[tuple]) -> List[List[int]]:
+    """Connected components of the flat tables `members` under the signed
+    `deltas`, each a list of member indices in depth-first discovery order."""
+    index = {m: k for k, m in enumerate(members)}
+    seen = [False] * len(members)
+    components = []
+    for start in range(len(members)):
+        if seen[start]:
+            continue
+        comp = []
+        stack = [start]
+        seen[start] = True
+        while stack:
+            k = stack.pop()
+            comp.append(k)
+            flat = members[k]
+            for delta in deltas:
+                out = list(flat)
+                ok = True
+                for pos, v in delta:
+                    nv = out[pos] + v
+                    if nv < 0:
+                        ok = False
+                        break
+                    out[pos] = nv
+                if not ok:
+                    continue
+                kn = index.get(tuple(out))
+                if kn is not None and not seen[kn]:
+                    seen[kn] = True
+                    stack.append(kn)
+        components.append(comp)
+    return components
 
 
 # ---------------------------------------------------------------------------
@@ -707,35 +683,7 @@ def verify_connectivity(
         largest = max(largest, len(members))
         if len(members) <= 1:
             continue
-        index = {m: k for k, m in enumerate(members)}
-        seen = [False] * len(members)
-        comp_sizes = []
-        for start in range(len(members)):
-            if seen[start]:
-                continue
-            count = 0
-            stack = [start]
-            seen[start] = True
-            while stack:
-                k = stack.pop()
-                count += 1
-                flat = members[k]
-                for delta in deltas:
-                    out = list(flat)
-                    ok = True
-                    for pos, v in delta:
-                        nv = out[pos] + v
-                        if nv < 0:
-                            ok = False
-                            break
-                        out[pos] = nv
-                    if not ok:
-                        continue
-                    kn = index.get(tuple(out))
-                    if kn is not None and not seen[kn]:
-                        seen[kn] = True
-                        stack.append(kn)
-            comp_sizes.append(count)
+        comp_sizes = [len(comp) for comp in _components(members, deltas)]
         if len(comp_sizes) > 1:
             disconnected.append((key, tuple(sorted(comp_sizes))))
 

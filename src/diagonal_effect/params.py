@@ -117,11 +117,6 @@ class MixtureParams:
         I = self.size
         return all(x == Fraction(1, I) for x in self.d)
 
-    @classmethod
-    def uniform_diagonal(cls, alpha, r, c) -> "MixtureParams":
-        I = len(tuple(r))
-        return cls(alpha=alpha, r=r, c=c, d=tuple(Fraction(1, I) for _ in range(I)))
-
 
 @dataclass(frozen=True)
 class Normalizers:

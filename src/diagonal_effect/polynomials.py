@@ -18,8 +18,6 @@ from .tables import ProbTable
 
 Monomial = Tuple[Tuple[int, int], ...]
 
-MONO_ONE: Monomial = ()
-
 
 def cell_var(i: int, j: int, size: int) -> int:
     """Variable id of cell (i, j), 1-based indices."""
@@ -58,12 +56,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when monomial a divides monomial b."""
-    bd = dict(b)
-    return all(bd.get(v, 0) >= e for v, e in a)
-
-
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b, assuming divisibility."""
     exps = dict(a)
@@ -75,13 +67,6 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
             exps.pop(v, None)
         else:
             exps[v] = r
-    return tuple(sorted(exps.items()))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    exps = dict(a)
-    for v, e in b:
-        exps[v] = max(exps.get(v, 0), e)
     return tuple(sorted(exps.items()))
 
 
@@ -138,11 +123,6 @@ class TermOrder:
     def sort_terms(self, terms: Iterable[Monomial], reverse: bool = True) -> List[Monomial]:
         return sorted(terms, key=self.key, reverse=reverse)
 
-    def describe(self) -> str:
-        if self.block:
-            return f"elimination(block={self.block}, vars={len(self.variables)})"
-        return f"grevlex(vars={len(self.variables)})"
-
 
 class CellPolynomial:
     """Immutable-by-convention sparse polynomial with Fraction coefficients."""
@@ -164,10 +144,6 @@ class CellPolynomial:
     @classmethod
     def zero(cls, size: int) -> "CellPolynomial":
         return cls(size, {})
-
-    @classmethod
-    def constant(cls, size: int, value) -> "CellPolynomial":
-        return cls(size, {MONO_ONE: Fraction(value)})
 
     @classmethod
     def from_cell_terms(cls, size: int, cell_terms) -> "CellPolynomial":
@@ -309,9 +285,9 @@ class CellPolynomial:
         return f"CellPolynomial(size={self.size}, {str(self)})"
 
 
-def binomial_from_vector(flat: Sequence[int], size: int, label_size_check: bool = True) -> CellPolynomial:
+def binomial_from_vector(flat: Sequence[int], size: int) -> CellPolynomial:
     """p^{v+} - p^{v-} for an integer cell vector in row-major order."""
-    if label_size_check and len(flat) != size * size:
+    if len(flat) != size * size:
         raise SizeMismatchError(f"expected {size * size} entries, got {len(flat)}")
     pos: Dict[int, int] = {}
     neg: Dict[int, int] = {}

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from itertools import combinations
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, SizeMismatchError
 
@@ -173,15 +174,23 @@ class Move:
         grid = _freeze_int_grid(rows, what="move")
         return cls(size=len(grid), cells=grid, label=label)
 
-    def positive_part(self):
-        return [[x if x > 0 else 0 for x in row] for row in self.cells]
-
-    def negative_part(self):
-        return [[-x if x < 0 else 0 for x in row] for row in self.cells]
-
     def transposed(self, label: Optional[str] = None) -> "Move":
         cells = tuple(tuple(self.cells[j][i] for j in range(self.size)) for i in range(self.size))
         return Move(size=self.size, cells=cells, label=self.label + "^T" if label is None else label)
+
+
+def rectangle_indices(I: int) -> Iterator[Tuple[int, int, int, int]]:
+    """Every (i, k, j, h) over 1..I with i < k, j < h and all four distinct:
+    rows {i, k} first, then columns {j, h} outside them, both ascending."""
+    idx = range(1, I + 1)
+    for i, k in combinations(idx, 2):
+        for j, h in combinations([x for x in idx if x not in (i, k)], 2):
+            yield i, k, j, h
+
+
+def triple_indices(I: int) -> Iterator[Tuple[int, int, int]]:
+    """Every unordered index triple a < b < c over 1..I, ascending."""
+    return combinations(range(1, I + 1), 3)
 
 
 @dataclass(frozen=True)

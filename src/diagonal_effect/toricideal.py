@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .errors import InputError, InvariantViolationError
+from .errors import InputError, InvariantViolationError, SizeMismatchError
 from .groebner import (
     DEFAULT_MAX_PAIRS,
     buchberger,
@@ -147,9 +147,6 @@ class GroebnerBasis:
     generators: tuple
     order: TermOrder
 
-    def describe_order(self) -> str:
-        return self.order.describe()
-
 
 def groebner(
     gens: Sequence[CellPolynomial],
@@ -262,6 +259,8 @@ def ideal_equal(
     if not list1 or not list2:
         return not list1 and not list2
     size = list1[0].size
+    if list2[0].size != size:
+        raise SizeMismatchError(f"generators over {size}x{size} and {list2[0].size}x{list2[0].size} tables")
     order = TermOrder.grevlex(range(size * size))
     gb1 = buchberger(list1, order, max_pairs=max_pairs, max_degree=max_degree)
     gb2 = buchberger(list2, order, max_pairs=max_pairs, max_degree=max_degree)

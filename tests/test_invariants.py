@@ -165,6 +165,25 @@ class TestMixtureFamilies:
         assert len(report.failures()) == len(bad)
 
 
+class TestCheckVanishingInput:
+    def test_bare_polynomials_are_named_by_position(self):
+        polys = moves_to_binomials(moves_diag_effect(4))
+        report = check_vanishing(polys, diag_toric_point(4, 0))
+        assert [name for name, _ in report.entries] == [f"poly #{k}" for k in range(1, 11)]
+        assert report.all_zero
+
+    @pytest.mark.parametrize("item", [5, "ab", ("n",), None], ids=repr)
+    def test_other_items_rejected(self, item):
+        gens = gens_diag_effect(3)
+        with pytest.raises(InputError):
+            check_vanishing(gens + [item], diag_toric_point(3, 0))
+
+    def test_named_tuples_rejected(self):
+        gen = gens_diag_effect(3)[0]
+        with pytest.raises(InputError):
+            check_vanishing([(gen.name, gen.poly)], diag_toric_point(3, 0))
+
+
 class TestMovesToBinomials:
     def test_degree_matches_move_family(self):
         polys = moves_to_binomials(moves_diag_effect(4))

@@ -130,6 +130,22 @@ class TestConnectivity:
         assert report.all_connected
         assert report.tables_seen == sum(math.comb(n + 8, 8) for n in range(5))
 
+    @pytest.mark.parametrize("family_moves", [True, False], ids=["family-moves", "no-moves"])
+    @pytest.mark.parametrize("spec", [DIAG3, COMMON3], ids=["diag", "common"])
+    def test_sweep_agrees_with_is_connected(self, spec, family_moves):
+        max_n = 3
+        moves = moves_for_model(spec) if family_moves else []
+        report = verify_connectivity(spec.family, 3, max_n, moves)
+        stats = {sufficient_statistic(t, spec) for n in range(max_n + 1) for t in all_tables(3, n)}
+        disconnected = {}
+        for stat in stats:
+            components = is_connected(enumerate_fiber(stat, spec), moves).components
+            if len(components) > 1:
+                disconnected[(stat.rows, stat.cols, stat.diag)] = tuple(sorted(map(len, components)))
+        assert report.fibers_checked == len(stats)
+        assert dict(report.disconnected) == disconnected
+        assert bool(disconnected) != family_moves
+
 
 class TestFiberWalk:
     def test_statistic_invariant_along_chain(self):

@@ -268,6 +268,11 @@ class TestBinomialBoundary:
         with pytest.raises(SizeMismatchError):
             ideal_equal([_minor3()], [_minor3(), _minor2()])
 
+    @pytest.mark.parametrize("first, second", [(_minor2, _minor3), (_minor3, _minor2)])
+    def test_ideal_equal_rejects_sets_of_different_sizes(self, first, second):
+        with pytest.raises(SizeMismatchError):
+            ideal_equal([first()], [second()])
+
     def test_in_ideal_rejects_mixed_sizes(self):
         with pytest.raises(SizeMismatchError):
             in_ideal(_minor2(), [_minor3()])
