@@ -269,6 +269,8 @@ def is_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
 def _move_deltas(moves: Sequence[Move], I: int) -> List[tuple]:
     deltas = []
     for m in moves:
+        if m.size != I:
+            raise SizeMismatchError("move size differs from table size")
         flat = [x for row in m.cells for x in row]
         entries = tuple((k, v) for k, v in enumerate(flat) if v)
         deltas.append(entries)
@@ -378,9 +380,6 @@ def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> 
     if not moves:
         raise InputError("fiber_walk needs at least one move")
     I = start.size
-    for m in moves:
-        if m.size != I:
-            raise SizeMismatchError("move size differs from table size")
     deltas = _move_deltas(moves, I)
     rng = random.Random(f"fiber-walk|{config.seed}")
     hypergeometric = config.stationary is Stationary.HYPERGEOMETRIC

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .errors import ConvergenceError, InputError
 from .tables import CountTable, ModelFamily, ModelForm, ModelSpec, ProbTable
 
@@ -285,6 +283,30 @@ def _trace_constrained_support(rows, cols, diag_total) -> set:
     return supp
 
 
+def _fsum(values) -> float:
+    # Left to right, the order of the pinned fits (numpy's on rows of up to
+    # 7 cells); the built-in sum() compensates from Python 3.12 on and would
+    # change the last bits.
+    s = 0.0
+    for v in values:
+        s += v
+    return s
+
+
+def _scale(lines, targets) -> list:
+    """Scale each line (a row, or a column of the transposed table) to its target."""
+    out = []
+    for line, t in zip(lines, targets):
+        s = _fsum(line)
+        if s > 0.0:
+            factor = t / s
+            line = [v * factor for v in line]
+        elif t != 0.0:
+            raise ConvergenceError(f"cannot fit a positive margin of {t} over an all-zero stratum")
+        out.append(line)
+    return out
+
+
 def _ipf(table: CountTable, fit_diag_sum: bool) -> List[List[float]]:
     """Iterative proportional fit shared by the two expected-count models.
 
@@ -298,64 +320,36 @@ def _ipf(table: CountTable, fit_diag_sum: bool) -> List[List[float]]:
     model boundary and margin gaps decay only like 1/sweeps.
     """
     I = table.size
-    rows = table.row_margins()
-    cols = table.col_margins()
-    f = np.array(table.cells, dtype=float)
-
+    rows, cols, diag = table.row_margins(), table.col_margins(), table.diag_vector()
     if fit_diag_sum:
-        diag_target = float(table.diag_sum())
-        row_targets = np.array(rows, dtype=float)
-        col_targets = np.array(cols, dtype=float)
         support = _trace_constrained_support(rows, cols, table.diag_sum())
     else:
-        diag_target = 0.0
-        row_targets = np.array([rows[i] - table.cells[i][i] for i in range(I)], dtype=float)
-        col_targets = np.array([cols[j] - table.cells[j][j] for j in range(I)], dtype=float)
-        support = _offdiag_support(
-            [rows[i] - table.cells[i][i] for i in range(I)],
-            [cols[j] - table.cells[j][j] for j in range(I)],
-        )
-
-    mask = np.zeros((I, I), dtype=bool)
-    for (i, j) in support:
-        mask[i, j] = True
-    e = np.where(mask, 1.0, 0.0)
-
-    def scale_rows(values, targets, axis):
-        sums = values.sum(axis=axis)
-        for k in range(I):
-            t, s = targets[k], sums[k]
-            if s > 0.0:
-                if axis == 1:
-                    values[k] *= t / s
-                else:
-                    values[:, k] *= t / s
-            elif t != 0.0:
-                raise ConvergenceError(
-                    f"cannot fit a positive margin of {t} over an all-zero stratum"
-                )
+        rows = [rows[i] - diag[i] for i in range(I)]
+        cols = [cols[j] - diag[j] for j in range(I)]
+        support = _offdiag_support(rows, cols)
+    row_targets, col_targets = [float(x) for x in rows], [float(x) for x in cols]
+    diag_target = float(table.diag_sum())
+    e = [[float((i, j) in support) for j in range(I)] for i in range(I)]
 
     for _ in range(IPF_MAX_SWEEPS):
-        scale_rows(e, row_targets, axis=1)
-        scale_rows(e, col_targets, axis=0)
+        e = _scale(e, row_targets)
+        e = [list(row) for row in zip(*_scale(zip(*e), col_targets))]
         if fit_diag_sum:
-            dsum = np.trace(e)
+            dsum = _fsum(e[i][i] for i in range(I))
             if dsum > 0.0:
-                np.fill_diagonal(e, np.diag(e) * (diag_target / dsum))
+                factor = diag_target / dsum
+                for i in range(I):
+                    e[i][i] *= factor
             elif diag_target != 0.0:
-                raise ConvergenceError(
-                    "cannot fit a positive diagonal total over a zero diagonal"
-                )
-        gaps = [
-            np.max(np.abs(e.sum(axis=1) - row_targets)),
-            np.max(np.abs(e.sum(axis=0) - col_targets)),
-        ]
+                raise ConvergenceError("cannot fit a positive diagonal total over a zero diagonal")
+        margins = [*zip(e, row_targets), *zip(zip(*e), col_targets)]
         if fit_diag_sum:
-            gaps.append(abs(np.trace(e) - diag_target))
-        if max(gaps) < IPF_TOLERANCE:
+            margins.append(([e[i][i] for i in range(I)], diag_target))
+        if max(abs(_fsum(line) - t) for line, t in margins) < IPF_TOLERANCE:
             if not fit_diag_sum:
-                np.fill_diagonal(e, np.diag(f))
-            return e.tolist()
+                for i in range(I):
+                    e[i][i] = float(diag[i])
+            return e
     raise ConvergenceError(f"IPF did not converge within {IPF_MAX_SWEEPS} sweeps")
 
 

@@ -7,6 +7,7 @@ decidable exactly.  No floating point enters here.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -54,9 +55,9 @@ def _freeze_int_grid(rows: Sequence[Sequence[int]], *, what: str) -> tuple:
         if len(row) != size:
             raise InputError(f"{what}: row {i + 1} has {len(row)} entries, expected {size}")
         for x in row:
-            if x != int(x):
+            if isinstance(x, bool) or not hasattr(x, "__index__"):
                 raise InputError(f"{what}: entry {x!r} in row {i + 1} is not an integer")
-        out.append(tuple(int(x) for x in row))
+        out.append(tuple(operator.index(x) for x in row))
     return tuple(out)
 
 

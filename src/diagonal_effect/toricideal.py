@@ -45,10 +45,8 @@ class DesignMatrix:
         return len(self.param_names)
 
 
-def design_matrix(model: ModelSpec, I: Optional[int] = None) -> DesignMatrix:
+def design_matrix(model: ModelSpec) -> DesignMatrix:
     """Design matrix of a toric-form model family."""
-    if I is not None and I != model.size:
-        raise InputError(f"explicit size {I} conflicts with model size {model.size}")
     if model.form is not ModelForm.TORIC:
         raise InputError("design matrices exist only for toric-form models")
     I = model.size
@@ -197,7 +195,6 @@ def _saturate_homogeneous(
 
 def toric_ideal(
     model: ModelSpec,
-    I: Optional[int] = None,
     method: str = "saturation",
     max_pairs: int = DEFAULT_MAX_PAIRS,
     max_degree: Optional[int] = None,
@@ -212,8 +209,6 @@ def toric_ideal(
     Sizes above 4 are rejected: basis computations there are outside this
     package's desk-scale guarantees.
     """
-    if I is not None and I != model.size:
-        raise InputError(f"explicit size {I} conflicts with model size {model.size}")
     I = model.size
     if I > 4:
         raise InputError("toric_ideal supports sizes up to 4")

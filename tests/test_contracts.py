@@ -1,10 +1,15 @@
 """Cross-module contract checks that don't belong to a single module."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diagonal_effect
 from diagonal_effect import (
     CountTable,
     InputError,
@@ -120,3 +125,14 @@ class TestSerializationRoundTrips:
             "zeta_gamma": [str(x) for x in toric.zeta_g],
         })
         assert parse_params(text) == toric
+
+
+def test_import_leaves_numpy_unloaded():
+    # The package and its CLI depend on the standard library only.
+    src = str(Path(diagonal_effect.__file__).resolve().parents[1])
+    code = "import sys, diagonal_effect, diagonal_effect.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -12,6 +12,7 @@ from diagonal_effect import (
     CountTable,
     InputError,
     ModelFamily,
+    SizeMismatchError,
     Stationary,
     WalkConfig,
     design_matrix,
@@ -125,6 +126,15 @@ class TestConnectivity:
         assert not report.connected
         assert len(report.components) == 2
 
+    def test_wrong_move_size_rejected(self):
+        fiber = enumerate_fiber(sufficient_statistic(DERANGEMENT, DIAG3), DIAG3)
+        with pytest.raises(SizeMismatchError):
+            is_connected(fiber, moves_diag_effect(4))
+
+    def test_sweep_wrong_move_size_rejected(self):
+        with pytest.raises(SizeMismatchError):
+            verify_connectivity(ModelFamily.DIAGONAL_EFFECT, 3, 3, moves_diag_effect(4))
+
     def test_sweep_small(self):
         report = verify_connectivity(ModelFamily.DIAGONAL_EFFECT, 3, 4)
         assert report.all_connected
@@ -192,6 +202,10 @@ class TestFiberWalk:
     def test_empty_moves_rejected(self):
         with pytest.raises(InputError):
             next(fiber_walk(DERANGEMENT, [], WalkConfig(steps=10)))
+
+    def test_wrong_move_size_rejected(self):
+        with pytest.raises(SizeMismatchError):
+            next(fiber_walk(DERANGEMENT, moves_diag_effect(4), WalkConfig(steps=10)))
 
     @pytest.mark.parametrize("field, value", [
         ("thinning", 0), ("thinning", 1.5), ("burn_in", 2.5), ("steps", True),

@@ -43,6 +43,22 @@ class TestCountTable:
         with pytest.raises(InputError):
             CountTable.from_rows([[1, 2], [3]])
 
+    @pytest.mark.parametrize("entry", [float("nan"), "x", float("inf"), True, 2.0],
+                             ids=["nan", "str", "inf", "bool", "float"])
+    def test_rejects_non_integer_entries(self, entry):
+        with pytest.raises(InputError, match="not an integer"):
+            CountTable.from_rows([[entry, 0], [0, 1]])
+        with pytest.raises(InputError, match="not an integer"):
+            Move.from_rows([[entry, -1], [-1, 1]])
+
+    def test_accepts_index_entries(self):
+        class Count:
+            def __index__(self):
+                return 2
+
+        t = CountTable.from_rows([[Count(), 0], [0, 1]])
+        assert t.cells == ((2, 0), (0, 1)) and type(t.cells[0][0]) is int
+
 
 class TestProbTable:
     def test_requires_exact_unit_sum(self):
