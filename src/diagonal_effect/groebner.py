@@ -14,7 +14,6 @@ turn pathological inputs into loud errors rather than silent truncation.
 from __future__ import annotations
 
 import heapq
-from itertools import combinations
 from operator import add, le, sub
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -214,12 +213,3 @@ def reduce_basis(basis: Sequence[CellPolynomial], order: TermOrder) -> List[Cell
         for k, g in enumerate(minimal)
     ]
     return _decode(reduced, order, size)
-
-
-def spoly_reductions_all_zero(groebner_basis: Sequence[CellPolynomial], order: TermOrder) -> bool:
-    """Buchberger criterion as a verification: every S-polynomial of basis
-    pairs reduces to zero."""
-    if not groebner_basis:
-        return True
-    basis = _encode(groebner_basis, order, groebner_basis[0].size)
-    return all(_s_remainder(f, g, basis, order) is None for f, g in combinations(basis, 2))

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import combinations, permutations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .polynomials import CellPolynomial, binomial_from_vector
+from .polynomials import CellPolynomial, binomial_from_vector, clear_denominators
 from .tables import Move, ProbTable, rectangle_indices, triple_indices
 
 
@@ -338,8 +339,11 @@ def check_vanishing(polys, P: ProbTable) -> VanishingReport:
     `polys` holds `Invariant`s or bare `CellPolynomial`s, which are named
     "poly #k" by position; anything else raises InputError.
     """
-    invs = _as_invariants(polys)
-    return VanishingReport(entries=tuple((inv.name, inv.poly.evaluate(P)) for inv in invs))
+    clear = lru_cache(maxsize=None)(partial(clear_denominators, P))  # once per table size
+    return VanishingReport(entries=tuple(
+        (inv.name, inv.poly.evaluate_cleared(*clear(inv.poly.size)))
+        for inv in _as_invariants(polys)
+    ))
 
 
 def nonvanishing_variants_report(point: Optional[ProbTable] = None) -> List[dict]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import neg
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -124,8 +125,25 @@ class TermOrder:
         return sorted(terms, key=self.key, reverse=reverse)
 
 
+def clear_denominators(point, size: int) -> Tuple[List[int], int]:
+    """(N, D): cell variable v is N[v] / D at a ProbTable or a {(i, j): value}
+    mapping `point`, with D the lcm of the cell denominators."""
+    if isinstance(point, ProbTable):
+        if point.size != size:
+            raise SizeMismatchError(
+                f"polynomial over {size}x{size} cells, table is {point.size}x{point.size}"
+            )
+        flat = [p for row in point.cells for p in row]
+    else:
+        flat = [Fraction(0)] * (size * size)
+        for (i, j), value in point.items():
+            flat[cell_var(i, j, size)] = Fraction(value)
+    den = lcm(*(p.denominator for p in flat))
+    return [p.numerator * (den // p.denominator) for p in flat], den
+
+
 class CellPolynomial:
-    """Immutable-by-convention sparse polynomial with Fraction coefficients."""
+    """Immutable-by-convention sparse polynomial; integral coefficients are ints."""
 
     __slots__ = ("size", "terms")
 
@@ -134,7 +152,9 @@ class CellPolynomial:
         clean: Dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                if c.__class__ is not int:
+                    c = Fraction(c)
+                    c = c.numerator if c.denominator == 1 else c
                 if c != 0:
                     clean[m] = c
         self.terms = clean
@@ -151,7 +171,7 @@ class CellPolynomial:
         terms: Dict[Monomial, Fraction] = {}
         for coeff, cells in cell_terms:
             m = mono_from_cells(cells, size)
-            terms[m] = terms.get(m, Fraction(0)) + Fraction(coeff)
+            terms[m] = terms.get(m, 0) + (coeff if coeff.__class__ is int else Fraction(coeff))
         return cls(size, terms)
 
     # ---- ring operations ----
@@ -160,15 +180,11 @@ class CellPolynomial:
         self._check_sibling(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, 0) + c
         return CellPolynomial(self.size, terms)
 
     def __sub__(self, other: "CellPolynomial") -> "CellPolynomial":
-        self._check_sibling(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) - c
-        return CellPolynomial(self.size, terms)
+        return self + -other
 
     def __neg__(self) -> "CellPolynomial":
         return CellPolynomial(self.size, {m: -c for m, c in self.terms.items()})
@@ -179,7 +195,7 @@ class CellPolynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+                terms[m] = terms.get(m, 0) + c1 * c2
         return CellPolynomial(self.size, terms)
 
     def _check_sibling(self, other: "CellPolynomial"):
@@ -232,25 +248,22 @@ class CellPolynomial:
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a ProbTable or a {(i, j): Fraction} mapping."""
-        if isinstance(point, ProbTable):
-            if point.size != self.size:
-                raise SizeMismatchError(
-                    f"polynomial over {self.size}x{self.size} cells, table is {point.size}x{point.size}"
-                )
-            flat = [p for row in point.cells for p in row]
-        else:
-            flat = [Fraction(0)] * (self.size * self.size)
-            for (i, j), value in point.items():
-                flat[cell_var(i, j, self.size)] = Fraction(value)
-        total = Fraction(0)
+        return self.evaluate_cleared(*clear_denominators(point, self.size))
+
+    def evaluate_cleared(self, nums: Sequence[int], den: int) -> Fraction:
+        """Exact value where variable v is nums[v] / den: the integer sum of
+        c * N^m * D^(deg f - deg m) over the terms c*x^m, over D^(deg f)."""
+        deg = self.total_degree()
+        total = 0
         for m, c in self.terms.items():
-            value = c
+            pad = deg
             for v, e in m:
-                if v >= len(flat):
+                if v >= len(nums):
                     raise InputError("cannot evaluate an auxiliary variable at a table")
-                value *= flat[v] ** e
-            total += value
-        return total
+                c *= nums[v] ** e
+                pad -= e
+            total += c * den ** pad
+        return Fraction(total, den ** deg)
 
     def render_monomial(self, m: Monomial) -> str:
         if not m:
@@ -301,7 +314,7 @@ def binomial_from_vector(flat: Sequence[int], size: int) -> CellPolynomial:
     return CellPolynomial(
         size,
         {
-            tuple(sorted(pos.items())): Fraction(1),
-            tuple(sorted(neg.items())): Fraction(-1),
+            tuple(sorted(pos.items())): 1,
+            tuple(sorted(neg.items())): -1,
         },
     )

@@ -74,9 +74,11 @@ class CountTable:
             raise InputError("cells must form a size x size grid")
         total = 0
         for i, row in enumerate(self.cells):
-            for j, x in enumerate(row):
-                if x < 0:
-                    raise InputError(f"count at ({i + 1},{j + 1}) is negative: {x}")
+            for x in row:
+                if x.__class__ is not int or x < 0:  # exactly int: no bool, float or Fraction
+                    j = next(j for j, y in enumerate(row) if y is x)
+                    kind = "is negative" if x.__class__ is int else "is not an integer"
+                    raise InputError(f"count at ({i + 1},{j + 1}) {kind}: {x!r}")
                 total += x
         object.__setattr__(self, "n", total)
 

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from diagonal_effect import CellPolynomial, InputError, ProbTable, TermOrder
+from diagonal_effect import CellPolynomial, InputError, ProbTable, SizeMismatchError, TermOrder
 from diagonal_effect.polynomials import (
     binomial_from_vector,
     cell_var,
@@ -77,6 +79,75 @@ class TestRingLaws:
             [[Fraction(1, 3), Fraction(1, 6)], [Fraction(1, 6), Fraction(1, 3)]]
         )
         assert minor.evaluate(skew) == Fraction(1, 12)
+
+
+def naive_value(cell_terms, values) -> Fraction:
+    """Term-by-term Fraction value of sum(coeff * prod(cells)) where the cell
+    (i, j) is values.get((i, j), 0); the oracle for `evaluate`."""
+    total = Fraction(0)
+    for coeff, cells in cell_terms:
+        term = Fraction(coeff)
+        for cell in cells:
+            term *= values.get(cell, Fraction(0))
+        total += term
+    return total
+
+
+coefficients = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+
+
+@st.composite
+def cell_terms_and_point(draw):
+    """Random (coeff, cells) terms of mixed degree 0..4 over a 2x2 or 3x3
+    table, and a ProbTable or a partial {(i, j): value} mapping where some
+    cells are 0."""
+    size = draw(st.integers(2, 3))
+    cell = st.tuples(st.integers(1, size), st.integers(1, size))
+    terms = draw(st.lists(st.tuples(coefficients, st.lists(cell, max_size=4)), max_size=6))
+    all_cells = [(i, j) for i in range(1, size + 1) for j in range(1, size + 1)]
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 30), min_size=size * size, max_size=size * size)
+                       .filter(any))
+        total = sum(weights)
+        values = {c: Fraction(w, total) for c, w in zip(all_cells, weights)}
+        point = ProbTable.from_rows([[values[(i, j)] for j in range(1, size + 1)]
+                                     for i in range(1, size + 1)])
+    else:
+        values = draw(st.dictionaries(st.sampled_from(all_cells), coefficients))
+        point = values
+    return size, terms, values, point
+
+
+class TestExactEvaluation:
+    @settings(max_examples=200, deadline=None)
+    @given(cell_terms_and_point())
+    @example((2, [], {}, {}))  # the zero polynomial
+    @example((3, [(Fraction(-7, 3), [])], {(1, 1): Fraction(1, 2)}, {(1, 1): Fraction(1, 2)}))
+    def test_agrees_with_term_by_term_fractions(self, case):
+        size, terms, values, point = case
+        value = CellPolynomial.from_cell_terms(size, terms).evaluate(point)
+        assert type(value) is Fraction
+        assert value == naive_value(terms, values)
+
+    def test_integral_coefficients_are_ints(self):
+        p = CellPolynomial(2, {((0, 1),): Fraction(6, 3), ((1, 1),): Fraction(1, 2), (): 2.0})
+        assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
+        assert p == CellPolynomial(2, {((0, 1),): 2, ((1, 1),): Fraction(1, 2), (): 2})
+        for c in binomial_from_vector([1, -1, -1, 1], 2).terms.values():
+            assert type(c) is int
+
+    def test_errors_kept(self):
+        minor = binomial_from_vector([1, -1, -1, 1], 2)
+        with pytest.raises(SizeMismatchError):
+            minor.evaluate(ProbTable.from_rows([[Fraction(1, 9)] * 3] * 3))
+        with pytest.raises(InputError):
+            minor.evaluate({(3, 1): 1})
+        aux = CellPolynomial(2, {((4, 1),): 1})
+        with pytest.raises(InputError, match="auxiliary"):
+            aux.evaluate(ProbTable.from_rows([[Fraction(1, 4)] * 2] * 2))
 
 
 class TestTermOrders:

@@ -51,6 +51,16 @@ class TestCountTable:
         with pytest.raises(InputError, match="not an integer"):
             Move.from_rows([[entry, -1], [-1, 1]])
 
+    @pytest.mark.parametrize("cells", [
+        ((True, 2.0), (0, 1)),
+        ((1, 2.0), (0, 1)),
+        ((Fraction(2), 0), (0, 1)),
+        (("x", 0), (0, 1)),
+    ], ids=["bool-and-float", "float", "fraction", "str"])
+    def test_constructor_rejects_non_int_cells(self, cells):
+        with pytest.raises(InputError, match="not an integer"):
+            CountTable(size=2, cells=cells)
+
     def test_accepts_index_entries(self):
         class Count:
             def __index__(self):

@@ -1,4 +1,5 @@
 import importlib
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from diagonal_effect import (
     toric_point,
     transpose_apply,
 )
-from diagonal_effect.groebner import buchberger, normal_form, spoly_reductions_all_zero
+from diagonal_effect.groebner import _encode, _s_remainder, buchberger, normal_form
 from diagonal_effect.markov import moves_common_diag, moves_diag_effect
 
 from conftest import model, random_count_table
@@ -37,6 +38,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # the package exports a function named `groebner`, which hides the module
 groebner_module = importlib.import_module("diagonal_effect.groebner")
+
+
+def spoly_reductions_all_zero(groebner_basis, order) -> bool:
+    """Buchberger criterion as a verification: every S-polynomial of basis
+    pairs reduces to zero."""
+    if not groebner_basis:
+        return True
+    basis = _encode(groebner_basis, order, groebner_basis[0].size)
+    return all(_s_remainder(f, g, basis, order) is None for f, g in combinations(basis, 2))
 
 
 class TestDesignMatrix:
