@@ -1,9 +1,12 @@
 """Markov-basis moves, fiber enumeration, fiber walks, and exact tests.
 
 Move factories produce canonical representatives (the opposite orientation
-of every move is reached by applying it with sign -1).  The enumeration
-routines are deliberately simple backtracking with margin pruning: they are
-the oracle against which the sampler is calibrated, so clarity beats speed.
+of every move is reached by applying it with sign -1).  Fibers are held as
+flat integer tuples in row-major order: enumeration backtracks over one
+flat list with margin pruning, the exact test weights each table by the
+integer n!/prod f!, and the connectivity searches step between flat
+tuples.  `CountTable`s are built only for callers that ask for them.
+Enumeration remains the oracle against which the sampler is calibrated.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
+from functools import cache, cached_property
 from itertools import combinations, permutations
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, InputError, SizeMismatchError
@@ -162,12 +166,22 @@ def moves_for_model(model: ModelSpec) -> List[Move]:
 
 @dataclass(frozen=True)
 class Fiber:
+    """The tables of one fiber as sorted row-major flat tuples, and the
+    number of search nodes `enumerate_fiber` visited to find them."""
+
     stat: SufficientStat
     model: ModelSpec
-    tables: tuple  # of CountTable
+    flats: tuple  # of flat tables
+    nodes: int
 
     def __len__(self) -> int:
-        return len(self.tables)
+        return len(self.flats)
+
+    @cached_property
+    def tables(self) -> tuple:
+        I = self.stat.size
+        return tuple(CountTable(size=I, cells=tuple(f[i * I:(i + 1) * I] for i in range(I)))
+                     for f in self.flats)
 
 
 def enumerate_fiber(
@@ -177,10 +191,10 @@ def enumerate_fiber(
 ) -> Fiber:
     """All nonnegative integer tables with the given sufficient statistic.
 
-    Row-by-row backtracking with column-remainder pruning; for the
-    common-diagonal family the remaining diagonal total is bounded by the
-    remaining margins.  Exceeding `node_budget` visited nodes raises
-    BudgetExceededError (switch to the sampler in that case).
+    Cell-by-cell backtracking in row-major order with column-remainder
+    pruning; for the common-diagonal family the remaining diagonal total is
+    bounded by the remaining margins.  Exceeding `node_budget` visited nodes
+    raises BudgetExceededError (switch to the sampler in that case).
     """
     if stat.family is not model.family:
         raise InputError("statistic and model families differ")
@@ -189,65 +203,67 @@ def enumerate_fiber(
     I = stat.size
     rows, cols = stat.rows, stat.cols
     diag_vec = stat.diag if stat.family is ModelFamily.DIAGONAL_EFFECT else None
-    diag_sum = stat.diag if stat.family is ModelFamily.COMMON_DIAGONAL_EFFECT else None
+    common = stat.family is ModelFamily.COMMON_DIAGONAL_EFFECT
     if model.structural_zero_diagonal:
         if diag_vec is None or any(d != 0 for d in diag_vec):
             raise InputError("structural-zero diagonal requires a zero diagonal vector")
 
-    grid = [[0] * I for _ in range(I)]
+    flat = [0] * (I * I)  # every cell is written before a leaf reads it
     colrem = list(cols)
+    on_diag = 0 if stat.diag is None else 1  # independence leaves the diagonal free
     found: List[tuple] = []
     nodes = 0
+    last = I - 1
 
-    def fill(i: int, j: int, rowrem: int, diagrem: Optional[int]):
+    def fill(i: int, j: int, rowrem: int, diagrem: int):
+        # node (i, j) for j < I - 1; diagrem is what the diagonal cells from
+        # here on must hold in total
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
-            raise BudgetExceededError(
-                f"fiber enumeration exceeded the {node_budget}-node budget"
-            )
-        if i == I:
-            if diagrem is None or diagrem == 0:
-                found.append(tuple(tuple(r) for r in grid))
-            return
-        if j == I:
-            if rowrem == 0:
-                fill(i + 1, 0, rows[i + 1] if i + 1 < I else 0, diagrem)
-            return
-        lo = hi = None
-        if j == I - 1:
-            lo = hi = rowrem
-        else:
-            lo, hi = 0, rowrem
-        hi = min(hi, colrem[j])
+            raise BudgetExceededError(f"fiber enumeration exceeded the {node_budget}-node budget")
+        c = colrem[j]
+        lo, hi = 0, rowrem if rowrem < c else c
+        shift = on_diag if i == j else 0
         if i == j:
             if diag_vec is not None:
-                lo = hi = diag_vec[i] if lo <= diag_vec[i] <= hi else -1
-                if lo == -1:
+                if not lo <= diag_vec[i] <= hi:
                     return
-            elif diagrem is not None:
-                hi = min(hi, diagrem)
-        if lo > hi:
-            return
+                lo = hi = diag_vec[i]
+            elif common:
+                # the later diagonal cells can absorb at most their margin bounds
+                cap = 0
+                for k in range(i + 1, I):
+                    cap += min(rows[k], colrem[k])
+                lo, hi = max(0, diagrem - cap), min(hi, diagrem)
+        p = i * I + j
         for v in range(lo, hi + 1):
-            grid[i][j] = v
-            colrem[j] -= v
-            new_diagrem = diagrem
-            if diagrem is not None and i == j:
-                new_diagrem = diagrem - v
-                # remaining diagonal cells can absorb at most their margin bounds
-                cap = sum(min(rows[k], colrem[k]) for k in range(i + 1, I))
-                if new_diagrem > cap:
-                    grid[i][j] = 0
-                    colrem[j] += v
-                    continue
-            fill(i, j + 1, rowrem - v, new_diagrem)
-            colrem[j] += v
-            grid[i][j] = 0
+            flat[p], colrem[j] = v, c - v
+            r, d = rowrem - v, diagrem - shift * v
+            if j < I - 2:
+                fill(i, j + 1, r, d)
+                continue
+            # the row's last cell is forced to r: its node, the row-end node
+            # and, in the last row, where it is diagonal, the leaf
+            nodes += 1
+            if r > colrem[last] or (i == last and on_diag and r != d):
+                continue
+            flat[p + 1] = r
+            nodes += 1
+            if i == last:
+                nodes += 1
+                found.append(tuple(flat))
+            else:
+                colrem[last] -= r
+                fill(i + 1, 0, rows[i + 1], d)
+                colrem[last] += r
+        colrem[j] = c
 
-    fill(0, 0, rows[0] if I else 0, diag_sum)
-    tables = tuple(CountTable(size=I, cells=t) for t in sorted(found))
-    return Fiber(stat=stat, model=model, tables=tables)
+    fill(0, 0, rows[0], sum(diag_vec) if diag_vec is not None else stat.diag or 0)
+    if nodes > node_budget:  # the inline nodes at the very end
+        raise BudgetExceededError(f"fiber enumeration exceeded the {node_budget}-node budget")
+    # cells in row-major order, values in increasing order: `found` is sorted
+    return Fiber(stat=stat, model=model, flats=tuple(found), nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -258,10 +274,9 @@ class ConnectivityReport:
 
 def is_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     """Graph connectivity of the fiber under single-move transitions."""
-    members = [tuple(x for row in t.cells for x in row) for t in fiber.tables]
     components = tuple(
         tuple(fiber.tables[k] for k in sorted(comp))
-        for comp in _components(members, _move_deltas(moves, fiber.stat.size))
+        for comp in _components(fiber.flats, _by_cell(_move_deltas(moves, fiber.stat.size)))
     )
     return ConnectivityReport(connected=len(components) <= 1, components=components)
 
@@ -278,9 +293,20 @@ def _move_deltas(moves: Sequence[Move], I: int) -> List[tuple]:
     return deltas
 
 
-def _components(members: Sequence[tuple], deltas: Sequence[tuple]) -> List[List[int]]:
-    """Connected components of the flat tables `members` under the signed
-    `deltas`, each a list of member indices in depth-first discovery order."""
+def _by_cell(deltas: Sequence[tuple]) -> Dict[int, List[list]]:
+    """The deltas, entries sorted by change, filed under the cell of their
+    largest decrement (a move is balanced, so it has one): only tables
+    that occupy that cell can take them."""
+    by_cell: Dict[int, List[list]] = {}
+    for delta in deltas:
+        delta = sorted(delta, key=itemgetter(1))
+        by_cell.setdefault(delta[0][0], []).append(delta)
+    return by_cell
+
+
+def _components(members: Sequence[tuple], by_cell: Dict[int, List[list]]) -> List[List[int]]:
+    """Connected components of the flat tables `members`, all of one total,
+    under the deltas filed by `_by_cell`; each is a list of member indices."""
     index = {m: k for k, m in enumerate(members)}
     seen = [False] * len(members)
     components = []
@@ -294,21 +320,19 @@ def _components(members: Sequence[tuple], deltas: Sequence[tuple]) -> List[List[
             k = stack.pop()
             comp.append(k)
             flat = members[k]
-            for delta in deltas:
-                out = list(flat)
-                ok = True
-                for pos, v in delta:
-                    nv = out[pos] + v
-                    if nv < 0:
-                        ok = False
-                        break
-                    out[pos] = nv
-                if not ok:
-                    continue
-                kn = index.get(tuple(out))
-                if kn is not None and not seen[kn]:
-                    seen[kn] = True
-                    stack.append(kn)
+            for cell, x in enumerate(flat):
+                for delta in by_cell.get(cell, ()) if x else ():
+                    for pos, v in delta:
+                        if flat[pos] + v < 0:
+                            break
+                    else:
+                        out = list(flat)
+                        for pos, v in delta:
+                            out[pos] += v
+                        kn = index.get(tuple(out))
+                        if kn is not None and not seen[kn]:
+                            seen[kn] = True
+                            stack.append(kn)
         components.append(comp)
     return components
 
@@ -501,24 +525,26 @@ def exact_test(
                 raise
             fiber = None
         if fiber is not None:
-            # hypergeometric weights n!/prod f! are exact integers; n! cancels
-            hit_weight = total_weight = Fraction(0)
-            for t in fiber.tables:
-                w = Fraction(1)
-                for row in t.cells:
-                    for x in row:
-                        w /= math.factorial(x)
+            # exact integer weights n!/prod f!, with factorials of only the
+            # values that occur; int true division rounds hit/total correctly
+            fact = cache(math.factorial)
+            n_fact = math.factorial(table.n)
+            # a flat table is a one-row grid to the Pearson loop: same cells, same order
+            flat_expected = (tuple(e for row in expected for e in row),)
+            hit_weight = total_weight = 0
+            for flat in fiber.flats:
+                w = n_fact // math.prod(map(fact, flat))
                 total_weight += w
-                if pearson_statistic(t.cells, expected) >= threshold:
+                if pearson_statistic((flat,), flat_expected) >= threshold:
                     hit_weight += w
-            p = float(hit_weight / total_weight)
+            p = hit_weight / total_weight
             return TestResult(
                 statistic_observed=observed_stat,
                 p_value=p,
                 monte_carlo_stderr=0.0,
-                samples_used=len(fiber.tables),
+                samples_used=len(fiber),
                 method="Enumeration",
-                config={"node_budget": node_budget},
+                config={"node_budget": node_budget, "nodes_visited": fiber.nodes},
             )
 
     if config is None:
@@ -624,28 +650,17 @@ class SweepReport:
 
 
 def _all_tables_flat(I: int, total: int) -> Iterator[tuple]:
-    """Every nonnegative integer I*I vector with the given total."""
-    cells = I * I
-    vec = [0] * cells
-
-    def rec(pos: int, left: int):
-        if pos == cells - 1:
-            vec[pos] = left
-            yield tuple(vec)
-            vec[pos] = 0
-            return
-        for v in range(left + 1):
-            vec[pos] = v
-            yield from rec(pos + 1, left - v)
-            vec[pos] = 0
-
-    yield from rec(0, total)
+    """Every nonnegative integer I*I vector with the given total, in
+    lexicographic order: the gaps between I*I - 1 bars set among `total` stars."""
+    end = (total + I * I - 1,)
+    for bars in combinations(range(end[0]), I * I - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
 
 
 def _stat_key(flat: tuple, I: int, family: ModelFamily) -> tuple:
-    rows = tuple(sum(flat[i * I + j] for j in range(I)) for i in range(I))
-    cols = tuple(sum(flat[i * I + j] for i in range(I)) for j in range(I))
-    diag = tuple(flat[i * I + i] for i in range(I))
+    rows = tuple(sum(flat[i * I:(i + 1) * I]) for i in range(I))
+    cols = tuple(sum(flat[j::I]) for j in range(I))
+    diag = flat[::I + 1]
     if family is ModelFamily.COMMON_DIAGONAL_EFFECT:
         return rows, cols, sum(diag)
     return rows, cols, diag
@@ -667,7 +682,7 @@ def verify_connectivity(
     model = ModelSpec(family=family, form=ModelForm.TORIC, size=I)
     if moves is None:
         moves = moves_for_model(model)
-    deltas = _move_deltas(moves, I)
+    by_cell = _by_cell(_move_deltas(moves, I))
 
     fibers: Dict[tuple, List[tuple]] = {}
     tables_seen = 0
@@ -682,7 +697,7 @@ def verify_connectivity(
         largest = max(largest, len(members))
         if len(members) <= 1:
             continue
-        comp_sizes = [len(comp) for comp in _components(members, deltas)]
+        comp_sizes = [len(comp) for comp in _components(members, by_cell)]
         if len(comp_sizes) > 1:
             disconnected.append((key, tuple(sorted(comp_sizes))))
 

@@ -1,6 +1,7 @@
 import math
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from diagonal_effect import (
     SizeMismatchError,
     Stationary,
     WalkConfig,
+    apply_move,
     design_matrix,
     enumerate_fiber,
     exact_test,
@@ -34,6 +36,47 @@ from conftest import all_tables, model, random_count_table
 DIAG3 = model(ModelFamily.DIAGONAL_EFFECT, 3)
 COMMON3 = model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3)
 DERANGEMENT = CountTable.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+# the `fibers` benchmark's largest base table: a common-diagonal fiber of 9,480 tables
+LARGEST = CountTable.from_rows(
+    [[0, 0, 1, 2, 0], [0, 0, 2, 0, 1], [2, 0, 0, 1, 0], [1, 0, 0, 0, 2], [0, 3, 0, 0, 0]])
+FAMILIES = [ModelFamily.DIAGONAL_EFFECT, ModelFamily.COMMON_DIAGONAL_EFFECT]
+
+
+def flat(table: CountTable) -> tuple:
+    return tuple(x for row in table.cells for x in row)
+
+
+@lru_cache(maxsize=None)
+def fibers_by_grouping(family: ModelFamily, size: int, n: int) -> dict:
+    """Every fiber of total n, as sorted flat tables, by grouping all tables."""
+    m = model(family, size)
+    groups = {}
+    for t in all_tables(size, n):
+        groups.setdefault(sufficient_statistic(t, m), []).append(flat(t))
+    return {stat: sorted(members) for stat, members in groups.items()}
+
+
+def components_by_bfs(fiber, moves) -> tuple:
+    """Connected components by breadth-first search over `apply_move`, each
+    in fiber order, ordered by their first table."""
+    position = {t.cells: k for k, t in enumerate(fiber.tables)}
+    component = {}
+    for start in range(len(fiber)):
+        if start in component:
+            continue
+        component[start] = start
+        queue = deque([fiber.tables[start]])
+        while queue:
+            table = queue.popleft()
+            for move in moves:
+                for sign in (1, -1):
+                    nxt = apply_move(table, move, sign)
+                    k = position.get(nxt.cells) if nxt is not None else None
+                    if k is not None and k not in component:
+                        component[k] = start
+                        queue.append(nxt)
+    return tuple(tuple(fiber.tables[k] for k in range(len(fiber)) if component[k] == root)
+                 for root in sorted(set(component.values())))
 
 
 class TestMoveFactories:
@@ -108,6 +151,37 @@ class TestEnumerateFiber:
         with pytest.raises(InputError):
             enumerate_fiber(stat, COMMON3)
 
+    def test_nodes_is_the_smallest_sufficient_budget(self):
+        stat = sufficient_statistic(CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]]), COMMON3)
+        fiber = enumerate_fiber(stat, COMMON3)
+        assert enumerate_fiber(stat, COMMON3, node_budget=fiber.nodes) == fiber
+        with pytest.raises(BudgetExceededError):
+            enumerate_fiber(stat, COMMON3, node_budget=fiber.nodes - 1)
+
+    def test_node_count_of_largest_benchmark_fiber(self):
+        # the count decides which budgets enumerate this fiber
+        spec = model(ModelFamily.COMMON_DIAGONAL_EFFECT, 5)
+        fiber = enumerate_fiber(sufficient_statistic(LARGEST, spec), spec)
+        assert (len(fiber), fiber.nodes) == (9480, 352_789)
+
+    def test_tables_built_once_from_flats(self):
+        fiber = enumerate_fiber(sufficient_statistic(DERANGEMENT, COMMON3), COMMON3)
+        assert fiber.tables is fiber.tables
+        assert tuple(flat(t) for t in fiber.tables) == fiber.flats
+
+    @settings(max_examples=100, deadline=None)
+    @given(family=st.sampled_from(FAMILIES + [ModelFamily.INDEPENDENCE]),
+           size=st.integers(3, 4), data=st.data())
+    def test_flats_match_grouping_oracle(self, family, size, data):
+        n = data.draw(st.integers(0, 6 if size == 3 else 4), label="n")
+        picks = data.draw(st.lists(st.integers(0, size * size - 1), min_size=n, max_size=n))
+        cells = [[0] * size for _ in range(size)]
+        for k in picks:
+            cells[k // size][k % size] += 1
+        m = model(family, size)
+        stat = sufficient_statistic(CountTable.from_rows(cells), m)
+        assert list(enumerate_fiber(stat, m).flats) == fibers_by_grouping(family, size, n)[stat]
+
 
 class TestConnectivity:
     def test_derangement_fiber_connected(self):
@@ -131,6 +205,22 @@ class TestConnectivity:
         with pytest.raises(SizeMismatchError):
             is_connected(fiber, moves_diag_effect(4))
 
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(FAMILIES), size=st.integers(3, 4), data=st.data())
+    def test_components_match_naive_bfs(self, family, size, data):
+        n = data.draw(st.integers(2, 6 if size == 3 else 4), label="n")
+        fibers = fibers_by_grouping(family, size, n)
+        stat = data.draw(st.sampled_from(sorted(fibers, key=repr)), label="stat")
+        m = model(family, size)
+        family_moves = moves_for_model(m)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(family_moves),
+                                  max_size=len(family_moves)), label="keep")
+        moves = [mv for mv, kept in zip(family_moves, keep) if kept]
+        fiber = enumerate_fiber(stat, m)
+        report = is_connected(fiber, moves)
+        assert report.components == components_by_bfs(fiber, moves)
+        assert report.connected == (len(report.components) <= 1)
+
     def test_sweep_wrong_move_size_rejected(self):
         with pytest.raises(SizeMismatchError):
             verify_connectivity(ModelFamily.DIAGONAL_EFFECT, 3, 3, moves_diag_effect(4))
@@ -139,6 +229,35 @@ class TestConnectivity:
         report = verify_connectivity(ModelFamily.DIAGONAL_EFFECT, 3, 4)
         assert report.all_connected
         assert report.tables_seen == sum(math.comb(n + 8, 8) for n in range(5))
+
+    # the key's repr is what `check-connectivity` prints for a disconnected
+    # fiber; the family move sets connect every swept fiber, so only reduced
+    # move sets show it
+    REDUCED_SWEEPS = {
+        "common-no-diag-shift": (
+            ModelFamily.COMMON_DIAGONAL_EFFECT, 3, 4, "diag-shift", (679, 715, 3),
+            "((((1, 1, 1), (1, 1, 1), 1), (1, 1, 1)), (((1, 1, 2), (1, 1, 2), 2), (1, 1, 1)), "
+            "(((1, 1, 2), (1, 2, 1), 1), (1, 1, 1)), (((1, 1, 2), (2, 1, 1), 1), (1, 1, 1)), "
+            "(((1, 2, 1), (1, 1, 2), 1), (1, 1, 1)), (((1, 2, 1), (1, 2, 1), 2), (1, 1, 1)), "
+            "(((1, 2, 1), (2, 1, 1), 1), (1, 1, 1)), (((2, 1, 1), (1, 1, 2), 1), (1, 1, 1)), "
+            "(((2, 1, 1), (1, 2, 1), 1), (1, 1, 1)), (((2, 1, 1), (2, 1, 1), 2), (1, 1, 1)))",
+        ),
+        "diag-no-cycle": (
+            ModelFamily.DIAGONAL_EFFECT, 4, 3, "cycle", (863, 969, 3),
+            "((((0, 1, 1, 1), (0, 1, 1, 1), (0, 0, 0, 0)), (1, 1)), "
+            "(((1, 0, 1, 1), (1, 0, 1, 1), (0, 0, 0, 0)), (1, 1)), "
+            "(((1, 1, 0, 1), (1, 1, 0, 1), (0, 0, 0, 0)), (1, 1)), "
+            "(((1, 1, 1, 0), (1, 1, 1, 0), (0, 0, 0, 0)), (1, 1)))",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(REDUCED_SWEEPS))
+    def test_sweep_disconnected_report_pinned(self, case):
+        family, I, max_n, dropped, counts, disconnected = self.REDUCED_SWEEPS[case]
+        moves = [m for m in moves_for_model(model(family, I)) if m.label != dropped]
+        report = verify_connectivity(family, I, max_n, moves)
+        assert (report.fibers_checked, report.tables_seen, report.largest_fiber) == counts
+        assert repr(report.disconnected) == disconnected
 
     @pytest.mark.parametrize("family_moves", [True, False], ids=["family-moves", "no-moves"])
     @pytest.mark.parametrize("spec", [DIAG3, COMMON3], ids=["diag", "common"])
@@ -251,6 +370,19 @@ class TestExactTest:
         assert result.monte_carlo_stderr == 0.0
         assert result.statistic_observed == pytest.approx(0.0, abs=1e-12)
         assert result.p_value == pytest.approx(1.0)
+
+    def test_enumeration_reports_nodes_visited(self):
+        t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
+        fiber = enumerate_fiber(sufficient_statistic(t, COMMON3), COMMON3)
+        result = exact_test(t, COMMON3, method="enumerate")
+        assert result.config == {"node_budget": 200_000, "nodes_visited": fiber.nodes}
+
+    def test_enumeration_on_large_total_with_small_fiber(self):
+        # n = 30,003, but the fiber holds only this 3-cycle and its reverse:
+        # the weights need the factorials of the cell values 0, 1 and 10,000
+        t = CountTable.from_rows([[10_000, 1, 0], [0, 10_000, 1], [1, 0, 10_000]])
+        result = exact_test(t, DIAG3)
+        assert (result.method, result.samples_used, result.p_value) == ("Enumeration", 2, 1.0)
 
     def test_pvalue_in_unit_interval(self, rng):
         for _ in range(5):
