@@ -36,6 +36,7 @@ from .invariants import (
     moves_to_binomials,
 )
 from .markov import (
+    DEFAULT_NODE_BUDGET,
     Stationary,
     WalkConfig,
     enumerate_fiber,
@@ -60,6 +61,8 @@ from .toricideal import ideal_equal, toric_ideal
 # ASCII digits only, with an optional minus sign kept to name negative
 # entries; int() alone would also take "1_0", "+1" and non-ASCII digits
 _COUNT = re.compile(r"(-?)[0-9]+")
+# the documented rational forms, "3/4" or an integer, in the same digits
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 _FAMILIES = {
     "indep": ModelFamily.INDEPENDENCE,
@@ -92,17 +95,20 @@ def parse_count_table(text: str) -> CountTable:
                 raise InputError(f"line {ln}, column {col}: {part!r} is not an integer")
             if match.group(1):
                 raise InputError(f"line {ln}, column {col}: negative entry {part}")
-            row.append(int(part))
+            try:
+                row.append(int(part))
+            except ValueError:  # past the interpreter's digit limit
+                raise InputError(f"line {ln}, column {col}: {len(part)} digits are too many") from None
         rows.append(row)
     return CountTable.from_rows(rows)
 
 
 def _parse_rational(value, field: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
+    if type(value) is not int and not (isinstance(value, str) and _RATIONAL.fullmatch(value)):
         raise InputError(f"{field}: rationals must be integers or 'num/den' strings, got {value!r}")
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError):
+    except (ValueError, ZeroDivisionError):  # a zero denominator, or past the digit limit
         raise InputError(f"{field}: cannot parse rational from {value!r}") from None
 
 
@@ -119,7 +125,7 @@ def parse_params(
     alpha/r/c/d (d may be omitted for the common-diagonal model)."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, digit limit, deep nesting
         raise InputError(f"parameter JSON is malformed: {exc}") from None
     if not isinstance(data, dict):
         raise InputError("parameter JSON must be an object")
@@ -293,7 +299,8 @@ def _cmd_exact_test(args) -> dict:
     if args.enumerate:
         if args.chains != 1:
             raise InputError("--chains cannot be combined with --enumerate")
-        result = exact_test(table, model, config, method="enumerate")
+        result = exact_test(table, model, config, method="enumerate",
+                            node_budget=DEFAULT_NODE_BUDGET)
     else:
         result = exact_test_chains(table, model, config, args.chains)
     return result.to_json_dict()
@@ -410,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate-fiber", help="list every table sharing the sufficient statistic")
     p.add_argument("--model", choices=["diag", "common"], required=True)
     p.add_argument("--table", required=True, metavar="TABLE_CSV")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_enumerate_fiber)
 
     p = sub.add_parser("markov-moves", help="print the move family of a model")

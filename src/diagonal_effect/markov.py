@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cache, cached_property
 from itertools import combinations, permutations
@@ -170,7 +170,6 @@ class Fiber:
     number of search nodes `enumerate_fiber` visited to find them."""
 
     stat: SufficientStat
-    model: ModelSpec
     flats: tuple  # of flat tables
     nodes: int
 
@@ -263,7 +262,7 @@ def enumerate_fiber(
     if nodes > node_budget:  # the inline nodes at the very end
         raise BudgetExceededError(f"fiber enumeration exceeded the {node_budget}-node budget")
     # cells in row-major order, values in increasing order: `found` is sorted
-    return Fiber(stat=stat, model=model, flats=tuple(found), nodes=nodes)
+    return Fiber(stat=stat, flats=tuple(found), nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -590,13 +589,7 @@ def exact_test_chains(
         return exact_test(table, model, config, method="mcmc")
     results = []
     for k in range(chains):
-        chain_config = WalkConfig(
-            steps=config.steps,
-            burn_in=config.burn_in,
-            thinning=config.thinning,
-            seed=config.seed + k,
-            stationary=config.stationary,
-        )
+        chain_config = replace(config, seed=config.seed + k)
         results.append(exact_test(table, model, chain_config, method="mcmc"))
     p = sum(r.p_value for r in results) / chains
     var = sum((r.p_value - p) ** 2 for r in results) / (chains - 1)

@@ -5,7 +5,8 @@ diagonal); the mixture form blends a rank-one table with a diagonal table.
 All points are produced in exact rational arithmetic.  The iterative
 proportional fit at the bottom is the one deliberately floating-point
 computation: its limit is irrational in general, and it only feeds the
-chi-square statistic of the exact tests, never the exact algebra.
+chi-square statistic of the exact tests, never the exact algebra.  It is
+one trace-constrained fit; the diagonal-effect fit is its trace-0 case.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class MixtureParams:
             if any(x < 0 for x in vec):
                 raise InputError(f"{name} has a negative entry")
             if sum(vec) != 1:
-                raise InputError(f"{name} must sum to exactly 1, got {sum(vec)}")
+                # no value in the message: an exact sum can pass the digit limit of str()
+                raise InputError(f"{name} must sum to exactly 1")
 
     @property
     def size(self) -> int:
@@ -230,29 +232,6 @@ def random_rational_point(model: ModelSpec, seed: int) -> Union[ToricParams, Mix
     return MixtureParams(alpha=alpha, r=r, c=c, d=d)
 
 
-def _offdiag_support(rt, ct) -> set:
-    """Cells of the off-diagonal block that can be positive under the margins.
-
-    Gale's condition for the transportation polytope with a forbidden
-    diagonal reduces to single-index checks: the block with margins
-    (rt, ct) is feasible iff rt_k + ct_k <= S for every k, so cell (i, j)
-    can carry positive mass iff rt_i, ct_j > 0 and every other index still
-    satisfies the inequality after the transfer, i.e. strictly.
-    """
-    S = sum(rt)
-    I = len(rt)
-    supp = set()
-    for i in range(I):
-        if rt[i] == 0:
-            continue
-        for j in range(I):
-            if j == i or ct[j] == 0:
-                continue
-            if all(rt[k] + ct[k] < S for k in range(I) if k not in (i, j)):
-                supp.add((i, j))
-    return supp
-
-
 def _trace_constrained_support(rows, cols, diag_total) -> set:
     """Cells that can be positive given row/column margins and a fixed trace.
 
@@ -260,6 +239,12 @@ def _trace_constrained_support(rows, cols, diag_total) -> set:
     [max(0, max_k(rows_k + cols_k - S)), sum_k min(rows_k, cols_k)];
     a cell is in the support iff shaving epsilon off its margins (and off
     the trace, for a diagonal cell) keeps the target trace in that range.
+
+    At trace 0 this is Gale's condition for the transportation polytope
+    with a forbidden diagonal: the off-diagonal block with margins
+    (rows, cols) is feasible iff rows_k + cols_k <= S for every k, so cell
+    (i, j) can carry positive mass iff rows_i, cols_j > 0 and every other
+    index still satisfies the inequality after the transfer, i.e. strictly.
     """
     I = len(rows)
     S = sum(rows)
@@ -307,48 +292,33 @@ def _scale(lines, targets) -> list:
     return out
 
 
-def _ipf(table: CountTable, fit_diag_sum: bool) -> List[List[float]]:
-    """Iterative proportional fit shared by the two expected-count models.
-
-    fit_diag_sum False: quasi-independence, diagonal cells are fixed at the
-    observed counts and the off-diagonal block is scaled to the margins.
-    fit_diag_sum True: common-diagonal, all cells are scaled to row margins,
-    column margins and the total diagonal count.
+def _ipf(rows, cols, trace) -> List[List[float]]:
+    """Iterative proportional fit to row margins, column margins and trace.
 
     Cells that no table with these margins can make positive are removed
     up front; without that reduction the scaling limit can sit on the
-    model boundary and margin gaps decay only like 1/sweeps.
+    model boundary and margin gaps decay only like 1/sweeps.  At trace 0
+    the diagonal stays 0.0, so the diagonal step neither scales nor raises.
     """
-    I = table.size
-    rows, cols, diag = table.row_margins(), table.col_margins(), table.diag_vector()
-    if fit_diag_sum:
-        support = _trace_constrained_support(rows, cols, table.diag_sum())
-    else:
-        rows = [rows[i] - diag[i] for i in range(I)]
-        cols = [cols[j] - diag[j] for j in range(I)]
-        support = _offdiag_support(rows, cols)
+    I = len(rows)
+    support = _trace_constrained_support(rows, cols, trace)
     row_targets, col_targets = [float(x) for x in rows], [float(x) for x in cols]
-    diag_target = float(table.diag_sum())
+    diag_target = float(trace)
     e = [[float((i, j) in support) for j in range(I)] for i in range(I)]
 
     for _ in range(IPF_MAX_SWEEPS):
         e = _scale(e, row_targets)
         e = [list(row) for row in zip(*_scale(zip(*e), col_targets))]
-        if fit_diag_sum:
-            dsum = _fsum(e[i][i] for i in range(I))
-            if dsum > 0.0:
-                factor = diag_target / dsum
-                for i in range(I):
-                    e[i][i] *= factor
-            elif diag_target != 0.0:
-                raise ConvergenceError("cannot fit a positive diagonal total over a zero diagonal")
-        margins = [*zip(e, row_targets), *zip(zip(*e), col_targets)]
-        if fit_diag_sum:
-            margins.append(([e[i][i] for i in range(I)], diag_target))
+        dsum = _fsum(e[i][i] for i in range(I))
+        if dsum > 0.0:
+            factor = diag_target / dsum
+            for i in range(I):
+                e[i][i] *= factor
+        elif diag_target != 0.0:
+            raise ConvergenceError("cannot fit a positive diagonal total over a zero diagonal")
+        margins = [*zip(e, row_targets), *zip(zip(*e), col_targets),
+                   ([e[i][i] for i in range(I)], diag_target)]
         if max(abs(_fsum(line) - t) for line, t in margins) < IPF_TOLERANCE:
-            if not fit_diag_sum:
-                for i in range(I):
-                    e[i][i] = float(diag[i])
             return e
     raise ConvergenceError(f"IPF did not converge within {IPF_MAX_SWEEPS} sweeps")
 
@@ -357,16 +327,21 @@ def quasi_independence_fit(table: CountTable) -> List[List[float]]:
     """Expected counts under the diagonal-effect (quasi-independence) model.
 
     The diagonal counts are sufficient, so the fitted diagonal equals the
-    observed one; off-diagonal cells are fitted to the row and column
-    margins by iterative proportional scaling.
+    observed one; off-diagonal cells are fitted to the off-diagonal row and
+    column margins at trace 0.
     """
-    return _ipf(table, fit_diag_sum=False)
+    diag = table.diag_vector()
+    e = _ipf([r - d for r, d in zip(table.row_margins(), diag)],
+             [c - d for c, d in zip(table.col_margins(), diag)], 0)
+    for i, d in enumerate(diag):
+        e[i][i] = float(d)
+    return e
 
 
 def common_diagonal_fit(table: CountTable) -> List[List[float]]:
     """Expected counts fitted to row margins, column margins, and the
     diagonal total (common-diagonal-effect model)."""
-    return _ipf(table, fit_diag_sum=True)
+    return _ipf(table.row_margins(), table.col_margins(), table.diag_sum())
 
 
 def expected_counts(table: CountTable, model: ModelSpec) -> List[List[float]]:

@@ -231,7 +231,6 @@ def toric_ideal(
     else:
         raise InputError(f"unknown method {method!r}; use 'saturation' or 'elimination'")
 
-    result = [g.sign_canonical() for g in result]
     for g in result:
         if not g.is_pure_binomial():
             raise InvariantViolationError(f"toric ideal generator is not a pure binomial: {g}")
@@ -246,8 +245,10 @@ def ideal_equal(
 ) -> bool:
     """True iff the two generating sets span the same ideal.
 
-    Each generator of either side must reduce to zero modulo a Groebner
-    basis of the other.
+    An ideal has exactly one reduced Groebner basis under a given term
+    order (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, 2.7), and
+    `buchberger` returns it monic and sorted by leading monomial, so the
+    two lists are equal exactly when the ideals are.
     """
     list1 = [g for g in gens1 if not g.is_zero()]
     list2 = [g for g in gens2 if not g.is_zero()]
@@ -257,11 +258,8 @@ def ideal_equal(
     if list2[0].size != size:
         raise SizeMismatchError(f"generators over {size}x{size} and {list2[0].size}x{list2[0].size} tables")
     order = TermOrder.grevlex(range(size * size))
-    gb1 = buchberger(list1, order, max_pairs=max_pairs, max_degree=max_degree)
-    gb2 = buchberger(list2, order, max_pairs=max_pairs, max_degree=max_degree)
-    return all(normal_form(g, gb1, order).is_zero() for g in list2) and all(
-        normal_form(g, gb2, order).is_zero() for g in list1
-    )
+    gb1, gb2 = (buchberger(g, order, max_pairs=max_pairs, max_degree=max_degree) for g in (list1, list2))
+    return gb1 == gb2
 
 
 def in_ideal(

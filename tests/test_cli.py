@@ -1,10 +1,71 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from diagonal_effect import InputError, MixtureParams, ToricParams
+from diagonal_effect import InputError, MixtureParams, ModelFamily, ModelForm, ModelSpec, ToricParams
 from diagonal_effect.cli import main, parse_count_table, parse_params
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# past the interpreter's 4,300-digit limit on int <-> str conversion
+HUGE = "9" * 5000
+
+# values shaped like the documented ones, and a little off them
+_TOKENS = (
+    st.from_regex(r"-?[0-9]{1,4}(/-?[0-9]{0,3})?", fullmatch=True)
+    | st.sampled_from(["", " ", "+1", "1.5", "1e3", "1_0", "0x1", "nan", "\u0661", HUGE])
+    | st.text(max_size=6)
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TOKENS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(
+        st.sampled_from(["zeta_r", "zeta_c", "zeta_gamma", "alpha", "r", "c", "d"]) | st.text(max_size=4),
+        inner,
+        max_size=7,
+    ),
+    max_leaves=20,
+)
+_CSV = st.lists(st.lists(_TOKENS, min_size=1, max_size=4), min_size=1, max_size=4).map(
+    lambda rows: "\n".join(",".join(row) for row in rows)
+)
+_MODELS = st.sampled_from(
+    [None] + [ModelSpec(f, ModelForm.TORIC, 3)
+              for f in (ModelFamily.DIAGONAL_EFFECT, ModelFamily.COMMON_DIAGONAL_EFFECT)]
+)
+
+
+class TestParsersRaiseOnlyInputError:
+    """Malformed input of any shape is an InputError (exit code 2), never
+    another exception."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | _CSV)
+    @example(HUGE)
+    @example(f"1,{HUGE}\n0,0")
+    def test_parse_count_table(self, text):
+        try:
+            parse_count_table(text)
+        except InputError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text() | _JSON_VALUES.map(json.dumps), _MODELS)
+    @example(f'{{"zeta_r": [1, 1], "zeta_c": [1, 1], "zeta_gamma": [1, {HUGE}]}}', None)
+    @example(json.dumps({"alpha": "1e10000000", "r": ["1"], "c": ["1"], "d": ["1"]}), None)
+    @example("[" * 100_000, None)  # nested past the recursion limit
+    # r's exact sum has a denominator of about 8,000 digits
+    @example(json.dumps({"alpha": "1/2", "r": ["1/1" + "0" * 4000, "1/1" + "0" * 3999 + "1"],
+                         "c": ["1/2", "1/2"], "d": ["1/2", "1/2"]}), None)
+    def test_parse_params(self, text, model):
+        try:
+            parse_params(text, model)
+        except InputError:
+            pass
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +124,18 @@ class TestParseParams:
         with pytest.raises(InputError, match="keys"):
             parse_params(json.dumps({"alpha": "1/2"}))
 
+    @pytest.mark.parametrize("value", ["1e10000000", "0.5", "1.", " 1/2", "1/ 2", "+1", "1_0",
+                                       "0x10", "\u0661", "-1/-2", "1/2/3", "inf", "nan", ""])
+    def test_only_documented_rational_forms(self, value):
+        with pytest.raises(InputError, match="num/den"):
+            parse_params(json.dumps({"alpha": value, "r": ["1"], "c": ["1"], "d": ["1"]}))
+
+    @pytest.mark.parametrize("value", [HUGE, "1/" + HUGE, "1/0"],
+                             ids=["huge", "huge-denominator", "zero-denominator"])
+    def test_unrepresentable_rationals(self, value):
+        with pytest.raises(InputError, match="cannot parse rational"):
+            parse_params(json.dumps({"alpha": value, "r": ["1"], "c": ["1"], "d": ["1"]}))
+
 
 class TestSubcommands:
     def test_toric_ideal_verify_listed(self, capsys):
@@ -98,6 +171,21 @@ class TestSubcommands:
         record = json.loads(out)
         assert record["outputs"]["method"] == "Enumeration"
         assert record["outputs"]["monte_carlo_stderr"] == 0.0
+
+    def test_exact_test_enumerate_gets_the_enumeration_budget(self, capsys, tmp_path):
+        # the `fibers` benchmark's largest base table: 9,480 tables, 352,789 nodes
+        table = tmp_path / "t.csv"
+        table.write_text("0,0,1,2,0\n0,0,2,0,1\n2,0,0,1,0\n1,0,0,0,2\n0,3,0,0,0\n")
+        code, out, err = run_cli(
+            capsys, "exact-test", "--model", "common", "--table", str(table),
+            "--seed", "1", "--enumerate",
+        )
+        assert code == 0, err
+        outputs = json.loads(out)["outputs"]
+        golden = json.loads((GOLDEN / "enumeration_pvalues.json").read_text())["tests"]["fiber8"]
+        assert repr(outputs["p_value"]) == golden["p_value"]
+        assert outputs["samples_used"] == golden["samples_used"]
+        assert outputs["config"] == {"node_budget": 10_000_000, "nodes_visited": 352_789}
 
     def test_boundary_check(self, capsys, tmp_path):
         table = tmp_path / "t.csv"
@@ -182,6 +270,18 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "boundary-check", "--table", str(table))
         assert code == 2
         assert "input error" in err
+
+    @pytest.mark.parametrize("command,flag,text", [
+        ("boundary-check", "--table", f"1,{HUGE}\n0,0\n"),
+        ("classify", "--params", f'{{"zeta_r": [1, 1], "zeta_c": [1, 1], "zeta_gamma": [1, {HUGE}]}}'),
+    ], ids=["csv-cell", "json-integer"])
+    def test_oversized_integer_is_2(self, capsys, tmp_path, command, flag, text):
+        path = tmp_path / "input"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, flag, str(path))
+        assert code == 2
+        assert "input error" in err
+        assert out == ""
 
     def test_missing_file_is_2(self, capsys):
         code, _, err = run_cli(capsys, "boundary-check", "--table", "/nonexistent.csv")

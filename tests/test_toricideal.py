@@ -223,6 +223,9 @@ class TestIdealEqual:
         f = CellPolynomial.from_cell_terms(2, [(1, [(1, 1), (2, 2)]), (-1, [(1, 2), (2, 1)])])
         h = CellPolynomial.from_cell_terms(2, [(1, [(1, 1)]), (-1, [(2, 2)])])
         assert not ideal_equal([f], [h])
+        # strict inclusion: (f) is a proper subideal of (f, h)
+        assert not ideal_equal([f], [f, h])
+        assert not ideal_equal([f, h], [f])
 
     def test_move_binomials_generate_the_common_ideal(self):
         # move binomials and the toric ideal generate the same ideal (size 3)
