@@ -6,7 +6,8 @@ engine accepts only such generators.  Inside, a monic binomial is a pair
 of dense exponent tuples over the term order's variables, so S-polynomials
 and reductions are tuple arithmetic with no Fraction; each term's order
 key is computed once, and each lead's support bitmask filters divisibility
-tests.  `CellPolynomial` stays the type at the boundary.  Pairs follow the
+tests.  `CellPolynomial` stays the type at the boundary, and `saturate`
+keeps the toric ideals' per-variable steps inside.  Pairs follow the
 normal selection strategy with the Gebauer-Moller criteria, and budgets
 turn pathological inputs into loud errors rather than silent truncation.
 """
@@ -17,7 +18,7 @@ import heapq
 from operator import add, le, sub
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import BudgetExceededError, InputError, SizeMismatchError
+from .errors import BudgetExceededError, InputError, InvariantViolationError, SizeMismatchError
 from .polynomials import CellPolynomial, Monomial, TermOrder
 
 DEFAULT_MAX_PAIRS = 100_000
@@ -142,7 +143,13 @@ def buchberger(
     if not gens:
         return []
     size = gens[0].size
-    basis = _encode(gens, order, size)
+    return _decode(_groebner(_encode(gens, order, size), order, max_pairs, max_degree), order, size)
+
+
+def _groebner(
+    basis: List[_Binomial], order: TermOrder, max_pairs: int, max_degree: Optional[int]
+) -> List[_Binomial]:
+    """The reduced basis of `basis`, which Buchberger's loop extends in place."""
     heap: List[tuple] = []
     alive = {}  # (i, j) -> (lcm, its support mask), pairs not yet discarded
 
@@ -192,7 +199,37 @@ def buchberger(
             basis.append(r)
             add_generator_pairs(len(basis) - 1)
 
-    return reduce_basis(_decode(basis, order, size), order)
+    return _reduced(basis, order)
+
+
+def saturate(
+    gens: Sequence[CellPolynomial],
+    variables: Sequence[int],
+    max_pairs: int = DEFAULT_MAX_PAIRS,
+    max_degree: Optional[int] = DEFAULT_MAX_DEGREE,
+) -> List[CellPolynomial]:
+    """Reduced grevlex basis of the saturation of a homogeneous binomial
+    ideal by the product of `variables`: a basis with one variable last,
+    divided by that variable's powers, spans the saturation by it (Sturmfels,
+    Groebner Bases and Convex Polytopes, ch. 12).  The caps are per step."""
+    if not gens:
+        return []
+    size = gens[0].size
+    order = TermOrder.grevlex(variables)
+    basis = _encode(gens, order, size)
+    if any(sum(g.lead) != sum(g.tail) for g in basis):
+        raise InvariantViolationError("saturation shortcut requires homogeneous generators")
+    for v in variables:
+        last = TermOrder.grevlex_last(variables, v)
+        slots = [order.variables.index(u) for u in last.variables]
+        basis = [_binomial(tuple(g.lead[k] for k in slots), tuple(g.tail[k] for k in slots), last)
+                 for g in basis]
+        order = last
+        basis = _groebner(basis, order, max_pairs, max_degree)
+        # a homogeneous grevlex lead has the lower power of the last variable
+        basis = [_binomial(g.lead[:-1] + (0,), g.tail[:-1] + (g.tail[-1] - g.lead[-1],), order)
+                 for g in basis]
+    return _decode(_reduced(basis, order), order, size)  # order is grevlex(variables)
 
 
 def reduce_basis(basis: Sequence[CellPolynomial], order: TermOrder) -> List[CellPolynomial]:
@@ -201,15 +238,18 @@ def reduce_basis(basis: Sequence[CellPolynomial], order: TermOrder) -> List[Cell
     if not basis:
         return []
     size = basis[0].size
+    return _decode(_reduced(_encode(basis, order, size), order), order, size)
+
+
+def _reduced(basis: Sequence[_Binomial], order: TermOrder) -> List[_Binomial]:
     # drop duplicates and any generator whose leading monomial another divides
     minimal: List[_Binomial] = []
-    for g in sorted(_encode(basis, order, size), key=lambda g: order.dense_key(g.lead)):
+    for g in sorted(basis, key=lambda g: order.dense_key(g.lead)):
         if not any(all(map(le, other.lead, g.lead)) for other in minimal):
             minimal.append(g)
     # no other lead divides a minimal lead, so tail reduction keeps every
     # lead and the basis stays sorted by leading term
-    reduced = [
+    return [
         _binomial(g.lead, _reduce(g.tail, minimal[:k] + minimal[k + 1:]), order)
         for k, g in enumerate(minimal)
     ]
-    return _decode(reduced, order, size)

@@ -245,7 +245,7 @@ def _diag12_poly(I, i, j, k) -> CellPolynomial:
     ])
 
 
-def gens_common_mixture_families(I: int, mixed8_square_sign: int = -1) -> List[Invariant]:
+def gens_common_mixture_families(I: int) -> List[Invariant]:
     """Structured invariant families of the common-diagonal mixture model.
 
     Five families over explicit index sets:
@@ -260,14 +260,12 @@ def gens_common_mixture_families(I: int, mixed8_square_sign: int = -1) -> List[I
     - diag12: twelve-term relations in the diagonal cells, one per
       unordered triple.
 
-    `mixed8_square_sign` is the sign of the p[i,j]*p[k,k]^2 term; the
-    default -1 is the only choice that vanishes on the model (see
-    `nonvanishing_variants_report` for the +1 variant).
+    The p[i,j]*p[k,k]^2 term of mixed8 has sign -1, the only choice that
+    vanishes on the model (see `nonvanishing_variants_report` for the +1
+    variant).
     """
     if I < 3:
         raise InputError("common-diagonal mixture families need I >= 3")
-    if mixed8_square_sign not in (1, -1):
-        raise InputError("mixed8_square_sign must be +1 or -1")
     out = _offdiag_minors_and_cycles(I)
     idx = range(1, I + 1)
     for i, j in permutations(idx, 2):
@@ -285,7 +283,7 @@ def gens_common_mixture_families(I: int, mixed8_square_sign: int = -1) -> List[I
                         _diag_balance_poly(I, i, j, k, l, m, n),
                     ))
     for i, j, k in permutations(idx, 3):
-        out.append(Invariant(f"mixed8[{i},{j},{k}]", _mixed8_poly(I, i, j, k, mixed8_square_sign)))
+        out.append(Invariant(f"mixed8[{i},{j},{k}]", _mixed8_poly(I, i, j, k)))
     for a, b, c in triple_indices(I):
         out.append(Invariant(f"diag12[{a},{b},{c}]", _diag12_poly(I, a, b, c)))
     return out

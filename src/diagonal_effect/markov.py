@@ -183,6 +183,11 @@ class Fiber:
                      for f in self.flats)
 
 
+def _check_count(name: str, value, least: int = 0) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise InputError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def enumerate_fiber(
     stat: SufficientStat,
     model: ModelSpec,
@@ -199,6 +204,7 @@ def enumerate_fiber(
         raise InputError("statistic and model families differ")
     if stat.size != model.size:
         raise SizeMismatchError(f"statistic size {stat.size} != model size {model.size}")
+    _check_count("node_budget", node_budget)
     I = stat.size
     rows, cols = stat.rows, stat.cols
     diag_vec = stat.diag if stat.family is ModelFamily.DIAGONAL_EFFECT else None
@@ -360,20 +366,13 @@ class WalkConfig:
     stationary: Stationary = Stationary.HYPERGEOMETRIC
 
     def __post_init__(self):
-        for name in ("steps", "burn_in", "thinning"):
-            value = getattr(self, name)
-            if name == "burn_in" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InputError(f"{name} must be an integer, got {value!r}")
-        if self.steps <= 0:
-            raise InputError("steps must be positive")
+        _check_count("steps", self.steps, 1)
         if self.burn_in is None:
             object.__setattr__(self, "burn_in", int(10 * math.isqrt(self.steps)))
-        if self.burn_in < 0:
-            raise InputError("burn_in must be nonnegative")
-        if self.thinning < 1:
-            raise InputError(f"thinning must be at least 1, got {self.thinning}")
+        _check_count("burn_in", self.burn_in)
+        _check_count("thinning", self.thinning, 1)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise InputError(f"seed must be an integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -512,6 +511,7 @@ def exact_test(
         raise InputError("exact test needs a nonzero table")
     if method not in ("auto", "mcmc", "enumerate"):
         raise InputError(f"unknown method {method!r}")
+    _check_count("node_budget", node_budget)
     expected = expected_counts(table, model)
     observed_stat = pearson_statistic(table.cells, expected)
     threshold = _chi2_threshold(observed_stat)
@@ -583,8 +583,7 @@ def exact_test_chains(
     p-value is the mean of the chain means and the standard error comes
     from the spread across chains.
     """
-    if chains < 1:
-        raise InputError("chains must be at least 1")
+    _check_count("chains", chains, 1)
     if chains == 1:
         return exact_test(table, model, config, method="mcmc")
     results = []
@@ -672,6 +671,7 @@ def verify_connectivity(
     directly, independently of `enumerate_fiber`; a disconnected fiber is
     reported with its component sizes, never patched.
     """
+    _check_count("max_n", max_n)
     model = ModelSpec(family=family, form=ModelForm.TORIC, size=I)
     if moves is None:
         moves = moves_for_model(model)

@@ -57,20 +57,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b, assuming divisibility."""
-    exps = dict(a)
-    for v, e in b:
-        r = exps.get(v, 0) - e
-        if r < 0:
-            raise InputError("monomial division with nonzero remainder")
-        if r == 0:
-            exps.pop(v, None)
-        else:
-            exps[v] = r
-    return tuple(sorted(exps.items()))
-
-
 def mono_coprime(a: Monomial, b: Monomial) -> bool:
     avars = {v for v, _ in a}
     return not any(v in avars for v, _ in b)
@@ -235,14 +221,6 @@ class CellPolynomial:
 
     def __hash__(self):
         return hash((self.size, self.canonical_key()))
-
-    def sign_canonical(self) -> "CellPolynomial":
-        """Flip the global sign so the grevlex-leading coefficient is positive."""
-        if not self.terms:
-            return self
-        order = TermOrder.grevlex(range(self.size * self.size))
-        lead = max(self.terms, key=order.key)
-        return self if self.terms[lead] > 0 else -self
 
     # ---- evaluation and rendering ----
 

@@ -2,10 +2,11 @@
 
 The pipeline is: model -> design matrix A -> lattice basis of ker(A^t) ->
 binomial lattice ideal -> saturation with respect to the product of all
-cell variables, which yields the full toric ideal.  Saturation is done
-variable by variable using the graded-reverse-lexicographic trick (valid
-because every lattice binomial here is degree-homogeneous); an auxiliary
-variable elimination route is kept as an independent cross-check.
+cell variables, which yields the full toric ideal.  `groebner.saturate`
+does the saturation inside the binomial engine, variable by variable, with
+the graded-reverse-lexicographic trick (valid because every lattice
+binomial here is degree-homogeneous).  An auxiliary variable elimination
+route is kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from .groebner import (
     buchberger,
     normal_form,
     reduce_basis,
+    saturate,
 )
-from .polynomials import CellPolynomial, TermOrder, binomial_from_vector, mono_degree, mono_div
+from .polynomials import CellPolynomial, TermOrder, binomial_from_vector
 from .tables import ModelFamily, ModelForm, ModelSpec
 
 
@@ -162,37 +164,6 @@ def groebner(
     return GroebnerBasis(generators=tuple(basis), order=order)
 
 
-def _divide_out_variable(poly: CellPolynomial, var: int) -> CellPolynomial:
-    shared = min((dict(m).get(var, 0) for m in poly.terms), default=0)
-    if shared == 0:
-        return poly
-    return CellPolynomial(poly.size, {mono_div(m, ((var, shared),)): c for m, c in poly.terms.items()})
-
-
-def _saturate_homogeneous(
-    gens: List[CellPolynomial],
-    variables: Sequence[int],
-    max_pairs: int,
-    max_degree: Optional[int],
-) -> List[CellPolynomial]:
-    """Saturation of a degree-homogeneous ideal by the product of `variables`.
-
-    One variable at a time: compute a grevlex basis with that variable in
-    the cheapest position, then strip the common factor from each basis
-    element.  Homogeneity makes the stripped set a basis of the quotient by
-    that variable's powers.
-    """
-    for g in gens:
-        if len({mono_degree(m) for m in g.terms}) > 1:
-            raise InvariantViolationError("saturation shortcut requires homogeneous generators")
-    current = gens
-    for v in variables:
-        order_v = TermOrder.grevlex_last(variables, v)
-        basis = buchberger(current, order_v, max_pairs=max_pairs, max_degree=max_degree)
-        current = [_divide_out_variable(g, v) for g in basis]
-    return current
-
-
 def toric_ideal(
     model: ModelSpec,
     method: str = "saturation",
@@ -202,7 +173,7 @@ def toric_ideal(
     """Generators of the toric ideal of a model, from its design matrix.
 
     method "saturation": per-variable saturation of the lattice ideal
-    (fast, stays binomial).  method "elimination": adjoin t, add
+    (fast, inside the binomial engine).  method "elimination": adjoin t, add
     t * (product of all cells) - 1, eliminate t with a block order.  Both
     agree; the test suite checks that on I = 3.
 
@@ -214,13 +185,10 @@ def toric_ideal(
         raise InputError("toric_ideal supports sizes up to 4")
     A = design_matrix(model)
     gens = lattice_binomials(A)
-    if not gens:
-        return []
     cell_vars = list(range(I * I))
 
     if method == "saturation":
-        result = _saturate_homogeneous(gens, cell_vars, max_pairs, max_degree)
-        result = reduce_basis(result, TermOrder.grevlex(cell_vars))
+        result = saturate(gens, cell_vars, max_pairs, max_degree)
     elif method == "elimination":
         aux = I * I
         rabinowitsch = CellPolynomial(I, {tuple((v, 1) for v in cell_vars + [aux]): 1, (): -1})

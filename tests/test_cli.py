@@ -313,6 +313,25 @@ class TestExitCodes:
         assert code == 2
         assert "thinning" in err
 
+    def test_negative_max_n_is_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check-connectivity", "--model", "diag", "--size", "3", "--max-n", "-1",
+        )
+        assert code == 2
+        assert "max_n" in err
+        assert out == ""
+
+    def test_negative_budget_is_2(self, capsys, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text("1,2,0\n0,1,2\n2,0,1\n")
+        code, out, err = run_cli(
+            capsys, "enumerate-fiber", "--model", "common", "--table", str(table),
+            "--budget", "-1",
+        )
+        assert code == 2
+        assert "node_budget" in err
+        assert out == ""
+
     def test_budget_error_is_3(self, capsys, tmp_path):
         table = tmp_path / "t.csv"
         table.write_text("3,3,3\n3,3,3\n3,3,3\n")

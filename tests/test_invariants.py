@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -19,6 +20,7 @@ from diagonal_effect import (
     random_rational_point,
     toric_point,
 )
+from diagonal_effect.invariants import _mixed8_poly
 from diagonal_effect.markov import moves_common_diag, moves_diag_effect
 
 from conftest import model
@@ -158,8 +160,8 @@ class TestMixtureFamilies:
         assert names.count("diag12") == 4
 
     def test_literal_mixed8_variant_fails_vanishing(self):
-        literal = gens_common_mixture_families(3, mixed8_square_sign=1)
-        bad = [inv for inv in literal if inv.name.startswith("mixed8")]
+        bad = [_mixed8_poly(3, i, j, k, 1) for i, j, k in permutations(range(1, 4))]
+        assert len(bad) == 6
         point = common_mixture_point(3, 0)
         report = check_vanishing(bad, point)
         assert len(report.failures()) == len(bad)
@@ -227,8 +229,9 @@ class TestTranscriptionReport:
             from diagonal_effect import CellPolynomial
 
             transposed[p] = CellPolynomial(3, terms)
+        # equal up to sign: each transpose is an original or its negative
         originals = set()
         for p in four_term:
-            originals.add(p.sign_canonical().canonical_key())
+            originals.update((p.canonical_key(), (-p).canonical_key()))
         for p, pt in transposed.items():
-            assert pt.sign_canonical().canonical_key() in originals
+            assert pt.canonical_key() in originals

@@ -151,6 +151,12 @@ class TestEnumerateFiber:
         with pytest.raises(InputError):
             enumerate_fiber(stat, COMMON3)
 
+    @pytest.mark.parametrize("budget", [-1, 2.5, True])
+    def test_malformed_budget_rejected(self, budget):
+        stat = sufficient_statistic(DERANGEMENT, DIAG3)
+        with pytest.raises(InputError, match="node_budget"):
+            enumerate_fiber(stat, DIAG3, node_budget=budget)
+
     def test_nodes_is_the_smallest_sufficient_budget(self):
         stat = sufficient_statistic(CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]]), COMMON3)
         fiber = enumerate_fiber(stat, COMMON3)
@@ -184,6 +190,11 @@ class TestEnumerateFiber:
 
 
 class TestConnectivity:
+    @pytest.mark.parametrize("max_n", [-1, 1.5, True])
+    def test_malformed_max_n_rejected(self, max_n):
+        with pytest.raises(InputError, match="max_n"):
+            verify_connectivity(ModelFamily.DIAGONAL_EFFECT, 3, max_n)
+
     def test_derangement_fiber_connected(self):
         fiber = enumerate_fiber(sufficient_statistic(DERANGEMENT, DIAG3), DIAG3)
         assert is_connected(fiber, moves_diag_effect(3)).connected
@@ -328,6 +339,7 @@ class TestFiberWalk:
 
     @pytest.mark.parametrize("field, value", [
         ("thinning", 0), ("thinning", 1.5), ("burn_in", 2.5), ("steps", True),
+        ("seed", 1.5), ("seed", True), ("seed", "x"),
     ])
     def test_bad_schedule_rejected(self, field, value):
         with pytest.raises(InputError, match=field):
@@ -414,6 +426,12 @@ class TestExactTest:
     def test_infinite_statistic_threshold(self):
         assert markov._chi2_threshold(math.inf) == math.inf
 
+    @pytest.mark.parametrize("chains", [0, 1.5, True])
+    def test_malformed_chains_rejected(self, chains):
+        t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
+        with pytest.raises(InputError, match="chains"):
+            exact_test_chains(t, COMMON3, WalkConfig(steps=100, seed=1), chains=chains)
+
     def test_chain_merge_is_deterministic(self):
         t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
         config = WalkConfig(steps=5_000, seed=1)
@@ -421,6 +439,12 @@ class TestExactTest:
         r2 = exact_test_chains(t, COMMON3, config, chains=3)
         assert r1.p_value == r2.p_value
         assert r1.config["chains"] == 3
+
+    @pytest.mark.parametrize("method", ["auto", "mcmc", "enumerate"])
+    def test_negative_node_budget_rejected(self, method):
+        t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
+        with pytest.raises(InputError, match="node_budget"):
+            exact_test(t, COMMON3, WalkConfig(steps=100, seed=1), method=method, node_budget=-5)
 
     def test_zero_table_rejected(self):
         with pytest.raises(InputError):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagonal_effect import (
     BoundaryVerdict,
@@ -24,6 +26,19 @@ from diagonal_effect import (
 from conftest import model
 
 third = Fraction(1, 3)
+
+
+def _positive(top: int):
+    return st.builds(Fraction, st.integers(1, top), st.integers(1, 12))
+
+
+@st.composite
+def positive_toric_params(draw):
+    """Strictly positive toric parameters at I = 3..5; diagonal parameters
+    reach above and below 1, so every verdict occurs."""
+    I = draw(st.integers(3, 5))
+    r, c, g = (tuple(draw(st.lists(_positive(top), min_size=I, max_size=I))) for top in (12, 12, 36))
+    return ToricParams(zeta_r=r, zeta_c=c, zeta_g=g)
 
 
 class TestClassifier:
@@ -109,6 +124,21 @@ class TestMixtureToToric:
             if m.alpha < 1:
                 assert w.d == m.d
             assert mixture_point(w) == mixture_point(m)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(positive_toric_params())
+    def test_witness_round_trips_through_mixture_to_toric(self, params):
+        verdict = classify_toric_point(params)
+        if verdict.kind is VerdictKind.IN_BOTH_WITH_WITNESS:
+            assert toric_point(mixture_to_toric(verdict.witness))[0] == toric_point(params)[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(positive_toric_params())
+    def test_parameters_from_table_reproduce_the_table(self, params):
+        table, _ = toric_point(params)
+        assert toric_point(toric_params_from_table(table))[0] == table
 
 
 class TestParameterRecovery:
