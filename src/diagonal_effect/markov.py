@@ -4,9 +4,10 @@ Move factories produce canonical representatives (the opposite orientation
 of every move is reached by applying it with sign -1).  Fibers are held as
 flat integer tuples in row-major order: enumeration backtracks over one
 flat list with margin pruning, the exact test weights each table by the
-integer n!/prod f!, and the connectivity searches step between flat
-tuples.  `CountTable`s are built only for callers that ask for them.
-Enumeration remains the oracle against which the sampler is calibrated.
+integer n!/prod f!, the connectivity sweep builds its tables row by row,
+and the connectivity searches step between flat tuples.  `CountTable`s are
+built only for callers that ask for them.  Enumeration remains the oracle
+against which the sampler is calibrated.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations, permutations
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, InputError, SizeMismatchError
@@ -197,8 +198,10 @@ def enumerate_fiber(
 
     Cell-by-cell backtracking in row-major order with column-remainder
     pruning; for the common-diagonal family the remaining diagonal total is
-    bounded by the remaining margins.  Exceeding `node_budget` visited nodes
-    raises BudgetExceededError (switch to the sampler in that case).
+    bounded by the remaining margins.  The column remainders force the last
+    row, so its nodes are counted, not visited; `nodes` is still the count of
+    the cell-by-cell search.  Exceeding `node_budget` nodes raises
+    BudgetExceededError (switch to the sampler in that case).
     """
     if stat.family is not model.family:
         raise InputError("statistic and model families differ")
@@ -221,8 +224,8 @@ def enumerate_fiber(
     last = I - 1
 
     def fill(i: int, j: int, rowrem: int, diagrem: int):
-        # node (i, j) for j < I - 1; diagrem is what the diagonal cells from
-        # here on must hold in total
+        # node (i, j) for i, j < I - 1; diagrem is what the diagonal cells
+        # from here on must hold in total
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
@@ -248,24 +251,39 @@ def enumerate_fiber(
             if j < I - 2:
                 fill(i, j + 1, r, d)
                 continue
-            # the row's last cell is forced to r: its node, the row-end node
-            # and, in the last row, where it is diagonal, the leaf
+            # the row's last cell is forced to r: its node and the row-end node
             nodes += 1
-            if r > colrem[last] or (i == last and on_diag and r != d):
+            if r > colrem[last]:
                 continue
             flat[p + 1] = r
             nodes += 1
-            if i == last:
-                nodes += 1
-                found.append(tuple(flat))
-            else:
-                colrem[last] -= r
+            colrem[last] -= r
+            if i + 1 < last:
                 fill(i + 1, 0, rows[i + 1], d)
-                colrem[last] += r
+            else:
+                last_row(d)
+            colrem[last] += r
         colrem[j] = c
 
+    def last_row(diagrem: int):
+        # The row's total is the sum of the column remainders, so cell j
+        # ranges over 0..colrem[j]: the search visits prod(colrem[k] + 1, k < j)
+        # nodes at cell j, the forced last cell being j = I - 1.  One path
+        # takes every remainder; its table is live when its last cell, the
+        # diagonal one, holds what the diagonal still needs, and then adds a
+        # row-end node and a leaf.
+        nonlocal nodes
+        width = 1
+        for c in colrem[:last]:
+            nodes += width
+            width *= c + 1
+        nodes += width
+        if not on_diag or colrem[last] == diagrem:
+            nodes += 2
+            found.append((*flat[:last * I], *colrem))
+
     fill(0, 0, rows[0], sum(diag_vec) if diag_vec is not None else stat.diag or 0)
-    if nodes > node_budget:  # the inline nodes at the very end
+    if nodes > node_budget:  # the last rows' counts come after the checks in `fill`
         raise BudgetExceededError(f"fiber enumeration exceeded the {node_budget}-node budget")
     # cells in row-major order, values in increasing order: `found` is sorted
     return Fiber(stat=stat, flats=tuple(found), nodes=nodes)
@@ -485,6 +503,14 @@ def pearson_statistic(cells, expected) -> float:
     return chi2
 
 
+def _pearson_term(o: int, e: float) -> float:
+    """One cell's term of `pearson_statistic`; adding inf to the running sum
+    gives the inf that it returns."""
+    if e > 0.0:
+        return (o - e) ** 2 / e
+    return 0.0 if o == 0 else math.inf
+
+
 def _chi2_threshold(observed: float) -> float:
     if math.isinf(observed):
         return observed
@@ -524,19 +550,25 @@ def exact_test(
                 raise
             fiber = None
         if fiber is not None:
-            # exact integer weights n!/prod f!, with factorials of only the
-            # values that occur; int true division rounds hit/total correctly
-            fact = cache(math.factorial)
+            # the values each cell takes in the fiber: the weights n!/prod f!
+            # need the factorials of only these, and each cell's Pearson term
+            # is looked up per value and summed left to right in row-major
+            # order, as `pearson_statistic` does
+            values = [set(map(itemgetter(k), fiber.flats)) for k in range(table.size ** 2)]
+            fact = {v: math.factorial(v) for v in set().union(*values)}.__getitem__
             n_fact = math.factorial(table.n)
-            # a flat table is a one-row grid to the Pearson loop: same cells, same order
-            flat_expected = (tuple(e for row in expected for e in row),)
+            terms = [{o: _pearson_term(o, e) for o in cell_values}
+                     for cell_values, e in zip(values, (e for row in expected for e in row))]
             hit_weight = total_weight = 0
             for flat in fiber.flats:
                 w = n_fact // math.prod(map(fact, flat))
                 total_weight += w
-                if pearson_statistic((flat,), flat_expected) >= threshold:
+                chi2 = 0.0
+                for term, o in zip(terms, flat):
+                    chi2 += term[o]
+                if chi2 >= threshold:
                     hit_weight += w
-            p = hit_weight / total_weight
+            p = hit_weight / total_weight  # int true division rounds correctly
             return TestResult(
                 statistic_observed=observed_stat,
                 p_value=p,
@@ -641,21 +673,31 @@ class SweepReport:
         return not self.disconnected
 
 
-def _all_tables_flat(I: int, total: int) -> Iterator[tuple]:
-    """Every nonnegative integer I*I vector with the given total, in
-    lexicographic order: the gaps between I*I - 1 bars set among `total` stars."""
-    end = (total + I * I - 1,)
-    for bars in combinations(range(end[0]), I * I - 1):
-        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
+def _rows_upto(I: int, max_n: int) -> List[tuple]:
+    """Every nonnegative integer row of length I with sum at most max_n, in
+    lexicographic order."""
+    rows = [()]
+    for _ in range(I):
+        rows = [r + (v,) for r in rows for v in range(max_n - sum(r) + 1)]
+    return rows
 
 
-def _stat_key(flat: tuple, I: int, family: ModelFamily) -> tuple:
-    rows = tuple(sum(flat[i * I:(i + 1) * I]) for i in range(I))
-    cols = tuple(sum(flat[j::I]) for j in range(I))
-    diag = flat[::I + 1]
-    if family is ModelFamily.COMMON_DIAGONAL_EFFECT:
-        return rows, cols, sum(diag)
-    return rows, cols, diag
+def _file_tables(fibers, upto, last_rows, common, flat, row_sums, col_sums, diag, left) -> None:
+    """File under its statistic every table that the rows `flat` start, and
+    that holds `left` more counts, in lexicographic order.  The row sums,
+    column sums and diagonal so far come along, so each key is assembled
+    from its prefix."""
+    k = len(row_sums)
+    if k == len(col_sums) - 1:
+        row_sums += (left,)
+        if common:
+            diag = sum(diag)
+        for row, d in last_rows[left]:
+            fibers.setdefault((row_sums, tuple(map(add, col_sums, row)), diag + d), []).append(flat + row)
+        return
+    for row, s in upto[left]:
+        _file_tables(fibers, upto, last_rows, common, flat + row, row_sums + (s,),
+                     tuple(map(add, col_sums, row)), diag + (row[k],), left - s)
 
 
 def verify_connectivity(
@@ -669,20 +711,35 @@ def verify_connectivity(
 
     Grouping all tables by sufficient statistic yields each complete fiber
     directly, independently of `enumerate_fiber`; a disconnected fiber is
-    reported with its component sizes, never patched.
+    reported with its component sizes, never patched.  The tables are
+    built row by row, by total and then in lexicographic order; a sweep of
+    more than DEFAULT_NODE_BUDGET tables raises BudgetExceededError before
+    any is built.
     """
     _check_count("max_n", max_n)
     model = ModelSpec(family=family, form=ModelForm.TORIC, size=I)
+    # the tables number C(max_n + I*I, I*I) = C(max_n + I*I, min(max_n, I*I)):
+    # build it up factor by factor, and stop at the budget, not at a huge number
+    cells, count = I * I, 1
+    for k in range(1, min(cells, max_n) + 1):
+        count = count * (cells + max_n - k + 1) // k
+        if count > DEFAULT_NODE_BUDGET:
+            raise BudgetExceededError(
+                f"a connectivity sweep of C({max_n} + {cells}, {cells}) tables exceeds "
+                f"the {DEFAULT_NODE_BUDGET}-table budget")
     if moves is None:
         moves = moves_for_model(model)
     by_cell = _by_cell(_move_deltas(moves, I))
 
+    common = family is ModelFamily.COMMON_DIAGONAL_EFFECT
+    rows = _rows_upto(I, max_n)
+    upto = [[(row, sum(row)) for row in rows if sum(row) <= t] for t in range(max_n + 1)]
+    last_rows = [[(row, row[-1] if common else row[-1:]) for row in rows if sum(row) == t]
+                 for t in range(max_n + 1)]
     fibers: Dict[tuple, List[tuple]] = {}
-    tables_seen = 0
     for n in range(max_n + 1):
-        for flat in _all_tables_flat(I, n):
-            tables_seen += 1
-            fibers.setdefault(_stat_key(flat, I, family), []).append(flat)
+        _file_tables(fibers, upto, last_rows, common, (), (), (0,) * I, (), n)
+    tables_seen = sum(map(len, fibers.values()))
 
     disconnected = []
     largest = 0

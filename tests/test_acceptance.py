@@ -178,6 +178,7 @@ def test_criterion_08_connectivity_desk_scale():
     for family in (ModelFamily.DIAGONAL_EFFECT, ModelFamily.COMMON_DIAGONAL_EFFECT):
         reports.append(verify_connectivity(family, 3, 6))
         reports.append(verify_connectivity(family, 4, 5))
+        reports.append(verify_connectivity(family, 5, 4))
     elapsed = time.monotonic() - start
     for rep in reports:
         assert rep.all_connected, (
@@ -186,7 +187,7 @@ def test_criterion_08_connectivity_desk_scale():
         )
     assert elapsed < 600.0, f"sweep took {elapsed:.0f}s, budget is 600s"
     total_fibers = sum(r.fibers_checked for r in reports)
-    print(f"\nPASS criterion 8: every fiber connected (I=3 n<=6, I=4 n<=5, both "
+    print(f"\nPASS criterion 8: every fiber connected (I=3 n<=6, I=4 n<=5, I=5 n<=4, both "
           f"models, {total_fibers} fibers) in {elapsed:.1f}s")
 
 

@@ -321,6 +321,18 @@ class TestExitCodes:
         assert "max_n" in err
         assert out == ""
 
+    # C(12 + 36, 36) is about 7e10 tables; the second sweep's count passes
+    # the budget at its first factor
+    @pytest.mark.parametrize("size, max_n", [(6, 12), (1000, 10 ** 9)])
+    def test_oversized_sweep_is_3(self, capsys, size, max_n):
+        code, out, err = run_cli(
+            capsys, "check-connectivity", "--model", "common", "--size", str(size),
+            "--max-n", str(max_n),
+        )
+        assert code == 3
+        assert "10000000-table budget" in err
+        assert out == ""
+
     def test_negative_budget_is_2(self, capsys, tmp_path):
         table = tmp_path / "t.csv"
         table.write_text("1,2,0\n0,1,2\n2,0,1\n")

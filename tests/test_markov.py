@@ -2,9 +2,10 @@ import math
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
+from typing import List
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagonal_effect import markov
@@ -13,8 +14,10 @@ from diagonal_effect import (
     CountTable,
     InputError,
     ModelFamily,
+    ModelSpec,
     SizeMismatchError,
     Stationary,
+    SufficientStat,
     WalkConfig,
     apply_move,
     design_matrix,
@@ -36,10 +39,22 @@ from conftest import all_tables, model, random_count_table
 DIAG3 = model(ModelFamily.DIAGONAL_EFFECT, 3)
 COMMON3 = model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3)
 DERANGEMENT = CountTable.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-# the `fibers` benchmark's largest base table: a common-diagonal fiber of 9,480 tables
-LARGEST = CountTable.from_rows(
-    [[0, 0, 1, 2, 0], [0, 0, 2, 0, 1], [2, 0, 0, 1, 0], [1, 0, 0, 0, 2], [0, 3, 0, 0, 0]])
 FAMILIES = [ModelFamily.DIAGONAL_EFFECT, ModelFamily.COMMON_DIAGONAL_EFFECT]
+# the base tables of the `fibers` benchmark's enumeration jobs
+FIBER_BASE_TABLES = [
+    ("common", [[1, 0, 3], [2, 1, 0], [3, 0, 2]]),
+    ("diag", [[0, 0, 1, 2], [1, 0, 0, 0], [2, 0, 0, 0], [0, 0, 1, 1]]),
+    ("common", [[0, 0, 0, 0, 1], [0, 0, 1, 0, 0], [0, 1, 0, 1, 0], [1, 1, 0, 0, 0], [0, 0, 0, 0, 0]]),
+    ("common", [[1, 4, 4], [4, 2, 2], [2, 2, 3]]),
+    ("diag", [[0, 1, 2, 0], [1, 1, 1, 7], [0, 0, 2, 1], [2, 1, 1, 2]]),
+    ("common", [[1, 3, 0, 0], [0, 2, 3, 0], [0, 1, 3, 1], [1, 2, 0, 1]]),
+    ("common", [[1, 0, 2, 2], [2, 2, 0, 2], [2, 2, 0, 3], [0, 1, 0, 1]]),
+    ("diag", [[0, 0, 1, 2, 2], [1, 0, 0, 0, 0], [2, 1, 1, 0, 1], [0, 0, 2, 1, 0], [0, 1, 1, 0, 0]]),
+    ("common", [[0, 0, 1, 2, 0], [0, 0, 2, 0, 1], [2, 0, 0, 1, 0], [1, 0, 0, 0, 2], [0, 3, 0, 0, 0]]),
+]
+FAMILY_NAMES = {"diag": ModelFamily.DIAGONAL_EFFECT, "common": ModelFamily.COMMON_DIAGONAL_EFFECT}
+# the largest of them: a common-diagonal fiber of 9,480 tables
+LARGEST = CountTable.from_rows(FIBER_BASE_TABLES[-1][1])
 
 
 def flat(table: CountTable) -> tuple:
@@ -79,6 +94,100 @@ def components_by_bfs(fiber, moves) -> tuple:
                  for root in sorted(set(component.values())))
 
 
+def cell_by_cell_search(
+    stat: SufficientStat,
+    model: ModelSpec,
+    node_budget: int = markov.DEFAULT_NODE_BUDGET,
+) -> tuple:
+    """The cell-by-cell search that walks every node of the last row, kept
+    as the reference for `enumerate_fiber`'s flats and node count: it
+    returns (flats, nodes) and raises on the same budgets."""
+    if stat.family is not model.family:
+        raise InputError("statistic and model families differ")
+    if stat.size != model.size:
+        raise SizeMismatchError(f"statistic size {stat.size} != model size {model.size}")
+    I = stat.size
+    rows, cols = stat.rows, stat.cols
+    diag_vec = stat.diag if stat.family is ModelFamily.DIAGONAL_EFFECT else None
+    common = stat.family is ModelFamily.COMMON_DIAGONAL_EFFECT
+    if model.structural_zero_diagonal:
+        if diag_vec is None or any(d != 0 for d in diag_vec):
+            raise InputError("structural-zero diagonal requires a zero diagonal vector")
+
+    flat = [0] * (I * I)  # every cell is written before a leaf reads it
+    colrem = list(cols)
+    on_diag = 0 if stat.diag is None else 1  # independence leaves the diagonal free
+    found: List[tuple] = []
+    nodes = 0
+    last = I - 1
+
+    def fill(i: int, j: int, rowrem: int, diagrem: int):
+        # node (i, j) for j < I - 1; diagrem is what the diagonal cells from
+        # here on must hold in total
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(f"fiber enumeration exceeded the {node_budget}-node budget")
+        c = colrem[j]
+        lo, hi = 0, rowrem if rowrem < c else c
+        shift = on_diag if i == j else 0
+        if i == j:
+            if diag_vec is not None:
+                if not lo <= diag_vec[i] <= hi:
+                    return
+                lo = hi = diag_vec[i]
+            elif common:
+                # the later diagonal cells can absorb at most their margin bounds
+                cap = 0
+                for k in range(i + 1, I):
+                    cap += min(rows[k], colrem[k])
+                lo, hi = max(0, diagrem - cap), min(hi, diagrem)
+        p = i * I + j
+        for v in range(lo, hi + 1):
+            flat[p], colrem[j] = v, c - v
+            r, d = rowrem - v, diagrem - shift * v
+            if j < I - 2:
+                fill(i, j + 1, r, d)
+                continue
+            # the row's last cell is forced to r: its node, the row-end node
+            # and, in the last row, where it is diagonal, the leaf
+            nodes += 1
+            if r > colrem[last] or (i == last and on_diag and r != d):
+                continue
+            flat[p + 1] = r
+            nodes += 1
+            if i == last:
+                nodes += 1
+                found.append(tuple(flat))
+            else:
+                colrem[last] -= r
+                fill(i + 1, 0, rows[i + 1], d)
+                colrem[last] += r
+        colrem[j] = c
+
+    fill(0, 0, rows[0], sum(diag_vec) if diag_vec is not None else stat.diag or 0)
+    if nodes > node_budget:  # the inline nodes at the very end
+        raise BudgetExceededError(f"fiber enumeration exceeded the {node_budget}-node budget")
+    return tuple(found), nodes
+
+
+@lru_cache(maxsize=None)
+def family_moves(family: ModelFamily, size: int) -> list:
+    return moves_for_model(model(family, size))
+
+
+@st.composite
+def small_tables(draw):
+    """A table of size 2..4 with a total small enough to enumerate quickly."""
+    size = draw(st.integers(2, 4), label="size")
+    n = draw(st.integers(0, 10 if size < 4 else 7), label="n")
+    picks = draw(st.lists(st.integers(0, size * size - 1), min_size=n, max_size=n), label="cells")
+    cells = [[0] * size for _ in range(size)]
+    for k in picks:
+        cells[k // size][k % size] += 1
+    return cells
+
+
 class TestMoveFactories:
     def test_counts_diag_effect(self):
         assert len(moves_diag_effect(3)) == 1
@@ -116,6 +225,22 @@ class TestMoveFactories:
     def test_small_size_rejected(self):
         with pytest.raises(InputError):
             moves_diag_effect(2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(family=st.sampled_from(FAMILIES), size=st.integers(3, 5),
+           sign=st.sampled_from([1, -1]), data=st.data())
+    def test_moves_preserve_sufficient_statistic(self, family, size, sign, data):
+        spec = model(family, size)
+        move = data.draw(st.sampled_from(family_moves(family, size)), label="move")
+        base = data.draw(st.lists(st.integers(0, 3), min_size=size * size, max_size=size * size),
+                         label="base")
+        # lift the base where sign * move takes away, so the move is feasible
+        cells = [[base[i * size + j] + max(0, -sign * move.cells[i][j]) for j in range(size)]
+                 for i in range(size)]
+        table = CountTable.from_rows(cells)
+        moved = apply_move(table, move, sign)
+        assert moved is not None
+        assert sufficient_statistic(moved, spec) == sufficient_statistic(table, spec)
 
 
 class TestEnumerateFiber:
@@ -169,6 +294,31 @@ class TestEnumerateFiber:
         spec = model(ModelFamily.COMMON_DIAGONAL_EFFECT, 5)
         fiber = enumerate_fiber(sufficient_statistic(LARGEST, spec), spec)
         assert (len(fiber), fiber.nodes) == (9480, 352_789)
+
+    @staticmethod
+    def check_against_cell_by_cell_search(family, cells):
+        table = CountTable.from_rows(cells)
+        m = model(family, table.size)
+        stat = sufficient_statistic(table, m)
+        fiber = enumerate_fiber(stat, m)
+        assert (fiber.flats, fiber.nodes) == cell_by_cell_search(stat, m)
+        assert flat(table) in fiber.flats
+        # the node count is the smallest budget that enumerates the fiber
+        assert enumerate_fiber(stat, m, node_budget=fiber.nodes) == fiber
+        with pytest.raises(BudgetExceededError, match=f"the {fiber.nodes - 1}-node budget"):
+            enumerate_fiber(stat, m, node_budget=fiber.nodes - 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(family=st.sampled_from(FAMILIES + [ModelFamily.INDEPENDENCE]), cells=small_tables())
+    @example(family=ModelFamily.COMMON_DIAGONAL_EFFECT, cells=[[3, 3, 3], [3, 3, 3], [3, 3, 3]])
+    @example(family=ModelFamily.DIAGONAL_EFFECT, cells=[[0, 0], [0, 0]])
+    def test_flats_and_nodes_match_cell_by_cell_search(self, family, cells):
+        self.check_against_cell_by_cell_search(family, cells)
+
+    @pytest.mark.parametrize("family, cells", FIBER_BASE_TABLES,
+                             ids=[f"{f}-{len(c)}-{k}" for k, (f, c) in enumerate(FIBER_BASE_TABLES)])
+    def test_benchmark_fibers_match_cell_by_cell_search(self, family, cells):
+        self.check_against_cell_by_cell_search(FAMILY_NAMES[family], cells)
 
     def test_tables_built_once_from_flats(self):
         fiber = enumerate_fiber(sufficient_statistic(DERANGEMENT, COMMON3), COMMON3)
@@ -235,6 +385,15 @@ class TestConnectivity:
     def test_sweep_wrong_move_size_rejected(self):
         with pytest.raises(SizeMismatchError):
             verify_connectivity(ModelFamily.DIAGONAL_EFFECT, 3, 3, moves_diag_effect(4))
+
+    def test_sweep_budget_is_checked_before_building(self, monkeypatch):
+        # C(6 + 9, 9) = 5,005 tables: the budget admits exactly that many
+        monkeypatch.setattr(markov, "DEFAULT_NODE_BUDGET", 5005)
+        assert verify_connectivity(ModelFamily.DIAGONAL_EFFECT, 3, 6).tables_seen == 5005
+        monkeypatch.setattr(markov, "DEFAULT_NODE_BUDGET", 5004)
+        monkeypatch.setattr(markov, "_file_tables", None)  # nothing is built
+        with pytest.raises(BudgetExceededError, match="5004-table budget"):
+            verify_connectivity(ModelFamily.DIAGONAL_EFFECT, 3, 6)
 
     def test_sweep_small(self):
         report = verify_connectivity(ModelFamily.DIAGONAL_EFFECT, 3, 4)
