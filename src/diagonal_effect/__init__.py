@@ -88,11 +88,8 @@ from .membership import (
 )
 from .toricideal import (
     DesignMatrix,
-    GroebnerBasis,
     design_matrix,
-    groebner,
     ideal_equal,
-    in_ideal,
     integer_kernel,
     lattice_binomials,
     toric_ideal,

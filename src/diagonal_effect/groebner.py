@@ -8,21 +8,21 @@ and reductions are tuple arithmetic with no Fraction; each term's order
 key is computed once, and each lead's support bitmask filters divisibility
 tests.  `CellPolynomial` stays the type at the boundary, and `saturate`
 keeps the toric ideals' per-variable steps inside.  Pairs follow the
-normal selection strategy with the Gebauer-Moller criteria, and budgets
-turn pathological inputs into loud errors rather than silent truncation.
+normal selection strategy with the Gebauer-Moller criteria, and the
+S-pair budget `MAX_PAIRS` turns a runaway computation into a loud error
+rather than silent truncation.
 """
 
 from __future__ import annotations
 
 import heapq
 from operator import add, le, sub
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, InputError, InvariantViolationError, SizeMismatchError
 from .polynomials import CellPolynomial, Monomial, TermOrder
 
-DEFAULT_MAX_PAIRS = 100_000
-DEFAULT_MAX_DEGREE: Optional[int] = 12
+MAX_PAIRS = 100_000  # S-pairs one basis computation may process
 
 Exponents = Tuple[int, ...]
 
@@ -112,43 +112,23 @@ def _s_remainder(
     return _binomial(u, _reduce(tuple(map(add, lcm, g.step)), basis), order)
 
 
-def normal_form(f: CellPolynomial, basis: Sequence[CellPolynomial], order: TermOrder) -> CellPolynomial:
-    """Full remainder of an arbitrary f under division by the binomials
-    `basis`.  Dividing by a binomial moves a term's coefficient to a smaller
-    monomial, so the terms of f reduce independently."""
-    reducers = _encode(basis, order, f.size)
-    terms: Dict[Exponents, object] = {}
-    for m, c in f.terms.items():
-        r = _reduce(_exponents(m, order), reducers)
-        terms[r] = terms.get(r, 0) + c
-    return CellPolynomial(f.size, {_monomial(r, order): c for r, c in terms.items()})
-
-
-def buchberger(
-    gens: Sequence[CellPolynomial],
-    order: TermOrder,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    max_degree: Optional[int] = DEFAULT_MAX_DEGREE,
-) -> List[CellPolynomial]:
+def buchberger(gens: Sequence[CellPolynomial], order: TermOrder) -> List[CellPolynomial]:
     """Reduced Groebner basis of the ideal generated by `gens`.
 
     Each generator must be c*(x^a - x^b), over one table size, in the
     variables of `order`; otherwise InputError (SizeMismatchError for the
     size) is raised.  Pairs are processed in increasing lcm degree (normal
     strategy) and pruned with the Gebauer-Moller criteria (coprimality,
-    chain, and equal-lcm dedup).  `max_pairs` caps the number of S-pairs
-    examined and `max_degree` the lcm degree of any pair that must be
-    processed; exceeding either raises BudgetExceededError.
+    chain, and equal-lcm dedup).  Processing more than `MAX_PAIRS` S-pairs
+    raises BudgetExceededError.
     """
     if not gens:
         return []
     size = gens[0].size
-    return _decode(_groebner(_encode(gens, order, size), order, max_pairs, max_degree), order, size)
+    return _decode(_groebner(_encode(gens, order, size), order), order, size)
 
 
-def _groebner(
-    basis: List[_Binomial], order: TermOrder, max_pairs: int, max_degree: Optional[int]
-) -> List[_Binomial]:
+def _groebner(basis: List[_Binomial], order: TermOrder) -> List[_Binomial]:
     """The reduced basis of `basis`, which Buchberger's loop extends in place."""
     heap: List[tuple] = []
     alive = {}  # (i, j) -> (lcm, its support mask), pairs not yet discarded
@@ -184,16 +164,12 @@ def _groebner(
 
     processed = 0
     while heap:
-        degree, _, i, j = heapq.heappop(heap)
+        _, _, i, j = heapq.heappop(heap)
         if alive.pop((i, j), None) is None:
             continue  # pruned after scheduling
-        if max_degree is not None and degree > max_degree:
-            raise BudgetExceededError(
-                f"S-pair lcm degree {degree} exceeds the cap {max_degree}"
-            )
         processed += 1
-        if processed > max_pairs:
-            raise BudgetExceededError(f"S-pair budget of {max_pairs} pairs exceeded")
+        if processed > MAX_PAIRS:
+            raise BudgetExceededError(f"S-pair budget of {MAX_PAIRS} pairs exceeded")
         r = _s_remainder(basis[i], basis[j], basis, order)
         if r is not None:
             basis.append(r)
@@ -202,16 +178,11 @@ def _groebner(
     return _reduced(basis, order)
 
 
-def saturate(
-    gens: Sequence[CellPolynomial],
-    variables: Sequence[int],
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    max_degree: Optional[int] = DEFAULT_MAX_DEGREE,
-) -> List[CellPolynomial]:
+def saturate(gens: Sequence[CellPolynomial], variables: Sequence[int]) -> List[CellPolynomial]:
     """Reduced grevlex basis of the saturation of a homogeneous binomial
     ideal by the product of `variables`: a basis with one variable last,
     divided by that variable's powers, spans the saturation by it (Sturmfels,
-    Groebner Bases and Convex Polytopes, ch. 12).  The caps are per step."""
+    Groebner Bases and Convex Polytopes, ch. 12).  `MAX_PAIRS` holds per step."""
     if not gens:
         return []
     size = gens[0].size
@@ -225,7 +196,7 @@ def saturate(
         basis = [_binomial(tuple(g.lead[k] for k in slots), tuple(g.tail[k] for k in slots), last)
                  for g in basis]
         order = last
-        basis = _groebner(basis, order, max_pairs, max_degree)
+        basis = _groebner(basis, order)
         # a homogeneous grevlex lead has the lower power of the last variable
         basis = [_binomial(g.lead[:-1] + (0,), g.tail[:-1] + (g.tail[-1] - g.lead[-1],), order)
                  for g in basis]

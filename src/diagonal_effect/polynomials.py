@@ -3,7 +3,7 @@
 A variable is an integer id; the cell (i, j) of an I x I table, 1-based,
 gets id (i-1)*I + (j-1).  Ids at or above I*I are auxiliary variables used
 only inside elimination computations.  Monomials are sorted tuples of
-(variable, exponent) pairs, which keeps the arithmetic hashable and cheap.
+(variable, exponent) pairs, which keeps them hashable and cheap to compare.
 """
 
 from __future__ import annotations
@@ -44,17 +44,6 @@ def mono_from_cells(cells: Iterable[Tuple[int, int]], size: int) -> Monomial:
 
 def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
 
 
 def mono_coprime(a: Monomial, b: Monomial) -> bool:
@@ -107,13 +96,15 @@ class TermOrder:
             )
         return (sum(dense), tuple(map(neg, reversed(dense))))
 
-    def sort_terms(self, terms: Iterable[Monomial], reverse: bool = True) -> List[Monomial]:
-        return sorted(terms, key=self.key, reverse=reverse)
+    def sort_terms(self, terms: Iterable[Monomial]) -> List[Monomial]:
+        return sorted(terms, key=self.key, reverse=True)
 
 
 def clear_denominators(point, size: int) -> Tuple[List[int], int]:
     """(N, D): cell variable v is N[v] / D at a ProbTable or a {(i, j): value}
-    mapping `point`, with D the lcm of the cell denominators."""
+    mapping `point`, with D the lcm of the cell denominators.  A mapping's
+    values must be ints or Fractions: a float is already rounded, so its
+    exact value would make a vanishing polynomial look nonzero."""
     if isinstance(point, ProbTable):
         if point.size != size:
             raise SizeMismatchError(
@@ -123,6 +114,8 @@ def clear_denominators(point, size: int) -> Tuple[List[int], int]:
     else:
         flat = [Fraction(0)] * (size * size)
         for (i, j), value in point.items():
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise InputError(f"value at ({i},{j}) is not an int or a Fraction: {value!r}")
             flat[cell_var(i, j, size)] = Fraction(value)
     den = lcm(*(p.denominator for p in flat))
     return [p.numerator * (den // p.denominator) for p in flat], den
@@ -160,33 +153,8 @@ class CellPolynomial:
             terms[m] = terms.get(m, 0) + (coeff if coeff.__class__ is int else Fraction(coeff))
         return cls(size, terms)
 
-    # ---- ring operations ----
-
-    def __add__(self, other: "CellPolynomial") -> "CellPolynomial":
-        self._check_sibling(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return CellPolynomial(self.size, terms)
-
-    def __sub__(self, other: "CellPolynomial") -> "CellPolynomial":
-        return self + -other
-
     def __neg__(self) -> "CellPolynomial":
         return CellPolynomial(self.size, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other: "CellPolynomial") -> "CellPolynomial":
-        self._check_sibling(other)
-        terms: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return CellPolynomial(self.size, terms)
-
-    def _check_sibling(self, other: "CellPolynomial"):
-        if self.size != other.size:
-            raise SizeMismatchError(f"polynomial sizes differ: {self.size} vs {other.size}")
 
     # ---- structure ----
 

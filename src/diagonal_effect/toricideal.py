@@ -12,16 +12,10 @@ route is kept as an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .errors import InputError, InvariantViolationError, SizeMismatchError
-from .groebner import (
-    DEFAULT_MAX_PAIRS,
-    buchberger,
-    normal_form,
-    reduce_basis,
-    saturate,
-)
+from .groebner import buchberger, reduce_basis, saturate
 from .polynomials import CellPolynomial, TermOrder, binomial_from_vector
 from .tables import ModelFamily, ModelForm, ModelSpec
 
@@ -140,36 +134,7 @@ def lattice_binomials(A: DesignMatrix) -> List[CellPolynomial]:
     return [binomial_from_vector([x for row in grid for x in row], A.size) for grid in integer_kernel(A)]
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """A reduced, monic Groebner basis together with its term order."""
-
-    generators: tuple
-    order: TermOrder
-
-
-def groebner(
-    gens: Sequence[CellPolynomial],
-    order: Optional[TermOrder] = None,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    max_degree: Optional[int] = 12,
-) -> GroebnerBasis:
-    """Reduced Groebner basis of `gens` (grevlex over the cells by default)."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        raise InputError("cannot take a Groebner basis of an empty generating set")
-    if order is None:
-        order = TermOrder.grevlex(range(gens[0].size ** 2))
-    basis = buchberger(gens, order, max_pairs=max_pairs, max_degree=max_degree)
-    return GroebnerBasis(generators=tuple(basis), order=order)
-
-
-def toric_ideal(
-    model: ModelSpec,
-    method: str = "saturation",
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    max_degree: Optional[int] = None,
-) -> List[CellPolynomial]:
+def toric_ideal(model: ModelSpec, method: str = "saturation") -> List[CellPolynomial]:
     """Generators of the toric ideal of a model, from its design matrix.
 
     method "saturation": per-variable saturation of the lattice ideal
@@ -188,12 +153,12 @@ def toric_ideal(
     cell_vars = list(range(I * I))
 
     if method == "saturation":
-        result = saturate(gens, cell_vars, max_pairs, max_degree)
+        result = saturate(gens, cell_vars)
     elif method == "elimination":
         aux = I * I
         rabinowitsch = CellPolynomial(I, {tuple((v, 1) for v in cell_vars + [aux]): 1, (): -1})
         order = TermOrder.elimination([aux], cell_vars)
-        basis = buchberger(gens + [rabinowitsch], order, max_pairs=max_pairs, max_degree=max_degree)
+        basis = buchberger(gens + [rabinowitsch], order)
         kept = [g for g in basis if aux not in g.variables()]
         result = reduce_basis(kept, TermOrder.grevlex(cell_vars))
     else:
@@ -205,12 +170,7 @@ def toric_ideal(
     return result
 
 
-def ideal_equal(
-    gens1: Sequence[CellPolynomial],
-    gens2: Sequence[CellPolynomial],
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    max_degree: Optional[int] = None,
-) -> bool:
+def ideal_equal(gens1: Sequence[CellPolynomial], gens2: Sequence[CellPolynomial]) -> bool:
     """True iff the two generating sets span the same ideal.
 
     An ideal has exactly one reduced Groebner basis under a given term
@@ -226,19 +186,5 @@ def ideal_equal(
     if list2[0].size != size:
         raise SizeMismatchError(f"generators over {size}x{size} and {list2[0].size}x{list2[0].size} tables")
     order = TermOrder.grevlex(range(size * size))
-    gb1, gb2 = (buchberger(g, order, max_pairs=max_pairs, max_degree=max_degree) for g in (list1, list2))
+    gb1, gb2 = (buchberger(g, order) for g in (list1, list2))
     return gb1 == gb2
-
-
-def in_ideal(
-    poly: CellPolynomial,
-    gens: Sequence[CellPolynomial],
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    max_degree: Optional[int] = None,
-) -> bool:
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return poly.is_zero()
-    order = TermOrder.grevlex(range(gens[0].size * gens[0].size))
-    gb = buchberger(gens, order, max_pairs=max_pairs, max_degree=max_degree)
-    return normal_form(poly, gb, order).is_zero()

@@ -1,5 +1,6 @@
 """Cross-module contract checks that don't belong to a single module."""
 
+import importlib
 import json
 import os
 import random
@@ -136,3 +137,11 @@ def test_import_leaves_numpy_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_groebner_resolves_to_the_engine_module():
+    # no package export shadows the submodule of the same name
+    assert diagonal_effect.groebner is importlib.import_module("diagonal_effect.groebner")
+    for removed in ("GroebnerBasis", "in_ideal"):
+        assert not hasattr(diagonal_effect, removed)
+    assert not hasattr(diagonal_effect.groebner, "normal_form")

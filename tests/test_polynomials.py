@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,27 +10,8 @@ from diagonal_effect.polynomials import (
     cell_var,
     mono_coprime,
     mono_from_cells,
-    mono_mul,
     var_cell,
 )
-
-
-def rand_poly(rng: random.Random, size: int = 2, max_terms: int = 4) -> CellPolynomial:
-    terms = []
-    for _ in range(rng.randint(0, max_terms)):
-        cells = [
-            (rng.randint(1, size), rng.randint(1, size)) for _ in range(rng.randint(0, 3))
-        ]
-        coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-        terms.append((coeff, cells))
-    return CellPolynomial.from_cell_terms(size, terms)
-
-
-def rand_point(rng: random.Random, size: int = 2) -> ProbTable:
-    vals = [Fraction(rng.randint(1, 20)) for _ in range(size * size)]
-    s = sum(vals)
-    vals = [v / s for v in vals]
-    return ProbTable.from_rows([vals[i * size:(i + 1) * size] for i in range(size)])
 
 
 class TestMonomials:
@@ -43,30 +23,11 @@ class TestMonomials:
     def test_mul_div_coprime(self):
         a = mono_from_cells([(1, 1), (1, 2)], 2)
         b = mono_from_cells([(1, 2), (2, 2)], 2)
-        assert mono_mul(a, b) == mono_from_cells([(1, 1), (1, 2), (1, 2), (2, 2)], 2)
         assert not mono_coprime(a, b)
         assert mono_coprime(mono_from_cells([(1, 1)], 2), mono_from_cells([(2, 2)], 2))
 
 
 class TestRingLaws:
-    def test_ring_axioms_on_random_polynomials(self):
-        rng = random.Random("ring-laws")
-        for _ in range(60):
-            a, b, c = (rand_poly(rng) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert a + b == b + a
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-
-    def test_eval_is_ring_homomorphism(self):
-        rng = random.Random("eval-hom")
-        for _ in range(40):
-            a, b = rand_poly(rng), rand_poly(rng)
-            point = rand_point(rng)
-            assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
-            assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
-
     def test_eval_examples(self):
         minor = CellPolynomial.from_cell_terms(
             2, [(1, [(1, 1), (2, 2)]), (-1, [(1, 2), (2, 1)])]
@@ -146,6 +107,17 @@ class TestExactEvaluation:
         aux = CellPolynomial(2, {((4, 1),): 1})
         with pytest.raises(InputError, match="auxiliary"):
             aux.evaluate(ProbTable.from_rows([[Fraction(1, 4)] * 2] * 2))
+
+    @pytest.mark.parametrize("value", [0.02, True, "1/50"])
+    def test_inexact_values_rejected(self, value):
+        # a float is already rounded: at 0.1, 0.2, 0.02, 1.0 the minor would
+        # come out as a tiny nonzero Fraction instead of 0
+        minor = binomial_from_vector([1, -1, -1, 1], 2)
+        point = {(1, 1): Fraction(1, 10), (2, 2): Fraction(1, 5), (1, 2): value, (2, 1): 1}
+        with pytest.raises(InputError, match=r"\(1,2\)"):
+            minor.evaluate(point)
+        point[(1, 2)] = Fraction(1, 50)
+        assert minor.evaluate(point) == 0
 
 
 class TestTermOrders:

@@ -1,4 +1,3 @@
-import importlib
 from itertools import combinations
 from pathlib import Path
 
@@ -17,11 +16,10 @@ from diagonal_effect import (
     gens_common_toric_listed3,
     gens_diag_effect,
     gens_independence,
+    groebner,
     ideal_equal,
-    in_ideal,
     integer_kernel,
     lattice_binomials,
-    groebner,
     moves_to_binomials,
     random_rational_point,
     sufficient_statistic,
@@ -29,15 +27,12 @@ from diagonal_effect import (
     toric_point,
     transpose_apply,
 )
-from diagonal_effect.groebner import _encode, _s_remainder, buchberger, normal_form
+from diagonal_effect.groebner import _encode, _s_remainder, buchberger, saturate
 from diagonal_effect.markov import moves_common_diag, moves_diag_effect
 
 from conftest import model, random_count_table
 
 GOLDEN = Path(__file__).parent / "golden"
-
-# the package exports a function named `groebner`, which hides the module
-groebner_module = importlib.import_module("diagonal_effect.groebner")
 
 
 def spoly_reductions_all_zero(groebner_basis, order) -> bool:
@@ -47,6 +42,19 @@ def spoly_reductions_all_zero(groebner_basis, order) -> bool:
         return True
     basis = _encode(groebner_basis, order, groebner_basis[0].size)
     return all(_s_remainder(f, g, basis, order) is None for f, g in combinations(basis, 2))
+
+
+def count_s_pairs(monkeypatch) -> list:
+    """A list that grows by one for each S-pair the engine processes."""
+    calls = []
+    step = groebner._s_remainder
+
+    def counted(*args):
+        calls.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(groebner, "_s_remainder", counted)
+    return calls
 
 
 class TestDesignMatrix:
@@ -114,27 +122,44 @@ class TestGroebner:
         minor = CellPolynomial.from_cell_terms(
             2, [(1, [(1, 1), (2, 2)]), (-1, [(1, 2), (2, 1)])]
         )
-        gb = groebner([minor])
-        assert len(gb.generators) == 1
-        assert spoly_reductions_all_zero(list(gb.generators), gb.order)
+        order = TermOrder.grevlex(range(4))
+        gb = buchberger([minor], order)
+        assert len(gb) == 1
+        assert spoly_reductions_all_zero(gb, order)
 
     def test_linear_chain_reduces(self):
         # x - y and y - z over three cells triangulate to a reduced basis
         x_minus_y = CellPolynomial.from_cell_terms(2, [(1, [(1, 1)]), (-1, [(1, 2)])])
         y_minus_z = CellPolynomial.from_cell_terms(2, [(1, [(1, 2)]), (-1, [(2, 1)])])
-        gb = groebner([x_minus_y, y_minus_z])
-        assert len(gb.generators) == 2
-        assert spoly_reductions_all_zero(list(gb.generators), gb.order)
+        order = TermOrder.grevlex(range(4))
+        gb = buchberger([x_minus_y, y_minus_z], order)
+        assert len(gb) == 2
+        assert spoly_reductions_all_zero(gb, order)
 
     def test_listed_nine_have_consistent_basis(self):
         gens = [inv.poly for inv in gens_common_toric_listed3()]
-        gb = groebner(gens, max_degree=None)
-        assert spoly_reductions_all_zero(list(gb.generators), gb.order)
+        order = TermOrder.grevlex(range(9))
+        assert spoly_reductions_all_zero(buchberger(gens, order), order)
 
-    def test_degree_budget_error(self):
+    def test_pair_budget_stops_buchberger(self, monkeypatch):
+        # the listed nine need some number n of S-pairs: a budget of n
+        # passes and a budget of n - 1 raises
         gens = [inv.poly for inv in gens_common_toric_listed3()]
+        order = TermOrder.grevlex(range(9))
+        calls = count_s_pairs(monkeypatch)
+        expected = buchberger(gens, order)
+        n = len(calls)
+        monkeypatch.setattr(groebner, "MAX_PAIRS", n)
+        assert buchberger(gens, order) == expected
+        monkeypatch.setattr(groebner, "MAX_PAIRS", n - 1)
+        with pytest.raises(BudgetExceededError, match=f"budget of {n - 1} pairs"):
+            buchberger(gens, order)
+
+    def test_pair_budget_stops_saturate(self, monkeypatch):
+        gens = lattice_binomials(design_matrix(model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3)))
+        monkeypatch.setattr(groebner, "MAX_PAIRS", 1)
         with pytest.raises(BudgetExceededError):
-            buchberger(gens, TermOrder.grevlex(range(9)), max_degree=2)
+            saturate(gens, range(9))
 
 
 class TestToricIdeal:
@@ -238,11 +263,6 @@ class TestIdealEqual:
         ideal = toric_ideal(model(ModelFamily.DIAGONAL_EFFECT, 3))
         assert ideal_equal(move_polys, ideal)
 
-    def test_in_ideal(self):
-        ideal = toric_ideal(model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3))
-        for poly in moves_to_binomials(moves_common_diag(3)):
-            assert in_ideal(poly, ideal)
-
 
 class TestLatticeBinomials:
     def test_homogeneous_and_pure(self):
@@ -271,11 +291,7 @@ class TestBinomialBoundary:
 
     def test_groebner_rejects_mixed_sizes(self):
         with pytest.raises(SizeMismatchError):
-            groebner([_minor3(), _minor2()])
-
-    def test_normal_form_rejects_mixed_sizes(self):
-        with pytest.raises(SizeMismatchError):
-            normal_form(_minor2(), [_minor3()], TermOrder.grevlex(range(9)))
+            buchberger([_minor3(), _minor2()], TermOrder.grevlex(range(9)))
 
     def test_ideal_equal_rejects_mixed_sizes(self):
         with pytest.raises(SizeMismatchError):
@@ -286,33 +302,14 @@ class TestBinomialBoundary:
         with pytest.raises(SizeMismatchError):
             ideal_equal([first()], [second()])
 
-    def test_in_ideal_rejects_mixed_sizes(self):
-        with pytest.raises(SizeMismatchError):
-            in_ideal(_minor2(), [_minor3()])
-
     @pytest.mark.parametrize("bad", ["three_terms", "plus"])
     def test_non_binomial_generators_rejected(self, bad):
         bad = getattr(self, bad)
         good = [inv.poly for inv in gens_common_toric_listed3()]
         with pytest.raises(InputError):
-            groebner(good + [bad])
+            buchberger(good + [bad], TermOrder.grevlex(range(9)))
         with pytest.raises(InputError):
             ideal_equal(good, good + [bad])
-        with pytest.raises(InputError):
-            in_ideal(good[0], [bad])
-
-    def test_in_ideal_of_four_term_polynomials(self):
-        gens = toric_ideal(model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3))
-        x11 = CellPolynomial.from_cell_terms(3, [(1, [(1, 1)])])
-        x22 = CellPolynomial.from_cell_terms(3, [(2, [(2, 2)])])
-        member = x11 * gens[0] + x22 * gens[1]
-        assert member.num_terms() == 4
-        assert in_ideal(member, gens)
-        # a sum of positive monomials is positive at every model point
-        non_member = CellPolynomial.from_cell_terms(
-            3, [(1, [(1, 1), (2, 2)]), (1, [(1, 2), (2, 1)]), (1, [(1, 3), (3, 1)]), (1, [(2, 3), (3, 2)])]
-        )
-        assert not in_ideal(non_member, gens)
 
 
 # Processed S-pairs of whole toric_ideal computations, recorded on the
@@ -330,13 +327,6 @@ S_PAIRS = [
 
 @pytest.mark.parametrize("family, I, method, pairs", S_PAIRS)
 def test_processed_s_pairs_are_pinned(monkeypatch, family, I, method, pairs):
-    calls = []
-    step = groebner_module._s_remainder
-
-    def counted(*args):
-        calls.append(None)
-        return step(*args)
-
-    monkeypatch.setattr(groebner_module, "_s_remainder", counted)
+    calls = count_s_pairs(monkeypatch)
     toric_ideal(model(family, I), method=method)
     assert len(calls) == pairs
