@@ -16,8 +16,8 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
-from itertools import combinations, permutations
+from functools import cached_property, partial
+from itertools import chain, combinations, permutations
 from operator import add, itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -391,6 +391,8 @@ class WalkConfig:
         _check_count("thinning", self.thinning, 1)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise InputError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.stationary, Stationary):
+            raise InputError(f"stationary must be a Stationary member, got {self.stationary!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -414,21 +416,23 @@ def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> 
     a / b = rng.random(), the exact comparison of the uniform draw with
     the ratio.
 
-    States are immutable, so a state that has not moved since the previous
-    emission is emitted again as the very same CountTable object.
+    The walk moves one flat list; a CountTable is built only when the state
+    changes, so an unmoved state is emitted again as the very same object.
     """
     if not moves:
         raise InputError("fiber_walk needs at least one move")
     I = start.size
     deltas = _move_deltas(moves, I)
+    rows = [slice(i * I, (i + 1) * I) for i in range(I)]
     rng = random.Random(f"fiber-walk|{config.seed}")
+    randrange, count = rng.randrange, len(deltas)
     hypergeometric = config.stationary is Stationary.HYPERGEOMETRIC
     flat = [x for row in start.cells for x in row]
-    state = None
+    last = state = None
     moved = True
     until_emit = config.burn_in
     for _ in range(config.burn_in + config.steps):
-        delta = deltas[rng.randrange(len(deltas))]
+        delta = deltas[randrange(count)]
         num = den = 1
         for k, v in delta:
             old = flat[k]
@@ -438,16 +442,13 @@ def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> 
             if hypergeometric:
                 # f! / f'! is 1 / ((f+1)...f') when a count rises, f...(f'+1) when it falls
                 if v > 0:
-                    den *= math.perm(new, v)
+                    den *= new if v == 1 else math.perm(new, v)
                 else:
-                    num *= math.perm(old, -v)
+                    num *= old if v == -1 else math.perm(old, -v)
         else:
             if num < den:
-                a, b = rng.random().as_integer_ratio()
-                accept = a * den < num * b
-            else:
-                accept = True
-            if accept:
+                a, b = rng.random().as_integer_ratio()  # accept when a / b < num / den
+            if num >= den or a * den < num * b:
                 for k, v in delta:
                     flat[k] += v
                 moved = True
@@ -456,9 +457,10 @@ def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> 
             continue
         until_emit = config.thinning - 1
         if moved:
-            cells = tuple(tuple(flat[i * I:(i + 1) * I]) for i in range(I))
-            if state is None or cells != state.cells:
-                state = CountTable(size=I, cells=cells)
+            out = tuple(flat)
+            if out != last:
+                last = out
+                state = start._in_fiber(tuple(map(out.__getitem__, rows)))
             moved = False
         yield state
 
@@ -496,19 +498,36 @@ def pearson_statistic(cells, expected) -> float:
     chi2 = 0.0
     for orow, erow in zip(cells, expected):
         for o, e in zip(orow, erow):
-            if e > 0.0:
-                chi2 += (o - e) ** 2 / e
-            elif o != 0:
-                return math.inf
+            chi2 += _pearson_term(o, e)
     return chi2
 
 
 def _pearson_term(o: int, e: float) -> float:
     """One cell's term of `pearson_statistic`; adding inf to the running sum
-    gives the inf that it returns."""
+    keeps it inf."""
     if e > 0.0:
         return (o - e) ** 2 / e
     return 0.0 if o == 0 else math.inf
+
+
+class _Memo(dict):
+    """`fn(key)` for each key, computed on its first lookup."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _pearson_flat(terms: Sequence[dict], flat: Sequence[int]) -> float:
+    """`pearson_statistic` of a flat row-major table, from one `_Memo` of
+    `_pearson_term`s per cell, summed left to right in the same order."""
+    chi2 = 0.0
+    for term, o in zip(terms, flat):
+        chi2 += term[o]
+    return chi2
 
 
 def _chi2_threshold(observed: float) -> float:
@@ -531,7 +550,8 @@ def exact_test(
     across the fiber.  The p-value is the hypergeometric-law probability of
     a statistic at least as large as observed: exact by total enumeration
     when the fiber is within budget, otherwise estimated by the fiber walk
-    with a batch-means Monte Carlo standard error.
+    with a batch-means Monte Carlo standard error.  Both score tables from
+    per-cell lookups: each cell's Pearson term is computed once per value.
     """
     if table.n == 0:
         raise InputError("exact test needs a nonzero table")
@@ -539,7 +559,9 @@ def exact_test(
         raise InputError(f"unknown method {method!r}")
     _check_count("node_budget", node_budget)
     expected = expected_counts(table, model)
-    observed_stat = pearson_statistic(table.cells, expected)
+    terms = [_Memo(partial(_pearson_term, e=e)) for row in expected for e in row]
+    flat = [x for row in table.cells for x in row]
+    observed_stat = _pearson_flat(terms, flat)
     threshold = _chi2_threshold(observed_stat)
 
     if method in ("auto", "enumerate"):
@@ -550,23 +572,14 @@ def exact_test(
                 raise
             fiber = None
         if fiber is not None:
-            # the values each cell takes in the fiber: the weights n!/prod f!
-            # need the factorials of only these, and each cell's Pearson term
-            # is looked up per value and summed left to right in row-major
-            # order, as `pearson_statistic` does
-            values = [set(map(itemgetter(k), fiber.flats)) for k in range(table.size ** 2)]
-            fact = {v: math.factorial(v) for v in set().union(*values)}.__getitem__
+            # the weights n!/prod f! need the factorials of the occurring values only
+            fact = _Memo(math.factorial).__getitem__
             n_fact = math.factorial(table.n)
-            terms = [{o: _pearson_term(o, e) for o in cell_values}
-                     for cell_values, e in zip(values, (e for row in expected for e in row))]
             hit_weight = total_weight = 0
-            for flat in fiber.flats:
-                w = n_fact // math.prod(map(fact, flat))
+            for state in fiber.flats:
+                w = n_fact // math.prod(map(fact, state))
                 total_weight += w
-                chi2 = 0.0
-                for term, o in zip(terms, flat):
-                    chi2 += term[o]
-                if chi2 >= threshold:
+                if _pearson_flat(terms, state) >= threshold:
                     hit_weight += w
             p = hit_weight / total_weight  # int true division rounds correctly
             return TestResult(
@@ -589,7 +602,7 @@ def exact_test(
         # the walk re-emits an unmoved state as the same object
         if state is not last:
             last = state
-            indicator = 1.0 if pearson_statistic(state.cells, expected) >= threshold else 0.0
+            indicator = 1.0 if _pearson_flat(terms, chain.from_iterable(state.cells)) >= threshold else 0.0
         indicators.append(indicator)
     p = sum(indicators) / len(indicators)
     stderr = _batch_means_stderr(indicators)

@@ -121,6 +121,14 @@ def clear_denominators(point, size: int) -> Tuple[List[int], int]:
     return [p.numerator * (den // p.denominator) for p in flat], den
 
 
+def _rational(c):
+    """The coefficient `c`, an int or a Fraction, as an int when integral.
+    A float is already rounded, and a string or a bool is no number here."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise InputError(f"coefficient is not an int or a Fraction: {c!r}")
+    return c.numerator if c.denominator == 1 else c
+
+
 class CellPolynomial:
     """Immutable-by-convention sparse polynomial; integral coefficients are ints."""
 
@@ -132,8 +140,7 @@ class CellPolynomial:
         if terms:
             for m, c in terms.items():
                 if c.__class__ is not int:
-                    c = Fraction(c)
-                    c = c.numerator if c.denominator == 1 else c
+                    c = _rational(c)
                 if c != 0:
                     clean[m] = c
         self.terms = clean
@@ -150,7 +157,7 @@ class CellPolynomial:
         terms: Dict[Monomial, Fraction] = {}
         for coeff, cells in cell_terms:
             m = mono_from_cells(cells, size)
-            terms[m] = terms.get(m, 0) + (coeff if coeff.__class__ is int else Fraction(coeff))
+            terms[m] = terms.get(m, 0) + (coeff if coeff.__class__ is int else _rational(coeff))
         return cls(size, terms)
 
     def __neg__(self) -> "CellPolynomial":

@@ -87,6 +87,15 @@ class CountTable:
         grid = _freeze_int_grid(rows, what="count table")
         return cls(size=len(grid), cells=grid)
 
+    def _in_fiber(self, cells: Grid) -> "CountTable":
+        """The table `cells`, reached from this one by moves that keep every
+        count nonnegative, as the fiber walk's states are.  Moves are
+        balanced integer tables, so it has this table's size and total and
+        is built without the checks."""
+        table = object.__new__(CountTable)
+        table.__dict__.update(size=self.size, cells=cells, n=self.n)
+        return table
+
     def row_margins(self) -> tuple:
         return tuple(sum(row) for row in self.cells)
 
@@ -164,6 +173,8 @@ class Move:
     def __post_init__(self):
         if len(self.cells) != self.size or any(len(r) != self.size for r in self.cells):
             raise InputError("cells must form a size x size grid")
+        if any(x.__class__ is not int for row in self.cells for x in row):  # no bool, float or Fraction
+            raise InputError("move cells must be integers")
         pos = sum(x for row in self.cells for x in row if x > 0)
         neg = -sum(x for row in self.cells for x in row if x < 0)
         if pos != neg:

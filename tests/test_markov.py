@@ -1,5 +1,7 @@
 import math
+import random
 from collections import Counter, deque
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import List
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagonal_effect import markov
+from diagonal_effect.params import expected_counts
 from diagonal_effect import (
     BudgetExceededError,
     CountTable,
@@ -499,6 +502,7 @@ class TestFiberWalk:
     @pytest.mark.parametrize("field, value", [
         ("thinning", 0), ("thinning", 1.5), ("burn_in", 2.5), ("steps", True),
         ("seed", 1.5), ("seed", True), ("seed", "x"),
+        ("stationary", "hypergeometric"), ("stationary", None),
     ])
     def test_bad_schedule_rejected(self, field, value):
         with pytest.raises(InputError, match=field):
@@ -527,10 +531,100 @@ class TestFiberWalk:
         for state in fiber_walk(start, moves_for_model(m), config):
             assert sufficient_statistic(state, m) == stat
             assert all(x >= 0 for row in state.cells for x in row)
+            # the walk builds its tables unchecked: each must equal the checked one
+            checked = CountTable(size=size, cells=state.cells)
+            assert (state, hash(state), repr(state)) == (checked, hash(checked), repr(checked))
             if previous is not None:
                 # an unmoved state is re-emitted as the very same object
                 assert (state is previous) == (state.cells == previous.cells)
             previous = state
+
+
+def reference_pearson(cells, expected) -> float:
+    """Pearson chi-square cell by cell, returning at the first infinite term:
+    the reference for the per-value term lookups."""
+    chi2 = 0.0
+    for orow, erow in zip(cells, expected):
+        for o, e in zip(orow, erow):
+            if e > 0.0:
+                chi2 += (o - e) ** 2 / e
+            elif o != 0:
+                return math.inf
+    return chi2
+
+
+def reference_mcmc(table: CountTable, m: ModelSpec, config: WalkConfig) -> tuple:
+    """The MCMC branch of `exact_test` with the statistic computed cell by
+    cell: the public walk, the statistic of each new state, then batch
+    means; (statistic, p-value, stderr, samples)."""
+    expected = expected_counts(table, m)
+    observed = reference_pearson(table.cells, expected)
+    threshold = markov._chi2_threshold(observed)
+    indicators = []
+    last = indicator = None
+    for state in fiber_walk(table, moves_for_model(m), config):
+        if state is not last:
+            last = state
+            indicator = 1.0 if reference_pearson(state.cells, expected) >= threshold else 0.0
+        indicators.append(indicator)
+    return (observed, sum(indicators) / len(indicators),
+            markov._batch_means_stderr(indicators), len(indicators))
+
+
+def reference_chains(table: CountTable, m: ModelSpec, config: WalkConfig, chains: int) -> tuple:
+    runs = [reference_mcmc(table, m, replace(config, seed=config.seed + k)) for k in range(chains)]
+    p = sum(r[1] for r in runs) / chains
+    var = sum((r[1] - p) ** 2 for r in runs) / (chains - 1)
+    return runs[0][0], p, math.sqrt(var / chains), sum(r[3] for r in runs)
+
+
+def oracle_cases() -> list:
+    """(family, table, config) over both families at I = 3..5: seeded random
+    tables under several seeds, one short burn-in with thinning, and one
+    table with a zero row, whose expected counts have zero cells."""
+    rng = random.Random(2009)
+    cases = []
+    for family in FAMILIES:
+        for size in (3, 4, 5):
+            table = random_count_table(rng, size, 3 * size * size)
+            for seed in (1, 8, 31):
+                cases.append((family, table, WalkConfig(steps=2_000, seed=seed)))
+    cases.append((ModelFamily.COMMON_DIAGONAL_EFFECT, random_count_table(rng, 4, 40),
+                  WalkConfig(steps=2_000, burn_in=7, thinning=3, seed=5)))
+    zero_row = CountTable.from_rows([[0, 0, 0, 0], [1, 3, 0, 2], [2, 1, 4, 0], [3, 0, 2, 1]])
+    for family in FAMILIES:
+        cases.append((family, zero_row, WalkConfig(steps=2_000, seed=2)))
+    return cases
+
+
+ORACLE_CASES = oracle_cases()
+ORACLE_IDS = [f"{f.value}-I{t.size}-n{t.n}-seed{c.seed}-thin{c.thinning}" for f, t, c in ORACLE_CASES]
+
+
+class TestWalkOracle:
+    """`exact_test` scores walk states from per-value Pearson lookups; every
+    number must equal the cell-by-cell reference, to the last bit."""
+
+    @pytest.mark.parametrize("family, table, config", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_mcmc_matches_reference(self, family, table, config):
+        m = model(family, table.size)
+        result = exact_test(table, m, config, method="mcmc")
+        got = (result.statistic_observed, result.p_value, result.monte_carlo_stderr, result.samples_used)
+        assert repr(got) == repr(reference_mcmc(table, m, config))
+
+    @pytest.mark.parametrize("family, table, config", ORACLE_CASES[::4], ids=ORACLE_IDS[::4])
+    def test_chains_match_reference(self, family, table, config):
+        m = model(family, table.size)
+        result = exact_test_chains(table, m, config, chains=3)
+        got = (result.statistic_observed, result.p_value, result.monte_carlo_stderr, result.samples_used)
+        assert repr(got) == repr(reference_chains(table, m, config, 3))
+
+    def test_cases_have_zero_expected_cells_and_open_p_values(self):
+        for family, table, _ in ORACLE_CASES[-2:]:
+            assert expected_counts(table, model(family, table.size))[0] == [0.0] * table.size
+        p_values = [reference_mcmc(table, model(family, table.size), config)[1]
+                    for family, table, config in ORACLE_CASES]
+        assert sum(0.0 < p < 1.0 for p in p_values) >= len(ORACLE_CASES) // 2
 
 
 class TestExactTest:
@@ -573,14 +667,22 @@ class TestExactTest:
     def test_pearson_only_for_new_states(self, monkeypatch):
         t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
         config = WalkConfig(steps=2_000, seed=4)
+        unpatched = exact_test(t, COMMON3, config, method="mcmc")
         calls = []
-        real = markov.pearson_statistic
-        monkeypatch.setattr(markov, "pearson_statistic", lambda cells, e: calls.append(cells) or real(cells, e))
-        exact_test(t, COMMON3, config, method="mcmc")
+        real = markov._pearson_flat
+
+        def counted(terms, state):
+            state = tuple(state)
+            calls.append(state)
+            return real(terms, state)
+
+        monkeypatch.setattr(markov, "_pearson_flat", counted)
+        assert exact_test(t, COMMON3, config, method="mcmc") == unpatched
         states = list(fiber_walk(t, moves_common_diag(3), config))
-        new_states = 1 + sum(a is not b for a, b in zip(states, states[1:]))
-        assert new_states < len(states)
-        assert len(calls) == 1 + new_states  # the observed table, then each new state
+        new = [states[0]] + [b for a, b in zip(states, states[1:]) if a is not b]
+        assert len(new) < len(states)
+        assert len(calls) == 1 + len(new)  # the observed table, then each new state
+        assert calls == [flat(t)] + [flat(s) for s in new]
 
     def test_infinite_statistic_threshold(self):
         assert markov._chi2_threshold(math.inf) == math.inf

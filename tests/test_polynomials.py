@@ -92,11 +92,18 @@ class TestExactEvaluation:
         assert value == naive_value(terms, values)
 
     def test_integral_coefficients_are_ints(self):
-        p = CellPolynomial(2, {((0, 1),): Fraction(6, 3), ((1, 1),): Fraction(1, 2), (): 2.0})
+        p = CellPolynomial(2, {((0, 1),): Fraction(6, 3), ((1, 1),): Fraction(1, 2), (): Fraction(4, 2)})
         assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
         assert p == CellPolynomial(2, {((0, 1),): 2, ((1, 1),): Fraction(1, 2), (): 2})
         for c in binomial_from_vector([1, -1, -1, 1], 2).terms.values():
             assert type(c) is int
+
+    @pytest.mark.parametrize("coeff", [0.1, 2.0, "1/3", True])
+    def test_inexact_coefficients_rejected(self, coeff):
+        with pytest.raises(InputError, match="coefficient"):
+            CellPolynomial(2, {((0, 1),): coeff})
+        with pytest.raises(InputError, match="coefficient"):
+            CellPolynomial.from_cell_terms(2, [(coeff, [(1, 2)])])
 
     def test_errors_kept(self):
         minor = binomial_from_vector([1, -1, -1, 1], 2)

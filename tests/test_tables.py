@@ -144,6 +144,12 @@ class TestApplyMove:
         with pytest.raises(InputError):
             Move.from_rows([[1, 0], [0, 0]])
 
+    @pytest.mark.parametrize("x", [1.0, True, Fraction(1)])
+    def test_non_integer_move_rejected(self, x):
+        # `Move.from_rows` converts its entries, the constructor takes them as given
+        with pytest.raises(InputError, match="integers"):
+            Move(size=2, cells=((x, -1), (-1, 1)))
+
 
 class TestLikelihood:
     def test_uniform_value(self):
