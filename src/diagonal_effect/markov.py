@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial
 from itertools import chain, combinations, permutations
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, InputError, SizeMismatchError
@@ -298,8 +298,8 @@ class ConnectivityReport:
 def is_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     """Graph connectivity of the fiber under single-move transitions."""
     components = tuple(
-        tuple(fiber.tables[k] for k in sorted(comp))
-        for comp in _components(fiber.flats, _by_cell(_move_deltas(moves, fiber.stat.size)))
+        tuple(fiber.tables[k] for k in comp)
+        for comp in _components(fiber.flats, *_adjacency(moves, fiber.stat.size))
     )
     return ConnectivityReport(connected=len(components) <= 1, components=components)
 
@@ -307,6 +307,8 @@ def is_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
 def _move_deltas(moves: Sequence[Move], I: int) -> List[tuple]:
     deltas = []
     for m in moves:
+        if not isinstance(m, Move):
+            raise InputError(f"a move list holds Move objects, got {m!r}")
         if m.size != I:
             raise SizeMismatchError("move size differs from table size")
         flat = [x for row in m.cells for x in row]
@@ -314,6 +316,20 @@ def _move_deltas(moves: Sequence[Move], I: int) -> List[tuple]:
         deltas.append(entries)
         deltas.append(tuple((k, -v) for k, v in entries))
     return deltas
+
+
+def _adjacency(moves: Sequence[Move], I: int) -> Tuple[Dict[int, List[list]], set]:
+    """The move deltas as a set of dense flat tuples of both signs, and
+    filed by `_by_cell` in one sign: applied to every member, one sign
+    finds each adjacent pair from one of its two ends."""
+    deltas = _move_deltas(moves, I)
+    dense = set()
+    for delta in deltas:
+        flat = [0] * (I * I)
+        for k, v in delta:
+            flat[k] = v
+        dense.add(tuple(flat))
+    return _by_cell(deltas[::2]), dense
 
 
 def _by_cell(deltas: Sequence[tuple]) -> Dict[int, List[list]]:
@@ -327,37 +343,64 @@ def _by_cell(deltas: Sequence[tuple]) -> Dict[int, List[list]]:
     return by_cell
 
 
-def _components(members: Sequence[tuple], by_cell: Dict[int, List[list]]) -> List[List[int]]:
-    """Connected components of the flat tables `members`, all of one total,
-    under the deltas filed by `_by_cell`; each is a list of member indices."""
+def _edges_by_difference(members: Sequence[tuple], dense: set) -> Iterator[Tuple[int, int]]:
+    """The adjacent pairs of `members`, found by looking up each pair's
+    difference among the dense deltas."""
+    for a, t in enumerate(members):
+        for b in range(a + 1, len(members)):
+            if tuple(map(sub, members[b], t)) in dense:
+                yield a, b
+
+
+def _edges_by_move(members: Sequence[tuple], by_cell: Dict[int, List[list]]) -> Iterator[Tuple[int, int]]:
+    """The adjacent pairs of `members`, found by applying to each member the
+    deltas filed under its occupied cells and looking the result up."""
     index = {m: k for k, m in enumerate(members)}
-    seen = [False] * len(members)
-    components = []
-    for start in range(len(members)):
-        if seen[start]:
-            continue
-        comp = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            k = stack.pop()
-            comp.append(k)
-            flat = members[k]
-            for cell, x in enumerate(flat):
-                for delta in by_cell.get(cell, ()) if x else ():
+    for a, flat in enumerate(members):
+        for cell, x in enumerate(flat):
+            for delta in by_cell.get(cell, ()) if x else ():
+                for pos, v in delta:
+                    if flat[pos] + v < 0:
+                        break
+                else:
+                    out = list(flat)
                     for pos, v in delta:
-                        if flat[pos] + v < 0:
-                            break
-                    else:
-                        out = list(flat)
-                        for pos, v in delta:
-                            out[pos] += v
-                        kn = index.get(tuple(out))
-                        if kn is not None and not seen[kn]:
-                            seen[kn] = True
-                            stack.append(kn)
-        components.append(comp)
-    return components
+                        out[pos] += v
+                    b = index.get(tuple(out))
+                    if b is not None:
+                        yield a, b
+
+
+def _components(members: Sequence[tuple], by_cell: Dict[int, List[list]], dense: set) -> List[List[int]]:
+    """Connected components of the flat tables `members`, all of one total,
+    as lists of member indices: t and u are adjacent when u - t is a delta.
+    A fiber with fewer members than deltas compares its members pairwise,
+    a larger one applies the deltas.  Union-find joins the pairs and stops
+    once everything is joined; each root is its component's least member,
+    so the components come ordered by least member, members ascending."""
+    count = len(members)
+    parent = list(range(count))  # parent[k] <= k, so a root is its tree's least member
+    joins_left = count - 1
+    if joins_left > 0:
+        if count < len(dense):
+            edges = _edges_by_difference(members, dense)
+        else:
+            edges = _edges_by_move(members, by_cell)
+        for a, b in edges:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+                joins_left -= 1
+                if not joins_left:
+                    return [list(range(count))]
+    components: Dict[int, List[int]] = {}
+    for k, p in enumerate(parent):
+        parent[k] = root = parent[p]  # parent[p] is already p's root
+        components.setdefault(root, []).append(k)
+    return list(components.values())
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +785,7 @@ def verify_connectivity(
                 f"the {DEFAULT_NODE_BUDGET}-table budget")
     if moves is None:
         moves = moves_for_model(model)
-    by_cell = _by_cell(_move_deltas(moves, I))
+    by_cell, dense = _adjacency(moves, I)
 
     common = family is ModelFamily.COMMON_DIAGONAL_EFFECT
     rows = _rows_upto(I, max_n)
@@ -760,7 +803,7 @@ def verify_connectivity(
         largest = max(largest, len(members))
         if len(members) <= 1:
             continue
-        comp_sizes = [len(comp) for comp in _components(members, by_cell)]
+        comp_sizes = [len(comp) for comp in _components(members, by_cell, dense)]
         if len(comp_sizes) > 1:
             disconnected.append((key, tuple(sorted(comp_sizes))))
 

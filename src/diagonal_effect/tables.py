@@ -40,6 +40,12 @@ class ModelSpec:
     structural_zero_diagonal: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.family, ModelFamily):
+            raise InputError(f"family must be a ModelFamily, got {self.family!r}")
+        if not isinstance(self.form, ModelForm):
+            raise InputError(f"form must be a ModelForm, got {self.form!r}")
+        if isinstance(self.size, bool) or not isinstance(self.size, int):
+            raise InputError(f"table size must be an integer, got {self.size!r}")
         if self.size < 2:
             raise InputError(f"table size must be at least 2, got {self.size}")
         if self.structural_zero_diagonal and self.family is not ModelFamily.DIAGONAL_EFFECT:

@@ -364,6 +364,23 @@ class TestConnectivity:
         assert not report.connected
         assert len(report.components) == 2
 
+    @pytest.mark.parametrize("entry", [[[1, -1], [-1, 1]], "x", None],
+                             ids=["nested-list", "string", "none"])
+    @pytest.mark.parametrize("entry_point", ["is_connected", "verify_connectivity", "fiber_walk"])
+    def test_non_move_entry_rejected(self, entry_point, entry):
+        moves = [*moves_diag_effect(3), entry]
+        with pytest.raises(InputError, match="Move"):
+            if entry_point == "is_connected":
+                is_connected(enumerate_fiber(sufficient_statistic(DERANGEMENT, DIAG3), DIAG3), moves)
+            elif entry_point == "verify_connectivity":
+                verify_connectivity(ModelFamily.DIAGONAL_EFFECT, 3, 2, moves)
+            else:
+                next(fiber_walk(DERANGEMENT, moves, WalkConfig(steps=1, seed=0)))
+
+    def test_sweep_rejects_malformed_family(self):
+        with pytest.raises(InputError, match="ModelFamily"):
+            verify_connectivity("diag", 3, 2)
+
     def test_wrong_move_size_rejected(self):
         fiber = enumerate_fiber(sufficient_statistic(DERANGEMENT, DIAG3), DIAG3)
         with pytest.raises(SizeMismatchError):
@@ -382,8 +399,51 @@ class TestConnectivity:
         moves = [mv for mv, kept in zip(family_moves, keep) if kept]
         fiber = enumerate_fiber(stat, m)
         report = is_connected(fiber, moves)
-        assert report.components == components_by_bfs(fiber, moves)
+        expected = components_by_bfs(fiber, moves)
+        assert report.components == expected
         assert report.connected == (len(report.components) <= 1)
+        for search in self.SEARCHES:
+            assert self.components_by_search(fiber, moves, search) == expected
+
+    SEARCHES = ["difference", "move"]
+
+    @staticmethod
+    def components_by_search(fiber, moves, search) -> tuple:
+        """`markov._components` with one neighbour search forced, in the
+        form `components_by_bfs` returns: the move search gets no dense
+        deltas, the difference search no filed deltas and more unmatchable
+        dense entries than the fiber has members."""
+        by_cell, dense = markov._adjacency(moves, fiber.stat.size)
+        if search == "move":
+            components = markov._components(fiber.flats, by_cell, set())
+        else:
+            unmatchable = {(k,) for k in range(len(fiber) + 1)}
+            components = markov._components(fiber.flats, {}, dense | unmatchable)
+        return tuple(tuple(fiber.tables[k] for k in comp) for comp in components)
+
+    # a benchmark base table, the move labels kept (None: all), and the
+    # number of components of its fiber under those moves
+    SEARCH_CASES = {
+        "common3-all": (0, None, 1),
+        "common3-diag-shift": (0, {"diag-shift"}, 2),
+        "common3-diag-double": (3, {"diag-double"}, 3),
+        "diag4-all": (4, None, 1),
+        "diag4-cycle": (4, {"cycle"}, 23),
+        "common5-all": (2, None, 1),
+        "common5-cycle": (2, {"cycle"}, 24),
+    }
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    @pytest.mark.parametrize("case", list(SEARCH_CASES))
+    def test_each_search_matches_bfs(self, case, search):
+        base, labels, count = self.SEARCH_CASES[case]
+        family, cells = FIBER_BASE_TABLES[base]
+        m = model(FAMILY_NAMES[family], len(cells))
+        moves = [mv for mv in moves_for_model(m) if labels is None or mv.label in labels]
+        fiber = enumerate_fiber(sufficient_statistic(CountTable.from_rows(cells), m), m)
+        components = self.components_by_search(fiber, moves, search)
+        assert components == components_by_bfs(fiber, moves)
+        assert len(components) == count
 
     def test_sweep_wrong_move_size_rejected(self):
         with pytest.raises(SizeMismatchError):

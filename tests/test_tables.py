@@ -6,6 +6,8 @@ from diagonal_effect import (
     CountTable,
     InputError,
     ModelFamily,
+    ModelForm,
+    ModelSpec,
     Move,
     ProbTable,
     SizeMismatchError,
@@ -24,6 +26,21 @@ from conftest import model, random_count_table
 
 DIAG3 = model(ModelFamily.DIAGONAL_EFFECT, 3)
 COMMON3 = model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3)
+
+
+class TestModelSpec:
+    @pytest.mark.parametrize("family, form, size, message", [
+        pytest.param("diag", ModelForm.TORIC, 3, "family must be a ModelFamily", id="family-str"),
+        pytest.param(None, ModelForm.TORIC, 3, "family must be a ModelFamily", id="family-none"),
+        pytest.param(ModelFamily.DIAGONAL_EFFECT, "toric", 3, "form must be a ModelForm", id="form-str"),
+        pytest.param(ModelFamily.DIAGONAL_EFFECT, ModelForm.TORIC, 3.0, "must be an integer", id="size-float"),
+        pytest.param(ModelFamily.DIAGONAL_EFFECT, ModelForm.TORIC, True, "must be an integer", id="size-bool"),
+        pytest.param(ModelFamily.DIAGONAL_EFFECT, ModelForm.TORIC, "3", "must be an integer", id="size-str"),
+        pytest.param(ModelFamily.DIAGONAL_EFFECT, ModelForm.TORIC, 1, "at least 2", id="size-1"),
+    ])
+    def test_malformed_fields_rejected(self, family, form, size, message):
+        with pytest.raises(InputError, match=message):
+            ModelSpec(family, form, size)
 
 
 class TestCountTable:
