@@ -305,6 +305,9 @@ def is_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
 
 
 def _move_deltas(moves: Sequence[Move], I: int) -> List[tuple]:
+    """Each move's nonzero flat entries as (cell, change) pairs, followed
+    by the same entries negated: deltas[2k] and deltas[2k + 1] are move k
+    in its two signs, so deltas[::2] holds one sign of every move."""
     deltas = []
     for m in moves:
         if not isinstance(m, Move):
@@ -320,8 +323,9 @@ def _move_deltas(moves: Sequence[Move], I: int) -> List[tuple]:
 
 def _adjacency(moves: Sequence[Move], I: int) -> Tuple[Dict[int, List[list]], set]:
     """The move deltas as a set of dense flat tuples of both signs, and
-    filed by `_by_cell` in one sign: applied to every member, one sign
-    finds each adjacent pair from one of its two ends."""
+    filed by `_by_cell` in one sign (the even entries of `_move_deltas`):
+    applied to every member, one sign finds each adjacent pair from one of
+    its two ends."""
     deltas = _move_deltas(moves, I)
     dense = set()
     for delta in deltas:
@@ -371,18 +375,28 @@ def _edges_by_move(members: Sequence[tuple], by_cell: Dict[int, List[list]]) -> 
                         yield a, b
 
 
+# The largest fiber whose members are compared pairwise; larger fibers
+# apply the moves.  Timed per fiber size on enumerated fibers (Python
+# 3.11), the pairwise search stops being faster at 7 members for
+# diagonal-effect I = 4, 8 at I = 5, and 13, 14 and 20 for common-diagonal
+# I = 3, 4 and 5.  Up to 8 members it costs at most 17% more (diagonal
+# effect, I = 4) and up to 3 times less (common diagonal, I = 5).
+_PAIRWISE_MAX = 8
+
+
 def _components(members: Sequence[tuple], by_cell: Dict[int, List[list]], dense: set) -> List[List[int]]:
     """Connected components of the flat tables `members`, all of one total,
     as lists of member indices: t and u are adjacent when u - t is a delta.
-    A fiber with fewer members than deltas compares its members pairwise,
-    a larger one applies the deltas.  Union-find joins the pairs and stops
-    once everything is joined; each root is its component's least member,
-    so the components come ordered by least member, members ascending."""
+    A fiber of at most `_PAIRWISE_MAX` members compares its members
+    pairwise, a larger one applies the deltas.  Union-find joins the pairs
+    and stops once everything is joined; each root is its component's
+    least member, so the components come ordered by least member, members
+    ascending."""
     count = len(members)
     parent = list(range(count))  # parent[k] <= k, so a root is its tree's least member
     joins_left = count - 1
     if joins_left > 0:
-        if count < len(dense):
+        if count <= _PAIRWISE_MAX:
             edges = _edges_by_difference(members, dense)
         else:
             edges = _edges_by_move(members, by_cell)

@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import List
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -377,6 +378,29 @@ class TestConnectivity:
             else:
                 next(fiber_walk(DERANGEMENT, moves, WalkConfig(steps=1, seed=0)))
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_move_deltas_pair_each_move_with_its_negation(self, family):
+        # `_adjacency` files deltas[::2] as one sign of every move
+        moves = moves_for_model(model(family, 4))
+        deltas = markov._move_deltas(moves, 4)
+        assert len(deltas) == 2 * len(moves)
+        for k, move in enumerate(moves):
+            flat = [x for row in move.cells for x in row]
+            assert deltas[2 * k] == tuple((c, v) for c, v in enumerate(flat) if v)
+            assert deltas[2 * k + 1] == tuple((c, -v) for c, v in deltas[2 * k])
+
+    def test_search_follows_size_limit(self):
+        # a path of tables one move apart, as long as the largest fiber
+        # compared pairwise and one table longer
+        moves = moves_diag_effect(4)
+        by_cell, dense = markov._adjacency(moves, 4)
+        step = [x for row in moves[0].cells for x in row]
+        for size, other in [(markov._PAIRWISE_MAX, "_edges_by_move"),
+                            (markov._PAIRWISE_MAX + 1, "_edges_by_difference")]:
+            path = [tuple(size + k * x for x in step) for k in range(size)]
+            with mock.patch.object(markov, other, side_effect=AssertionError(f"{other} ran")):
+                assert markov._components(path, by_cell, dense) == [list(range(size))]
+
     def test_sweep_rejects_malformed_family(self):
         with pytest.raises(InputError, match="ModelFamily"):
             verify_connectivity("diag", 3, 2)
@@ -410,15 +434,15 @@ class TestConnectivity:
     @staticmethod
     def components_by_search(fiber, moves, search) -> tuple:
         """`markov._components` with one neighbour search forced, in the
-        form `components_by_bfs` returns: the move search gets no dense
-        deltas, the difference search no filed deltas and more unmatchable
-        dense entries than the fiber has members."""
+        form `components_by_bfs` returns: the size limit of the difference
+        search is set so that this fiber takes the forced search, and the
+        other search raises if it runs."""
+        limit, other = {"difference": (len(fiber), "_edges_by_move"),
+                        "move": (0, "_edges_by_difference")}[search]
         by_cell, dense = markov._adjacency(moves, fiber.stat.size)
-        if search == "move":
-            components = markov._components(fiber.flats, by_cell, set())
-        else:
-            unmatchable = {(k,) for k in range(len(fiber) + 1)}
-            components = markov._components(fiber.flats, {}, dense | unmatchable)
+        with mock.patch.object(markov, "_PAIRWISE_MAX", limit), \
+                mock.patch.object(markov, other, side_effect=AssertionError(f"{other} ran")):
+            components = markov._components(fiber.flats, by_cell, dense)
         return tuple(tuple(fiber.tables[k] for k in comp) for comp in components)
 
     # a benchmark base table, the move labels kept (None: all), and the
