@@ -3,7 +3,9 @@
 An invariant of a model is a polynomial in the cell variables that is
 exactly zero at every point of the model.  Factories return labeled
 polynomials; `check_vanishing` evaluates a batch at a probability table and
-reports the exact values.
+reports the exact values.  Each factory builds its family once per size
+per process (`tables.built_once`): a call returns a new list of shared
+items, which must not be mutated.
 
 Two of the fixed generators below circulate in a variant form that differs
 by a single sign; those variants fail the vanishing test at every interior
@@ -22,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .polynomials import CellPolynomial, binomial_from_vector, clear_denominators
-from .tables import Move, ProbTable, rectangle_indices, triple_indices
+from .tables import Move, ProbTable, built_once, rectangle_indices, triple_indices
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,12 @@ def _poly(size: int, terms) -> CellPolynomial:
 # independence and diagonal-effect families
 # ---------------------------------------------------------------------------
 
+@built_once
 def gens_independence(I: int) -> List[Invariant]:
-    """All 2x2 minors p[i,j]*p[k,h] - p[i,h]*p[k,j], i<k, j<h."""
+    """All 2x2 minors p[i,j]*p[k,h] - p[i,h]*p[k,j], i<k, j<h.
+
+    Built once per size; the items are shared.
+    """
     if I < 2:
         raise InputError("independence minors need I >= 2")
     pairs = list(combinations(range(1, I + 1), 2))
@@ -68,6 +74,7 @@ def _offdiag_minors_and_cycles(I: int) -> List[Invariant]:
     return out
 
 
+@built_once
 def gens_diag_effect(I: int) -> List[Invariant]:
     """Generators of the diagonal-effect toric ideal.
 
@@ -75,6 +82,7 @@ def gens_diag_effect(I: int) -> List[Invariant]:
     I >= 4) plus one degree-3 cycle binomial per unordered index triple.
     Every generator avoids the diagonal cells, whose counts are sufficient.
     By construction these also vanish on the mixture form of the model.
+    Built once per size; the items are shared.
     """
     if I < 3:
         raise InputError("diagonal-effect generators need I >= 3")
@@ -85,8 +93,12 @@ def gens_diag_effect(I: int) -> List[Invariant]:
 # common-diagonal-effect: fixed I=3 generator lists
 # ---------------------------------------------------------------------------
 
+@built_once
 def gens_common_toric_listed3() -> List[Invariant]:
-    """The nine binomial generators of the common-diagonal toric ideal, I=3."""
+    """The nine binomial generators of the common-diagonal toric ideal, I=3.
+
+    Built once; the items are shared.
+    """
     I = 3
     polys = [
         [(1, [(1, 2), (2, 3), (3, 1)]), (-1, [(1, 3), (2, 1), (3, 2)])],
@@ -178,12 +190,14 @@ _LISTED3_TWELVE_TERM = [
 ]
 
 
+@built_once
 def gens_common_mixture_listed3() -> List[Invariant]:
     """The twenty generators of the common-diagonal mixture model, I=3.
 
     Grouped by term count: 1 binomial, 12 four-term, 6 eight-term and one
     twelve-term polynomial.  Entry 10 of the four-term group carries a
     one-sign correction documented in `nonvanishing_variants_report`.
+    Built once; the items are shared.
     """
     out = []
     for k, terms in enumerate(_LISTED3_BINOMIAL, 1):
@@ -245,6 +259,7 @@ def _diag12_poly(I, i, j, k) -> CellPolynomial:
     ])
 
 
+@built_once
 def gens_common_mixture_families(I: int) -> List[Invariant]:
     """Structured invariant families of the common-diagonal mixture model.
 
@@ -262,7 +277,7 @@ def gens_common_mixture_families(I: int) -> List[Invariant]:
 
     The p[i,j]*p[k,k]^2 term of mixed8 has sign -1, the only choice that
     vanishes on the model (see `nonvanishing_variants_report` for the +1
-    variant).
+    variant).  Built once per size; the items are shared.
     """
     if I < 3:
         raise InputError("common-diagonal mixture families need I >= 3")
@@ -295,7 +310,12 @@ def gens_common_mixture_families(I: int) -> List[Invariant]:
 
 def moves_to_binomials(moves: Sequence[Move]) -> List[CellPolynomial]:
     """The pure binomial p^{m+} - p^{m-} of each move."""
-    return [binomial_from_vector([x for row in move.cells for x in row], move.size) for move in moves]
+    out = []
+    for move in moves:
+        if not isinstance(move, Move):
+            raise InputError(f"a move list holds Move objects, got {move!r}")
+        out.append(binomial_from_vector([x for row in move.cells for x in row], move.size))
+    return out
 
 
 @dataclass(frozen=True)

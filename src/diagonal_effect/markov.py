@@ -1,7 +1,8 @@
 """Markov-basis moves, fiber enumeration, fiber walks, and exact tests.
 
 Move factories produce canonical representatives (the opposite orientation
-of every move is reached by applying it with sign -1).  Fibers are held as
+of every move is reached by applying it with sign -1), built once per size
+per process and shared between calls.  Fibers are held as
 flat integer tuples in row-major order: enumeration backtracks over one
 flat list with margin pruning, the exact test weights each table by the
 integer n!/prod f!, the connectivity sweep builds its tables row by row,
@@ -30,6 +31,7 @@ from .tables import (
     ModelSpec,
     Move,
     SufficientStat,
+    built_once,
     rectangle_indices,
     sufficient_statistic,
     triple_indices,
@@ -66,12 +68,14 @@ def _grid(I: int, entries: Dict[Tuple[int, int], int]) -> tuple:
     return tuple(tuple(row) for row in g)
 
 
+@built_once
 def moves_diag_effect(I: int) -> List[Move]:
     """Minimal move family of the diagonal-effect model.
 
     Degree-2 rectangle swaps over four pairwise distinct indices (I >= 4)
     and one degree-3 cycle per unordered triple (I >= 3).  No move touches
     a diagonal cell: diagonal counts are part of the sufficient statistic.
+    Built once per size; the moves are shared.
     """
     if I < 3:
         raise InputError("diagonal-effect moves need I >= 3")
@@ -89,6 +93,7 @@ def moves_diag_effect(I: int) -> List[Move]:
     return _dedupe(moves)
 
 
+@built_once
 def moves_common_diag(I: int) -> List[Move]:
     """Move family of the common-diagonal-effect model.
 
@@ -97,10 +102,11 @@ def moves_common_diag(I: int) -> List[Move]:
     on a triple (three variants), degree-3 shifts over four indices
     (I >= 4), degree-4 moves with a +-2 column, and degree-4 moves on a
     2 x 4 block (I >= 4); the last two come with their transposes.
+    Built once per size; the moves are shared.
     """
     if I < 3:
         raise InputError("common-diagonal moves need I >= 3")
-    moves = list(moves_diag_effect(I))
+    moves = moves_diag_effect(I)
     idx = range(1, I + 1)
 
     for (a, b, c) in permutations(idx, 3):

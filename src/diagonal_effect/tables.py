@@ -11,8 +11,9 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache, wraps
 from itertools import combinations
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, SizeMismatchError
 
@@ -30,6 +31,11 @@ class ModelForm(Enum):
     MIXTURE = "mixture"
 
 
+def _check_size_type(size) -> None:
+    if isinstance(size, bool) or not isinstance(size, int):
+        raise InputError(f"table size must be an integer, got {size!r}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Which model a table, move, or statistic is interpreted under."""
@@ -44,14 +50,37 @@ class ModelSpec:
             raise InputError(f"family must be a ModelFamily, got {self.family!r}")
         if not isinstance(self.form, ModelForm):
             raise InputError(f"form must be a ModelForm, got {self.form!r}")
-        if isinstance(self.size, bool) or not isinstance(self.size, int):
-            raise InputError(f"table size must be an integer, got {self.size!r}")
+        _check_size_type(self.size)
         if self.size < 2:
             raise InputError(f"table size must be at least 2, got {self.size}")
+        if not isinstance(self.structural_zero_diagonal, bool):
+            raise InputError(
+                f"structural_zero_diagonal must be a bool, got {self.structural_zero_diagonal!r}"
+            )
         if self.structural_zero_diagonal and self.family is not ModelFamily.DIAGONAL_EFFECT:
             raise InputError(
                 "structural_zero_diagonal is only meaningful for the diagonal-effect family"
             )
+
+
+def built_once(build: Callable[..., Sequence]) -> Callable[..., List]:
+    """Memoise a family factory whose items depend only on its size.
+
+    The family is built once per size per process; every call returns a
+    new list of the same shared items, so a caller may change the list but
+    never the items.  Sizes are checked before the cache is consulted (no
+    bool, float or string becomes a key), and a size the builder refuses
+    raises on every call.  The uncached builder stays at `__wrapped__`.
+    """
+    cached = lru_cache(maxsize=None)(lambda *args, **kwargs: tuple(build(*args, **kwargs)))
+
+    @wraps(build)
+    def factory(*args, **kwargs):
+        for size in (*args, *kwargs.values()):
+            _check_size_type(size)
+        return list(cached(*args, **kwargs))
+
+    return factory
 
 
 def _freeze_int_grid(rows: Sequence[Sequence[int]], *, what: str) -> tuple:

@@ -13,6 +13,7 @@ from diagonal_effect import (
     gens_common_mixture_listed3,
     gens_common_toric_listed3,
     gens_diag_effect,
+    gens_independence,
     listed_mixture_term_counts,
     mixture_point,
     moves_to_binomials,
@@ -196,11 +197,64 @@ class TestMovesToBinomials:
         for p in moves_to_binomials(moves_common_diag(3)):
             assert p.is_pure_binomial()
 
+    @pytest.mark.parametrize("item", ["x", None, ((1, -1), (-1, 1))], ids=repr)
+    def test_non_move_entries_rejected(self, item):
+        with pytest.raises(InputError, match="a move list holds Move objects"):
+            moves_to_binomials(moves_diag_effect(3) + [item])
+
     def test_binomials_vanish_on_common_toric_points(self):
         polys = moves_to_binomials(moves_common_diag(3))
         for seed in range(10):
             point = common_toric_point(3, seed)
             assert all(p.evaluate(point) == 0 for p in polys)
+
+
+SIZED_FACTORIES = [gens_independence, gens_diag_effect, gens_common_mixture_families,
+                   moves_diag_effect, moves_common_diag]
+GENERATOR_CALLS = [
+    *(pytest.param(f, I, id=f"{f.__name__}-{I}")
+      for f in (gens_independence, gens_diag_effect, gens_common_mixture_families) for I in (3, 4, 5)),
+    *(pytest.param(f, None, id=f.__name__) for f in (gens_common_toric_listed3, gens_common_mixture_listed3)),
+]
+
+
+def call(factory, I):
+    return factory() if I is None else factory(I)
+
+
+class TestSharedFamilies:
+    @pytest.mark.parametrize("factory", SIZED_FACTORIES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("size", [3.0, "3", None, True], ids=repr)
+    def test_malformed_size_rejected(self, factory, size):
+        with pytest.raises(InputError, match="table size must be an integer"):
+            factory(size)
+
+    def test_small_size_rejected_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(InputError, match="need I >= 3"):
+                gens_common_mixture_families(2)
+
+    @pytest.mark.parametrize("factory, I", GENERATOR_CALLS)
+    def test_calls_return_new_lists_of_shared_items(self, factory, I):
+        first, second = call(factory, I), call(factory, I)
+        assert first == second and first is not second
+        assert all(a is b for a, b in zip(first, second, strict=True))
+
+    @pytest.mark.parametrize("factory, I", GENERATOR_CALLS)
+    def test_changing_a_returned_list_leaves_the_family(self, factory, I):
+        names = [inv.name for inv in call(factory, I)]
+        gens = call(factory, I)
+        gens.append(gens[0])
+        gens.pop(0)
+        assert [inv.name for inv in call(factory, I)] == names
+        call(factory, I).clear()
+        assert [inv.name for inv in call(factory, I)] == names
+
+    @pytest.mark.parametrize("factory, I", GENERATOR_CALLS)
+    def test_cached_family_equals_a_fresh_build(self, factory, I):
+        fresh = call(factory.__wrapped__, I)
+        assert [(inv.name, str(inv.poly)) for inv in call(factory, I)] == \
+            [(inv.name, str(inv.poly)) for inv in fresh]
 
 
 class TestTranscriptionReport:

@@ -42,6 +42,11 @@ class TestModelSpec:
         with pytest.raises(InputError, match=message):
             ModelSpec(family, form, size)
 
+    @pytest.mark.parametrize("flag", ["yes", 1, None], ids=repr)
+    def test_structural_zero_flag_must_be_bool(self, flag):
+        with pytest.raises(InputError, match="structural_zero_diagonal must be a bool"):
+            ModelSpec(ModelFamily.DIAGONAL_EFFECT, ModelForm.TORIC, 3, structural_zero_diagonal=flag)
+
 
 class TestCountTable:
     def test_margins_and_total(self):
