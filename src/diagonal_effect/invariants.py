@@ -3,9 +3,7 @@
 An invariant of a model is a polynomial in the cell variables that is
 exactly zero at every point of the model.  Factories return labeled
 polynomials; `check_vanishing` evaluates a batch at a probability table and
-reports the exact values.  Each factory builds its family once per size
-per process (`tables.built_once`): a call returns a new list of shared
-items, which must not be mutated.
+reports the exact values.
 
 Two of the fixed generators below circulate in a variant form that differs
 by a single sign; those variants fail the vanishing test at every interior
@@ -18,13 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
 from itertools import combinations, permutations
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .polynomials import CellPolynomial, binomial_from_vector, clear_denominators
-from .tables import Move, ProbTable, built_once, rectangle_indices, triple_indices
+from .polynomials import (
+    CellPolynomial,
+    Monomial,
+    binomial_from_vector,
+    clear_denominators,
+    mono_from_cells,
+)
+from .tables import Move, ProbTable, rectangle_indices, require_size, triple_indices
 
 
 @dataclass(frozen=True)
@@ -33,48 +36,59 @@ class Invariant:
     poly: CellPolynomial
 
 
-def _poly(size: int, terms) -> CellPolynomial:
-    return CellPolynomial.from_cell_terms(size, terms)
+def _family_poly(I: int) -> Callable[..., CellPolynomial]:
+    """`CellPolynomial.from_cell_terms` at size I for one family build.  It
+    turns each distinct cell product into a monomial once: the 2870 I = 5
+    mixture polynomials have 11,720 terms but only 2,050 distinct
+    monomials."""
+    monos: Dict[tuple, Monomial] = {}
+
+    def poly(terms) -> CellPolynomial:
+        out: Dict[Monomial, int] = {}
+        for c, cells in terms:
+            cells = tuple(cells)
+            m = monos.get(cells)
+            if m is None:
+                m = monos[cells] = mono_from_cells(cells, I)
+            out[m] = out.get(m, 0) + c
+        return CellPolynomial(I, out)
+
+    return poly
 
 
 # ---------------------------------------------------------------------------
 # independence and diagonal-effect families
 # ---------------------------------------------------------------------------
 
-@built_once
 def gens_independence(I: int) -> List[Invariant]:
-    """All 2x2 minors p[i,j]*p[k,h] - p[i,h]*p[k,j], i<k, j<h.
-
-    Built once per size; the items are shared.
-    """
-    if I < 2:
-        raise InputError("independence minors need I >= 2")
+    """All 2x2 minors p[i,j]*p[k,h] - p[i,h]*p[k,j], i<k, j<h."""
+    require_size(I, 2, "independence minors")
+    poly = _family_poly(I)
     pairs = list(combinations(range(1, I + 1), 2))
-    return [Invariant(f"minor[{i},{k}|{j},{h}]", _minor(I, i, k, j, h))
+    return [Invariant(f"minor[{i},{k}|{j},{h}]", _minor(poly, i, k, j, h))
             for i, k in pairs for j, h in pairs]
 
 
-def _minor(I: int, i: int, k: int, j: int, h: int) -> CellPolynomial:
+def _minor(poly, i: int, k: int, j: int, h: int) -> CellPolynomial:
     """p[i,j]*p[k,h] - p[i,h]*p[k,j]."""
-    return _poly(I, [(1, [(i, j), (k, h)]), (-1, [(i, h), (k, j)])])
+    return poly([(1, [(i, j), (k, h)]), (-1, [(i, h), (k, j)])])
 
 
-def _cycle_binomial(I: int, a: int, b: int, c: int) -> CellPolynomial:
+def _cycle_binomial(poly, a: int, b: int, c: int) -> CellPolynomial:
     """p[a,b]*p[b,c]*p[c,a] - p[a,c]*p[c,b]*p[b,a]."""
-    return _poly(I, [(1, [(a, b), (b, c), (c, a)]), (-1, [(a, c), (c, b), (b, a)])])
+    return poly([(1, [(a, b), (b, c), (c, a)]), (-1, [(a, c), (c, b), (b, a)])])
 
 
-def _offdiag_minors_and_cycles(I: int) -> List[Invariant]:
+def _offdiag_minors_and_cycles(I: int, poly) -> List[Invariant]:
     """The 2x2 minors over four pairwise distinct indices, then one cycle
     binomial per unordered triple."""
-    out = [Invariant(f"minor[{i},{k}|{j},{h}]", _minor(I, i, k, j, h))
+    out = [Invariant(f"minor[{i},{k}|{j},{h}]", _minor(poly, i, k, j, h))
            for i, k, j, h in rectangle_indices(I)]
-    out += [Invariant(f"cycle[{a},{b},{c}]", _cycle_binomial(I, a, b, c))
+    out += [Invariant(f"cycle[{a},{b},{c}]", _cycle_binomial(poly, a, b, c))
             for a, b, c in triple_indices(I)]
     return out
 
 
-@built_once
 def gens_diag_effect(I: int) -> List[Invariant]:
     """Generators of the diagonal-effect toric ideal.
 
@@ -82,24 +96,17 @@ def gens_diag_effect(I: int) -> List[Invariant]:
     I >= 4) plus one degree-3 cycle binomial per unordered index triple.
     Every generator avoids the diagonal cells, whose counts are sufficient.
     By construction these also vanish on the mixture form of the model.
-    Built once per size; the items are shared.
     """
-    if I < 3:
-        raise InputError("diagonal-effect generators need I >= 3")
-    return _offdiag_minors_and_cycles(I)
+    require_size(I, 3, "diagonal-effect generators")
+    return _offdiag_minors_and_cycles(I, _family_poly(I))
 
 
 # ---------------------------------------------------------------------------
 # common-diagonal-effect: fixed I=3 generator lists
 # ---------------------------------------------------------------------------
 
-@built_once
 def gens_common_toric_listed3() -> List[Invariant]:
-    """The nine binomial generators of the common-diagonal toric ideal, I=3.
-
-    Built once; the items are shared.
-    """
-    I = 3
+    """The nine binomial generators of the common-diagonal toric ideal, I=3."""
     polys = [
         [(1, [(1, 2), (2, 3), (3, 1)]), (-1, [(1, 3), (2, 1), (3, 2)])],
         [(1, [(1, 3), (2, 2), (3, 1)]), (-1, [(1, 1), (2, 3), (3, 2)])],
@@ -111,7 +118,8 @@ def gens_common_toric_listed3() -> List[Invariant]:
         [(-1, [(1, 1), (2, 3), (2, 3), (3, 1)]), (1, [(1, 3), (2, 1), (2, 1), (3, 3)])],
         [(1, [(1, 3), (1, 3), (2, 1), (2, 2)]), (-1, [(1, 1), (1, 2), (2, 3), (2, 3)])],
     ]
-    return [Invariant(f"common-toric-3 #{k}", _poly(I, terms)) for k, terms in enumerate(polys, 1)]
+    poly = _family_poly(3)
+    return [Invariant(f"common-toric-3 #{k}", poly(terms)) for k, terms in enumerate(polys, 1)]
 
 
 _LISTED3_BINOMIAL = [
@@ -190,24 +198,23 @@ _LISTED3_TWELVE_TERM = [
 ]
 
 
-@built_once
 def gens_common_mixture_listed3() -> List[Invariant]:
     """The twenty generators of the common-diagonal mixture model, I=3.
 
     Grouped by term count: 1 binomial, 12 four-term, 6 eight-term and one
     twelve-term polynomial.  Entry 10 of the four-term group carries a
     one-sign correction documented in `nonvanishing_variants_report`.
-    Built once; the items are shared.
     """
+    poly = _family_poly(3)
     out = []
     for k, terms in enumerate(_LISTED3_BINOMIAL, 1):
-        out.append(Invariant(f"common-mixture-3 binomial #{k}", _poly(3, terms)))
+        out.append(Invariant(f"common-mixture-3 binomial #{k}", poly(terms)))
     for k, terms in enumerate(_LISTED3_FOUR_TERM, 1):
-        out.append(Invariant(f"common-mixture-3 4-term #{k}", _poly(3, terms)))
+        out.append(Invariant(f"common-mixture-3 4-term #{k}", poly(terms)))
     for k, terms in enumerate(_LISTED3_EIGHT_TERM, 1):
-        out.append(Invariant(f"common-mixture-3 8-term #{k}", _poly(3, terms)))
+        out.append(Invariant(f"common-mixture-3 8-term #{k}", poly(terms)))
     for k, terms in enumerate(_LISTED3_TWELVE_TERM, 1):
-        out.append(Invariant(f"common-mixture-3 12-term #{k}", _poly(3, terms)))
+        out.append(Invariant(f"common-mixture-3 12-term #{k}", poly(terms)))
     return out
 
 
@@ -220,8 +227,8 @@ def listed_mixture_term_counts() -> dict:
 # common-diagonal-effect: mixture invariant families for general I
 # ---------------------------------------------------------------------------
 
-def _diag_balance_poly(I, i, j, k, l, m, n) -> CellPolynomial:
-    return _poly(I, [
+def _diag_balance_poly(poly, i, j, k, l, m, n) -> CellPolynomial:
+    return poly([
         (1, [(i, j), (k, l), (n, n)]),
         (-1, [(i, j), (n, l), (k, n)]),
         (-1, [(i, j), (k, l), (m, m)]),
@@ -229,8 +236,8 @@ def _diag_balance_poly(I, i, j, k, l, m, n) -> CellPolynomial:
     ])
 
 
-def _mixed8_poly(I, i, j, k, diag_square_sign=-1) -> CellPolynomial:
-    return _poly(I, [
+def _mixed8_poly(poly, i, j, k, diag_square_sign=-1) -> CellPolynomial:
+    return poly([
         (1, [(i, j), (i, i), (k, k)]),
         (1, [(i, j), (j, j), (k, k)]),
         (-1, [(i, j), (i, i), (j, j)]),
@@ -242,8 +249,8 @@ def _mixed8_poly(I, i, j, k, diag_square_sign=-1) -> CellPolynomial:
     ])
 
 
-def _diag12_poly(I, i, j, k) -> CellPolynomial:
-    return _poly(I, [
+def _diag12_poly(poly, i, j, k) -> CellPolynomial:
+    return poly([
         (1, [(i, i), (j, j), (j, j)]),
         (1, [(i, i), (i, i), (k, k)]),
         (1, [(j, j), (k, k), (k, k)]),
@@ -259,7 +266,6 @@ def _diag12_poly(I, i, j, k) -> CellPolynomial:
     ])
 
 
-@built_once
 def gens_common_mixture_families(I: int) -> List[Invariant]:
     """Structured invariant families of the common-diagonal mixture model.
 
@@ -277,11 +283,11 @@ def gens_common_mixture_families(I: int) -> List[Invariant]:
 
     The p[i,j]*p[k,k]^2 term of mixed8 has sign -1, the only choice that
     vanishes on the model (see `nonvanishing_variants_report` for the +1
-    variant).  Built once per size; the items are shared.
+    variant).
     """
-    if I < 3:
-        raise InputError("common-diagonal mixture families need I >= 3")
-    out = _offdiag_minors_and_cycles(I)
+    require_size(I, 3, "common-diagonal mixture families")
+    poly = _family_poly(I)
+    out = _offdiag_minors_and_cycles(I, poly)
     idx = range(1, I + 1)
     for i, j in permutations(idx, 2):
         for k, l in permutations(idx, 2):
@@ -295,12 +301,12 @@ def gens_common_mixture_families(I: int) -> List[Invariant]:
                         continue
                     out.append(Invariant(
                         f"diagbal[{i},{j};{k},{l};{m},{n}]",
-                        _diag_balance_poly(I, i, j, k, l, m, n),
+                        _diag_balance_poly(poly, i, j, k, l, m, n),
                     ))
     for i, j, k in permutations(idx, 3):
-        out.append(Invariant(f"mixed8[{i},{j},{k}]", _mixed8_poly(I, i, j, k)))
+        out.append(Invariant(f"mixed8[{i},{j},{k}]", _mixed8_poly(poly, i, j, k)))
     for a, b, c in triple_indices(I):
-        out.append(Invariant(f"diag12[{a},{b},{c}]", _diag12_poly(I, a, b, c)))
+        out.append(Invariant(f"diag12[{a},{b},{c}]", _diag12_poly(poly, a, b, c)))
     return out
 
 
@@ -357,11 +363,14 @@ def check_vanishing(polys, P: ProbTable) -> VanishingReport:
     `polys` holds `Invariant`s or bare `CellPolynomial`s, which are named
     "poly #k" by position; anything else raises InputError.
     """
-    clear = lru_cache(maxsize=None)(partial(clear_denominators, P))  # once per table size
-    return VanishingReport(entries=tuple(
-        (inv.name, inv.poly.evaluate_cleared(*clear(inv.poly.size)))
-        for inv in _as_invariants(polys)
-    ))
+    cleared = {}  # per table size: (N, D) and the monomial values at them
+    entries = []
+    for inv in _as_invariants(polys):
+        size = inv.poly.size
+        if size not in cleared:
+            cleared[size] = (*clear_denominators(P, size), {})
+        entries.append((inv.name, inv.poly.evaluate_cleared(*cleared[size])))
+    return VanishingReport(entries=tuple(entries))
 
 
 def nonvanishing_variants_report(point: Optional[ProbTable] = None) -> List[dict]:
@@ -383,8 +392,9 @@ def nonvanishing_variants_report(point: Optional[ProbTable] = None) -> List[dict
             d=(third, third, third),
         ))
     reports = []
-    variant = _poly(3, _LISTED3_FOUR_TERM_10_VARIANT)
-    emitted = _poly(3, _LISTED3_FOUR_TERM[9])
+    poly = _family_poly(3)
+    variant = poly(_LISTED3_FOUR_TERM_10_VARIANT)
+    emitted = poly(_LISTED3_FOUR_TERM[9])
     reports.append({
         "name": "common-mixture-3 4-term #10",
         "suspect_monomial": "p[2,2]*p[3,1]*p[3,2]",
@@ -393,8 +403,8 @@ def nonvanishing_variants_report(point: Optional[ProbTable] = None) -> List[dict
         "variant_polynomial": str(variant),
         "emitted_polynomial": str(emitted),
     })
-    variant_g = _mixed8_poly(3, 1, 2, 3, diag_square_sign=1)
-    emitted_g = _mixed8_poly(3, 1, 2, 3, diag_square_sign=-1)
+    variant_g = _mixed8_poly(poly, 1, 2, 3, diag_square_sign=1)
+    emitted_g = _mixed8_poly(poly, 1, 2, 3, diag_square_sign=-1)
     reports.append({
         "name": "mixed8[1,2,3]",
         "suspect_monomial": "p[1,2]*p[3,3]^2",

@@ -1,8 +1,7 @@
 """Markov-basis moves, fiber enumeration, fiber walks, and exact tests.
 
 Move factories produce canonical representatives (the opposite orientation
-of every move is reached by applying it with sign -1), built once per size
-per process and shared between calls.  Fibers are held as
+of every move is reached by applying it with sign -1).  Fibers are held as
 flat integer tuples in row-major order: enumeration backtracks over one
 flat list with margin pruning, the exact test weights each table by the
 integer n!/prod f!, the connectivity sweep builds its tables row by row,
@@ -31,8 +30,8 @@ from .tables import (
     ModelSpec,
     Move,
     SufficientStat,
-    built_once,
     rectangle_indices,
+    require_size,
     sufficient_statistic,
     triple_indices,
 )
@@ -44,21 +43,22 @@ DEFAULT_NODE_BUDGET = 10_000_000
 # move factories
 # ---------------------------------------------------------------------------
 
-def _canonical_signed(cells) -> tuple:
-    flat = [x for row in cells for x in row]
-    first = next((x for x in flat if x != 0), 0)
+def _canonical_signed(cells: tuple) -> tuple:
+    """The grid `cells` or its negative, whichever has a positive first
+    nonzero entry."""
+    first = next((x for row in cells for x in row if x != 0), 0)
     if first < 0:
         return tuple(tuple(-x for x in row) for row in cells)
-    return tuple(tuple(x for x in row) for row in cells)
+    return cells
 
 
-def _dedupe(moves: Iterable[Move]) -> List[Move]:
-    seen: Dict[tuple, Move] = {}
-    for m in moves:
-        key = _canonical_signed(m.cells)
-        if key not in seen:
-            seen[key] = Move(size=m.size, cells=key, label=m.label)
-    return list(seen.values())
+def _family(I: int, grids: Iterable[Tuple[str, tuple]]) -> List[Move]:
+    """One Move per distinct canonical grid among the (label, grid) pairs,
+    in order of first appearance and with that appearance's label."""
+    seen: Dict[tuple, str] = {}
+    for label, cells in grids:
+        seen.setdefault(_canonical_signed(cells), label)
+    return [Move(size=I, cells=cells, label=label) for cells, label in seen.items()]
 
 
 def _grid(I: int, entries: Dict[Tuple[int, int], int]) -> tuple:
@@ -68,32 +68,33 @@ def _grid(I: int, entries: Dict[Tuple[int, int], int]) -> tuple:
     return tuple(tuple(row) for row in g)
 
 
-@built_once
+def _with_transposes(label: str, grids: List[tuple]) -> List[Tuple[str, tuple]]:
+    """The grids under `label`, then their transposes under `label^T`."""
+    return [(label, g) for g in grids] + [(label + "^T", tuple(zip(*g))) for g in grids]
+
+
+def _diag_effect_grids(I: int) -> Iterator[Tuple[str, tuple]]:
+    for i, k, j, h in rectangle_indices(I):
+        yield "rect", _grid(I, {(i, j): 1, (i, h): -1, (k, j): -1, (k, h): 1})
+    for a, b, c in triple_indices(I):
+        yield "cycle", _grid(I, {
+            (a, b): 1, (a, c): -1,
+            (b, a): -1, (b, c): 1,
+            (c, a): 1, (c, b): -1,
+        })
+
+
 def moves_diag_effect(I: int) -> List[Move]:
     """Minimal move family of the diagonal-effect model.
 
     Degree-2 rectangle swaps over four pairwise distinct indices (I >= 4)
     and one degree-3 cycle per unordered triple (I >= 3).  No move touches
     a diagonal cell: diagonal counts are part of the sufficient statistic.
-    Built once per size; the moves are shared.
     """
-    if I < 3:
-        raise InputError("diagonal-effect moves need I >= 3")
-    moves = []
-    for i, k, j, h in rectangle_indices(I):
-        moves.append(Move(size=I, label="rect", cells=_grid(I, {
-            (i, j): 1, (i, h): -1, (k, j): -1, (k, h): 1,
-        })))
-    for a, b, c in triple_indices(I):
-        moves.append(Move(size=I, label="cycle", cells=_grid(I, {
-            (a, b): 1, (a, c): -1,
-            (b, a): -1, (b, c): 1,
-            (c, a): 1, (c, b): -1,
-        })))
-    return _dedupe(moves)
+    require_size(I, 3, "diagonal-effect moves")
+    return _family(I, _diag_effect_grids(I))
 
 
-@built_once
 def moves_common_diag(I: int) -> List[Move]:
     """Move family of the common-diagonal-effect model.
 
@@ -102,26 +103,24 @@ def moves_common_diag(I: int) -> List[Move]:
     on a triple (three variants), degree-3 shifts over four indices
     (I >= 4), degree-4 moves with a +-2 column, and degree-4 moves on a
     2 x 4 block (I >= 4); the last two come with their transposes.
-    Built once per size; the moves are shared.
     """
-    if I < 3:
-        raise InputError("common-diagonal moves need I >= 3")
-    moves = moves_diag_effect(I)
+    require_size(I, 3, "common-diagonal moves")
+    grids = list(_diag_effect_grids(I))
     idx = range(1, I + 1)
 
     for (a, b, c) in permutations(idx, 3):
         # the three diagonal-shift variants on rows/columns (a, b, c)
-        moves.append(Move(size=I, label="diag-shift", cells=_grid(I, {
+        grids.append(("diag-shift", _grid(I, {
             (a, a): 1, (a, c): -1,
             (b, b): -1, (b, c): 1,
             (c, a): -1, (c, b): 1,
         })))
-        moves.append(Move(size=I, label="diag-shift", cells=_grid(I, {
+        grids.append(("diag-shift", _grid(I, {
             (a, a): 1, (a, b): -1,
             (b, a): -1, (b, c): 1,
             (c, b): 1, (c, c): -1,
         })))
-        moves.append(Move(size=I, label="diag-shift", cells=_grid(I, {
+        grids.append(("diag-shift", _grid(I, {
             (a, b): -1, (a, c): 1,
             (b, a): -1, (b, b): 1,
             (c, a): 1, (c, c): -1,
@@ -129,34 +128,27 @@ def moves_common_diag(I: int) -> List[Move]:
 
     for (i, k, j, h) in permutations(idx, 4):
         # rows (i, k, h), columns (i, k, j)
-        moves.append(Move(size=I, label="diag-shift-rect", cells=_grid(I, {
+        grids.append(("diag-shift-rect", _grid(I, {
             (i, i): 1, (i, j): -1,
             (k, k): -1, (k, j): 1,
             (h, i): -1, (h, k): 1,
         })))
 
-    double = []
-    for i, k in combinations(idx, 2):
-        for j in idx:
-            if j in (i, k):
-                continue
-            double.append(Move(size=I, label="diag-double", cells=_grid(I, {
-                (i, i): 1, (i, k): 1, (i, j): -2,
-                (k, i): -1, (k, k): -1, (k, j): 2,
-            })))
-    moves.extend(double)
-    moves.extend(m.transposed() for m in double)
-
-    quad = []
-    for i, k, j, h in rectangle_indices(I):
-        quad.append(Move(size=I, label="diag-quad", cells=_grid(I, {
+    grids += _with_transposes("diag-double", [
+        _grid(I, {
+            (i, i): 1, (i, k): 1, (i, j): -2,
+            (k, i): -1, (k, k): -1, (k, j): 2,
+        })
+        for i, k in combinations(idx, 2) for j in idx if j not in (i, k)
+    ])
+    grids += _with_transposes("diag-quad", [
+        _grid(I, {
             (i, i): 1, (i, k): 1, (i, j): -1, (i, h): -1,
             (k, i): -1, (k, k): -1, (k, j): 1, (k, h): 1,
-        })))
-    moves.extend(quad)
-    moves.extend(m.transposed() for m in quad)
-
-    return _dedupe(moves)
+        })
+        for i, k, j, h in rectangle_indices(I)
+    ])
+    return _family(I, grids)
 
 
 def moves_for_model(model: ModelSpec) -> List[Move]:

@@ -35,11 +35,21 @@ def var_cell(v: int, size: int) -> Tuple[int, int]:
 
 def mono_from_cells(cells: Iterable[Tuple[int, int]], size: int) -> Monomial:
     """Monomial that is the product of the given cells (repeats allowed)."""
-    exps: Dict[int, int] = {}
-    for (i, j) in cells:
-        v = cell_var(i, j, size)
-        exps[v] = exps.get(v, 0) + 1
-    return tuple(sorted(exps.items()))
+    vs = []
+    for i, j in cells:
+        if not (1 <= i <= size and 1 <= j <= size):
+            raise InputError(f"cell ({i},{j}) outside a {size}x{size} table")
+        vs.append((i - 1) * size + (j - 1))
+    vs.sort()
+    mono: List[Tuple[int, int]] = []
+    last = -1
+    for v in vs:
+        if v == last:
+            mono[-1] = (v, mono[-1][1] + 1)
+        else:
+            mono.append((v, 1))
+            last = v
+    return tuple(mono)
 
 
 def mono_degree(m: Monomial) -> int:
@@ -201,21 +211,24 @@ class CellPolynomial:
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a ProbTable or a {(i, j): Fraction} mapping."""
-        return self.evaluate_cleared(*clear_denominators(point, self.size))
+        return self.evaluate_cleared(*clear_denominators(point, self.size), {})
 
-    def evaluate_cleared(self, nums: Sequence[int], den: int) -> Fraction:
+    def evaluate_cleared(self, nums: Sequence[int], den: int,
+                         monomials: Dict[Monomial, Tuple[int, int]]) -> Fraction:
         """Exact value where variable v is nums[v] / den: the integer sum of
-        c * N^m * D^(deg f - deg m) over the terms c*x^m, over D^(deg f)."""
-        deg = self.total_degree()
-        total = 0
+        c * N^m * D^(deg f - deg m) over the terms c*x^m, over D^(deg f).
+        `monomials` holds (N^m, deg m) for each monomial m already met at
+        these `nums` and gains the ones this polynomial adds, so that a
+        batch of polynomials evaluated at one point shares them."""
+        by_degree: Dict[int, int] = {}  # the sum of c * N^m over the terms of each degree
         for m, c in self.terms.items():
-            pad = deg
-            for v, e in m:
-                if v >= len(nums):
-                    raise InputError("cannot evaluate an auxiliary variable at a table")
-                c *= nums[v] ** e
-                pad -= e
-            total += c * den ** pad
+            value = monomials.get(m)
+            if value is None:
+                value = monomials[m] = _monomial_value(m, nums)
+            x, d = value
+            by_degree[d] = by_degree.get(d, 0) + c * x
+        deg = max(by_degree, default=0)
+        total = sum(s * den ** (deg - d) for d, s in by_degree.items())
         return Fraction(total, den ** deg)
 
     def render_monomial(self, m: Monomial) -> str:
@@ -249,6 +262,17 @@ class CellPolynomial:
 
     def __repr__(self) -> str:
         return f"CellPolynomial(size={self.size}, {str(self)})"
+
+
+def _monomial_value(m: Monomial, nums: Sequence[int]) -> Tuple[int, int]:
+    """(N^m, deg m), with variable v at nums[v]."""
+    value, deg = 1, 0
+    for v, e in m:
+        if v >= len(nums):
+            raise InputError("cannot evaluate an auxiliary variable at a table")
+        value *= nums[v] ** e
+        deg += e
+    return value, deg
 
 
 def binomial_from_vector(flat: Sequence[int], size: int) -> CellPolynomial:

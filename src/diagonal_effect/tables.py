@@ -11,9 +11,8 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, wraps
 from itertools import combinations
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, SizeMismatchError
 
@@ -63,24 +62,12 @@ class ModelSpec:
             )
 
 
-def built_once(build: Callable[..., Sequence]) -> Callable[..., List]:
-    """Memoise a family factory whose items depend only on its size.
-
-    The family is built once per size per process; every call returns a
-    new list of the same shared items, so a caller may change the list but
-    never the items.  Sizes are checked before the cache is consulted (no
-    bool, float or string becomes a key), and a size the builder refuses
-    raises on every call.  The uncached builder stays at `__wrapped__`.
-    """
-    cached = lru_cache(maxsize=None)(lambda *args, **kwargs: tuple(build(*args, **kwargs)))
-
-    @wraps(build)
-    def factory(*args, **kwargs):
-        for size in (*args, *kwargs.values()):
-            _check_size_type(size)
-        return list(cached(*args, **kwargs))
-
-    return factory
+def require_size(size, least: int, what: str) -> None:
+    """Raise InputError unless `size` is an integer (not a bool) of at
+    least `least`; `what` names the family in the message."""
+    _check_size_type(size)
+    if size < least:
+        raise InputError(f"{what} need I >= {least}")
 
 
 def _freeze_int_grid(rows: Sequence[Sequence[int]], *, what: str) -> tuple:
@@ -208,10 +195,11 @@ class Move:
     def __post_init__(self):
         if len(self.cells) != self.size or any(len(r) != self.size for r in self.cells):
             raise InputError("cells must form a size x size grid")
-        if any(x.__class__ is not int for row in self.cells for x in row):  # no bool, float or Fraction
+        flat = [x for row in self.cells for x in row]
+        if not set(map(type, flat)) <= {int}:  # no bool, float or Fraction
             raise InputError("move cells must be integers")
-        pos = sum(x for row in self.cells for x in row if x > 0)
-        neg = -sum(x for row in self.cells for x in row if x < 0)
+        net, mass = sum(flat), sum(map(abs, flat))
+        pos, neg = (mass + net) // 2, (mass - net) // 2
         if pos != neg:
             raise InputError(f"unbalanced move: positive part {pos}, negative part {neg}")
         if pos == 0:
@@ -222,10 +210,6 @@ class Move:
     def from_rows(cls, rows: Sequence[Sequence[int]], label: str = "") -> "Move":
         grid = _freeze_int_grid(rows, what="move")
         return cls(size=len(grid), cells=grid, label=label)
-
-    def transposed(self, label: Optional[str] = None) -> "Move":
-        cells = tuple(tuple(self.cells[j][i] for j in range(self.size)) for i in range(self.size))
-        return Move(size=self.size, cells=cells, label=self.label + "^T" if label is None else label)
 
 
 def rectangle_indices(I: int) -> Iterator[Tuple[int, int, int, int]]:

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from diagonal_effect import (
+    CellPolynomial,
     InputError,
     ModelFamily,
     ModelForm,
@@ -21,7 +22,13 @@ from diagonal_effect import (
     random_rational_point,
     toric_point,
 )
-from diagonal_effect.invariants import _mixed8_poly
+from diagonal_effect.invariants import (
+    _LISTED3_EIGHT_TERM,
+    _LISTED3_FOUR_TERM,
+    _LISTED3_TWELVE_TERM,
+    _family_poly,
+    _mixed8_poly,
+)
 from diagonal_effect.markov import moves_common_diag, moves_diag_effect
 
 from conftest import model
@@ -161,7 +168,7 @@ class TestMixtureFamilies:
         assert names.count("diag12") == 4
 
     def test_literal_mixed8_variant_fails_vanishing(self):
-        bad = [_mixed8_poly(3, i, j, k, 1) for i, j, k in permutations(range(1, 4))]
+        bad = [_mixed8_poly(_family_poly(3), i, j, k, 1) for i, j, k in permutations(range(1, 4))]
         assert len(bad) == 6
         point = common_mixture_point(3, 0)
         report = check_vanishing(bad, point)
@@ -211,50 +218,27 @@ class TestMovesToBinomials:
 
 SIZED_FACTORIES = [gens_independence, gens_diag_effect, gens_common_mixture_families,
                    moves_diag_effect, moves_common_diag]
-GENERATOR_CALLS = [
-    *(pytest.param(f, I, id=f"{f.__name__}-{I}")
-      for f in (gens_independence, gens_diag_effect, gens_common_mixture_families) for I in (3, 4, 5)),
-    *(pytest.param(f, None, id=f.__name__) for f in (gens_common_toric_listed3, gens_common_mixture_listed3)),
-]
 
 
-def call(factory, I):
-    return factory() if I is None else factory(I)
-
-
-class TestSharedFamilies:
+class TestFamilyBuilds:
     @pytest.mark.parametrize("factory", SIZED_FACTORIES, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("size", [3.0, "3", None, True], ids=repr)
     def test_malformed_size_rejected(self, factory, size):
         with pytest.raises(InputError, match="table size must be an integer"):
             factory(size)
 
-    def test_small_size_rejected_on_every_call(self):
-        for _ in range(2):
-            with pytest.raises(InputError, match="need I >= 3"):
-                gens_common_mixture_families(2)
+    def test_small_size_rejected(self):
+        with pytest.raises(InputError, match="common-diagonal mixture families need I >= 3"):
+            gens_common_mixture_families(2)
 
-    @pytest.mark.parametrize("factory, I", GENERATOR_CALLS)
-    def test_calls_return_new_lists_of_shared_items(self, factory, I):
-        first, second = call(factory, I), call(factory, I)
-        assert first == second and first is not second
-        assert all(a is b for a, b in zip(first, second, strict=True))
-
-    @pytest.mark.parametrize("factory, I", GENERATOR_CALLS)
-    def test_changing_a_returned_list_leaves_the_family(self, factory, I):
-        names = [inv.name for inv in call(factory, I)]
-        gens = call(factory, I)
-        gens.append(gens[0])
-        gens.pop(0)
-        assert [inv.name for inv in call(factory, I)] == names
-        call(factory, I).clear()
-        assert [inv.name for inv in call(factory, I)] == names
-
-    @pytest.mark.parametrize("factory, I", GENERATOR_CALLS)
-    def test_cached_family_equals_a_fresh_build(self, factory, I):
-        fresh = call(factory.__wrapped__, I)
-        assert [(inv.name, str(inv.poly)) for inv in call(factory, I)] == \
-            [(inv.name, str(inv.poly)) for inv in fresh]
+    def test_family_builder_matches_from_cell_terms(self):
+        poly = _family_poly(3)
+        cancelling = [(1, ((1, 2), (2, 1))), (2, ((3, 3),)), (-1, ((2, 1), (1, 2)))]
+        for terms in [*_LISTED3_FOUR_TERM, *_LISTED3_EIGHT_TERM, *_LISTED3_TWELVE_TERM, cancelling]:
+            built = poly(terms)
+            assert built == CellPolynomial.from_cell_terms(3, terms)
+            assert all(c.__class__ is int for c in built.terms.values())
+        assert poly(cancelling).terms == {((8, 1),): 2}
 
 
 class TestTranscriptionReport:

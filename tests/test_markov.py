@@ -230,22 +230,6 @@ class TestMoveFactories:
         with pytest.raises(InputError):
             moves_diag_effect(2)
 
-    @pytest.mark.parametrize("factory", [moves_diag_effect, moves_common_diag], ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("I", [3, 4, 5])
-    def test_families_are_shared_and_match_a_fresh_build(self, factory, I):
-        first, second = factory(I), factory(I)
-        assert first == second and first is not second
-        assert all(a is b for a, b in zip(first, second, strict=True))
-        first.append(first[0])
-        first.pop(0)
-        second.clear()
-        assert [(m.label, m.cells) for m in factory(I)] == \
-            [(m.label, m.cells) for m in factory.__wrapped__(I)]
-
-    def test_model_moves_come_from_the_shared_family(self):
-        assert moves_for_model(COMMON3) == moves_common_diag(3)
-        assert all(a is b for a, b in zip(moves_for_model(DIAG3), moves_diag_effect(3), strict=True))
-
     @settings(max_examples=150, deadline=None)
     @given(family=st.sampled_from(FAMILIES), size=st.integers(3, 5),
            sign=st.sampled_from([1, -1]), data=st.data())
