@@ -21,7 +21,7 @@ from itertools import chain, combinations, permutations
 from operator import add, itemgetter, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceededError, InputError, SizeMismatchError
+from .errors import BudgetExceededError, InputError, InvariantViolationError, SizeMismatchError
 from .params import expected_counts
 from .tables import (
     CountTable,
@@ -741,31 +741,58 @@ class SweepReport:
         return not self.disconnected
 
 
-def _rows_upto(I: int, max_n: int) -> List[tuple]:
-    """Every nonnegative integer row of length I with sum at most max_n, in
-    lexicographic order."""
+def _rows_by_sum(I: int, max_n: int) -> List[List[tuple]]:
+    """Every nonnegative integer row of length I with sum at most max_n,
+    filed by sum, each sum's rows in lexicographic order."""
     rows = [()]
     for _ in range(I):
         rows = [r + (v,) for r in rows for v in range(max_n - sum(r) + 1)]
-    return rows
+    by_sum: List[List[tuple]] = [[] for _ in range(max_n + 1)]
+    for row in rows:
+        by_sum[sum(row)].append(row)
+    return by_sum
 
 
-def _file_tables(fibers, upto, last_rows, common, flat, row_sums, col_sums, diag, left) -> None:
+def _relabel_flat(perm: tuple, I: int) -> itemgetter:
+    """The relabelling `perm` of range(I) on flat tables: it takes t to the
+    table whose cell (i, j) is t[perm[i]][perm[j]]."""
+    return itemgetter(*(perm[i] * I + perm[j] for i in range(I) for j in range(I)))
+
+
+def _relabellings(dense: set, I: int) -> List[tuple]:
+    """Every permutation of range(I) when the simultaneous row/column
+    relabellings keep the delta set `dense`, else the identity alone.  The
+    adjacent swaps generate the symmetric group, so they are the ones
+    checked."""
+    for i in range(I - 1):
+        swap = list(range(I))
+        swap[i], swap[i + 1] = i + 1, i
+        relabel = _relabel_flat(swap, I)
+        if not all(relabel(d) in dense for d in dense):
+            return [tuple(range(I))]
+    return list(permutations(range(I)))
+
+
+def _file_tables(fibers, levels, descending, cap, flat, row_sums, col_sums, diag, left) -> None:
     """File under its statistic every table that the rows `flat` start, and
-    that holds `left` more counts, in lexicographic order.  The row sums,
-    column sums and diagonal so far come along, so each key is assembled
-    from its prefix."""
+    that holds `left` more counts in rows of sum at most `cap`.  When
+    `descending`, each row's sum caps the next row's, so only tables with
+    non-increasing row sums are built.  levels[k][s] holds row k's choices
+    of sum s with their diagonal parts; the row sums, column sums and
+    diagonal part so far come along, so each key is assembled from its
+    prefix."""
     k = len(row_sums)
-    if k == len(col_sums) - 1:
+    rows_left = len(levels) - k
+    if rows_left == 1:  # the last row takes what is left: at most `cap`, by the bound below
         row_sums += (left,)
-        if common:
-            diag = sum(diag)
-        for row, d in last_rows[left]:
+        for row, d in levels[k][left]:
             fibers.setdefault((row_sums, tuple(map(add, col_sums, row)), diag + d), []).append(flat + row)
         return
-    for row, s in upto[left]:
-        _file_tables(fibers, upto, last_rows, common, flat + row, row_sums + (s,),
-                     tuple(map(add, col_sums, row)), diag + (row[k],), left - s)
+    # when descending, the rows after this one hold at most s each, so s >= left / rows_left
+    for s in range(-(-left // rows_left) if descending else 0, min(cap, left) + 1):
+        for row, d in levels[k][s]:
+            _file_tables(fibers, levels, descending, s if descending else cap, flat + row,
+                         row_sums + (s,), tuple(map(add, col_sums, row)), diag + d, left - s)
 
 
 def verify_connectivity(
@@ -777,12 +804,26 @@ def verify_connectivity(
     """Exhaustively check that every fiber arising from tables with total
     count up to max_n is connected under the family's moves.
 
-    Grouping all tables by sufficient statistic yields each complete fiber
+    Grouping tables by sufficient statistic yields each complete fiber
     directly, independently of `enumerate_fiber`; a disconnected fiber is
-    reported with its component sizes, never patched.  The tables are
-    built row by row, by total and then in lexicographic order; a sweep of
-    more than DEFAULT_NODE_BUDGET tables raises BudgetExceededError before
-    any is built.
+    reported with its component sizes, never patched.  A sweep of more
+    than DEFAULT_NODE_BUDGET tables raises BudgetExceededError before any
+    is built.
+
+    A simultaneous row/column relabelling maps the fiber of a statistic
+    onto the fiber of the relabelled statistic, and it keeps adjacency when
+    it keeps the move deltas (both signs).  When the I - 1 adjacent swaps
+    keep them, the group is all of S_I and only tables with non-increasing
+    row sums are built; row sums are part of the statistic, so each built
+    fiber is complete.  Otherwise the group is the identity and every table
+    is built.  A built fiber with row sums r stands for I!/prod m_v!
+    fibers (1 under the identity), m_v counting the entries of r equal to
+    v: `fibers_checked` and `tables_seen` are the weighted counts, and a
+    weighted table count other than C(max_n + I*I, I*I) raises
+    InvariantViolationError.  Each disconnected fiber is reported under
+    every relabelling, once per statistic, ordered by total and then by
+    lexicographically least member: the order in which a sweep of every
+    table, by total and then lexicographically, first meets them.
     """
     _check_count("max_n", max_n)
     model = ModelSpec(family=family, form=ModelForm.TORIC, size=I)
@@ -798,32 +839,53 @@ def verify_connectivity(
     if moves is None:
         moves = moves_for_model(model)
     by_cell, dense = _adjacency(moves, I)
+    perms = _relabellings(dense, I)
 
+    # the diagonal part of a key: the diagonal vector, its sum, or nothing
+    # (independence)
     common = family is ModelFamily.COMMON_DIAGONAL_EFFECT
-    rows = _rows_upto(I, max_n)
-    upto = [[(row, sum(row)) for row in rows if sum(row) <= t] for t in range(max_n + 1)]
-    last_rows = [[(row, row[-1] if common else row[-1:]) for row in rows if sum(row) == t]
-                 for t in range(max_n + 1)]
+    on_diag = family is not ModelFamily.INDEPENDENCE
+    by_sum = _rows_by_sum(I, max_n)
+    levels = [[[(row, row[k] if common else row[k:k + on_diag]) for row in rows] for rows in by_sum]
+              for k in range(I)]
     fibers: Dict[tuple, List[tuple]] = {}
     for n in range(max_n + 1):
-        _file_tables(fibers, upto, last_rows, common, (), (), (0,) * I, (), n)
-    tables_seen = sum(map(len, fibers.values()))
+        _file_tables(fibers, levels, len(perms) > 1, max_n, (), (), (0,) * I, 0 if common else (), n)
 
-    disconnected = []
-    largest = 0
+    row_relabels = [itemgetter(*p) for p in perms]
+    flat_relabels = [_relabel_flat(p, I) for p in perms]
+    weights: Dict[tuple, int] = {}  # row sums -> their distinct relabellings
+    fibers_checked = tables_seen = largest = 0
+    found: Dict[tuple, tuple] = {}  # least member of a disconnected fiber -> component sizes
     for key, members in fibers.items():
+        weight = weights.get(key[0])
+        if weight is None:
+            weight = weights[key[0]] = len({relabel(key[0]) for relabel in row_relabels})
+        fibers_checked += weight
+        tables_seen += weight * len(members)
         largest = max(largest, len(members))
         if len(members) <= 1:
             continue
-        comp_sizes = [len(comp) for comp in _components(members, by_cell, dense)]
-        if len(comp_sizes) > 1:
-            disconnected.append((key, tuple(sorted(comp_sizes))))
+        components = _components(members, by_cell, dense)
+        if len(components) > 1:
+            sizes = tuple(sorted(map(len, components)))
+            for relabel in flat_relabels:
+                found[min(map(relabel, members))] = sizes
+    if tables_seen != count:
+        raise InvariantViolationError(
+            f"the sweep weighted {tables_seen} tables, not C({max_n} + {cells}, {cells}) = {count}")
+
+    disconnected = []
+    for least in sorted(found, key=lambda t: (sum(t), t)):
+        table = CountTable(size=I, cells=tuple(least[i * I:(i + 1) * I] for i in range(I)))
+        stat = sufficient_statistic(table, model)
+        disconnected.append(((stat.rows, stat.cols, stat.diag), found[least]))
 
     return SweepReport(
         family=family,
         size=I,
         max_n=max_n,
-        fibers_checked=len(fibers),
+        fibers_checked=fibers_checked,
         tables_seen=tables_seen,
         largest_fiber=largest,
         disconnected=tuple(disconnected),

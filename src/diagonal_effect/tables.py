@@ -7,6 +7,7 @@ decidable exactly.  No floating point enters here.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -144,16 +145,19 @@ class ProbTable:
     def __post_init__(self):
         if len(self.cells) != self.size or any(len(r) != self.size for r in self.cells):
             raise InputError("cells must form a size x size grid")
-        total = Fraction(0)
         for i, row in enumerate(self.cells):
             for j, p in enumerate(row):
                 if not isinstance(p, Fraction):
                     raise InputError(f"probability at ({i + 1},{j + 1}) is not a Fraction")
                 if p < 0:
                     raise InputError(f"probability at ({i + 1},{j + 1}) is negative: {p}")
-                total += p
-        if total != 1:
-            raise InputError(f"probabilities sum to {total}, expected exactly 1")
+        # the numerators over one common denominator: adding the Fractions
+        # one at a time would take a gcd at every step
+        probs = [p for row in self.cells for p in row]
+        denom = math.lcm(*(p.denominator for p in probs))
+        numer = sum(p.numerator * (denom // p.denominator) for p in probs)
+        if numer != denom:
+            raise InputError(f"probabilities sum to {Fraction(numer, denom)}, expected exactly 1")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "ProbTable":

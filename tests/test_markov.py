@@ -4,6 +4,7 @@ from collections import Counter, deque
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import List
 from unittest import mock
 
@@ -17,8 +18,10 @@ from diagonal_effect import (
     BudgetExceededError,
     CountTable,
     InputError,
+    InvariantViolationError,
     ModelFamily,
     ModelSpec,
+    Move,
     SizeMismatchError,
     Stationary,
     SufficientStat,
@@ -42,6 +45,7 @@ from conftest import all_tables, model, random_count_table
 
 DIAG3 = model(ModelFamily.DIAGONAL_EFFECT, 3)
 COMMON3 = model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3)
+INDEP3 = model(ModelFamily.INDEPENDENCE, 3)
 DERANGEMENT = CountTable.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 FAMILIES = [ModelFamily.DIAGONAL_EFFECT, ModelFamily.COMMON_DIAGONAL_EFFECT]
 # the base tables of the `fibers` benchmark's enumeration jobs
@@ -63,6 +67,25 @@ LARGEST = CountTable.from_rows(FIBER_BASE_TABLES[-1][1])
 
 def flat(table: CountTable) -> tuple:
     return tuple(x for row in table.cells for x in row)
+
+
+def basic_moves(size: int) -> List[Move]:
+    """Every 2 x 2 swap, the moves of independence: +1 at (i, j) and
+    (k, h), -1 at (i, h) and (k, j), for rows i < k and columns j < h."""
+    moves = []
+    for i, k in combinations(range(size), 2):
+        for j, h in combinations(range(size), 2):
+            cells = [[0] * size for _ in range(size)]
+            cells[i][j] = cells[k][h] = 1
+            cells[i][h] = cells[k][j] = -1
+            moves.append(Move.from_rows(cells))
+    return moves
+
+
+def without_first(moves: List[Move], label: str) -> List[Move]:
+    """`moves` less the first move labelled `label`."""
+    k = next(k for k, m in enumerate(moves) if m.label == label)
+    return moves[:k] + moves[k + 1:]
 
 
 @lru_cache(maxsize=None)
@@ -516,21 +539,81 @@ class TestConnectivity:
         assert (report.fibers_checked, report.tables_seen, report.largest_fiber) == counts
         assert repr(report.disconnected) == disconnected
 
-    @pytest.mark.parametrize("family_moves", [True, False], ids=["family-moves", "no-moves"])
-    @pytest.mark.parametrize("spec", [DIAG3, COMMON3], ids=["diag", "common"])
-    def test_sweep_agrees_with_is_connected(self, spec, family_moves):
+    # a model, its moves, whether they connect every fiber of the sweep, and
+    # whether simultaneous row/column relabellings keep them
+    SWEEP_CASES = {
+        "diag-family-moves": (DIAG3, moves_diag_effect(3), True, True),
+        "diag-no-moves": (DIAG3, [], False, True),
+        "common-family-moves": (COMMON3, moves_common_diag(3), True, True),
+        "common-no-moves": (COMMON3, [], False, True),
+        "independence-basic-moves": (INDEP3, basic_moves(3), True, True),
+        "independence-no-moves": (INDEP3, [], False, True),
+        "common-one-diag-shift-fewer": (COMMON3, without_first(moves_common_diag(3), "diag-shift"), True, False),
+    }
+
+    @pytest.mark.parametrize("case", list(SWEEP_CASES))
+    def test_sweep_agrees_with_is_connected(self, case):
+        spec, moves, connects, closed = self.SWEEP_CASES[case]
         max_n = 3
-        moves = moves_for_model(spec) if family_moves else []
-        report = verify_connectivity(spec.family, 3, max_n, moves)
-        stats = {sufficient_statistic(t, spec) for n in range(max_n + 1) for t in all_tables(3, n)}
+        with mock.patch.object(markov, "_file_tables", wraps=markov._file_tables) as spy:
+            report = verify_connectivity(spec.family, 3, max_n, moves)
+        # moves kept by the relabellings build only tables with non-increasing row sums
+        assert {call.args[2] for call in spy.call_args_list} == {closed}
+        # every statistic, in the order a sweep of every table by total and
+        # then lexicographically first meets it
+        stats = dict.fromkeys(sufficient_statistic(t, spec) for n in range(max_n + 1) for t in all_tables(3, n))
         disconnected = {}
+        largest = 0
         for stat in stats:
-            components = is_connected(enumerate_fiber(stat, spec), moves).components
+            fiber = enumerate_fiber(stat, spec)
+            largest = max(largest, len(fiber))
+            components = is_connected(fiber, moves).components
             if len(components) > 1:
                 disconnected[(stat.rows, stat.cols, stat.diag)] = tuple(sorted(map(len, components)))
         assert report.fibers_checked == len(stats)
-        assert dict(report.disconnected) == disconnected
-        assert bool(disconnected) != family_moves
+        assert report.tables_seen == math.comb(max_n + 9, 9)
+        assert report.largest_fiber == largest
+        assert report.disconnected == tuple(disconnected.items())
+        assert bool(disconnected) != connects
+
+    # (fibers_checked, tables_seen, largest_fiber) of the acceptance sweeps,
+    # as the sweep of every table counts them
+    ACCEPTANCE_SWEEPS = {
+        "diag-3-6": (ModelFamily.DIAGONAL_EFFECT, 3, 6, (4785, 5005, 3)),
+        "diag-4-5": (ModelFamily.DIAGONAL_EFFECT, 4, 5, (14547, 20349, 10)),
+        "diag-5-4": (ModelFamily.DIAGONAL_EFFECT, 5, 4, (15101, 23751, 11)),
+        "common-3-6": (ModelFamily.COMMON_DIAGONAL_EFFECT, 3, 6, (4138, 5005, 6)),
+        "common-4-5": (ModelFamily.COMMON_DIAGONAL_EFFECT, 4, 5, (12219, 20349, 12)),
+        "common-5-4": (ModelFamily.COMMON_DIAGONAL_EFFECT, 5, 4, (13521, 23751, 11)),
+    }
+
+    @pytest.mark.parametrize("case", list(ACCEPTANCE_SWEEPS))
+    def test_acceptance_sweep_counts_pinned(self, case):
+        family, I, max_n, counts = self.ACCEPTANCE_SWEEPS[case]
+        report = verify_connectivity(family, I, max_n)
+        assert (report.fibers_checked, report.tables_seen, report.largest_fiber) == counts
+        assert report.disconnected == ()
+
+    @pytest.mark.parametrize("I, max_n", [(3, 5), (4, 3)])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_symmetric_sweep_matches_full_sweep(self, family, I, max_n):
+        # each label's moves are kept by the relabellings, so every move set
+        # here takes the symmetric sweep; the full sweep is forced by
+        # offering the identity alone
+        family_moves = moves_for_model(model(family, I))
+        for label in sorted({m.label for m in family_moves}):
+            moves = [m for m in family_moves if m.label != label]
+            assert len(markov._relabellings(markov._adjacency(moves, I)[1], I)) == math.factorial(I)
+            report = verify_connectivity(family, I, max_n, moves)
+            with mock.patch.object(markov, "_relabellings", lambda dense, size: [tuple(range(size))]):
+                assert verify_connectivity(family, I, max_n, moves) == report, label
+
+    def test_sweep_refuses_wrong_weights(self, monkeypatch):
+        # one swap besides the identity builds the tables with non-increasing
+        # row sums, but weighs them by a group that is not S_3
+        monkeypatch.setattr(markov, "_relabellings", lambda dense, I: [(0, 1, 2), (1, 0, 2)])
+        with pytest.raises(InvariantViolationError, match=r"= 5005$"):
+            verify_connectivity(ModelFamily.DIAGONAL_EFFECT, 3, 6)
 
 
 class TestFiberWalk:

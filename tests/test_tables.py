@@ -99,6 +99,22 @@ class TestProbTable:
         with pytest.raises(InputError):
             ProbTable.from_rows([[half, 0], [0, Fraction(1, 3)]])
 
+    @pytest.mark.parametrize("rows, total", [
+        ([[Fraction(1, 2), 0], [0, Fraction(1, 3)]], "5/6"),
+        ([[Fraction(1, 6), Fraction(1, 4)], [Fraction(1, 3), Fraction(1, 5)]], "19/20"),
+        ([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), 0]], "3/2"),
+    ])
+    def test_wrong_sum_message(self, rows, total):
+        with pytest.raises(InputError, match=f"^probabilities sum to {total}, expected exactly 1$"):
+            ProbTable.from_rows(rows)
+
+    def test_cell_checks_come_in_cell_order(self):
+        half = Fraction(1, 2)
+        with pytest.raises(InputError, match=r"^probability at \(1,2\) is negative: -1/2$"):
+            ProbTable(size=2, cells=((half, -half), (1, half)))
+        with pytest.raises(InputError, match=r"^probability at \(2,1\) is not a Fraction$"):
+            ProbTable(size=2, cells=((half, half), (1, -half)))
+
     def test_normalize_is_exact(self):
         t = CountTable.from_rows([[1, 2], [3, 4]])
         p = normalize(t)
