@@ -1,12 +1,16 @@
 """Markov-basis moves, fiber enumeration, fiber walks, and exact tests.
 
 Move factories produce canonical representatives (the opposite orientation
-of every move is reached by applying it with sign -1).  Fibers are held as
-flat integer tuples in row-major order: enumeration backtracks over one
-flat list with margin pruning, the exact test weights each table by the
-integer n!/prod f!, the connectivity sweep builds its tables row by row,
-and the connectivity searches step between flat tuples.  `CountTable`s are
-built only for callers that ask for them.  Enumeration remains the oracle
+of every move is reached by applying it with sign -1).  Enumeration builds
+a fiber as a network of row states (row index, column remainders, diagonal
+remainder): each state's rows are built once with margin pruning, and the
+node count of its subtree is kept, so node counts and budgets are those of
+the cell-by-cell search.  The exact test sums that network forward, from
+partial Pearson sums to integer weights, without building a table.  A
+fiber's tables exist as row-major flat tuples only once a caller reads
+them; the connectivity sweep builds its tables row by row, and the
+connectivity searches step between flat tuples.  `CountTable`s are built
+only for callers that ask for them.  Enumeration remains the oracle
 against which the sampler is calibrated.
 """
 
@@ -16,9 +20,9 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import chain, combinations, permutations
-from operator import add, itemgetter, sub
+from operator import add, getitem, itemgetter, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, InputError, InvariantViolationError, SizeMismatchError
@@ -163,17 +167,44 @@ def moves_for_model(model: ModelSpec) -> List[Move]:
 # fibers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fiber:
-    """The tables of one fiber as sorted row-major flat tuples, and the
-    number of search nodes `enumerate_fiber` visited to find them."""
+    """The tables of one fiber as a network of rows, and the number of
+    search nodes a cell-by-cell search visits to find them.
+
+    A state of row i is (column remainders, diagonal remainder): what the
+    rows from i on must hold in each column and on the diagonal.
+    layers[i] maps each state of row i that some table passes through to
+    its rows, in increasing order, each with the state of row i + 1 it
+    leads to.  The last layer's rows run through both final rows, the
+    last one forced by the column remainders, and lead to None.  `len`
+    is the number of paths; `flats`, the tables as sorted row-major flat
+    tuples, and `tables` are built from the network when first read.
+    Fibers are equal when their (stat, flats, nodes) are.
+    """
 
     stat: SufficientStat
-    flats: tuple  # of flat tables
     nodes: int
+    count: int  # of tables, the paths through the network
+    layers: tuple = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.flats)
+        return self.count
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Fiber):
+            return NotImplemented
+        return (self.stat, self.nodes, self.flats) == (other.stat, other.nodes, other.flats)
+
+    def __hash__(self) -> int:
+        return hash((self.stat, self.nodes, self.count))
+
+    @cached_property
+    def flats(self) -> tuple:
+        found: List[tuple] = []
+        for root in self.layers[0]:
+            _paths(self.layers, 0, root, (), found)
+        return tuple(found)
 
     @cached_property
     def tables(self) -> tuple:
@@ -182,9 +213,23 @@ class Fiber:
                      for f in self.flats)
 
 
+def _paths(layers: tuple, i: int, state: tuple, prefix: tuple, found: List[tuple]) -> None:
+    """Append to `found` each path from `state` of row i through the row
+    network, after `prefix`, in the order of the rows."""
+    for row, child in layers[i][state]:
+        if child is None:
+            found.append(prefix + row)
+        else:
+            _paths(layers, i + 1, child, prefix + row, found)
+
+
 def _check_count(name: str, value, least: int = 0) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise InputError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def _over_budget(node_budget: int) -> BudgetExceededError:
+    return BudgetExceededError(f"fiber enumeration exceeded the {node_budget}-node budget")
 
 
 def enumerate_fiber(
@@ -192,14 +237,19 @@ def enumerate_fiber(
     model: ModelSpec,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Fiber:
-    """All nonnegative integer tables with the given sufficient statistic.
+    """All nonnegative integer tables with the given sufficient statistic,
+    as a `Fiber`'s row network.
 
-    Cell-by-cell backtracking in row-major order with column-remainder
-    pruning; for the common-diagonal family the remaining diagonal total is
-    bounded by the remaining margins.  The column remainders force the last
-    row, so its nodes are counted, not visited; `nodes` is still the count of
-    the cell-by-cell search.  Exceeding `node_budget` nodes raises
-    BudgetExceededError (switch to the sampler in that case).
+    A search over row states: each state of rows 0..I-2 is expanded once,
+    its rows built cell by cell with column-remainder pruning (for the
+    common-diagonal family the remaining diagonal total is bounded by the
+    remaining margins), and the node count of its subtree is kept.  The
+    column remainders force the last row, so its nodes are counted, not
+    visited.  `nodes` is the count of the cell-by-cell search, a repeated
+    state adding its kept count.  The count only grows, so the search
+    raises BudgetExceededError as soon as it passes `node_budget` (switch
+    to the sampler in that case): exactly when the cell-by-cell search
+    would.
     """
     if stat.family is not model.family:
         raise InputError("statistic and model families differ")
@@ -214,20 +264,23 @@ def enumerate_fiber(
         if diag_vec is None or any(d != 0 for d in diag_vec):
             raise InputError("structural-zero diagonal requires a zero diagonal vector")
 
-    flat = [0] * (I * I)  # every cell is written before a leaf reads it
+    row = [0] * I  # every cell is written before a row is read
     colrem = list(cols)
     on_diag = 0 if stat.diag is None else 1  # independence leaves the diagonal free
-    found: List[tuple] = []
     nodes = 0
     last = I - 1
+    layers: List[Dict[tuple, list]] = [{} for _ in range(last)]
+    seen: List[Dict[tuple, tuple]] = [{} for _ in range(last)]  # state -> (nodes, tables)
 
-    def fill(i: int, j: int, rowrem: int, diagrem: int):
-        # node (i, j) for i, j < I - 1; diagrem is what the diagonal cells
-        # from here on must hold in total
+    def fill(i: int, j: int, rowrem: int, diagrem: int, out: list):
+        # node (i, j) for j < I - 1; diagrem is what the diagonal cells
+        # from here on must hold in total.  Appends each completed row
+        # with the state it leads to, or in row I - 2, each live pair of
+        # final rows.
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
-            raise BudgetExceededError(f"fiber enumeration exceeded the {node_budget}-node budget")
+            raise _over_budget(node_budget)
         c = colrem[j]
         lo, hi = 0, rowrem if rowrem < c else c
         shift = on_diag if i == j else 0
@@ -242,49 +295,91 @@ def enumerate_fiber(
                 for k in range(i + 1, I):
                     cap += min(rows[k], colrem[k])
                 lo, hi = max(0, diagrem - cap), min(hi, diagrem)
-        p = i * I + j
-        for v in range(lo, hi + 1):
-            flat[p], colrem[j] = v, c - v
-            r, d = rowrem - v, diagrem - shift * v
-            if j < I - 2:
-                fill(i, j + 1, r, d)
-                continue
-            # the row's last cell is forced to r: its node and the row-end node
-            nodes += 1
-            if r > colrem[last]:
-                continue
-            flat[p + 1] = r
-            nodes += 1
-            colrem[last] -= r
-            if i + 1 < last:
-                fill(i + 1, 0, rows[i + 1], d)
-            else:
-                last_row(d)
-            colrem[last] += r
-        colrem[j] = c
-
-    def last_row(diagrem: int):
-        # The row's total is the sum of the column remainders, so cell j
-        # ranges over 0..colrem[j]: the search visits prod(colrem[k] + 1, k < j)
-        # nodes at cell j, the forced last cell being j = I - 1.  One path
-        # takes every remainder; its table is live when its last cell, the
-        # diagonal one, holds what the diagonal still needs, and then adds a
-        # row-end node and a leaf.
-        nonlocal nodes
+        if j < I - 2:
+            for v in range(lo, hi + 1):
+                row[j], colrem[j] = v, c - v
+                fill(i, j + 1, rowrem - v, diagrem - shift * v, out)
+            colrem[j] = c
+            return
+        # The row's last cell is forced to rowrem - v: a node for each v,
+        # and a row-end node for each v that leaves it within its column.
+        rest = colrem[last]
+        fits = max(lo, rowrem - rest)
+        if fits > hi:
+            nodes += max(0, hi - lo + 1)
+            return
+        fitting = hi - fits + 1
+        nodes += (hi - lo + 1) + fitting
+        if i + 1 < last:
+            for v in range(fits, hi + 1):
+                r = rowrem - v
+                row[j], row[last] = v, r
+                colrem[j], colrem[last] = c - v, rest - r
+                out.append((tuple(row), (tuple(colrem), diagrem - shift * v)))
+            colrem[j], colrem[last] = c, rest
+            return
+        # Row I - 2 leaves the last row the column remainders, so its cell k
+        # ranges over 0..colrem[k]: the search visits prod(colrem[m] + 1,
+        # m < k) nodes at cell k, the forced last cell being k = I - 1.
+        # Cell j = I - 2 keeps c - v, so for each v that is widths +
+        # width * (c - v + 2) nodes in all.  One path takes every remainder;
+        # its table is live when its last cell, the diagonal one, holds
+        # what the diagonal still needs, rest - rowrem + v = diagrem - v,
+        # and then adds a row-end node and a leaf.
         width = 1
-        for c in colrem[:last]:
-            nodes += width
-            width *= c + 1
-        nodes += width
-        if not on_diag or colrem[last] == diagrem:
+        widths = 0
+        for k in range(j):
+            widths += width
+            width *= colrem[k] + 1
+        nodes += fitting * widths + width * (fitting * (c + 2) - (fits + hi) * fitting // 2)
+        if on_diag:
+            twice = diagrem + rowrem - rest
+            live = (twice // 2,) if twice % 2 == 0 and fits <= twice // 2 <= hi else ()
+        else:
+            live = range(fits, hi + 1)
+        for v in live:
             nodes += 2
-            found.append((*flat[:last * I], *colrem))
+            r = rowrem - v
+            out.append(((*row[:j], v, r, *colrem[:j], c - v, rest - r), None))
 
-    fill(0, 0, rows[0], sum(diag_vec) if diag_vec is not None else stat.diag or 0)
-    if nodes > node_budget:  # the last rows' counts come after the checks in `fill`
-        raise BudgetExceededError(f"fiber enumeration exceeded the {node_budget}-node budget")
-    # cells in row-major order, values in increasing order: `found` is sorted
-    return Fiber(stat=stat, flats=tuple(found), nodes=nodes)
+    def visit(i: int, state: tuple) -> int:
+        # the search from node (i, 0) in `state`: counts its nodes, files
+        # the state's rows if a table passes through it, and returns the
+        # number of tables that do
+        nonlocal nodes
+        kept = seen[i].get(state)
+        if kept is not None:
+            nodes += kept[0]
+            if nodes > node_budget:
+                raise _over_budget(node_budget)
+            return kept[1]
+        start = nodes
+        edges: list = []
+        colrem[:] = state[0]
+        fill(i, 0, rows[i], state[1], edges)
+        if nodes > node_budget:  # the counts after the checks in `fill`
+            raise _over_budget(node_budget)
+        if i + 1 < last:
+            tables = 0
+            live = []
+            for edge in edges:
+                below = visit(i + 1, edge[1])
+                if below:
+                    live.append(edge)
+                    tables += below
+            edges = live
+        else:
+            tables = len(edges)
+        seen[i][state] = (nodes - start, tables)
+        if tables:
+            layers[i][state] = edges
+        return tables
+
+    count = visit(0, (tuple(cols), sum(diag_vec) if diag_vec is not None else stat.diag or 0))
+    # each closure refers to itself: break the cycles so that the search
+    # state is freed now, not by a later cyclic collection
+    fill = visit = None
+    return Fiber(stat=stat, nodes=nodes, count=count, layers=tuple(layers))
 
 
 @dataclass(frozen=True)
@@ -585,6 +680,52 @@ def _pearson_flat(terms: Sequence[dict], flat: Sequence[int]) -> float:
     return chi2
 
 
+def _tail_weights(fiber: Fiber, terms: Sequence[dict], threshold: float) -> Tuple[int, int]:
+    """The total weight of the fiber's tables whose Pearson statistic is at
+    least `threshold`, and that of all its tables, a table weighing
+    prod_i r_i!/prod_j f_ij! for row sums r_i.
+
+    These weights are n!/prod f! times the constant prod_i r_i!/n!, so the
+    two totals stand in the ratio of the hypergeometric law.  The network
+    is summed forward row by row, each state holding a dict from partial
+    statistic to weight: a row adds its cells' `terms` left to right and
+    multiplies by its row's factor r_i!/prod_j f_ij!.  Every table's
+    statistic takes the float operations of `_pearson_flat` on its flat
+    tuple, and equal partial sums are merged exactly, so each table meets
+    the threshold exactly when it does table by table.
+    """
+    I, rows = fiber.stat.size, fiber.stat.rows
+    fact = _Memo(math.factorial).__getitem__
+    last = len(fiber.layers) - 1
+    dists: Dict[tuple, Dict[float, int]] = {root: {0.0: 1} for root in fiber.layers[0]}
+    hit = total = 0
+    for i, layer in enumerate(fiber.layers):
+        row_terms = terms[i * I:]
+        # the last layer's rows run through rows i and i + 1, to no state
+        numerator = fact(rows[i]) * fact(rows[i + 1]) if i == last else fact(rows[i])
+        below: Dict[tuple, Dict[float, int]] = {}
+        for state, edges in layer.items():
+            dist = dists[state]
+            for row, child in edges:
+                added = tuple(map(getitem, row_terms, row))
+                factor = numerator // math.prod(map(fact, row))
+                if child is None:
+                    for chi2, w in dist.items():
+                        w *= factor
+                        total += w
+                        if reduce(add, added, chi2) >= threshold:
+                            hit += w
+                    continue
+                out = below.get(child)
+                if out is None:
+                    out = below[child] = {}
+                for chi2, w in dist.items():
+                    chi2 = reduce(add, added, chi2)
+                    out[chi2] = out.get(chi2, 0) + w * factor
+        dists = below
+    return hit, total
+
+
 def _chi2_threshold(observed: float) -> float:
     if math.isinf(observed):
         return observed
@@ -604,9 +745,15 @@ def exact_test(
     depends only on the sufficient statistic and is therefore constant
     across the fiber.  The p-value is the hypergeometric-law probability of
     a statistic at least as large as observed: exact by total enumeration
-    when the fiber is within budget, otherwise estimated by the fiber walk
-    with a batch-means Monte Carlo standard error.  Both score tables from
-    per-cell lookups: each cell's Pearson term is computed once per value.
+    when the fiber is within `node_budget`, otherwise estimated by the
+    fiber walk with a batch-means Monte Carlo standard error.  Both score
+    tables from per-cell lookups: each cell's Pearson term is computed once
+    per value.  Enumeration sums the fiber's row network forward
+    (`_tail_weights`) and builds no table; each table's statistic is
+    the float `_pearson_flat` gives it, and the p-value is the correctly
+    rounded ratio of integer weights, as when each table was weighted by
+    n!/prod f!.  `samples_used` is the number of tables and
+    `nodes_visited` the cell-by-cell search's node count.
     """
     if table.n == 0:
         raise InputError("exact test needs a nonzero table")
@@ -627,15 +774,7 @@ def exact_test(
                 raise
             fiber = None
         if fiber is not None:
-            # the weights n!/prod f! need the factorials of the occurring values only
-            fact = _Memo(math.factorial).__getitem__
-            n_fact = math.factorial(table.n)
-            hit_weight = total_weight = 0
-            for state in fiber.flats:
-                w = n_fact // math.prod(map(fact, state))
-                total_weight += w
-                if _pearson_flat(terms, state) >= threshold:
-                    hit_weight += w
+            hit_weight, total_weight = _tail_weights(fiber, terms, threshold)
             p = hit_weight / total_weight  # int true division rounds correctly
             return TestResult(
                 statistic_observed=observed_stat,

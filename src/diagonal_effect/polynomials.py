@@ -181,9 +181,6 @@ class CellPolynomial:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
     def variables(self) -> set:
         return {v for m in self.terms for v, _ in m}
 

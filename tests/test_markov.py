@@ -1,15 +1,16 @@
 import math
 import random
+import time
 from collections import Counter, deque
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import List
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diagonal_effect import markov
@@ -46,6 +47,8 @@ from conftest import all_tables, model, random_count_table
 DIAG3 = model(ModelFamily.DIAGONAL_EFFECT, 3)
 COMMON3 = model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3)
 INDEP3 = model(ModelFamily.INDEPENDENCE, 3)
+INDEP6 = model(ModelFamily.INDEPENDENCE, 6)
+COMMON6 = model(ModelFamily.COMMON_DIAGONAL_EFFECT, 6)
 DERANGEMENT = CountTable.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 FAMILIES = [ModelFamily.DIAGONAL_EFFECT, ModelFamily.COMMON_DIAGONAL_EFFECT]
 # the base tables of the `fibers` benchmark's enumeration jobs
@@ -315,6 +318,26 @@ class TestEnumerateFiber:
         assert enumerate_fiber(stat, COMMON3, node_budget=fiber.nodes) == fiber
         with pytest.raises(BudgetExceededError):
             enumerate_fiber(stat, COMMON3, node_budget=fiber.nodes - 1)
+
+    def test_budget_stops_a_search_that_would_not_end(self):
+        # total 720 at I = 6: no search could count these fibers' nodes, so
+        # each call returns only by stopping at its budget
+        table = CountTable.from_rows([[20] * 6] * 6)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="the 1000-node budget"):
+            enumerate_fiber(sufficient_statistic(table, INDEP6), INDEP6, node_budget=1000)
+        result = exact_test(table, COMMON6, WalkConfig(steps=200, seed=1), method="auto")
+        assert result.method == "MCMC"
+        assert time.perf_counter() - start < 20
+
+    def test_length_and_hash_build_no_tables(self):
+        spec = model(ModelFamily.COMMON_DIAGONAL_EFFECT, 5)
+        stat = sufficient_statistic(LARGEST, spec)
+        fiber, again = enumerate_fiber(stat, spec), enumerate_fiber(stat, spec)
+        assert (len(fiber), hash(fiber)) == (9480, hash(again))
+        assert "flats" not in vars(fiber)
+        assert fiber == again and len(fiber.flats) == 9480
+        assert fiber != replace(again, nodes=again.nodes + 1)
 
     def test_node_count_of_largest_benchmark_fiber(self):
         # the count decides which budgets enumerate this fiber
@@ -794,6 +817,37 @@ class TestWalkOracle:
         assert sum(0.0 < p < 1.0 for p in p_values) >= len(ORACLE_CASES) // 2
 
 
+def independence_fit(table: CountTable, m: ModelSpec) -> list:
+    """The classical independence fit r_i c_j / n, for which the package
+    has no `expected_counts`; it takes the same arguments."""
+    cols = [sum(col) for col in zip(*table.cells)]
+    return [[sum(row) * c / table.n for c in cols] for row in table.cells]
+
+
+def fit_for(family: ModelFamily):
+    return independence_fit if family is ModelFamily.INDEPENDENCE else expected_counts
+
+
+def reference_enumeration_test(table: CountTable, m: ModelSpec) -> tuple:
+    """The enumeration branch of `exact_test` table by table: each table of
+    `cell_by_cell_search` weighted by the integer n!/prod f!, its Pearson
+    statistic from `_pearson_flat`, and the p-value as an int division;
+    (statistic, p-value, tables)."""
+    expected = fit_for(m.family)(table, m)
+    terms = [markov._Memo(partial(markov._pearson_term, e=e)) for row in expected for e in row]
+    observed = markov._pearson_flat(terms, flat(table))
+    threshold = markov._chi2_threshold(observed)
+    flats, _ = cell_by_cell_search(sufficient_statistic(table, m), m)
+    n_fact = math.factorial(table.n)
+    hit = total = 0
+    for state in flats:
+        w = n_fact // math.prod(map(math.factorial, state))
+        total += w
+        if markov._pearson_flat(terms, state) >= threshold:
+            hit += w
+    return observed, hit / total, len(flats)
+
+
 class TestExactTest:
     def test_enumeration_on_fit_shaped_table(self):
         t = CountTable.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -815,6 +869,40 @@ class TestExactTest:
         t = CountTable.from_rows([[10_000, 1, 0], [0, 10_000, 1], [1, 0, 10_000]])
         result = exact_test(t, DIAG3)
         assert (result.method, result.samples_used, result.p_value) == ("Enumeration", 2, 1.0)
+
+    @staticmethod
+    def check_against_reference(family, cells):
+        table = CountTable.from_rows(cells)
+        m = model(family, table.size)
+        fibers = []
+
+        def enumerate_and_keep(*args):
+            fibers.append(enumerate_fiber(*args))
+            return fibers[-1]
+
+        # the package fits no independence model: the test takes the reference's fit
+        with mock.patch.object(markov, "expected_counts", fit_for(family)), \
+                mock.patch.object(markov, "enumerate_fiber", enumerate_and_keep):
+            result = exact_test(table, m, method="enumerate", node_budget=markov.DEFAULT_NODE_BUDGET)
+        got = (result.statistic_observed, result.p_value, result.samples_used)
+        assert repr(got) == repr(reference_enumeration_test(table, m))
+        # the test weighs the row network: no table is built
+        fiber, = fibers
+        assert len(fiber) == result.samples_used
+        assert "flats" not in vars(fiber) and "tables" not in vars(fiber)
+
+    @settings(max_examples=200, deadline=None)
+    @given(family=st.sampled_from(FAMILIES + [ModelFamily.INDEPENDENCE]), cells=small_tables())
+    @example(family=ModelFamily.COMMON_DIAGONAL_EFFECT, cells=[[3, 3, 3], [3, 3, 3], [3, 3, 3]])
+    @example(family=ModelFamily.INDEPENDENCE, cells=[[0, 0, 0], [1, 3, 0], [2, 1, 4]])
+    def test_p_value_matches_table_by_table_weighting(self, family, cells):
+        assume(any(map(any, cells)))
+        self.check_against_reference(family, cells)
+
+    @pytest.mark.parametrize("family, cells", FIBER_BASE_TABLES,
+                             ids=[f"{f}-{len(c)}-{k}" for k, (f, c) in enumerate(FIBER_BASE_TABLES)])
+    def test_benchmark_p_values_match_table_by_table_weighting(self, family, cells):
+        self.check_against_reference(FAMILY_NAMES[family], cells)
 
     def test_pvalue_in_unit_interval(self, rng):
         for _ in range(5):
