@@ -6,7 +6,9 @@ engine accepts only such generators.  Inside, a monic binomial is a pair
 of dense exponent tuples over the term order's variables, so S-polynomials
 and reductions are tuple arithmetic with no Fraction; each term's order
 key is computed once, and each lead's support bitmask filters divisibility
-tests.  `CellPolynomial` stays the type at the boundary, and `saturate`
+tests.  `CellPolynomial` stays the type at the boundary: `_encode` counts
+each monomial's variable ids into an exponent vector over the order's
+positions, and `_decode` expands each vector back into sorted ids.  `saturate`
 keeps the toric ideals' per-variable steps inside.  Pairs follow the
 normal selection strategy with the Gebauer-Moller criteria, and the
 S-pair budget `MAX_PAIRS` turns a runaway computation into a loud error
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 from operator import add, le, sub
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, InputError, InvariantViolationError, SizeMismatchError
 from .polynomials import CellPolynomial, Monomial, TermOrder
@@ -53,18 +55,20 @@ def _support(m: Exponents) -> int:
     return mask
 
 
-def _exponents(m: Monomial, order: TermOrder) -> Exponents:
-    dense = [0] * len(order.variables)
-    for v, e in m:
-        if v not in order.variables:
+def _exponents(m: Monomial, slot: Dict[int, int]) -> Exponents:
+    """Exponent vector of `m`, counting each id into its position `slot[id]`."""
+    dense = [0] * len(slot)
+    for v in m:
+        if v not in slot:
             raise InputError(f"variable {v} is outside the term order")
-        dense[order.variables.index(v)] = e
+        dense[slot[v]] += 1
     return tuple(dense)
 
 
 def _encode(polys: Sequence[CellPolynomial], order: TermOrder, size: int) -> List[_Binomial]:
     """Monic binomials of the nonzero `polys`, which must be c * (x^a - x^b)
     over `size` x `size` tables."""
+    slot = {v: k for k, v in enumerate(order.variables)}
     out = []
     for p in polys:
         if p.size != size:
@@ -74,12 +78,12 @@ def _encode(polys: Sequence[CellPolynomial], order: TermOrder, size: int) -> Lis
         if p.num_terms() != 2 or sum(p.terms.values()) != 0:
             raise InputError(f"not a binomial c*(x^a - x^b): {p}")
         a, b = p.terms
-        out.append(_binomial(_exponents(a, order), _exponents(b, order), order))
+        out.append(_binomial(_exponents(a, slot), _exponents(b, slot), order))
     return out
 
 
 def _monomial(dense: Exponents, order: TermOrder) -> Monomial:
-    return tuple(sorted((order.variables[k], e) for k, e in enumerate(dense) if e))
+    return tuple(sorted(v for v, e in zip(order.variables, dense) for _ in range(e)))
 
 
 def _decode(basis: Sequence[_Binomial], order: TermOrder, size: int) -> List[CellPolynomial]:

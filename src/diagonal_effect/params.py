@@ -105,14 +105,6 @@ class MixtureParams:
     def size(self) -> int:
         return len(self.r)
 
-    def is_strictly_positive(self) -> bool:
-        return (
-            self.alpha > 0
-            and all(x > 0 for x in self.r)
-            and all(x > 0 for x in self.c)
-            and (self.alpha == 1 or all(x > 0 for x in self.d))
-        )
-
     def has_common_diagonal(self) -> bool:
         I = self.size
         return all(x == Fraction(1, I) for x in self.d)

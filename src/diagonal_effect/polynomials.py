@@ -2,22 +2,25 @@
 
 A variable is an integer id; the cell (i, j) of an I x I table, 1-based,
 gets id (i-1)*I + (j-1).  Ids at or above I*I are auxiliary variables used
-only inside elimination computations.  Monomials are sorted tuples of
-(variable, exponent) pairs, which keeps them hashable and cheap to compare.
+only inside elimination computations.  A monomial is the cell product
+itself: the ascending tuple of its variable ids, each repeated as often as
+its exponent, so p[1,1]^2*p[1,2] at I = 2 is (0, 0, 1) and the constant 1
+is ().  Degree is `len`, coprimality is set disjointness, and the tuple is
+hashable and cheap to compare.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import neg
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, SizeMismatchError
 from .tables import ProbTable
 
-Monomial = Tuple[Tuple[int, int], ...]
+Monomial = Tuple[int, ...]
 
 
 def cell_var(i: int, j: int, size: int) -> int:
@@ -41,24 +44,7 @@ def mono_from_cells(cells: Iterable[Tuple[int, int]], size: int) -> Monomial:
             raise InputError(f"cell ({i},{j}) outside a {size}x{size} table")
         vs.append((i - 1) * size + (j - 1))
     vs.sort()
-    mono: List[Tuple[int, int]] = []
-    last = -1
-    for v in vs:
-        if v == last:
-            mono[-1] = (v, mono[-1][1] + 1)
-        else:
-            mono.append((v, 1))
-            last = v
-    return tuple(mono)
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    avars = {v for v, _ in a}
-    return not any(v in avars for v, _ in b)
+    return tuple(vs)
 
 
 @dataclass(frozen=True)
@@ -90,8 +76,7 @@ class TermOrder:
         return cls(variables=tuple(block_vars) + tuple(main_vars), block=len(block_vars))
 
     def key(self, m: Monomial):
-        exps = dict(m)
-        return self.dense_key([exps.get(v, 0) for v in self.variables])
+        return self.dense_key(list(map(m.count, self.variables)))
 
     def dense_key(self, dense: Sequence[int]):
         """`key` of the monomial whose exponents, listed in the order of
@@ -140,7 +125,9 @@ def _rational(c):
 
 
 class CellPolynomial:
-    """Immutable-by-convention sparse polynomial; integral coefficients are ints."""
+    """Immutable-by-convention sparse polynomial: `terms` maps each monomial,
+    the ascending tuple of its variable ids with repeats as powers, to its
+    nonzero coefficient; integral coefficients are ints."""
 
     __slots__ = ("size", "terms")
 
@@ -182,14 +169,14 @@ class CellPolynomial:
         return len(self.terms)
 
     def variables(self) -> set:
-        return {v for m in self.terms for v, _ in m}
+        return set().union(*self.terms)
 
     def is_pure_binomial(self) -> bool:
         """Two terms with opposite unit-normalizable coefficients and coprime monomials."""
         if len(self.terms) != 2:
             return False
         (m1, c1), (m2, c2) = sorted(self.terms.items())
-        return c1 == -c2 and mono_coprime(m1, m2)
+        return c1 == -c2 and set(m1).isdisjoint(m2)
 
     def canonical_key(self):
         return tuple(sorted(self.terms.items()))
@@ -232,7 +219,12 @@ class CellPolynomial:
         if not m:
             return "1"
         parts = []
-        for v, e in m:
+        last = None
+        for v in m:
+            if v == last:
+                continue  # m is sorted: v's run was rendered with its count
+            last = v
+            e = m.count(v)
             if v < self.size * self.size:
                 i, j = var_cell(v, self.size)
                 name = f"p[{i},{j}]"
@@ -263,32 +255,22 @@ class CellPolynomial:
 
 def _monomial_value(m: Monomial, nums: Sequence[int]) -> Tuple[int, int]:
     """(N^m, deg m), with variable v at nums[v]."""
-    value, deg = 1, 0
-    for v, e in m:
-        if v >= len(nums):
-            raise InputError("cannot evaluate an auxiliary variable at a table")
-        value *= nums[v] ** e
-        deg += e
-    return value, deg
+    if m and m[-1] >= len(nums):
+        raise InputError("cannot evaluate an auxiliary variable at a table")
+    return prod(map(nums.__getitem__, m)), len(m)
 
 
 def binomial_from_vector(flat: Sequence[int], size: int) -> CellPolynomial:
     """p^{v+} - p^{v-} for an integer cell vector in row-major order."""
     if len(flat) != size * size:
         raise SizeMismatchError(f"expected {size * size} entries, got {len(flat)}")
-    pos: Dict[int, int] = {}
-    neg: Dict[int, int] = {}
+    pos: List[int] = []
+    neg: List[int] = []
     for v, x in enumerate(flat):
         if x > 0:
-            pos[v] = x
+            pos += [v] * x
         elif x < 0:
-            neg[v] = -x
+            neg += [v] * -x
     if not pos and not neg:
         raise InputError("the zero vector has no binomial")
-    return CellPolynomial(
-        size,
-        {
-            tuple(sorted(pos.items())): 1,
-            tuple(sorted(neg.items())): -1,
-        },
-    )
+    return CellPolynomial(size, {tuple(pos): 1, tuple(neg): -1})

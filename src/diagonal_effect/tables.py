@@ -258,10 +258,6 @@ class SufficientStat:
     def size(self) -> int:
         return len(self.rows)
 
-    @property
-    def n(self) -> int:
-        return sum(self.rows)
-
 
 def sufficient_statistic(table: CountTable, model: ModelSpec) -> SufficientStat:
     """Map a count table to its sufficient statistic under `model`."""

@@ -156,7 +156,7 @@ def toric_ideal(model: ModelSpec, method: str = "saturation") -> List[CellPolyno
         result = saturate(gens, cell_vars)
     elif method == "elimination":
         aux = I * I
-        rabinowitsch = CellPolynomial(I, {tuple((v, 1) for v in cell_vars + [aux]): 1, (): -1})
+        rabinowitsch = CellPolynomial(I, {tuple(cell_vars + [aux]): 1, (): -1})
         order = TermOrder.elimination([aux], cell_vars)
         basis = buchberger(gens + [rabinowitsch], order)
         kept = [g for g in basis if aux not in g.variables()]

@@ -46,7 +46,7 @@ def _generators(source: str, family: str):
 def _expr(poly):
     return sum(
         sympy.Rational(c.numerator, c.denominator)
-        * sympy.Mul(*(SYMBOLS[v] ** e for v, e in m))
+        * sympy.Mul(*(SYMBOLS[v] for v in m))
         for m, c in poly.terms.items()
     )
 

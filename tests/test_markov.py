@@ -743,6 +743,28 @@ def reference_pearson(cells, expected) -> float:
     return chi2
 
 
+class TestPearsonStatistic:
+    @pytest.mark.parametrize("family, cells", FIBER_BASE_TABLES[:5])
+    def test_matches_memoised_terms_bit_for_bit(self, family, cells):
+        # `pearson_statistic` fixes the order in which the walk and the
+        # enumeration sum their cached per-cell terms
+        table = CountTable.from_rows(cells)
+        m = model(FAMILY_NAMES[family], table.size)
+        expected = expected_counts(table, m)
+        terms = [markov._Memo(partial(markov._pearson_term, e=e)) for row in expected for e in row]
+        fiber = enumerate_fiber(sufficient_statistic(table, m), m)
+        assert len(fiber.tables) > 1
+        for t in fiber.tables:
+            assert (markov.pearson_statistic(t.cells, expected).hex()
+                    == markov._pearson_flat(terms, flat(t)).hex())
+
+    def test_positive_count_on_zero_fit_is_infinite(self):
+        expected = [[0.0, 2.0], [1.5, 0.5]]
+        assert markov.pearson_statistic([[0, 2], [1, 1]], expected) < math.inf
+        assert markov.pearson_statistic([[1, 1], [1, 1]], expected) == math.inf
+        assert markov.pearson_statistic([[3, 0], [0, 0]], [[3.0, 0.0], [0.0, 0.0]]) == 0.0
+
+
 def reference_mcmc(table: CountTable, m: ModelSpec, config: WalkConfig) -> tuple:
     """The MCMC branch of `exact_test` with the statistic computed cell by
     cell: the public walk, the statistic of each new state, then batch

@@ -8,7 +8,6 @@ from diagonal_effect import CellPolynomial, InputError, ProbTable, SizeMismatchE
 from diagonal_effect.polynomials import (
     binomial_from_vector,
     cell_var,
-    mono_coprime,
     mono_from_cells,
     var_cell,
 )
@@ -20,11 +19,15 @@ class TestMonomials:
             for j in range(1, 4):
                 assert var_cell(cell_var(i, j, 3), 3) == (i, j)
 
-    def test_mul_div_coprime(self):
-        a = mono_from_cells([(1, 1), (1, 2)], 2)
-        b = mono_from_cells([(1, 2), (2, 2)], 2)
-        assert not mono_coprime(a, b)
-        assert mono_coprime(mono_from_cells([(1, 1)], 2), mono_from_cells([(2, 2)], 2))
+    def test_monomial_is_sorted_cell_product(self):
+        # each id repeated as often as its exponent, ascending
+        assert mono_from_cells([(1, 2), (1, 1), (1, 1)], 2) == (0, 0, 1)
+        assert mono_from_cells([(2, 2), (1, 2), (2, 1), (1, 2)], 2) == (1, 1, 2, 3)
+        assert mono_from_cells([], 2) == ()
+        with pytest.raises(InputError, match="outside"):
+            mono_from_cells([(1, 3)], 2)
+        assert str(CellPolynomial(2, {(0, 0, 1): 1, (): -1})) == "p[1,1]^2*p[1,2] - 1"
+        assert binomial_from_vector([2, -1, 0, -1], 2).terms == {(0, 0): 1, (1, 3): -1}
 
 
 class TestRingLaws:
@@ -92,16 +95,16 @@ class TestExactEvaluation:
         assert value == naive_value(terms, values)
 
     def test_integral_coefficients_are_ints(self):
-        p = CellPolynomial(2, {((0, 1),): Fraction(6, 3), ((1, 1),): Fraction(1, 2), (): Fraction(4, 2)})
+        p = CellPolynomial(2, {(0,): Fraction(6, 3), (1,): Fraction(1, 2), (): Fraction(4, 2)})
         assert [type(c) for c in p.terms.values()] == [int, Fraction, int]
-        assert p == CellPolynomial(2, {((0, 1),): 2, ((1, 1),): Fraction(1, 2), (): 2})
+        assert p == CellPolynomial(2, {(0,): 2, (1,): Fraction(1, 2), (): 2})
         for c in binomial_from_vector([1, -1, -1, 1], 2).terms.values():
             assert type(c) is int
 
     @pytest.mark.parametrize("coeff", [0.1, 2.0, "1/3", True])
     def test_inexact_coefficients_rejected(self, coeff):
         with pytest.raises(InputError, match="coefficient"):
-            CellPolynomial(2, {((0, 1),): coeff})
+            CellPolynomial(2, {(0,): coeff})
         with pytest.raises(InputError, match="coefficient"):
             CellPolynomial.from_cell_terms(2, [(coeff, [(1, 2)])])
 
@@ -111,7 +114,7 @@ class TestExactEvaluation:
             minor.evaluate(ProbTable.from_rows([[Fraction(1, 9)] * 3] * 3))
         with pytest.raises(InputError):
             minor.evaluate({(3, 1): 1})
-        aux = CellPolynomial(2, {((4, 1),): 1})
+        aux = CellPolynomial(2, {(4,): 1})
         with pytest.raises(InputError, match="auxiliary"):
             aux.evaluate(ProbTable.from_rows([[Fraction(1, 4)] * 2] * 2))
 
@@ -143,7 +146,7 @@ class TestTermOrders:
 
     def test_elimination_block_dominates(self):
         order = TermOrder.elimination([4], range(4))
-        aux_mono = ((4, 1),)
+        aux_mono = (4,)
         big_plain = mono_from_cells([(1, 1), (1, 2), (2, 1), (2, 2)], 2)
         assert order.key(aux_mono) > order.key(big_plain)
 
