@@ -47,45 +47,47 @@ DEFAULT_NODE_BUDGET = 10_000_000
 # move factories
 # ---------------------------------------------------------------------------
 
-def _canonical_signed(cells: tuple) -> tuple:
-    """The grid `cells` or its negative, whichever has a positive first
-    nonzero entry."""
-    first = next((x for row in cells for x in row if x != 0), 0)
-    if first < 0:
-        return tuple(tuple(-x for x in row) for row in cells)
-    return cells
+def _family(I: int, candidates: Iterable[Tuple[str, Dict[Tuple[int, int], int]]]) -> List[Move]:
+    """One Move per distinct candidate up to sign, in order of first
+    appearance and with that appearance's label.  A candidate is a label
+    and a balanced move's nonzero entries {(i, j): v}, 1-based; its sign is
+    fixed by its first nonzero cell in row-major order, which the move
+    makes positive.  Only a first appearance is made a grid."""
+    seen = set()
+    moves = []
+    for label, entries in candidates:
+        items = sorted(entries.items())
+        if items[0][1] < 0:
+            items = [(cell, -v) for cell, v in items]
+        key = tuple(items)
+        if key in seen:
+            continue
+        seen.add(key)
+        grid = [[0] * I for _ in range(I)]
+        degree = 0
+        for (i, j), v in items:
+            grid[i - 1][j - 1] = v
+            if v > 0:
+                degree += v
+        moves.append(Move._balanced(I, tuple(map(tuple, grid)), label, degree))
+    return moves
 
 
-def _family(I: int, grids: Iterable[Tuple[str, tuple]]) -> List[Move]:
-    """One Move per distinct canonical grid among the (label, grid) pairs,
-    in order of first appearance and with that appearance's label."""
-    seen: Dict[tuple, str] = {}
-    for label, cells in grids:
-        seen.setdefault(_canonical_signed(cells), label)
-    return [Move(size=I, cells=cells, label=label) for cells, label in seen.items()]
+def _with_transposes(label: str, candidates: List[dict]) -> List[Tuple[str, dict]]:
+    """The candidates under `label`, then their transposes under `label^T`."""
+    return [(label, e) for e in candidates] + [
+        (label + "^T", {(j, i): v for (i, j), v in e.items()}) for e in candidates]
 
 
-def _grid(I: int, entries: Dict[Tuple[int, int], int]) -> tuple:
-    g = [[0] * I for _ in range(I)]
-    for (i, j), v in entries.items():
-        g[i - 1][j - 1] = v
-    return tuple(tuple(row) for row in g)
-
-
-def _with_transposes(label: str, grids: List[tuple]) -> List[Tuple[str, tuple]]:
-    """The grids under `label`, then their transposes under `label^T`."""
-    return [(label, g) for g in grids] + [(label + "^T", tuple(zip(*g))) for g in grids]
-
-
-def _diag_effect_grids(I: int) -> Iterator[Tuple[str, tuple]]:
+def _diag_effect_candidates(I: int) -> Iterator[Tuple[str, dict]]:
     for i, k, j, h in rectangle_indices(I):
-        yield "rect", _grid(I, {(i, j): 1, (i, h): -1, (k, j): -1, (k, h): 1})
+        yield "rect", {(i, j): 1, (i, h): -1, (k, j): -1, (k, h): 1}
     for a, b, c in triple_indices(I):
-        yield "cycle", _grid(I, {
+        yield "cycle", {
             (a, b): 1, (a, c): -1,
             (b, a): -1, (b, c): 1,
             (c, a): 1, (c, b): -1,
-        })
+        }
 
 
 def moves_diag_effect(I: int) -> List[Move]:
@@ -96,7 +98,7 @@ def moves_diag_effect(I: int) -> List[Move]:
     a diagonal cell: diagonal counts are part of the sufficient statistic.
     """
     require_size(I, 3, "diagonal-effect moves")
-    return _family(I, _diag_effect_grids(I))
+    return _family(I, _diag_effect_candidates(I))
 
 
 def moves_common_diag(I: int) -> List[Move]:
@@ -109,50 +111,50 @@ def moves_common_diag(I: int) -> List[Move]:
     2 x 4 block (I >= 4); the last two come with their transposes.
     """
     require_size(I, 3, "common-diagonal moves")
-    grids = list(_diag_effect_grids(I))
+    candidates = list(_diag_effect_candidates(I))
     idx = range(1, I + 1)
 
     for (a, b, c) in permutations(idx, 3):
         # the three diagonal-shift variants on rows/columns (a, b, c)
-        grids.append(("diag-shift", _grid(I, {
+        candidates.append(("diag-shift", {
             (a, a): 1, (a, c): -1,
             (b, b): -1, (b, c): 1,
             (c, a): -1, (c, b): 1,
-        })))
-        grids.append(("diag-shift", _grid(I, {
+        }))
+        candidates.append(("diag-shift", {
             (a, a): 1, (a, b): -1,
             (b, a): -1, (b, c): 1,
             (c, b): 1, (c, c): -1,
-        })))
-        grids.append(("diag-shift", _grid(I, {
+        }))
+        candidates.append(("diag-shift", {
             (a, b): -1, (a, c): 1,
             (b, a): -1, (b, b): 1,
             (c, a): 1, (c, c): -1,
-        })))
+        }))
 
     for (i, k, j, h) in permutations(idx, 4):
         # rows (i, k, h), columns (i, k, j)
-        grids.append(("diag-shift-rect", _grid(I, {
+        candidates.append(("diag-shift-rect", {
             (i, i): 1, (i, j): -1,
             (k, k): -1, (k, j): 1,
             (h, i): -1, (h, k): 1,
-        })))
+        }))
 
-    grids += _with_transposes("diag-double", [
-        _grid(I, {
+    candidates += _with_transposes("diag-double", [
+        {
             (i, i): 1, (i, k): 1, (i, j): -2,
             (k, i): -1, (k, k): -1, (k, j): 2,
-        })
+        }
         for i, k in combinations(idx, 2) for j in idx if j not in (i, k)
     ])
-    grids += _with_transposes("diag-quad", [
-        _grid(I, {
+    candidates += _with_transposes("diag-quad", [
+        {
             (i, i): 1, (i, k): 1, (i, j): -1, (i, h): -1,
             (k, i): -1, (k, k): -1, (k, j): 1, (k, h): 1,
-        })
+        }
         for i, k, j, h in rectangle_indices(I)
     ])
-    return _family(I, grids)
+    return _family(I, candidates)
 
 
 def moves_for_model(model: ModelSpec) -> List[Move]:
@@ -554,15 +556,44 @@ class WalkConfig:
         }
 
 
+def _walk_plans(moves: Sequence[Move], I: int) -> List[tuple]:
+    """One plan (downs, ups, delta) per signed move, in the order of
+    `_move_deltas`; delta holds the move's (cell, change) entries.  A
+    count f that the move lowers by d gives downs the factors (cell, 0),
+    ..., (cell, d - 1), and one it raises by u gives ups (cell, 1), ...,
+    (cell, u): the products of f - j over downs and of f + j over ups are
+    prod f!/f'! over the lowered counts and prod f'!/f! over the raised
+    ones.  A move's negative sign lowers what its positive sign raises, so
+    both plans come from one split of its entries."""
+    deltas = _move_deltas(moves, I)
+    plans = []
+    for entries, negated in zip(deltas[::2], deltas[1::2]):
+        lowered = [(cell, -v) for cell, v in entries if v < 0]
+        raised = [(cell, v) for cell, v in entries if v > 0]
+        plans.append((_factors(lowered, 0), _factors(raised, 1), entries))
+        plans.append((_factors(raised, 0), _factors(lowered, 1), negated))
+    return plans
+
+
+def _factors(amounts: List[Tuple[int, int]], first: int) -> tuple:
+    """(cell, j) for j = first, ..., first + amount - 1, for each (cell, amount)."""
+    return tuple((cell, j) for cell, amount in amounts for j in range(first, first + amount))
+
+
 def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> Iterator[CountTable]:
     """Metropolis fiber walk; emits post-burn-in, thinned states.
 
-    Proposals draw a move and a sign uniformly; an infeasible proposal is a
-    stay-in-place step, which keeps the proposal kernel symmetric.  Under
-    the uniform law every feasible proposal is accepted.  Under the
-    hypergeometric law the ratio prod f! / prod f'! over the touched cells
-    is kept as integers num / den: the proposal is accepted without a draw
-    when num >= den, and otherwise when a * den < num * b for
+    Proposals draw a move and a sign uniformly, with the draws of
+    `Random.randrange` made inline: `getrandbits` of the count's bit
+    length, drawn again until it falls below the count.  An infeasible
+    proposal is a stay-in-place step, which keeps the proposal kernel
+    symmetric.  The counts a proposal lowers are checked first, by their
+    product num = prod f!/f'! (`_walk_plans`), which is 0 exactly when one
+    of them would go negative; the raised counts are read only for a
+    feasible proposal.  Under the uniform law every feasible proposal is
+    accepted.  Under the hypergeometric law the ratio prod f! / prod f'!
+    over the touched cells is num / den: the proposal is accepted without
+    a draw when num >= den, and otherwise when a * den < num * b for
     a / b = rng.random(), the exact comparison of the uniform draw with
     the ratio.
 
@@ -572,32 +603,31 @@ def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> 
     if not moves:
         raise InputError("fiber_walk needs at least one move")
     I = start.size
-    deltas = _move_deltas(moves, I)
+    plans = _walk_plans(moves, I)
     rows = [slice(i * I, (i + 1) * I) for i in range(I)]
     rng = random.Random(f"fiber-walk|{config.seed}")
-    randrange, count = rng.randrange, len(deltas)
+    getrandbits, rand, count = rng.getrandbits, rng.random, len(plans)
+    bits = count.bit_length()
     hypergeometric = config.stationary is Stationary.HYPERGEOMETRIC
     flat = [x for row in start.cells for x in row]
     last = state = None
     moved = True
     until_emit = config.burn_in
     for _ in range(config.burn_in + config.steps):
-        delta = deltas[randrange(count)]
-        num = den = 1
-        for k, v in delta:
-            old = flat[k]
-            new = old + v
-            if new < 0:
-                break  # infeasible: a stay-in-place step
+        r = getrandbits(bits)
+        while r >= count:
+            r = getrandbits(bits)
+        downs, ups, delta = plans[r]
+        num = 1
+        for k, j in downs:
+            num *= flat[k] - j
+        if num:  # else infeasible: a stay-in-place step
+            den = 1
             if hypergeometric:
-                # f! / f'! is 1 / ((f+1)...f') when a count rises, f...(f'+1) when it falls
-                if v > 0:
-                    den *= new if v == 1 else math.perm(new, v)
-                else:
-                    num *= old if v == -1 else math.perm(old, -v)
-        else:
-            if num < den:
-                a, b = rng.random().as_integer_ratio()  # accept when a / b < num / den
+                for k, j in ups:
+                    den *= flat[k] + j
+                if num < den:
+                    a, b = rand().as_integer_ratio()  # accept when a / b < num / den
             if num >= den or a * den < num * b:
                 for k, v in delta:
                     flat[k] += v
@@ -755,16 +785,10 @@ def exact_test(
     n!/prod f!.  `samples_used` is the number of tables and
     `nodes_visited` the cell-by-cell search's node count.
     """
-    if table.n == 0:
-        raise InputError("exact test needs a nonzero table")
     if method not in ("auto", "mcmc", "enumerate"):
         raise InputError(f"unknown method {method!r}")
     _check_count("node_budget", node_budget)
-    expected = expected_counts(table, model)
-    terms = [_Memo(partial(_pearson_term, e=e)) for row in expected for e in row]
-    flat = [x for row in table.cells for x in row]
-    observed_stat = _pearson_flat(terms, flat)
-    threshold = _chi2_threshold(observed_stat)
+    terms, observed_stat = _fit_terms(table, model)
 
     if method in ("auto", "enumerate"):
         try:
@@ -774,7 +798,7 @@ def exact_test(
                 raise
             fiber = None
         if fiber is not None:
-            hit_weight, total_weight = _tail_weights(fiber, terms, threshold)
+            hit_weight, total_weight = _tail_weights(fiber, terms, _chi2_threshold(observed_stat))
             p = hit_weight / total_weight  # int true division rounds correctly
             return TestResult(
                 statistic_observed=observed_stat,
@@ -787,27 +811,47 @@ def exact_test(
 
     if config is None:
         config = WalkConfig(steps=50_000, stationary=Stationary.HYPERGEOMETRIC)
-    if config.stationary is not Stationary.HYPERGEOMETRIC:
+    return _mcmc_tests(table, model, terms, observed_stat, [config])[0]
+
+
+def _fit_terms(table: CountTable, model: ModelSpec) -> Tuple[List[_Memo], float]:
+    """One `_Memo` of Pearson terms per cell against the model fit, and the
+    table's statistic from them."""
+    if table.n == 0:
+        raise InputError("exact test needs a nonzero table")
+    expected = expected_counts(table, model)
+    terms = [_Memo(partial(_pearson_term, e=e)) for row in expected for e in row]
+    return terms, _pearson_flat(terms, chain.from_iterable(table.cells))
+
+
+def _mcmc_tests(table: CountTable, model: ModelSpec, terms: List[_Memo], observed_stat: float,
+                configs: Sequence[WalkConfig]) -> List[TestResult]:
+    """The MCMC test of each walk configuration, all from one fit (`terms`)
+    and one move family: the indicator of each state's statistic reaching
+    the observed one, averaged, with a batch-means standard error."""
+    if any(c.stationary is not Stationary.HYPERGEOMETRIC for c in configs):
         raise InputError("the sampling test requires the hypergeometric stationary law")
+    threshold = _chi2_threshold(observed_stat)
     moves = moves_for_model(model)
-    indicators = []
-    last = indicator = None
-    for state in fiber_walk(table, moves, config):
-        # the walk re-emits an unmoved state as the same object
-        if state is not last:
-            last = state
-            indicator = 1.0 if _pearson_flat(terms, chain.from_iterable(state.cells)) >= threshold else 0.0
-        indicators.append(indicator)
-    p = sum(indicators) / len(indicators)
-    stderr = _batch_means_stderr(indicators)
-    return TestResult(
-        statistic_observed=observed_stat,
-        p_value=p,
-        monte_carlo_stderr=stderr,
-        samples_used=len(indicators),
-        method="MCMC",
-        config=config.to_dict(),
-    )
+    results = []
+    for config in configs:
+        indicators = []
+        last = indicator = None
+        for state in fiber_walk(table, moves, config):
+            # the walk re-emits an unmoved state as the same object
+            if state is not last:
+                last = state
+                indicator = 1.0 if _pearson_flat(terms, chain.from_iterable(state.cells)) >= threshold else 0.0
+            indicators.append(indicator)
+        results.append(TestResult(
+            statistic_observed=observed_stat,
+            p_value=sum(indicators) / len(indicators),
+            monte_carlo_stderr=_batch_means_stderr(indicators),
+            samples_used=len(indicators),
+            method="MCMC",
+            config=config.to_dict(),
+        ))
+    return results
 
 
 def exact_test_chains(
@@ -820,20 +864,20 @@ def exact_test_chains(
 
     Chain k reuses the base configuration with seed + k; the pooled
     p-value is the mean of the chain means and the standard error comes
-    from the spread across chains.
+    from the spread across chains.  The model is fitted and its move
+    family built once for all chains.
     """
     _check_count("chains", chains, 1)
     if chains == 1:
         return exact_test(table, model, config, method="mcmc")
-    results = []
-    for k in range(chains):
-        chain_config = replace(config, seed=config.seed + k)
-        results.append(exact_test(table, model, chain_config, method="mcmc"))
+    terms, observed_stat = _fit_terms(table, model)
+    configs = [replace(config, seed=config.seed + k) for k in range(chains)]
+    results = _mcmc_tests(table, model, terms, observed_stat, configs)
     p = sum(r.p_value for r in results) / chains
     var = sum((r.p_value - p) ** 2 for r in results) / (chains - 1)
     merged_config = dict(config.to_dict(), chains=chains)
     return TestResult(
-        statistic_observed=results[0].statistic_observed,
+        statistic_observed=observed_stat,
         p_value=p,
         monte_carlo_stderr=math.sqrt(var / chains),
         samples_used=sum(r.samples_used for r in results),

@@ -215,6 +215,15 @@ class Move:
         grid = _freeze_int_grid(rows, what="move")
         return cls(size=len(grid), cells=grid, label=label)
 
+    @classmethod
+    def _balanced(cls, size: int, cells: Grid, label: str, degree: int) -> "Move":
+        """The move `cells`, a size x size grid of `int`s whose positive and
+        negative parts both sum to `degree` > 0, as the factories in `markov`
+        build them: built without the checks."""
+        move = object.__new__(cls)
+        move.__dict__.update(size=size, cells=cells, label=label, degree=degree)
+        return move
+
 
 def rectangle_indices(I: int) -> Iterator[Tuple[int, int, int, int]]:
     """Every (i, k, j, h) over 1..I with i < k, j < h and all four distinct:

@@ -1,0 +1,255 @@
+"""The fiber walk and the move factories against their earlier forms.
+
+`reference_fiber_walk` is the walk as it drew proposals with
+`Random.randrange` and branched on each move entry for its sign and the
+stationary law; the reference builders made each candidate move a dense
+grid, fixed its sign on the grid and checked every `Move`.  The package's
+kernel and factories must give exactly what these give: the same states
+from the same seeds, and the same moves in the same order.
+"""
+
+import math
+import random
+from itertools import combinations, permutations
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from diagonal_effect import (
+    CountTable,
+    ModelFamily,
+    Move,
+    Stationary,
+    WalkConfig,
+    fiber_walk,
+    moves_common_diag,
+    moves_diag_effect,
+)
+from diagonal_effect.tables import rectangle_indices, require_size, triple_indices
+
+# ---------------------------------------------------------------------------
+# reference move builders
+# ---------------------------------------------------------------------------
+
+
+def _canonical_signed(cells: tuple) -> tuple:
+    """The grid `cells` or its negative, whichever has a positive first
+    nonzero entry."""
+    first = next((x for row in cells for x in row if x != 0), 0)
+    if first < 0:
+        return tuple(tuple(-x for x in row) for row in cells)
+    return cells
+
+
+def _family(I: int, grids: Iterable[Tuple[str, tuple]]) -> List[Move]:
+    """One Move per distinct canonical grid among the (label, grid) pairs,
+    in order of first appearance and with that appearance's label."""
+    seen: Dict[tuple, str] = {}
+    for label, cells in grids:
+        seen.setdefault(_canonical_signed(cells), label)
+    return [Move(size=I, cells=cells, label=label) for cells, label in seen.items()]
+
+
+def _grid(I: int, entries: Dict[Tuple[int, int], int]) -> tuple:
+    g = [[0] * I for _ in range(I)]
+    for (i, j), v in entries.items():
+        g[i - 1][j - 1] = v
+    return tuple(tuple(row) for row in g)
+
+
+def _with_transposes(label: str, grids: List[tuple]) -> List[Tuple[str, tuple]]:
+    """The grids under `label`, then their transposes under `label^T`."""
+    return [(label, g) for g in grids] + [(label + "^T", tuple(zip(*g))) for g in grids]
+
+
+def _diag_effect_grids(I: int) -> Iterator[Tuple[str, tuple]]:
+    for i, k, j, h in rectangle_indices(I):
+        yield "rect", _grid(I, {(i, j): 1, (i, h): -1, (k, j): -1, (k, h): 1})
+    for a, b, c in triple_indices(I):
+        yield "cycle", _grid(I, {
+            (a, b): 1, (a, c): -1,
+            (b, a): -1, (b, c): 1,
+            (c, a): 1, (c, b): -1,
+        })
+
+
+def reference_moves_diag_effect(I: int) -> List[Move]:
+    require_size(I, 3, "diagonal-effect moves")
+    return _family(I, _diag_effect_grids(I))
+
+
+def reference_moves_common_diag(I: int) -> List[Move]:
+    require_size(I, 3, "common-diagonal moves")
+    grids = list(_diag_effect_grids(I))
+    idx = range(1, I + 1)
+
+    for (a, b, c) in permutations(idx, 3):
+        # the three diagonal-shift variants on rows/columns (a, b, c)
+        grids.append(("diag-shift", _grid(I, {
+            (a, a): 1, (a, c): -1,
+            (b, b): -1, (b, c): 1,
+            (c, a): -1, (c, b): 1,
+        })))
+        grids.append(("diag-shift", _grid(I, {
+            (a, a): 1, (a, b): -1,
+            (b, a): -1, (b, c): 1,
+            (c, b): 1, (c, c): -1,
+        })))
+        grids.append(("diag-shift", _grid(I, {
+            (a, b): -1, (a, c): 1,
+            (b, a): -1, (b, b): 1,
+            (c, a): 1, (c, c): -1,
+        })))
+
+    for (i, k, j, h) in permutations(idx, 4):
+        # rows (i, k, h), columns (i, k, j)
+        grids.append(("diag-shift-rect", _grid(I, {
+            (i, i): 1, (i, j): -1,
+            (k, k): -1, (k, j): 1,
+            (h, i): -1, (h, k): 1,
+        })))
+
+    grids += _with_transposes("diag-double", [
+        _grid(I, {
+            (i, i): 1, (i, k): 1, (i, j): -2,
+            (k, i): -1, (k, k): -1, (k, j): 2,
+        })
+        for i, k in combinations(idx, 2) for j in idx if j not in (i, k)
+    ])
+    grids += _with_transposes("diag-quad", [
+        _grid(I, {
+            (i, i): 1, (i, k): 1, (i, j): -1, (i, h): -1,
+            (k, i): -1, (k, k): -1, (k, j): 1, (k, h): 1,
+        })
+        for i, k, j, h in rectangle_indices(I)
+    ])
+    return _family(I, grids)
+
+
+FACTORIES = {
+    ModelFamily.DIAGONAL_EFFECT: (moves_diag_effect, reference_moves_diag_effect),
+    ModelFamily.COMMON_DIAGONAL_EFFECT: (moves_common_diag, reference_moves_common_diag),
+}
+
+
+# ---------------------------------------------------------------------------
+# reference kernel
+# ---------------------------------------------------------------------------
+
+
+def _move_deltas(moves: Sequence[Move]) -> List[tuple]:
+    """Each move's nonzero flat entries as (cell, change) pairs, followed
+    by the same entries negated."""
+    deltas = []
+    for m in moves:
+        flat = [x for row in m.cells for x in row]
+        entries = tuple((k, v) for k, v in enumerate(flat) if v)
+        deltas.append(entries)
+        deltas.append(tuple((k, -v) for k, v in entries))
+    return deltas
+
+
+def reference_fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> Iterator[CountTable]:
+    I = start.size
+    deltas = _move_deltas(moves)
+    rows = [slice(i * I, (i + 1) * I) for i in range(I)]
+    rng = random.Random(f"fiber-walk|{config.seed}")
+    randrange, count = rng.randrange, len(deltas)
+    hypergeometric = config.stationary is Stationary.HYPERGEOMETRIC
+    flat = [x for row in start.cells for x in row]
+    last = state = None
+    moved = True
+    until_emit = config.burn_in
+    for _ in range(config.burn_in + config.steps):
+        delta = deltas[randrange(count)]
+        num = den = 1
+        for k, v in delta:
+            old = flat[k]
+            new = old + v
+            if new < 0:
+                break  # infeasible: a stay-in-place step
+            if hypergeometric:
+                # f! / f'! is 1 / ((f+1)...f') when a count rises, f...(f'+1) when it falls
+                if v > 0:
+                    den *= new if v == 1 else math.perm(new, v)
+                else:
+                    num *= old if v == -1 else math.perm(old, -v)
+        else:
+            if num < den:
+                a, b = rng.random().as_integer_ratio()  # accept when a / b < num / den
+            if num >= den or a * den < num * b:
+                for k, v in delta:
+                    flat[k] += v
+                moved = True
+        if until_emit:
+            until_emit -= 1
+            continue
+        until_emit = config.thinning - 1
+        if moved:
+            out = tuple(flat)
+            if out != last:
+                last = out
+                state = start._in_fiber(tuple(map(out.__getitem__, rows)))
+            moved = False
+        yield state
+
+
+def emitted(states: Iterable[CountTable]) -> Tuple[list, list]:
+    """The cells of each state, and for each state after the first whether
+    it is the previous state's object."""
+    states = list(states)
+    return [s.cells for s in states], [b is a for a, b in zip(states, states[1:])]
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", list(FACTORIES), ids=lambda f: f.value)
+@pytest.mark.parametrize("size", range(3, 8))
+def test_factories_match_reference_builders(family, size):
+    factory, reference = FACTORIES[family]
+    moves = factory(size)
+    assert ([(m.cells, m.label, m.degree) for m in moves]
+            == [(m.cells, m.label, m.degree) for m in reference(size)])
+    # the factories skip the constructor's checks: each move must pass them
+    for m in moves:
+        checked = Move(size, m.cells, m.label)
+        assert (m, hash(m), repr(m)) == (checked, hash(checked), repr(checked))
+
+
+ZERO_ROW = [[0, 0, 0, 0], [1, 3, 0, 2], [2, 1, 4, 0], [3, 0, 2, 1]]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    family=st.sampled_from(list(FACTORIES)),
+    size=st.integers(3, 5),
+    data=st.data(),
+    zero_row=st.booleans(),
+    stationary=st.sampled_from(list(Stationary)),
+    seed=st.integers(0, 2**32),
+    steps=st.integers(1, 300),
+    burn_in=st.integers(0, 30),
+    thinning=st.integers(1, 4),
+)
+@example(family=ModelFamily.COMMON_DIAGONAL_EFFECT, size=4, data=None, zero_row=True,
+         stationary=Stationary.HYPERGEOMETRIC, seed=2, steps=300, burn_in=0, thinning=1)
+def test_kernel_emits_the_reference_states(family, size, data, zero_row, stationary, seed,
+                                           steps, burn_in, thinning):
+    if data is None:
+        cells = ZERO_ROW
+    else:
+        cells = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=size, max_size=size),
+                                   min_size=size, max_size=size))
+    if zero_row:
+        # every move that takes from the first row is infeasible
+        cells = [[0] * len(cells)] + [list(row) for row in cells[1:]]
+    start = CountTable.from_rows(cells)
+    moves = FACTORIES[family][0](start.size)
+    config = WalkConfig(steps=steps, burn_in=burn_in, thinning=thinning, seed=seed,
+                        stationary=stationary)
+    assert emitted(fiber_walk(start, moves, config)) == emitted(reference_fiber_walk(start, moves, config))
