@@ -580,6 +580,21 @@ def _factors(amounts: List[Tuple[int, int]], first: int) -> tuple:
     return tuple((cell, j) for cell, amount in amounts for j in range(first, first + amount))
 
 
+# the most states one walk interns, and tables one MCMC test keeps scores for
+_INTERN_MAX = 4096
+
+
+def _remember(memo: dict, key, value) -> Optional[dict]:
+    """`memo` with `key` -> `value` stored, or None (memo switched off) in
+    place of a memo that already holds `_INTERN_MAX` entries.  A walk that
+    outgrows the memo mostly meets new states, whose lookups cost more than
+    they save, so a full memo is dropped, not just capped."""
+    if len(memo) >= _INTERN_MAX:
+        return None
+    memo[key] = value
+    return memo
+
+
 def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> Iterator[CountTable]:
     """Metropolis fiber walk; emits post-burn-in, thinned states.
 
@@ -599,6 +614,10 @@ def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> 
 
     The walk moves one flat list; a CountTable is built only when the state
     changes, so an unmoved state is emitted again as the very same object.
+    The call also keeps the tables it built by their flat tuples, so a
+    revisited table is emitted as the same object too, up to `_INTERN_MAX`
+    distinct states; a state past that stops the interning, and from then
+    on every state change builds a new table.
     """
     if not moves:
         raise InputError("fiber_walk needs at least one move")
@@ -611,6 +630,7 @@ def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> 
     hypergeometric = config.stationary is Stationary.HYPERGEOMETRIC
     flat = [x for row in start.cells for x in row]
     last = state = None
+    seen: Optional[dict] = {}
     moved = True
     until_emit = config.burn_in
     for _ in range(config.burn_in + config.steps):
@@ -640,7 +660,11 @@ def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> 
             out = tuple(flat)
             if out != last:
                 last = out
-                state = start._in_fiber(tuple(map(out.__getitem__, rows)))
+                state = None if seen is None else seen.get(out)
+                if state is None:
+                    state = start._in_fiber(tuple(map(out.__getitem__, rows)))
+                    if seen is not None:
+                        seen = _remember(seen, out, state)
             moved = False
         yield state
 
@@ -828,11 +852,15 @@ def _mcmc_tests(table: CountTable, model: ModelSpec, terms: List[_Memo], observe
                 configs: Sequence[WalkConfig]) -> List[TestResult]:
     """The MCMC test of each walk configuration, all from one fit (`terms`)
     and one move family: the indicator of each state's statistic reaching
-    the observed one, averaged, with a batch-means standard error."""
+    the observed one, averaged, with a batch-means standard error.  Each
+    distinct table is scored once per call: its indicator is kept by its
+    cells for all the chains, up to `_INTERN_MAX` tables, as `fiber_walk`
+    keeps its states."""
     if any(c.stationary is not Stationary.HYPERGEOMETRIC for c in configs):
         raise InputError("the sampling test requires the hypergeometric stationary law")
     threshold = _chi2_threshold(observed_stat)
     moves = moves_for_model(model)
+    scores: Optional[dict] = {}
     results = []
     for config in configs:
         indicators = []
@@ -841,7 +869,11 @@ def _mcmc_tests(table: CountTable, model: ModelSpec, terms: List[_Memo], observe
             # the walk re-emits an unmoved state as the same object
             if state is not last:
                 last = state
-                indicator = 1.0 if _pearson_flat(terms, chain.from_iterable(state.cells)) >= threshold else 0.0
+                indicator = None if scores is None else scores.get(state.cells)
+                if indicator is None:
+                    indicator = 1.0 if _pearson_flat(terms, chain.from_iterable(state.cells)) >= threshold else 0.0
+                    if scores is not None:
+                        scores = _remember(scores, state.cells, indicator)
             indicators.append(indicator)
         results.append(TestResult(
             statistic_observed=observed_stat,

@@ -870,6 +870,20 @@ def reference_enumeration_test(table: CountTable, m: ModelSpec) -> tuple:
     return observed, hit / total, len(flats)
 
 
+def spy_pearson(monkeypatch) -> List[tuple]:
+    """The flat tables `markov._pearson_flat` is called on, in call order."""
+    calls = []
+    real = markov._pearson_flat
+
+    def counted(terms, state):
+        state = tuple(state)
+        calls.append(state)
+        return real(terms, state)
+
+    monkeypatch.setattr(markov, "_pearson_flat", counted)
+    return calls
+
+
 class TestExactTest:
     def test_enumeration_on_fit_shaped_table(self):
         t = CountTable.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -941,25 +955,54 @@ class TestExactTest:
         assert gap <= max(3 * mcmc.monte_carlo_stderr, 1e-9)
         assert gap <= 0.02
 
-    def test_pearson_only_for_new_states(self, monkeypatch):
+    def test_pearson_once_per_distinct_state(self, monkeypatch):
         t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
         config = WalkConfig(steps=2_000, seed=4)
         unpatched = exact_test(t, COMMON3, config, method="mcmc")
-        calls = []
-        real = markov._pearson_flat
-
-        def counted(terms, state):
-            state = tuple(state)
-            calls.append(state)
-            return real(terms, state)
-
-        monkeypatch.setattr(markov, "_pearson_flat", counted)
+        calls = spy_pearson(monkeypatch)
         assert exact_test(t, COMMON3, config, method="mcmc") == unpatched
         states = list(fiber_walk(t, moves_common_diag(3), config))
-        new = [states[0]] + [b for a, b in zip(states, states[1:]) if a is not b]
-        assert len(new) < len(states)
-        assert len(calls) == 1 + len(new)  # the observed table, then each new state
-        assert calls == [flat(t)] + [flat(s) for s in new]
+        distinct = list(dict.fromkeys(flat(s) for s in states))
+        changes = sum(a is not b for a, b in zip(states, states[1:]))
+        assert len(distinct) < changes  # the walk revisits tables
+        assert calls == [flat(t)] + distinct  # the observed table, then each table once
+        # a revisited table is the same object
+        by_cells = {s.cells: s for s in states}
+        assert all(s is by_cells[s.cells] for s in states)
+
+    def test_intern_cap_keeps_the_stream(self, monkeypatch):
+        t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
+        config = WalkConfig(steps=2_000, seed=4)
+        moves = moves_common_diag(3)
+
+        def run():
+            states = list(fiber_walk(t, moves, config))
+            return (states, exact_test(t, COMMON3, config, method="mcmc"),
+                    exact_test_chains(t, COMMON3, config, chains=3))
+
+        states, test, chains = run()
+        assert len({s.cells for s in states}) > 2
+        monkeypatch.setattr(markov, "_INTERN_MAX", 2)
+        capped, capped_test, capped_chains = run()
+        assert [s.cells for s in capped] == [s.cells for s in states]
+        assert (capped_test, capped_chains) == (test, chains)
+        # the third distinct table stops the interning: from it on, each change builds a new table
+        cells = [s.cells for s in capped]
+        tail = capped[cells.index(list(dict.fromkeys(cells))[2]):]
+        changes = sum(a is not b for a, b in zip(tail, tail[1:]))
+        assert len({s.cells for s in tail}) < 1 + changes == len({id(s) for s in tail})
+
+    def test_pearson_once_per_distinct_state_over_chains(self, monkeypatch):
+        t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
+        config = WalkConfig(steps=2_000, seed=4)
+        calls = spy_pearson(monkeypatch)
+        exact_test_chains(t, COMMON3, config, chains=3)
+        visited = {flat(s) for k in range(3)
+                   for s in fiber_walk(t, moves_common_diag(3), replace(config, seed=config.seed + k))}
+        assert calls[0] == flat(t)  # the observed table
+        walked = calls[1:]
+        assert len(walked) == len(set(walked)) == len(visited)
+        assert set(walked) == visited
 
     def test_infinite_statistic_threshold(self):
         assert markov._chi2_threshold(math.inf) == math.inf

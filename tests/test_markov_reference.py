@@ -5,13 +5,15 @@
 stationary law; the reference builders made each candidate move a dense
 grid, fixed its sign on the grid and checked every `Move`.  The package's
 kernel and factories must give exactly what these give: the same states
-from the same seeds, and the same moves in the same order.
+from the same seeds, and the same moves in the same order.  The kernel
+must give them whether it interns its states or has stopped interning.
 """
 
 import math
 import random
 from itertools import combinations, permutations
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +29,7 @@ from diagonal_effect import (
     moves_common_diag,
     moves_diag_effect,
 )
+from diagonal_effect import markov
 from diagonal_effect.tables import rectangle_indices, require_size, triple_indices
 
 # ---------------------------------------------------------------------------
@@ -252,4 +255,8 @@ def test_kernel_emits_the_reference_states(family, size, data, zero_row, station
     moves = FACTORIES[family][0](start.size)
     config = WalkConfig(steps=steps, burn_in=burn_in, thinning=thinning, seed=seed,
                         stationary=stationary)
-    assert emitted(fiber_walk(start, moves, config)) == emitted(reference_fiber_walk(start, moves, config))
+    expected = emitted(reference_fiber_walk(start, moves, config))
+    assert emitted(fiber_walk(start, moves, config)) == expected
+    # a walk that stops interning its states after the first one
+    with mock.patch.object(markov, "_INTERN_MAX", 1):
+        assert emitted(fiber_walk(start, moves, config)) == expected
