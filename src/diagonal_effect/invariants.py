@@ -24,8 +24,8 @@ from .polynomials import (
     CellPolynomial,
     Monomial,
     binomial_from_vector,
+    cell_var,
     clear_denominators,
-    mono_from_cells,
 )
 from .tables import Move, ProbTable, rectangle_indices, require_size, triple_indices
 
@@ -36,24 +36,41 @@ class Invariant:
     poly: CellPolynomial
 
 
-def _family_poly(I: int) -> Callable[..., CellPolynomial]:
-    """`CellPolynomial.from_cell_terms` at size I for one family build.  It
-    turns each distinct cell product into a monomial once: the 2870 I = 5
-    mixture polynomials have 11,720 terms but only 2,050 distinct
-    monomials."""
+IdGrid = List[List[int]]
+
+
+def _family_poly(I: int) -> Tuple[Callable[..., CellPolynomial], IdGrid]:
+    """The polynomial builder of one family build at size I, and its id grid.
+
+    The grid `v[i][j]` is the variable id of cell (i, j), 1-based (row and
+    column 0 are padding), made once through `cell_var`, so each cell is
+    range-checked once per build rather than once per term.  The factories
+    look their ids up in it and hand the builder (coefficient, ids) pairs,
+    `ids` a tuple of ints with repeats as powers.  The builder sorts each
+    distinct id tuple into a monomial once, memoised by the unsorted tuple:
+    the 2870 I = 5 mixture polynomials have 11,720 terms but only 2,050
+    distinct monomials.  Coefficients of one monomial add up, and a product
+    that cancels drops out."""
+    idx = range(1, I + 1)
+    v = [None] + [[None] + [cell_var(i, j, I) for j in idx] for i in idx]
     monos: Dict[tuple, Monomial] = {}
 
     def poly(terms) -> CellPolynomial:
         out: Dict[Monomial, int] = {}
-        for c, cells in terms:
-            cells = tuple(cells)
-            m = monos.get(cells)
+        for c, ids in terms:
+            m = monos.get(ids)
             if m is None:
-                m = monos[cells] = mono_from_cells(cells, I)
+                m = monos[ids] = tuple(sorted(ids))
             out[m] = out.get(m, 0) + c
         return CellPolynomial(I, out)
 
-    return poly
+    return poly, v
+
+
+def _cell_ids(v: IdGrid, cell_terms) -> list:
+    """The builder's (coefficient, ids) pairs of transcribed (coefficient,
+    [(i, j), ...]) terms."""
+    return [(c, tuple(v[i][j] for i, j in cells)) for c, cells in cell_terms]
 
 
 # ---------------------------------------------------------------------------
@@ -63,28 +80,28 @@ def _family_poly(I: int) -> Callable[..., CellPolynomial]:
 def gens_independence(I: int) -> List[Invariant]:
     """All 2x2 minors p[i,j]*p[k,h] - p[i,h]*p[k,j], i<k, j<h."""
     require_size(I, 2, "independence minors")
-    poly = _family_poly(I)
+    poly, v = _family_poly(I)
     pairs = list(combinations(range(1, I + 1), 2))
-    return [Invariant(f"minor[{i},{k}|{j},{h}]", _minor(poly, i, k, j, h))
+    return [Invariant(f"minor[{i},{k}|{j},{h}]", _minor(poly, v, i, k, j, h))
             for i, k in pairs for j, h in pairs]
 
 
-def _minor(poly, i: int, k: int, j: int, h: int) -> CellPolynomial:
+def _minor(poly, v: IdGrid, i: int, k: int, j: int, h: int) -> CellPolynomial:
     """p[i,j]*p[k,h] - p[i,h]*p[k,j]."""
-    return poly([(1, [(i, j), (k, h)]), (-1, [(i, h), (k, j)])])
+    return poly([(1, (v[i][j], v[k][h])), (-1, (v[i][h], v[k][j]))])
 
 
-def _cycle_binomial(poly, a: int, b: int, c: int) -> CellPolynomial:
+def _cycle_binomial(poly, v: IdGrid, a: int, b: int, c: int) -> CellPolynomial:
     """p[a,b]*p[b,c]*p[c,a] - p[a,c]*p[c,b]*p[b,a]."""
-    return poly([(1, [(a, b), (b, c), (c, a)]), (-1, [(a, c), (c, b), (b, a)])])
+    return poly([(1, (v[a][b], v[b][c], v[c][a])), (-1, (v[a][c], v[c][b], v[b][a]))])
 
 
-def _offdiag_minors_and_cycles(I: int, poly) -> List[Invariant]:
+def _offdiag_minors_and_cycles(I: int, poly, v: IdGrid) -> List[Invariant]:
     """The 2x2 minors over four pairwise distinct indices, then one cycle
     binomial per unordered triple."""
-    out = [Invariant(f"minor[{i},{k}|{j},{h}]", _minor(poly, i, k, j, h))
+    out = [Invariant(f"minor[{i},{k}|{j},{h}]", _minor(poly, v, i, k, j, h))
            for i, k, j, h in rectangle_indices(I)]
-    out += [Invariant(f"cycle[{a},{b},{c}]", _cycle_binomial(poly, a, b, c))
+    out += [Invariant(f"cycle[{a},{b},{c}]", _cycle_binomial(poly, v, a, b, c))
             for a, b, c in triple_indices(I)]
     return out
 
@@ -98,7 +115,7 @@ def gens_diag_effect(I: int) -> List[Invariant]:
     By construction these also vanish on the mixture form of the model.
     """
     require_size(I, 3, "diagonal-effect generators")
-    return _offdiag_minors_and_cycles(I, _family_poly(I))
+    return _offdiag_minors_and_cycles(I, *_family_poly(I))
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +135,9 @@ def gens_common_toric_listed3() -> List[Invariant]:
         [(-1, [(1, 1), (2, 3), (2, 3), (3, 1)]), (1, [(1, 3), (2, 1), (2, 1), (3, 3)])],
         [(1, [(1, 3), (1, 3), (2, 1), (2, 2)]), (-1, [(1, 1), (1, 2), (2, 3), (2, 3)])],
     ]
-    poly = _family_poly(3)
-    return [Invariant(f"common-toric-3 #{k}", poly(terms)) for k, terms in enumerate(polys, 1)]
+    poly, v = _family_poly(3)
+    return [Invariant(f"common-toric-3 #{k}", poly(_cell_ids(v, terms)))
+            for k, terms in enumerate(polys, 1)]
 
 
 _LISTED3_BINOMIAL = [
@@ -205,16 +223,12 @@ def gens_common_mixture_listed3() -> List[Invariant]:
     twelve-term polynomial.  Entry 10 of the four-term group carries a
     one-sign correction documented in `nonvanishing_variants_report`.
     """
-    poly = _family_poly(3)
+    poly, v = _family_poly(3)
     out = []
-    for k, terms in enumerate(_LISTED3_BINOMIAL, 1):
-        out.append(Invariant(f"common-mixture-3 binomial #{k}", poly(terms)))
-    for k, terms in enumerate(_LISTED3_FOUR_TERM, 1):
-        out.append(Invariant(f"common-mixture-3 4-term #{k}", poly(terms)))
-    for k, terms in enumerate(_LISTED3_EIGHT_TERM, 1):
-        out.append(Invariant(f"common-mixture-3 8-term #{k}", poly(terms)))
-    for k, terms in enumerate(_LISTED3_TWELVE_TERM, 1):
-        out.append(Invariant(f"common-mixture-3 12-term #{k}", poly(terms)))
+    for group, lists in (("binomial", _LISTED3_BINOMIAL), ("4-term", _LISTED3_FOUR_TERM),
+                         ("8-term", _LISTED3_EIGHT_TERM), ("12-term", _LISTED3_TWELVE_TERM)):
+        for k, terms in enumerate(lists, 1):
+            out.append(Invariant(f"common-mixture-3 {group} #{k}", poly(_cell_ids(v, terms))))
     return out
 
 
@@ -227,42 +241,42 @@ def listed_mixture_term_counts() -> dict:
 # common-diagonal-effect: mixture invariant families for general I
 # ---------------------------------------------------------------------------
 
-def _diag_balance_poly(poly, i, j, k, l, m, n) -> CellPolynomial:
+def _diag_balance_poly(poly, v: IdGrid, i, j, k, l, m, n) -> CellPolynomial:
     return poly([
-        (1, [(i, j), (k, l), (n, n)]),
-        (-1, [(i, j), (n, l), (k, n)]),
-        (-1, [(i, j), (k, l), (m, m)]),
-        (1, [(k, l), (m, j), (i, m)]),
+        (1, (v[i][j], v[k][l], v[n][n])),
+        (-1, (v[i][j], v[n][l], v[k][n])),
+        (-1, (v[i][j], v[k][l], v[m][m])),
+        (1, (v[k][l], v[m][j], v[i][m])),
     ])
 
 
-def _mixed8_poly(poly, i, j, k, diag_square_sign=-1) -> CellPolynomial:
+def _mixed8_poly(poly, v: IdGrid, i, j, k, diag_square_sign=-1) -> CellPolynomial:
     return poly([
-        (1, [(i, j), (i, i), (k, k)]),
-        (1, [(i, j), (j, j), (k, k)]),
-        (-1, [(i, j), (i, i), (j, j)]),
-        (diag_square_sign, [(i, j), (k, k), (k, k)]),
-        (1, [(k, k), (i, k), (k, j)]),
-        (-1, [(i, i), (i, k), (k, j)]),
-        (1, [(i, j), (i, j), (j, i)]),
-        (-1, [(i, j), (k, j), (j, k)]),
+        (1, (v[i][j], v[i][i], v[k][k])),
+        (1, (v[i][j], v[j][j], v[k][k])),
+        (-1, (v[i][j], v[i][i], v[j][j])),
+        (diag_square_sign, (v[i][j], v[k][k], v[k][k])),
+        (1, (v[k][k], v[i][k], v[k][j])),
+        (-1, (v[i][i], v[i][k], v[k][j])),
+        (1, (v[i][j], v[i][j], v[j][i])),
+        (-1, (v[i][j], v[k][j], v[j][k])),
     ])
 
 
-def _diag12_poly(poly, i, j, k) -> CellPolynomial:
+def _diag12_poly(poly, v: IdGrid, i, j, k) -> CellPolynomial:
     return poly([
-        (1, [(i, i), (j, j), (j, j)]),
-        (1, [(i, i), (i, i), (k, k)]),
-        (1, [(j, j), (k, k), (k, k)]),
-        (-1, [(i, i), (i, i), (j, j)]),
-        (-1, [(j, j), (j, j), (k, k)]),
-        (-1, [(i, i), (k, k), (k, k)]),
-        (1, [(i, i), (i, j), (j, i)]),
-        (-1, [(i, i), (i, k), (k, i)]),
-        (1, [(j, j), (j, k), (k, j)]),
-        (-1, [(j, j), (j, i), (i, j)]),
-        (1, [(k, k), (k, i), (i, k)]),
-        (-1, [(k, k), (k, j), (j, k)]),
+        (1, (v[i][i], v[j][j], v[j][j])),
+        (1, (v[i][i], v[i][i], v[k][k])),
+        (1, (v[j][j], v[k][k], v[k][k])),
+        (-1, (v[i][i], v[i][i], v[j][j])),
+        (-1, (v[j][j], v[j][j], v[k][k])),
+        (-1, (v[i][i], v[k][k], v[k][k])),
+        (1, (v[i][i], v[i][j], v[j][i])),
+        (-1, (v[i][i], v[i][k], v[k][i])),
+        (1, (v[j][j], v[j][k], v[k][j])),
+        (-1, (v[j][j], v[j][i], v[i][j])),
+        (1, (v[k][k], v[k][i], v[i][k])),
+        (-1, (v[k][k], v[k][j], v[j][k])),
     ])
 
 
@@ -286,8 +300,8 @@ def gens_common_mixture_families(I: int) -> List[Invariant]:
     variant).
     """
     require_size(I, 3, "common-diagonal mixture families")
-    poly = _family_poly(I)
-    out = _offdiag_minors_and_cycles(I, poly)
+    poly, v = _family_poly(I)
+    out = _offdiag_minors_and_cycles(I, poly, v)
     idx = range(1, I + 1)
     for i, j in permutations(idx, 2):
         for k, l in permutations(idx, 2):
@@ -301,12 +315,12 @@ def gens_common_mixture_families(I: int) -> List[Invariant]:
                         continue
                     out.append(Invariant(
                         f"diagbal[{i},{j};{k},{l};{m},{n}]",
-                        _diag_balance_poly(poly, i, j, k, l, m, n),
+                        _diag_balance_poly(poly, v, i, j, k, l, m, n),
                     ))
     for i, j, k in permutations(idx, 3):
-        out.append(Invariant(f"mixed8[{i},{j},{k}]", _mixed8_poly(poly, i, j, k)))
+        out.append(Invariant(f"mixed8[{i},{j},{k}]", _mixed8_poly(poly, v, i, j, k)))
     for a, b, c in triple_indices(I):
-        out.append(Invariant(f"diag12[{a},{b},{c}]", _diag12_poly(poly, a, b, c)))
+        out.append(Invariant(f"diag12[{a},{b},{c}]", _diag12_poly(poly, v, a, b, c)))
     return out
 
 
@@ -392,9 +406,9 @@ def nonvanishing_variants_report(point: Optional[ProbTable] = None) -> List[dict
             d=(third, third, third),
         ))
     reports = []
-    poly = _family_poly(3)
-    variant = poly(_LISTED3_FOUR_TERM_10_VARIANT)
-    emitted = poly(_LISTED3_FOUR_TERM[9])
+    poly, v = _family_poly(3)
+    variant = poly(_cell_ids(v, _LISTED3_FOUR_TERM_10_VARIANT))
+    emitted = poly(_cell_ids(v, _LISTED3_FOUR_TERM[9]))
     reports.append({
         "name": "common-mixture-3 4-term #10",
         "suspect_monomial": "p[2,2]*p[3,1]*p[3,2]",
@@ -403,8 +417,8 @@ def nonvanishing_variants_report(point: Optional[ProbTable] = None) -> List[dict
         "variant_polynomial": str(variant),
         "emitted_polynomial": str(emitted),
     })
-    variant_g = _mixed8_poly(poly, 1, 2, 3, diag_square_sign=1)
-    emitted_g = _mixed8_poly(poly, 1, 2, 3, diag_square_sign=-1)
+    variant_g = _mixed8_poly(poly, v, 1, 2, 3, diag_square_sign=1)
+    emitted_g = _mixed8_poly(poly, v, 1, 2, 3, diag_square_sign=-1)
     reports.append({
         "name": "mixed8[1,2,3]",
         "suspect_monomial": "p[1,2]*p[3,3]^2",

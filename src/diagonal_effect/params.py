@@ -137,29 +137,25 @@ def toric_point(params: ToricParams) -> Tuple[ProbTable, Normalizers]:
     norms = normalizers(params)
     if norms.N_T <= 0:
         raise InputError("degenerate parameters: N_T must be positive")
-    I = params.size
-    cells = tuple(
-        tuple(
-            params.zeta_r[i] * params.zeta_c[j] * (params.zeta_g[i] if i == j else 1) / norms.N_T
-            for j in range(I)
-        )
-        for i in range(I)
-    )
-    return ProbTable(size=I, cells=cells), norms
+    rows = []
+    for i, zr in enumerate(params.zeta_r):
+        scale = zr / norms.N_T
+        row = [scale * zc for zc in params.zeta_c]
+        row[i] *= params.zeta_g[i]
+        rows.append(tuple(row))
+    return ProbTable(size=params.size, cells=tuple(rows)), norms
 
 
 def mixture_point(params: MixtureParams) -> ProbTable:
     """alpha * rank-one table + (1 - alpha) * diagonal table, exactly."""
-    I = params.size
     a = params.alpha
-    cells = tuple(
-        tuple(
-            a * params.r[i] * params.c[j] + ((1 - a) * params.d[i] if i == j else 0)
-            for j in range(I)
-        )
-        for i in range(I)
-    )
-    return ProbTable(size=I, cells=cells)
+    rows = []
+    for i, r in enumerate(params.r):
+        scale = a * r
+        row = [scale * c for c in params.c]
+        row[i] += (1 - a) * params.d[i]
+        rows.append(tuple(row))
+    return ProbTable(size=params.size, cells=tuple(rows))
 
 
 def independence_factorize(P: ProbTable) -> Optional[Tuple[tuple, tuple]]:

@@ -198,21 +198,30 @@ class CellPolynomial:
         return self.evaluate_cleared(*clear_denominators(point, self.size), {})
 
     def evaluate_cleared(self, nums: Sequence[int], den: int,
-                         monomials: Dict[Monomial, Tuple[int, int]]) -> Fraction:
-        """Exact value where variable v is nums[v] / den: the integer sum of
-        c * N^m * D^(deg f - deg m) over the terms c*x^m, over D^(deg f).
-        `monomials` holds (N^m, deg m) for each monomial m already met at
-        these `nums` and gains the ones this polynomial adds, so that a
-        batch of polynomials evaluated at one point shares them."""
-        by_degree: Dict[int, int] = {}  # the sum of c * N^m over the terms of each degree
+                         monomials: Dict[Monomial, int]) -> Fraction:
+        """Exact value where variable v is nums[v] / den, in one integer loop.
+        The sum is held over D^deg, deg the highest term degree met so far:
+        a term c*x^m of degree d <= deg adds c * N^m * D^(deg - d), and one
+        of higher degree first multiplies the sum by D^(d - deg).  So a
+        homogeneous polynomial, as every invariant is, takes no power of D
+        until the final division.  `monomials` holds N^m for each monomial m
+        already met at these `nums` and gains the ones this polynomial adds,
+        so that a batch of polynomials evaluated at one point shares them."""
+        total = deg = 0
         for m, c in self.terms.items():
-            value = monomials.get(m)
-            if value is None:
-                value = monomials[m] = _monomial_value(m, nums)
-            x, d = value
-            by_degree[d] = by_degree.get(d, 0) + c * x
-        deg = max(by_degree, default=0)
-        total = sum(s * den ** (deg - d) for d, s in by_degree.items())
+            x = monomials.get(m)
+            if x is None:
+                x = monomials[m] = _monomial_value(m, nums)
+            d = len(m)
+            if d == deg:
+                total += c * x
+            elif d < deg:
+                total += c * x * den ** (deg - d)
+            else:
+                if total:
+                    total *= den ** (d - deg)
+                total += c * x
+                deg = d
         return Fraction(total, den ** deg)
 
     def render_monomial(self, m: Monomial) -> str:
@@ -253,11 +262,11 @@ class CellPolynomial:
         return f"CellPolynomial(size={self.size}, {str(self)})"
 
 
-def _monomial_value(m: Monomial, nums: Sequence[int]) -> Tuple[int, int]:
-    """(N^m, deg m), with variable v at nums[v]."""
+def _monomial_value(m: Monomial, nums: Sequence[int]) -> int:
+    """N^m, with variable v at nums[v]."""
     if m and m[-1] >= len(nums):
         raise InputError("cannot evaluate an auxiliary variable at a table")
-    return prod(map(nums.__getitem__, m)), len(m)
+    return prod(map(nums.__getitem__, m))
 
 
 def binomial_from_vector(flat: Sequence[int], size: int) -> CellPolynomial:

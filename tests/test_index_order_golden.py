@@ -6,7 +6,7 @@ over must keep their order.  `golden/index_order.json` holds, for each
 source and size, the number of entries and the SHA-256 of the JSON list of
 entries: `(name, str(poly))` for invariants, `(label, cells)` for moves and
 `str(poly)` for move binomials.  The I = 5 mixture families alone print
-2870 polynomials, hence digests rather than the lists.  Regenerate the file
+2870 polynomials (11,890 at I = 6), hence digests rather than the lists.  Regenerate the file
 only for a change that is meant to reorder or rewrite a family, and say so
 in CHANGES.md:
 
@@ -43,11 +43,12 @@ SOURCES = {
 }
 for _I in (2, 3, 4, 5):
     SOURCES[f"gens_independence/{_I}"] = lambda I=_I: _gens(invariants.gens_independence(I))
-for _I in (3, 4, 5):
+for _I in (3, 4, 5, 6):
     SOURCES[f"gens_diag_effect/{_I}"] = lambda I=_I: _gens(invariants.gens_diag_effect(I))
     SOURCES[f"gens_common_mixture_families/{_I}"] = (
         lambda I=_I: _gens(invariants.gens_common_mixture_families(I))
     )
+for _I in (3, 4, 5):
     SOURCES[f"moves_diag_effect/{_I}"] = lambda I=_I: _moves(markov.moves_diag_effect(I))
     SOURCES[f"moves_common_diag/{_I}"] = lambda I=_I: _moves(markov.moves_common_diag(I))
     SOURCES[f"moves_to_binomials/diag/{_I}"] = lambda I=_I: _binomials(markov.moves_diag_effect(I))

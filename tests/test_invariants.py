@@ -26,6 +26,7 @@ from diagonal_effect.invariants import (
     _LISTED3_EIGHT_TERM,
     _LISTED3_FOUR_TERM,
     _LISTED3_TWELVE_TERM,
+    _cell_ids,
     _family_poly,
     _mixed8_poly,
 )
@@ -169,7 +170,8 @@ class TestMixtureFamilies:
         assert names.count("diag12") == 4
 
     def test_literal_mixed8_variant_fails_vanishing(self):
-        bad = [_mixed8_poly(_family_poly(3), i, j, k, 1) for i, j, k in permutations(range(1, 4))]
+        poly, v = _family_poly(3)
+        bad = [_mixed8_poly(poly, v, i, j, k, 1) for i, j, k in permutations(range(1, 4))]
         assert len(bad) == 6
         point = common_mixture_point(3, 0)
         report = check_vanishing(bad, point)
@@ -242,13 +244,18 @@ class TestFamilyBuilds:
             gens_common_mixture_families(2)
 
     def test_family_builder_matches_from_cell_terms(self):
-        poly = _family_poly(3)
+        # the builder takes (coefficient, ids) pairs, ids looked up in the
+        # build's grid; the transcribed lists reach it through `_cell_ids`
+        poly, v = _family_poly(3)
+        assert [v[i][1:] for i in range(1, 4)] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
         cancelling = [(1, ((1, 2), (2, 1))), (2, ((3, 3),)), (-1, ((2, 1), (1, 2)))]
         for terms in [*_LISTED3_FOUR_TERM, *_LISTED3_EIGHT_TERM, *_LISTED3_TWELVE_TERM, cancelling]:
-            built = poly(terms)
+            built = poly(_cell_ids(v, terms))
             assert built == CellPolynomial.from_cell_terms(3, terms)
             assert all(c.__class__ is int for c in built.terms.values())
-        assert poly(cancelling).terms == {(8,): 2}
+        assert poly(_cell_ids(v, cancelling)).terms == {(8,): 2}
+        # the same products as id tuples in other orders: one monomial each
+        assert poly([(1, (1, 3)), (2, (8,)), (-1, (3, 1))]).terms == {(8,): 2}
 
 
 class TestTranscriptionReport:

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diagonal_effect import CellPolynomial, InputError, ProbTable, SizeMismatchError, TermOrder
+from diagonal_effect import (
+    CellPolynomial,
+    InputError,
+    ProbTable,
+    SizeMismatchError,
+    TermOrder,
+    check_vanishing,
+)
 from diagonal_effect.polynomials import (
     binomial_from_vector,
     cell_var,
@@ -71,16 +78,43 @@ def cell_terms_and_point(draw):
     terms = draw(st.lists(st.tuples(coefficients, st.lists(cell, max_size=4)), max_size=6))
     all_cells = [(i, j) for i in range(1, size + 1) for j in range(1, size + 1)]
     if draw(st.booleans()):
-        weights = draw(st.lists(st.integers(0, 30), min_size=size * size, max_size=size * size)
-                       .filter(any))
-        total = sum(weights)
-        values = {c: Fraction(w, total) for c, w in zip(all_cells, weights)}
-        point = ProbTable.from_rows([[values[(i, j)] for j in range(1, size + 1)]
-                                     for i in range(1, size + 1)])
+        values = draw(prob_values(size))
+        point = prob_table(size, values)
     else:
         values = draw(st.dictionaries(st.sampled_from(all_cells), coefficients))
         point = values
     return size, terms, values, point
+
+
+def prob_values(size: int):
+    """{(i, j): probability} over every cell, from integer weights 0..30, so
+    some cells are 0."""
+    all_cells = [(i, j) for i in range(1, size + 1) for j in range(1, size + 1)]
+    weights = st.lists(st.integers(0, 30), min_size=size * size, max_size=size * size).filter(any)
+    return weights.map(lambda w: {c: Fraction(x, sum(w)) for c, x in zip(all_cells, w)})
+
+
+def prob_table(size: int, values) -> ProbTable:
+    return ProbTable.from_rows([[values[(i, j)] for j in range(1, size + 1)]
+                                for i in range(1, size + 1)])
+
+
+@st.composite
+def batch_and_values(draw):
+    """A batch of polynomials over a 2x2 or 3x3 table, and the cell values
+    of a ProbTable.  Terms have mixed degree 0..4 within a polynomial and
+    draw their cell products from one small pool, so the batch shares
+    monomials across polynomials."""
+    size = draw(st.integers(2, 3))
+    cell = st.tuples(st.integers(1, size), st.integers(1, size))
+    pool = draw(st.lists(st.lists(cell, max_size=4), min_size=1, max_size=6))
+    term = st.tuples(coefficients, st.sampled_from(pool))
+    batch = draw(st.lists(st.lists(term, max_size=6), min_size=1, max_size=5))
+    return size, batch, draw(prob_values(size))
+
+
+QUARTERS = {(1, 1): Fraction(1, 2), (1, 2): Fraction(1, 4), (2, 1): Fraction(1, 8),
+            (2, 2): Fraction(1, 8)}
 
 
 class TestExactEvaluation:
@@ -93,6 +127,22 @@ class TestExactEvaluation:
         value = CellPolynomial.from_cell_terms(size, terms).evaluate(point)
         assert type(value) is Fraction
         assert value == naive_value(terms, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(batch_and_values())
+    # a higher-degree term after a lower-degree one, in a polynomial whose
+    # degree-1 monomial the next polynomial shares
+    @example((2, [[(Fraction(2, 3), [(1, 1)]), (-1, [(1, 2), (2, 1), (2, 2)]), (5, [])],
+                  [(3, [(1, 1)]), (Fraction(-1, 7), [(2, 2), (2, 2)])]], QUARTERS))
+    @example((2, [[(Fraction(-7, 3), [])]], QUARTERS))  # a constant only
+    @example((2, [[], [(1, [(1, 2)]), (-1, [(1, 2)])]], QUARTERS))  # the zero polynomial
+    def test_batch_agrees_with_term_by_term_fractions(self, case):
+        size, batch, values = case
+        polys = [CellPolynomial.from_cell_terms(size, terms) for terms in batch]
+        report = check_vanishing(polys, prob_table(size, values))
+        assert [name for name, _ in report.entries] == [f"poly #{k}" for k in range(1, len(batch) + 1)]
+        assert all(type(value) is Fraction for _, value in report.entries)
+        assert [value for _, value in report.entries] == [naive_value(t, values) for t in batch]
 
     def test_integral_coefficients_are_ints(self):
         p = CellPolynomial(2, {(0,): Fraction(6, 3), (1,): Fraction(1, 2), (): Fraction(4, 2)})
