@@ -3,18 +3,21 @@
 Every command prints one RunRecord JSON document echoing its full effective
 configuration (including every seed), so a record can be replayed
 bit for bit.  Exact rationals serialize as "num/den" strings; only
-p-values and standard errors are decimal floats.
+p-values and standard errors are decimal floats.  This module alone shapes
+RunRecords; the library returns values only.
 
-Exit codes: 0 success, 2 input error, 3 budget or convergence error,
-4 internal invariant violation.
+Exit codes: 0 success, 1 output pipe closed before the output was written,
+2 input error, 3 budget or convergence error, 4 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -130,44 +133,33 @@ def parse_params(
     if not isinstance(data, dict):
         raise InputError("parameter JSON must be an object")
 
+    common = model is not None and model.family is ModelFamily.COMMON_DIAGONAL_EFFECT
     if {"zeta_r", "zeta_c", "zeta_gamma"} <= set(data):
+        diagonal = "zeta_gamma"
         params = ToricParams(
             zeta_r=_parse_vector(data["zeta_r"], "zeta_r"),
             zeta_c=_parse_vector(data["zeta_c"], "zeta_c"),
             zeta_g=_parse_vector(data["zeta_gamma"], "zeta_gamma"),
         )
-        if (
-            model is not None
-            and model.family is ModelFamily.COMMON_DIAGONAL_EFFECT
-            and not params.has_common_diagonal()
-        ):
-            raise InputError("zeta_gamma: common-diagonal model needs all entries equal")
-        return params
-
-    if {"alpha", "r", "c"} <= set(data):
+    elif {"alpha", "r", "c"} <= set(data):
+        diagonal = "d"
         alpha = _parse_rational(data["alpha"], "alpha")
-        if not (0 <= alpha <= 1):
-            raise InputError(f"alpha: must lie in [0,1], got {alpha}")
         r = _parse_vector(data["r"], "r")
         c = _parse_vector(data["c"], "c")
         if "d" in data:
             d = _parse_vector(data["d"], "d")
-        elif model is not None and model.family is ModelFamily.COMMON_DIAGONAL_EFFECT:
+        elif common:
             d = tuple(Fraction(1, len(r)) for _ in r)
         else:
             raise InputError("d: missing (only the common-diagonal model defaults it to uniform)")
         params = MixtureParams(alpha=alpha, r=r, c=c, d=d)
-        if (
-            model is not None
-            and model.family is ModelFamily.COMMON_DIAGONAL_EFFECT
-            and not params.has_common_diagonal()
-        ):
-            raise InputError("d: common-diagonal model needs the uniform diagonal")
-        return params
-
-    raise InputError(
-        "parameter JSON needs keys {zeta_r, zeta_c, zeta_gamma} or {alpha, r, c[, d]}"
-    )
+    else:
+        raise InputError(
+            "parameter JSON needs keys {zeta_r, zeta_c, zeta_gamma} or {alpha, r, c[, d]}"
+        )
+    if common and not params.has_common_diagonal():
+        raise InputError(f"{diagonal}: the common-diagonal model needs all entries equal")
+    return params
 
 
 def _read_file(path: str, what: str) -> str:
@@ -191,18 +183,24 @@ def _record(command: str, config: dict, outputs: dict) -> dict:
     }
 
 
-def _emit(record: dict, stream=None):
-    stream = stream or sys.stdout
-    json.dump(record, stream, indent=2)
-    stream.write("\n")
+def _emit(record: dict):
+    json.dump(record, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
-def _family(name: str) -> ModelFamily:
-    return _FAMILIES[name]
+def _table_and_model(args) -> tuple:
+    """The --table counts and the --model spec at the table's size."""
+    table = parse_count_table(_read_file(args.table, "table"))
+    return table, ModelSpec(family=_FAMILIES[args.model], form=ModelForm.TORIC, size=table.size)
 
 
-def _model(name: str, size: int, form: ModelForm = ModelForm.TORIC) -> ModelSpec:
-    return ModelSpec(family=_family(name), form=form, size=size)
+def _listed(model: ModelSpec) -> list:
+    """The transcribed generator lists of the common model, which exist at size 3 only."""
+    if model.family is not ModelFamily.COMMON_DIAGONAL_EFFECT or model.size != 3:
+        raise InputError("listed generators exist only for the common model at size 3")
+    if model.form is ModelForm.TORIC:
+        return gens_common_toric_listed3()
+    return gens_common_mixture_listed3()
 
 
 # ---------------------------------------------------------------------------
@@ -210,39 +208,26 @@ def _model(name: str, size: int, form: ModelForm = ModelForm.TORIC) -> ModelSpec
 # ---------------------------------------------------------------------------
 
 def _cmd_invariants(args) -> dict:
-    form = ModelForm(args.form)
-    family = _family(args.model)
-    if family is ModelFamily.DIAGONAL_EFFECT:
+    model = ModelSpec(family=_FAMILIES[args.model], form=ModelForm(args.form), size=args.size)
+    if args.listed:
+        gens = _listed(model)
+    elif model.family is ModelFamily.DIAGONAL_EFFECT:
         # toric and mixture forms of this family share their invariants
         gens = gens_diag_effect(args.size)
-    elif form is ModelForm.TORIC:
-        if args.listed:
-            if args.size != 3:
-                raise InputError("--listed toric generators exist only for size 3")
-            gens = gens_common_toric_listed3()
-        else:
-            model = _model(args.model, args.size)
-            gens = [
-                Invariant(f"move-binomial #{k}", poly)
-                for k, poly in enumerate(moves_to_binomials(moves_for_model(model)), 1)
-            ]
+    elif model.form is ModelForm.TORIC:
+        gens = [
+            Invariant(f"move-binomial #{k}", poly)
+            for k, poly in enumerate(moves_to_binomials(moves_for_model(model)), 1)
+        ]
     else:
-        if args.listed:
-            if args.size != 3:
-                raise InputError("--listed mixture generators exist only for size 3")
-            gens = gens_common_mixture_listed3()
-        else:
-            gens = gens_common_mixture_families(args.size)
+        gens = gens_common_mixture_families(args.size)
 
     outputs = {
         "count": len(gens),
         "generators": [{"name": g.name, "polynomial": str(g.poly)} for g in gens],
     }
     if args.evaluate:
-        params = parse_params(
-            _read_file(args.evaluate, "parameters"),
-            ModelSpec(family=family, form=form, size=args.size),
-        )
+        params = parse_params(_read_file(args.evaluate, "parameters"), model)
         if isinstance(params, ToricParams):
             point, _ = toric_point(params)
         else:
@@ -261,18 +246,36 @@ def _cmd_classify(args) -> dict:
     params = parse_params(_read_file(args.params, "parameters"))
     if not isinstance(params, ToricParams):
         raise InputError("classify expects toric parameters (zeta_r, zeta_c, zeta_gamma)")
-    return classify_toric_point(params).to_json_dict()
+    verdict = classify_toric_point(params)
+    outputs = {
+        "verdict": verdict.kind.value,
+        "case": verdict.case.value if verdict.case else None,
+        "N": str(verdict.norms.N),
+        "N_T": str(verdict.norms.N_T),
+    }
+    if verdict.witness is not None:
+        outputs["witness"] = {
+            "alpha": str(verdict.witness.alpha),
+            "r": [str(x) for x in verdict.witness.r],
+            "c": [str(x) for x in verdict.witness.c],
+            "d": [str(x) for x in verdict.witness.d],
+        }
+    return outputs
 
 
 def _cmd_boundary_check(args) -> dict:
     table = parse_count_table(_read_file(args.table, "table"))
     report = boundary_membership_check(normalize(table))
-    return report.to_json_dict()
+    return {
+        "verdict": report.verdict.value,
+        "invariants_vanish": report.invariants_vanish,
+        "toric_exclusions": [list(x) for x in report.toric_exclusions],
+        "mixture_exclusions": list(report.mixture_exclusions),
+    }
 
 
 def _cmd_sample(args) -> dict:
-    table = parse_count_table(_read_file(args.table, "table"))
-    model = _model(args.model, table.size)
+    table, model = _table_and_model(args)
     config = WalkConfig(
         steps=args.steps,
         burn_in=args.burnin,
@@ -293,8 +296,7 @@ def _cmd_sample(args) -> dict:
 
 
 def _cmd_exact_test(args) -> dict:
-    table = parse_count_table(_read_file(args.table, "table"))
-    model = _model(args.model, table.size)
+    table, model = _table_and_model(args)
     config = WalkConfig(steps=args.samples, seed=args.seed, stationary=Stationary.HYPERGEOMETRIC)
     if args.enumerate:
         if args.chains != 1:
@@ -303,12 +305,11 @@ def _cmd_exact_test(args) -> dict:
                             node_budget=DEFAULT_NODE_BUDGET)
     else:
         result = exact_test_chains(table, model, config, args.chains)
-    return result.to_json_dict()
+    return asdict(result)
 
 
 def _cmd_enumerate_fiber(args) -> dict:
-    table = parse_count_table(_read_file(args.table, "table"))
-    model = _model(args.model, table.size)
+    table, model = _table_and_model(args)
     fiber = enumerate_fiber(sufficient_statistic(table, model), model, args.budget)
     return {
         "size": len(fiber),
@@ -317,7 +318,7 @@ def _cmd_enumerate_fiber(args) -> dict:
 
 
 def _cmd_markov_moves(args) -> dict:
-    model = _model(args.model, args.size)
+    model = ModelSpec(family=_FAMILIES[args.model], form=ModelForm.TORIC, size=args.size)
     moves = moves_for_model(model)
     return {
         "count": len(moves),
@@ -329,24 +330,24 @@ def _cmd_markov_moves(args) -> dict:
 
 
 def _cmd_toric_ideal(args) -> dict:
-    model = _model(args.model, args.size)
+    model = ModelSpec(family=_FAMILIES[args.model], form=ModelForm.TORIC, size=args.size)
+    verify = args.verify_against == "listed"
+    # the common model's list is checked before a saturation that can take
+    # seconds; the others are built once toric_ideal has accepted the size
+    common = model.family is ModelFamily.COMMON_DIAGONAL_EFFECT
+    listed = _listed(model) if verify and common else None
     gens = toric_ideal(model, method=args.method)
     outputs = {
         "count": len(gens),
         "generators": [str(g) for g in gens],
         "method": args.method,
     }
-    if args.verify_against == "listed":
-        family = _family(args.model)
-        if family is ModelFamily.COMMON_DIAGONAL_EFFECT:
-            if args.size != 3:
-                raise InputError("listed common-diagonal generators exist only for size 3")
-            listed = [inv.poly for inv in gens_common_toric_listed3()]
-        elif family is ModelFamily.DIAGONAL_EFFECT:
-            listed = [inv.poly for inv in gens_diag_effect(args.size)]
-        else:
-            listed = [inv.poly for inv in gens_independence(args.size)]
-        equal = ideal_equal(gens, listed)
+    if verify:
+        if model.family is ModelFamily.INDEPENDENCE:
+            listed = gens_independence(args.size)
+        elif model.family is ModelFamily.DIAGONAL_EFFECT:
+            listed = gens_diag_effect(args.size)
+        equal = ideal_equal(gens, [inv.poly for inv in listed])
         outputs["verify_against"] = "listed"
         outputs["ideal_equal"] = equal
         outputs["verdict"] = "EQUAL" if equal else "NOT EQUAL"
@@ -354,7 +355,7 @@ def _cmd_toric_ideal(args) -> dict:
 
 
 def _cmd_check_connectivity(args) -> dict:
-    report = verify_connectivity(_family(args.model), args.size, args.max_n)
+    report = verify_connectivity(_FAMILIES[args.model], args.size, args.max_n)
     return {
         "fibers_checked": report.fibers_checked,
         "tables_seen": report.tables_seen,
@@ -449,6 +450,13 @@ def main(argv=None) -> int:
     }
     try:
         outputs = args.func(args)
+        if outputs:
+            _emit(_record(args.subcommand, config, outputs))
+        sys.stdout.flush()  # a pipe closed early raises here, not at exit
+    except BrokenPipeError:
+        # the rest goes to the null device, so the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -458,8 +466,6 @@ def main(argv=None) -> int:
     except InvariantViolationError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 4
-    if outputs:
-        _emit(_record(args.subcommand, config, outputs))
     return 0
 
 

@@ -682,16 +682,6 @@ class TestResult:
     method: str  # "MCMC" | "Enumeration"
     config: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "statistic_observed": self.statistic_observed,
-            "p_value": self.p_value,
-            "monte_carlo_stderr": self.monte_carlo_stderr,
-            "samples_used": self.samples_used,
-            "method": self.method,
-            "config": self.config,
-        }
-
 
 def pearson_statistic(cells, expected) -> float:
     """Pearson chi-square against fitted expected counts.

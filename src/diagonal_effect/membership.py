@@ -42,22 +42,6 @@ class MembershipVerdict:
     witness: Optional[MixtureParams]
     norms: Normalizers
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "verdict": self.kind.value,
-            "case": self.case.value if self.case else None,
-            "N": str(self.norms.N),
-            "N_T": str(self.norms.N_T),
-        }
-        if self.witness is not None:
-            out["witness"] = {
-                "alpha": str(self.witness.alpha),
-                "r": [str(x) for x in self.witness.r],
-                "c": [str(x) for x in self.witness.c],
-                "d": [str(x) for x in self.witness.d],
-            }
-        return out
-
 
 def classify_toric_point(params: ToricParams) -> MembershipVerdict:
     """Decide whether a strictly positive toric point admits a mixture form.
@@ -182,14 +166,6 @@ class BoundaryReport:
     invariants_vanish: bool
     toric_exclusions: tuple    # cells whose zero pattern excludes the toric form
     mixture_exclusions: tuple  # diagonal indices whose zero pattern excludes the mixture form
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "invariants_vanish": self.invariants_vanish,
-            "toric_exclusions": [list(x) for x in self.toric_exclusions],
-            "mixture_exclusions": list(self.mixture_exclusions),
-        }
 
 
 def boundary_membership_check(P: ProbTable) -> BoundaryReport:

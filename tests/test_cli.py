@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagonal_effect import InputError, MixtureParams, ModelFamily, ModelForm, ModelSpec, ToricParams
+from diagonal_effect import cli
 from diagonal_effect.cli import main, parse_count_table, parse_params
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 
 # past the interpreter's 4,300-digit limit on int <-> str conversion
@@ -119,6 +124,16 @@ class TestParseParams:
     def test_floats_rejected(self):
         with pytest.raises(InputError, match="num/den"):
             parse_params(json.dumps({"alpha": 0.5, "r": ["1"], "c": ["1"], "d": ["1"]}))
+
+    @pytest.mark.parametrize("data, field", [
+        ({"zeta_r": [1, 1, 1], "zeta_c": [1, 1, 1], "zeta_gamma": [1, 2, 1]}, "zeta_gamma"),
+        ({"alpha": "1/2", "r": ["1/3"] * 3, "c": ["1/3"] * 3, "d": ["1/2", "1/4", "1/4"]}, "d"),
+    ], ids=["toric", "mixture"])
+    def test_common_model_needs_a_common_diagonal(self, data, field):
+        common = ModelSpec(ModelFamily.COMMON_DIAGONAL_EFFECT, ModelForm.TORIC, 3)
+        with pytest.raises(InputError, match=f"^{field}: the common-diagonal model needs all entries equal"):
+            parse_params(json.dumps(data), common)
+        parse_params(json.dumps(data))
 
     def test_missing_keys(self):
         with pytest.raises(InputError, match="keys"):
@@ -302,6 +317,50 @@ class TestExitCodes:
         assert code == 2
         assert "chains" in err
         assert out == ""
+
+    @pytest.mark.parametrize("form", ["toric", "mixture"])
+    def test_listed_diag_is_2(self, capsys, form):
+        code, out, err = run_cli(
+            capsys, "invariants", "--model", "diag", "--form", form, "--size", "4", "--listed",
+        )
+        assert code == 2
+        assert "common model at size 3" in err
+        assert out == ""
+
+    def test_listed_check_precedes_the_saturation(self, capsys, monkeypatch):
+        def no_saturation(*args, **kwargs):
+            raise AssertionError("toric_ideal ran before the listed generators were checked")
+
+        monkeypatch.setattr(cli, "toric_ideal", no_saturation)
+        code, out, err = run_cli(
+            capsys, "toric-ideal", "--model", "common", "--size", "4", "--verify-against", "listed",
+        )
+        assert code == 2
+        assert "common model at size 3" in err
+        assert out == ""
+
+    def test_closed_pipe_is_1_without_traceback(self):
+        env = dict(os.environ)
+        src = str(ROOT / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        # 100,000 sample lines, far more than a pipe buffers
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "diagonal_effect.cli", "sample", "--model", "common",
+             "--table", "demos/table3.csv", "--steps", "100000", "--seed", "1"],
+            cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read().decode()
+        finally:
+            proc.kill()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert first == b"{\n"
+        assert code == 1
+        assert "Traceback" not in err
 
     def test_zero_thinning_is_2(self, capsys, tmp_path):
         table = tmp_path / "t.csv"
