@@ -62,7 +62,8 @@ from .tables import (
 from .toricideal import ideal_equal, toric_ideal
 
 # ASCII digits only, with an optional minus sign kept to name negative
-# entries; int() alone would also take "1_0", "+1" and non-ASCII digits
+# entries, for table entries and integer flags alike; int() alone would
+# also take "1_0", "+1", " 1 " and non-ASCII digits
 _COUNT = re.compile(r"(-?)[0-9]+")
 # the documented rational forms, "3/4" or an integer, in the same digits
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -77,6 +78,16 @@ _FAMILIES = {
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
+
+def _integer(text: str) -> int:
+    """The value of an integer flag, in the digits `_COUNT` allows."""
+    if _COUNT.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's digit limit
+        raise argparse.ArgumentTypeError(f"{len(text)} digits are too many") from None
+
 
 def parse_count_table(text: str) -> CountTable:
     """CSV of I lines with I comma-separated nonnegative integers."""
@@ -383,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="print model invariants, optionally evaluated")
     p.add_argument("--model", choices=["diag", "common"], required=True)
     p.add_argument("--form", choices=["toric", "mixture"], required=True)
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_integer, required=True)
     p.add_argument("--listed", action="store_true", help="use the fixed size-3 generator lists")
     p.add_argument("--evaluate", metavar="PARAMS_JSON", help="evaluate at this parameter point")
     p.set_defaults(func=_cmd_invariants)
@@ -399,44 +410,44 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="stream fiber-walk samples as JSON lines")
     p.add_argument("--model", choices=["diag", "common"], required=True)
     p.add_argument("--table", required=True, metavar="TABLE_CSV")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--burnin", type=int, default=None)
-    p.add_argument("--thinning", type=int, default=1)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--steps", type=_integer, required=True)
+    p.add_argument("--burnin", type=_integer, default=None)
+    p.add_argument("--thinning", type=_integer, default=1)
+    p.add_argument("--seed", type=_integer, required=True)
     p.add_argument("--stationary", choices=["uniform", "hypergeometric"], default="hypergeometric")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("exact-test", help="exact conditional chi-square test on the fiber")
     p.add_argument("--model", choices=["diag", "common"], required=True)
     p.add_argument("--table", required=True, metavar="TABLE_CSV")
-    p.add_argument("--samples", type=int, default=50_000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--samples", type=_integer, default=50_000)
+    p.add_argument("--seed", type=_integer, required=True)
     p.add_argument("--enumerate", action="store_true", help="exact p-value by total enumeration")
-    p.add_argument("--chains", type=int, default=1)
+    p.add_argument("--chains", type=_integer, default=1)
     p.set_defaults(func=_cmd_exact_test)
 
     p = sub.add_parser("enumerate-fiber", help="list every table sharing the sufficient statistic")
     p.add_argument("--model", choices=["diag", "common"], required=True)
     p.add_argument("--table", required=True, metavar="TABLE_CSV")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=_cmd_enumerate_fiber)
 
     p = sub.add_parser("markov-moves", help="print the move family of a model")
     p.add_argument("--model", choices=["diag", "common"], required=True)
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_integer, required=True)
     p.set_defaults(func=_cmd_markov_moves)
 
     p = sub.add_parser("toric-ideal", help="toric ideal generators from the design matrix")
     p.add_argument("--model", choices=["indep", "diag", "common"], required=True)
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_integer, required=True)
     p.add_argument("--method", choices=["saturation", "elimination"], default="saturation")
     p.add_argument("--verify-against", choices=["listed"], default=None)
     p.set_defaults(func=_cmd_toric_ideal)
 
     p = sub.add_parser("check-connectivity", help="exhaustive desk-scale fiber connectivity sweep")
     p.add_argument("--model", choices=["diag", "common"], required=True)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--size", type=_integer, required=True)
+    p.add_argument("--max-n", type=_integer, required=True)
     p.set_defaults(func=_cmd_check_connectivity)
 
     return parser

@@ -76,11 +76,7 @@ class TermOrder:
         return cls(variables=tuple(block_vars) + tuple(main_vars), block=len(block_vars))
 
     def key(self, m: Monomial):
-        return self.dense_key(list(map(m.count, self.variables)))
-
-    def dense_key(self, dense: Sequence[int]):
-        """`key` of the monomial whose exponents, listed in the order of
-        `variables`, are `dense`."""
+        dense = list(map(m.count, self.variables))
         if self.block:
             head, tail = dense[: self.block], dense[self.block:]
             return (

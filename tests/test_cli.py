@@ -380,6 +380,37 @@ class TestExitCodes:
         assert "max_n" in err
         assert out == ""
 
+    # each integer flag in a command that runs with it; int() would read
+    # each of the first three values as 3
+    @pytest.mark.parametrize("flag, argv", [
+        ("--size", ["markov-moves", "--model", "diag"]),
+        ("--steps", ["sample", "--model", "diag", "--table", "demos/table3.csv", "--seed", "1"]),
+        ("--burnin", ["sample", "--model", "diag", "--table", "demos/table3.csv",
+                      "--steps", "5", "--seed", "1"]),
+        ("--thinning", ["sample", "--model", "diag", "--table", "demos/table3.csv",
+                        "--steps", "5", "--seed", "1"]),
+        ("--seed", ["sample", "--model", "diag", "--table", "demos/table3.csv", "--steps", "5"]),
+        ("--samples", ["exact-test", "--model", "diag", "--table", "demos/table3.csv", "--seed", "1"]),
+        ("--chains", ["exact-test", "--model", "diag", "--table", "demos/table3.csv",
+                      "--samples", "100", "--seed", "1"]),
+        ("--budget", ["enumerate-fiber", "--model", "diag", "--table", "demos/table3.csv"]),
+        ("--max-n", ["check-connectivity", "--model", "diag", "--size", "3"]),
+    ])
+    @pytest.mark.parametrize("value, message", [
+        ("+0_3", "'+0_3' is not an integer"),
+        (" 3 ", "' 3 ' is not an integer"),
+        ("\u0663", "'\u0663' is not an integer"),
+        (HUGE, "5000 digits are too many"),
+    ], ids=["sign-underscore", "spaces", "arabic-indic", "huge"])
+    def test_integer_flags_take_ascii_digits_only(self, capsys, monkeypatch, flag, argv, value, message):
+        monkeypatch.chdir(ROOT)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert message in err
+        assert out == ""
+
     # C(12 + 36, 36) is about 7e10 tables; the second sweep's count passes
     # the budget at its first factor
     @pytest.mark.parametrize("size, max_n", [(6, 12), (1000, 10 ** 9)])
