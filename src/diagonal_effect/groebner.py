@@ -15,11 +15,19 @@ clear of its guard and the degree exact: `_encode` rejects a longer
 generator term, and a step that would form one (only an elimination
 order lets a tail outweigh its lead) raises rather than carry into the
 next field.  `CellPolynomial` stays the type at the boundary, and
-`saturate` keeps the toric ideals' per-variable steps inside.  Pairs
-follow the normal selection strategy with the Gebauer-Moller criteria,
-and the S-pair budget `MAX_PAIRS` turns a runaway computation into a loud
-error rather than silent truncation.  Common-diagonal I = 4 saturation,
-13,879 S-pairs, takes about 3.6 s on a 2-core x86 host under Python 3.11.
+`saturate` keeps the toric ideals' per-variable steps inside.  It
+saturates by the product of the variables `by` names, all of them by
+default.  A cell where one lattice basis row has a +-1 entry and every
+other row a 0 (a unit pivot) needs no step (Hosten and Sturmfels, GRIN,
+IPCO 1995): that row's binomial involves no other pivot, so modulo it the
+pivot is a unit once the other cells are inverted; `toricideal.pivot_basis`
+builds such a basis and gives the proof.  Pairs follow the normal selection
+strategy with the Gebauer-Moller criteria, and the S-pair budget
+`MAX_PAIRS` turns a runaway computation into a loud error rather than
+silent truncation.  Common-diagonal I = 4 saturation, 5,667 S-pairs over
+8 steps, takes 0.7-1.0 s of process time on a 2-core x86 host under
+Python 3.11 (13,879 S-pairs over 16 steps and 2.9-3.6 s with every cell
+saturated).
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import heapq
 from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError, InputError, InvariantViolationError, SizeMismatchError
-from .polynomials import CellPolynomial, Monomial, TermOrder
+from .polynomials import CellPolynomial, Monomial, TermOrder, check_distinct
 
 MAX_PAIRS = 100_000  # S-pairs one basis computation may process
 
@@ -227,29 +235,58 @@ def _groebner(basis: List[_Binomial], order: TermOrder) -> List[_Binomial]:
     return _reduced(basis, order)
 
 
-def _permute(m: int, slots: Sequence[int]) -> int:
-    """`m` with the field at position slots[k] moved to position k."""
-    return sum(((m >> (s * _WIDTH)) & _FIELD) << (k * _WIDTH) for k, s in enumerate(slots))
+def _move(m: int, s: int, t: int) -> int:
+    """`m` with the field at slot s moved to slot t: the span of slots from
+    s to t rotates by one, the fields between shifting towards s."""
+    lo, k = min(s, t), abs(t - s) * _WIDTH
+    mask = (1 << (k + _WIDTH)) - 1  # the span's fields
+    span = (m >> (lo * _WIDTH)) & mask
+    if s < t:
+        moved = span >> _WIDTH | (span & _FIELD) << k
+    else:
+        moved = (span << _WIDTH) & mask | span >> k
+    return m ^ (span ^ moved) << (lo * _WIDTH)
 
 
-def saturate(gens: Sequence[CellPolynomial], variables: Sequence[int]) -> List[CellPolynomial]:
-    """Reduced grevlex basis of the saturation of a homogeneous binomial
-    ideal by the product of `variables`: a basis with one variable last,
-    divided by that variable's powers, spans the saturation by it (Sturmfels,
-    Groebner Bases and Convex Polytopes, ch. 12).  `MAX_PAIRS` holds per step."""
+def saturate(
+    gens: Sequence[CellPolynomial], variables: Sequence[int], by: Optional[Sequence[int]] = None
+) -> List[CellPolynomial]:
+    """Reduced grevlex(`variables`) basis of the saturation of a homogeneous
+    binomial ideal by the product of `by`, all of `variables` by default.
+
+    A basis with one variable last, divided by that variable's powers, spans
+    the saturation by it (Sturmfels, Groebner Bases and Convex Polytopes,
+    ch. 12), so the steps take the variables of `by` in the order of
+    `variables`, each last in its turn.  Consecutive orders differ only in
+    which variable sits last, so the fields between the two slots shift by
+    one.  When the last variable is not in `by`, one more pass puts the
+    basis in grevlex(`variables`).  A variable repeated in `variables` or in
+    `by`, or one of `by` outside `variables`, raises InputError before any
+    step.  `MAX_PAIRS` holds per step."""
+    order = TermOrder.grevlex(variables)
+    names = order.variables
+    n = len(names)
+    steps = names
+    if by is not None:
+        check_distinct(by, "the saturating product")
+        for v in by:
+            if v not in steps:
+                raise InputError(f"variable {v} is outside the term order")
+        steps = [v for v in steps if v in by]
     if not gens:
         return []
     size = gens[0].size
-    order = TermOrder.grevlex(variables)
     basis = _encode(gens, order, size)
     if any(g.rise for g in basis):
         raise InvariantViolationError("saturation shortcut requires homogeneous generators")
-    top = (len(order.variables) - 1) * _WIDTH  # the last variable's field
-    for v in variables:
-        last = TermOrder.grevlex_last(variables, v)
-        slots = [order.variables.index(u) for u in last.variables]
-        basis = [_binomial(_permute(g.lead, slots), _permute(g.tail, slots), last) for g in basis]
-        order = last
+    top = (n - 1) * _WIDTH  # the last variable's field
+    slot = n - 1  # the slot in `names` of the variable that sits last
+    for v in steps:
+        to = names.index(v)
+        order = TermOrder.grevlex_last(names, v)
+        basis = [_binomial(_move(_move(g.lead, n - 1, slot), to, n - 1),
+                           _move(_move(g.tail, n - 1, slot), to, n - 1), order) for g in basis]
+        slot = to
         basis = _groebner(basis, order)
         # a homogeneous grevlex lead has the lower power of the last variable
         divided = []
@@ -257,7 +294,11 @@ def saturate(gens: Sequence[CellPolynomial], variables: Sequence[int]) -> List[C
             power = (g.lead >> top) << top
             divided.append(_binomial(g.lead - power, g.tail - power, order))
         basis = divided
-    return _decode(_reduced(basis, order), order, size)  # order is grevlex(variables)
+    if not steps or steps[-1] != names[-1]:  # the basis is not yet one in grevlex(variables)
+        order = TermOrder.grevlex(names)
+        basis = _groebner([_binomial(_move(g.lead, n - 1, slot), _move(g.tail, n - 1, slot), order)
+                           for g in basis], order)
+    return _decode(_reduced(basis, order), order, size)
 
 
 def reduce_basis(basis: Sequence[CellPolynomial], order: TermOrder) -> List[CellPolynomial]:

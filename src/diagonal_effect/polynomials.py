@@ -47,6 +47,15 @@ def mono_from_cells(cells: Iterable[Tuple[int, int]], size: int) -> Monomial:
     return tuple(vs)
 
 
+def check_distinct(variables: Sequence[int], where: str) -> None:
+    """InputError unless no variable id repeats in `variables`."""
+    seen = set()
+    for v in variables:
+        if v in seen:
+            raise InputError(f"variable {v} appears twice in {where}")
+        seen.add(v)
+
+
 @dataclass(frozen=True)
 class TermOrder:
     """A monomial order given by a significance-ordered variable tuple.
@@ -55,11 +64,14 @@ class TermOrder:
     `block` > 0 the first `block` variables form an elimination block:
     monomials are compared grevlex on the block first, then grevlex on the
     rest, so eliminating the block variables is a matter of discarding
-    basis elements that mention them.
+    basis elements that mention them.  A variable may appear only once.
     """
 
     variables: tuple
     block: int = 0
+
+    def __post_init__(self):
+        check_distinct(self.variables, "the term order")
 
     @classmethod
     def grevlex(cls, variables: Sequence[int]) -> "TermOrder":

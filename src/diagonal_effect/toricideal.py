@@ -1,18 +1,24 @@
 """Design matrices, integer kernels, and toric ideals of the model families.
 
 The pipeline is: model -> design matrix A -> lattice basis of ker(A^t) ->
-binomial lattice ideal -> saturation with respect to the product of all
+binomial lattice ideal -> saturation with respect to the product of the
 cell variables, which yields the full toric ideal.  `groebner.saturate`
 does the saturation inside the binomial engine, variable by variable, with
 the graded-reverse-lexicographic trick (valid because every lattice
-binomial here is degree-homogeneous).  An auxiliary variable elimination
-route is kept as an independent cross-check.
+binomial here is degree-homogeneous).  The saturation route first turns
+the echelon basis into one with unit pivots (`pivot_basis`) and saturates
+only by the cells that are not pivots (Hosten and Sturmfels, "GRIN: an
+implementation of Groebner bases for integer programming", IPCO 1995): a
+row's binomial x_p x^a - x^b, with x_p its pivot and a, b free of pivots,
+makes x_p a unit once the other cells are inverted, so the skipped steps
+change nothing.  The auxiliary variable elimination route keeps the echelon
+basis and every cell, as an independent cross-check of that rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, InvariantViolationError, SizeMismatchError
 from .groebner import buchberger, reduce_basis, saturate
@@ -122,7 +128,7 @@ def integer_kernel(A: DesignMatrix) -> List[tuple]:
         first = next((x for x in vec if x != 0), 0)
         if first < 0:
             vec = [-x for x in vec]
-        grid = tuple(tuple(vec[i * I + j] for j in range(I)) for i in range(I))
+        grid = _grid(vec, I)
         if transpose_apply(A, grid) != (0,) * s:
             raise InvariantViolationError("kernel vector fails A^t v = 0")
         basis.append(grid)
@@ -130,17 +136,72 @@ def integer_kernel(A: DesignMatrix) -> List[tuple]:
     return basis
 
 
+def _grid(vec: Sequence[int], I: int) -> tuple:
+    return tuple(tuple(vec[i * I + j] for j in range(I)) for i in range(I))
+
+
+def _flat(grid) -> List[int]:
+    return [x for row in grid for x in row]
+
+
+def pivot_basis(A: DesignMatrix) -> Tuple[List[tuple], List[Optional[int]]]:
+    """A basis of the lattice of `integer_kernel(A)`, as I x I grids, and
+    each row's pivot cell (its variable id), or None for a row without one.
+
+    A pivot is a +-1 entry of its row that is 0 in every other row, at any
+    cell but the last.  Starting from the echelon basis, a cell is eligible
+    in a row without a pivot when the row has +-1 there and the cell is not
+    yet a pivot.  While some such row has an eligible cell, the row with the
+    fewest (the first on a tie) takes the eligible cell that the fewest rows
+    use (the lowest on a tie) as its pivot, and subtracts multiples of
+    itself from the other rows to clear that cell.  Taking the most
+    constrained row first leaves the others their choices, so that as many
+    rows as possible get a pivot (every row does for the models here).
+    These are unimodular row operations, so the lattice is the same, and as
+    the row is 0 at every earlier pivot, the earlier pivots stay pivots.
+
+    Saturating the rows' binomials by the cells that are not pivots gives
+    the toric ideal (Hosten and Sturmfels, "GRIN: an implementation of
+    Groebner bases for integer programming", IPCO 1995).  Let J be the ideal
+    of the binomials and N the non-pivot cells.  The binomial of a row with
+    pivot p is x_p x^a - x^b with a and b supported on N, since the row is 0
+    at every other pivot.  With the cells of N inverted, x_p = x^(b - a)
+    modulo J is a unit, so every cell is, and J : (prod of N)^inf equals
+    J : (prod of all cells)^inf, the lattice ideal of ker(A^t), which is
+    the toric ideal.  The last cell is always saturated, so `saturate`'s
+    last step leaves the basis in grevlex order.
+    """
+    I = A.size
+    rows = [_flat(grid) for grid in integer_kernel(A)]
+    pivots: List[Optional[int]] = [None] * len(rows)
+    while True:
+        # (number of eligible cells, row, the cells) of each row still without a pivot
+        open_rows = [(len(cells), r, cells) for r, row in enumerate(rows) if pivots[r] is None
+                     and (cells := [c for c in range(I * I - 1) if row[c] in (1, -1) and c not in pivots])]
+        if not open_rows:
+            return [_grid(vec, I) for vec in rows], pivots
+        _, r, cells = min(open_rows)
+        row = rows[r]
+        p = min(cells, key=lambda c: (sum(1 for other in rows if other[c]), c))
+        pivots[r] = p
+        for k, other in enumerate(rows):
+            if k != r and other[p]:
+                q = other[p] * row[p]
+                rows[k] = [a - q * b for a, b in zip(other, row)]
+
+
 def lattice_binomials(A: DesignMatrix) -> List[CellPolynomial]:
-    return [binomial_from_vector([x for row in grid for x in row], A.size) for grid in integer_kernel(A)]
+    return [binomial_from_vector(_flat(grid), A.size) for grid in integer_kernel(A)]
 
 
 def toric_ideal(model: ModelSpec, method: str = "saturation") -> List[CellPolynomial]:
     """Generators of the toric ideal of a model, from its design matrix.
 
-    method "saturation": per-variable saturation of the lattice ideal
-    (fast, inside the binomial engine).  method "elimination": adjoin t, add
-    t * (product of all cells) - 1, eliminate t with a block order.  Both
-    agree; the test suite checks that on I = 3.
+    method "saturation": per-variable saturation of the lattice ideal of
+    `pivot_basis(A)` by the cells that are not pivots (fast, inside the
+    binomial engine).  method "elimination": adjoin t, add t * (product of
+    all cells) - 1 to the echelon basis binomials, eliminate t with a block
+    order.  Both agree; the test suite checks that up to I = 4.
 
     Sizes above 4 are rejected: basis computations there are outside this
     package's desk-scale guarantees.
@@ -149,12 +210,14 @@ def toric_ideal(model: ModelSpec, method: str = "saturation") -> List[CellPolyno
     if I > 4:
         raise InputError("toric_ideal supports sizes up to 4")
     A = design_matrix(model)
-    gens = lattice_binomials(A)
     cell_vars = list(range(I * I))
 
     if method == "saturation":
-        result = saturate(gens, cell_vars)
+        rows, pivots = pivot_basis(A)
+        gens = [binomial_from_vector(_flat(grid), I) for grid in rows]
+        result = saturate(gens, cell_vars, by=[v for v in cell_vars if v not in pivots])
     elif method == "elimination":
+        gens = lattice_binomials(A)
         aux = I * I
         rabinowitsch = CellPolynomial(I, {tuple(cell_vars + [aux]): 1, (): -1})
         order = TermOrder.elimination([aux], cell_vars)

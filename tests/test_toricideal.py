@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -27,12 +28,15 @@ from diagonal_effect import (
     toric_point,
     transpose_apply,
 )
-from diagonal_effect.groebner import _encode, _s_remainder, buchberger, saturate
+from diagonal_effect.groebner import _encode, _move, _s_remainder, _WIDTH, buchberger, reduce_basis, saturate
 from diagonal_effect.markov import moves_common_diag, moves_diag_effect
+from diagonal_effect.polynomials import binomial_from_vector
+from diagonal_effect.toricideal import _flat, pivot_basis
 
 from conftest import model, random_count_table
 
 GOLDEN = Path(__file__).parent / "golden"
+FAMILIES = (ModelFamily.INDEPENDENCE, ModelFamily.DIAGONAL_EFFECT, ModelFamily.COMMON_DIAGONAL_EFFECT)
 
 
 def spoly_reductions_all_zero(groebner_basis, order) -> bool:
@@ -42,6 +46,23 @@ def spoly_reductions_all_zero(groebner_basis, order) -> bool:
         return True
     basis = _encode(groebner_basis, order, groebner_basis[0].size)
     return all(_s_remainder(f, g, basis, order) is None for f, g in combinations(basis, 2))
+
+
+def in_lattice(v, basis) -> bool:
+    """v is an integer combination of the linearly independent `basis`:
+    Gauss-Jordan over the rationals on the columns of the basis, then the
+    unique coefficients must be integers."""
+    k = len(basis)
+    system = [[Fraction(b[i]) for b in basis] + [Fraction(v[i])] for i in range(len(v))]
+    for c in range(k):
+        p = next(i for i in range(c, len(system)) if system[i][c])
+        system[c], system[p] = system[p], system[c]
+        system[c] = [x / system[c][c] for x in system[c]]
+        for i, row in enumerate(system):
+            if i != c and row[c]:
+                system[i] = [a - row[c] * b for a, b in zip(row, system[c])]
+    consistent = not any(row[k] for row in system[k:])
+    return consistent and all(row[k].denominator == 1 for row in system[:k])
 
 
 def count_s_pairs(monkeypatch) -> list:
@@ -117,6 +138,46 @@ class TestIntegerKernel:
                     assert all(sum(grid[i][j] for i in range(I)) == 0 for j in range(I))
 
 
+@pytest.mark.parametrize("I", [2, 3, 4])
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+class TestPivotBasis:
+    def test_rows_span_the_kernel_lattice(self, family, I):
+        A = design_matrix(model(family, I))
+        grids = pivot_basis(A)[0]
+        assert all(transpose_apply(A, grid) == (0,) * A.num_params for grid in grids)
+        rows = [_flat(grid) for grid in grids]
+        echelon = [_flat(grid) for grid in integer_kernel(A)]
+        assert len(rows) == len(echelon)
+        assert all(in_lattice(v, echelon) for v in rows)
+        assert all(in_lattice(v, rows) for v in echelon)
+
+    def test_pivots_are_lone_units_in_distinct_rows(self, family, I):
+        rows, pivots = pivot_basis(design_matrix(model(family, I)))
+        rows = [_flat(grid) for grid in rows]
+        assert len(pivots) == len(rows) and None not in pivots  # every row gets one here
+        assert len(set(pivots)) == len(pivots)
+        assert I * I - 1 not in pivots
+        for r, p in enumerate(pivots):
+            assert rows[r][p] in (1, -1)
+            assert all(other[p] == 0 for k, other in enumerate(rows) if k != r)
+
+
+@pytest.mark.parametrize("family, I, skipping, full", [
+    (ModelFamily.INDEPENDENCE, 3, 7, 9),
+    (ModelFamily.DIAGONAL_EFFECT, 4, 17, 14),
+    (ModelFamily.COMMON_DIAGONAL_EFFECT, 3, 7, 9),
+])
+def test_saturating_the_echelon_binomials_by_the_last_cell_alone_falls_short(family, I, skipping, full):
+    # without unit pivots, skipping cells loses generators: the pivot rule
+    # is what makes the skipped steps unnecessary
+    m = model(family, I)
+    n = I * I
+    short = saturate(lattice_binomials(design_matrix(m)), range(n), by=[n - 1])
+    ideal = toric_ideal(m)
+    assert (len(short), len(ideal)) == (skipping, full)
+    assert not ideal_equal(short, ideal)
+
+
 class TestGroebner:
     def test_single_minor_is_its_own_basis(self):
         minor = CellPolynomial.from_cell_terms(
@@ -161,6 +222,49 @@ class TestGroebner:
         with pytest.raises(BudgetExceededError):
             saturate(gens, range(9))
 
+    def test_repeated_variable_is_rejected_before_any_step(self, monkeypatch):
+        # rejected up front: no S-pair is processed
+        gens = lattice_binomials(design_matrix(model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3)))
+        calls = count_s_pairs(monkeypatch)
+        twice = list(range(9)) + [8]
+        with pytest.raises(InputError, match="variable 8 appears twice in the term order"):
+            saturate(gens, twice)
+        with pytest.raises(InputError, match="variable 8 appears twice in the saturating product"):
+            saturate(gens, range(9), by=[8, 3, 8])
+        with pytest.raises(InputError, match="variable 9 is outside the term order"):
+            saturate(gens, range(9), by=[9])
+        with pytest.raises(InputError, match="appears twice"):
+            buchberger(gens, TermOrder(tuple(twice)))
+        with pytest.raises(InputError, match="appears twice"):
+            reduce_basis(gens, TermOrder(tuple(twice)))
+        with pytest.raises(InputError, match="appears twice"):
+            TermOrder.elimination([9], twice)
+        assert calls == []
+
+    def test_saturating_by_nothing_is_the_groebner_basis(self):
+        gens = lattice_binomials(design_matrix(model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3)))
+        assert saturate(gens, range(9), by=[]) == buchberger(gens, TermOrder.grevlex(range(9)))
+
+    def test_saturation_ends_in_the_given_order_when_the_last_variable_is_skipped(self):
+        # reversed, the cells put pivot 0 last, so a final pass re-sorts the basis
+        A = design_matrix(model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3))
+        rows, pivots = pivot_basis(A)
+        assert 0 in pivots
+        gens = [binomial_from_vector(_flat(grid), 3) for grid in rows]
+        variables = list(reversed(range(9)))
+        skipped = saturate(gens, variables, by=[v for v in variables if v not in pivots])
+        assert skipped == saturate(gens, variables)
+        assert skipped == buchberger(skipped, TermOrder.grevlex(variables))
+
+    def test_move_shifts_the_fields_between(self):
+        fields = [3, 1, 4, 1, 5, 9, 2, 6]
+        m = sum(x << (k * _WIDTH) for k, x in enumerate(fields))
+        for s in range(len(fields)):
+            for t in range(len(fields)):
+                moved = fields[:s] + fields[s + 1:]
+                moved.insert(t, fields[s])
+                assert _move(m, s, t) == sum(x << (k * _WIDTH) for k, x in enumerate(moved))
+
 
 class TestToricIdeal:
     def test_independence_2_single_minor(self):
@@ -188,6 +292,17 @@ class TestToricIdeal:
             sat = toric_ideal(m, method="saturation")
             elim = toric_ideal(m, method="elimination")
             assert [str(g) for g in sat] == [str(g) for g in elim]
+
+    @pytest.mark.parametrize("family, I", [
+        (ModelFamily.INDEPENDENCE, 3),
+        (ModelFamily.DIAGONAL_EFFECT, 4),
+        (ModelFamily.INDEPENDENCE, 4),
+    ])
+    def test_methods_agree_where_pivots_skip_most_cells(self, family, I):
+        # elimination keeps the echelon basis and every cell, so it checks
+        # the pivot rule from outside
+        m = model(family, I)
+        assert toric_ideal(m, method="saturation") == toric_ideal(m, method="elimination")
 
     def test_generators_are_pure_binomials(self):
         for family, I in (
@@ -312,16 +427,18 @@ class TestBinomialBoundary:
             ideal_equal(good, good + [bad])
 
 
-# Processed S-pairs of whole toric_ideal computations, recorded on the
-# general Fraction-coefficient Buchberger that preceded the binomial engine
-# (calls to its s_polynomial); the engine processes the same pairs.
+# Processed S-pairs of whole toric_ideal computations.  The elimination
+# rows were recorded on the general Fraction-coefficient Buchberger that
+# preceded the binomial engine (calls to its s_polynomial); the engine
+# processes the same pairs.  The saturation rows start from the unit-pivot
+# basis and skip the pivot cells' steps.
 S_PAIRS = [
-    (ModelFamily.DIAGONAL_EFFECT, 4, "saturation", 613),
-    (ModelFamily.COMMON_DIAGONAL_EFFECT, 3, "saturation", 211),
+    (ModelFamily.DIAGONAL_EFFECT, 4, "saturation", 430),
+    (ModelFamily.COMMON_DIAGONAL_EFFECT, 3, "saturation", 147),
     (ModelFamily.COMMON_DIAGONAL_EFFECT, 3, "elimination", 83),
     (ModelFamily.INDEPENDENCE, 3, "elimination", 67),
-    (ModelFamily.INDEPENDENCE, 4, "saturation", 2811),
-    (ModelFamily.COMMON_DIAGONAL_EFFECT, 4, "saturation", 13879),
+    (ModelFamily.INDEPENDENCE, 4, "saturation", 1320),
+    (ModelFamily.COMMON_DIAGONAL_EFFECT, 4, "saturation", 5667),
 ]
 
 
