@@ -259,10 +259,11 @@ def saturate(
     ch. 12), so the steps take the variables of `by` in the order of
     `variables`, each last in its turn.  Consecutive orders differ only in
     which variable sits last, so the fields between the two slots shift by
-    one.  When the last variable is not in `by`, one more pass puts the
+    one.  `by` must hold the last of `variables`, whose step leaves the
     basis in grevlex(`variables`).  A variable repeated in `variables` or in
-    `by`, or one of `by` outside `variables`, raises InputError before any
-    step.  `MAX_PAIRS` holds per step."""
+    `by`, one of `by` outside `variables`, or a `by` without the last
+    variable raises InputError before any step.  `MAX_PAIRS` holds per
+    step."""
     order = TermOrder.grevlex(variables)
     names = order.variables
     n = len(names)
@@ -272,6 +273,8 @@ def saturate(
         for v in by:
             if v not in steps:
                 raise InputError(f"variable {v} is outside the term order")
+        if names and names[-1] not in by:
+            raise InputError(f"the saturating product must hold the last variable {names[-1]}")
         steps = [v for v in steps if v in by]
     if not gens:
         return []
@@ -294,10 +297,6 @@ def saturate(
             power = (g.lead >> top) << top
             divided.append(_binomial(g.lead - power, g.tail - power, order))
         basis = divided
-    if not steps or steps[-1] != names[-1]:  # the basis is not yet one in grevlex(variables)
-        order = TermOrder.grevlex(names)
-        basis = _groebner([_binomial(_move(g.lead, n - 1, slot), _move(g.tail, n - 1, slot), order)
-                           for g in basis], order)
     return _decode(_reduced(basis, order), order, size)
 
 

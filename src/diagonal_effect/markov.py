@@ -825,7 +825,7 @@ def exact_test(
 
     if config is None:
         config = WalkConfig(steps=50_000, stationary=Stationary.HYPERGEOMETRIC)
-    return _mcmc_tests(table, model, terms, observed_stat, [config])[0]
+    return _mcmc_test(table, model, terms, observed_stat, [config])
 
 
 def _fit_terms(table: CountTable, model: ModelSpec) -> Tuple[List[_Memo], float]:
@@ -838,20 +838,21 @@ def _fit_terms(table: CountTable, model: ModelSpec) -> Tuple[List[_Memo], float]
     return terms, _pearson_flat(terms, chain.from_iterable(table.cells))
 
 
-def _mcmc_tests(table: CountTable, model: ModelSpec, terms: List[_Memo], observed_stat: float,
-                configs: Sequence[WalkConfig]) -> List[TestResult]:
-    """The MCMC test of each walk configuration, all from one fit (`terms`)
-    and one move family: the indicator of each state's statistic reaching
-    the observed one, averaged, with a batch-means standard error.  Each
+def _mcmc_test(table: CountTable, model: ModelSpec, terms: List[_Memo], observed_stat: float,
+               configs: Sequence[WalkConfig]) -> TestResult:
+    """The MCMC test pooled over one walk per configuration, all of one
+    length and from one fit (`terms`) and one move family: the indicator of
+    each state's statistic reaching the observed one, averaged over every
+    walk, with the batch-means standard error of all walks together.  Each
     distinct table is scored once per call: its indicator is kept by its
-    cells for all the chains, up to `_INTERN_MAX` tables, as `fiber_walk`
-    keeps its states."""
+    cells for all the walks, up to `_INTERN_MAX` tables, as `fiber_walk`
+    keeps its states.  The result echoes the first configuration."""
     if any(c.stationary is not Stationary.HYPERGEOMETRIC for c in configs):
         raise InputError("the sampling test requires the hypergeometric stationary law")
     threshold = _chi2_threshold(observed_stat)
     moves = moves_for_model(model)
     scores: Optional[dict] = {}
-    results = []
+    walks = []
     for config in configs:
         indicators = []
         last = indicator = None
@@ -865,15 +866,16 @@ def _mcmc_tests(table: CountTable, model: ModelSpec, terms: List[_Memo], observe
                     if scores is not None:
                         scores = _remember(scores, state.cells, indicator)
             indicators.append(indicator)
-        results.append(TestResult(
-            statistic_observed=observed_stat,
-            p_value=sum(indicators) / len(indicators),
-            monte_carlo_stderr=_batch_means_stderr(indicators),
-            samples_used=len(indicators),
-            method="MCMC",
-            config=config.to_dict(),
-        ))
-    return results
+        walks.append(indicators)
+    samples = sum(map(len, walks))
+    return TestResult(
+        statistic_observed=observed_stat,
+        p_value=sum(map(sum, walks)) / samples,
+        monte_carlo_stderr=_batch_means_stderr(walks),
+        samples_used=samples,
+        method="MCMC",
+        config=configs[0].to_dict(),
+    )
 
 
 def exact_test_chains(
@@ -882,49 +884,40 @@ def exact_test_chains(
     config: WalkConfig,
     chains: int,
 ) -> TestResult:
-    """Pool several independent MCMC chains, merged by chain index.
+    """The MCMC test of `exact_test` pooled over independent chains.
 
-    Chain k reuses the base configuration with seed + k; the pooled
-    p-value is the mean of the chain means and the standard error comes
-    from the spread across chains.  The model is fitted and its move
-    family built once for all chains.
+    Chain k reuses the base configuration with seed + k, and the model is
+    fitted and its move family built once for all chains.  The p-value is
+    the share of all the chains' indicators that reach the observed
+    statistic, with the batch-means standard error of all chains together
+    (`_batch_means_stderr`).  One chain gives exactly
+    `exact_test(method="mcmc")`; more add `"chains"` to the echoed config.
     """
     _check_count("chains", chains, 1)
-    if chains == 1:
-        return exact_test(table, model, config, method="mcmc")
     terms, observed_stat = _fit_terms(table, model)
-    configs = [replace(config, seed=config.seed + k) for k in range(chains)]
-    results = _mcmc_tests(table, model, terms, observed_stat, configs)
-    p = sum(r.p_value for r in results) / chains
-    var = sum((r.p_value - p) ** 2 for r in results) / (chains - 1)
-    merged_config = dict(config.to_dict(), chains=chains)
-    return TestResult(
-        statistic_observed=observed_stat,
-        p_value=p,
-        monte_carlo_stderr=math.sqrt(var / chains),
-        samples_used=sum(r.samples_used for r in results),
-        method="MCMC",
-        config=merged_config,
-    )
+    result = _mcmc_test(table, model, terms, observed_stat,
+                        [replace(config, seed=config.seed + k) for k in range(chains)])
+    return result if chains == 1 else replace(result, config=dict(result.config, chains=chains))
 
 
-def _batch_means_stderr(values: Sequence[float]) -> float:
-    """Standard error of the mean of a correlated chain via batch means."""
-    n = len(values)
+def _batch_means_stderr(walks: Sequence[Sequence[float]]) -> float:
+    """Standard error of the mean of all values of equal-length correlated
+    walks via batch means: each walk is cut into min(64, max(8, n // 500))
+    batches of n // batches values, the rest left out, and the error is
+    that of the mean of all the batches.  A walk shorter than its batch
+    count gives the binomial error instead, and fewer than 2 values 0.0."""
+    n = sum(map(len, walks))
     if n < 2:
         return 0.0
-    batches = min(64, max(8, n // 500))
-    length = n // batches
+    batches = min(64, max(8, len(walks[0]) // 500))
+    length = len(walks[0]) // batches
     if length < 1:
-        mean = sum(values) / n
+        mean = sum(map(sum, walks)) / n
         return math.sqrt(max(mean * (1 - mean), 0.0) / n)
-    means = []
-    for b in range(batches):
-        chunk = values[b * length:(b + 1) * length]
-        means.append(sum(chunk) / len(chunk))
-    grand = sum(means) / batches
-    var = sum((m - grand) ** 2 for m in means) / (batches - 1)
-    return math.sqrt(var / batches)
+    means = [sum(w[b * length:(b + 1) * length]) / length for w in walks for b in range(batches)]
+    grand = sum(means) / len(means)
+    var = sum((m - grand) ** 2 for m in means) / (len(means) - 1)
+    return math.sqrt(var / len(means))
 
 
 # ---------------------------------------------------------------------------

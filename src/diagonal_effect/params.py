@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import ConvergenceError, InputError
-from .tables import CountTable, ModelFamily, ModelForm, ModelSpec, ProbTable
+from .tables import CountTable, ModelFamily, ModelForm, ModelSpec, ProbTable, require_rational
 
 IPF_TOLERANCE = 1e-10
 IPF_MAX_SWEEPS = 10_000
@@ -29,8 +29,8 @@ _RAND_NUM_MAX = 100
 _RAND_DEN = 101
 
 
-def _fraction_vector(values: Sequence) -> tuple:
-    return tuple(Fraction(v) for v in values)
+def _fraction_vector(values: Sequence, name: str) -> tuple:
+    return tuple(Fraction(require_rational(v, f"{name}[{k}]")) for k, v in enumerate(values))
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,9 @@ class ToricParams:
     zeta_g: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "zeta_r", _fraction_vector(self.zeta_r))
-        object.__setattr__(self, "zeta_c", _fraction_vector(self.zeta_c))
-        object.__setattr__(self, "zeta_g", _fraction_vector(self.zeta_g))
+        object.__setattr__(self, "zeta_r", _fraction_vector(self.zeta_r, "zeta_r"))
+        object.__setattr__(self, "zeta_c", _fraction_vector(self.zeta_c, "zeta_c"))
+        object.__setattr__(self, "zeta_g", _fraction_vector(self.zeta_g, "zeta_g"))
         if not (len(self.zeta_r) == len(self.zeta_c) == len(self.zeta_g)):
             raise InputError("zeta vectors must share one length")
         for name, vec in (("zeta_r", self.zeta_r), ("zeta_c", self.zeta_c), ("zeta_g", self.zeta_g)):
@@ -86,10 +86,10 @@ class MixtureParams:
     d: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "r", _fraction_vector(self.r))
-        object.__setattr__(self, "c", _fraction_vector(self.c))
-        object.__setattr__(self, "d", _fraction_vector(self.d))
+        object.__setattr__(self, "alpha", Fraction(require_rational(self.alpha, "alpha")))
+        object.__setattr__(self, "r", _fraction_vector(self.r, "r"))
+        object.__setattr__(self, "c", _fraction_vector(self.c, "c"))
+        object.__setattr__(self, "d", _fraction_vector(self.d, "d"))
         if not (0 <= self.alpha <= 1):
             raise InputError(f"alpha must lie in [0,1], got {self.alpha}")
         if not (len(self.r) == len(self.c) == len(self.d)):

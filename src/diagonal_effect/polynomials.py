@@ -18,7 +18,7 @@ from operator import neg
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, SizeMismatchError
-from .tables import ProbTable
+from .tables import ProbTable, require_rational
 
 Monomial = Tuple[int, ...]
 
@@ -117,18 +117,14 @@ def clear_denominators(point, size: int) -> Tuple[List[int], int]:
     else:
         flat = [Fraction(0)] * (size * size)
         for (i, j), value in point.items():
-            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-                raise InputError(f"value at ({i},{j}) is not an int or a Fraction: {value!r}")
-            flat[cell_var(i, j, size)] = Fraction(value)
+            flat[cell_var(i, j, size)] = Fraction(require_rational(value, f"value at ({i},{j})"))
     den = lcm(*(p.denominator for p in flat))
     return [p.numerator * (den // p.denominator) for p in flat], den
 
 
 def _rational(c):
-    """The coefficient `c`, an int or a Fraction, as an int when integral.
-    A float is already rounded, and a string or a bool is no number here."""
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise InputError(f"coefficient is not an int or a Fraction: {c!r}")
+    """The coefficient `c`, an int or a Fraction, as an int when integral."""
+    c = require_rational(c, "coefficient")
     return c.numerator if c.denominator == 1 else c
 
 

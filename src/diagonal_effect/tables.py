@@ -71,6 +71,15 @@ def require_size(size, least: int, what: str) -> None:
         raise InputError(f"{what} need I >= {least}")
 
 
+def require_rational(value, what: str):
+    """`value` itself when it is an exact rational: an int that is not a
+    bool, or a Fraction.  Anything else raises InputError naming `what`: a
+    float is already rounded, and a string or a bool is no number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise InputError(f"{what} is not an int or a Fraction: {value!r}")
+    return value
+
+
 def _freeze_int_grid(rows: Sequence[Sequence[int]], *, what: str) -> tuple:
     size = len(rows)
     out = []
@@ -161,7 +170,8 @@ class ProbTable:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "ProbTable":
-        grid = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        grid = tuple(tuple(Fraction(require_rational(x, f"probability at ({i + 1},{j + 1})"))
+                           for j, x in enumerate(row)) for i, row in enumerate(rows))
         return cls(size=len(grid), cells=grid)
 
     def is_strictly_positive(self) -> bool:

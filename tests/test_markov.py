@@ -765,10 +765,10 @@ class TestPearsonStatistic:
         assert markov.pearson_statistic([[3, 0], [0, 0]], [[3.0, 0.0], [0.0, 0.0]]) == 0.0
 
 
-def reference_mcmc(table: CountTable, m: ModelSpec, config: WalkConfig) -> tuple:
+def reference_indicators(table: CountTable, m: ModelSpec, config: WalkConfig) -> tuple:
     """The MCMC branch of `exact_test` with the statistic computed cell by
-    cell: the public walk, the statistic of each new state, then batch
-    means; (statistic, p-value, stderr, samples)."""
+    cell: the observed statistic, and for each state of the public walk
+    whether its statistic reaches the observed one."""
     expected = expected_counts(table, m)
     observed = reference_pearson(table.cells, expected)
     threshold = markov._chi2_threshold(observed)
@@ -779,15 +779,34 @@ def reference_mcmc(table: CountTable, m: ModelSpec, config: WalkConfig) -> tuple
             last = state
             indicator = 1.0 if reference_pearson(state.cells, expected) >= threshold else 0.0
         indicators.append(indicator)
-    return (observed, sum(indicators) / len(indicators),
-            markov._batch_means_stderr(indicators), len(indicators))
+    return observed, indicators
 
 
 def reference_chains(table: CountTable, m: ModelSpec, config: WalkConfig, chains: int) -> tuple:
-    runs = [reference_mcmc(table, m, replace(config, seed=config.seed + k)) for k in range(chains)]
-    p = sum(r[1] for r in runs) / chains
-    var = sum((r[1] - p) ** 2 for r in runs) / (chains - 1)
-    return runs[0][0], p, math.sqrt(var / chains), sum(r[3] for r in runs)
+    """The walks with seeds seed, ..., seed + chains - 1 pooled: the share of
+    all their indicators, and the standard error from the batch means of
+    every walk together, each walk cut into min(64, max(8, n // 500))
+    batches of n // batches values (the binomial error when that is 0, and
+    0.0 below 2 values); (statistic, p-value, stderr, samples)."""
+    runs = [reference_indicators(table, m, replace(config, seed=config.seed + k)) for k in range(chains)]
+    walks = [indicators for _, indicators in runs]
+    n = sum(len(w) for w in walks)
+    p = sum(x for w in walks for x in w) / n
+    batches = min(64, max(8, len(walks[0]) // 500))
+    length = len(walks[0]) // batches
+    means = [sum(w[b * length:(b + 1) * length]) / length for w in walks for b in range(batches)] if length else []
+    if n < 2:
+        stderr = 0.0
+    elif not means:
+        stderr = math.sqrt(p * (1 - p) / n)
+    else:
+        grand = sum(means) / len(means)
+        stderr = math.sqrt(sum((x - grand) ** 2 for x in means) / (len(means) - 1) / len(means))
+    return runs[0][0], p, stderr, n
+
+
+def reference_mcmc(table: CountTable, m: ModelSpec, config: WalkConfig) -> tuple:
+    return reference_chains(table, m, config, 1)
 
 
 def oracle_cases() -> list:
@@ -830,6 +849,42 @@ class TestWalkOracle:
         result = exact_test_chains(table, m, config, chains=3)
         got = (result.statistic_observed, result.p_value, result.monte_carlo_stderr, result.samples_used)
         assert repr(got) == repr(reference_chains(table, m, config, 3))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("steps", [1, 2, 7])
+    def test_short_chains_match_reference(self, family, steps):
+        # below 8 values per walk the error is binomial, and 0.0 below 2 values
+        table = CountTable.from_rows([[2, 5, 3], [4, 1, 6], [5, 3, 2]])
+        m = model(family, 3)
+        config = WalkConfig(steps=steps, burn_in=3, seed=11)
+        for chains in (1, 3):
+            result = exact_test_chains(table, m, config, chains=chains)
+            got = (result.statistic_observed, result.p_value, result.monte_carlo_stderr, result.samples_used)
+            assert repr(got) == repr(reference_chains(table, m, config, chains))
+            n, p = steps * chains, result.p_value
+            assert result.samples_used == n
+            assert result.monte_carlo_stderr == (0.0 if n < 2 else math.sqrt(p * (1 - p) / n))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("steps", [1, 2, 7, 2_000])
+    def test_one_chain_is_exact_test(self, family, steps):
+        table = CountTable.from_rows([[2, 5, 3], [4, 1, 6], [5, 3, 2]])
+        m = model(family, 3)
+        config = WalkConfig(steps=steps, seed=3)
+        assert (repr(exact_test_chains(table, m, config, 1))
+                == repr(exact_test(table, m, config, method="mcmc")))
+
+    def test_two_chain_error_bars_cover_the_exact_p(self):
+        # pooled batch means: 11 of 100 seeds miss by more than 2 stderr;
+        # the spread of the two chain means missed 34
+        table = CountTable.from_rows([[1, 4, 4], [4, 2, 2], [2, 2, 3]])
+        exact = exact_test(table, COMMON3, method="enumerate").p_value
+        assert round(exact, 6) == 0.649659
+        misses = 0
+        for seed in range(100):
+            result = exact_test_chains(table, COMMON3, WalkConfig(steps=2_000, burn_in=100, seed=seed), chains=2)
+            misses += abs(result.p_value - exact) > 2 * result.monte_carlo_stderr
+        assert misses <= 15
 
     def test_cases_have_zero_expected_cells_and_open_p_values(self):
         for family, table, _ in ORACLE_CASES[-2:]:

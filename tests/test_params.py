@@ -66,6 +66,14 @@ class TestToricPoint:
         with pytest.raises(InputError):
             toric_point(ToricParams(zeta_r=(1, 0), zeta_c=(1, 0), zeta_g=(0, 0)))
 
+    @pytest.mark.parametrize("name, bad", [("zeta_r", 0.1), ("zeta_c", True), ("zeta_g", "1/3")])
+    def test_inexact_entries_rejected(self, name, bad):
+        # a float is already rounded, and a bool or a string is no number
+        vectors = dict(zeta_r=(1, third), zeta_c=(1, 2), zeta_g=(1, 1))
+        vectors[name] = (1, bad)
+        with pytest.raises(InputError, match=rf"^{name}\[1\] is not an int or a Fraction: {bad!r}$"):
+            ToricParams(**vectors)
+
 
 class TestMixturePoint:
     def test_alpha_zero_is_diagonal(self):
@@ -98,6 +106,22 @@ class TestMixturePoint:
             MixtureParams(alpha=Fraction(1, 2), r=(1, 1), c=(Fraction(1, 2),) * 2, d=(Fraction(1, 2),) * 2)
         with pytest.raises(InputError):
             MixtureParams(alpha=2, r=(1,), c=(1,), d=(1,))
+
+    @pytest.mark.parametrize("name, bad", [("alpha", 0.6), ("alpha", False), ("alpha", "3/5"),
+                                           ("r", (0.5, 0.5)), ("c", (True, False)), ("d", ("1/2", "1/2"))])
+    def test_inexact_entries_rejected(self, name, bad):
+        # each would pass every other check once coerced to a Fraction
+        half = Fraction(1, 2)
+        fields = dict(alpha=Fraction(3, 5), r=(half, half), c=(half, half), d=(half, half))
+        fields[name] = bad
+        where, value = ("alpha", bad) if name == "alpha" else (rf"{name}\[0\]", bad[0])
+        with pytest.raises(InputError, match=rf"^{where} is not an int or a Fraction: {value!r}$"):
+            MixtureParams(**fields)
+
+    def test_exact_entries_become_fractions(self):
+        params = MixtureParams(alpha=1, r=(1, 0), c=(Fraction(1, 2),) * 2, d=(0, 1))
+        assert params.alpha == 1 and type(params.alpha) is Fraction
+        assert all(type(x) is Fraction for x in params.r + params.c + params.d)
 
 
 class TestIndependenceFactorize:

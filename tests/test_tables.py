@@ -115,6 +115,13 @@ class TestProbTable:
         with pytest.raises(InputError, match=r"^probability at \(2,1\) is not a Fraction$"):
             ProbTable(size=2, cells=((half, half), (1, -half)))
 
+    @pytest.mark.parametrize("bad", [1.0, True, "1"])
+    def test_from_rows_takes_ints_and_fractions_only(self, bad):
+        # each would sum to exactly 1 once coerced to a Fraction
+        assert ProbTable.from_rows([[0, 0], [0, 1]]).cells[1][1] == Fraction(1)
+        with pytest.raises(InputError, match=rf"^probability at \(2,2\) is not an int or a Fraction: {bad!r}$"):
+            ProbTable.from_rows([[0, 0], [0, bad]])
+
     def test_normalize_is_exact(self):
         t = CountTable.from_rows([[1, 2], [3, 4]])
         p = normalize(t)

@@ -241,20 +241,29 @@ class TestGroebner:
             TermOrder.elimination([9], twice)
         assert calls == []
 
-    def test_saturating_by_nothing_is_the_groebner_basis(self):
+    def test_saturating_by_nothing_is_rejected(self, monkeypatch):
+        # the last variable's step leaves the basis in grevlex(variables);
+        # without it the basis would end in another order
         gens = lattice_binomials(design_matrix(model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3)))
-        assert saturate(gens, range(9), by=[]) == buchberger(gens, TermOrder.grevlex(range(9)))
+        calls = count_s_pairs(monkeypatch)
+        for by in ([], [0, 3]):
+            with pytest.raises(InputError, match="must hold the last variable 8$"):
+                saturate(gens, range(9), by=by)
+        assert calls == []
 
-    def test_saturation_ends_in_the_given_order_when_the_last_variable_is_skipped(self):
-        # reversed, the cells put pivot 0 last, so a final pass re-sorts the basis
+    def test_saturation_rejects_a_skipped_last_variable(self, monkeypatch):
         A = design_matrix(model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3))
         rows, pivots = pivot_basis(A)
-        assert 0 in pivots
+        assert 0 in pivots and 8 not in pivots
         gens = [binomial_from_vector(_flat(grid), 3) for grid in rows]
-        variables = list(reversed(range(9)))
-        skipped = saturate(gens, variables, by=[v for v in variables if v not in pivots])
-        assert skipped == saturate(gens, variables)
-        assert skipped == buchberger(skipped, TermOrder.grevlex(variables))
+        reversed_cells = list(reversed(range(9)))  # puts pivot 0 last
+        calls = count_s_pairs(monkeypatch)
+        with pytest.raises(InputError, match="must hold the last variable 0$"):
+            saturate(gens, reversed_cells, by=[v for v in reversed_cells if v not in pivots])
+        assert calls == []
+        # the non-pivot cells of the usual order hold the last cell
+        by = [v for v in range(9) if v not in pivots]
+        assert saturate(gens, range(9), by=by) == saturate(gens, range(9))
 
     def test_move_shifts_the_fields_between(self):
         fields = [3, 1, 4, 1, 5, 9, 2, 6]
