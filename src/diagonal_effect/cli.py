@@ -19,7 +19,7 @@ import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from . import __version__
 from .errors import (
@@ -28,30 +28,8 @@ from .errors import (
     InputError,
     InvariantViolationError,
 )
-from .invariants import (
-    Invariant,
-    gens_common_mixture_families,
-    gens_common_mixture_listed3,
-    gens_common_toric_listed3,
-    gens_diag_effect,
-    gens_independence,
-    check_vanishing,
-    moves_to_binomials,
-)
-from .markov import (
-    DEFAULT_NODE_BUDGET,
-    Stationary,
-    WalkConfig,
-    enumerate_fiber,
-    exact_test,
-    exact_test_chains,
-    fiber_walk,
-    moves_for_model,
-    verify_connectivity,
-)
-from .membership import boundary_membership_check, classify_toric_point
-from .params import MixtureParams, ToricParams, mixture_point, toric_point
 from .tables import (
+    DEFAULT_NODE_BUDGET,
     CountTable,
     ModelFamily,
     ModelForm,
@@ -59,7 +37,12 @@ from .tables import (
     normalize,
     sufficient_statistic,
 )
-from .toricideal import ideal_equal, toric_ideal
+
+if TYPE_CHECKING:
+    from .params import MixtureParams, ToricParams
+
+# Each command imports the modules it runs inside its handler, so a command
+# loads only those: an exact test never compiles the algebra modules.
 
 # ASCII digits only, with an optional minus sign kept to name negative
 # entries, for table entries and integer flags alike; int() alone would
@@ -137,6 +120,8 @@ def parse_params(
 ) -> Union[ToricParams, MixtureParams]:
     """JSON parameters: toric keys zeta_r/zeta_c/zeta_gamma, or mixture keys
     alpha/r/c/d (d may be omitted for the common-diagonal model)."""
+    from .params import MixtureParams, ToricParams
+
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, digit limit, deep nesting
@@ -207,6 +192,8 @@ def _table_and_model(args) -> tuple:
 
 def _listed(model: ModelSpec) -> list:
     """The transcribed generator lists of the common model, which exist at size 3 only."""
+    from .invariants import gens_common_mixture_listed3, gens_common_toric_listed3
+
     if model.family is not ModelFamily.COMMON_DIAGONAL_EFFECT or model.size != 3:
         raise InputError("listed generators exist only for the common model at size 3")
     if model.form is ModelForm.TORIC:
@@ -219,6 +206,14 @@ def _listed(model: ModelSpec) -> list:
 # ---------------------------------------------------------------------------
 
 def _cmd_invariants(args) -> dict:
+    from .invariants import (
+        Invariant,
+        check_vanishing,
+        gens_common_mixture_families,
+        gens_diag_effect,
+        moves_to_binomials,
+    )
+
     model = ModelSpec(family=_FAMILIES[args.model], form=ModelForm(args.form), size=args.size)
     if args.listed:
         gens = _listed(model)
@@ -226,6 +221,8 @@ def _cmd_invariants(args) -> dict:
         # toric and mixture forms of this family share their invariants
         gens = gens_diag_effect(args.size)
     elif model.form is ModelForm.TORIC:
+        from .markov import moves_for_model
+
         gens = [
             Invariant(f"move-binomial #{k}", poly)
             for k, poly in enumerate(moves_to_binomials(moves_for_model(model)), 1)
@@ -238,6 +235,8 @@ def _cmd_invariants(args) -> dict:
         "generators": [{"name": g.name, "polynomial": str(g.poly)} for g in gens],
     }
     if args.evaluate:
+        from .params import ToricParams, mixture_point, toric_point
+
         params = parse_params(_read_file(args.evaluate, "parameters"), model)
         if isinstance(params, ToricParams):
             point, _ = toric_point(params)
@@ -254,6 +253,9 @@ def _cmd_invariants(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
+    from .membership import classify_toric_point
+    from .params import ToricParams
+
     params = parse_params(_read_file(args.params, "parameters"))
     if not isinstance(params, ToricParams):
         raise InputError("classify expects toric parameters (zeta_r, zeta_c, zeta_gamma)")
@@ -275,6 +277,8 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_boundary_check(args) -> dict:
+    from .membership import boundary_membership_check
+
     table = parse_count_table(_read_file(args.table, "table"))
     report = boundary_membership_check(normalize(table))
     return {
@@ -286,6 +290,8 @@ def _cmd_boundary_check(args) -> dict:
 
 
 def _cmd_sample(args) -> dict:
+    from .markov import Stationary, WalkConfig, fiber_walk, moves_for_model
+
     table, model = _table_and_model(args)
     config = WalkConfig(
         steps=args.steps,
@@ -307,6 +313,8 @@ def _cmd_sample(args) -> dict:
 
 
 def _cmd_exact_test(args) -> dict:
+    from .markov import Stationary, WalkConfig, exact_test, exact_test_chains
+
     table, model = _table_and_model(args)
     config = WalkConfig(steps=args.samples, seed=args.seed, stationary=Stationary.HYPERGEOMETRIC)
     if args.enumerate:
@@ -320,6 +328,8 @@ def _cmd_exact_test(args) -> dict:
 
 
 def _cmd_enumerate_fiber(args) -> dict:
+    from .markov import enumerate_fiber
+
     table, model = _table_and_model(args)
     fiber = enumerate_fiber(sufficient_statistic(table, model), model, args.budget)
     return {
@@ -329,6 +339,8 @@ def _cmd_enumerate_fiber(args) -> dict:
 
 
 def _cmd_markov_moves(args) -> dict:
+    from .markov import moves_for_model
+
     model = ModelSpec(family=_FAMILIES[args.model], form=ModelForm.TORIC, size=args.size)
     moves = moves_for_model(model)
     return {
@@ -341,6 +353,8 @@ def _cmd_markov_moves(args) -> dict:
 
 
 def _cmd_toric_ideal(args) -> dict:
+    from .toricideal import ideal_equal, toric_ideal
+
     model = ModelSpec(family=_FAMILIES[args.model], form=ModelForm.TORIC, size=args.size)
     verify = args.verify_against == "listed"
     # the common model's list is checked before a saturation that can take
@@ -354,6 +368,8 @@ def _cmd_toric_ideal(args) -> dict:
         "method": args.method,
     }
     if verify:
+        from .invariants import gens_diag_effect, gens_independence
+
         if model.family is ModelFamily.INDEPENDENCE:
             listed = gens_independence(args.size)
         elif model.family is ModelFamily.DIAGONAL_EFFECT:
@@ -366,6 +382,8 @@ def _cmd_toric_ideal(args) -> dict:
 
 
 def _cmd_check_connectivity(args) -> dict:
+    from .markov import verify_connectivity
+
     report = verify_connectivity(_FAMILIES[args.model], args.size, args.max_n)
     return {
         "fibers_checked": report.fibers_checked,

@@ -28,6 +28,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from .errors import BudgetExceededError, InputError, InvariantViolationError, SizeMismatchError
 from .params import expected_counts
 from .tables import (
+    DEFAULT_NODE_BUDGET,
     CountTable,
     ModelFamily,
     ModelForm,
@@ -39,8 +40,6 @@ from .tables import (
     sufficient_statistic,
     triple_indices,
 )
-
-DEFAULT_NODE_BUDGET = 10_000_000
 
 
 # ---------------------------------------------------------------------------

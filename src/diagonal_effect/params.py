@@ -17,7 +17,15 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import ConvergenceError, InputError
-from .tables import CountTable, ModelFamily, ModelForm, ModelSpec, ProbTable, require_rational
+from .tables import (
+    CountTable,
+    ModelFamily,
+    ModelForm,
+    ModelSpec,
+    ProbTable,
+    require_rational,
+    require_sequence,
+)
 
 IPF_TOLERANCE = 1e-10
 IPF_MAX_SWEEPS = 10_000
@@ -30,7 +38,8 @@ _RAND_DEN = 101
 
 
 def _fraction_vector(values: Sequence, name: str) -> tuple:
-    return tuple(Fraction(require_rational(v, f"{name}[{k}]")) for k, v in enumerate(values))
+    return tuple(Fraction(require_rational(v, f"{name}[{k}]"))
+                 for k, v in enumerate(require_sequence(values, name)))
 
 
 @dataclass(frozen=True)

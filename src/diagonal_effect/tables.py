@@ -7,6 +7,7 @@ decidable exactly.  No floating point enters here.
 
 from __future__ import annotations
 
+import collections.abc
 import math
 import operator
 from dataclasses import dataclass, field
@@ -18,6 +19,10 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 from .errors import InputError, SizeMismatchError
 
 Grid = tuple
+
+# the default node budget of fiber enumeration, which `markov` reads under
+# its own name; it is here so that the CLI's parser need not load `markov`
+DEFAULT_NODE_BUDGET = 10_000_000
 
 
 class ModelFamily(Enum):
@@ -80,8 +85,25 @@ def require_rational(value, what: str):
     return value
 
 
+def require_sequence(value, what: str):
+    """`value` itself when it is a sequence, such as a list or a tuple;
+    anything else raises InputError naming `what`, before any entry is
+    read."""
+    if not isinstance(value, collections.abc.Sequence):
+        raise InputError(f"{what} is not a sequence: got {type(value).__name__}")
+    return value
+
+
+def _grid_rows(rows, what: str) -> Sequence[Sequence]:
+    """`rows` itself when it and each of its rows are sequences."""
+    require_sequence(rows, what)
+    for i, row in enumerate(rows):
+        require_sequence(row, f"{what}: row {i + 1}")
+    return rows
+
+
 def _freeze_int_grid(rows: Sequence[Sequence[int]], *, what: str) -> tuple:
-    size = len(rows)
+    size = len(_grid_rows(rows, what))
     out = []
     for i, row in enumerate(rows):
         if len(row) != size:
@@ -171,7 +193,8 @@ class ProbTable:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "ProbTable":
         grid = tuple(tuple(Fraction(require_rational(x, f"probability at ({i + 1},{j + 1})"))
-                           for j, x in enumerate(row)) for i, row in enumerate(rows))
+                           for j, x in enumerate(row))
+                     for i, row in enumerate(_grid_rows(rows, "probability table")))
         return cls(size=len(grid), cells=grid)
 
     def is_strictly_positive(self) -> bool:

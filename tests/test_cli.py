@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagonal_effect import InputError, MixtureParams, ModelFamily, ModelForm, ModelSpec, ToricParams
-from diagonal_effect import cli
+from diagonal_effect import toricideal
 from diagonal_effect.cli import main, parse_count_table, parse_params
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -331,7 +331,8 @@ class TestExitCodes:
         def no_saturation(*args, **kwargs):
             raise AssertionError("toric_ideal ran before the listed generators were checked")
 
-        monkeypatch.setattr(cli, "toric_ideal", no_saturation)
+        # the command reads toric_ideal from its module when it runs
+        monkeypatch.setattr(toricideal, "toric_ideal", no_saturation)
         code, out, err = run_cli(
             capsys, "toric-ideal", "--model", "common", "--size", "4", "--verify-against", "listed",
         )

@@ -1,0 +1,111 @@
+"""The package namespace, and which submodules each CLI command loads.
+
+Import scope is checked in a fresh interpreter: the other tests run the CLI
+in-process, with every submodule already loaded.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import diagonal_effect
+
+SRC = str(Path(diagonal_effect.__file__).resolve().parents[1])
+TABLE3 = str(Path(__file__).resolve().parents[1] / "demos" / "table3.csv")
+
+EXPORTS = [
+    "BoundaryReport", "BoundaryVerdict", "BudgetExceededError", "CellPolynomial",
+    "ConnectivityReport", "ConvergenceError", "CountTable", "DesignMatrix",
+    "DiagonalEffectError", "Fiber", "InputError", "Invariant", "InvariantViolationError",
+    "MembershipVerdict", "MixtureParams", "ModelFamily", "ModelForm", "ModelSpec", "Move",
+    "Normalizers", "ProbTable", "SizeMismatchError", "Stationary", "SufficientStat",
+    "SweepReport", "TermOrder", "TestResult", "ToricOnlyCase", "ToricParams",
+    "VanishingReport", "VerdictKind", "WalkConfig", "apply_move",
+    "boundary_membership_check", "check_vanishing", "classify_toric_point",
+    "common_diagonal_fit", "design_matrix", "enumerate_fiber", "errors", "exact_test",
+    "exact_test_chains", "expected_counts", "fiber_walk", "gens_common_mixture_families",
+    "gens_common_mixture_listed3", "gens_common_toric_listed3", "gens_diag_effect",
+    "gens_independence", "groebner", "ideal_equal", "independence_factorize",
+    "integer_kernel", "invariants", "is_connected", "lattice_binomials", "likelihood",
+    "listed_mixture_term_counts", "markov", "membership", "mixture_point",
+    "mixture_to_toric", "moves_common_diag", "moves_diag_effect", "moves_for_model",
+    "moves_to_binomials", "nonvanishing_variants_report", "normalize", "normalizers",
+    "params", "pearson_statistic", "polynomials", "quasi_independence_fit",
+    "random_rational_point", "sufficient_statistic", "tables", "toric_ideal",
+    "toric_params_from_table", "toric_point", "toricideal", "transpose_apply",
+    "verify_connectivity", "zero_support_cells",
+]
+SUBMODULES = {"errors", "tables", "params", "polynomials", "invariants", "markov",
+              "membership", "toricideal", "groebner"}
+
+
+def loaded_after(code: str) -> set:
+    """The package's submodules loaded once `code` has run in a fresh
+    interpreter, by their short names."""
+    probe = (f"{code}\nimport json, sys\nprint(json.dumps([m for m in sys.modules"
+             " if m.startswith('diagonal_effect.')]), file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    return {m.split(".", 1)[1] for m in json.loads(out.stderr.splitlines()[-1])}
+
+
+def after_command(*argv: str) -> set:
+    return loaded_after(f"from diagonal_effect.cli import main\nassert main({list(argv)!r}) == 0")
+
+
+class TestNamespace:
+    def test_all_is_pinned(self):
+        assert diagonal_effect.__all__ == EXPORTS
+        assert SUBMODULES <= set(EXPORTS)
+
+    def test_each_name_is_its_submodules_object(self):
+        for module in SUBMODULES:
+            assert getattr(diagonal_effect, module) is importlib.import_module(f"diagonal_effect.{module}")
+        for name in set(EXPORTS) - SUBMODULES:
+            value = getattr(diagonal_effect, name)
+            # every other export is a class or a function of the package
+            assert value is getattr(sys.modules[value.__module__], name), name
+
+    def test_dir_lists_every_export(self):
+        assert set(EXPORTS) <= set(dir(diagonal_effect))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            diagonal_effect.no_such_name
+        assert not hasattr(diagonal_effect, "DEFAULT_NODE_BUDGET")
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from diagonal_effect import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(EXPORTS)
+        assert namespace["exact_test"] is diagonal_effect.markov.exact_test
+
+
+class TestImportScope:
+    def test_package_import_loads_no_submodule(self):
+        assert loaded_after("import diagonal_effect") == set()
+
+    def test_a_name_loads_its_submodule_only(self):
+        assert loaded_after("from diagonal_effect import ProbTable") == {"errors", "tables"}
+
+    @pytest.mark.parametrize("extra", [["--samples", "200"], ["--enumerate"]], ids=["mcmc", "enumerate"])
+    def test_exact_test(self, extra):
+        loaded = after_command("exact-test", "--model", "common", "--table", TABLE3,
+                               "--seed", "1", *extra)
+        assert loaded == {"cli", "errors", "tables", "params", "markov"}
+
+    def test_check_connectivity(self):
+        loaded = after_command("check-connectivity", "--model", "diag", "--size", "3", "--max-n", "2")
+        assert loaded == {"cli", "errors", "tables", "params", "markov"}
+
+    def test_toric_ideal(self):
+        loaded = after_command("toric-ideal", "--model", "diag", "--size", "3",
+                               "--verify-against", "listed")
+        assert loaded.isdisjoint({"markov", "membership", "params"})
+        assert {"toricideal", "groebner", "invariants"} <= loaded

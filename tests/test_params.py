@@ -74,6 +74,10 @@ class TestToricPoint:
         with pytest.raises(InputError, match=rf"^{name}\[1\] is not an int or a Fraction: {bad!r}$"):
             ToricParams(**vectors)
 
+    def test_non_sequence_vector_rejected(self):
+        with pytest.raises(InputError, match=r"^zeta_r is not a sequence: got int$"):
+            ToricParams(zeta_r=5, zeta_c=(1, 2), zeta_g=(1, 1))
+
 
 class TestMixturePoint:
     def test_alpha_zero_is_diagonal(self):
@@ -117,6 +121,11 @@ class TestMixturePoint:
         where, value = ("alpha", bad) if name == "alpha" else (rf"{name}\[0\]", bad[0])
         with pytest.raises(InputError, match=rf"^{where} is not an int or a Fraction: {value!r}$"):
             MixtureParams(**fields)
+
+    def test_non_sequence_vector_rejected(self):
+        half = Fraction(1, 2)
+        with pytest.raises(InputError, match=r"^r is not a sequence: got NoneType$"):
+            MixtureParams(alpha=1, r=None, c=(half, half), d=(half, half))
 
     def test_exact_entries_become_fractions(self):
         params = MixtureParams(alpha=1, r=(1, 0), c=(Fraction(1, 2),) * 2, d=(0, 1))

@@ -83,6 +83,16 @@ class TestCountTable:
         with pytest.raises(InputError, match="not an integer"):
             CountTable(size=2, cells=cells)
 
+    @pytest.mark.parametrize("rows, message", [
+        (5, r"^count table is not a sequence: got int$"),
+        ([[1, 0], 5], r"^count table: row 2 is not a sequence: got int$"),
+    ], ids=["table", "row"])
+    def test_from_rows_rejects_non_sequences(self, rows, message):
+        with pytest.raises(InputError, match=message):
+            CountTable.from_rows(rows)
+        with pytest.raises(InputError, match=message.replace("count table", "move")):
+            Move.from_rows(rows)
+
     def test_accepts_index_entries(self):
         class Count:
             def __index__(self):
@@ -121,6 +131,14 @@ class TestProbTable:
         assert ProbTable.from_rows([[0, 0], [0, 1]]).cells[1][1] == Fraction(1)
         with pytest.raises(InputError, match=rf"^probability at \(2,2\) is not an int or a Fraction: {bad!r}$"):
             ProbTable.from_rows([[0, 0], [0, bad]])
+
+    @pytest.mark.parametrize("rows, message", [
+        (5, r"^probability table is not a sequence: got int$"),
+        ([5], r"^probability table: row 1 is not a sequence: got int$"),
+    ], ids=["table", "row"])
+    def test_from_rows_rejects_non_sequences(self, rows, message):
+        with pytest.raises(InputError, match=message):
+            ProbTable.from_rows(rows)
 
     def test_normalize_is_exact(self):
         t = CountTable.from_rows([[1, 2], [3, 4]])
