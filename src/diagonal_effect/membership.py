@@ -18,7 +18,14 @@ from typing import Optional
 
 from .errors import InputError, InvariantViolationError
 from .invariants import check_vanishing, gens_diag_effect
-from .params import MixtureParams, Normalizers, ToricParams, mixture_point, normalizers, toric_point
+from .params import (
+    MixtureParams,
+    Normalizers,
+    ToricParams,
+    mixture_point,
+    toric_numerators,
+    toric_point,
+)
 from .tables import ProbTable
 
 
@@ -56,37 +63,33 @@ def classify_toric_point(params: ToricParams) -> MembershipVerdict:
             "use boundary_membership_check for tables with zero cells"
         )
     I = params.size
-    norms = normalizers(params)
-    n, nt = norms.N, norms.N_T
-    gamma = params.zeta_g
+    # N = n/AB and N_T = T/ABC, so N_T - N = E/ABC and zeta_g[i] - 1 = (c_i - C)/C
+    a, b, c, C, n, T, norms = toric_numerators(params)
+    E = T - n * C
 
-    if nt < n:
+    if E < 0:
         return MembershipVerdict(VerdictKind.TORIC_ONLY, ToricOnlyCase.NORMALIZER_DEFICIT, None, norms)
 
-    sum_r = sum(params.zeta_r)
-    sum_c = sum(params.zeta_c)
-    r = tuple(x / sum_r for x in params.zeta_r)
-    c = tuple(x / sum_c for x in params.zeta_c)
+    sum_a, sum_b = sum(a), sum(b)
+    r = tuple(Fraction(x, sum_a) for x in a)
+    col = tuple(Fraction(x, sum_b) for x in b)
 
-    if nt == n:
-        if any(g != 1 for g in gamma):
+    if E == 0:
+        if any(ci != C for ci in c):
             return MembershipVerdict(
                 VerdictKind.TORIC_ONLY, ToricOnlyCase.EQUAL_WITH_NONUNIT_DIAGONAL, None, norms
             )
         # pure independence: alpha = 1, any d works; fix the uniform one
-        witness = MixtureParams(alpha=Fraction(1), r=r, c=c,
-                                d=tuple(Fraction(1, I) for _ in range(I)))
+        witness = MixtureParams(alpha=Fraction(1), r=r, c=col, d=(Fraction(1, I),) * I)
         return _verified(params, witness, norms)
 
-    if any(g < 1 for g in gamma):
+    if any(ci < C for ci in c):
         return MembershipVerdict(
             VerdictKind.TORIC_ONLY, ToricOnlyCase.EXCESS_WITH_SMALL_DIAGONAL, None, norms
         )
-    excess = nt - n
-    d = tuple(
-        params.zeta_r[i] * params.zeta_c[i] * (gamma[i] - 1) / excess for i in range(I)
-    )
-    witness = MixtureParams(alpha=n / nt, r=r, c=c, d=d)
+    # alpha = N/N_T = nC/T and d_i = zeta_r[i] zeta_c[i] (zeta_g[i] - 1) / (N_T - N)
+    d = tuple(Fraction(a[i] * b[i] * (c[i] - C), E) for i in range(I))
+    witness = MixtureParams(alpha=Fraction(n * C, T), r=r, c=col, d=d)
     return _verified(params, witness, norms)
 
 
@@ -104,16 +107,19 @@ def mixture_to_toric(params: MixtureParams) -> ToricParams:
     diagonal surplus; the resulting toric normalizer is exactly 1, so the
     toric point equals the mixture point cell for cell.
     """
-    if params.alpha == 0:
+    if params.alpha.numerator == 0:
         raise InputError("alpha = 0 has no toric representation (pure diagonal table)")
-    if any(x == 0 for x in params.r) or any(x == 0 for x in params.c):
+    if any(x.numerator == 0 for x in params.r) or any(x.numerator == 0 for x in params.c):
         raise InputError("mixture_to_toric needs strictly positive r and c")
-    a = params.alpha
-    zeta_g = tuple(
-        1 + (1 - a) * params.d[i] / (a * params.r[i] * params.c[i])
-        for i in range(params.size)
-    )
-    return ToricParams(zeta_r=params.r, zeta_c=tuple(a * x for x in params.c), zeta_g=zeta_g)
+    # alpha = p/q, so zeta_g[i] = 1 + (q - p) d_i / (p r_i c_i), written
+    # over the product of d_i's, r_i's and c_i's own denominators
+    p, q = params.alpha.numerator, params.alpha.denominator
+    zeta_g = []
+    for d, r, c in zip(params.d, params.r, params.c):
+        den = p * d.denominator * r.numerator * c.numerator
+        zeta_g.append(Fraction(den + (q - p) * d.numerator * r.denominator * c.denominator, den))
+    zeta_c = tuple(Fraction(p * x.numerator, q * x.denominator) for x in params.c)
+    return ToricParams(zeta_r=params.r, zeta_c=zeta_c, zeta_g=tuple(zeta_g))
 
 
 def toric_params_from_table(P: ProbTable) -> ToricParams:

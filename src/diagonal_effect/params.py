@@ -2,15 +2,21 @@
 
 The toric form uses three nonnegative parameter vectors (row, column,
 diagonal); the mixture form blends a rank-one table with a diagonal table.
-All points are produced in exact rational arithmetic.  The iterative
-proportional fit at the bottom is the one deliberately floating-point
-computation: its limit is irrational in general, and it only feeds the
-chi-square statistic of the exact tests, never the exact algebra.  It is
-one trace-constrained fit; the diagonal-effect fit is its trace-0 case.
+All points are exact.  Each parameter vector is held as integer numerators
+over the lcm of its denominators, the point arithmetic runs on those
+integers, and each output `Fraction` is built once, from its numerator and
+denominator.  The outputs are the values, types and reduced forms that one
+`Fraction` operation at a time gives, at one gcd per output instead of one
+per operation.  The iterative proportional fit at the bottom is the one
+deliberately floating-point computation: its limit is irrational in
+general, and it only feeds the chi-square statistic of the exact tests,
+never the exact algebra.  It is one trace-constrained fit; the
+diagonal-effect fit is its trace-0 case.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,8 +44,14 @@ _RAND_DEN = 101
 
 
 def _fraction_vector(values: Sequence, name: str) -> tuple:
-    return tuple(Fraction(require_rational(v, f"{name}[{k}]"))
+    return tuple(v if v.__class__ is Fraction else Fraction(require_rational(v, f"{name}[{k}]"))
                  for k, v in enumerate(require_sequence(values, name)))
+
+
+def _over_lcm(vec: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """The numerators of `vec` over the lcm of its denominators, and that lcm."""
+    den = math.lcm(*[x.denominator for x in vec])
+    return [x.numerator * (den // x.denominator) for x in vec], den
 
 
 @dataclass(frozen=True)
@@ -62,11 +74,11 @@ class ToricParams:
         if not (len(self.zeta_r) == len(self.zeta_c) == len(self.zeta_g)):
             raise InputError("zeta vectors must share one length")
         for name, vec in (("zeta_r", self.zeta_r), ("zeta_c", self.zeta_c), ("zeta_g", self.zeta_g)):
-            if any(x < 0 for x in vec):
+            if any(x.numerator < 0 for x in vec):
                 raise InputError(f"{name} has a negative entry")
-        if all(x == 0 for x in self.zeta_r):
+        if not any(x.numerator for x in self.zeta_r):
             raise InputError("zeta_r is identically zero; table cannot be normalized")
-        if all(x == 0 for x in self.zeta_c):
+        if not any(x.numerator for x in self.zeta_c):
             raise InputError("zeta_c is identically zero; table cannot be normalized")
 
     @property
@@ -74,7 +86,7 @@ class ToricParams:
         return len(self.zeta_r)
 
     def is_strictly_positive(self) -> bool:
-        return all(x > 0 for vec in (self.zeta_r, self.zeta_c, self.zeta_g) for x in vec)
+        return all(x.numerator > 0 for vec in (self.zeta_r, self.zeta_c, self.zeta_g) for x in vec)
 
     def has_common_diagonal(self) -> bool:
         return len(set(self.zeta_g)) == 1
@@ -95,18 +107,20 @@ class MixtureParams:
     d: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(require_rational(self.alpha, "alpha")))
+        if self.alpha.__class__ is not Fraction:
+            object.__setattr__(self, "alpha", Fraction(require_rational(self.alpha, "alpha")))
         object.__setattr__(self, "r", _fraction_vector(self.r, "r"))
         object.__setattr__(self, "c", _fraction_vector(self.c, "c"))
         object.__setattr__(self, "d", _fraction_vector(self.d, "d"))
-        if not (0 <= self.alpha <= 1):
+        if not (0 <= self.alpha.numerator <= self.alpha.denominator):
             raise InputError(f"alpha must lie in [0,1], got {self.alpha}")
         if not (len(self.r) == len(self.c) == len(self.d)):
             raise InputError("r, c, d must share one length")
         for name, vec in (("r", self.r), ("c", self.c), ("d", self.d)):
-            if any(x < 0 for x in vec):
+            if any(x.numerator < 0 for x in vec):
                 raise InputError(f"{name} has a negative entry")
-            if sum(vec) != 1:
+            numerators, den = _over_lcm(vec)
+            if sum(numerators) != den:
                 # no value in the message: an exact sum can pass the digit limit of str()
                 raise InputError(f"{name} must sum to exactly 1")
 
@@ -127,13 +141,22 @@ class Normalizers:
     N_T: Fraction
 
 
+def toric_numerators(params: ToricParams) -> tuple:
+    """(a, b, c, C, n, T, Normalizers) with zeta_r = a/A, zeta_c = b/B and
+    zeta_g = c/C over lcm denominators, n = sum(a) sum(b) and
+    T = n C + sum_i a_i b_i (c_i - C), so that N = n/AB and N_T = T/ABC."""
+    a, A = _over_lcm(params.zeta_r)
+    b, B = _over_lcm(params.zeta_c)
+    c, C = _over_lcm(params.zeta_g)
+    n = sum(a) * sum(b)
+    T = n * C + sum(ai * bi * (ci - C) for ai, bi, ci in zip(a, b, c))
+    return a, b, c, C, n, T, Normalizers(N=Fraction(n, A * B), N_T=Fraction(T, A * B * C))
+
+
 def normalizers(params: ToricParams) -> Normalizers:
     """Exact normalizing constants of the toric parametrization."""
-    n = sum(params.zeta_r) * sum(params.zeta_c)
-    diag_excess = sum(
-        params.zeta_r[i] * params.zeta_c[i] * (params.zeta_g[i] - 1) for i in range(params.size)
-    )
-    return Normalizers(N=n, N_T=n + diag_excess)
+    *_, norms = toric_numerators(params)
+    return norms
 
 
 def toric_point(params: ToricParams) -> Tuple[ProbTable, Normalizers]:
@@ -141,29 +164,40 @@ def toric_point(params: ToricParams) -> Tuple[ProbTable, Normalizers]:
 
     Raw cells are zeta_r[i]*zeta_c[j] off the diagonal and
     zeta_r[i]*zeta_c[i]*zeta_g[i] on it; dividing by N_T puts the point in
-    the probability simplex.
+    the probability simplex.  Over the common denominators of
+    `toric_numerators` cell (i, j) is a_i b_j C / T, and a_i b_i c_i / T on
+    the diagonal.
     """
-    norms = normalizers(params)
-    if norms.N_T <= 0:
+    a, b, c, C, _, T, norms = toric_numerators(params)
+    if T <= 0:
         raise InputError("degenerate parameters: N_T must be positive")
+    bC = [bj * C for bj in b]
     rows = []
-    for i, zr in enumerate(params.zeta_r):
-        scale = zr / norms.N_T
-        row = [scale * zc for zc in params.zeta_c]
-        row[i] *= params.zeta_g[i]
-        rows.append(tuple(row))
+    for i, ai in enumerate(a):
+        row = [ai * x for x in bC]
+        row[i] = ai * b[i] * c[i]
+        rows.append(tuple(Fraction(x, T) for x in row))
     return ProbTable(size=params.size, cells=tuple(rows)), norms
 
 
 def mixture_point(params: MixtureParams) -> ProbTable:
-    """alpha * rank-one table + (1 - alpha) * diagonal table, exactly."""
-    a = params.alpha
+    """alpha * rank-one table + (1 - alpha) * diagonal table, exactly.
+
+    With alpha = p/q, r = rho/R, c = gamma/G and d = delta/D over lcm
+    denominators, every cell is a numerator over q R G D: p rho_i gamma_j D,
+    plus (q - p) delta_i R G on the diagonal.
+    """
+    p, q = params.alpha.numerator, params.alpha.denominator
+    rho, R = _over_lcm(params.r)
+    gamma, G = _over_lcm(params.c)
+    delta, D = _over_lcm(params.d)
+    den = q * R * G * D
+    gammaD = [x * p * D for x in gamma]
     rows = []
-    for i, r in enumerate(params.r):
-        scale = a * r
-        row = [scale * c for c in params.c]
-        row[i] += (1 - a) * params.d[i]
-        rows.append(tuple(row))
+    for i, ri in enumerate(rho):
+        row = [ri * x for x in gammaD]
+        row[i] += (q - p) * delta[i] * R * G
+        rows.append(tuple(Fraction(x, den) for x in row))
     return ProbTable(size=params.size, cells=tuple(rows))
 
 
@@ -203,9 +237,10 @@ def random_rational_point(model: ModelSpec, seed: int) -> Union[ToricParams, Mix
         return tuple(raw() for _ in range(I))
 
     def simplex_vector():
-        v = raw_vector()
+        # the draws of raw_vector, each over their sum: the same Fractions
+        v = [rng.randint(1, _RAND_NUM_MAX) for _ in range(I)]
         s = sum(v)
-        return tuple(x / s for x in v)
+        return tuple(Fraction(x, s) for x in v)
 
     if model.form is ModelForm.TORIC:
         zeta_r = raw_vector()
@@ -223,7 +258,7 @@ def random_rational_point(model: ModelSpec, seed: int) -> Union[ToricParams, Mix
     r = simplex_vector()
     c = simplex_vector()
     if model.family is ModelFamily.COMMON_DIAGONAL_EFFECT:
-        d = tuple(Fraction(1, I) for _ in range(I))
+        d = (Fraction(1, I),) * I
     else:
         d = simplex_vector()
     return MixtureParams(alpha=alpha, r=r, c=c, d=d)

@@ -88,8 +88,8 @@ def require_rational(value, what: str):
 def require_sequence(value, what: str):
     """`value` itself when it is a sequence, such as a list or a tuple;
     anything else raises InputError naming `what`, before any entry is
-    read."""
-    if not isinstance(value, collections.abc.Sequence):
+    read.  A tuple or a list skips the abstract-class check, which is slow."""
+    if value.__class__ not in (tuple, list) and not isinstance(value, collections.abc.Sequence):
         raise InputError(f"{what} is not a sequence: got {type(value).__name__}")
     return value
 
@@ -100,6 +100,20 @@ def _grid_rows(rows, what: str) -> Sequence[Sequence]:
     for i, row in enumerate(rows):
         require_sequence(row, f"{what}: row {i + 1}")
     return rows
+
+
+def _require_grid(cells, size: int) -> None:
+    """Raise InputError unless `cells` is a size x size grid: a sequence of
+    `size` sequences of `size` entries each.  Tuple rows, which every
+    builder in the package passes, are taken without naming the row.  It
+    runs for every table a fiber enumeration builds, so it stays cheap."""
+    if len(require_sequence(cells, "cells")) != size:
+        raise InputError("cells must form a size x size grid")
+    for i, row in enumerate(cells):
+        if row.__class__ is not tuple:
+            require_sequence(row, f"cells: row {i + 1}")
+        if len(row) != size:
+            raise InputError("cells must form a size x size grid")
 
 
 def _freeze_int_grid(rows: Sequence[Sequence[int]], *, what: str) -> tuple:
@@ -124,8 +138,7 @@ class CountTable:
     n: int = field(init=False)
 
     def __post_init__(self):
-        if len(self.cells) != self.size or any(len(r) != self.size for r in self.cells):
-            raise InputError("cells must form a size x size grid")
+        _require_grid(self.cells, self.size)
         total = 0
         for i, row in enumerate(self.cells):
             for x in row:
@@ -174,13 +187,12 @@ class ProbTable:
     cells: Grid
 
     def __post_init__(self):
-        if len(self.cells) != self.size or any(len(r) != self.size for r in self.cells):
-            raise InputError("cells must form a size x size grid")
+        _require_grid(self.cells, self.size)
         for i, row in enumerate(self.cells):
             for j, p in enumerate(row):
                 if not isinstance(p, Fraction):
                     raise InputError(f"probability at ({i + 1},{j + 1}) is not a Fraction")
-                if p < 0:
+                if p.numerator < 0:
                     raise InputError(f"probability at ({i + 1},{j + 1}) is negative: {p}")
         # the numerators over one common denominator: adding the Fractions
         # one at a time would take a gcd at every step
@@ -198,7 +210,7 @@ class ProbTable:
         return cls(size=len(grid), cells=grid)
 
     def is_strictly_positive(self) -> bool:
-        return all(p > 0 for row in self.cells for p in row)
+        return all(p.numerator > 0 for row in self.cells for p in row)
 
     def to_strings(self):
         return [[str(p) for p in row] for row in self.cells]
@@ -230,8 +242,7 @@ class Move:
     degree: int = field(init=False)
 
     def __post_init__(self):
-        if len(self.cells) != self.size or any(len(r) != self.size for r in self.cells):
-            raise InputError("cells must form a size x size grid")
+        _require_grid(self.cells, self.size)
         flat = [x for row in self.cells for x in row]
         if not set(map(type, flat)) <= {int}:  # no bool, float or Fraction
             raise InputError("move cells must be integers")

@@ -93,6 +93,30 @@ class TestCountTable:
         with pytest.raises(InputError, match=message.replace("count table", "move")):
             Move.from_rows(rows)
 
+    @pytest.mark.parametrize("build", [CountTable, ProbTable, Move], ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("size, cells, message", [
+        (1, 5, r"^cells is not a sequence: got int$"),
+        (1, None, r"^cells is not a sequence: got NoneType$"),
+        (1, [5], r"^cells: row 1 is not a sequence: got int$"),
+        (2, ((1, -1), 5), r"^cells: row 2 is not a sequence: got int$"),
+        (2, {(1, -1), (-1, 1)}, r"^cells is not a sequence: got set$"),
+    ], ids=["int", "none", "int-row", "second-row", "set"])
+    def test_constructors_reject_non_sequence_grids(self, build, size, cells, message):
+        # each constructor checks the grid before it takes a len
+        with pytest.raises(InputError, match=message):
+            build(size=size, cells=cells)
+
+    @pytest.mark.parametrize("build, row", [(CountTable, 1), (ProbTable, Fraction(1)), (Move, 1)],
+                             ids=lambda x: getattr(x, "__name__", repr(x)))
+    def test_constructors_reject_non_square_grids(self, build, row):
+        for cells in ((), ((row,), (row,)), ((row, row),), [[row, row], [row]]):
+            with pytest.raises(InputError, match=r"^cells must form a size x size grid$"):
+                build(size=2, cells=cells)
+
+    def test_constructor_takes_list_grids(self):
+        assert CountTable(size=2, cells=[[1, 0], [0, 1]]).n == 2
+        assert Move(size=2, cells=[[1, -1], [-1, 1]]).degree == 2
+
     def test_accepts_index_entries(self):
         class Count:
             def __index__(self):
