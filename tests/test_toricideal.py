@@ -31,7 +31,7 @@ from diagonal_effect import (
 from diagonal_effect.groebner import _encode, _move, _s_remainder, _WIDTH, buchberger, reduce_basis, saturate
 from diagonal_effect.markov import moves_common_diag, moves_diag_effect
 from diagonal_effect.polynomials import binomial_from_vector
-from diagonal_effect.toricideal import _flat, pivot_basis
+from diagonal_effect.toricideal import _flat, pivot_basis, saturation_cells
 
 from conftest import model, random_count_table
 
@@ -178,6 +178,68 @@ def test_saturating_the_echelon_binomials_by_the_last_cell_alone_falls_short(fam
     assert not ideal_equal(short, ideal)
 
 
+def pivot_binomials(family, I):
+    """The `pivot_basis` rows of a model, their pivots and their binomials."""
+    rows, pivots = pivot_basis(design_matrix(model(family, I)))
+    return rows, pivots, [binomial_from_vector(_flat(grid), I) for grid in rows]
+
+
+def witnessed(rows, pivots, by, I) -> bool:
+    """Every touched cell that is neither a pivot nor in `by` has a witness
+    row: a row with a pivot, whose entry at the cell has the pivot entry's
+    sign and whose entries of the other sign avoid every such cell."""
+    flat = [_flat(grid) for grid in rows]
+    skipped = [c for c in range(I * I) if c not in by and c not in pivots and any(row[c] for row in flat)]
+    return all(any(row[p] * row[v] > 0 and all(row[p] * row[u] >= 0 for u in skipped)
+                   for row, p in zip(flat, pivots) if p is not None)
+               for v in skipped)
+
+
+@pytest.mark.parametrize("family, I, steps", [
+    (ModelFamily.INDEPENDENCE, 2, 3),
+    (ModelFamily.INDEPENDENCE, 3, 3),
+    (ModelFamily.INDEPENDENCE, 4, 4),
+    (ModelFamily.DIAGONAL_EFFECT, 3, 4),
+    (ModelFamily.DIAGONAL_EFFECT, 4, 6),
+    (ModelFamily.DIAGONAL_EFFECT, 5, 8),
+    (ModelFamily.COMMON_DIAGONAL_EFFECT, 3, 4),
+    (ModelFamily.COMMON_DIAGONAL_EFFECT, 4, 4),
+])
+def test_saturation_cells_give_the_ideal_of_every_non_pivot_cell(family, I, steps):
+    # saturating by every non-pivot cell (Hosten-Sturmfels) is the
+    # reference; toric_ideal stops at I = 4, so I = 5 calls saturate
+    rows, pivots, gens = pivot_binomials(family, I)
+    n = I * I
+    by = saturation_cells(rows, pivots, I)
+    assert len(by) == steps
+    reference = saturate(gens, range(n), by=[v for v in range(n) if v not in pivots])
+    ideal = toric_ideal(model(family, I)) if I <= 4 else saturate(gens, range(n), by=by)
+    assert ideal == reference
+
+
+@pytest.mark.parametrize("I", [2, 3, 4, 5])
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.name)
+def test_every_skipped_touched_cell_has_a_witness_row(family, I):
+    rows, pivots = pivot_basis(design_matrix(model(family, I)))
+    by = saturation_cells(rows, pivots, I)
+    assert by == sorted(set(by)) and by[-1] == I * I - 1
+    touched = {c for grid in rows for c, x in enumerate(_flat(grid)) if x}
+    assert set(by[:-1]) <= touched - set(pivots)
+    assert witnessed(rows, pivots, by, I)
+
+
+def test_dropping_the_first_two_non_pivots_fails_the_witness_check():
+    # a witness row is enough, not needed: the diagonal-effect ideal at
+    # I = 3 is one prime binomial, which needs no saturation at all
+    differs = []
+    for family in FAMILIES:
+        rows, pivots, gens = pivot_binomials(family, 3)
+        non_pivots = [v for v in range(9) if v not in pivots]
+        assert not witnessed(rows, pivots, non_pivots[2:], 3)
+        differs.append(saturate(gens, range(9), by=non_pivots[2:]) != toric_ideal(model(family, 3)))
+    assert differs == [True, False, True]
+
+
 class TestGroebner:
     def test_single_minor_is_its_own_basis(self):
         minor = CellPolynomial.from_cell_terms(
@@ -309,7 +371,7 @@ class TestToricIdeal:
     ])
     def test_methods_agree_where_pivots_skip_most_cells(self, family, I):
         # elimination keeps the echelon basis and every cell, so it checks
-        # the pivot rule from outside
+        # the rule of saturation_cells from outside
         m = model(family, I)
         assert toric_ideal(m, method="saturation") == toric_ideal(m, method="elimination")
 
@@ -440,14 +502,16 @@ class TestBinomialBoundary:
 # rows were recorded on the general Fraction-coefficient Buchberger that
 # preceded the binomial engine (calls to its s_polynomial); the engine
 # processes the same pairs.  The saturation rows start from the unit-pivot
-# basis and skip the pivot cells' steps.
+# basis and make a step only for the cells of saturation_cells: they skip
+# the pivots, the cells no basis row touches and the touched cells with a
+# witness row.
 S_PAIRS = [
-    (ModelFamily.DIAGONAL_EFFECT, 4, "saturation", 430),
-    (ModelFamily.COMMON_DIAGONAL_EFFECT, 3, "saturation", 147),
+    (ModelFamily.DIAGONAL_EFFECT, 4, "saturation", 249),
+    (ModelFamily.COMMON_DIAGONAL_EFFECT, 3, "saturation", 85),
     (ModelFamily.COMMON_DIAGONAL_EFFECT, 3, "elimination", 83),
     (ModelFamily.INDEPENDENCE, 3, "elimination", 67),
-    (ModelFamily.INDEPENDENCE, 4, "saturation", 1320),
-    (ModelFamily.COMMON_DIAGONAL_EFFECT, 4, "saturation", 5667),
+    (ModelFamily.INDEPENDENCE, 4, "saturation", 939),
+    (ModelFamily.COMMON_DIAGONAL_EFFECT, 4, "saturation", 2812),
 ]
 
 
