@@ -27,7 +27,7 @@ from .polynomials import (
     cell_var,
     clear_denominators,
 )
-from .tables import Move, ProbTable, rectangle_indices, require_size, triple_indices
+from .tables import Move, ProbTable, rectangle_indices, require_sequence, require_size, triple_indices
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,6 @@ def _family_poly(I: int) -> Tuple[Callable[..., CellPolynomial], IdGrid]:
         return CellPolynomial(I, out)
 
     return poly, v
-
-
-def _cell_ids(v: IdGrid, cell_terms) -> list:
-    """The builder's (coefficient, ids) pairs of transcribed (coefficient,
-    [(i, j), ...]) terms."""
-    return [(c, tuple(v[i][j] for i, j in cells)) for c, cells in cell_terms]
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +129,7 @@ def gens_common_toric_listed3() -> List[Invariant]:
         [(-1, [(1, 1), (2, 3), (2, 3), (3, 1)]), (1, [(1, 3), (2, 1), (2, 1), (3, 3)])],
         [(1, [(1, 3), (1, 3), (2, 1), (2, 2)]), (-1, [(1, 1), (1, 2), (2, 3), (2, 3)])],
     ]
-    poly, v = _family_poly(3)
-    return [Invariant(f"common-toric-3 #{k}", poly(_cell_ids(v, terms)))
+    return [Invariant(f"common-toric-3 #{k}", CellPolynomial.from_cell_terms(3, terms))
             for k, terms in enumerate(polys, 1)]
 
 
@@ -223,12 +216,12 @@ def gens_common_mixture_listed3() -> List[Invariant]:
     twelve-term polynomial.  Entry 10 of the four-term group carries a
     one-sign correction documented in `nonvanishing_variants_report`.
     """
-    poly, v = _family_poly(3)
     out = []
     for group, lists in (("binomial", _LISTED3_BINOMIAL), ("4-term", _LISTED3_FOUR_TERM),
                          ("8-term", _LISTED3_EIGHT_TERM), ("12-term", _LISTED3_TWELVE_TERM)):
         for k, terms in enumerate(lists, 1):
-            out.append(Invariant(f"common-mixture-3 {group} #{k}", poly(_cell_ids(v, terms))))
+            out.append(Invariant(f"common-mixture-3 {group} #{k}",
+                                 CellPolynomial.from_cell_terms(3, terms)))
     return out
 
 
@@ -331,7 +324,7 @@ def gens_common_mixture_families(I: int) -> List[Invariant]:
 def moves_to_binomials(moves: Sequence[Move]) -> List[CellPolynomial]:
     """The pure binomial p^{m+} - p^{m-} of each move."""
     out = []
-    for move in moves:
+    for move in require_sequence(moves, "moves"):
         if not isinstance(move, Move):
             raise InputError(f"a move list holds Move objects, got {move!r}")
         out.append(binomial_from_vector([x for row in move.cells for x in row], move.size))
@@ -406,9 +399,8 @@ def nonvanishing_variants_report(point: Optional[ProbTable] = None) -> List[dict
             d=(third, third, third),
         ))
     reports = []
-    poly, v = _family_poly(3)
-    variant = poly(_cell_ids(v, _LISTED3_FOUR_TERM_10_VARIANT))
-    emitted = poly(_cell_ids(v, _LISTED3_FOUR_TERM[9]))
+    variant = CellPolynomial.from_cell_terms(3, _LISTED3_FOUR_TERM_10_VARIANT)
+    emitted = CellPolynomial.from_cell_terms(3, _LISTED3_FOUR_TERM[9])
     reports.append({
         "name": "common-mixture-3 4-term #10",
         "suspect_monomial": "p[2,2]*p[3,1]*p[3,2]",
@@ -417,6 +409,7 @@ def nonvanishing_variants_report(point: Optional[ProbTable] = None) -> List[dict
         "variant_polynomial": str(variant),
         "emitted_polynomial": str(emitted),
     })
+    poly, v = _family_poly(3)
     variant_g = _mixed8_poly(poly, v, 1, 2, 3, diag_square_sign=1)
     emitted_g = _mixed8_poly(poly, v, 1, 2, 3, diag_square_sign=-1)
     reports.append({

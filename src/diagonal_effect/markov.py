@@ -36,6 +36,8 @@ from .tables import (
     Move,
     SufficientStat,
     rectangle_indices,
+    require_int,
+    require_sequence,
     require_size,
     sufficient_statistic,
     triple_indices,
@@ -403,7 +405,7 @@ def _move_deltas(moves: Sequence[Move], I: int) -> List[tuple]:
     by the same entries negated: deltas[2k] and deltas[2k + 1] are move k
     in its two signs, so deltas[::2] holds one sign of every move."""
     deltas = []
-    for m in moves:
+    for m in require_sequence(moves, "moves"):
         if not isinstance(m, Move):
             raise InputError(f"a move list holds Move objects, got {m!r}")
         if m.size != I:
@@ -540,8 +542,7 @@ class WalkConfig:
             object.__setattr__(self, "burn_in", int(10 * math.isqrt(self.steps)))
         _check_count("burn_in", self.burn_in)
         _check_count("thinning", self.thinning, 1)
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise InputError(f"seed must be an integer, got {self.seed!r}")
+        require_int(self.seed, "seed")
         if not isinstance(self.stationary, Stationary):
             raise InputError(f"stationary must be a Stationary member, got {self.stationary!r}")
 

@@ -16,7 +16,6 @@ diagonal-effect fit is its trace-0 case.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +28,8 @@ from .tables import (
     ModelForm,
     ModelSpec,
     ProbTable,
+    over_lcm,
+    require_int,
     require_rational,
     require_sequence,
 )
@@ -46,12 +47,6 @@ _RAND_DEN = 101
 def _fraction_vector(values: Sequence, name: str) -> tuple:
     return tuple(v if v.__class__ is Fraction else Fraction(require_rational(v, f"{name}[{k}]"))
                  for k, v in enumerate(require_sequence(values, name)))
-
-
-def _over_lcm(vec: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """The numerators of `vec` over the lcm of its denominators, and that lcm."""
-    den = math.lcm(*[x.denominator for x in vec])
-    return [x.numerator * (den // x.denominator) for x in vec], den
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,7 @@ class MixtureParams:
         for name, vec in (("r", self.r), ("c", self.c), ("d", self.d)):
             if any(x.numerator < 0 for x in vec):
                 raise InputError(f"{name} has a negative entry")
-            numerators, den = _over_lcm(vec)
+            numerators, den = over_lcm(vec)
             if sum(numerators) != den:
                 # no value in the message: an exact sum can pass the digit limit of str()
                 raise InputError(f"{name} must sum to exactly 1")
@@ -145,9 +140,9 @@ def toric_numerators(params: ToricParams) -> tuple:
     """(a, b, c, C, n, T, Normalizers) with zeta_r = a/A, zeta_c = b/B and
     zeta_g = c/C over lcm denominators, n = sum(a) sum(b) and
     T = n C + sum_i a_i b_i (c_i - C), so that N = n/AB and N_T = T/ABC."""
-    a, A = _over_lcm(params.zeta_r)
-    b, B = _over_lcm(params.zeta_c)
-    c, C = _over_lcm(params.zeta_g)
+    a, A = over_lcm(params.zeta_r)
+    b, B = over_lcm(params.zeta_c)
+    c, C = over_lcm(params.zeta_g)
     n = sum(a) * sum(b)
     T = n * C + sum(ai * bi * (ci - C) for ai, bi, ci in zip(a, b, c))
     return a, b, c, C, n, T, Normalizers(N=Fraction(n, A * B), N_T=Fraction(T, A * B * C))
@@ -188,9 +183,9 @@ def mixture_point(params: MixtureParams) -> ProbTable:
     plus (q - p) delta_i R G on the diagonal.
     """
     p, q = params.alpha.numerator, params.alpha.denominator
-    rho, R = _over_lcm(params.r)
-    gamma, G = _over_lcm(params.c)
-    delta, D = _over_lcm(params.d)
+    rho, R = over_lcm(params.r)
+    gamma, G = over_lcm(params.c)
+    delta, D = over_lcm(params.d)
     den = q * R * G * D
     gammaD = [x * p * D for x in gamma]
     rows = []
@@ -223,6 +218,7 @@ def independence_factorize(P: ProbTable) -> Optional[Tuple[tuple, tuple]]:
 
 def random_rational_point(model: ModelSpec, seed: int) -> Union[ToricParams, MixtureParams]:
     """Deterministic-in-seed strictly positive parameters for `model`."""
+    require_int(seed, "seed")
     # String seeding is hashed with sha512 by random.seed and therefore
     # stable across processes, unlike tuple seeding.
     rng = random.Random(

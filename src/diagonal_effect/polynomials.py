@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import neg
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, SizeMismatchError
-from .tables import ProbTable, require_rational
+from .tables import ProbTable, over_lcm, require_rational
 
 Monomial = Tuple[int, ...]
 
@@ -38,13 +38,7 @@ def var_cell(v: int, size: int) -> Tuple[int, int]:
 
 def mono_from_cells(cells: Iterable[Tuple[int, int]], size: int) -> Monomial:
     """Monomial that is the product of the given cells (repeats allowed)."""
-    vs = []
-    for i, j in cells:
-        if not (1 <= i <= size and 1 <= j <= size):
-            raise InputError(f"cell ({i},{j}) outside a {size}x{size} table")
-        vs.append((i - 1) * size + (j - 1))
-    vs.sort()
-    return tuple(vs)
+    return tuple(sorted(cell_var(i, j, size) for i, j in cells))
 
 
 def check_distinct(variables: Sequence[int], where: str) -> None:
@@ -99,9 +93,6 @@ class TermOrder:
             )
         return (sum(dense), tuple(map(neg, reversed(dense))))
 
-    def sort_terms(self, terms: Iterable[Monomial]) -> List[Monomial]:
-        return sorted(terms, key=self.key, reverse=True)
-
 
 def clear_denominators(point, size: int) -> Tuple[List[int], int]:
     """(N, D): cell variable v is N[v] / D at a ProbTable or a {(i, j): value}
@@ -118,8 +109,7 @@ def clear_denominators(point, size: int) -> Tuple[List[int], int]:
         flat = [Fraction(0)] * (size * size)
         for (i, j), value in point.items():
             flat[cell_var(i, j, size)] = Fraction(require_rational(value, f"value at ({i},{j})"))
-    den = lcm(*(p.denominator for p in flat))
-    return [p.numerator * (den // p.denominator) for p in flat], den
+    return over_lcm(flat)
 
 
 def _rational(c):
@@ -251,7 +241,7 @@ class CellPolynomial:
             return "0"
         order = TermOrder.grevlex(sorted(self.variables()) or [0])
         chunks = []
-        for m in order.sort_terms(self.terms):
+        for m in sorted(self.terms, key=order.key, reverse=True):
             c = self.terms[m]
             mono = self.render_monomial(m)
             mag = abs(c)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, SizeMismatchError
 
@@ -36,9 +36,12 @@ class ModelForm(Enum):
     MIXTURE = "mixture"
 
 
-def _check_size_type(size) -> None:
-    if isinstance(size, bool) or not isinstance(size, int):
-        raise InputError(f"table size must be an integer, got {size!r}")
+def require_int(value, what: str):
+    """`value` itself when it is an int that is not a bool; anything else
+    raises InputError naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class ModelSpec:
             raise InputError(f"family must be a ModelFamily, got {self.family!r}")
         if not isinstance(self.form, ModelForm):
             raise InputError(f"form must be a ModelForm, got {self.form!r}")
-        _check_size_type(self.size)
+        require_int(self.size, "table size")
         if self.size < 2:
             raise InputError(f"table size must be at least 2, got {self.size}")
         if not isinstance(self.structural_zero_diagonal, bool):
@@ -71,7 +74,7 @@ class ModelSpec:
 def require_size(size, least: int, what: str) -> None:
     """Raise InputError unless `size` is an integer (not a bool) of at
     least `least`; `what` names the family in the message."""
-    _check_size_type(size)
+    require_int(size, "table size")
     if size < least:
         raise InputError(f"{what} need I >= {least}")
 
@@ -83,6 +86,13 @@ def require_rational(value, what: str):
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise InputError(f"{what} is not an int or a Fraction: {value!r}")
     return value
+
+
+def over_lcm(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """The numerators of `values` over the lcm of their denominators, and
+    that lcm: one gcd-free pass instead of a gcd per Fraction operation."""
+    den = math.lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def require_sequence(value, what: str):
@@ -194,13 +204,10 @@ class ProbTable:
                     raise InputError(f"probability at ({i + 1},{j + 1}) is not a Fraction")
                 if p.numerator < 0:
                     raise InputError(f"probability at ({i + 1},{j + 1}) is negative: {p}")
-        # the numerators over one common denominator: adding the Fractions
-        # one at a time would take a gcd at every step
-        probs = [p for row in self.cells for p in row]
-        denom = math.lcm(*(p.denominator for p in probs))
-        numer = sum(p.numerator * (denom // p.denominator) for p in probs)
-        if numer != denom:
-            raise InputError(f"probabilities sum to {Fraction(numer, denom)}, expected exactly 1")
+        numerators, den = over_lcm([p for row in self.cells for p in row])
+        total = sum(numerators)
+        if total != den:
+            raise InputError(f"probabilities sum to {Fraction(total, den)}, expected exactly 1")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "ProbTable":

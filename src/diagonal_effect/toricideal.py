@@ -143,9 +143,10 @@ def _flat(grid) -> List[int]:
     return [x for row in grid for x in row]
 
 
-def pivot_basis(A: DesignMatrix) -> Tuple[List[tuple], List[Optional[int]]]:
-    """A basis of the lattice of `integer_kernel(A)`, as I x I grids, and
-    each row's pivot cell (its variable id), or None for a row without one.
+def pivot_basis(A: DesignMatrix) -> Tuple[List[List[int]], List[Optional[int]]]:
+    """A basis of the lattice of `integer_kernel(A)`, as row-major cell
+    vectors, and each row's pivot cell (its variable id), or None for a row
+    without one.
 
     A pivot is a +-1 entry of its row that is 0 in every other row, at any
     cell but the last.  Starting from the echelon basis, a cell is eligible
@@ -169,7 +170,7 @@ def pivot_basis(A: DesignMatrix) -> Tuple[List[tuple], List[Optional[int]]]:
         open_rows = [(len(cells), r, cells) for r, row in enumerate(rows) if pivots[r] is None
                      and (cells := [c for c in range(I * I - 1) if row[c] in (1, -1) and c not in pivots])]
         if not open_rows:
-            return [_grid(vec, I) for vec in rows], pivots
+            return rows, pivots
         _, r, cells = min(open_rows)
         row = rows[r]
         p = min(cells, key=lambda c: (sum(1 for other in rows if other[c]), c))
@@ -180,10 +181,10 @@ def pivot_basis(A: DesignMatrix) -> Tuple[List[tuple], List[Optional[int]]]:
                 rows[k] = [a - q * b for a, b in zip(other, row)]
 
 
-def saturation_cells(rows: Sequence[tuple], pivots: Sequence[Optional[int]], size: int) -> List[int]:
+def saturation_cells(rows: Sequence[list], pivots: Sequence[Optional[int]], size: int) -> List[int]:
     """The cells, in cell order, by whose product the binomials of the
-    `pivot_basis` rows `rows` (I x I grids, I = `size`) with pivots
-    `pivots` must be saturated to give the toric ideal.
+    `pivot_basis` rows `rows` (row-major cell vectors of a `size` x `size`
+    table) with pivots `pivots` must be saturated to give the toric ideal.
 
     Left out are the pivots, every cell that no row touches (is nonzero
     at) and a set V of touched non-pivot cells, each with a witness row:
@@ -212,11 +213,10 @@ def saturation_cells(rows: Sequence[tuple], pivots: Sequence[Optional[int]], siz
     J : (prod of all cells)^inf, the lattice ideal of ker(A^t), which is the
     toric ideal and contains K.
     """
-    flat = [_flat(grid) for grid in rows]
     last = size * size - 1
-    touched = [c for c in range(last) if c not in pivots and any(row[c] for row in flat)]
+    touched = [c for c in range(last) if c not in pivots and any(row[c] for row in rows)]
     # (pivot entry, row) of each row with a pivot
-    signed = [(row[p], row) for row, p in zip(flat, pivots) if p is not None]
+    signed = [(row[p], row) for row, p in zip(rows, pivots) if p is not None]
 
     def witnessed(cells: List[int]) -> bool:
         return all(any(s * row[v] > 0 and not any(s * row[u] < 0 for u in cells) for s, row in signed)
@@ -256,7 +256,7 @@ def toric_ideal(model: ModelSpec, method: str = "saturation") -> List[CellPolyno
 
     if method == "saturation":
         rows, pivots = pivot_basis(A)
-        gens = [binomial_from_vector(_flat(grid), I) for grid in rows]
+        gens = [binomial_from_vector(row, I) for row in rows]
         result = saturate(gens, cell_vars, by=saturation_cells(rows, pivots, I))
     elif method == "elimination":
         gens = lattice_binomials(A)

@@ -26,7 +26,6 @@ from diagonal_effect.invariants import (
     _LISTED3_EIGHT_TERM,
     _LISTED3_FOUR_TERM,
     _LISTED3_TWELVE_TERM,
-    _cell_ids,
     _family_poly,
     _mixed8_poly,
 )
@@ -212,6 +211,10 @@ class TestMovesToBinomials:
         with pytest.raises(InputError, match="a move list holds Move objects"):
             moves_to_binomials(moves_diag_effect(3) + [item])
 
+    def test_move_list_that_is_not_a_sequence_rejected(self):
+        with pytest.raises(InputError, match="^moves is not a sequence: got int$"):
+            moves_to_binomials(5)
+
     def test_binomials_vanish_on_common_toric_points(self):
         polys = moves_to_binomials(moves_common_diag(3))
         for seed in range(10):
@@ -245,15 +248,15 @@ class TestFamilyBuilds:
 
     def test_family_builder_matches_from_cell_terms(self):
         # the builder takes (coefficient, ids) pairs, ids looked up in the
-        # build's grid; the transcribed lists reach it through `_cell_ids`
+        # build's grid
         poly, v = _family_poly(3)
         assert [v[i][1:] for i in range(1, 4)] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
         cancelling = [(1, ((1, 2), (2, 1))), (2, ((3, 3),)), (-1, ((2, 1), (1, 2)))]
         for terms in [*_LISTED3_FOUR_TERM, *_LISTED3_EIGHT_TERM, *_LISTED3_TWELVE_TERM, cancelling]:
-            built = poly(_cell_ids(v, terms))
+            built = poly([(c, tuple(v[i][j] for i, j in cells)) for c, cells in terms])
             assert built == CellPolynomial.from_cell_terms(3, terms)
             assert all(c.__class__ is int for c in built.terms.values())
-        assert poly(_cell_ids(v, cancelling)).terms == {(8,): 2}
+        assert poly([(c, tuple(v[i][j] for i, j in cells)) for c, cells in cancelling]).terms == {(8,): 2}
         # the same products as id tuples in other orders: one monomial each
         assert poly([(1, (1, 3)), (2, (8,)), (-1, (3, 1))]).terms == {(8,): 2}
 

@@ -424,6 +424,16 @@ class TestConnectivity:
             else:
                 next(fiber_walk(DERANGEMENT, moves, WalkConfig(steps=1, seed=0)))
 
+    @pytest.mark.parametrize("entry_point", ["is_connected", "verify_connectivity", "fiber_walk"])
+    def test_move_list_that_is_not_a_sequence_rejected(self, entry_point):
+        with pytest.raises(InputError, match="^moves is not a sequence: got int$"):
+            if entry_point == "is_connected":
+                is_connected(enumerate_fiber(sufficient_statistic(DERANGEMENT, DIAG3), DIAG3), 5)
+            elif entry_point == "verify_connectivity":
+                verify_connectivity(ModelFamily.DIAGONAL_EFFECT, 3, 2, 5)
+            else:
+                next(fiber_walk(DERANGEMENT, 5, WalkConfig(steps=1, seed=0)))
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_move_deltas_pair_each_move_with_its_negation(self, family):
         # `_adjacency` files deltas[::2] as one sign of every move

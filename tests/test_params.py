@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,19 @@ class TestRandomRationalPoint:
         m = model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3, ModelForm.MIXTURE)
         assert random_rational_point(m, 1) == random_rational_point(m, 1)
         assert random_rational_point(m, 1) != random_rational_point(m, 2)
+
+    @pytest.mark.parametrize("seed", ["1", 1.0, True, None], ids=repr)
+    def test_seed_that_is_not_an_int_rejected(self, seed):
+        # the seed is formatted into a string seed, so each of these would
+        # otherwise give a point, silently
+        m = model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3, ModelForm.MIXTURE)
+        with pytest.raises(InputError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            random_rational_point(m, seed)
+
+    def test_negative_seed_accepted(self):
+        m = model(ModelFamily.DIAGONAL_EFFECT, 3)
+        assert random_rational_point(m, -1) == random_rational_point(m, -1)
+        assert random_rational_point(m, -1) != random_rational_point(m, 1)
 
     def test_toric_constraints(self):
         params = random_rational_point(model(ModelFamily.COMMON_DIAGONAL_EFFECT, 4), 7)

@@ -143,9 +143,9 @@ class TestIntegerKernel:
 class TestPivotBasis:
     def test_rows_span_the_kernel_lattice(self, family, I):
         A = design_matrix(model(family, I))
-        grids = pivot_basis(A)[0]
-        assert all(transpose_apply(A, grid) == (0,) * A.num_params for grid in grids)
-        rows = [_flat(grid) for grid in grids]
+        rows = pivot_basis(A)[0]
+        assert all(transpose_apply(A, [v[k:k + I] for k in range(0, I * I, I)]) == (0,) * A.num_params
+                   for v in rows)
         echelon = [_flat(grid) for grid in integer_kernel(A)]
         assert len(rows) == len(echelon)
         assert all(in_lattice(v, echelon) for v in rows)
@@ -153,7 +153,6 @@ class TestPivotBasis:
 
     def test_pivots_are_lone_units_in_distinct_rows(self, family, I):
         rows, pivots = pivot_basis(design_matrix(model(family, I)))
-        rows = [_flat(grid) for grid in rows]
         assert len(pivots) == len(rows) and None not in pivots  # every row gets one here
         assert len(set(pivots)) == len(pivots)
         assert I * I - 1 not in pivots
@@ -181,17 +180,16 @@ def test_saturating_the_echelon_binomials_by_the_last_cell_alone_falls_short(fam
 def pivot_binomials(family, I):
     """The `pivot_basis` rows of a model, their pivots and their binomials."""
     rows, pivots = pivot_basis(design_matrix(model(family, I)))
-    return rows, pivots, [binomial_from_vector(_flat(grid), I) for grid in rows]
+    return rows, pivots, [binomial_from_vector(row, I) for row in rows]
 
 
 def witnessed(rows, pivots, by, I) -> bool:
     """Every touched cell that is neither a pivot nor in `by` has a witness
     row: a row with a pivot, whose entry at the cell has the pivot entry's
     sign and whose entries of the other sign avoid every such cell."""
-    flat = [_flat(grid) for grid in rows]
-    skipped = [c for c in range(I * I) if c not in by and c not in pivots and any(row[c] for row in flat)]
+    skipped = [c for c in range(I * I) if c not in by and c not in pivots and any(row[c] for row in rows)]
     return all(any(row[p] * row[v] > 0 and all(row[p] * row[u] >= 0 for u in skipped)
-                   for row, p in zip(flat, pivots) if p is not None)
+                   for row, p in zip(rows, pivots) if p is not None)
                for v in skipped)
 
 
@@ -223,7 +221,7 @@ def test_every_skipped_touched_cell_has_a_witness_row(family, I):
     rows, pivots = pivot_basis(design_matrix(model(family, I)))
     by = saturation_cells(rows, pivots, I)
     assert by == sorted(set(by)) and by[-1] == I * I - 1
-    touched = {c for grid in rows for c, x in enumerate(_flat(grid)) if x}
+    touched = {c for row in rows for c, x in enumerate(row) if x}
     assert set(by[:-1]) <= touched - set(pivots)
     assert witnessed(rows, pivots, by, I)
 
@@ -317,7 +315,7 @@ class TestGroebner:
         A = design_matrix(model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3))
         rows, pivots = pivot_basis(A)
         assert 0 in pivots and 8 not in pivots
-        gens = [binomial_from_vector(_flat(grid), 3) for grid in rows]
+        gens = [binomial_from_vector(row, 3) for row in rows]
         reversed_cells = list(reversed(range(9)))  # puts pivot 0 last
         calls = count_s_pairs(monkeypatch)
         with pytest.raises(InputError, match="must hold the last variable 0$"):
