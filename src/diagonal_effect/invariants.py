@@ -27,7 +27,7 @@ from .polynomials import (
     cell_var,
     clear_denominators,
 )
-from .tables import Move, ProbTable, rectangle_indices, require_sequence, require_size, triple_indices
+from .tables import Move, ProbTable, _Memo, rectangle_indices, require_sequence, require_size, triple_indices
 
 
 @dataclass(frozen=True)
@@ -39,32 +39,35 @@ class Invariant:
 IdGrid = List[List[int]]
 
 
-def _family_poly(I: int) -> Tuple[Callable[..., CellPolynomial], IdGrid]:
-    """The polynomial builder of one family build at size I, and its id grid.
+def _family_poly(I: int) -> Tuple[Callable[..., CellPolynomial], IdGrid, Dict[tuple, Monomial]]:
+    """The polynomial builder of one family build at size I, its id grid
+    and its monomial memo.
 
     The grid `v[i][j]` is the variable id of cell (i, j), 1-based (row and
     column 0 are padding), made once through `cell_var`, so each cell is
     range-checked once per build rather than once per term.  The factories
     look their ids up in it and hand the builder (coefficient, ids) pairs,
-    `ids` a tuple of ints with repeats as powers.  The builder sorts each
-    distinct id tuple into a monomial once, memoised by the unsorted tuple:
-    the 2870 I = 5 mixture polynomials have 11,720 terms but only 2,050
-    distinct monomials.  Coefficients of one monomial add up, and a product
-    that cancels drops out."""
+    `ids` a tuple of ints with repeats as powers.  The memo `monos[ids]`
+    sorts each distinct id tuple into a monomial once, keyed by the
+    unsorted tuple: the 2870 I = 5 mixture polynomials have 11,720 terms
+    but only 2,050 distinct monomials.  Coefficients of one monomial add
+    up, and a product that cancels drops out.  The coefficients are ints
+    and the sums that stay are nonzero, so the builder makes each
+    polynomial without the constructor's checks."""
     idx = range(1, I + 1)
     v = [None] + [[None] + [cell_var(i, j, I) for j in idx] for i in idx]
-    monos: Dict[tuple, Monomial] = {}
+    monos = _Memo(lambda ids: tuple(sorted(ids)))
 
     def poly(terms) -> CellPolynomial:
         out: Dict[Monomial, int] = {}
         for c, ids in terms:
-            m = monos.get(ids)
-            if m is None:
-                m = monos[ids] = tuple(sorted(ids))
+            m = monos[ids]
             out[m] = out.get(m, 0) + c
-        return CellPolynomial(I, out)
+        if 0 in out.values():
+            out = {m: c for m, c in out.items() if c}
+        return CellPolynomial._nonzero_ints(I, out)
 
-    return poly, v
+    return poly, v, monos
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +77,7 @@ def _family_poly(I: int) -> Tuple[Callable[..., CellPolynomial], IdGrid]:
 def gens_independence(I: int) -> List[Invariant]:
     """All 2x2 minors p[i,j]*p[k,h] - p[i,h]*p[k,j], i<k, j<h."""
     require_size(I, 2, "independence minors")
-    poly, v = _family_poly(I)
+    poly, v, _ = _family_poly(I)
     pairs = list(combinations(range(1, I + 1), 2))
     return [Invariant(f"minor[{i},{k}|{j},{h}]", _minor(poly, v, i, k, j, h))
             for i, k in pairs for j, h in pairs]
@@ -109,7 +112,8 @@ def gens_diag_effect(I: int) -> List[Invariant]:
     By construction these also vanish on the mixture form of the model.
     """
     require_size(I, 3, "diagonal-effect generators")
-    return _offdiag_minors_and_cycles(I, *_family_poly(I))
+    poly, v, _ = _family_poly(I)
+    return _offdiag_minors_and_cycles(I, poly, v)
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +238,6 @@ def listed_mixture_term_counts() -> dict:
 # common-diagonal-effect: mixture invariant families for general I
 # ---------------------------------------------------------------------------
 
-def _diag_balance_poly(poly, v: IdGrid, i, j, k, l, m, n) -> CellPolynomial:
-    return poly([
-        (1, (v[i][j], v[k][l], v[n][n])),
-        (-1, (v[i][j], v[n][l], v[k][n])),
-        (-1, (v[i][j], v[k][l], v[m][m])),
-        (1, (v[k][l], v[m][j], v[i][m])),
-    ])
-
-
 def _mixed8_poly(poly, v: IdGrid, i, j, k, diag_square_sign=-1) -> CellPolynomial:
     return poly([
         (1, (v[i][j], v[i][i], v[k][k])),
@@ -293,23 +288,36 @@ def gens_common_mixture_families(I: int) -> List[Invariant]:
     variant).
     """
     require_size(I, 3, "common-diagonal mixture families")
-    poly, v = _family_poly(I)
+    poly, v, monos = _family_poly(I)
     out = _offdiag_minors_and_cycles(I, poly, v)
     idx = range(1, I + 1)
+    new = CellPolynomial._nonzero_ints
     for i, j in permutations(idx, 2):
+        vij = v[i][j]
         for k, l in permutations(idx, 2):
             if (k, l) == (i, j):
                 continue
+            vkl = v[k][l]
             for m in idx:
                 if m in (i, j):
                     continue
+                t3 = monos[vij, vkl, v[m][m]]
+                t4 = monos[vkl, v[m][j], v[i][m]]
+                name = f"diagbal[{i},{j};{k},{l};{m},"
                 for n in idx:
                     if n in (k, l) or n == m:
                         continue
-                    out.append(Invariant(
-                        f"diagbal[{i},{j};{k},{l};{m},{n}]",
-                        _diag_balance_poly(poly, v, i, j, k, l, m, n),
-                    ))
+                    # The four monomials are distinct, so none adds to or
+                    # cancels another: i != j, k != l and m not in {i, j}
+                    # leave p[n,n] and p[m,m] the only diagonal cells, and
+                    # n != m tells them apart; p[k,l] is in the fourth but
+                    # not the second, as n not in {k, l} and (k, l) != (i, j).
+                    out.append(Invariant(f"{name}{n}]", new(I, {
+                        monos[vij, vkl, v[n][n]]: 1,
+                        monos[vij, v[n][l], v[k][n]]: -1,
+                        t3: -1,
+                        t4: 1,
+                    })))
     for i, j, k in permutations(idx, 3):
         out.append(Invariant(f"mixed8[{i},{j},{k}]", _mixed8_poly(poly, v, i, j, k)))
     for a, b, c in triple_indices(I):
@@ -372,11 +380,15 @@ def check_vanishing(polys, P: ProbTable) -> VanishingReport:
     """
     cleared = {}  # per table size: (N, D) and the monomial values at them
     entries = []
+    size = at = None
     for inv in _as_invariants(polys):
-        size = inv.poly.size
-        if size not in cleared:
-            cleared[size] = (*clear_denominators(P, size), {})
-        entries.append((inv.name, inv.poly.evaluate_cleared(*cleared[size])))
+        poly = inv.poly
+        if at is None or poly.size != size:
+            size = poly.size
+            if size not in cleared:
+                cleared[size] = (*clear_denominators(P, size), {})
+            at = nums, den, monomials = cleared[size]
+        entries.append((inv.name, poly.evaluate_cleared(nums, den, monomials)))
     return VanishingReport(entries=tuple(entries))
 
 
@@ -409,7 +421,7 @@ def nonvanishing_variants_report(point: Optional[ProbTable] = None) -> List[dict
         "variant_polynomial": str(variant),
         "emitted_polynomial": str(emitted),
     })
-    poly, v = _family_poly(3)
+    poly, v, _ = _family_poly(3)
     variant_g = _mixed8_poly(poly, v, 1, 2, 3, diag_square_sign=1)
     emitted_g = _mixed8_poly(poly, v, 1, 2, 3, diag_square_sign=-1)
     reports.append({

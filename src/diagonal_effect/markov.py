@@ -35,6 +35,7 @@ from .tables import (
     ModelSpec,
     Move,
     SufficientStat,
+    _Memo,
     rectangle_indices,
     require_int,
     require_sequence,
@@ -702,17 +703,6 @@ def _pearson_term(o: int, e: float) -> float:
     if e > 0.0:
         return (o - e) ** 2 / e
     return 0.0 if o == 0 else math.inf
-
-
-class _Memo(dict):
-    """`fn(key)` for each key, computed on its first lookup."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
 
 
 def _pearson_flat(terms: Sequence[dict], flat: Sequence[int]) -> float:

@@ -161,7 +161,11 @@ def toric_point(params: ToricParams) -> Tuple[ProbTable, Normalizers]:
     zeta_r[i]*zeta_c[i]*zeta_g[i] on it; dividing by N_T puts the point in
     the probability simplex.  Over the common denominators of
     `toric_numerators` cell (i, j) is a_i b_j C / T, and a_i b_i c_i / T on
-    the diagonal.
+    the diagonal.  So every cell is over the one denominator T, checked
+    positive below, and is nonnegative since a, b, c >= 0 and C > 0.  The
+    numerators sum to C sum(a) sum(b) + sum_i a_i b_i (c_i - C), which is T
+    by its definition, so the cells sum to exactly 1 and the table is built
+    without re-checking that.
     """
     a, b, c, C, _, T, norms = toric_numerators(params)
     if T <= 0:
@@ -172,7 +176,7 @@ def toric_point(params: ToricParams) -> Tuple[ProbTable, Normalizers]:
         row = [ai * x for x in bC]
         row[i] = ai * b[i] * c[i]
         rows.append(tuple(Fraction(x, T) for x in row))
-    return ProbTable(size=params.size, cells=tuple(rows)), norms
+    return ProbTable._summing_to_one(params.size, tuple(rows)), norms
 
 
 def mixture_point(params: MixtureParams) -> ProbTable:
@@ -180,7 +184,11 @@ def mixture_point(params: MixtureParams) -> ProbTable:
 
     With alpha = p/q, r = rho/R, c = gamma/G and d = delta/D over lcm
     denominators, every cell is a numerator over q R G D: p rho_i gamma_j D,
-    plus (q - p) delta_i R G on the diagonal.
+    plus (q - p) delta_i R G on the diagonal.  Every cell is nonnegative,
+    since 0 <= p <= q and rho, gamma, delta >= 0.  As sum(rho) = R,
+    sum(gamma) = G and sum(delta) = D, the numerators sum to
+    p R G D + (q - p) D R G = q R G D, so the cells sum to exactly 1 and
+    the table is built without re-checking that.
     """
     p, q = params.alpha.numerator, params.alpha.denominator
     rho, R = over_lcm(params.r)
@@ -193,7 +201,7 @@ def mixture_point(params: MixtureParams) -> ProbTable:
         row = [ri * x for x in gammaD]
         row[i] += (q - p) * delta[i] * R * G
         rows.append(tuple(Fraction(x, den) for x in row))
-    return ProbTable(size=params.size, cells=tuple(rows))
+    return ProbTable._summing_to_one(params.size, tuple(rows))
 
 
 def independence_factorize(P: ProbTable) -> Optional[Tuple[tuple, tuple]]:
@@ -218,6 +226,8 @@ def independence_factorize(P: ProbTable) -> Optional[Tuple[tuple, tuple]]:
 
 def random_rational_point(model: ModelSpec, seed: int) -> Union[ToricParams, MixtureParams]:
     """Deterministic-in-seed strictly positive parameters for `model`."""
+    if not isinstance(model, ModelSpec):
+        raise InputError(f"model must be a ModelSpec, got {model!r}")
     require_int(seed, "seed")
     # String seeding is hashed with sha512 by random.seed and therefore
     # stable across processes, unlike tuple seeding.

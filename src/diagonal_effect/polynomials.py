@@ -18,13 +18,17 @@ from operator import neg
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, SizeMismatchError
-from .tables import ProbTable, over_lcm, require_rational
+from .tables import ProbTable, over_lcm, require_int, require_rational
 
 Monomial = Tuple[int, ...]
 
+_ZERO = Fraction(0)
+
 
 def cell_var(i: int, j: int, size: int) -> int:
-    """Variable id of cell (i, j), 1-based indices."""
+    """Variable id of cell (i, j), 1-based integer indices."""
+    require_int(i, "cell row")
+    require_int(j, "cell column")
     if not (1 <= i <= size and 1 <= j <= size):
         raise InputError(f"cell ({i},{j}) outside a {size}x{size} table")
     return (i - 1) * size + (j - 1)
@@ -139,6 +143,17 @@ class CellPolynomial:
     # ---- constructors ----
 
     @classmethod
+    def _nonzero_ints(cls, size: int, terms: Dict[Monomial, int]) -> "CellPolynomial":
+        """The polynomial `terms`, whose monomials are ascending id tuples
+        and whose coefficients are nonzero ints, as the family builders in
+        `invariants` make them: built without the checks, which would keep
+        every term as it is."""
+        poly = object.__new__(cls)
+        poly.size = size
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def zero(cls, size: int) -> "CellPolynomial":
         return cls(size, {})
 
@@ -200,7 +215,9 @@ class CellPolynomial:
         homogeneous polynomial, as every invariant is, takes no power of D
         until the final division.  `monomials` holds N^m for each monomial m
         already met at these `nums` and gains the ones this polynomial adds,
-        so that a batch of polynomials evaluated at one point shares them."""
+        so that a batch of polynomials evaluated at one point shares them.
+        Every zero value is the one shared `Fraction(0)`: an invariant at a
+        point of its model builds no Fraction."""
         total = deg = 0
         for m, c in self.terms.items():
             x = monomials.get(m)
@@ -216,6 +233,8 @@ class CellPolynomial:
                     total *= den ** (d - deg)
                 total += c * x
                 deg = d
+        if not total:
+            return _ZERO
         return Fraction(total, den ** deg)
 
     def render_monomial(self, m: Monomial) -> str:

@@ -95,6 +95,17 @@ def over_lcm(values: Sequence[Fraction]) -> Tuple[List[int], int]:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
+class _Memo(dict):
+    """`fn(key)` for each key, computed on its first lookup."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def require_sequence(value, what: str):
     """`value` itself when it is a sequence, such as a list or a tuple;
     anything else raises InputError naming `what`, before any entry is
@@ -208,6 +219,16 @@ class ProbTable:
         total = sum(numerators)
         if total != den:
             raise InputError(f"probabilities sum to {Fraction(total, den)}, expected exactly 1")
+
+    @classmethod
+    def _summing_to_one(cls, size: int, cells: Grid) -> "ProbTable":
+        """The table `cells`, a size x size tuple grid of nonnegative
+        Fractions that sum to exactly 1, as `params.toric_point` and
+        `params.mixture_point` build them (their docstrings give the
+        proof): built without the checks."""
+        table = object.__new__(cls)
+        table.__dict__.update(size=size, cells=cells)
+        return table
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "ProbTable":

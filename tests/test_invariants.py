@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from itertools import permutations
 
 import pytest
@@ -9,6 +10,7 @@ from diagonal_effect import (
     ModelFamily,
     ModelForm,
     ProbTable,
+    SizeMismatchError,
     check_vanishing,
     gens_common_mixture_families,
     gens_common_mixture_listed3,
@@ -169,7 +171,7 @@ class TestMixtureFamilies:
         assert names.count("diag12") == 4
 
     def test_literal_mixed8_variant_fails_vanishing(self):
-        poly, v = _family_poly(3)
+        poly, v, _ = _family_poly(3)
         bad = [_mixed8_poly(poly, v, i, j, k, 1) for i, j, k in permutations(range(1, 4))]
         assert len(bad) == 6
         point = common_mixture_point(3, 0)
@@ -189,6 +191,16 @@ class TestCheckVanishingInput:
         gens = gens_diag_effect(3)
         with pytest.raises(InputError):
             check_vanishing(gens + [item], diag_toric_point(3, 0))
+
+    @pytest.mark.parametrize("size", [None, 4], ids=repr)
+    def test_polynomial_of_another_size_rejected(self, size):
+        # the point's cleared values are looked up whenever the size
+        # changes, and for the first polynomial whatever its size
+        stray = CellPolynomial(size, {(0,): 1})
+        gens = [inv.poly for inv in gens_diag_effect(3)]
+        for batch in ([stray, *gens], [*gens, stray]):
+            with pytest.raises(SizeMismatchError):
+                check_vanishing(batch, diag_toric_point(3, 0))
 
     def test_named_tuples_rejected(self):
         gen = gens_diag_effect(3)[0]
@@ -246,10 +258,26 @@ class TestFamilyBuilds:
         with pytest.raises(InputError, match="common-diagonal mixture families need I >= 3"):
             gens_common_mixture_families(2)
 
+    @pytest.mark.parametrize("build", [
+        *(partial(factory, I) for factory in (gens_independence, gens_diag_effect,
+                                              gens_common_mixture_families) for I in (3, 4, 5, 6)),
+        gens_common_toric_listed3, gens_common_mixture_listed3,
+    ], ids=lambda b: f"{b.func.__name__}/{b.args[0]}" if isinstance(b, partial) else b.__name__)
+    def test_built_polynomials_pass_the_checked_constructor(self, build):
+        # the family builders skip the constructor's checks; the checked
+        # constructor keeps every term they make as it is
+        for inv in build():
+            p = inv.poly
+            assert CellPolynomial(p.size, p.terms).terms == p.terms, inv.name
+            assert all(c.__class__ is int for c in p.terms.values()), inv.name
+            assert all(list(m) == sorted(m) for m in p.terms), inv.name
+            if inv.name.startswith("diagbal"):
+                assert p.num_terms() == 4, inv.name
+
     def test_family_builder_matches_from_cell_terms(self):
         # the builder takes (coefficient, ids) pairs, ids looked up in the
         # build's grid
-        poly, v = _family_poly(3)
+        poly, v, _ = _family_poly(3)
         assert [v[i][1:] for i in range(1, 4)] == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
         cancelling = [(1, ((1, 2), (2, 1))), (2, ((3, 3),)), (-1, ((2, 1), (1, 2)))]
         for terms in [*_LISTED3_FOUR_TERM, *_LISTED3_EIGHT_TERM, *_LISTED3_TWELVE_TERM, cancelling]:

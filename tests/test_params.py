@@ -172,6 +172,11 @@ class TestRandomRationalPoint:
         with pytest.raises(InputError, match=re.escape(f"seed must be an integer, got {seed!r}")):
             random_rational_point(m, seed)
 
+    @pytest.mark.parametrize("m", ["x", None, ModelFamily.DIAGONAL_EFFECT], ids=repr)
+    def test_model_that_is_not_a_model_spec_rejected(self, m):
+        with pytest.raises(InputError, match=re.escape(f"model must be a ModelSpec, got {m!r}")):
+            random_rational_point(m, 1)
+
     def test_negative_seed_accepted(self):
         m = model(ModelFamily.DIAGONAL_EFFECT, 3)
         assert random_rational_point(m, -1) == random_rational_point(m, -1)

@@ -23,6 +23,7 @@ from diagonal_effect import (
     ModelFamily,
     ModelForm,
     ModelSpec,
+    ProbTable,
     mixture_point,
     random_rational_point,
     toric_point,
@@ -37,15 +38,21 @@ KEYS = [f"{family.value}/{form.value}/{I}/{seed}"
         for family in ModelFamily for form in ModelForm for I in SIZES for seed in SEEDS]
 
 
-def entry(key: str) -> dict:
+def point(key: str):
+    """The parameters, the table and, for the toric form, the normalizers
+    (else None) of the point `key`."""
     family, form, I, seed = key.split("/")
     params = random_rational_point(ModelSpec(ModelFamily(family), ModelForm(form), int(I)), int(seed))
-    out = {"params": repr(params)}
     if form == ModelForm.TORIC.value:
-        table, norms = toric_point(params)
+        return (params, *toric_point(params))
+    return params, mixture_point(params), None
+
+
+def entry(key: str) -> dict:
+    params, table, norms = point(key)
+    out = {"params": repr(params)}
+    if norms is not None:
         out["normalizers"] = repr(norms)
-    else:
-        table = mixture_point(params)
     out["cells"] = repr(table.cells)
     return out
 
@@ -62,6 +69,13 @@ def test_every_point_is_pinned(golden):
 @pytest.mark.parametrize("key", KEYS)
 def test_rational_point(golden, key):
     assert entry(key) == golden[key]
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_point_passes_the_checked_constructor(key):
+    # toric_point and mixture_point build their tables without the checks
+    _, table, _ = point(key)
+    assert ProbTable(size=table.size, cells=table.cells) == table
 
 
 if __name__ == "__main__":

@@ -36,6 +36,20 @@ class TestMonomials:
         assert str(CellPolynomial(2, {(0, 0, 1): 1, (): -1})) == "p[1,1]^2*p[1,2] - 1"
         assert binomial_from_vector([2, -1, 0, -1], 2).terms == {(0, 0): 1, (1, 3): -1}
 
+    @pytest.mark.parametrize("index", [1.0, 1.5, True, "1", None], ids=repr)
+    def test_cell_indices_that_are_not_ints_rejected(self, index):
+        # a float or a bool index would otherwise give a float or a
+        # shifted variable id, or a TypeError on lookup
+        with pytest.raises(InputError, match="must be an integer"):
+            cell_var(index, 1, 3)
+        with pytest.raises(InputError, match="must be an integer"):
+            cell_var(1, index, 3)
+        with pytest.raises(InputError, match="must be an integer"):
+            mono_from_cells([(index, 1)], 3)
+        poly = CellPolynomial.from_cell_terms(3, [(1, [(1, 1)])])
+        with pytest.raises(InputError, match="must be an integer"):
+            poly.evaluate({(index, 1): Fraction(1, 2)})
+
 
 class TestRingLaws:
     def test_eval_examples(self):
@@ -143,6 +157,14 @@ class TestExactEvaluation:
         assert [name for name, _ in report.entries] == [f"poly #{k}" for k in range(1, len(batch) + 1)]
         assert all(type(value) is Fraction for _, value in report.entries)
         assert [value for _, value in report.entries] == [naive_value(t, values) for t in batch]
+
+    def test_zero_values_share_one_fraction(self):
+        # every zero value is one shared Fraction, equal to any other zero
+        minor = binomial_from_vector([1, -1, -1, 1], 2)
+        uniform = ProbTable.from_rows([[Fraction(1, 4)] * 2] * 2)
+        values = [minor.evaluate(uniform), CellPolynomial.zero(2).evaluate(uniform)]
+        assert values[0] is values[1]
+        assert type(values[0]) is Fraction and values[0] == 0
 
     def test_integral_coefficients_are_ints(self):
         p = CellPolynomial(2, {(0,): Fraction(6, 3), (1,): Fraction(1, 2), (): Fraction(4, 2)})
