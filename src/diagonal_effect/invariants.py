@@ -26,8 +26,9 @@ from .polynomials import (
     binomial_from_vector,
     cell_var,
     clear_denominators,
+    mono_from_cells,
 )
-from .tables import Move, ProbTable, _Memo, rectangle_indices, require_sequence, require_size, triple_indices
+from .tables import Move, ProbTable, _Memo, rectangle_indices, require_moves, require_size, triple_indices
 
 
 @dataclass(frozen=True)
@@ -161,19 +162,14 @@ _LISTED3_FOUR_TERM = [
     [(-1, [(1, 2), (2, 2), (3, 1)]), (1, [(1, 2), (2, 1), (3, 2)]),
      (-1, [(1, 3), (3, 1), (3, 2)]), (1, [(1, 2), (3, 1), (3, 3)])],
     # Only this sign on the third term vanishes on the model; it also makes
-    # the entry the transpose of entry 6, like the rest of the family.  The
-    # flipped variant is recorded in nonvanishing_variants_report.
+    # the entry the transpose of entry 6, like the rest of the family.
+    # nonvanishing_variants_report evaluates the variant with it flipped.
     [(1, [(1, 2), (3, 1), (3, 1)]), (-1, [(1, 1), (3, 1), (3, 2)]),
      (1, [(2, 2), (3, 1), (3, 2)]), (-1, [(2, 1), (3, 2), (3, 2)])],
     [(1, [(1, 2), (2, 1), (3, 1)]), (-1, [(1, 1), (2, 1), (3, 2)]),
      (-1, [(2, 3), (3, 1), (3, 2)]), (1, [(2, 1), (3, 2), (3, 3)])],
     [(1, [(1, 2), (1, 2), (3, 1)]), (-1, [(1, 1), (1, 2), (3, 2)]),
      (-1, [(1, 3), (3, 2), (3, 2)]), (1, [(1, 2), (3, 2), (3, 3)])],
-]
-
-_LISTED3_FOUR_TERM_10_VARIANT = [
-    (1, [(1, 2), (3, 1), (3, 1)]), (-1, [(1, 1), (3, 1), (3, 2)]),
-    (-1, [(2, 2), (3, 1), (3, 2)]), (-1, [(2, 1), (3, 2), (3, 2)]),
 ]
 
 _LISTED3_EIGHT_TERM = [
@@ -238,12 +234,12 @@ def listed_mixture_term_counts() -> dict:
 # common-diagonal-effect: mixture invariant families for general I
 # ---------------------------------------------------------------------------
 
-def _mixed8_poly(poly, v: IdGrid, i, j, k, diag_square_sign=-1) -> CellPolynomial:
+def _mixed8_poly(poly, v: IdGrid, i, j, k) -> CellPolynomial:
     return poly([
         (1, (v[i][j], v[i][i], v[k][k])),
         (1, (v[i][j], v[j][j], v[k][k])),
         (-1, (v[i][j], v[i][i], v[j][j])),
-        (diag_square_sign, (v[i][j], v[k][k], v[k][k])),
+        (-1, (v[i][j], v[k][k], v[k][k])),
         (1, (v[k][k], v[i][k], v[k][j])),
         (-1, (v[i][i], v[i][k], v[k][j])),
         (1, (v[i][j], v[i][j], v[j][i])),
@@ -331,12 +327,8 @@ def gens_common_mixture_families(I: int) -> List[Invariant]:
 
 def moves_to_binomials(moves: Sequence[Move]) -> List[CellPolynomial]:
     """The pure binomial p^{m+} - p^{m-} of each move."""
-    out = []
-    for move in require_sequence(moves, "moves"):
-        if not isinstance(move, Move):
-            raise InputError(f"a move list holds Move objects, got {move!r}")
-        out.append(binomial_from_vector([x for row in move.cells for x in row], move.size))
-    return out
+    return [binomial_from_vector([x for row in move.cells for x in row], move.size)
+            for move in require_moves(moves)]
 
 
 @dataclass(frozen=True)
@@ -392,13 +384,20 @@ def check_vanishing(polys, P: ProbTable) -> VanishingReport:
     return VanishingReport(entries=tuple(entries))
 
 
+def _sign_flipped(poly: CellPolynomial, m: Monomial) -> CellPolynomial:
+    """`poly` with the coefficient of its monomial `m` negated."""
+    return CellPolynomial(poly.size, {**poly.terms, m: -poly.terms[m]})
+
+
 def nonvanishing_variants_report(point: Optional[ProbTable] = None) -> List[dict]:
     """Evidence for the two single-sign choices in the generator lists.
 
     Evaluates the rejected sign variants at an interior common-diagonal
     mixture point and returns, for each, the failing polynomial, the
     monomial whose sign distinguishes the forms, and the nonzero witness
-    value.  The emitted forms evaluate to exactly zero at the same point.
+    value.  Each variant is its emitted form with the coefficient of that
+    monomial negated.  The emitted forms evaluate to exactly zero at the
+    same point.
     """
     from .params import MixtureParams, mixture_point
 
@@ -410,26 +409,21 @@ def nonvanishing_variants_report(point: Optional[ProbTable] = None) -> List[dict
             c=(Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)),
             d=(third, third, third),
         ))
-    reports = []
-    variant = CellPolynomial.from_cell_terms(3, _LISTED3_FOUR_TERM_10_VARIANT)
-    emitted = CellPolynomial.from_cell_terms(3, _LISTED3_FOUR_TERM[9])
-    reports.append({
-        "name": "common-mixture-3 4-term #10",
-        "suspect_monomial": "p[2,2]*p[3,1]*p[3,2]",
-        "variant_value": variant.evaluate(point),
-        "emitted_value": emitted.evaluate(point),
-        "variant_polynomial": str(variant),
-        "emitted_polynomial": str(emitted),
-    })
     poly, v, _ = _family_poly(3)
-    variant_g = _mixed8_poly(poly, v, 1, 2, 3, diag_square_sign=1)
-    emitted_g = _mixed8_poly(poly, v, 1, 2, 3, diag_square_sign=-1)
-    reports.append({
-        "name": "mixed8[1,2,3]",
-        "suspect_monomial": "p[1,2]*p[3,3]^2",
-        "variant_value": variant_g.evaluate(point),
-        "emitted_value": emitted_g.evaluate(point),
-        "variant_polynomial": str(variant_g),
-        "emitted_polynomial": str(emitted_g),
-    })
+    reports = []
+    for name, emitted, suspect in (
+        ("common-mixture-3 4-term #10", CellPolynomial.from_cell_terms(3, _LISTED3_FOUR_TERM[9]),
+         [(2, 2), (3, 1), (3, 2)]),
+        ("mixed8[1,2,3]", _mixed8_poly(poly, v, 1, 2, 3), [(1, 2), (3, 3), (3, 3)]),
+    ):
+        m = mono_from_cells(suspect, 3)
+        variant = _sign_flipped(emitted, m)
+        reports.append({
+            "name": name,
+            "suspect_monomial": emitted.render_monomial(m),
+            "variant_value": variant.evaluate(point),
+            "emitted_value": emitted.evaluate(point),
+            "variant_polynomial": str(variant),
+            "emitted_polynomial": str(emitted),
+        })
     return reports

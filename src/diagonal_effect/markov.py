@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import cached_property, partial, reduce
 from itertools import chain, combinations, permutations
@@ -37,8 +37,9 @@ from .tables import (
     SufficientStat,
     _Memo,
     rectangle_indices,
+    require_instance,
     require_int,
-    require_sequence,
+    require_moves,
     require_size,
     sufficient_statistic,
     triple_indices,
@@ -227,11 +228,6 @@ def _paths(layers: tuple, i: int, state: tuple, prefix: tuple, found: List[tuple
             _paths(layers, i + 1, child, prefix + row, found)
 
 
-def _check_count(name: str, value, least: int = 0) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise InputError(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
 def _over_budget(node_budget: int) -> BudgetExceededError:
     return BudgetExceededError(f"fiber enumeration exceeded the {node_budget}-node budget")
 
@@ -259,7 +255,7 @@ def enumerate_fiber(
         raise InputError("statistic and model families differ")
     if stat.size != model.size:
         raise SizeMismatchError(f"statistic size {stat.size} != model size {model.size}")
-    _check_count("node_budget", node_budget)
+    require_int(node_budget, "node_budget", 0)
     I = stat.size
     rows, cols = stat.rows, stat.cols
     diag_vec = stat.diag if stat.family is ModelFamily.DIAGONAL_EFFECT else None
@@ -406,9 +402,7 @@ def _move_deltas(moves: Sequence[Move], I: int) -> List[tuple]:
     by the same entries negated: deltas[2k] and deltas[2k + 1] are move k
     in its two signs, so deltas[::2] holds one sign of every move."""
     deltas = []
-    for m in require_sequence(moves, "moves"):
-        if not isinstance(m, Move):
-            raise InputError(f"a move list holds Move objects, got {m!r}")
+    for m in require_moves(moves):
         if m.size != I:
             raise SizeMismatchError("move size differs from table size")
         flat = [x for row in m.cells for x in row]
@@ -538,23 +532,16 @@ class WalkConfig:
     stationary: Stationary = Stationary.HYPERGEOMETRIC
 
     def __post_init__(self):
-        _check_count("steps", self.steps, 1)
+        require_int(self.steps, "steps", 1)
         if self.burn_in is None:
             object.__setattr__(self, "burn_in", int(10 * math.isqrt(self.steps)))
-        _check_count("burn_in", self.burn_in)
-        _check_count("thinning", self.thinning, 1)
+        require_int(self.burn_in, "burn_in", 0)
+        require_int(self.thinning, "thinning", 1)
         require_int(self.seed, "seed")
-        if not isinstance(self.stationary, Stationary):
-            raise InputError(f"stationary must be a Stationary member, got {self.stationary!r}")
+        require_instance(self.stationary, Stationary, "stationary")
 
     def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "burn_in": self.burn_in,
-            "thinning": self.thinning,
-            "seed": self.seed,
-            "stationary": self.stationary.value,
-        }
+        return dict(asdict(self), stationary=self.stationary.value)
 
 
 def _walk_plans(moves: Sequence[Move], I: int) -> List[tuple]:
@@ -791,7 +778,7 @@ def exact_test(
     """
     if method not in ("auto", "mcmc", "enumerate"):
         raise InputError(f"unknown method {method!r}")
-    _check_count("node_budget", node_budget)
+    require_int(node_budget, "node_budget", 0)
     terms, observed_stat = _fit_terms(table, model)
 
     if method in ("auto", "enumerate"):
@@ -883,7 +870,7 @@ def exact_test_chains(
     (`_batch_means_stderr`).  One chain gives exactly
     `exact_test(method="mcmc")`; more add `"chains"` to the echoed config.
     """
-    _check_count("chains", chains, 1)
+    require_int(chains, "chains", 1)
     terms, observed_stat = _fit_terms(table, model)
     result = _mcmc_test(table, model, terms, observed_stat,
                         [replace(config, seed=config.seed + k) for k in range(chains)])
@@ -1013,7 +1000,7 @@ def verify_connectivity(
     lexicographically least member: the order in which a sweep of every
     table, by total and then lexicographically, first meets them.
     """
-    _check_count("max_n", max_n)
+    require_int(max_n, "max_n", 0)
     model = ModelSpec(family=family, form=ModelForm.TORIC, size=I)
     # the tables number C(max_n + I*I, I*I) = C(max_n + I*I, min(max_n, I*I)):
     # build it up factor by factor, and stop at the budget, not at a huge number

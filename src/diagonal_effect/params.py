@@ -29,6 +29,7 @@ from .tables import (
     ModelSpec,
     ProbTable,
     over_lcm,
+    require_instance,
     require_int,
     require_rational,
     require_sequence,
@@ -226,8 +227,7 @@ def independence_factorize(P: ProbTable) -> Optional[Tuple[tuple, tuple]]:
 
 def random_rational_point(model: ModelSpec, seed: int) -> Union[ToricParams, MixtureParams]:
     """Deterministic-in-seed strictly positive parameters for `model`."""
-    if not isinstance(model, ModelSpec):
-        raise InputError(f"model must be a ModelSpec, got {model!r}")
+    require_instance(model, ModelSpec, "model")
     require_int(seed, "seed")
     # String seeding is hashed with sha512 by random.seed and therefore
     # stable across processes, unlike tuple seeding.

@@ -18,7 +18,7 @@ from operator import neg
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, SizeMismatchError
-from .tables import ProbTable, over_lcm, require_int, require_rational
+from .tables import ProbTable, over_lcm, require_instance, require_int, require_rational
 
 Monomial = Tuple[int, ...]
 
@@ -125,15 +125,20 @@ def _rational(c):
 class CellPolynomial:
     """Immutable-by-convention sparse polynomial: `terms` maps each monomial,
     the ascending tuple of its variable ids with repeats as powers, to its
-    nonzero coefficient; integral coefficients are ints."""
+    nonzero coefficient; integral coefficients are ints.  A size below 1 or
+    a key that is not such a tuple of ints of at least 0 raises InputError."""
 
     __slots__ = ("size", "terms")
 
     def __init__(self, size: int, terms: Optional[Dict[Monomial, Fraction]] = None):
-        self.size = size
+        self.size = require_int(size, "polynomial size", 1)
         clean: Dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
+                for v in require_instance(m, tuple, "monomial"):
+                    require_int(v, "variable id", 0)
+                if list(m) != sorted(m):
+                    raise InputError(f"monomial {m!r} is not in ascending order")
                 if c.__class__ is not int:
                     c = _rational(c)
                 if c != 0:

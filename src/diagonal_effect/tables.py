@@ -36,11 +36,21 @@ class ModelForm(Enum):
     MIXTURE = "mixture"
 
 
-def require_int(value, what: str):
-    """`value` itself when it is an int that is not a bool; anything else
-    raises InputError naming `what`."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{what} must be an integer, got {value!r}")
+def require_int(value, what: str, least: Optional[int] = None):
+    """`value` itself when it is an int that is not a bool, of at least
+    `least` if that is given; anything else raises InputError naming `what`."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or least is not None and value < least):
+        floor = "" if least is None else f" of at least {least}"
+        raise InputError(f"{what} must be an integer{floor}, got {value!r}")
+    return value
+
+
+def require_instance(value, cls: type, what: str):
+    """`value` itself when it is an instance of `cls`; anything else raises
+    InputError naming `what` and the class."""
+    if not isinstance(value, cls):
+        raise InputError(f"{what} must be a {cls.__name__}, got {value!r}")
     return value
 
 
@@ -54,17 +64,10 @@ class ModelSpec:
     structural_zero_diagonal: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.family, ModelFamily):
-            raise InputError(f"family must be a ModelFamily, got {self.family!r}")
-        if not isinstance(self.form, ModelForm):
-            raise InputError(f"form must be a ModelForm, got {self.form!r}")
-        require_int(self.size, "table size")
-        if self.size < 2:
-            raise InputError(f"table size must be at least 2, got {self.size}")
-        if not isinstance(self.structural_zero_diagonal, bool):
-            raise InputError(
-                f"structural_zero_diagonal must be a bool, got {self.structural_zero_diagonal!r}"
-            )
+        require_instance(self.family, ModelFamily, "family")
+        require_instance(self.form, ModelForm, "form")
+        require_int(self.size, "table size", 2)
+        require_instance(self.structural_zero_diagonal, bool, "structural_zero_diagonal")
         if self.structural_zero_diagonal and self.family is not ModelFamily.DIAGONAL_EFFECT:
             raise InputError(
                 "structural_zero_diagonal is only meaningful for the diagonal-effect family"
@@ -295,6 +298,15 @@ class Move:
         move = object.__new__(cls)
         move.__dict__.update(size=size, cells=cells, label=label, degree=degree)
         return move
+
+
+def require_moves(moves) -> Sequence[Move]:
+    """`moves` itself when it is a sequence of Moves; anything else raises
+    InputError before any move is read."""
+    for m in require_sequence(moves, "moves"):
+        if not isinstance(m, Move):
+            raise InputError(f"a move list holds Move objects, got {m!r}")
+    return moves
 
 
 def rectangle_indices(I: int) -> Iterator[Tuple[int, int, int, int]]:

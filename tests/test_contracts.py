@@ -1,9 +1,11 @@
 """Cross-module contract checks that don't belong to a single module."""
 
+import ast
 import importlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,13 +19,19 @@ from diagonal_effect import (
     ModelFamily,
     ModelForm,
     ModelSpec,
+    WalkConfig,
     apply_move,
     enumerate_fiber,
+    exact_test,
+    exact_test_chains,
     gens_independence,
     independence_factorize,
+    is_connected,
+    moves_to_binomials,
     random_rational_point,
     sufficient_statistic,
     toric_point,
+    verify_connectivity,
 )
 from diagonal_effect.cli import parse_count_table, parse_params
 from diagonal_effect.markov import moves_common_diag, moves_diag_effect
@@ -145,3 +153,81 @@ def test_groebner_resolves_to_the_engine_module():
     for removed in ("GroebnerBasis", "in_ideal"):
         assert not hasattr(diagonal_effect, removed)
     assert not hasattr(diagonal_effect.groebner, "normal_form")
+
+
+_TABLE = CountTable.from_rows([[1, 2, 3], [2, 1, 2], [3, 1, 1]])
+_COMMON3 = model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3)
+_STAT = sufficient_statistic(_TABLE, _COMMON3)
+
+
+@pytest.mark.parametrize("call, message", [
+    # integer counts with a floor
+    pytest.param(lambda: enumerate_fiber(_STAT, _COMMON3, -1),
+                 "node_budget must be an integer of at least 0, got -1", id="enumerate_fiber-node_budget"),
+    pytest.param(lambda: WalkConfig(steps=0),
+                 "steps must be an integer of at least 1, got 0", id="WalkConfig-steps"),
+    pytest.param(lambda: WalkConfig(steps=10, burn_in=-1),
+                 "burn_in must be an integer of at least 0, got -1", id="WalkConfig-burn_in"),
+    pytest.param(lambda: WalkConfig(steps=10, thinning=0),
+                 "thinning must be an integer of at least 1, got 0", id="WalkConfig-thinning"),
+    pytest.param(lambda: exact_test(_TABLE, _COMMON3, WalkConfig(steps=10), node_budget=1.5),
+                 "node_budget must be an integer of at least 0, got 1.5", id="exact_test-node_budget"),
+    pytest.param(lambda: exact_test_chains(_TABLE, _COMMON3, WalkConfig(steps=10), True),
+                 "chains must be an integer of at least 1, got True", id="exact_test_chains-chains"),
+    pytest.param(lambda: verify_connectivity(ModelFamily.DIAGONAL_EFFECT, 3, -1),
+                 "max_n must be an integer of at least 0, got -1", id="verify_connectivity-max_n"),
+    pytest.param(lambda: ModelSpec(ModelFamily.DIAGONAL_EFFECT, ModelForm.TORIC, 1),
+                 "table size must be an integer of at least 2, got 1", id="ModelSpec-size"),
+    # instances of a class
+    pytest.param(lambda: ModelSpec("diag", ModelForm.TORIC, 3),
+                 "family must be a ModelFamily, got 'diag'", id="ModelSpec-family"),
+    pytest.param(lambda: ModelSpec(ModelFamily.DIAGONAL_EFFECT, "toric", 3),
+                 "form must be a ModelForm, got 'toric'", id="ModelSpec-form"),
+    pytest.param(lambda: ModelSpec(ModelFamily.DIAGONAL_EFFECT, ModelForm.TORIC, 3, 1),
+                 "structural_zero_diagonal must be a bool, got 1", id="ModelSpec-structural_zero_diagonal"),
+    pytest.param(lambda: WalkConfig(steps=10, stationary="uniform"),
+                 "stationary must be a Stationary, got 'uniform'", id="WalkConfig-stationary"),
+    pytest.param(lambda: random_rational_point("common", 0),
+                 "model must be a ModelSpec, got 'common'", id="random_rational_point-model"),
+    # move lists
+    pytest.param(lambda: moves_to_binomials([*moves_common_diag(3), "m"]),
+                 "a move list holds Move objects, got 'm'", id="moves_to_binomials"),
+    pytest.param(lambda: is_connected(enumerate_fiber(_STAT, _COMMON3), [*moves_common_diag(3), "m"]),
+                 "a move list holds Move objects, got 'm'", id="is_connected"),
+])
+def test_one_message_per_rule(call, message):
+    # each rule has one implementation in `tables`, so each site prints its message
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module imports and never reads, also in quoted annotations."""
+    tree = ast.parse(source)
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        for note in annotations:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(Path(diagonal_effect.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(path.read_text()) == []

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,28 @@ class TestExactEvaluation:
             CellPolynomial(2, {(0,): coeff})
         with pytest.raises(InputError, match="coefficient"):
             CellPolynomial.from_cell_terms(2, [(coeff, [(1, 2)])])
+
+    @pytest.mark.parametrize("size", [None, "x", 1.5, True, 0], ids=repr)
+    def test_size_that_is_not_a_positive_int_rejected(self, size):
+        with pytest.raises(InputError, match="^polynomial size must be an integer of at least 1, got "):
+            CellPolynomial(size, {(0,): 1})
+
+    @pytest.mark.parametrize("key, message", [
+        pytest.param("ab", "monomial must be a tuple, got 'ab'", id="str"),
+        pytest.param((0.5,), "variable id must be an integer of at least 0, got 0.5", id="float-id"),
+        pytest.param((True,), "variable id must be an integer of at least 0, got True", id="bool-id"),
+        pytest.param((-1,), "variable id must be an integer of at least 0, got -1", id="negative-id"),
+        pytest.param((1, 0), "monomial (1, 0) is not in ascending order", id="descending"),
+    ])
+    def test_key_that_is_not_a_monomial_rejected(self, key, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            CellPolynomial(2, {(0,): 1, key: 1})
+
+    def test_one_monomial_cannot_hold_two_terms(self):
+        # p[1,2]*p[1,1] - p[1,1]*p[1,2] written with an unsorted key would keep two terms
+        with pytest.raises(InputError, match="not in ascending order"):
+            CellPolynomial(2, {(1, 0): 1, (0, 1): -1})
+        assert CellPolynomial.from_cell_terms(2, [(1, [(1, 2), (1, 1)]), (-1, [(1, 1), (1, 2)])]).is_zero()
 
     def test_errors_kept(self):
         minor = binomial_from_vector([1, -1, -1, 1], 2)
