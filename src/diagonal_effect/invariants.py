@@ -14,6 +14,7 @@ silently.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -27,6 +28,7 @@ from .polynomials import (
     cell_var,
     clear_denominators,
     mono_from_cells,
+    require_point,
 )
 from .tables import Move, ProbTable, _Memo, rectangle_indices, require_moves, require_size, triple_indices
 
@@ -208,6 +210,9 @@ _LISTED3_TWELVE_TERM = [
      (-1, [(1, 1), (3, 3), (3, 3)]), (1, [(2, 2), (3, 3), (3, 3)])],
 ]
 
+_LISTED3_GROUPS = (("binomial", _LISTED3_BINOMIAL), ("4-term", _LISTED3_FOUR_TERM),
+                   ("8-term", _LISTED3_EIGHT_TERM), ("12-term", _LISTED3_TWELVE_TERM))
+
 
 def gens_common_mixture_listed3() -> List[Invariant]:
     """The twenty generators of the common-diagonal mixture model, I=3.
@@ -216,18 +221,13 @@ def gens_common_mixture_listed3() -> List[Invariant]:
     twelve-term polynomial.  Entry 10 of the four-term group carries a
     one-sign correction documented in `nonvanishing_variants_report`.
     """
-    out = []
-    for group, lists in (("binomial", _LISTED3_BINOMIAL), ("4-term", _LISTED3_FOUR_TERM),
-                         ("8-term", _LISTED3_EIGHT_TERM), ("12-term", _LISTED3_TWELVE_TERM)):
-        for k, terms in enumerate(lists, 1):
-            out.append(Invariant(f"common-mixture-3 {group} #{k}",
-                                 CellPolynomial.from_cell_terms(3, terms)))
-    return out
+    return [Invariant(f"common-mixture-3 {group} #{k}", CellPolynomial.from_cell_terms(3, terms))
+            for group, lists in _LISTED3_GROUPS for k, terms in enumerate(lists, 1)]
 
 
 def listed_mixture_term_counts() -> dict:
     """Term-count metadata of the I=3 mixture list: {terms: how many}."""
-    return {2: 1, 4: 12, 8: 6, 12: 1}
+    return dict(Counter(len(terms) for _, lists in _LISTED3_GROUPS for terms in lists))
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +368,10 @@ def check_vanishing(polys, P: ProbTable) -> VanishingReport:
     """Evaluate every polynomial exactly at P; pass iff every value is 0.
 
     `polys` holds `Invariant`s or bare `CellPolynomial`s, which are named
-    "poly #k" by position; anything else raises InputError.
+    "poly #k" by position; anything else, or a P that is neither a
+    ProbTable nor a mapping, raises InputError, whatever `polys` holds.
     """
+    require_point(P)
     cleared = {}  # per table size: (N, D) and the monomial values at them
     entries = []
     size = at = None

@@ -36,6 +36,7 @@ from .tables import (
     Move,
     SufficientStat,
     _Memo,
+    _unchecked,
     rectangle_indices,
     require_instance,
     require_int,
@@ -72,7 +73,8 @@ def _family(I: int, candidates: Iterable[Tuple[str, Dict[Tuple[int, int], int]]]
             grid[i - 1][j - 1] = v
             if v > 0:
                 degree += v
-        moves.append(Move._balanced(I, tuple(map(tuple, grid)), label, degree))
+        # a balanced candidate: its positive and negative parts both sum to degree
+        moves.append(_unchecked(Move, size=I, cells=tuple(map(tuple, grid)), label=label, degree=degree))
     return moves
 
 
@@ -213,8 +215,9 @@ class Fiber:
 
     @cached_property
     def tables(self) -> tuple:
-        I = self.stat.size
-        return tuple(CountTable(size=I, cells=tuple(f[i * I:(i + 1) * I] for i in range(I)))
+        I, n = self.stat.size, sum(self.stat.rows)
+        # each path is a table of the fiber: nonnegative counts summing to n
+        return tuple(_unchecked(CountTable, size=I, cells=tuple(f[i * I:(i + 1) * I] for i in range(I)), n=n)
                      for f in self.flats)
 
 
@@ -650,7 +653,8 @@ def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> 
                 last = out
                 state = None if seen is None else seen.get(out)
                 if state is None:
-                    state = start._in_fiber(tuple(map(out.__getitem__, rows)))
+                    # accepted moves keep every count nonnegative and the total
+                    state = _unchecked(CountTable, size=I, cells=tuple(map(out.__getitem__, rows)), n=start.n)
                     if seen is not None:
                         seen = _remember(seen, out, state)
             moved = False
@@ -1052,7 +1056,9 @@ def verify_connectivity(
 
     disconnected = []
     for least in sorted(found, key=lambda t: (sum(t), t)):
-        table = CountTable(size=I, cells=tuple(least[i * I:(i + 1) * I] for i in range(I)))
+        # a swept table: nonnegative counts
+        table = _unchecked(CountTable, size=I, cells=tuple(least[i * I:(i + 1) * I] for i in range(I)),
+                           n=sum(least))
         stat = sufficient_statistic(table, model)
         disconnected.append(((stat.rows, stat.cols, stat.diag), found[least]))
 

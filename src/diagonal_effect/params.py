@@ -28,6 +28,7 @@ from .tables import (
     ModelForm,
     ModelSpec,
     ProbTable,
+    _unchecked,
     over_lcm,
     require_instance,
     require_int,
@@ -177,7 +178,7 @@ def toric_point(params: ToricParams) -> Tuple[ProbTable, Normalizers]:
         row = [ai * x for x in bC]
         row[i] = ai * b[i] * c[i]
         rows.append(tuple(Fraction(x, T) for x in row))
-    return ProbTable._summing_to_one(params.size, tuple(rows)), norms
+    return _unchecked(ProbTable, size=params.size, cells=tuple(rows)), norms
 
 
 def mixture_point(params: MixtureParams) -> ProbTable:
@@ -202,7 +203,7 @@ def mixture_point(params: MixtureParams) -> ProbTable:
         row = [ri * x for x in gammaD]
         row[i] += (q - p) * delta[i] * R * G
         rows.append(tuple(Fraction(x, den) for x in row))
-    return ProbTable._summing_to_one(params.size, tuple(rows))
+    return _unchecked(ProbTable, size=params.size, cells=tuple(rows))
 
 
 def independence_factorize(P: ProbTable) -> Optional[Tuple[tuple, tuple]]:

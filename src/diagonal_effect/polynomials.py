@@ -18,7 +18,7 @@ from operator import neg
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, SizeMismatchError
-from .tables import ProbTable, over_lcm, require_instance, require_int, require_rational
+from .tables import ProbTable, over_lcm, require_instance, require_int, require_mapping, require_rational
 
 Monomial = Tuple[int, ...]
 
@@ -98,12 +98,18 @@ class TermOrder:
         return (sum(dense), tuple(map(neg, reversed(dense))))
 
 
+def require_point(point):
+    """`point` itself when it is a ProbTable or a {(i, j): value} mapping;
+    anything else raises InputError."""
+    return point if isinstance(point, ProbTable) else require_mapping(point, "point")
+
+
 def clear_denominators(point, size: int) -> Tuple[List[int], int]:
     """(N, D): cell variable v is N[v] / D at a ProbTable or a {(i, j): value}
     mapping `point`, with D the lcm of the cell denominators.  A mapping's
     values must be ints or Fractions: a float is already rounded, so its
     exact value would make a vanishing polynomial look nonzero."""
-    if isinstance(point, ProbTable):
+    if isinstance(require_point(point), ProbTable):
         if point.size != size:
             raise SizeMismatchError(
                 f"polynomial over {size}x{size} cells, table is {point.size}x{point.size}"
@@ -125,16 +131,16 @@ def _rational(c):
 class CellPolynomial:
     """Immutable-by-convention sparse polynomial: `terms` maps each monomial,
     the ascending tuple of its variable ids with repeats as powers, to its
-    nonzero coefficient; integral coefficients are ints.  A size below 1 or
-    a key that is not such a tuple of ints of at least 0 raises InputError."""
+    nonzero coefficient; integral coefficients are ints.  A size below 1, a
+    non-mapping `terms` or a key not such a tuple of ints >= 0 raises InputError."""
 
     __slots__ = ("size", "terms")
 
     def __init__(self, size: int, terms: Optional[Dict[Monomial, Fraction]] = None):
         self.size = require_int(size, "polynomial size", 1)
         clean: Dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
+        if terms is not None:
+            for m, c in require_mapping(terms, "polynomial terms").items():
                 for v in require_instance(m, tuple, "monomial"):
                     require_int(v, "variable id", 0)
                 if list(m) != sorted(m):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import collections.abc
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -37,10 +36,10 @@ class ModelForm(Enum):
 
 
 def require_int(value, what: str, least: Optional[int] = None):
-    """`value` itself when it is an int that is not a bool, of at least
-    `least` if that is given; anything else raises InputError naming `what`."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or least is not None and value < least):
+    """`value` itself when it is exactly an int (not a bool or another int
+    subclass, such as an IntEnum member), of at least `least` if that is
+    given; anything else raises InputError naming `what`."""
+    if value.__class__ is not int or least is not None and value < least:
         floor = "" if least is None else f" of at least {least}"
         raise InputError(f"{what} must be an integer{floor}, got {value!r}")
     return value
@@ -118,74 +117,60 @@ def require_sequence(value, what: str):
     return value
 
 
-def _grid_rows(rows, what: str) -> Sequence[Sequence]:
-    """`rows` itself when it and each of its rows are sequences."""
-    require_sequence(rows, what)
-    for i, row in enumerate(rows):
-        require_sequence(row, f"{what}: row {i + 1}")
-    return rows
+def require_mapping(value, what: str):
+    """`value` itself when it is a mapping, such as a dict (which skips the
+    slow abstract-class check); anything else raises InputError naming `what`."""
+    if value.__class__ is not dict and not isinstance(value, collections.abc.Mapping):
+        raise InputError(f"{what} is not a mapping: got {type(value).__name__}")
+    return value
 
 
-def _require_grid(cells, size: int) -> None:
-    """Raise InputError unless `cells` is a size x size grid: a sequence of
-    `size` sequences of `size` entries each.  Tuple rows, which every
-    builder in the package passes, are taken without naming the row.  It
-    runs for every table a fiber enumeration builds, so it stays cheap."""
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass `cls` holding `fields`, built
+    without `__post_init__`'s checks.  It is the one way the package builds
+    a table or a move it has made itself; each call site states why the
+    checks would pass."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
+def _square_grid(cells, size: int) -> Grid:
+    """`cells` as a tuple of tuples, and `cells` itself when it already is
+    one, if it is a sequence of `size` sequences of `size` entries each;
+    anything else raises InputError before any entry is read."""
     if len(require_sequence(cells, "cells")) != size:
         raise InputError("cells must form a size x size grid")
+    frozen = cells.__class__ is tuple
     for i, row in enumerate(cells):
         if row.__class__ is not tuple:
             require_sequence(row, f"cells: row {i + 1}")
+            frozen = False
         if len(row) != size:
             raise InputError("cells must form a size x size grid")
-
-
-def _freeze_int_grid(rows: Sequence[Sequence[int]], *, what: str) -> tuple:
-    size = len(_grid_rows(rows, what))
-    out = []
-    for i, row in enumerate(rows):
-        if len(row) != size:
-            raise InputError(f"{what}: row {i + 1} has {len(row)} entries, expected {size}")
-        for x in row:
-            if isinstance(x, bool) or not hasattr(x, "__index__"):
-                raise InputError(f"{what}: entry {x!r} in row {i + 1} is not an integer")
-        out.append(tuple(operator.index(x) for x in row))
-    return tuple(out)
+    return cells if frozen else tuple(map(tuple, cells))
 
 
 @dataclass(frozen=True)
 class CountTable:
-    """A square table of observed nonnegative integer counts."""
+    """A square table of observed nonnegative `int` counts (`require_int`)."""
 
     size: int
     cells: Grid
     n: int = field(init=False)
 
     def __post_init__(self):
-        _require_grid(self.cells, self.size)
+        cells = _square_grid(self.cells, require_int(self.size, "table size"))
         total = 0
-        for i, row in enumerate(self.cells):
-            for x in row:
-                if x.__class__ is not int or x < 0:  # exactly int: no bool, float or Fraction
-                    j = next(j for j, y in enumerate(row) if y is x)
-                    kind = "is negative" if x.__class__ is int else "is not an integer"
-                    raise InputError(f"count at ({i + 1},{j + 1}) {kind}: {x!r}")
-                total += x
+        for i, row in enumerate(cells):
+            for j, x in enumerate(row):
+                total += require_int(x, f"count at ({i + 1},{j + 1})", 0)
+        object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "n", total)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "CountTable":
-        grid = _freeze_int_grid(rows, what="count table")
-        return cls(size=len(grid), cells=grid)
-
-    def _in_fiber(self, cells: Grid) -> "CountTable":
-        """The table `cells`, reached from this one by moves that keep every
-        count nonnegative, as the fiber walk's states are.  Moves are
-        balanced integer tables, so it has this table's size and total and
-        is built without the checks."""
-        table = object.__new__(CountTable)
-        table.__dict__.update(size=self.size, cells=cells, n=self.n)
-        return table
+        return cls(size=len(require_sequence(rows, "cells")), cells=rows)
 
     def row_margins(self) -> tuple:
         return tuple(sum(row) for row in self.cells)
@@ -205,40 +190,34 @@ class CountTable:
 
 @dataclass(frozen=True)
 class ProbTable:
-    """A square table of exact rational cell probabilities summing to one."""
+    """A square table of exact rational cell probabilities summing to one,
+    given as ints or Fractions (`require_rational`) and kept as Fractions."""
 
     size: int
     cells: Grid
 
     def __post_init__(self):
-        _require_grid(self.cells, self.size)
-        for i, row in enumerate(self.cells):
+        grid = _square_grid(self.cells, require_int(self.size, "table size"))
+        cells = []
+        for i, row in enumerate(grid):
+            out = []
             for j, p in enumerate(row):
-                if not isinstance(p, Fraction):
-                    raise InputError(f"probability at ({i + 1},{j + 1}) is not a Fraction")
+                if p.__class__ is not Fraction:
+                    p = Fraction(require_rational(p, f"probability at ({i + 1},{j + 1})"))
                 if p.numerator < 0:
                     raise InputError(f"probability at ({i + 1},{j + 1}) is negative: {p}")
-        numerators, den = over_lcm([p for row in self.cells for p in row])
+                out.append(p)
+            cells.append(tuple(out))
+        cells = tuple(cells)
+        numerators, den = over_lcm([p for row in cells for p in row])
         total = sum(numerators)
         if total != den:
             raise InputError(f"probabilities sum to {Fraction(total, den)}, expected exactly 1")
-
-    @classmethod
-    def _summing_to_one(cls, size: int, cells: Grid) -> "ProbTable":
-        """The table `cells`, a size x size tuple grid of nonnegative
-        Fractions that sum to exactly 1, as `params.toric_point` and
-        `params.mixture_point` build them (their docstrings give the
-        proof): built without the checks."""
-        table = object.__new__(cls)
-        table.__dict__.update(size=size, cells=cells)
-        return table
+        object.__setattr__(self, "cells", cells)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "ProbTable":
-        grid = tuple(tuple(Fraction(require_rational(x, f"probability at ({i + 1},{j + 1})"))
-                           for j, x in enumerate(row))
-                     for i, row in enumerate(_grid_rows(rows, "probability table")))
-        return cls(size=len(grid), cells=grid)
+        return cls(size=len(require_sequence(rows, "cells")), cells=rows)
 
     def is_strictly_positive(self) -> bool:
         return all(p.numerator > 0 for row in self.cells for p in row)
@@ -248,14 +227,13 @@ class ProbTable:
 
 
 def normalize(table: CountTable) -> ProbTable:
-    """Empirical probability table f/n (exact)."""
+    """Empirical probability table f/n (exact): nonnegative counts over
+    their total sum to exactly 1."""
     if table.n == 0:
         raise InputError("cannot normalize an all-zero count table")
     n = table.n
-    return ProbTable(
-        size=table.size,
-        cells=tuple(tuple(Fraction(x, n) for x in row) for row in table.cells),
-    )
+    return _unchecked(ProbTable, size=table.size,
+                      cells=tuple(tuple(Fraction(x, n) for x in row) for row in table.cells))
 
 
 @dataclass(frozen=True)
@@ -273,31 +251,23 @@ class Move:
     degree: int = field(init=False)
 
     def __post_init__(self):
-        _require_grid(self.cells, self.size)
-        flat = [x for row in self.cells for x in row]
-        if not set(map(type, flat)) <= {int}:  # no bool, float or Fraction
-            raise InputError("move cells must be integers")
-        net, mass = sum(flat), sum(map(abs, flat))
+        cells = _square_grid(self.cells, require_int(self.size, "table size"))
+        net = mass = 0
+        for i, row in enumerate(cells):
+            for j, x in enumerate(row):
+                net += require_int(x, f"move entry at ({i + 1},{j + 1})")
+                mass += abs(x)
         pos, neg = (mass + net) // 2, (mass - net) // 2
         if pos != neg:
             raise InputError(f"unbalanced move: positive part {pos}, negative part {neg}")
         if pos == 0:
             raise InputError("the zero move is not a valid move")
+        object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "degree", pos)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], label: str = "") -> "Move":
-        grid = _freeze_int_grid(rows, what="move")
-        return cls(size=len(grid), cells=grid, label=label)
-
-    @classmethod
-    def _balanced(cls, size: int, cells: Grid, label: str, degree: int) -> "Move":
-        """The move `cells`, a size x size grid of `int`s whose positive and
-        negative parts both sum to `degree` > 0, as the factories in `markov`
-        build them: built without the checks."""
-        move = object.__new__(cls)
-        move.__dict__.update(size=size, cells=cells, label=label, degree=degree)
-        return move
+        return cls(size=len(require_sequence(rows, "cells")), cells=rows, label=label)
 
 
 def require_moves(moves) -> Sequence[Move]:
@@ -329,7 +299,9 @@ class SufficientStat:
 
     `diag` is the full diagonal vector for the diagonal-effect family, the
     scalar diagonal sum for the common-diagonal family, and None for
-    independence.  One equality predicate thus serves all fibers.
+    independence.  One equality predicate thus serves all fibers.  Margins
+    and a diagonal vector are kept as tuples of nonnegative `int`s, so a
+    statistic hashes.
     """
 
     family: ModelFamily
@@ -338,13 +310,22 @@ class SufficientStat:
     diag: Union[tuple, int, None]
 
     def __post_init__(self):
+        require_instance(self.family, ModelFamily, "family")
+        size = len(require_sequence(self.rows, "row margins"))
+
+        def counts(values, what: str) -> tuple:
+            if len(require_sequence(values, what)) != size:
+                raise InputError(f"{what} has {len(values)} entries, expected {size}")
+            return tuple(require_int(x, f"{what}: entry {k}", 0) for k, x in enumerate(values, 1))
+        object.__setattr__(self, "rows", counts(self.rows, "row margins"))
+        object.__setattr__(self, "cols", counts(self.cols, "column margins"))
         if sum(self.rows) != sum(self.cols):
             raise InputError("row and column margins have different totals")
-        if self.family is ModelFamily.DIAGONAL_EFFECT and not isinstance(self.diag, tuple):
-            raise InputError("diagonal-effect statistic requires the full diagonal vector")
-        if self.family is ModelFamily.COMMON_DIAGONAL_EFFECT and not isinstance(self.diag, int):
-            raise InputError("common-diagonal statistic requires the scalar diagonal sum")
-        if self.family is ModelFamily.INDEPENDENCE and self.diag is not None:
+        if self.family is ModelFamily.DIAGONAL_EFFECT:
+            object.__setattr__(self, "diag", counts(self.diag, "diagonal vector"))
+        elif self.family is ModelFamily.COMMON_DIAGONAL_EFFECT:
+            require_int(self.diag, "diagonal sum", 0)
+        elif self.diag is not None:
             raise InputError("independence statistic carries no diagonal component")
 
     @property
@@ -364,12 +345,7 @@ def sufficient_statistic(table: CountTable, model: ModelSpec) -> SufficientStat:
         diag = table.diag_sum()
     else:
         diag = None
-    return SufficientStat(
-        family=model.family,
-        rows=table.row_margins(),
-        cols=table.col_margins(),
-        diag=diag,
-    )
+    return SufficientStat(model.family, table.row_margins(), table.col_margins(), diag)
 
 
 def apply_move(table: CountTable, move: Move, sign: int = 1) -> Optional[CountTable]:
@@ -382,13 +358,12 @@ def apply_move(table: CountTable, move: Move, sign: int = 1) -> Optional[CountTa
         raise SizeMismatchError(f"table size {table.size} != move size {move.size}")
     if sign not in (1, -1):
         raise InputError(f"sign must be +1 or -1, got {sign}")
-    new_rows = []
-    for trow, mrow in zip(table.cells, move.cells):
-        row = tuple(t + sign * m for t, m in zip(trow, mrow))
-        if any(x < 0 for x in row):
-            return None
-        new_rows.append(row)
-    return CountTable(size=table.size, cells=tuple(new_rows))
+    cells = tuple(tuple(t + sign * m for t, m in zip(trow, mrow))
+                  for trow, mrow in zip(table.cells, move.cells))
+    if any(x < 0 for row in cells for x in row):
+        return None
+    # a balanced move keeps the total
+    return _unchecked(CountTable, size=table.size, cells=cells, n=table.n)
 
 
 def likelihood(prob: ProbTable, table: CountTable) -> Fraction:

@@ -98,6 +98,21 @@ def test_enumeration_p_value(golden, key):
     assert record(key) == golden["tests"][key]
 
 
+@pytest.mark.parametrize("key", list(CASES))
+def test_fiber_tables_pass_the_checks(key):
+    # a fiber's tables are built without the checks: each must equal the
+    # checked table, lie in the fiber and be distinct; fiber8 is
+    # demos/table5.csv, whose fiber of 9,480 tables is the largest here
+    table, model = case(key)
+    stat = sufficient_statistic(table, model)
+    fiber = enumerate_fiber(stat, model)
+    for t in fiber.tables:
+        checked = CountTable(size=t.size, cells=t.cells)
+        assert (t, hash(t), repr(t)) == (checked, hash(checked), repr(checked))
+        assert sufficient_statistic(t, model) == stat
+    assert len(set(fiber.tables)) == len(fiber.tables) == len(fiber)
+
+
 @pytest.mark.parametrize("key", ORDER_PINNED)
 def test_fiber_order(golden, key):
     assert order_hash(key) == golden["order_sha256"][key]

@@ -206,6 +206,13 @@ class TestCheckVanishingInput:
             with pytest.raises(SizeMismatchError):
                 check_vanishing(batch, diag_toric_point(3, 0))
 
+    @pytest.mark.parametrize("point", ["x", None], ids=repr)
+    def test_point_checked_whatever_the_batch(self, point):
+        # the point is checked before the loop, so an empty batch checks it too
+        for batch in ([], gens_diag_effect(3)):
+            with pytest.raises(InputError, match="^point is not a mapping: got "):
+                check_vanishing(batch, point)
+
     def test_named_tuples_rejected(self):
         gen = gens_diag_effect(3)[0]
         with pytest.raises(InputError):

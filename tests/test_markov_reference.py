@@ -30,7 +30,7 @@ from diagonal_effect import (
     moves_diag_effect,
 )
 from diagonal_effect import markov
-from diagonal_effect.tables import rectangle_indices, require_size, triple_indices
+from diagonal_effect.tables import _unchecked, rectangle_indices, require_size, triple_indices
 
 # ---------------------------------------------------------------------------
 # reference move builders
@@ -194,7 +194,7 @@ def reference_fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkC
             out = tuple(flat)
             if out != last:
                 last = out
-                state = start._in_fiber(tuple(map(out.__getitem__, rows)))
+                state = _unchecked(CountTable, size=I, cells=tuple(map(out.__getitem__, rows)), n=start.n)
             moved = False
         yield state
 

@@ -197,6 +197,21 @@ class TestExactEvaluation:
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             CellPolynomial(2, {(0,): 1, key: 1})
 
+    @pytest.mark.parametrize("terms, got", [
+        pytest.param([((0,), 1)], "list", id="pairs"),
+        pytest.param("ab", "str", id="str"),
+        pytest.param(5, "int", id="int"),
+    ])
+    def test_terms_that_are_not_a_mapping_rejected(self, terms, got):
+        with pytest.raises(InputError, match=f"^polynomial terms is not a mapping: got {got}$"):
+            CellPolynomial(2, terms)
+
+    @pytest.mark.parametrize("point", ["x", None, 5, [((1, 1), 1)]], ids=repr)
+    def test_point_that_is_not_a_table_or_mapping_rejected(self, point):
+        minor = binomial_from_vector([1, -1, -1, 1], 2)
+        with pytest.raises(InputError, match="^point is not a mapping: got "):
+            minor.evaluate(point)
+
     def test_one_monomial_cannot_hold_two_terms(self):
         # p[1,2]*p[1,1] - p[1,1]*p[1,2] written with an unsorted key would keep two terms
         with pytest.raises(InputError, match="not in ascending order"):

@@ -1,6 +1,9 @@
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagonal_effect import (
     CountTable,
@@ -13,6 +16,7 @@ from diagonal_effect import (
     SizeMismatchError,
     SufficientStat,
     apply_move,
+    enumerate_fiber,
     likelihood,
     normalize,
     random_rational_point,
@@ -26,6 +30,12 @@ from conftest import model, random_count_table
 
 DIAG3 = model(ModelFamily.DIAGONAL_EFFECT, 3)
 COMMON3 = model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3)
+
+
+class Small(IntEnum):
+    """An int subclass: an entry must be exactly an int, so it is rejected."""
+
+    ONE = 1
 
 
 class TestModelSpec:
@@ -65,12 +75,12 @@ class TestCountTable:
         with pytest.raises(InputError):
             CountTable.from_rows([[1, 2], [3]])
 
-    @pytest.mark.parametrize("entry", [float("nan"), "x", float("inf"), True, 2.0],
-                             ids=["nan", "str", "inf", "bool", "float"])
+    @pytest.mark.parametrize("entry", [float("nan"), "x", float("inf"), True, 2.0, Small.ONE],
+                             ids=["nan", "str", "inf", "bool", "float", "int-subclass"])
     def test_rejects_non_integer_entries(self, entry):
-        with pytest.raises(InputError, match="not an integer"):
+        with pytest.raises(InputError, match=r"^count at \(1,1\) must be an integer of at least 0, got "):
             CountTable.from_rows([[entry, 0], [0, 1]])
-        with pytest.raises(InputError, match="not an integer"):
+        with pytest.raises(InputError, match=r"^move entry at \(1,1\) must be an integer, got "):
             Move.from_rows([[entry, -1], [-1, 1]])
 
     @pytest.mark.parametrize("cells", [
@@ -78,19 +88,20 @@ class TestCountTable:
         ((1, 2.0), (0, 1)),
         ((Fraction(2), 0), (0, 1)),
         (("x", 0), (0, 1)),
-    ], ids=["bool-and-float", "float", "fraction", "str"])
+        ((Small.ONE, 0), (0, 1)),
+    ], ids=["bool-and-float", "float", "fraction", "str", "int-subclass"])
     def test_constructor_rejects_non_int_cells(self, cells):
-        with pytest.raises(InputError, match="not an integer"):
+        with pytest.raises(InputError, match="must be an integer of at least 0"):
             CountTable(size=2, cells=cells)
 
     @pytest.mark.parametrize("rows, message", [
-        (5, r"^count table is not a sequence: got int$"),
-        ([[1, 0], 5], r"^count table: row 2 is not a sequence: got int$"),
+        (5, r"^cells is not a sequence: got int$"),
+        ([[1, 0], 5], r"^cells: row 2 is not a sequence: got int$"),
     ], ids=["table", "row"])
     def test_from_rows_rejects_non_sequences(self, rows, message):
         with pytest.raises(InputError, match=message):
             CountTable.from_rows(rows)
-        with pytest.raises(InputError, match=message.replace("count table", "move")):
+        with pytest.raises(InputError, match=message):
             Move.from_rows(rows)
 
     @pytest.mark.parametrize("build", [CountTable, ProbTable, Move], ids=lambda c: c.__name__)
@@ -116,14 +127,65 @@ class TestCountTable:
     def test_constructor_takes_list_grids(self):
         assert CountTable(size=2, cells=[[1, 0], [0, 1]]).n == 2
         assert Move(size=2, cells=[[1, -1], [-1, 1]]).degree == 2
+        # a tuple-of-tuples grid is kept as the very object
+        cells = ((1, 0), (0, 1))
+        assert CountTable(size=2, cells=cells).cells is cells
 
-    def test_accepts_index_entries(self):
+    @pytest.mark.parametrize("build, cells", [
+        (CountTable, ((1, 0), (0, 1))),
+        (Move, ((1, -1), (-1, 1))),
+        (ProbTable, ((Fraction(1, 2), 0), (0, Fraction(1, 2)))),
+    ], ids=lambda x: getattr(x, "__name__", ""))
+    @pytest.mark.parametrize("size", [2.0, True, "2", None], ids=repr)
+    def test_constructors_reject_non_int_sizes(self, build, cells, size):
+        with pytest.raises(InputError, match=f"^table size must be an integer, got {size!r}$"):
+            build(size=size, cells=cells)
+
+    def test_rejects_index_entries(self):
+        # an `__index__` object, such as a NumPy int, is not an int: every
+        # entry point rejects it rather than converting it
         class Count:
             def __index__(self):
                 return 2
 
-        t = CountTable.from_rows([[Count(), 0], [0, 1]])
-        assert t.cells == ((2, 0), (0, 1)) and type(t.cells[0][0]) is int
+        with pytest.raises(InputError, match=r"^count at \(1,1\) must be an integer of at least 0"):
+            CountTable.from_rows([[Count(), 0], [0, 1]])
+        with pytest.raises(InputError, match=r"^move entry at \(1,1\) must be an integer"):
+            Move.from_rows([[Count(), -1], [-1, 1]])
+
+
+@st.composite
+def table_grid(draw):
+    """A kind of table and its grid as a list, a tuple or a mix of both:
+    counts, a balanced nonzero move, or probabilities with int zeros."""
+    size = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from([CountTable, Move, ProbTable]))
+    if kind is Move:
+        size = max(size, 2)
+        flat = draw(st.lists(st.integers(-3, 3), min_size=size * size - 1, max_size=size * size - 1)
+                    .filter(any))
+        flat.append(-sum(flat))
+    else:
+        flat = draw(st.lists(st.integers(0, 5), min_size=size * size, max_size=size * size)
+                    .filter(any))
+        if kind is ProbTable:
+            total = sum(flat)
+            flat = [Fraction(x, total) if x else 0 for x in flat]
+    row_types = draw(st.lists(st.sampled_from([list, tuple]), min_size=size, max_size=size))
+    rows = [row_type(flat[i * size:(i + 1) * size]) for i, row_type in enumerate(row_types)]
+    return kind, draw(st.sampled_from([list, tuple]))(rows)
+
+
+class TestOneGrid:
+    @settings(max_examples=150, deadline=None)
+    @given(case=table_grid())
+    def test_constructor_and_from_rows_agree(self, case):
+        kind, grid = case
+        built, from_rows = kind(size=len(grid), cells=grid), kind.from_rows(grid)
+        assert built == from_rows and hash(built) == hash(from_rows)
+        for table in (built, from_rows):
+            assert type(table.cells) is tuple and all(type(row) is tuple for row in table.cells)
+            assert table.cells == tuple(map(tuple, grid))
 
 
 class TestProbTable:
@@ -145,9 +207,9 @@ class TestProbTable:
     def test_cell_checks_come_in_cell_order(self):
         half = Fraction(1, 2)
         with pytest.raises(InputError, match=r"^probability at \(1,2\) is negative: -1/2$"):
-            ProbTable(size=2, cells=((half, -half), (1, half)))
-        with pytest.raises(InputError, match=r"^probability at \(2,1\) is not a Fraction$"):
-            ProbTable(size=2, cells=((half, half), (1, -half)))
+            ProbTable(size=2, cells=((half, -half), (1.0, half)))
+        with pytest.raises(InputError, match=r"^probability at \(2,1\) is not an int or a Fraction: 1.0$"):
+            ProbTable(size=2, cells=((half, half), (1.0, -half)))
 
     @pytest.mark.parametrize("bad", [1.0, True, "1"])
     def test_from_rows_takes_ints_and_fractions_only(self, bad):
@@ -157,8 +219,8 @@ class TestProbTable:
             ProbTable.from_rows([[0, 0], [0, bad]])
 
     @pytest.mark.parametrize("rows, message", [
-        (5, r"^probability table is not a sequence: got int$"),
-        ([5], r"^probability table: row 1 is not a sequence: got int$"),
+        (5, r"^cells is not a sequence: got int$"),
+        ([5], r"^cells: row 1 is not a sequence: got int$"),
     ], ids=["table", "row"])
     def test_from_rows_rejects_non_sequences(self, rows, message):
         with pytest.raises(InputError, match=message):
@@ -188,6 +250,31 @@ class TestSufficientStatistic:
         t = CountTable.from_rows([[1]])
         with pytest.raises(SizeMismatchError):
             sufficient_statistic(t, DIAG3)
+
+    @pytest.mark.parametrize("family, rows, cols, diag, message", [
+        (ModelFamily.INDEPENDENCE, (1.5, 0.5, 1), (3,), None,
+         r"^row margins: entry 1 must be an integer of at least 0, got 1.5$"),
+        (ModelFamily.INDEPENDENCE, (1, 1, -1), (1, 0, 0), None,
+         r"^row margins: entry 3 must be an integer of at least 0, got -1$"),
+        (ModelFamily.INDEPENDENCE, (1, 1, 1), (3,), None, r"^column margins has 1 entries, expected 3$"),
+        (ModelFamily.DIAGONAL_EFFECT, (1, 1), (1, 1), 2, r"^diagonal vector is not a sequence: got int$"),
+        (ModelFamily.DIAGONAL_EFFECT, (1, 1), (1, 1), (0, True),
+         r"^diagonal vector: entry 2 must be an integer of at least 0, got True$"),
+        (ModelFamily.COMMON_DIAGONAL_EFFECT, (1, 1), (1, 1), -1,
+         r"^diagonal sum must be an integer of at least 0, got -1$"),
+        ("diag", (1, 1), (1, 1), None, r"^family must be a ModelFamily, got 'diag'$"),
+    ], ids=["float-rows", "negative-row", "short-cols", "int-diag-vector", "bool-diag", "negative-sum",
+            "family-str"])
+    def test_malformed_statistics_rejected(self, family, rows, cols, diag, message):
+        with pytest.raises(InputError, match=message):
+            SufficientStat(family, rows=rows, cols=cols, diag=diag)
+
+    def test_list_margins_are_frozen(self):
+        listed = SufficientStat(ModelFamily.DIAGONAL_EFFECT, rows=[2, 1], cols=[1, 2], diag=[1, 0])
+        frozen = SufficientStat(ModelFamily.DIAGONAL_EFFECT, rows=(2, 1), cols=(1, 2), diag=(1, 0))
+        assert listed == frozen and type(listed.diag) is tuple
+        m = model(ModelFamily.DIAGONAL_EFFECT, 2)
+        assert hash(enumerate_fiber(listed, m)) == hash(enumerate_fiber(frozen, m))
 
     def test_stat_type_invariants(self):
         with pytest.raises(InputError):
@@ -222,6 +309,8 @@ class TestApplyMove:
                     out = apply_move(t, m, sign)
                     if out is not None:
                         assert sufficient_statistic(out, DIAG3) == before
+                        # built unchecked: it must equal the checked table
+                        assert out == CountTable(size=3, cells=out.cells)
 
     def test_zero_move_rejected(self):
         with pytest.raises(InputError):
@@ -233,8 +322,7 @@ class TestApplyMove:
 
     @pytest.mark.parametrize("x", [1.0, True, Fraction(1)])
     def test_non_integer_move_rejected(self, x):
-        # `Move.from_rows` converts its entries, the constructor takes them as given
-        with pytest.raises(InputError, match="integers"):
+        with pytest.raises(InputError, match=r"^move entry at \(1,1\) must be an integer, got "):
             Move(size=2, cells=((x, -1), (-1, 1)))
 
 
