@@ -36,7 +36,6 @@ _EXPORTS = {
         "likelihood",
         "normalize",
         "sufficient_statistic",
-        "zero_support_cells",
     ),
     "params": (
         "MixtureParams",
@@ -44,7 +43,6 @@ _EXPORTS = {
         "ToricParams",
         "common_diagonal_fit",
         "expected_counts",
-        "independence_factorize",
         "mixture_point",
         "normalizers",
         "quasi_independence_fit",
@@ -61,7 +59,6 @@ _EXPORTS = {
         "gens_common_toric_listed3",
         "gens_diag_effect",
         "gens_independence",
-        "listed_mixture_term_counts",
         "moves_to_binomials",
         "nonvanishing_variants_report",
     ),
@@ -92,7 +89,6 @@ _EXPORTS = {
         "boundary_membership_check",
         "classify_toric_point",
         "mixture_to_toric",
-        "toric_params_from_table",
     ),
     "toricideal": (
         "DesignMatrix",

@@ -14,7 +14,6 @@ silently.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -30,7 +29,7 @@ from .polynomials import (
     mono_from_cells,
     require_point,
 )
-from .tables import Move, ProbTable, _Memo, rectangle_indices, require_moves, require_size, triple_indices
+from .tables import Move, ProbTable, _Memo, rectangle_indices, require_int, require_moves, triple_indices
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ def _family_poly(I: int) -> Tuple[Callable[..., CellPolynomial], IdGrid, Dict[tu
 
 def gens_independence(I: int) -> List[Invariant]:
     """All 2x2 minors p[i,j]*p[k,h] - p[i,h]*p[k,j], i<k, j<h."""
-    require_size(I, 2, "independence minors")
+    require_int(I, "table size", 2)
     poly, v, _ = _family_poly(I)
     pairs = list(combinations(range(1, I + 1), 2))
     return [Invariant(f"minor[{i},{k}|{j},{h}]", _minor(poly, v, i, k, j, h))
@@ -114,7 +113,7 @@ def gens_diag_effect(I: int) -> List[Invariant]:
     Every generator avoids the diagonal cells, whose counts are sufficient.
     By construction these also vanish on the mixture form of the model.
     """
-    require_size(I, 3, "diagonal-effect generators")
+    require_int(I, "table size", 3)
     poly, v, _ = _family_poly(I)
     return _offdiag_minors_and_cycles(I, poly, v)
 
@@ -225,11 +224,6 @@ def gens_common_mixture_listed3() -> List[Invariant]:
             for group, lists in _LISTED3_GROUPS for k, terms in enumerate(lists, 1)]
 
 
-def listed_mixture_term_counts() -> dict:
-    """Term-count metadata of the I=3 mixture list: {terms: how many}."""
-    return dict(Counter(len(terms) for _, lists in _LISTED3_GROUPS for terms in lists))
-
-
 # ---------------------------------------------------------------------------
 # common-diagonal-effect: mixture invariant families for general I
 # ---------------------------------------------------------------------------
@@ -283,7 +277,7 @@ def gens_common_mixture_families(I: int) -> List[Invariant]:
     vanishes on the model (see `nonvanishing_variants_report` for the +1
     variant).
     """
-    require_size(I, 3, "common-diagonal mixture families")
+    require_int(I, "table size", 3)
     poly, v, monos = _family_poly(I)
     out = _offdiag_minors_and_cycles(I, poly, v)
     idx = range(1, I + 1)

@@ -37,11 +37,11 @@ from .tables import (
     SufficientStat,
     _Memo,
     _unchecked,
+    flat_rows,
     rectangle_indices,
     require_instance,
     require_int,
     require_moves,
-    require_size,
     sufficient_statistic,
     triple_indices,
 )
@@ -102,7 +102,7 @@ def moves_diag_effect(I: int) -> List[Move]:
     and one degree-3 cycle per unordered triple (I >= 3).  No move touches
     a diagonal cell: diagonal counts are part of the sufficient statistic.
     """
-    require_size(I, 3, "diagonal-effect moves")
+    require_int(I, "table size", 3)
     return _family(I, _diag_effect_candidates(I))
 
 
@@ -115,7 +115,7 @@ def moves_common_diag(I: int) -> List[Move]:
     (I >= 4), degree-4 moves with a +-2 column, and degree-4 moves on a
     2 x 4 block (I >= 4); the last two come with their transposes.
     """
-    require_size(I, 3, "common-diagonal moves")
+    require_int(I, "table size", 3)
     candidates = list(_diag_effect_candidates(I))
     idx = range(1, I + 1)
 
@@ -217,8 +217,7 @@ class Fiber:
     def tables(self) -> tuple:
         I, n = self.stat.size, sum(self.stat.rows)
         # each path is a table of the fiber: nonnegative counts summing to n
-        return tuple(_unchecked(CountTable, size=I, cells=tuple(f[i * I:(i + 1) * I] for i in range(I)), n=n)
-                     for f in self.flats)
+        return tuple(_unchecked(CountTable, size=I, cells=flat_rows(f, I), n=n) for f in self.flats)
 
 
 def _paths(layers: tuple, i: int, state: tuple, prefix: tuple, found: List[tuple]) -> None:
@@ -263,9 +262,6 @@ def enumerate_fiber(
     rows, cols = stat.rows, stat.cols
     diag_vec = stat.diag if stat.family is ModelFamily.DIAGONAL_EFFECT else None
     common = stat.family is ModelFamily.COMMON_DIAGONAL_EFFECT
-    if model.structural_zero_diagonal:
-        if diag_vec is None or any(d != 0 for d in diag_vec):
-            raise InputError("structural-zero diagonal requires a zero diagonal vector")
 
     row = [0] * I  # every cell is written before a row is read
     colrem = list(cols)
@@ -680,7 +676,10 @@ def pearson_statistic(cells, expected) -> float:
 
     Cells with zero expectation contribute nothing when observed is zero
     and infinity otherwise; within a fiber the margins rule the latter out.
+    Grids of different shapes raise SizeMismatchError.
     """
+    if len(cells) != len(expected) or any(len(o) != len(e) for o, e in zip(cells, expected)):
+        raise SizeMismatchError("observed and expected grids differ in shape")
     chi2 = 0.0
     for orow, erow in zip(cells, expected):
         for o, e in zip(orow, erow):
@@ -1057,8 +1056,7 @@ def verify_connectivity(
     disconnected = []
     for least in sorted(found, key=lambda t: (sum(t), t)):
         # a swept table: nonnegative counts
-        table = _unchecked(CountTable, size=I, cells=tuple(least[i * I:(i + 1) * I] for i in range(I)),
-                           n=sum(least))
+        table = _unchecked(CountTable, size=I, cells=flat_rows(least, I), n=sum(least))
         stat = sufficient_statistic(table, model)
         disconnected.append(((stat.rows, stat.cols, stat.diag), found[least]))
 

@@ -122,43 +122,6 @@ def mixture_to_toric(params: MixtureParams) -> ToricParams:
     return ToricParams(zeta_r=params.r, zeta_c=zeta_c, zeta_g=tuple(zeta_g))
 
 
-def toric_params_from_table(P: ProbTable) -> ToricParams:
-    """Recover toric parameters from a strictly positive table of the model.
-
-    Derived convenience, not part of the classification theory: the
-    off-diagonal block determines the row and column parameters up to
-    scale, and the diagonal parameters take up the rest.  Raises when the
-    off-diagonal block is not of rank-one type (the table is outside the
-    toric model).
-    """
-    if P.size < 3:
-        raise InputError("parameter recovery needs I >= 3")
-    if not P.is_strictly_positive():
-        raise InputError("parameter recovery needs a strictly positive table")
-    I = P.size
-    p = P.cells
-    # s_i t_j must match p_{i,j} off the diagonal; anchor t_1 = 1
-    s = [Fraction(0)] * I
-    t = [Fraction(0)] * I
-    t[0] = Fraction(1)
-    s[1] = p[1][0]
-    s[2] = p[2][0]
-    t[1] = p[2][1] / s[2]
-    s[0] = p[0][1] / t[1]
-    for j in range(2, I):
-        t[j] = p[0][j] / s[0]
-    for i in range(3, I):
-        s[i] = p[i][0]
-    for i in range(I):
-        for j in range(I):
-            if i != j and s[i] * t[j] != p[i][j]:
-                raise InputError(
-                    f"off-diagonal cells are not of product form at ({i + 1},{j + 1})"
-                )
-    zeta_g = tuple(p[i][i] / (s[i] * t[i]) for i in range(I))
-    return ToricParams(zeta_r=tuple(s), zeta_c=tuple(t), zeta_g=zeta_g)
-
-
 class BoundaryVerdict(Enum):
     RULED_OUT_M1 = "RuledOutM1"
     RULED_OUT_M2 = "RuledOutM2"

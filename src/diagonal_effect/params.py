@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .errors import ConvergenceError, InputError
 from .tables import (
@@ -204,26 +204,6 @@ def mixture_point(params: MixtureParams) -> ProbTable:
         row[i] += (q - p) * delta[i] * R * G
         rows.append(tuple(Fraction(x, den) for x in row))
     return _unchecked(ProbTable, size=params.size, cells=tuple(rows))
-
-
-def independence_factorize(P: ProbTable) -> Optional[Tuple[tuple, tuple]]:
-    """Factor a strictly positive rank-one table into its margins.
-
-    Returns (r, c) with r_i * c_j == p_{i,j} exactly, or None when some
-    2x2 minor is nonzero.  Zero entries are outside the contract.
-    """
-    if not P.is_strictly_positive():
-        raise InputError("independence_factorize requires a strictly positive table")
-    I = P.size
-    for i in range(I - 1):
-        for k in range(i + 1, I):
-            for j in range(I - 1):
-                for h in range(j + 1, I):
-                    if P.cells[i][j] * P.cells[k][h] != P.cells[i][h] * P.cells[k][j]:
-                        return None
-    r = tuple(sum(P.cells[i][j] for j in range(I)) for i in range(I))
-    c = tuple(sum(P.cells[i][j] for i in range(I)) for j in range(I))
-    return r, c
 
 
 def random_rational_point(model: ModelSpec, seed: int) -> Union[ToricParams, MixtureParams]:

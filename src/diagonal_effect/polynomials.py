@@ -165,10 +165,6 @@ class CellPolynomial:
         return poly
 
     @classmethod
-    def zero(cls, size: int) -> "CellPolynomial":
-        return cls(size, {})
-
-    @classmethod
     def from_cell_terms(cls, size: int, cell_terms) -> "CellPolynomial":
         """Build from (coefficient, [(i, j), ...]) pairs with repeats as powers."""
         terms: Dict[Monomial, Fraction] = {}
@@ -198,9 +194,6 @@ class CellPolynomial:
         (m1, c1), (m2, c2) = sorted(self.terms.items())
         return c1 == -c2 and set(m1).isdisjoint(m2)
 
-    def canonical_key(self):
-        return tuple(sorted(self.terms.items()))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CellPolynomial)
@@ -209,7 +202,7 @@ class CellPolynomial:
         )
 
     def __hash__(self):
-        return hash((self.size, self.canonical_key()))
+        return hash((self.size, tuple(sorted(self.terms.items()))))
 
     # ---- evaluation and rendering ----
 

@@ -60,25 +60,11 @@ class ModelSpec:
     family: ModelFamily
     form: ModelForm
     size: int
-    structural_zero_diagonal: bool = False
 
     def __post_init__(self):
         require_instance(self.family, ModelFamily, "family")
         require_instance(self.form, ModelForm, "form")
         require_int(self.size, "table size", 2)
-        require_instance(self.structural_zero_diagonal, bool, "structural_zero_diagonal")
-        if self.structural_zero_diagonal and self.family is not ModelFamily.DIAGONAL_EFFECT:
-            raise InputError(
-                "structural_zero_diagonal is only meaningful for the diagonal-effect family"
-            )
-
-
-def require_size(size, least: int, what: str) -> None:
-    """Raise InputError unless `size` is an integer (not a bool) of at
-    least `least`; `what` names the family in the message."""
-    require_int(size, "table size")
-    if size < least:
-        raise InputError(f"{what} need I >= {least}")
 
 
 def require_rational(value, what: str):
@@ -133,6 +119,11 @@ def _unchecked(cls, **fields):
     value = object.__new__(cls)
     value.__dict__.update(fields)
     return value
+
+
+def flat_rows(flat: Sequence[int], size: int) -> Grid:
+    """The row-major cells `flat` as a tuple of `size` row tuples."""
+    return tuple(tuple(flat[k:k + size]) for k in range(0, size * size, size))
 
 
 def _square_grid(cells, size: int) -> Grid:
@@ -339,8 +330,6 @@ def sufficient_statistic(table: CountTable, model: ModelSpec) -> SufficientStat:
         raise SizeMismatchError(f"table size {table.size} != model size {model.size}")
     if model.family is ModelFamily.DIAGONAL_EFFECT:
         diag: Union[tuple, int, None] = table.diag_vector()
-        if model.structural_zero_diagonal and any(d != 0 for d in diag):
-            raise InputError("table has positive diagonal counts under a structural-zero diagonal")
     elif model.family is ModelFamily.COMMON_DIAGONAL_EFFECT:
         diag = table.diag_sum()
     else:
@@ -356,7 +345,7 @@ def apply_move(table: CountTable, move: Move, sign: int = 1) -> Optional[CountTa
     """
     if table.size != move.size:
         raise SizeMismatchError(f"table size {table.size} != move size {move.size}")
-    if sign not in (1, -1):
+    if require_int(sign, "sign") not in (1, -1):
         raise InputError(f"sign must be +1 or -1, got {sign}")
     cells = tuple(tuple(t + sign * m for t, m in zip(trow, mrow))
                   for trow, mrow in zip(table.cells, move.cells))
@@ -369,8 +358,7 @@ def apply_move(table: CountTable, move: Move, sign: int = 1) -> Optional[CountTa
 def likelihood(prob: ProbTable, table: CountTable) -> Fraction:
     """Exact likelihood prod_{i,j} p_{i,j}^{f_{i,j}}.
 
-    A zero probability at a cell with a positive count yields an exact zero
-    (use `zero_support_cells` to see which cells caused it).
+    A zero probability at a cell with a positive count yields an exact zero.
     """
     if prob.size != table.size:
         raise SizeMismatchError(f"prob size {prob.size} != table size {table.size}")
@@ -384,14 +372,3 @@ def likelihood(prob: ProbTable, table: CountTable) -> Fraction:
             value *= p ** f
     return value
 
-
-def zero_support_cells(prob: ProbTable, table: CountTable):
-    """Cells (i, j), 1-based, with positive count but zero probability."""
-    if prob.size != table.size:
-        raise SizeMismatchError(f"prob size {prob.size} != table size {table.size}")
-    return [
-        (i + 1, j + 1)
-        for i in range(table.size)
-        for j in range(table.size)
-        if table.cells[i][j] > 0 and prob.cells[i][j] == 0
-    ]

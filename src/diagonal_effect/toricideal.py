@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import InputError, InvariantViolationError, SizeMismatchError
 from .groebner import buchberger, reduce_basis, saturate
 from .polynomials import CellPolynomial, TermOrder, binomial_from_vector
-from .tables import ModelFamily, ModelForm, ModelSpec
+from .tables import ModelFamily, ModelForm, ModelSpec, flat_rows
 
 
 @dataclass(frozen=True)
@@ -127,16 +127,12 @@ def integer_kernel(A: DesignMatrix) -> List[tuple]:
         first = next((x for x in vec if x != 0), 0)
         if first < 0:
             vec = [-x for x in vec]
-        grid = _grid(vec, I)
+        grid = flat_rows(vec, I)
         if transpose_apply(A, grid) != (0,) * s:
             raise InvariantViolationError("kernel vector fails A^t v = 0")
         basis.append(grid)
     basis.sort()
     return basis
-
-
-def _grid(vec: Sequence[int], I: int) -> tuple:
-    return tuple(tuple(vec[i * I + j] for j in range(I)) for i in range(I))
 
 
 def _flat(grid) -> List[int]:

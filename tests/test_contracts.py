@@ -25,7 +25,6 @@ from diagonal_effect import (
     exact_test,
     exact_test_chains,
     gens_independence,
-    independence_factorize,
     is_connected,
     moves_to_binomials,
     random_rational_point,
@@ -68,23 +67,9 @@ class TestMovePreservation:
 
 
 class TestStructuralZeroDiagonal:
-    def test_flag_only_for_diag_effect(self):
-        ModelSpec(ModelFamily.DIAGONAL_EFFECT, ModelForm.TORIC, 3, structural_zero_diagonal=True)
-        with pytest.raises(InputError):
-            ModelSpec(
-                ModelFamily.COMMON_DIAGONAL_EFFECT, ModelForm.TORIC, 3,
-                structural_zero_diagonal=True,
-            )
-
-    def test_statistic_rejects_positive_diagonal(self):
-        m = ModelSpec(ModelFamily.DIAGONAL_EFFECT, ModelForm.TORIC, 3,
-                      structural_zero_diagonal=True)
-        with pytest.raises(InputError):
-            sufficient_statistic(CountTable.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), m)
-
     def test_fiber_never_touches_diagonal(self):
-        m = ModelSpec(ModelFamily.DIAGONAL_EFFECT, ModelForm.TORIC, 3,
-                      structural_zero_diagonal=True)
+        # the diagonal-effect statistic fixes every diagonal count
+        m = ModelSpec(ModelFamily.DIAGONAL_EFFECT, ModelForm.TORIC, 3)
         t = CountTable.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         fiber = enumerate_fiber(sufficient_statistic(t, m), m)
         assert len(fiber) >= 1
@@ -100,7 +85,9 @@ class TestUnitGammaIsIndependence:
             table, _ = toric_point(params)
             for inv in gens_independence(3):
                 assert inv.poly.evaluate(table) == 0
-            r, c = independence_factorize(table)
+            # a rank-one table factors into its margins
+            r = [sum(row) for row in table.cells]
+            c = [sum(col) for col in zip(*table.cells)]
             assert all(
                 r[i] * c[j] == table.cells[i][j] for i in range(3) for j in range(3)
             )
@@ -183,8 +170,6 @@ _STAT = sufficient_statistic(_TABLE, _COMMON3)
                  "family must be a ModelFamily, got 'diag'", id="ModelSpec-family"),
     pytest.param(lambda: ModelSpec(ModelFamily.DIAGONAL_EFFECT, "toric", 3),
                  "form must be a ModelForm, got 'toric'", id="ModelSpec-form"),
-    pytest.param(lambda: ModelSpec(ModelFamily.DIAGONAL_EFFECT, ModelForm.TORIC, 3, 1),
-                 "structural_zero_diagonal must be a bool, got 1", id="ModelSpec-structural_zero_diagonal"),
     pytest.param(lambda: WalkConfig(steps=10, stationary="uniform"),
                  "stationary must be a Stationary, got 'uniform'", id="WalkConfig-stationary"),
     pytest.param(lambda: random_rational_point("common", 0),

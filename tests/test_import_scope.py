@@ -1,9 +1,11 @@
-"""The package namespace, and which submodules each CLI command loads.
+"""The package namespace, which submodules each CLI command loads, and that
+every module of the package reads each name it imports.
 
 Import scope is checked in a fresh interpreter: the other tests run the CLI
 in-process, with every submodule already loaded.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -16,29 +18,29 @@ import pytest
 import diagonal_effect
 
 SRC = str(Path(diagonal_effect.__file__).resolve().parents[1])
+PACKAGE = Path(diagonal_effect.__file__).resolve().parent
 TABLE3 = str(Path(__file__).resolve().parents[1] / "demos" / "table3.csv")
 
 EXPORTS = [
     "BoundaryReport", "BoundaryVerdict", "BudgetExceededError", "CellPolynomial",
     "ConnectivityReport", "ConvergenceError", "CountTable", "DesignMatrix",
-    "DiagonalEffectError", "Fiber", "InputError", "Invariant", "InvariantViolationError",
-    "MembershipVerdict", "MixtureParams", "ModelFamily", "ModelForm", "ModelSpec", "Move",
-    "Normalizers", "ProbTable", "SizeMismatchError", "Stationary", "SufficientStat",
-    "SweepReport", "TermOrder", "TestResult", "ToricOnlyCase", "ToricParams",
-    "VanishingReport", "VerdictKind", "WalkConfig", "apply_move",
-    "boundary_membership_check", "check_vanishing", "classify_toric_point",
-    "common_diagonal_fit", "design_matrix", "enumerate_fiber", "errors", "exact_test",
-    "exact_test_chains", "expected_counts", "fiber_walk", "gens_common_mixture_families",
-    "gens_common_mixture_listed3", "gens_common_toric_listed3", "gens_diag_effect",
-    "gens_independence", "groebner", "ideal_equal", "independence_factorize",
-    "integer_kernel", "invariants", "is_connected", "lattice_binomials", "likelihood",
-    "listed_mixture_term_counts", "markov", "membership", "mixture_point",
-    "mixture_to_toric", "moves_common_diag", "moves_diag_effect", "moves_for_model",
-    "moves_to_binomials", "nonvanishing_variants_report", "normalize", "normalizers",
-    "params", "pearson_statistic", "polynomials", "quasi_independence_fit",
+    "DiagonalEffectError", "Fiber", "InputError", "Invariant",
+    "InvariantViolationError", "MembershipVerdict", "MixtureParams", "ModelFamily",
+    "ModelForm", "ModelSpec", "Move", "Normalizers", "ProbTable", "SizeMismatchError",
+    "Stationary", "SufficientStat", "SweepReport", "TermOrder", "TestResult",
+    "ToricOnlyCase", "ToricParams", "VanishingReport", "VerdictKind", "WalkConfig",
+    "apply_move", "boundary_membership_check", "check_vanishing",
+    "classify_toric_point", "common_diagonal_fit", "design_matrix", "enumerate_fiber",
+    "errors", "exact_test", "exact_test_chains", "expected_counts", "fiber_walk",
+    "gens_common_mixture_families", "gens_common_mixture_listed3",
+    "gens_common_toric_listed3", "gens_diag_effect", "gens_independence", "groebner",
+    "ideal_equal", "integer_kernel", "invariants", "is_connected", "lattice_binomials",
+    "likelihood", "markov", "membership", "mixture_point", "mixture_to_toric",
+    "moves_common_diag", "moves_diag_effect", "moves_for_model", "moves_to_binomials",
+    "nonvanishing_variants_report", "normalize", "normalizers", "params",
+    "pearson_statistic", "polynomials", "quasi_independence_fit",
     "random_rational_point", "sufficient_statistic", "tables", "toric_ideal",
-    "toric_params_from_table", "toric_point", "toricideal", "transpose_apply",
-    "verify_connectivity", "zero_support_cells",
+    "toric_point", "toricideal", "transpose_apply", "verify_connectivity",
 ]
 SUBMODULES = {"errors", "tables", "params", "polynomials", "invariants", "markov",
               "membership", "toricideal", "groebner"}
@@ -109,3 +111,28 @@ class TestImportScope:
                                "--verify-against", "listed")
         assert loaded.isdisjoint({"markov", "membership", "params"})
         assert {"toricideal", "groebner", "invariants"} <= loaded
+
+
+def unused_imports(source: str) -> set:
+    """The names that `source` imports and never reads; `from __future__`
+    imports bind no name."""
+    tree = ast.parse(source)
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+    return imported - read
+
+
+class TestImports:
+    @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+    def test_module_reads_every_name_it_imports(self, module):
+        assert unused_imports((PACKAGE / module).read_text()) == set()
+
+    def test_an_unused_import_is_found(self):
+        source = "from collections import Counter\nfrom typing import Optional\nx: Optional[int] = None\n"
+        assert unused_imports(source) == {"Counter"}

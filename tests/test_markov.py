@@ -140,9 +140,6 @@ def cell_by_cell_search(
     rows, cols = stat.rows, stat.cols
     diag_vec = stat.diag if stat.family is ModelFamily.DIAGONAL_EFFECT else None
     common = stat.family is ModelFamily.COMMON_DIAGONAL_EFFECT
-    if model.structural_zero_diagonal:
-        if diag_vec is None or any(d != 0 for d in diag_vec):
-            raise InputError("structural-zero diagonal requires a zero diagonal vector")
 
     flat = [0] * (I * I)  # every cell is written before a leaf reads it
     colrem = list(cols)
@@ -773,6 +770,12 @@ class TestPearsonStatistic:
         assert markov.pearson_statistic([[0, 2], [1, 1]], expected) < math.inf
         assert markov.pearson_statistic([[1, 1], [1, 1]], expected) == math.inf
         assert markov.pearson_statistic([[3, 0], [0, 0]], [[3.0, 0.0], [0.0, 0.0]]) == 0.0
+
+    @pytest.mark.parametrize("expected", [[[1.0]], [[1.0, 2.0]], [[1.0, 2.0], [3.0]],
+                                          [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]], ids=repr)
+    def test_shapes_must_match(self, expected):
+        with pytest.raises(SizeMismatchError, match="observed and expected grids differ in shape"):
+            markov.pearson_statistic([[1, 2], [3, 4]], expected)
 
 
 def reference_indicators(table: CountTable, m: ModelSpec, config: WalkConfig) -> tuple:

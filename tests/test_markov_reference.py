@@ -30,7 +30,7 @@ from diagonal_effect import (
     moves_diag_effect,
 )
 from diagonal_effect import markov
-from diagonal_effect.tables import _unchecked, rectangle_indices, require_size, triple_indices
+from diagonal_effect.tables import _unchecked, rectangle_indices, require_int, triple_indices
 
 # ---------------------------------------------------------------------------
 # reference move builders
@@ -79,12 +79,12 @@ def _diag_effect_grids(I: int) -> Iterator[Tuple[str, tuple]]:
 
 
 def reference_moves_diag_effect(I: int) -> List[Move]:
-    require_size(I, 3, "diagonal-effect moves")
+    require_int(I, "table size", 3)
     return _family(I, _diag_effect_grids(I))
 
 
 def reference_moves_common_diag(I: int) -> List[Move]:
-    require_size(I, 3, "common-diagonal moves")
+    require_int(I, "table size", 3)
     grids = list(_diag_effect_grids(I))
     idx = range(1, I + 1)
 

@@ -19,7 +19,6 @@ from diagonal_effect import (
     mixture_point,
     mixture_to_toric,
     random_rational_point,
-    toric_params_from_table,
     toric_point,
 )
 
@@ -133,30 +132,6 @@ class TestRoundTripProperties:
         verdict = classify_toric_point(params)
         if verdict.kind is VerdictKind.IN_BOTH_WITH_WITNESS:
             assert toric_point(mixture_to_toric(verdict.witness))[0] == toric_point(params)[0]
-
-    @settings(max_examples=150, deadline=None)
-    @given(positive_toric_params())
-    def test_parameters_from_table_reproduce_the_table(self, params):
-        table, _ = toric_point(params)
-        assert toric_point(toric_params_from_table(table))[0] == table
-
-
-class TestParameterRecovery:
-    def test_recovers_toric_table(self):
-        for seed in range(20):
-            params = random_rational_point(model(ModelFamily.DIAGONAL_EFFECT, 3), seed)
-            table, _ = toric_point(params)
-            recovered = toric_params_from_table(table)
-            assert toric_point(recovered)[0] == table
-
-    def test_rejects_non_model_table(self):
-        cells = [
-            [Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)],
-            [Fraction(1, 16), Fraction(1, 8), Fraction(1, 8)],
-            [Fraction(1, 16), Fraction(1, 16), Fraction(1, 16)],
-        ]
-        with pytest.raises(InputError):
-            toric_params_from_table(ProbTable.from_rows(cells))
 
 
 class TestBoundaryCheck:

@@ -9,10 +9,8 @@ from diagonal_effect import (
     MixtureParams,
     ModelFamily,
     ModelForm,
-    ProbTable,
     ToricParams,
     common_diagonal_fit,
-    independence_factorize,
     mixture_point,
     normalizers,
     quasi_independence_fit,
@@ -132,30 +130,6 @@ class TestMixturePoint:
         params = MixtureParams(alpha=1, r=(1, 0), c=(Fraction(1, 2),) * 2, d=(0, 1))
         assert params.alpha == 1 and type(params.alpha) is Fraction
         assert all(type(x) is Fraction for x in params.r + params.c + params.d)
-
-
-class TestIndependenceFactorize:
-    def test_round_trip(self):
-        r = (Fraction(1, 6), third, Fraction(1, 2))
-        c = (Fraction(1, 2), third, Fraction(1, 6))
-        table = ProbTable.from_rows([[ri * cj for cj in c] for ri in r])
-        out = independence_factorize(table)
-        assert out is not None
-        rr, cc = out
-        assert all(rr[i] * cc[j] == table.cells[i][j] for i in range(3) for j in range(3))
-
-    def test_uniform(self):
-        table = ProbTable.from_rows([[Fraction(1, 4)] * 2] * 2)
-        assert independence_factorize(table) == ((Fraction(1, 2),) * 2, (Fraction(1, 2),) * 2)
-
-    def test_not_rank_one(self):
-        table = ProbTable.from_rows([[third, Fraction(1, 6)], [Fraction(1, 6), third]])
-        assert independence_factorize(table) is None
-
-    def test_rejects_zeros(self):
-        table = ProbTable.from_rows([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
-        with pytest.raises(InputError):
-            independence_factorize(table)
 
 
 class TestRandomRationalPoint:

@@ -163,7 +163,7 @@ class TestExactEvaluation:
         # every zero value is one shared Fraction, equal to any other zero
         minor = binomial_from_vector([1, -1, -1, 1], 2)
         uniform = ProbTable.from_rows([[Fraction(1, 4)] * 2] * 2)
-        values = [minor.evaluate(uniform), CellPolynomial.zero(2).evaluate(uniform)]
+        values = [minor.evaluate(uniform), CellPolynomial(2, {}).evaluate(uniform)]
         assert values[0] is values[1]
         assert type(values[0]) is Fraction and values[0] == 0
 
@@ -273,7 +273,7 @@ class TestRendering:
         assert str(p) == "2*p[1,1]^2 - 1/3"
 
     def test_zero(self):
-        assert str(CellPolynomial.zero(2)) == "0"
+        assert str(CellPolynomial(2, {})) == "0"
 
 
 class TestBinomials:

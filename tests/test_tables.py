@@ -22,7 +22,6 @@ from diagonal_effect import (
     random_rational_point,
     sufficient_statistic,
     toric_point,
-    zero_support_cells,
 )
 from diagonal_effect.markov import moves_diag_effect
 
@@ -51,11 +50,6 @@ class TestModelSpec:
     def test_malformed_fields_rejected(self, family, form, size, message):
         with pytest.raises(InputError, match=message):
             ModelSpec(family, form, size)
-
-    @pytest.mark.parametrize("flag", ["yes", 1, None], ids=repr)
-    def test_structural_zero_flag_must_be_bool(self, flag):
-        with pytest.raises(InputError, match="structural_zero_diagonal must be a bool"):
-            ModelSpec(ModelFamily.DIAGONAL_EFFECT, ModelForm.TORIC, 3, structural_zero_diagonal=flag)
 
 
 class TestCountTable:
@@ -312,6 +306,20 @@ class TestApplyMove:
                         # built unchecked: it must equal the checked table
                         assert out == CountTable(size=3, cells=out.cells)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0, True], ids=repr)
+    def test_non_integer_sign_rejected(self, sign):
+        # a float sign would make every count a float
+        t = CountTable.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        cycle = [m for m in moves_diag_effect(3) if m.label == "cycle"][0]
+        with pytest.raises(InputError, match=f"^sign must be an integer, got {sign!r}$"):
+            apply_move(t, cycle, sign)
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_sign_other_than_one_rejected(self, sign):
+        t = CountTable.from_rows([[0, 1], [1, 0]])
+        with pytest.raises(InputError, match=f"^sign must be \\+1 or -1, got {sign}$"):
+            apply_move(t, Move.from_rows([[1, -1], [-1, 1]]), sign)
+
     def test_zero_move_rejected(self):
         with pytest.raises(InputError):
             Move.from_rows([[0, 0], [0, 0]])
@@ -337,7 +345,6 @@ class TestLikelihood:
         p = ProbTable.from_rows([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
         t = CountTable.from_rows([[1, 0], [0, 0]])
         assert likelihood(p, t) == 0
-        assert zero_support_cells(p, t) == [(1, 1)]
 
     def test_likelihood_depends_only_on_statistic(self, rng):
         # two tables with equal diagonal-effect statistic and a toric point
