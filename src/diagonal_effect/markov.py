@@ -567,19 +567,39 @@ def _factors(amounts: List[Tuple[int, int]], first: int) -> tuple:
     return tuple((cell, j) for cell, amount in amounts for j in range(first, first + amount))
 
 
-# the most states one walk interns, and tables one MCMC test keeps scores for
-_INTERN_MAX = 4096
+# The walk's proposal tables and the MCMC test's scores are memos that pay
+# only when the walk revisits (`fiber_walk`, `_mcmc_test`).  Each is kept
+# while at least `_PROBE_HITS` of its first `_PROBE` lookups hit, and within
+# its budget; otherwise it is dropped for good.
+_PROBE = 1024
+_PROBE_HITS = 112  # 11%: the measured break-even of the walk's tables
+_ENTRY_BUDGET = 1 << 14  # proposal entries the walk's tables may hold
+_CELL_BUDGET = 1 << 13  # counts (I * I per table) either memo may hold tables of
+_SURE = 2.0  # the chance of a proposal accepted without a draw
+_STAY = (0.0, None)  # the entry of an infeasible proposal, which draws nothing
 
 
-def _remember(memo: dict, key, value) -> Optional[dict]:
-    """`memo` with `key` -> `value` stored, or None (memo switched off) in
-    place of a memo that already holds `_INTERN_MAX` entries.  A walk that
-    outgrows the memo mostly meets new states, whose lookups cost more than
-    they save, so a full memo is dropped, not just capped."""
-    if len(memo) >= _INTERN_MAX:
+def _remember(memo: dict, key, value, lookups: int, most: int) -> Optional[dict]:
+    """`memo` with `key` -> `value` stored after a miss at the memo's
+    `lookups`-th lookup, or None (memo switched off) once the memo is full,
+    holding `most` entries, or no longer pays.  A memo stores an entry at
+    each miss, so one that holds `_PROBE` - `_PROBE_HITS` entries at a miss
+    within its first `_PROBE` lookups has hit fewer than `_PROBE_HITS`
+    times in them."""
+    if len(memo) >= most or (lookups <= _PROBE and len(memo) >= _PROBE - _PROBE_HITS):
         return None
     memo[key] = value
     return memo
+
+
+def _chance(num: int, den: int) -> float:
+    """For 0 < num < den, the float c such that a draw x = rng.random()
+    accepts a proposal of ratio num / den (`fiber_walk`) exactly when
+    x < c: ceil(num * 2^53 / den) / 2^53.  A draw is m / 2^53 for an
+    integer m, and m < num * 2^53 / den exactly when
+    m < ceil(num * 2^53 / den), an integer of at most 2^53 and so exact
+    as a float, as is its quotient by 2^53."""
+    return -((-num << 53) // den) / (1 << 53)
 
 
 def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> Iterator[CountTable]:
@@ -593,37 +613,122 @@ def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> 
     product num = prod f!/f'! (`_walk_plans`), which is 0 exactly when one
     of them would go negative; the raised counts are read only for a
     feasible proposal.  Under the uniform law every feasible proposal is
-    accepted.  Under the hypergeometric law the ratio prod f! / prod f'!
-    over the touched cells is num / den: the proposal is accepted without
-    a draw when num >= den, and otherwise when a * den < num * b for
-    a / b = rng.random(), the exact comparison of the uniform draw with
-    the ratio.
+    accepted, den being 1.  Under the hypergeometric law the ratio
+    prod f! / prod f'! over the touched cells is num / den: the proposal
+    is accepted without a draw when num >= den, and otherwise when
+    a * den < num * b for a / b = rng.random(), the exact comparison of
+    the uniform draw with the ratio.
 
-    The walk moves one flat list; a CountTable is built only when the state
-    changes, so an unmoved state is emitted again as the very same object.
-    The call also keeps the tables it built by their flat tuples, so a
-    revisited table is emitted as the same object too, up to `_INTERN_MAX`
-    distinct states; a state past that stops the interning, and from then
-    on every state change builds a new table.
+    The walk starts with proposal tables.  It numbers each state it
+    reaches and gives it a table from draw r to (chance, target id),
+    filled the first time r is drawn there (`_chance`: the draw accepts
+    when rng.random() < chance), the target id when that proposal is
+    first accepted.  A state's CountTable is built at its first emission
+    and emitted again at every revisit.  A repeated proposal is then one
+    lookup, about a sixth of a plain step, and a first one, which may
+    number a new state, costs 1.3 to 2 plain steps.  A walk's hit rate
+    rises as its tables fill: of three sets of 27 walks of 10,000 steps
+    (I = 3 to 6, both families, Python 3.11), the ones that hit in 12% or
+    more of their first 1,024 proposals ran faster with the tables kept to
+    the end, and the ones at 10% or less slower.  So the walk drops every table for
+    good once more than `_PROBE` - `_PROBE_HITS` of its first `_PROBE` =
+    1,024 proposals have missed (fewer than `_PROBE_HITS` = 112 hits,
+    11%), or at the first miss once its tables hold `_ENTRY_BUDGET`
+    entries or its numbered states more than `_CELL_BUDGET` counts, and
+    goes on from the same state with the same draw in the plain kernel: it
+    moves one flat list and builds a CountTable only when the emitted
+    state changes.  In both phases an unmoved state is emitted again as
+    the very same object.
     """
+    require_instance(start, CountTable, "start")
+    require_instance(config, WalkConfig, "config")
     if not moves:
         raise InputError("fiber_walk needs at least one move")
-    I = start.size
+    I, n = start.size, start.n
     plans = _walk_plans(moves, I)
     rows = [slice(i * I, (i + 1) * I) for i in range(I)]
     rng = random.Random(f"fiber-walk|{config.seed}")
     getrandbits, rand, count = rng.getrandbits, rng.random, len(plans)
     bits = count.bit_length()
     hypergeometric = config.stationary is Stationary.HYPERGEOMETRIC
-    flat = [x for row in start.cells for x in row]
-    last = state = None
-    seen: Optional[dict] = {}
-    moved = True
+    total, thinning = config.burn_in + config.steps, config.thinning
     until_emit = config.burn_in
-    for _ in range(config.burn_in + config.steps):
+
+    # with tables: flats, props and built are indexed by state id
+    flats = [tuple(x for row in start.cells for x in row)]
+    ids = {flats[0]: 0}
+    props: List[dict] = [{}]
+    built: List[Optional[CountTable]] = [None]
+    # a miss past `limit` entries checks the probe and the budgets
+    probe, limit = _PROBE, _PROBE - _PROBE_HITS
+    most_entries, most_states = _ENTRY_BUDGET, max(1, _CELL_BUDGET // (I * I))
+    sid, prop, entries, state = 0, props[0], 0, None
+    for step in range(total):
         r = getrandbits(bits)
         while r >= count:
             r = getrandbits(bits)
+        entry = prop.get(r)
+        if entry is None:
+            if entries >= limit:
+                if step < probe or entries >= most_entries:
+                    break  # r is this step's draw: the plain kernel takes it
+                limit = most_entries
+            entries += 1
+            downs, ups, _ = plans[r]
+            flat = flats[sid]
+            num = 1
+            for k, j in downs:
+                num *= flat[k] - j
+            if num:
+                chance = _SURE
+                if hypergeometric:
+                    den = 1
+                    for k, j in ups:
+                        den *= flat[k] + j
+                    if num < den:
+                        chance = _chance(num, den)
+                entry = (chance, None)
+                if chance <= 1.0:  # else accepted below, where the entry is stored with its target
+                    prop[r] = entry
+            else:
+                entry = prop[r] = _STAY
+        chance, target = entry
+        if chance and (chance > 1.0 or rand() < chance):  # else a stay-in-place step
+            if target is None:
+                out = list(flats[sid])
+                for k, v in plans[r][2]:
+                    out[k] += v
+                out = tuple(out)
+                target = ids.setdefault(out, len(flats))
+                if target == len(flats):
+                    flats.append(out)
+                    props.append({})
+                    built.append(None)
+                    if target == most_states:
+                        # the states pass their budget: the next step, a
+                        # miss at this new state, drops the tables
+                        limit = most_entries = 0
+                prop[r] = (chance, target)
+            sid, prop = target, props[target]
+        if until_emit:
+            until_emit -= 1
+            continue
+        until_emit = thinning - 1
+        state = built[sid]
+        if state is None:
+            out = flats[sid]
+            # accepted moves keep every count nonnegative and the total
+            state = built[sid] = _unchecked(CountTable, size=I, cells=tuple(map(out.__getitem__, rows)), n=n)
+        yield state
+    else:
+        return
+
+    # without tables, from state sid with the draw r pending
+    flat = list(flats[sid])
+    last = None if state is None else tuple(chain.from_iterable(state.cells))
+    flats = ids = props = built = prop = None
+    moved = True
+    for step in range(step, total):
         downs, ups, delta = plans[r]
         num = 1
         for k, j in downs:
@@ -641,20 +746,20 @@ def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> 
                 moved = True
         if until_emit:
             until_emit -= 1
-            continue
-        until_emit = config.thinning - 1
-        if moved:
-            out = tuple(flat)
-            if out != last:
-                last = out
-                state = None if seen is None else seen.get(out)
-                if state is None:
+        else:
+            until_emit = thinning - 1
+            if moved:
+                out = tuple(flat)
+                if out != last:
+                    last = out
                     # accepted moves keep every count nonnegative and the total
-                    state = _unchecked(CountTable, size=I, cells=tuple(map(out.__getitem__, rows)), n=start.n)
-                    if seen is not None:
-                        seen = _remember(seen, out, state)
-            moved = False
-        yield state
+                    state = _unchecked(CountTable, size=I, cells=tuple(map(out.__getitem__, rows)), n=n)
+                moved = False
+            yield state
+        # the next step's draw; the one after the last step goes unused
+        r = getrandbits(bits)
+        while r >= count:
+            r = getrandbits(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +884,10 @@ def exact_test(
     n!/prod f!.  `samples_used` is the number of tables and
     `nodes_visited` the cell-by-cell search's node count.
     """
+    require_instance(table, CountTable, "table")
+    require_instance(model, ModelSpec, "model")
+    if config is not None:
+        require_instance(config, WalkConfig, "config")
     if method not in ("auto", "mcmc", "enumerate"):
         raise InputError(f"unknown method {method!r}")
     require_int(node_budget, "node_budget", 0)
@@ -824,14 +933,19 @@ def _mcmc_test(table: CountTable, model: ModelSpec, terms: List[_Memo], observed
     length and from one fit (`terms`) and one move family: the indicator of
     each state's statistic reaching the observed one, averaged over every
     walk, with the batch-means standard error of all walks together.  Each
-    distinct table is scored once per call: its indicator is kept by its
-    cells for all the walks, up to `_INTERN_MAX` tables, as `fiber_walk`
-    keeps its states.  The result echoes the first configuration."""
+    distinct table is scored once per call while the scores pay: its
+    indicator is kept by its cells for all the walks, and the memo follows
+    the rule of the walk's tables (`_remember`), one lookup per state
+    change, within `_CELL_BUDGET` counts.  A lookup and a store cost a
+    sixth of a score at I = 3 to 6, so the memo breaks even at a hit rate
+    of about 0.15, near the walk's 11%.  The result echoes the first
+    configuration."""
     if any(c.stationary is not Stationary.HYPERGEOMETRIC for c in configs):
         raise InputError("the sampling test requires the hypergeometric stationary law")
     threshold = _chi2_threshold(observed_stat)
     moves = moves_for_model(model)
     scores: Optional[dict] = {}
+    lookups, most = 0, max(1, _CELL_BUDGET // (table.size * table.size))
     walks = []
     for config in configs:
         indicators = []
@@ -840,11 +954,14 @@ def _mcmc_test(table: CountTable, model: ModelSpec, terms: List[_Memo], observed
             # the walk re-emits an unmoved state as the same object
             if state is not last:
                 last = state
-                indicator = None if scores is None else scores.get(state.cells)
+                indicator = None
+                if scores is not None:
+                    lookups += 1
+                    indicator = scores.get(state.cells)
                 if indicator is None:
                     indicator = 1.0 if _pearson_flat(terms, chain.from_iterable(state.cells)) >= threshold else 0.0
                     if scores is not None:
-                        scores = _remember(scores, state.cells, indicator)
+                        scores = _remember(scores, state.cells, indicator, lookups, most)
             indicators.append(indicator)
         walks.append(indicators)
     samples = sum(map(len, walks))
@@ -873,6 +990,9 @@ def exact_test_chains(
     (`_batch_means_stderr`).  One chain gives exactly
     `exact_test(method="mcmc")`; more add `"chains"` to the echoed config.
     """
+    require_instance(table, CountTable, "table")
+    require_instance(model, ModelSpec, "model")
+    require_instance(config, WalkConfig, "config")
     require_int(chains, "chains", 1)
     terms, observed_stat = _fit_terms(table, model)
     result = _mcmc_test(table, model, terms, observed_stat,

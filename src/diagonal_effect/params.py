@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .errors import ConvergenceError, InputError
+from .errors import ConvergenceError, InputError, SizeMismatchError
 from .tables import (
     CountTable,
     ModelFamily,
@@ -364,6 +364,11 @@ def common_diagonal_fit(table: CountTable) -> List[List[float]]:
 
 
 def expected_counts(table: CountTable, model: ModelSpec) -> List[List[float]]:
+    """The model's fitted expected counts for `table`, a list of rows."""
+    require_instance(table, CountTable, "table")
+    require_instance(model, ModelSpec, "model")
+    if model.size != table.size:
+        raise SizeMismatchError(f"table size {table.size} != model size {model.size}")
     if model.family is ModelFamily.DIAGONAL_EFFECT:
         return quasi_independence_fit(table)
     if model.family is ModelFamily.COMMON_DIAGONAL_EFFECT:

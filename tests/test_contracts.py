@@ -24,6 +24,7 @@ from diagonal_effect import (
     enumerate_fiber,
     exact_test,
     exact_test_chains,
+    fiber_walk,
     gens_independence,
     is_connected,
     moves_to_binomials,
@@ -182,6 +183,27 @@ _STAT = sufficient_statistic(_TABLE, _COMMON3)
 ])
 def test_one_message_per_rule(call, message):
     # each rule has one implementation in `tables`, so each site prints its message
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: exact_test("x", _COMMON3), "table must be a CountTable, got 'x'", id="exact_test-table"),
+    pytest.param(lambda: exact_test(_TABLE, "common"), "model must be a ModelSpec, got 'common'",
+                 id="exact_test-model"),
+    pytest.param(lambda: exact_test(_TABLE, _COMMON3, "x", method="mcmc"), "config must be a WalkConfig, got 'x'",
+                 id="exact_test-config"),
+    pytest.param(lambda: next(fiber_walk("x", moves_common_diag(3), WalkConfig(steps=10))),
+                 "start must be a CountTable, got 'x'", id="fiber_walk-start"),
+    pytest.param(lambda: next(fiber_walk(_TABLE, moves_common_diag(3), None)),
+                 "config must be a WalkConfig, got None", id="fiber_walk-config"),
+    pytest.param(lambda: exact_test_chains(_TABLE, _COMMON3, None, 2), "config must be a WalkConfig, got None",
+                 id="exact_test_chains-config"),
+    pytest.param(lambda: exact_test_chains(_TABLE.cells, _COMMON3, WalkConfig(steps=10), 2),
+                 f"table must be a CountTable, got {_TABLE.cells!r}", id="exact_test_chains-table"),
+])
+def test_walk_entry_points_check_their_arguments(call, message):
+    # one instance check per argument, where the call enters the package
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call()
 

@@ -1043,22 +1043,60 @@ class TestExactTest:
         config = WalkConfig(steps=2_000, seed=4)
         moves = moves_common_diag(3)
 
-        def run():
+        def run(config):
             states = list(fiber_walk(t, moves, config))
             return (states, exact_test(t, COMMON3, config, method="mcmc"),
                     exact_test_chains(t, COMMON3, config, chains=3))
 
-        states, test, chains = run()
-        assert len({s.cells for s in states}) > 2
-        monkeypatch.setattr(markov, "_INTERN_MAX", 2)
-        capped, capped_test, capped_chains = run()
-        assert [s.cells for s in capped] == [s.cells for s in states]
-        assert (capped_test, capped_chains) == (test, chains)
-        # the third distinct table stops the interning: from it on, each change builds a new table
-        cells = [s.cells for s in capped]
-        tail = capped[cells.index(list(dict.fromkeys(cells))[2]):]
+        # a walk past the probe that keeps its tables: a revisit is the same object
+        states, test, chains = run(config)
+        assert config.burn_in + config.steps > markov._PROBE
+        by_cells = {s.cells: s for s in states}
+        assert len(by_cells) > 3 and all(s is by_cells[s.cells] for s in states)
+        # Room for two states: numbering a third one drops the tables, here
+        # within the burn-in.  The stream stays, and from then on each change
+        # builds a new table.
+        monkeypatch.setattr(markov, "_CELL_BUDGET", 2 * 9)
+        dropped, dropped_test, dropped_chains = run(config)
+        assert [s.cells for s in dropped] == [s.cells for s in states]
+        assert (dropped_test, dropped_chains) == (test, chains)
+        changes = sum(a is not b for a, b in zip(dropped, dropped[1:]))
+        assert len(by_cells) < 1 + changes == len({id(s) for s in dropped})
+        # With no burn-in the first two tables are emitted while the walk
+        # keeps them, and the third is the last table the tables build.
+        config = replace(config, burn_in=0)
+        monkeypatch.undo()
+        kept = list(fiber_walk(t, moves, config))
+        monkeypatch.setattr(markov, "_CELL_BUDGET", 2 * 9)
+        dropped = list(fiber_walk(t, moves, config))
+        assert [s.cells for s in dropped] == [s.cells for s in kept]
+        cells = [s.cells for s in dropped]
+        third = cells.index(list(dict.fromkeys(cells))[2])
+        head, tail = dropped[:third], dropped[third:]
+        # the walk goes back to its first table before it meets the third
+        assert sum(a is not b for a, b in zip(head, head[1:])) == 2
+        assert len({id(s) for s in head}) == 2
         changes = sum(a is not b for a, b in zip(tail, tail[1:]))
         assert len({s.cells for s in tail}) < 1 + changes == len({id(s) for s in tail})
+
+    @pytest.mark.parametrize("patch, kept", [({"_PROBE_HITS": markov._PROBE}, 0), ({"_CELL_BUDGET": 2 * 9}, 2)],
+                             ids=["probe", "budget"])
+    def test_scores_memo_dropped_by_the_rule(self, monkeypatch, patch, kept):
+        t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
+        config = WalkConfig(steps=2_000, seed=4)
+        unpatched = exact_test(t, COMMON3, config, method="mcmc")
+        states = [flat(s) for s in fiber_walk(t, moves_common_diag(3), config)]
+        changes = [s for k, s in enumerate(states) if k == 0 or s != states[k - 1]]
+        for name, value in patch.items():
+            monkeypatch.setattr(markov, name, value)
+        calls = spy_pearson(monkeypatch)
+        assert exact_test(t, COMMON3, config, method="mcmc") == unpatched
+        # The memo keeps the scores of the first `kept` tables (none when the
+        # probe fails at once) and is dropped at the next new table: from
+        # then on every state change is scored again.
+        first = list(dict.fromkeys(changes))[:kept]
+        drop = next(k for k, s in enumerate(changes) if s not in first)
+        assert calls == [flat(t)] + first + changes[drop:]
 
     def test_pearson_once_per_distinct_state_over_chains(self, monkeypatch):
         t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])

@@ -6,13 +6,14 @@ stationary law; the reference builders made each candidate move a dense
 grid, fixed its sign on the grid and checked every `Move`.  The package's
 kernel and factories must give exactly what these give: the same states
 from the same seeds, and the same moves in the same order.  The kernel
-must give them whether it interns its states or has stopped interning.
+must give them whether it keeps its proposal tables or has dropped them,
+wherever it drops them.
 """
 
 import math
 import random
 from itertools import combinations, permutations
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from unittest import mock
 
 import pytest
@@ -154,7 +155,10 @@ def _move_deltas(moves: Sequence[Move]) -> List[tuple]:
     return deltas
 
 
-def reference_fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> Iterator[CountTable]:
+def reference_fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig,
+                         trace: Optional[list] = None) -> Iterator[CountTable]:
+    """The walk's emitted states; `trace`, when given, gets each step's
+    (state, draw) as (flat tuple, move index)."""
     I = start.size
     deltas = _move_deltas(moves)
     rows = [slice(i * I, (i + 1) * I) for i in range(I)]
@@ -166,7 +170,10 @@ def reference_fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkC
     moved = True
     until_emit = config.burn_in
     for _ in range(config.burn_in + config.steps):
-        delta = deltas[randrange(count)]
+        r = randrange(count)
+        if trace is not None:
+            trace.append((tuple(flat), r))
+        delta = deltas[r]
         num = den = 1
         for k, v in delta:
             old = flat[k]
@@ -255,8 +262,44 @@ def test_kernel_emits_the_reference_states(family, size, data, zero_row, station
     moves = FACTORIES[family][0](start.size)
     config = WalkConfig(steps=steps, burn_in=burn_in, thinning=thinning, seed=seed,
                         stationary=stationary)
-    expected = emitted(reference_fiber_walk(start, moves, config))
+    trace: list = []
+    expected = emitted(reference_fiber_walk(start, moves, config, trace))
+    # shorter than the probe, the walk keeps its tables to the end
+    assert len(trace) <= markov._PROBE
     assert emitted(fiber_walk(start, moves, config)) == expected
-    # a walk that stops interning its states after the first one
-    with mock.patch.object(markov, "_INTERN_MAX", 1):
-        assert emitted(fiber_walk(start, moves, config)) == expected
+
+    # The walk drops its tables at its (m + 1)-th miss, the first draw of a
+    # (state, draw) pair, when it makes more than m misses in its probe.
+    seen: set = set()
+    misses = [step for step, key in enumerate(trace) if not (key in seen or seen.add(key))]
+
+    def emits(step):
+        return step >= burn_in and (step - burn_in) % thinning == 0
+
+    drops = {"step 1": 0}
+    for where, at in [("burn-in", lambda step: step < burn_in),
+                      ("between two emissions", lambda step: step >= burn_in and not emits(step)),
+                      ("an emission", emits)]:
+        drops.update((where, m) for m, step in enumerate(misses) if at(step) and where not in drops)
+    for where, m in drops.items():
+        with mock.patch.object(markov, "_PROBE_HITS", markov._PROBE - m):
+            assert emitted(fiber_walk(start, moves, config)) == expected, where
+    # an empty probe, then the budgets: half the misses' entries, and two states
+    for budget in [{"_ENTRY_BUDGET": len(misses) // 2}, {"_CELL_BUDGET": 2 * size * size}]:
+        with mock.patch.multiple(markov, _PROBE=0, _PROBE_HITS=0, **budget):
+            assert emitted(fiber_walk(start, moves, config)) == expected, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(den=st.integers(2, 2**80), data=st.data())
+@example(den=2**60 + 1, data=None)
+def test_chance_compares_a_draw_exactly(den, data):
+    # the kernel accepts when random() < _chance(num, den); the reference
+    # when a * den < num * b for a / b = random(): they must agree for every
+    # draw, a multiple of 2^-53, and most of all next to num / den
+    num = den - 1 if data is None else data.draw(st.integers(1, den - 1))
+    chance = markov._chance(num, den)
+    nearest = (num << 53) // den
+    for m in range(max(0, nearest - 2), min(1 << 53, nearest + 3)):
+        a, b = (m / (1 << 53)).as_integer_ratio()
+        assert (m / (1 << 53) < chance) == (a * den < num * b)

@@ -9,8 +9,10 @@ from diagonal_effect import (
     MixtureParams,
     ModelFamily,
     ModelForm,
+    SizeMismatchError,
     ToricParams,
     common_diagonal_fit,
+    expected_counts,
     mixture_point,
     normalizers,
     quasi_independence_fit,
@@ -212,3 +214,21 @@ class TestFits:
         fit = common_diagonal_fit(t)
         assert fit[0][1] == 0.0 and fit[1][0] == 0.0
         assert fit[0][0] == pytest.approx(2.0) and fit[1][1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("family", [ModelFamily.DIAGONAL_EFFECT, ModelFamily.COMMON_DIAGONAL_EFFECT])
+    def test_expected_counts_of_another_size_rejected(self, family):
+        t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
+        with pytest.raises(SizeMismatchError, match="^table size 3 != model size 4$"):
+            expected_counts(t, model(family, 4))
+
+    @pytest.mark.parametrize("table, m, message", [
+        (CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]]), "common",
+         "model must be a ModelSpec, got 'common'"),
+        (CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]]), None, "model must be a ModelSpec, got None"),
+        ("x", model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3), "table must be a CountTable, got 'x'"),
+        ([[1, 2], [0, 1]], model(ModelFamily.DIAGONAL_EFFECT, 2),
+         "table must be a CountTable, got [[1, 2], [0, 1]]"),
+    ])
+    def test_expected_counts_of_other_objects_rejected(self, table, m, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            expected_counts(table, m)
