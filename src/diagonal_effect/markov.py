@@ -567,29 +567,18 @@ def _factors(amounts: List[Tuple[int, int]], first: int) -> tuple:
     return tuple((cell, j) for cell, amount in amounts for j in range(first, first + amount))
 
 
-# The walk's proposal tables and the MCMC test's scores are memos that pay
-# only when the walk revisits (`fiber_walk`, `_mcmc_test`).  Each is kept
-# while at least `_PROBE_HITS` of its first `_PROBE` lookups hit, and within
-# its budget; otherwise it is dropped for good.
+# The walk's proposal tables (`fiber_walk`) and the MCMC test's scores
+# (`_mcmc_test`) are memos that pay only when the walk revisits.  The walk
+# keeps its tables while at least `_PROBE_HITS` of its first `_PROBE`
+# proposals hit and within `_ENTRY_BUDGET` entries.  `_CELL_BUDGET` bounds
+# both the walk's numbered states and the test's scores.  A memo past its
+# rule is dropped for good.
 _PROBE = 1024
 _PROBE_HITS = 112  # 11%: the measured break-even of the walk's tables
 _ENTRY_BUDGET = 1 << 14  # proposal entries the walk's tables may hold
 _CELL_BUDGET = 1 << 13  # counts (I * I per table) either memo may hold tables of
 _SURE = 2.0  # the chance of a proposal accepted without a draw
 _STAY = (0.0, None)  # the entry of an infeasible proposal, which draws nothing
-
-
-def _remember(memo: dict, key, value, lookups: int, most: int) -> Optional[dict]:
-    """`memo` with `key` -> `value` stored after a miss at the memo's
-    `lookups`-th lookup, or None (memo switched off) once the memo is full,
-    holding `most` entries, or no longer pays.  A memo stores an entry at
-    each miss, so one that holds `_PROBE` - `_PROBE_HITS` entries at a miss
-    within its first `_PROBE` lookups has hit fewer than `_PROBE_HITS`
-    times in them."""
-    if len(memo) >= most or (lookups <= _PROBE and len(memo) >= _PROBE - _PROBE_HITS):
-        return None
-    memo[key] = value
-    return memo
 
 
 def _chance(num: int, den: int) -> float:
@@ -616,8 +605,9 @@ def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> 
     accepted, den being 1.  Under the hypergeometric law the ratio
     prod f! / prod f'! over the touched cells is num / den: the proposal
     is accepted without a draw when num >= den, and otherwise when
-    a * den < num * b for a / b = rng.random(), the exact comparison of
-    the uniform draw with the ratio.
+    rng.random() < `_chance`(num, den), the exact comparison of the
+    uniform draw with the ratio.  Both phases below accept by this one
+    rule and draw the same numbers.
 
     The walk starts with proposal tables.  It numbers each state it
     reaches and gives it a table from draw r to (chance, target id),
@@ -738,9 +728,7 @@ def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> 
             if hypergeometric:
                 for k, j in ups:
                     den *= flat[k] + j
-                if num < den:
-                    a, b = rand().as_integer_ratio()  # accept when a / b < num / den
-            if num >= den or a * den < num * b:
+            if num >= den or rand() < _chance(num, den):
                 for k, v in delta:
                     flat[k] += v
                 moved = True
@@ -933,19 +921,17 @@ def _mcmc_test(table: CountTable, model: ModelSpec, terms: List[_Memo], observed
     length and from one fit (`terms`) and one move family: the indicator of
     each state's statistic reaching the observed one, averaged over every
     walk, with the batch-means standard error of all walks together.  Each
-    distinct table is scored once per call while the scores pay: its
-    indicator is kept by its cells for all the walks, and the memo follows
-    the rule of the walk's tables (`_remember`), one lookup per state
-    change, within `_CELL_BUDGET` counts.  A lookup and a store cost a
-    sixth of a score at I = 3 to 6, so the memo breaks even at a hit rate
-    of about 0.15, near the walk's 11%.  The result echoes the first
+    distinct table is scored once per call while the memo has room: its
+    indicator is kept by its cells for all the walks, one lookup per state
+    change, and the memo is dropped for good at the first miss once it
+    holds `_CELL_BUDGET` // I^2 tables.  The result echoes the first
     configuration."""
     if any(c.stationary is not Stationary.HYPERGEOMETRIC for c in configs):
         raise InputError("the sampling test requires the hypergeometric stationary law")
     threshold = _chi2_threshold(observed_stat)
     moves = moves_for_model(model)
     scores: Optional[dict] = {}
-    lookups, most = 0, max(1, _CELL_BUDGET // (table.size * table.size))
+    most = max(1, _CELL_BUDGET // (table.size * table.size))
     walks = []
     for config in configs:
         indicators = []
@@ -954,14 +940,14 @@ def _mcmc_test(table: CountTable, model: ModelSpec, terms: List[_Memo], observed
             # the walk re-emits an unmoved state as the same object
             if state is not last:
                 last = state
-                indicator = None
-                if scores is not None:
-                    lookups += 1
-                    indicator = scores.get(state.cells)
+                indicator = None if scores is None else scores.get(state.cells)
                 if indicator is None:
                     indicator = 1.0 if _pearson_flat(terms, chain.from_iterable(state.cells)) >= threshold else 0.0
                     if scores is not None:
-                        scores = _remember(scores, state.cells, indicator, lookups, most)
+                        if len(scores) < most:
+                            scores[state.cells] = indicator
+                        else:
+                            scores = None
             indicators.append(indicator)
         walks.append(indicators)
     samples = sum(map(len, walks))

@@ -210,9 +210,6 @@ class ProbTable:
     def from_rows(cls, rows: Sequence[Sequence]) -> "ProbTable":
         return cls(size=len(require_sequence(rows, "cells")), cells=rows)
 
-    def is_strictly_positive(self) -> bool:
-        return all(p.numerator > 0 for row in self.cells for p in row)
-
     def to_strings(self):
         return [[str(p) for p in row] for row in self.cells]
 

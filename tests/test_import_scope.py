@@ -1,5 +1,6 @@
-"""The package namespace, which submodules each CLI command loads, and that
-every module of the package reads each name it imports.
+"""The package namespace, which submodules each CLI command loads, that
+every module of the package reads each name it imports, and that some file
+of the project reads each private name the package defines.
 
 Import scope is checked in a fresh interpreter: the other tests run the CLI
 in-process, with every submodule already loaded.
@@ -19,7 +20,8 @@ import diagonal_effect
 
 SRC = str(Path(diagonal_effect.__file__).resolve().parents[1])
 PACKAGE = Path(diagonal_effect.__file__).resolve().parent
-TABLE3 = str(Path(__file__).resolve().parents[1] / "demos" / "table3.csv")
+ROOT = Path(__file__).resolve().parents[1]
+TABLE3 = str(ROOT / "demos" / "table3.csv")
 
 EXPORTS = [
     "BoundaryReport", "BoundaryVerdict", "BudgetExceededError", "CellPolynomial",
@@ -136,3 +138,48 @@ class TestImports:
     def test_an_unused_import_is_found(self):
         source = "from collections import Counter\nfrom typing import Optional\nx: Optional[int] = None\n"
         assert unused_imports(source) == {"Counter"}
+
+
+def private_definitions(source: str) -> set:
+    """The private (single-underscore) functions, classes and constants
+    that `source` defines at module level."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def names_read(source: str) -> set:
+    """Every name `source` reads: loaded names, attributes, names imported
+    from a module, and string constants (as `monkeypatch.setattr` takes)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+class TestPrivateNames:
+    def test_every_private_name_is_read(self):
+        files = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                 *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+        read = set().union(*(names_read(f.read_text()) for f in files))
+        defined = set().union(*(private_definitions(f.read_text()) for f in PACKAGE.glob("*.py")))
+        assert defined - read == set()
+
+    def test_an_unread_private_name_is_found(self):
+        source = ("_A = 1\n_B: int = 2\n__all__ = []\nPUBLIC = _A\n"
+                  "def _f():\n    _C = 3\n    return _C\nclass _K:\n    pass\n")
+        assert private_definitions(source) == {"_A", "_B", "_f", "_K"}
+        assert private_definitions(source) - names_read(source) == {"_B", "_f", "_K"}
+        assert {"_f", "_K", "_B"} <= names_read("from m import _f\nm._K\nsetattr(m, '_B', 0)\n")

@@ -11,6 +11,7 @@ from diagonal_effect import (
     ModelForm,
     ProbTable,
     SizeMismatchError,
+    VanishingReport,
     check_vanishing,
     gens_common_mixture_families,
     gens_common_mixture_listed3,
@@ -97,6 +98,13 @@ class TestDiagEffectGenerators:
         report = check_vanishing(gens_diag_effect(4), table)
         assert not report.all_zero
         assert any(name.startswith("minor[1,2|3,4]") for name, _ in report.failures())
+
+    def test_report_lists_the_nonzero_values(self):
+        report = VanishingReport((("a", Fraction(0)), ("b", Fraction(-1, 6)), ("c", Fraction(0))))
+        assert not report.all_zero
+        assert report.failures() == [("b", Fraction(-1, 6))]
+        assert report.summary() == "1 of 3 polynomials do NOT vanish:\n  b: -1/6"
+        assert VanishingReport((("a", Fraction(0)),)).summary() == "all 1 polynomials vanish exactly"
 
 
 class TestCommonToricListed:

@@ -1079,23 +1079,28 @@ class TestExactTest:
         changes = sum(a is not b for a, b in zip(tail, tail[1:]))
         assert len({s.cells for s in tail}) < 1 + changes == len({id(s) for s in tail})
 
-    @pytest.mark.parametrize("patch, kept", [({"_PROBE_HITS": markov._PROBE}, 0), ({"_CELL_BUDGET": 2 * 9}, 2)],
-                             ids=["probe", "budget"])
-    def test_scores_memo_dropped_by_the_rule(self, monkeypatch, patch, kept):
-        t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
-        config = WalkConfig(steps=2_000, seed=4)
-        unpatched = exact_test(t, COMMON3, config, method="mcmc")
-        states = [flat(s) for s in fiber_walk(t, moves_common_diag(3), config)]
+    @pytest.mark.parametrize("cells, config, patch, kept, drop", [
+        ([[1, 2, 0], [0, 1, 2], [2, 0, 1]], WalkConfig(steps=2_000, seed=4), {"_CELL_BUDGET": 2 * 9}, 2, 3),
+        # the benchmark's common I = 5 table under the shipped constants:
+        # 8,192 // 25 = 327 tables
+        ([[1, 0, 0, 0, 1], [1, 0, 1, 0, 1], [2, 2, 0, 0, 0], [0, 1, 0, 1, 0], [1, 0, 0, 2, 0]],
+         WalkConfig(steps=10_000, seed=1), {}, 327, 356),
+    ], ids=["budget", "shipped"])
+    def test_scores_memo_dropped_by_the_rule(self, monkeypatch, cells, config, patch, kept, drop):
+        t = CountTable.from_rows(cells)
+        spec, moves = model(ModelFamily.COMMON_DIAGONAL_EFFECT, t.size), moves_common_diag(t.size)
+        unpatched = exact_test(t, spec, config, method="mcmc")
+        states = [flat(s) for s in fiber_walk(t, moves, config)]
         changes = [s for k, s in enumerate(states) if k == 0 or s != states[k - 1]]
         for name, value in patch.items():
             monkeypatch.setattr(markov, name, value)
         calls = spy_pearson(monkeypatch)
-        assert exact_test(t, COMMON3, config, method="mcmc") == unpatched
-        # The memo keeps the scores of the first `kept` tables (none when the
-        # probe fails at once) and is dropped at the next new table: from
-        # then on every state change is scored again.
+        assert exact_test(t, spec, config, method="mcmc") == unpatched
+        # The memo keeps the scores of the first `kept` tables and is dropped
+        # at the next new table, the state change at index `drop`: from then
+        # on every state change is scored again.
         first = list(dict.fromkeys(changes))[:kept]
-        drop = next(k for k, s in enumerate(changes) if s not in first)
+        assert drop == next(k for k, s in enumerate(changes) if s not in first)
         assert calls == [flat(t)] + first + changes[drop:]
 
     def test_pearson_once_per_distinct_state_over_chains(self, monkeypatch):
@@ -1132,6 +1137,13 @@ class TestExactTest:
         t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
         with pytest.raises(InputError, match="node_budget"):
             exact_test(t, COMMON3, WalkConfig(steps=100, seed=1), method=method, node_budget=-5)
+
+    def test_auto_past_the_budget_walks_the_default_length(self):
+        t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
+        result = exact_test(t, COMMON3, method="auto", node_budget=0)
+        assert result.method == "MCMC"
+        assert result.samples_used == 50_000
+        assert result.config == WalkConfig(steps=50_000).to_dict()
 
     def test_zero_table_rejected(self):
         with pytest.raises(InputError):

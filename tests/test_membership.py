@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from diagonal_effect import (
     BoundaryVerdict,
+    CountTable,
     InputError,
     MixtureParams,
     ModelFamily,
@@ -18,6 +19,7 @@ from diagonal_effect import (
     classify_toric_point,
     mixture_point,
     mixture_to_toric,
+    normalize,
     random_rational_point,
     toric_point,
 )
@@ -148,6 +150,18 @@ class TestBoundaryCheck:
         table = ProbTable.from_rows([[third, 0, 0], [0, third, 0], [0, 0, third]])
         report = boundary_membership_check(table)
         assert report.verdict is BoundaryVerdict.RULED_OUT_M1
+
+    def test_zeros_on_and_off_the_diagonal_rule_out_both(self):
+        table = normalize(CountTable.from_rows([[0, 1, 1], [1, 1, 0], [1, 1, 1]]))
+        report = boundary_membership_check(table)
+        assert report.verdict is BoundaryVerdict.RULED_OUT_BOTH
+        assert (report.toric_exclusions, report.mixture_exclusions) == (((2, 3),), (1,))
+
+    def test_two_by_two_has_no_invariants(self):
+        table = normalize(CountTable.from_rows([[0, 1], [1, 1]]))
+        report = boundary_membership_check(table)
+        assert report.verdict is BoundaryVerdict.RULED_OUT_M2
+        assert report.invariants_vanish
 
     def test_strictly_positive_inconclusive(self):
         table = ProbTable.from_rows([[Fraction(1, 9)] * 3] * 3)
