@@ -34,8 +34,9 @@ from __future__ import annotations
 import heapq
 from typing import List, NamedTuple, Optional, Sequence
 
-from .errors import BudgetExceededError, InputError, InvariantViolationError, SizeMismatchError
-from .polynomials import CellPolynomial, Monomial, TermOrder, check_distinct
+from .errors import BudgetExceededError, InputError, InvariantViolationError
+from .polynomials import CellPolynomial, Monomial, TermOrder, check_distinct, require_polynomials
+from .tables import require_instance
 
 MAX_PAIRS = 100_000  # S-pairs one basis computation may process
 
@@ -107,14 +108,12 @@ def _pack(m: Monomial, shift: dict) -> int:
     return packed
 
 
-def _encode(polys: Sequence[CellPolynomial], order: TermOrder, size: int) -> List[_Binomial]:
-    """Monic binomials of the nonzero `polys`, which must be c * (x^a - x^b)
-    over `size` x `size` tables."""
-    shift = {v: 1 << (k * _WIDTH) for k, v in enumerate(order.variables)}
+def _encode(polys: Sequence[CellPolynomial], order: TermOrder) -> List[_Binomial]:
+    """Monic binomials of the nonzero `polys`, which must be c * (x^a - x^b),
+    under `order`, which must be a TermOrder."""
+    shift = {v: 1 << (k * _WIDTH) for k, v in enumerate(require_instance(order, TermOrder, "order").variables)}
     out = []
     for p in polys:
-        if p.size != size:
-            raise SizeMismatchError(f"polynomial over {p.size}x{p.size} cells, expected {size}x{size}")
         if p.is_zero():
             continue
         if p.num_terms() != 2 or sum(p.terms.values()) != 0:
@@ -130,7 +129,8 @@ def _monomial(m: int, order: TermOrder) -> Monomial:
 
 
 def _decode(basis: Sequence[_Binomial], order: TermOrder, size: int) -> List[CellPolynomial]:
-    return [CellPolynomial(size, {_monomial(g.lead, order): 1, _monomial(g.tail, order): -1})
+    # `_monomial` sorts the ids, and a _Binomial's lead and tail differ
+    return [CellPolynomial._nonzero_ints(size, {_monomial(g.lead, order): 1, _monomial(g.tail, order): -1})
             for g in basis]
 
 
@@ -178,10 +178,8 @@ def buchberger(gens: Sequence[CellPolynomial], order: TermOrder) -> List[CellPol
     dedup).  Processing more than `MAX_PAIRS` S-pairs, or forming a term
     past `MAX_DEGREE`, raises BudgetExceededError.
     """
-    if not gens:
-        return []
-    size = gens[0].size
-    return _decode(_groebner(_encode(gens, order, size), order), order, size)
+    size = require_polynomials(gens, "generators")
+    return _decode(_groebner(_encode(gens, order), order), order, size)
 
 
 def _groebner(basis: List[_Binomial], order: TermOrder) -> List[_Binomial]:
@@ -264,6 +262,7 @@ def saturate(
     `by`, one of `by` outside `variables`, or a `by` without the last
     variable raises InputError before any step.  `MAX_PAIRS` holds per
     step."""
+    size = require_polynomials(gens, "generators")
     order = TermOrder.grevlex(variables)
     names = order.variables
     n = len(names)
@@ -276,10 +275,7 @@ def saturate(
         if names and names[-1] not in by:
             raise InputError(f"the saturating product must hold the last variable {names[-1]}")
         steps = [v for v in steps if v in by]
-    if not gens:
-        return []
-    size = gens[0].size
-    basis = _encode(gens, order, size)
+    basis = _encode(gens, order)
     if any(g.rise for g in basis):
         raise InvariantViolationError("saturation shortcut requires homogeneous generators")
     top = (n - 1) * _WIDTH  # the last variable's field
@@ -303,10 +299,8 @@ def saturate(
 def reduce_basis(basis: Sequence[CellPolynomial], order: TermOrder) -> List[CellPolynomial]:
     """Minimalize and tail-reduce a binomial Groebner basis; output is the
     reduced basis, monic, deterministically sorted by leading monomial."""
-    if not basis:
-        return []
-    size = basis[0].size
-    return _decode(_reduced(_encode(basis, order, size), order), order, size)
+    size = require_polynomials(basis, "basis elements")
+    return _decode(_reduced(_encode(basis, order), order), order, size)
 
 
 def _reduced(basis: Sequence[_Binomial], order: TermOrder) -> List[_Binomial]:

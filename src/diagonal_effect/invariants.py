@@ -29,7 +29,9 @@ from .polynomials import (
     mono_from_cells,
     require_point,
 )
-from .tables import Move, ProbTable, _Memo, rectangle_indices, require_int, require_moves, triple_indices
+from .tables import (
+    Move, ProbTable, _Memo, rectangle_indices, require_int, require_moves, require_sequence, triple_indices,
+)
 
 
 @dataclass(frozen=True)
@@ -361,11 +363,12 @@ def _as_invariants(polys) -> List[Invariant]:
 def check_vanishing(polys, P: ProbTable) -> VanishingReport:
     """Evaluate every polynomial exactly at P; pass iff every value is 0.
 
-    `polys` holds `Invariant`s or bare `CellPolynomial`s, which are named
-    "poly #k" by position; anything else, or a P that is neither a
-    ProbTable nor a mapping, raises InputError, whatever `polys` holds.
+    `polys` is a sequence of `Invariant`s or bare `CellPolynomial`s, which
+    are named "poly #k" by position; anything else, or a P that is neither
+    a ProbTable nor a mapping, raises InputError, whatever `polys` holds.
     """
     require_point(P)
+    require_sequence(polys, "polys")
     cleared = {}  # per table size: (N, D) and the monomial values at them
     entries = []
     size = at = None
@@ -382,7 +385,8 @@ def check_vanishing(polys, P: ProbTable) -> VanishingReport:
 
 def _sign_flipped(poly: CellPolynomial, m: Monomial) -> CellPolynomial:
     """`poly` with the coefficient of its monomial `m` negated."""
-    return CellPolynomial(poly.size, {**poly.terms, m: -poly.terms[m]})
+    # negating one of `poly`'s nonzero int coefficients keeps it one
+    return CellPolynomial._nonzero_ints(poly.size, {**poly.terms, m: -poly.terms[m]})
 
 
 def nonvanishing_variants_report(point: Optional[ProbTable] = None) -> List[dict]:

@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, SizeMismatchError
 from .tables import ProbTable, over_lcm, require_instance, require_int, require_mapping, require_rational
+from .tables import require_sequence
 
 Monomial = Tuple[int, ...]
 
@@ -46,10 +47,10 @@ def mono_from_cells(cells: Iterable[Tuple[int, int]], size: int) -> Monomial:
 
 
 def check_distinct(variables: Sequence[int], where: str) -> None:
-    """InputError unless no variable id repeats in `variables`."""
+    """InputError unless `variables` is a sequence of distinct variable ids, ints >= 0."""
     seen = set()
-    for v in variables:
-        if v in seen:
+    for v in require_sequence(variables, where):
+        if require_int(v, "variable id", 0) in seen:
             raise InputError(f"variable {v} appears twice in {where}")
         seen.add(v)
 
@@ -62,7 +63,8 @@ class TermOrder:
     `block` > 0 the first `block` variables form an elimination block:
     monomials are compared grevlex on the block first, then grevlex on the
     rest, so eliminating the block variables is a matter of discarding
-    basis elements that mention them.  A variable may appear only once.
+    basis elements that mention them.  A variable is an id, an int >= 0,
+    and may appear only once.
     """
 
     variables: tuple
@@ -70,20 +72,22 @@ class TermOrder:
 
     def __post_init__(self):
         check_distinct(self.variables, "the term order")
+        require_int(self.block, "block", 0)
 
     @classmethod
     def grevlex(cls, variables: Sequence[int]) -> "TermOrder":
-        return cls(variables=tuple(variables))
+        return cls(variables=tuple(require_sequence(variables, "the term order")))
 
     @classmethod
     def grevlex_last(cls, variables: Sequence[int], last: int) -> "TermOrder":
         """Grevlex with one chosen variable moved to the least significant slot."""
-        rest = tuple(v for v in variables if v != last)
+        rest = tuple(v for v in require_sequence(variables, "the term order") if v != last)
         return cls(variables=rest + (last,))
 
     @classmethod
     def elimination(cls, block_vars: Sequence[int], main_vars: Sequence[int]) -> "TermOrder":
-        return cls(variables=tuple(block_vars) + tuple(main_vars), block=len(block_vars))
+        block = tuple(require_sequence(block_vars, "the elimination block"))
+        return cls(variables=block + tuple(require_sequence(main_vars, "the term order")), block=len(block))
 
     def key(self, m: Monomial):
         dense = list(map(m.count, self.variables))
@@ -155,10 +159,10 @@ class CellPolynomial:
 
     @classmethod
     def _nonzero_ints(cls, size: int, terms: Dict[Monomial, int]) -> "CellPolynomial":
-        """The polynomial `terms`, whose monomials are ascending id tuples
-        and whose coefficients are nonzero ints, as the family builders in
-        `invariants` make them: built without the checks, which would keep
-        every term as it is."""
+        """The polynomial `terms`, whose monomials are ascending id tuples and
+        whose coefficients are nonzero ints, built without the checks, which
+        would keep every term as it is: the one way the package builds a
+        polynomial it has made itself.  Each call site says why."""
         poly = object.__new__(cls)
         poly.size = size
         poly.terms = terms
@@ -299,4 +303,15 @@ def binomial_from_vector(flat: Sequence[int], size: int) -> CellPolynomial:
             neg += [v] * -x
     if not pos and not neg:
         raise InputError("the zero vector has no binomial")
-    return CellPolynomial(size, {tuple(pos): 1, tuple(neg): -1})
+    # ids ascend with v, and no id is on both sides, so the monomials differ
+    return CellPolynomial._nonzero_ints(size, {tuple(pos): 1, tuple(neg): -1})
+
+
+def require_polynomials(polys, what: str) -> Optional[int]:
+    """The table size of `polys`, a sequence of CellPolynomials over one size,
+    or None if it is empty; else InputError (SizeMismatchError for a size)."""
+    for p in require_sequence(polys, what):
+        if require_instance(p, CellPolynomial, f"each of the {what}").size != polys[0].size:
+            size = polys[0].size
+            raise SizeMismatchError(f"polynomial over {p.size}x{p.size} cells, expected {size}x{size}")
+    return polys[0].size if polys else None

@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import InputError, InvariantViolationError, SizeMismatchError
+from .errors import InputError, InvariantViolationError
 from .groebner import buchberger, reduce_basis, saturate
-from .polynomials import CellPolynomial, TermOrder, binomial_from_vector
-from .tables import ModelFamily, ModelForm, ModelSpec, flat_rows
+from .polynomials import CellPolynomial, TermOrder, binomial_from_vector, require_polynomials
+from .tables import ModelFamily, ModelForm, ModelSpec, _square_grid, flat_rows
+from .tables import require_instance, require_int, require_sequence
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class DesignMatrix:
 
 def design_matrix(model: ModelSpec) -> DesignMatrix:
     """Design matrix of a toric-form model family."""
-    if model.form is not ModelForm.TORIC:
+    if require_instance(model, ModelSpec, "model").form is not ModelForm.TORIC:
         raise InputError("design matrices exist only for toric-form models")
     I = model.size
     names: List[str] = [f"r{i}" for i in range(1, I + 1)] + [f"c{j}" for j in range(1, I + 1)]
@@ -73,10 +74,9 @@ def design_matrix(model: ModelSpec) -> DesignMatrix:
 
 def transpose_apply(A: DesignMatrix, grid) -> tuple:
     """A^t applied to an integer table (count table, move, or raw grid)."""
-    cells = grid.cells if hasattr(grid, "cells") else grid
-    flat = [x for row in cells for x in row]
-    if len(flat) != len(A.rows):
-        raise InputError(f"table has {len(flat)} cells, design matrix expects {len(A.rows)}")
+    size = require_instance(A, DesignMatrix, "A").size
+    cells = _square_grid(grid.cells if hasattr(grid, "cells") else grid, size)
+    flat = [require_int(x, "grid entry") for row in cells for x in row]
     out = [0] * A.num_params
     for value, row in zip(flat, A.rows):
         if value:
@@ -93,7 +93,7 @@ def integer_kernel(A: DesignMatrix) -> List[tuple]:
     identity-side rows opposite the zero rows of the reduced A form a basis
     of the full kernel lattice (not merely a finite-index sublattice).
     """
-    n = len(A.rows)
+    n = len(require_instance(A, DesignMatrix, "A").rows)
     s = A.num_params
     aug = [list(A.rows[i]) + [1 if k == i else 0 for k in range(n)] for i in range(n)]
     piv = 0
@@ -226,6 +226,7 @@ def saturation_cells(rows: Sequence[list], pivots: Sequence[Optional[int]], size
 
 
 def lattice_binomials(A: DesignMatrix) -> List[CellPolynomial]:
+    # `integer_kernel` checks A before A.size is read
     return [binomial_from_vector(_flat(grid), A.size) for grid in integer_kernel(A)]
 
 
@@ -244,7 +245,7 @@ def toric_ideal(model: ModelSpec, method: str = "saturation") -> List[CellPolyno
     Sizes above 4 are rejected: basis computations there are outside this
     package's desk-scale guarantees.
     """
-    I = model.size
+    I = require_instance(model, ModelSpec, "model").size
     if I > 4:
         raise InputError("toric_ideal supports sizes up to 4")
     A = design_matrix(model)
@@ -257,7 +258,8 @@ def toric_ideal(model: ModelSpec, method: str = "saturation") -> List[CellPolyno
     elif method == "elimination":
         gens = lattice_binomials(A)
         aux = I * I
-        rabinowitsch = CellPolynomial(I, {tuple(cell_vars + [aux]): 1, (): -1})
+        # the cells ascend and aux = I * I is above them; () is the other monomial
+        rabinowitsch = CellPolynomial._nonzero_ints(I, {tuple(cell_vars + [aux]): 1, (): -1})
         order = TermOrder.elimination([aux], cell_vars)
         basis = buchberger(gens + [rabinowitsch], order)
         kept = [g for g in basis if aux not in g.variables()]
@@ -279,13 +281,12 @@ def ideal_equal(gens1: Sequence[CellPolynomial], gens2: Sequence[CellPolynomial]
     `buchberger` returns it monic and sorted by leading monomial, so the
     two lists are equal exactly when the ideals are.
     """
+    both = [*require_sequence(gens1, "gens1"), *require_sequence(gens2, "gens2")]
+    size = require_polynomials(both, "generators")
     list1 = [g for g in gens1 if not g.is_zero()]
     list2 = [g for g in gens2 if not g.is_zero()]
     if not list1 or not list2:
         return not list1 and not list2
-    size = list1[0].size
-    if list2[0].size != size:
-        raise SizeMismatchError(f"generators over {size}x{size} and {list2[0].size}x{list2[0].size} tables")
     order = TermOrder.grevlex(range(size * size))
     gb1, gb2 = (buchberger(g, order) for g in (list1, list2))
     return gb1 == gb2

@@ -8,33 +8,52 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diagonal_effect
 from diagonal_effect import (
+    CellPolynomial,
     CountTable,
+    DiagonalEffectError,
     InputError,
     ModelFamily,
     ModelForm,
     ModelSpec,
+    ProbTable,
+    TermOrder,
     WalkConfig,
     apply_move,
+    check_vanishing,
+    design_matrix,
     enumerate_fiber,
     exact_test,
     exact_test_chains,
     fiber_walk,
+    gens_common_mixture_families,
+    gens_diag_effect,
     gens_independence,
+    groebner,
+    ideal_equal,
+    integer_kernel,
     is_connected,
+    lattice_binomials,
     moves_to_binomials,
+    nonvanishing_variants_report,
     random_rational_point,
     sufficient_statistic,
+    toric_ideal,
     toric_point,
+    transpose_apply,
     verify_connectivity,
 )
 from diagonal_effect.cli import parse_count_table, parse_params
 from diagonal_effect.markov import moves_common_diag, moves_diag_effect
+from diagonal_effect.polynomials import binomial_from_vector
 
 from conftest import model, random_count_table
 
@@ -206,6 +225,55 @@ def test_walk_entry_points_check_their_arguments(call, message):
     # one instance check per argument, where the call enters the package
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# the junk of the public-API probe; 7 and the other valid sizes are left
+# out, since `gens_common_mixture_families(7)` alone builds 37,450 polynomials
+JUNK = [None, "x", 1.5, -1, 0, True, [], [[1]], {}, object(), float("nan")]
+
+_INDEPENDENCE2 = model(ModelFamily.INDEPENDENCE, 2)
+_A2 = design_matrix(_INDEPENDENCE2)
+_MINOR2 = binomial_from_vector([1, -1, -1, 1], 2)
+_ORDER2 = TermOrder.grevlex(range(4))
+
+# each algebra entry point with valid arguments, any one of which the probe
+# replaces by junk
+ALGEBRA_CALLS = [
+    (TermOrder, ((0, 1), 0)),
+    (TermOrder.grevlex, ((0, 1),)),
+    (TermOrder.grevlex_last, ((0, 1), 0)),
+    (TermOrder.elimination, ((0,), (1,))),
+    (CellPolynomial, (2, {(0,): 1})),
+    (check_vanishing, ([_MINOR2], ProbTable.from_rows([[Fraction(1, 4)] * 2] * 2))),
+    (ideal_equal, ([_MINOR2], [_MINOR2])),
+    (moves_to_binomials, (moves_diag_effect(3),)),
+    (gens_independence, (3,)),
+    (gens_diag_effect, (3,)),
+    (gens_common_mixture_families, (3,)),
+    (nonvanishing_variants_report, (None,)),
+    (design_matrix, (_INDEPENDENCE2,)),
+    (transpose_apply, (_A2, [[1, 0], [0, 1]])),
+    (integer_kernel, (_A2,)),
+    (lattice_binomials, (_A2,)),
+    (toric_ideal, (_INDEPENDENCE2, "saturation")),
+    (groebner.buchberger, ([_MINOR2], _ORDER2)),
+    (groebner.saturate, ([_MINOR2], range(4), [3])),
+    (groebner.reduce_basis, ([_MINOR2], _ORDER2)),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(JUNK))
+def test_algebra_entry_points_raise_only_package_errors_on_junk(junk):
+    for fn, args in ALGEBRA_CALLS:
+        for slot in range(len(args)):
+            call = [*args[:slot], junk, *args[slot + 1:]]
+            try:
+                fn(*call)
+            except DiagonalEffectError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{fn.__qualname__} with {junk!r} in slot {slot}: {type(exc).__name__}: {exc}")
 
 
 def _unused_imports(source: str) -> list:

@@ -315,7 +315,7 @@ def test_encode_decode_round_trip(case):
         return
     size = 5  # any size: the engine reads only the ids
     poly = CellPolynomial(size, {_monomial(a, order): 1, _monomial(b, order): -1})
-    (g,) = groebner._encode([poly], order, size)
+    (g,) = groebner._encode([poly], order)
     assert (g.lead, g.tail) in ((_pack(a), _pack(b)), (_pack(b), _pack(a)))
     assert groebner._decode([g], order, size) in ([poly], [-poly])
 
@@ -463,7 +463,7 @@ def test_s_remainder_matches_reference(case, data):
     # has several reducers, and the remainder shows which one was taken
     size, variables, gens = case
     order = data.draw(orders(variables))
-    ours, theirs = groebner._encode(gens, order, size), _encode(gens, order, size)
+    ours, theirs = groebner._encode(gens, order), _encode(gens, order, size)
     for i, j in combinations(range(len(ours)), 2):
         got = groebner._s_remainder(ours[i], ours[j], ours, order)
         want = _s_remainder(theirs[i], theirs[j], theirs, order)

@@ -1,5 +1,6 @@
 """The package namespace, which submodules each CLI command loads, that
-every module of the package reads each name it imports, and that some file
+every module of the package reads each name it imports, that only
+`polynomials` calls the checked polynomial constructor, and that some file
 of the project reads each private name the package defines.
 
 Import scope is checked in a fresh interpreter: the other tests run the CLI
@@ -138,6 +139,27 @@ class TestImports:
     def test_an_unused_import_is_found(self):
         source = "from collections import Counter\nfrom typing import Optional\nx: Optional[int] = None\n"
         assert unused_imports(source) == {"Counter"}
+
+
+def constructor_calls(source: str) -> list:
+    """The lines on which `source` calls the checked `CellPolynomial(...)`
+    constructor, by its name or as a module attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CellPolynomial"]
+
+
+class TestOneBuild:
+    @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "polynomials.py"))
+    def test_only_polynomials_calls_the_checked_constructor(self, module):
+        # the checked constructor is for outside input, which `polynomials`
+        # reads; a polynomial the package makes is built through
+        # `CellPolynomial._nonzero_ints`
+        assert constructor_calls((PACKAGE / module).read_text()) == []
+
+    def test_a_constructor_call_is_found(self):
+        source = ("p = CellPolynomial(2, {})\nq = CellPolynomial._nonzero_ints(2, {})\n"
+                  "r = polynomials.CellPolynomial(2, None)\ns = CellPolynomial.from_cell_terms(2, [])\n")
+        assert constructor_calls(source) == [1, 3]
 
 
 def private_definitions(source: str) -> set:

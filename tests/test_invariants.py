@@ -1,27 +1,32 @@
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
+from unittest import mock
 
 import pytest
 
 from diagonal_effect import (
     CellPolynomial,
     InputError,
+    Invariant,
     ModelFamily,
     ModelForm,
     ProbTable,
     SizeMismatchError,
     VanishingReport,
     check_vanishing,
+    design_matrix,
     gens_common_mixture_families,
     gens_common_mixture_listed3,
     gens_common_toric_listed3,
     gens_diag_effect,
     gens_independence,
+    lattice_binomials,
     mixture_point,
     moves_to_binomials,
     nonvanishing_variants_report,
     random_rational_point,
+    toric_ideal,
     toric_point,
 )
 from diagonal_effect.invariants import (
@@ -32,8 +37,9 @@ from diagonal_effect.invariants import (
     _mixed8_poly,
     _sign_flipped,
 )
+from diagonal_effect import toricideal
 from diagonal_effect.markov import moves_common_diag, moves_diag_effect
-from diagonal_effect.polynomials import mono_from_cells
+from diagonal_effect.polynomials import cell_var, mono_from_cells, var_cell
 
 from conftest import model
 
@@ -220,6 +226,11 @@ class TestCheckVanishingInput:
             with pytest.raises(InputError, match="^point is not a mapping: got "):
                 check_vanishing(batch, point)
 
+    @pytest.mark.parametrize("polys", [None, 5, {}, iter([])], ids=lambda p: type(p).__name__)
+    def test_batch_that_is_not_a_sequence_rejected(self, polys):
+        with pytest.raises(InputError, match=f"^polys is not a sequence: got {type(polys).__name__}$"):
+            check_vanishing(polys, diag_toric_point(3, 0))
+
     def test_named_tuples_rejected(self):
         gen = gens_diag_effect(3)[0]
         with pytest.raises(InputError):
@@ -251,14 +262,54 @@ class TestMovesToBinomials:
             point = common_toric_point(3, seed)
             assert all(p.evaluate(point) == 0 for p in polys)
 
-    @pytest.mark.parametrize("I", [3, 4, 5, 6])
+    @pytest.mark.parametrize("I", [3, 4, 5, 6, 7])
     def test_diag_generators_are_the_move_binomials(self, I):
         # `toric-ideal --model diag --verify-against listed` compares the
         # toric ideal with these generators, which are the moves' binomials,
-        # in order, and open the common-diagonal mixture families
+        # in order, and open the common-diagonal mixture families.
+        # `markov._diag_effect_candidates` and
+        # `invariants._offdiag_minors_and_cycles` write the same binomials
+        # twice; this keeps the two writings equal.
         gens = [inv.poly for inv in gens_diag_effect(I)]
         assert gens == moves_to_binomials(moves_diag_effect(I))
-        assert gens == [inv.poly for inv in gens_common_mixture_families(I)[:len(gens)]]
+        if I < 7:  # the I = 7 mixture families hold 37,450 polynomials
+            assert gens == [inv.poly for inv in gens_common_mixture_families(I)[:len(gens)]]
+
+
+def lattice(family, I):
+    return lattice_binomials(design_matrix(model(family, I)))
+
+
+def move_binomials(moves, I):
+    return moves_to_binomials(moves(I))
+
+
+def toric(family, I, method):
+    return toric_ideal(model(family, I), method)
+
+
+def rejected_variants():
+    """The two sign variants that `nonvanishing_variants_report` evaluates."""
+    return [_sign_flipped(CellPolynomial.from_cell_terms(3, _LISTED3_FOUR_TERM[9]),
+                          mono_from_cells([(2, 2), (3, 1), (3, 2)], 3)),
+            _sign_flipped(_mixed8_poly(*_family_poly(3)[:2], 1, 2, 3),
+                          mono_from_cells([(1, 2), (3, 3), (3, 3)], 3))]
+
+
+def elimination_generators():
+    """What `toric_ideal`'s elimination route hands the engine at common
+    I = 3: the lattice binomials and, last, t * (product of the cells) - 1."""
+    seen = []
+    with mock.patch.object(toricideal, "buchberger", lambda gens, order: seen.extend(gens) or []):
+        toric_ideal(model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3), "elimination")
+    assert seen[-1].terms == {tuple(range(10)): 1, (): -1}
+    return seen
+
+
+def build_id(build) -> str:
+    if not isinstance(build, partial):
+        return build.__name__
+    return "/".join(getattr(a, "__name__", getattr(a, "name", str(a))) for a in (build.func, *build.args))
 
 
 SIZED_FACTORIES = [gens_independence, gens_diag_effect, gens_common_mixture_families,
@@ -280,17 +331,24 @@ class TestFamilyBuilds:
         *(partial(factory, I) for factory in (gens_independence, gens_diag_effect,
                                               gens_common_mixture_families) for I in (3, 4, 5, 6)),
         gens_common_toric_listed3, gens_common_mixture_listed3,
-    ], ids=lambda b: f"{b.func.__name__}/{b.args[0]}" if isinstance(b, partial) else b.__name__)
+        *(partial(lattice, family, I) for family in ModelFamily for I in (3, 4, 5)),
+        *(partial(move_binomials, moves, I) for moves in (moves_diag_effect, moves_common_diag) for I in (3, 4, 5)),
+        # common-diagonal elimination at I = 4 takes about 19 s, so it is left out
+        *(partial(toric, family, I, method)
+          for family in ModelFamily for I in (2, 3, 4) for method in ("saturation", "elimination")
+          if (family, I, method) != (ModelFamily.COMMON_DIAGONAL_EFFECT, 4, "elimination")),
+        rejected_variants, elimination_generators,
+    ], ids=build_id)
     def test_built_polynomials_pass_the_checked_constructor(self, build):
-        # the family builders skip the constructor's checks; the checked
-        # constructor keeps every term they make as it is
-        for inv in build():
-            p = inv.poly
-            assert CellPolynomial(p.size, p.terms).terms == p.terms, inv.name
-            assert all(c.__class__ is int for c in p.terms.values()), inv.name
-            assert all(list(m) == sorted(m) for m in p.terms), inv.name
-            if inv.name.startswith("diagbal"):
-                assert p.num_terms() == 4, inv.name
+        # the package builds its own polynomials without the constructor's
+        # checks; the checked constructor keeps every term they make as it is
+        for k, item in enumerate(build()):
+            p, name = (item.poly, item.name) if isinstance(item, Invariant) else (item, k)
+            assert CellPolynomial(p.size, p.terms).terms == p.terms, name
+            assert all(c.__class__ is int for c in p.terms.values()), name
+            assert all(list(m) == sorted(m) for m in p.terms), name
+            if str(name).startswith("diagbal"):
+                assert p.num_terms() == 4, name
 
     def test_family_builder_matches_from_cell_terms(self):
         # the builder takes (coefficient, ids) pairs, ids looked up in the
@@ -305,6 +363,78 @@ class TestFamilyBuilds:
         assert poly([(c, tuple(v[i][j] for i, j in cells)) for c, cells in cancelling]).terms == {(8,): 2}
         # the same products as id tuples in other orders: one monomial each
         assert poly([(1, (1, 3)), (2, (8,)), (-1, (3, 1))]).terms == {(8,): 2}
+
+
+def relabelled(poly: CellPolynomial, cell) -> dict:
+    """The terms of `poly` with each cell (i, j) moved to cell(i, j)."""
+    I = poly.size
+    image = [cell_var(*cell(*var_cell(v, I)), I) for v in range(I * I)]
+    return {tuple(sorted(image[v] for v in m)): c for m, c in poly.terms.items()}
+
+
+def up_to_sign(terms: dict) -> frozenset:
+    """The terms of the polynomial or of its negative, whichever has a
+    positive coefficient at its least monomial."""
+    sign = 1 if terms[min(terms)] > 0 else -1
+    return frozenset((m, sign * c) for m, c in terms.items())
+
+
+def maps_onto_itself(polys, cell) -> bool:
+    return {up_to_sign(relabelled(p, cell)) for p in polys} == {up_to_sign(p.terms) for p in polys}
+
+
+def transposed(i, j):
+    return j, i
+
+
+def simultaneous_permutations(I):
+    return [lambda i, j, s=s: (s[i - 1], s[j - 1]) for s in permutations(range(1, I + 1))]
+
+
+class TestFamilySymmetry:
+    """Each model is invariant under simultaneous row and column permutation
+    and under transposition; these pin which generator lists, up to sign,
+    are too.  The mixture families are not closed under transposition, and
+    the transcribed I = 3 lists are not closed under every permutation."""
+
+    @pytest.mark.parametrize("I", [3, 4])
+    @pytest.mark.parametrize("build", [
+        lambda I: [inv.poly for inv in gens_independence(I)],
+        lambda I: [inv.poly for inv in gens_diag_effect(I)],
+        lambda I: moves_to_binomials(moves_diag_effect(I)),
+        lambda I: moves_to_binomials(moves_common_diag(I)),
+    ], ids=["gens_independence", "gens_diag_effect", "moves_diag_effect", "moves_common_diag"])
+    def test_closed_under_permutations_and_transposition(self, build, I):
+        polys = build(I)
+        for cell in [*simultaneous_permutations(I), transposed]:
+            assert maps_onto_itself(polys, cell)
+
+    @pytest.mark.parametrize("I", [3, 4])
+    def test_mixture_families_closed_under_permutations(self, I):
+        polys = [inv.poly for inv in gens_common_mixture_families(I)]
+        for cell in simultaneous_permutations(I):
+            assert maps_onto_itself(polys, cell)
+
+    @pytest.mark.parametrize("listed", [gens_common_toric_listed3, gens_common_mixture_listed3])
+    def test_listed3_closed_under_transposition(self, listed):
+        assert maps_onto_itself([inv.poly for inv in listed()], transposed)
+
+
+class TestDiagbalTwins:
+    @pytest.mark.parametrize("I, distinct, total", [(3, 20, 32), (4, 242, 446), (5, 1490, 2870)])
+    def test_each_diagbal_is_the_negation_of_its_twin(self, I, distinct, total):
+        # diagbal[i,j;k,l;m,n] = -diagbal[k,l;i,j;n,m], and no other two
+        # members of the family agree up to sign
+        gens = gens_common_mixture_families(I)
+        by_name = {inv.name: inv.poly for inv in gens}
+        twins = 0
+        for name, poly in by_name.items():
+            if name.startswith("diagbal"):
+                (i, j), (k, l), (m, n) = (part.split(",") for part in name[8:-1].split(";"))
+                assert by_name[f"diagbal[{k},{l};{i},{j};{n},{m}]"].terms == (-poly).terms, name
+                twins += 1
+        assert len(gens) == total
+        assert len({up_to_sign(inv.poly.terms) for inv in gens}) == distinct == total - twins // 2
 
 
 class TestTranscriptionReport:

@@ -17,6 +17,7 @@ from diagonal_effect.polynomials import (
     binomial_from_vector,
     cell_var,
     mono_from_cells,
+    require_polynomials,
     var_cell,
 )
 
@@ -26,6 +27,11 @@ class TestMonomials:
         for i in range(1, 4):
             for j in range(1, 4):
                 assert var_cell(cell_var(i, j, 3), 3) == (i, j)
+
+    @pytest.mark.parametrize("v", [-1, 9])
+    def test_auxiliary_variable_is_no_cell(self, v):
+        with pytest.raises(InputError, match=f"^variable {v} is not a cell of a 3x3 table$"):
+            var_cell(v, 3)
 
     def test_monomial_is_sorted_cell_product(self):
         # each id repeated as often as its exponent, ascending
@@ -260,6 +266,52 @@ class TestTermOrders:
         big_plain = mono_from_cells([(1, 1), (1, 2), (2, 1), (2, 2)], 2)
         assert order.key(aux_mono) > order.key(big_plain)
 
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: TermOrder(None), "the term order is not a sequence: got NoneType", id="None"),
+        pytest.param(lambda: TermOrder.grevlex(None), "the term order is not a sequence: got NoneType",
+                     id="grevlex-None"),
+        pytest.param(lambda: TermOrder((0, "1")), "variable id must be an integer of at least 0, got '1'",
+                     id="str-id"),
+        pytest.param(lambda: TermOrder((0, -1)), "variable id must be an integer of at least 0, got -1",
+                     id="negative-id"),
+        pytest.param(lambda: TermOrder((0, 1), block="x"), "block must be an integer of at least 0, got 'x'",
+                     id="block"),
+        pytest.param(lambda: TermOrder.grevlex_last([0, 1], None),
+                     "variable id must be an integer of at least 0, got None", id="grevlex_last-None"),
+        pytest.param(lambda: TermOrder.grevlex_last([0, 1, 1], 0), "variable 1 appears twice in the term order",
+                     id="grevlex_last-twice"),
+        pytest.param(lambda: TermOrder.elimination(5, [0]), "the elimination block is not a sequence: got int",
+                     id="elimination-block"),
+        pytest.param(lambda: TermOrder.elimination([4], [0, 4]), "variable 4 appears twice in the term order",
+                     id="elimination-twice"),
+    ])
+    def test_variables_follow_the_monomial_id_rule(self, call, message):
+        # a term order's variables are distinct ids, ints >= 0, as in a monomial
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+class TestPolynomialLists:
+    def test_size_of_the_list(self):
+        minor = binomial_from_vector([1, -1, -1, 1], 2)
+        assert require_polynomials([minor, CellPolynomial(2, {})], "generators") == 2
+        assert require_polynomials((), "generators") is None
+
+    @pytest.mark.parametrize("polys, message", [
+        pytest.param(None, "generators is not a sequence: got NoneType", id="None"),
+        pytest.param({}, "generators is not a sequence: got dict", id="dict"),
+        pytest.param([1], "each of the generators must be a CellPolynomial, got 1", id="int-item"),
+        pytest.param("x", "each of the generators must be a CellPolynomial, got 'x'", id="str"),
+    ])
+    def test_what_is_not_a_list_of_polynomials_rejected(self, polys, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            require_polynomials(polys, "generators")
+
+    def test_second_size_rejected(self):
+        polys = [CellPolynomial(2, {}), CellPolynomial(3, {})]
+        with pytest.raises(SizeMismatchError, match="^polynomial over 3x3 cells, expected 2x2$"):
+            require_polynomials(polys, "generators")
+
 
 class TestRendering:
     def test_paper_style_strings(self):
@@ -275,6 +327,11 @@ class TestRendering:
     def test_zero(self):
         assert str(CellPolynomial(2, {})) == "0"
 
+    def test_auxiliary_variables_are_named_t(self):
+        # ids from size * size on are the elimination's auxiliary variables
+        assert str(CellPolynomial(2, {(0, 1, 2, 3, 4): 1, (): -1})) == "p[1,1]*p[1,2]*p[2,1]*p[2,2]*t0 - 1"
+        assert str(CellPolynomial(2, {(0, 4, 4): 1, (5,): -2})) == "p[1,1]*t0^2 - 2*t1"
+
 
 class TestBinomials:
     def test_from_vector(self):
@@ -285,6 +342,14 @@ class TestBinomials:
     def test_zero_vector_rejected(self):
         with pytest.raises(InputError):
             binomial_from_vector([0, 0, 0, 0], 2)
+
+    def test_vector_of_another_size_rejected(self):
+        with pytest.raises(SizeMismatchError, match="^expected 4 entries, got 9$"):
+            binomial_from_vector([1, -1, 0, -1, 1, 0, 0, 0, 0], 2)
+
+    @pytest.mark.parametrize("terms", [{}, {(0,): 1}, {(0,): 1, (1,): -1, (2, 3): 1}], ids=len)
+    def test_pure_binomials_have_two_terms(self, terms):
+        assert not CellPolynomial(2, terms).is_pure_binomial()
 
     def test_purity_detects_common_factor(self):
         pure = CellPolynomial.from_cell_terms(

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -44,7 +45,7 @@ def spoly_reductions_all_zero(groebner_basis, order) -> bool:
     pairs reduces to zero."""
     if not groebner_basis:
         return True
-    basis = _encode(groebner_basis, order, groebner_basis[0].size)
+    basis = _encode(groebner_basis, order)
     return all(_s_remainder(f, g, basis, order) is None for f, g in combinations(basis, 2))
 
 
@@ -110,6 +111,31 @@ class TestDesignMatrix:
     def test_mixture_form_rejected(self):
         with pytest.raises(InputError):
             design_matrix(model(ModelFamily.DIAGONAL_EFFECT, 3, ModelForm.MIXTURE))
+
+    def test_raw_grids_follow_the_table_rules(self):
+        # one grid rule and one integer rule, as for CountTable and Move
+        A = design_matrix(model(ModelFamily.INDEPENDENCE, 2))
+        assert transpose_apply(A, [[1, 0], [0, 1]]) == transpose_apply(A, ((1, 0), (0, 1))) == (1, 1, 1, 1)
+        assert transpose_apply(A, [[1, -2], [0, 0]]) == (-1, 0, 1, -2)
+        for grid in ([1, 2, 3, 4], [[1, 0, 0], [0, 1, 0]], CountTable.from_rows([[1, 0, 0]] * 3)):
+            with pytest.raises(InputError, match="^cells must form a size x size grid$"):
+                transpose_apply(A, grid)
+        with pytest.raises(InputError, match="^grid entry must be an integer, got 1.5$"):
+            transpose_apply(A, [[1.5, 0], [0, 0]])
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: design_matrix(None), "model must be a ModelSpec, got None", id="design_matrix"),
+        pytest.param(lambda: toric_ideal(7), "model must be a ModelSpec, got 7", id="toric_ideal"),
+        pytest.param(lambda: integer_kernel(None), "A must be a DesignMatrix, got None", id="integer_kernel"),
+        pytest.param(lambda: lattice_binomials("x"), "A must be a DesignMatrix, got 'x'", id="lattice_binomials"),
+        pytest.param(lambda: transpose_apply([[1]], [[1]]), "A must be a DesignMatrix, got [[1]]",
+                     id="transpose_apply"),
+        pytest.param(lambda: toric_ideal(model(ModelFamily.INDEPENDENCE, 2), "groebner"),
+                     "unknown method 'groebner'; use 'saturation' or 'elimination'", id="method"),
+    ])
+    def test_entry_points_check_their_arguments(self, call, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestIntegerKernel:
@@ -428,6 +454,26 @@ class TestIdealEqual:
         g = CellPolynomial.from_cell_terms(2, [(1, [(1, 2), (2, 1)]), (-1, [(1, 1), (2, 2)])])
         assert ideal_equal([f], [g])
 
+    def test_an_all_zero_side_spans_the_zero_ideal(self):
+        f = binomial_from_vector([1, -1, -1, 1], 2)
+        zero = CellPolynomial(2, {})
+        assert not ideal_equal([zero], [f])
+        assert not ideal_equal([f], [zero, zero])
+        assert ideal_equal([zero], [])
+        assert ideal_equal([], [])
+
+    @pytest.mark.parametrize("gens1, gens2, error, message", [
+        pytest.param(None, [], InputError, "gens1 is not a sequence: got NoneType", id="None"),
+        pytest.param([], {}, InputError, "gens2 is not a sequence: got dict", id="dict"),
+        pytest.param([1], [], InputError, "each of the generators must be a CellPolynomial, got 1", id="item"),
+        # every polynomial counts, a zero one too
+        pytest.param([CellPolynomial(2, {})], [CellPolynomial(3, {})], SizeMismatchError,
+                     "polynomial over 3x3 cells, expected 2x2", id="zeros"),
+    ])
+    def test_generator_lists_follow_one_rule(self, gens1, gens2, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            ideal_equal(gens1, gens2)
+
     def test_distinct_ideals(self):
         f = CellPolynomial.from_cell_terms(2, [(1, [(1, 1), (2, 2)]), (-1, [(1, 2), (2, 1)])])
         h = CellPolynomial.from_cell_terms(2, [(1, [(1, 1)]), (-1, [(2, 2)])])
@@ -485,6 +531,43 @@ class TestBinomialBoundary:
     def test_ideal_equal_rejects_sets_of_different_sizes(self, first, second):
         with pytest.raises(SizeMismatchError):
             ideal_equal([first()], [second()])
+
+    def test_empty_lists_give_empty_bases(self):
+        order = TermOrder.grevlex(range(4))
+        assert buchberger([], order) == saturate([], range(4)) == reduce_basis((), order) == []
+
+    def test_zero_generators_are_skipped(self):
+        order = TermOrder.grevlex(range(4))
+        f = binomial_from_vector([1, -1, -1, 1], 2)
+        zero = CellPolynomial(2, {})
+        assert buchberger([zero, f, zero], order) == buchberger([f], order) == [-f]
+        assert saturate([zero, f], range(4)) == [-f]
+
+    def test_variable_outside_the_order_rejected(self):
+        # id 4 is an auxiliary variable at size 2, which grevlex(range(4)) does not hold
+        aux = CellPolynomial(2, {(0, 4): 1, (1,): -1})
+        for run in (lambda: buchberger([aux], TermOrder.grevlex(range(4))), lambda: saturate([aux], range(4))):
+            with pytest.raises(InputError, match="^variable 4 is outside the term order$"):
+                run()
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: buchberger([1], TermOrder.grevlex(range(4))),
+                     "each of the generators must be a CellPolynomial, got 1", id="buchberger-gens"),
+        pytest.param(lambda: buchberger([], None), "order must be a TermOrder, got None", id="buchberger-order"),
+        pytest.param(lambda: saturate(None, range(9)), "generators is not a sequence: got NoneType",
+                     id="saturate-gens"),
+        pytest.param(lambda: saturate([], None), "the term order is not a sequence: got NoneType",
+                     id="saturate-variables"),
+        pytest.param(lambda: saturate([], range(4), by=[3, -1]), "variable id must be an integer of at least 0, got -1",
+                     id="saturate-by"),
+        pytest.param(lambda: reduce_basis({}, TermOrder.grevlex(range(4))),
+                     "basis elements is not a sequence: got dict", id="reduce_basis-basis"),
+        pytest.param(lambda: reduce_basis([], "grevlex"), "order must be a TermOrder, got 'grevlex'",
+                     id="reduce_basis-order"),
+    ])
+    def test_engine_entry_points_check_their_arguments(self, call, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            call()
 
     @pytest.mark.parametrize("bad", ["three_terms", "plus"])
     def test_non_binomial_generators_rejected(self, bad):
