@@ -42,6 +42,8 @@ from .tables import (
     require_instance,
     require_int,
     require_moves,
+    require_sequence,
+    require_sized,
     sufficient_statistic,
     triple_indices,
 )
@@ -163,7 +165,7 @@ def moves_common_diag(I: int) -> List[Move]:
 
 
 def moves_for_model(model: ModelSpec) -> List[Move]:
-    if model.family is ModelFamily.DIAGONAL_EFFECT:
+    if require_instance(model, ModelSpec, "model").family is ModelFamily.DIAGONAL_EFFECT:
         return moves_diag_effect(model.size)
     if model.family is ModelFamily.COMMON_DIAGONAL_EFFECT:
         return moves_common_diag(model.size)
@@ -253,10 +255,10 @@ def enumerate_fiber(
     to the sampler in that case): exactly when the cell-by-cell search
     would.
     """
-    if stat.family is not model.family:
+    family = require_instance(model, ModelSpec, "model").family
+    if require_instance(stat, SufficientStat, "statistic").family is not family:
         raise InputError("statistic and model families differ")
-    if stat.size != model.size:
-        raise SizeMismatchError(f"statistic size {stat.size} != model size {model.size}")
+    require_sized(stat, SufficientStat, "statistic", model.size, "model")
     require_int(node_budget, "node_budget", 0)
     I = stat.size
     rows, cols = stat.rows, stat.cols
@@ -389,10 +391,8 @@ class ConnectivityReport:
 
 def is_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
     """Graph connectivity of the fiber under single-move transitions."""
-    components = tuple(
-        tuple(fiber.tables[k] for k in comp)
-        for comp in _components(fiber.flats, *_adjacency(moves, fiber.stat.size))
-    )
+    adjacency = _adjacency(moves, require_instance(fiber, Fiber, "fiber").stat.size)
+    components = tuple(tuple(fiber.tables[k] for k in comp) for comp in _components(fiber.flats, *adjacency))
     return ConnectivityReport(connected=len(components) <= 1, components=components)
 
 
@@ -402,9 +402,7 @@ def _move_deltas(moves: Sequence[Move], I: int) -> List[tuple]:
     in its two signs, so deltas[::2] holds one sign of every move."""
     deltas = []
     for m in require_moves(moves):
-        if m.size != I:
-            raise SizeMismatchError("move size differs from table size")
-        flat = [x for row in m.cells for x in row]
+        flat = [x for row in require_sized(m, Move, "move", I, "table").cells for x in row]
         entries = tuple((k, v) for k, v in enumerate(flat) if v)
         deltas.append(entries)
         deltas.append(tuple((k, -v) for k, v in entries))
@@ -629,13 +627,20 @@ def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> 
     moves one flat list and builds a CountTable only when the emitted
     state changes.  In both phases an unmoved state is emitted again as
     the very same object.
+
+    The arguments, the moves and their sizes are checked at the call, before
+    the kernel (`_walk`) draws anything.
     """
     require_instance(start, CountTable, "start")
     require_instance(config, WalkConfig, "config")
     if not moves:
         raise InputError("fiber_walk needs at least one move")
+    return _walk(start, _walk_plans(moves, start.size), config)
+
+
+def _walk(start: CountTable, plans: List[tuple], config: WalkConfig) -> Iterator[CountTable]:
+    """The kernel of `fiber_walk`, on checked arguments and the moves' plans."""
     I, n = start.size, start.n
-    plans = _walk_plans(moves, I)
     rows = [slice(i * I, (i + 1) * I) for i in range(I)]
     rng = random.Random(f"fiber-walk|{config.seed}")
     getrandbits, rand, count = rng.getrandbits, rng.random, len(plans)
@@ -771,7 +776,9 @@ def pearson_statistic(cells, expected) -> float:
     and infinity otherwise; within a fiber the margins rule the latter out.
     Grids of different shapes raise SizeMismatchError.
     """
-    if len(cells) != len(expected) or any(len(o) != len(e) for o, e in zip(cells, expected)):
+    if len(require_sequence(cells, "observed grid")) != len(require_sequence(expected, "expected grid")) or any(
+            len(require_sequence(o, "observed row")) != len(require_sequence(e, "expected row"))
+            for o, e in zip(cells, expected)):
         raise SizeMismatchError("observed and expected grids differ in shape")
     chi2 = 0.0
     for orow, erow in zip(cells, expected):

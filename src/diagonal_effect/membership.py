@@ -26,7 +26,7 @@ from .params import (
     toric_numerators,
     toric_point,
 )
-from .tables import ProbTable
+from .tables import ProbTable, require_instance
 
 
 class VerdictKind(Enum):
@@ -57,7 +57,7 @@ def classify_toric_point(params: ToricParams) -> MembershipVerdict:
     When a witness exists it is returned and verified: recomposing it
     reproduces the toric probability table cell for cell, exactly.
     """
-    if not params.is_strictly_positive():
+    if not require_instance(params, ToricParams, "params").is_strictly_positive():
         raise InputError(
             "classification needs strictly positive parameters; "
             "use boundary_membership_check for tables with zero cells"
@@ -107,7 +107,7 @@ def mixture_to_toric(params: MixtureParams) -> ToricParams:
     diagonal surplus; the resulting toric normalizer is exactly 1, so the
     toric point equals the mixture point cell for cell.
     """
-    if params.alpha.numerator == 0:
+    if require_instance(params, MixtureParams, "params").alpha.numerator == 0:
         raise InputError("alpha = 0 has no toric representation (pure diagonal table)")
     if any(x.numerator == 0 for x in params.r) or any(x.numerator == 0 for x in params.c):
         raise InputError("mixture_to_toric needs strictly positive r and c")
@@ -146,7 +146,7 @@ def boundary_membership_check(P: ProbTable) -> BoundaryReport:
     positive tables are inconclusive here; classify a parametrization
     instead.
     """
-    I = P.size
+    I = require_instance(P, ProbTable, "P").size
     rows_nonzero = [any(x != 0 for x in P.cells[i]) for i in range(I)]
     cols_nonzero = [any(P.cells[i][j] != 0 for i in range(I)) for j in range(I)]
     is_diagonal = all(P.cells[i][j] == 0 for i in range(I) for j in range(I) if i != j)

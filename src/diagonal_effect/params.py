@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .errors import ConvergenceError, InputError, SizeMismatchError
+from .errors import ConvergenceError, InputError
 from .tables import (
     CountTable,
     ModelFamily,
@@ -34,6 +34,7 @@ from .tables import (
     require_int,
     require_rational,
     require_sequence,
+    require_sized,
 )
 
 IPF_TOLERANCE = 1e-10
@@ -142,7 +143,7 @@ def toric_numerators(params: ToricParams) -> tuple:
     """(a, b, c, C, n, T, Normalizers) with zeta_r = a/A, zeta_c = b/B and
     zeta_g = c/C over lcm denominators, n = sum(a) sum(b) and
     T = n C + sum_i a_i b_i (c_i - C), so that N = n/AB and N_T = T/ABC."""
-    a, A = over_lcm(params.zeta_r)
+    a, A = over_lcm(require_instance(params, ToricParams, "params").zeta_r)
     b, B = over_lcm(params.zeta_c)
     c, C = over_lcm(params.zeta_g)
     n = sum(a) * sum(b)
@@ -192,7 +193,7 @@ def mixture_point(params: MixtureParams) -> ProbTable:
     p R G D + (q - p) D R G = q R G D, so the cells sum to exactly 1 and
     the table is built without re-checking that.
     """
-    p, q = params.alpha.numerator, params.alpha.denominator
+    p, q = require_instance(params, MixtureParams, "params").alpha.numerator, params.alpha.denominator
     rho, R = over_lcm(params.r)
     gamma, G = over_lcm(params.c)
     delta, D = over_lcm(params.d)
@@ -349,7 +350,7 @@ def quasi_independence_fit(table: CountTable) -> List[List[float]]:
     observed one; off-diagonal cells are fitted to the off-diagonal row and
     column margins at trace 0.
     """
-    diag = table.diag_vector()
+    diag = require_instance(table, CountTable, "table").diag_vector()
     e = _ipf([r - d for r, d in zip(table.row_margins(), diag)],
              [c - d for c, d in zip(table.col_margins(), diag)], 0)
     for i, d in enumerate(diag):
@@ -360,15 +361,12 @@ def quasi_independence_fit(table: CountTable) -> List[List[float]]:
 def common_diagonal_fit(table: CountTable) -> List[List[float]]:
     """Expected counts fitted to row margins, column margins, and the
     diagonal total (common-diagonal-effect model)."""
-    return _ipf(table.row_margins(), table.col_margins(), table.diag_sum())
+    return _ipf(require_instance(table, CountTable, "table").row_margins(), table.col_margins(), table.diag_sum())
 
 
 def expected_counts(table: CountTable, model: ModelSpec) -> List[List[float]]:
     """The model's fitted expected counts for `table`, a list of rows."""
-    require_instance(table, CountTable, "table")
-    require_instance(model, ModelSpec, "model")
-    if model.size != table.size:
-        raise SizeMismatchError(f"table size {table.size} != model size {model.size}")
+    require_sized(table, CountTable, "table", require_instance(model, ModelSpec, "model").size, "model")
     if model.family is ModelFamily.DIAGONAL_EFFECT:
         return quasi_independence_fit(table)
     if model.family is ModelFamily.COMMON_DIAGONAL_EFFECT:

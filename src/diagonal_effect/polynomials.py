@@ -112,7 +112,8 @@ def clear_denominators(point, size: int) -> Tuple[List[int], int]:
     """(N, D): cell variable v is N[v] / D at a ProbTable or a {(i, j): value}
     mapping `point`, with D the lcm of the cell denominators.  A mapping's
     values must be ints or Fractions: a float is already rounded, so its
-    exact value would make a vanishing polynomial look nonzero."""
+    exact value would make a vanishing polynomial look nonzero.  It must
+    name every cell, as a table does: a cell left out is not read as 0."""
     if isinstance(require_point(point), ProbTable):
         if point.size != size:
             raise SizeMismatchError(
@@ -120,9 +121,11 @@ def clear_denominators(point, size: int) -> Tuple[List[int], int]:
             )
         flat = [p for row in point.cells for p in row]
     else:
-        flat = [Fraction(0)] * (size * size)
+        flat = [None] * (size * size)
         for (i, j), value in point.items():
             flat[cell_var(i, j, size)] = Fraction(require_rational(value, f"value at ({i},{j})"))
+        if None in flat:
+            raise InputError("point has no value at ({},{})".format(*var_cell(flat.index(None), size)))
     return over_lcm(flat)
 
 
@@ -171,8 +174,12 @@ class CellPolynomial:
     @classmethod
     def from_cell_terms(cls, size: int, cell_terms) -> "CellPolynomial":
         """Build from (coefficient, [(i, j), ...]) pairs with repeats as powers."""
+        require_int(size, "polynomial size", 1)
         terms: Dict[Monomial, Fraction] = {}
-        for coeff, cells in cell_terms:
+        for term in require_sequence(cell_terms, "cell terms"):
+            if len(require_sequence(term, "a cell term")) != 2:
+                raise InputError(f"a cell term is a (coefficient, cells) pair, got {term!r}")
+            coeff, cells = term
             m = mono_from_cells(cells, size)
             terms[m] = terms.get(m, 0) + (coeff if coeff.__class__ is int else _rational(coeff))
         return cls(size, terms)

@@ -53,6 +53,14 @@ def require_instance(value, cls: type, what: str):
     return value
 
 
+def require_sized(value, cls: type, what: str, size: int, of: str):
+    """`value` itself when it is a `cls` (`require_instance`) of table size
+    `size`, the size of `of`; another size raises SizeMismatchError."""
+    if require_instance(value, cls, what).size != size:
+        raise SizeMismatchError(f"{what} size {value.size} != {of} size {size}")
+    return value
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Which model a table, move, or statistic is interpreted under."""
@@ -97,8 +105,10 @@ class _Memo(dict):
 def require_sequence(value, what: str):
     """`value` itself when it is a sequence, such as a list or a tuple;
     anything else raises InputError naming `what`, before any entry is
-    read.  A tuple or a list skips the abstract-class check, which is slow."""
-    if value.__class__ not in (tuple, list) and not isinstance(value, collections.abc.Sequence):
+    read.  A str or bytes is text, not a sequence of values.  A tuple or a
+    list skips the abstract-class checks, which are slow."""
+    if value.__class__ not in (tuple, list) and (
+            isinstance(value, (str, bytes)) or not isinstance(value, collections.abc.Sequence)):
         raise InputError(f"{what} is not a sequence: got {type(value).__name__}")
     return value
 
@@ -217,7 +227,7 @@ class ProbTable:
 def normalize(table: CountTable) -> ProbTable:
     """Empirical probability table f/n (exact): nonnegative counts over
     their total sum to exactly 1."""
-    if table.n == 0:
+    if require_instance(table, CountTable, "table").n == 0:
         raise InputError("cannot normalize an all-zero count table")
     n = table.n
     return _unchecked(ProbTable, size=table.size,
@@ -323,8 +333,7 @@ class SufficientStat:
 
 def sufficient_statistic(table: CountTable, model: ModelSpec) -> SufficientStat:
     """Map a count table to its sufficient statistic under `model`."""
-    if table.size != model.size:
-        raise SizeMismatchError(f"table size {table.size} != model size {model.size}")
+    require_sized(table, CountTable, "table", require_instance(model, ModelSpec, "model").size, "model")
     if model.family is ModelFamily.DIAGONAL_EFFECT:
         diag: Union[tuple, int, None] = table.diag_vector()
     elif model.family is ModelFamily.COMMON_DIAGONAL_EFFECT:
@@ -340,8 +349,7 @@ def apply_move(table: CountTable, move: Move, sign: int = 1) -> Optional[CountTa
     The None marker is a normal outcome, not an error: the fiber walk treats
     an infeasible proposal as a stay-in-place step.
     """
-    if table.size != move.size:
-        raise SizeMismatchError(f"table size {table.size} != move size {move.size}")
+    require_sized(table, CountTable, "table", require_instance(move, Move, "move").size, "move")
     if require_int(sign, "sign") not in (1, -1):
         raise InputError(f"sign must be +1 or -1, got {sign}")
     cells = tuple(tuple(t + sign * m for t, m in zip(trow, mrow))
@@ -357,8 +365,7 @@ def likelihood(prob: ProbTable, table: CountTable) -> Fraction:
 
     A zero probability at a cell with a positive count yields an exact zero.
     """
-    if prob.size != table.size:
-        raise SizeMismatchError(f"prob size {prob.size} != table size {table.size}")
+    require_sized(prob, ProbTable, "prob", require_instance(table, CountTable, "table").size, "table")
     value = Fraction(1)
     for prow, frow in zip(prob.cells, table.cells):
         for p, f in zip(prow, frow):

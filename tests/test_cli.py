@@ -298,6 +298,22 @@ class TestExitCodes:
         assert "input error" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv, text, message", [
+        (["invariants", "--model", "common", "--form", "mixture", "--size", "4", "--evaluate"],
+         (ROOT / "demos" / "mixture5.json").read_text(), "parameters have size 5, expected 4"),
+        (["classify", "--params"], '{"alpha": "1/2", "r": ["1/2", "1/2"], "c": ["1/2", "1/2"], "d": ["1/2", "1/2"]}',
+         "classify expects toric parameters (zeta_r, zeta_c, zeta_gamma)"),
+        (["classify", "--params"], '{"zeta_r": [], "zeta_c": [1], "zeta_gamma": [1]}',
+         "zeta_r: expected a nonempty list"),
+    ], ids=["evaluate-size", "classify-mixture", "empty-vector"])
+    def test_parameter_file_errors_are_2(self, capsys, tmp_path, argv, text, message):
+        path = tmp_path / "params.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert message in err
+        assert out == ""
+
     def test_missing_file_is_2(self, capsys):
         code, _, err = run_cli(capsys, "boundary-check", "--table", "/nonexistent.csv")
         assert code == 2

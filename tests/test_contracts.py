@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import random
@@ -17,38 +18,44 @@ from hypothesis import strategies as st
 
 import diagonal_effect
 from diagonal_effect import (
-    CellPolynomial,
     CountTable,
     DiagonalEffectError,
     InputError,
+    MixtureParams,
     ModelFamily,
     ModelForm,
     ModelSpec,
     ProbTable,
+    SizeMismatchError,
+    Stationary,
+    SufficientStat,
     TermOrder,
+    ToricParams,
     WalkConfig,
     apply_move,
-    check_vanishing,
+    boundary_membership_check,
+    classify_toric_point,
+    common_diagonal_fit,
     design_matrix,
     enumerate_fiber,
     exact_test,
     exact_test_chains,
+    expected_counts,
     fiber_walk,
-    gens_common_mixture_families,
-    gens_diag_effect,
     gens_independence,
-    groebner,
-    ideal_equal,
-    integer_kernel,
     is_connected,
-    lattice_binomials,
+    likelihood,
+    mixture_point,
+    mixture_to_toric,
+    moves_for_model,
     moves_to_binomials,
-    nonvanishing_variants_report,
+    normalize,
+    normalizers,
+    pearson_statistic,
+    quasi_independence_fit,
     random_rational_point,
     sufficient_statistic,
-    toric_ideal,
     toric_point,
-    transpose_apply,
     verify_connectivity,
 )
 from diagonal_effect.cli import parse_count_table, parse_params
@@ -165,6 +172,9 @@ def test_groebner_resolves_to_the_engine_module():
 _TABLE = CountTable.from_rows([[1, 2, 3], [2, 1, 2], [3, 1, 1]])
 _COMMON3 = model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3)
 _STAT = sufficient_statistic(_TABLE, _COMMON3)
+_COMMON4 = model(ModelFamily.COMMON_DIAGONAL_EFFECT, 4)
+_TABLE4 = CountTable.from_rows([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0], [0, 1, 0, 1]])
+_UNIFORM = WalkConfig(steps=10, stationary=Stationary.UNIFORM)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -194,11 +204,56 @@ _STAT = sufficient_statistic(_TABLE, _COMMON3)
                  "stationary must be a Stationary, got 'uniform'", id="WalkConfig-stationary"),
     pytest.param(lambda: random_rational_point("common", 0),
                  "model must be a ModelSpec, got 'common'", id="random_rational_point-model"),
+    pytest.param(lambda: moves_for_model("common"), "model must be a ModelSpec, got 'common'",
+                 id="moves_for_model"),
+    pytest.param(lambda: normalize(None), "table must be a CountTable, got None", id="normalize"),
+    pytest.param(lambda: quasi_independence_fit(None), "table must be a CountTable, got None",
+                 id="quasi_independence_fit"),
+    pytest.param(lambda: common_diagonal_fit(None), "table must be a CountTable, got None",
+                 id="common_diagonal_fit"),
+    pytest.param(lambda: is_connected(None, moves_common_diag(3)), "fiber must be a Fiber, got None",
+                 id="is_connected-fiber"),
+    pytest.param(lambda: boundary_membership_check(_TABLE),
+                 f"P must be a ProbTable, got {_TABLE!r}", id="boundary_membership_check"),
+    pytest.param(lambda: mixture_point(None), "params must be a MixtureParams, got None",
+                 id="mixture_point"),
+    pytest.param(lambda: mixture_to_toric(None), "params must be a MixtureParams, got None",
+                 id="mixture_to_toric"),
+    pytest.param(lambda: classify_toric_point(None), "params must be a ToricParams, got None",
+                 id="classify_toric_point"),
+    pytest.param(lambda: toric_point(None), "params must be a ToricParams, got None", id="toric_point"),
+    pytest.param(lambda: normalizers(None), "params must be a ToricParams, got None", id="normalizers"),
+    pytest.param(lambda: sufficient_statistic(_TABLE.cells, _COMMON3),
+                 f"table must be a CountTable, got {_TABLE.cells!r}", id="sufficient_statistic-table"),
+    pytest.param(lambda: apply_move(_TABLE, None), "move must be a Move, got None", id="apply_move-move"),
+    pytest.param(lambda: likelihood(_TABLE, _TABLE), f"prob must be a ProbTable, got {_TABLE!r}",
+                 id="likelihood-prob"),
+    pytest.param(lambda: enumerate_fiber(_TABLE, _COMMON3),
+                 f"statistic must be a SufficientStat, got {_TABLE!r}", id="enumerate_fiber-stat"),
+    pytest.param(lambda: pearson_statistic("x", [[1.0]]), "observed grid is not a sequence: got str",
+                 id="pearson_statistic-grid"),
+    pytest.param(lambda: pearson_statistic([[1]], [None]), "expected row is not a sequence: got NoneType",
+                 id="pearson_statistic-row"),
     # move lists
     pytest.param(lambda: moves_to_binomials([*moves_common_diag(3), "m"]),
                  "a move list holds Move objects, got 'm'", id="moves_to_binomials"),
     pytest.param(lambda: is_connected(enumerate_fiber(_STAT, _COMMON3), [*moves_common_diag(3), "m"]),
                  "a move list holds Move objects, got 'm'", id="is_connected"),
+    # raises no other test reaches
+    pytest.param(lambda: moves_for_model(model(ModelFamily.INDEPENDENCE, 3)),
+                 "no move factory for independence", id="moves_for_model-independence"),
+    pytest.param(lambda: exact_test(_TABLE, _COMMON3, method="x"), "unknown method 'x'",
+                 id="exact_test-method"),
+    pytest.param(lambda: exact_test_chains(_TABLE, _COMMON3, _UNIFORM, 2),
+                 "the sampling test requires the hypergeometric stationary law", id="exact_test_chains-uniform"),
+    pytest.param(lambda: ToricParams((1, 1), (1, 1), (1,)), "zeta vectors must share one length",
+                 id="ToricParams-lengths"),
+    pytest.param(lambda: expected_counts(_TABLE, model(ModelFamily.INDEPENDENCE, 3)),
+                 "no expected-count fit implemented for independence", id="expected_counts-independence"),
+    pytest.param(lambda: normalize(CountTable.from_rows([[0, 0], [0, 0]])),
+                 "cannot normalize an all-zero count table", id="normalize-zero"),
+    pytest.param(lambda: SufficientStat(ModelFamily.INDEPENDENCE, (1, 1), (1, 1), 0),
+                 "independence statistic carries no diagonal component", id="SufficientStat-independence"),
 ])
 def test_one_message_per_rule(call, message):
     # each rule has one implementation in `tables`, so each site prints its message
@@ -212,10 +267,13 @@ def test_one_message_per_rule(call, message):
                  id="exact_test-model"),
     pytest.param(lambda: exact_test(_TABLE, _COMMON3, "x", method="mcmc"), "config must be a WalkConfig, got 'x'",
                  id="exact_test-config"),
-    pytest.param(lambda: next(fiber_walk("x", moves_common_diag(3), WalkConfig(steps=10))),
+    # the walk checks its arguments when it is called, before any state is asked for
+    pytest.param(lambda: fiber_walk("x", moves_common_diag(3), WalkConfig(steps=10)),
                  "start must be a CountTable, got 'x'", id="fiber_walk-start"),
-    pytest.param(lambda: next(fiber_walk(_TABLE, moves_common_diag(3), None)),
+    pytest.param(lambda: fiber_walk(_TABLE, moves_common_diag(3), None),
                  "config must be a WalkConfig, got None", id="fiber_walk-config"),
+    pytest.param(lambda: fiber_walk(_TABLE, [*moves_common_diag(3), "m"], WalkConfig(steps=10)),
+                 "a move list holds Move objects, got 'm'", id="fiber_walk-moves"),
     pytest.param(lambda: exact_test_chains(_TABLE, _COMMON3, None, 2), "config must be a WalkConfig, got None",
                  id="exact_test_chains-config"),
     pytest.param(lambda: exact_test_chains(_TABLE.cells, _COMMON3, WalkConfig(steps=10), 2),
@@ -227,45 +285,147 @@ def test_walk_entry_points_check_their_arguments(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: sufficient_statistic(_TABLE, _COMMON4), "table size 3 != model size 4",
+                 id="sufficient_statistic"),
+    pytest.param(lambda: expected_counts(_TABLE, _COMMON4), "table size 3 != model size 4",
+                 id="expected_counts"),
+    pytest.param(lambda: enumerate_fiber(_STAT, _COMMON4), "statistic size 3 != model size 4",
+                 id="enumerate_fiber"),
+    pytest.param(lambda: apply_move(_TABLE, moves_common_diag(4)[0]),
+                 "table size 3 != move size 4", id="apply_move"),
+    pytest.param(lambda: likelihood(normalize(_TABLE4), _TABLE), "prob size 4 != table size 3",
+                 id="likelihood"),
+    pytest.param(lambda: is_connected(enumerate_fiber(_STAT, _COMMON3), moves_common_diag(4)),
+                 "move size 4 != table size 3", id="is_connected"),
+    pytest.param(lambda: fiber_walk(_TABLE, moves_common_diag(4), WalkConfig(steps=10)),
+                 "move size 4 != table size 3", id="fiber_walk"),
+])
+def test_one_size_rule(call, message):
+    # `tables.require_sized` is the one check that two arguments share a table size
+    with pytest.raises(SizeMismatchError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # the junk of the public-API probe; 7 and the other valid sizes are left
 # out, since `gens_common_mixture_families(7)` alone builds 37,450 polynomials
 JUNK = [None, "x", 1.5, -1, 0, True, [], [[1]], {}, object(), float("nan")]
+
+# the names of `__all__` the probe leaves out
+EXEMPT = {
+    # exceptions
+    "BudgetExceededError", "ConvergenceError", "DiagonalEffectError", "InputError", "InvariantViolationError",
+    "SizeMismatchError",
+    # Enums, whose lookup raises ValueError by Python's contract
+    "BoundaryVerdict", "ModelFamily", "ModelForm", "Stationary", "ToricOnlyCase", "VerdictKind",
+    # the records the package returns, which keep the fields they are given
+    "BoundaryReport", "ConnectivityReport", "DesignMatrix", "Fiber", "Invariant", "MembershipVerdict",
+    "Normalizers", "SweepReport", "TestResult", "VanishingReport",
+}
 
 _INDEPENDENCE2 = model(ModelFamily.INDEPENDENCE, 2)
 _A2 = design_matrix(_INDEPENDENCE2)
 _MINOR2 = binomial_from_vector([1, -1, -1, 1], 2)
 _ORDER2 = TermOrder.grevlex(range(4))
+_QUARTERS = ((Fraction(1, 4),) * 2,) * 2
+_HALVES = (Fraction(1, 2),) * 2
+_TORIC = ToricParams((1, 1, 1), (1, 1, 1), (2, 2, 2))
+_MIXTURE = MixtureParams(Fraction(1, 2), _HALVES, _HALVES, _HALVES)
 
-# each algebra entry point with valid arguments, any one of which the probe
+# each public entry point with valid arguments, any one of which the probe
 # replaces by junk
-ALGEBRA_CALLS = [
-    (TermOrder, ((0, 1), 0)),
-    (TermOrder.grevlex, ((0, 1),)),
-    (TermOrder.grevlex_last, ((0, 1), 0)),
-    (TermOrder.elimination, ((0,), (1,))),
-    (CellPolynomial, (2, {(0,): 1})),
-    (check_vanishing, ([_MINOR2], ProbTable.from_rows([[Fraction(1, 4)] * 2] * 2))),
-    (ideal_equal, ([_MINOR2], [_MINOR2])),
-    (moves_to_binomials, (moves_diag_effect(3),)),
-    (gens_independence, (3,)),
-    (gens_diag_effect, (3,)),
-    (gens_common_mixture_families, (3,)),
-    (nonvanishing_variants_report, (None,)),
-    (design_matrix, (_INDEPENDENCE2,)),
-    (transpose_apply, (_A2, [[1, 0], [0, 1]])),
-    (integer_kernel, (_A2,)),
-    (lattice_binomials, (_A2,)),
-    (toric_ideal, (_INDEPENDENCE2, "saturation")),
-    (groebner.buchberger, ([_MINOR2], _ORDER2)),
-    (groebner.saturate, ([_MINOR2], range(4), [3])),
-    (groebner.reduce_basis, ([_MINOR2], _ORDER2)),
-]
+VALID = {
+    "CellPolynomial": (2, {(0,): 1}),
+    "CellPolynomial.from_cell_terms": (2, [(1, [(1, 1)])]),
+    "CountTable": (2, ((1, 0), (0, 1))),
+    "CountTable.from_rows": ([[1, 0], [0, 1]],),
+    "MixtureParams": (Fraction(1, 2), _HALVES, _HALVES, _HALVES),
+    "ModelSpec": (ModelFamily.DIAGONAL_EFFECT, ModelForm.TORIC, 3),
+    "Move": (2, ((1, -1), (-1, 1))),
+    "Move.from_rows": ([[1, -1], [-1, 1]],),
+    "ProbTable": (2, _QUARTERS),
+    "ProbTable.from_rows": (_QUARTERS,),
+    "SufficientStat": (ModelFamily.COMMON_DIAGONAL_EFFECT, (1, 1), (1, 1), 1),
+    "TermOrder": ((0, 1), 0),
+    "TermOrder.elimination": ((0,), (1,)),
+    "TermOrder.grevlex": ((0, 1),),
+    "TermOrder.grevlex_last": ((0, 1), 0),
+    "ToricParams": ((1, 1), (1, 1), (1, 1)),
+    "WalkConfig": (10, 2, 1, 0, Stationary.HYPERGEOMETRIC),
+    "apply_move": (_TABLE, moves_common_diag(3)[0], 1),
+    "boundary_membership_check": (normalize(_TABLE),),
+    "check_vanishing": ([_MINOR2], ProbTable(2, _QUARTERS)),
+    "classify_toric_point": (_TORIC,),
+    "common_diagonal_fit": (_TABLE,),
+    "design_matrix": (_INDEPENDENCE2,),
+    "enumerate_fiber": (_STAT, _COMMON3),
+    "exact_test": (_TABLE, _COMMON3),
+    "exact_test_chains": (_TABLE, _COMMON3, WalkConfig(steps=10), 2),
+    "expected_counts": (_TABLE, _COMMON3),
+    "fiber_walk": (_TABLE, moves_common_diag(3), WalkConfig(steps=10)),
+    "gens_common_mixture_families": (3,),
+    "gens_common_mixture_listed3": (),
+    "gens_common_toric_listed3": (),
+    "gens_diag_effect": (3,),
+    "gens_independence": (3,),
+    "groebner.buchberger": ([_MINOR2], _ORDER2),
+    "groebner.reduce_basis": ([_MINOR2], _ORDER2),
+    "groebner.saturate": ([_MINOR2], range(4), [3]),
+    "ideal_equal": ([_MINOR2], [_MINOR2]),
+    "integer_kernel": (_A2,),
+    "is_connected": (enumerate_fiber(_STAT, _COMMON3), moves_common_diag(3)),
+    "lattice_binomials": (_A2,),
+    "likelihood": (normalize(_TABLE), _TABLE),
+    "mixture_point": (_MIXTURE,),
+    "mixture_to_toric": (_MIXTURE,),
+    "moves_common_diag": (3,),
+    "moves_diag_effect": (3,),
+    "moves_for_model": (_COMMON3,),
+    "moves_to_binomials": (moves_diag_effect(3),),
+    "nonvanishing_variants_report": (None,),
+    "normalize": (_TABLE,),
+    "normalizers": (_TORIC,),
+    "pearson_statistic": (_TABLE.cells, expected_counts(_TABLE, _COMMON3)),
+    "quasi_independence_fit": (_TABLE,),
+    "random_rational_point": (_COMMON3, 0),
+    "sufficient_statistic": (_TABLE, _COMMON3),
+    "toric_ideal": (_INDEPENDENCE2, "saturation"),
+    "toric_point": (_TORIC,),
+    "transpose_apply": (_A2, [[1, 0], [0, 1]]),
+    "verify_connectivity": (ModelFamily.DIAGONAL_EFFECT, 3, 2),
+}
+
+
+def _entry_points() -> dict:
+    """Each public callable by the name a caller reaches it under: the
+    names of `__all__` that are neither exempt nor a submodule, the public
+    classmethods of its classes, and the functions of a submodule that
+    exports no name, which a caller reaches through the submodule."""
+    names = [name for name in diagonal_effect.__all__ if name not in EXEMPT]
+    values = {name: getattr(diagonal_effect, name) for name in names}
+    exported = {value.__module__ for value in values.values() if not inspect.ismodule(value)}
+    found = {}
+    for name, value in values.items():
+        if inspect.ismodule(value):
+            if value.__name__ not in exported:
+                found.update((f"{name}.{key}", fn) for key, fn in vars(value).items()
+                             if inspect.isfunction(fn) and fn.__module__ == value.__name__ and key[0] != "_")
+            continue
+        found[name] = value
+        if inspect.isclass(value):
+            found.update((f"{name}.{key}", getattr(value, key)) for key, fn in vars(value).items()
+                         if isinstance(fn, classmethod) and key[0] != "_")
+    return found
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(JUNK))
-def test_algebra_entry_points_raise_only_package_errors_on_junk(junk):
-    for fn, args in ALGEBRA_CALLS:
+def test_public_entry_points_raise_only_package_errors_on_junk(junk):
+    entry_points = _entry_points()
+    # a new entry point fails here until it has valid arguments, and then below until it checks them
+    assert sorted(entry_points) == sorted(VALID)
+    for name, fn in entry_points.items():
+        args = VALID[name]
         for slot in range(len(args)):
             call = [*args[:slot], junk, *args[slot + 1:]]
             try:
@@ -273,7 +433,7 @@ def test_algebra_entry_points_raise_only_package_errors_on_junk(junk):
             except DiagonalEffectError:
                 pass
             except Exception as exc:
-                pytest.fail(f"{fn.__qualname__} with {junk!r} in slot {slot}: {type(exc).__name__}: {exc}")
+                pytest.fail(f"{name} with {junk!r} in slot {slot}: {type(exc).__name__}: {exc}")
 
 
 def _unused_imports(source: str) -> list:

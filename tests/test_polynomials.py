@@ -92,8 +92,8 @@ coefficients = st.one_of(
 @st.composite
 def cell_terms_and_point(draw):
     """Random (coeff, cells) terms of mixed degree 0..4 over a 2x2 or 3x3
-    table, and a ProbTable or a partial {(i, j): value} mapping where some
-    cells are 0."""
+    table, and a ProbTable or a {(i, j): value} mapping over every cell,
+    where some cells are an explicit 0."""
     size = draw(st.integers(2, 3))
     cell = st.tuples(st.integers(1, size), st.integers(1, size))
     terms = draw(st.lists(st.tuples(coefficients, st.lists(cell, max_size=4)), max_size=6))
@@ -102,7 +102,7 @@ def cell_terms_and_point(draw):
         values = draw(prob_values(size))
         point = prob_table(size, values)
     else:
-        values = draw(st.dictionaries(st.sampled_from(all_cells), coefficients))
+        values = draw(st.fixed_dictionaries({c: st.one_of(st.just(0), coefficients) for c in all_cells}))
         point = values
     return size, terms, values, point
 
@@ -134,6 +134,9 @@ def batch_and_values(draw):
     return size, batch, draw(prob_values(size))
 
 
+_ZEROS2 = {(i, j): 0 for i in (1, 2) for j in (1, 2)}
+_HALF3 = {(i, j): Fraction(1, 2) if (i, j) == (1, 1) else 0 for i in (1, 2, 3) for j in (1, 2, 3)}
+
 QUARTERS = {(1, 1): Fraction(1, 2), (1, 2): Fraction(1, 4), (2, 1): Fraction(1, 8),
             (2, 2): Fraction(1, 8)}
 
@@ -141,8 +144,8 @@ QUARTERS = {(1, 1): Fraction(1, 2), (1, 2): Fraction(1, 4), (2, 1): Fraction(1, 
 class TestExactEvaluation:
     @settings(max_examples=200, deadline=None)
     @given(cell_terms_and_point())
-    @example((2, [], {}, {}))  # the zero polynomial
-    @example((3, [(Fraction(-7, 3), [])], {(1, 1): Fraction(1, 2)}, {(1, 1): Fraction(1, 2)}))
+    @example((2, [], _ZEROS2, _ZEROS2))  # the zero polynomial
+    @example((3, [(Fraction(-7, 3), [])], _HALF3, _HALF3))
     def test_agrees_with_term_by_term_fractions(self, case):
         size, terms, values, point = case
         value = CellPolynomial.from_cell_terms(size, terms).evaluate(point)
@@ -164,6 +167,15 @@ class TestExactEvaluation:
         assert [name for name, _ in report.entries] == [f"poly #{k}" for k in range(1, len(batch) + 1)]
         assert all(type(value) is Fraction for _, value in report.entries)
         assert [value for _, value in report.entries] == [naive_value(t, values) for t in batch]
+
+    @pytest.mark.parametrize("point, message", [
+        ({}, "point has no value at (1,1)"),
+        ({(1, 1): 1, (2, 2): 1, (1, 2): 0}, "point has no value at (2,1)"),
+    ])
+    def test_a_point_names_every_cell(self, point, message):
+        # a cell left out is not read as 0: the minor would vanish at {}
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            binomial_from_vector([1, -1, -1, 1], 2).evaluate(point)
 
     def test_zero_values_share_one_fraction(self):
         # every zero value is one shared Fraction, equal to any other zero
@@ -301,7 +313,7 @@ class TestPolynomialLists:
         pytest.param(None, "generators is not a sequence: got NoneType", id="None"),
         pytest.param({}, "generators is not a sequence: got dict", id="dict"),
         pytest.param([1], "each of the generators must be a CellPolynomial, got 1", id="int-item"),
-        pytest.param("x", "each of the generators must be a CellPolynomial, got 'x'", id="str"),
+        pytest.param("x", "generators is not a sequence: got str", id="str"),
     ])
     def test_what_is_not_a_list_of_polynomials_rejected(self, polys, message):
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
