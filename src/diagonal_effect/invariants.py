@@ -352,9 +352,12 @@ class VanishingReport:
 def _as_invariants(polys) -> List[Invariant]:
     out = []
     for k, item in enumerate(polys, 1):
-        if isinstance(item, CellPolynomial):
+        if isinstance(item, Invariant):
+            if not isinstance(item.poly, CellPolynomial):
+                raise InputError(f"the poly of item {k} must be a CellPolynomial, got {item.poly!r}")
+        elif isinstance(item, CellPolynomial):
             item = Invariant(f"poly #{k}", item)
-        elif not isinstance(item, Invariant):
+        else:
             raise InputError(f"item {k} is neither an Invariant nor a CellPolynomial: {item!r}")
         out.append(item)
     return out

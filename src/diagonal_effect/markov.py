@@ -774,7 +774,9 @@ def pearson_statistic(cells, expected) -> float:
 
     Cells with zero expectation contribute nothing when observed is zero
     and infinity otherwise; within a fiber the margins rule the latter out.
-    Grids of different shapes raise SizeMismatchError.
+    Grids of different shapes raise SizeMismatchError; an observed count
+    that is not an int >= 0, or an expected count that is not a float or
+    an int, raises InputError.
     """
     if len(require_sequence(cells, "observed grid")) != len(require_sequence(expected, "expected grid")) or any(
             len(require_sequence(o, "observed row")) != len(require_sequence(e, "expected row"))
@@ -783,6 +785,9 @@ def pearson_statistic(cells, expected) -> float:
     chi2 = 0.0
     for orow, erow in zip(cells, expected):
         for o, e in zip(orow, erow):
+            require_int(o, "observed count", 0)
+            if isinstance(e, bool) or not isinstance(e, (int, float)):
+                raise InputError(f"expected count must be a float or an int, got {e!r}")
             chi2 += _pearson_term(o, e)
     return chi2
 

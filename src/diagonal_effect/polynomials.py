@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from operator import neg
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, SizeMismatchError
 from .tables import ProbTable, over_lcm, require_instance, require_int, require_mapping, require_rational
@@ -41,9 +41,24 @@ def var_cell(v: int, size: int) -> Tuple[int, int]:
     return v // size + 1, v % size + 1
 
 
-def mono_from_cells(cells: Iterable[Tuple[int, int]], size: int) -> Monomial:
+def _cell(cell) -> Tuple[int, int]:
+    """`cell` itself when it is an (i, j) pair; anything else raises
+    InputError.  `cell_var` checks the two indices."""
+    if len(require_sequence(cell, "a cell")) != 2:
+        raise InputError(f"a cell is an (i, j) pair, got {cell!r}")
+    return cell
+
+
+def mono_from_cells(cells: Sequence[Tuple[int, int]], size: int) -> Monomial:
     """Monomial that is the product of the given cells (repeats allowed)."""
-    return tuple(sorted(cell_var(i, j, size) for i, j in cells))
+    ids = []
+    for cell in require_sequence(cells, "cells"):
+        if cell.__class__ is not tuple or len(cell) != 2:  # a tuple pair needs no further check
+            _cell(cell)
+        i, j = cell
+        ids.append(cell_var(i, j, size))
+    ids.sort()
+    return tuple(ids)
 
 
 def check_distinct(variables: Sequence[int], where: str) -> None:
@@ -122,7 +137,8 @@ def clear_denominators(point, size: int) -> Tuple[List[int], int]:
         flat = [p for row in point.cells for p in row]
     else:
         flat = [None] * (size * size)
-        for (i, j), value in point.items():
+        for cell, value in point.items():
+            i, j = _cell(cell)
             flat[cell_var(i, j, size)] = Fraction(require_rational(value, f"value at ({i},{j})"))
         if None in flat:
             raise InputError("point has no value at ({},{})".format(*var_cell(flat.index(None), size)))

@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 
 import diagonal_effect
 from diagonal_effect import (
+    CellPolynomial,
     CountTable,
     DiagonalEffectError,
     InputError,
+    Invariant,
     MixtureParams,
     ModelFamily,
     ModelForm,
@@ -34,6 +36,7 @@ from diagonal_effect import (
     WalkConfig,
     apply_move,
     boundary_membership_check,
+    check_vanishing,
     classify_toric_point,
     common_diagonal_fit,
     design_matrix,
@@ -304,6 +307,25 @@ def test_walk_entry_points_check_their_arguments(call, message):
 def test_one_size_rule(call, message):
     # `tables.require_sized` is the one check that two arguments share a table size
     with pytest.raises(SizeMismatchError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: CellPolynomial.from_cell_terms(2, [(1, 5)]), "cells is not a sequence: got int",
+                 id="from_cell_terms-cells"),
+    pytest.param(lambda: CellPolynomial.from_cell_terms(2, [(1, [(1, 2, 1)])]),
+                 "a cell is an (i, j) pair, got (1, 2, 1)", id="from_cell_terms-cell"),
+    pytest.param(lambda: _MINOR2.evaluate({1: 1}), "a cell is not a sequence: got int", id="evaluate-key"),
+    pytest.param(lambda: pearson_statistic([[None]], [[1.0]]),
+                 "observed count must be an integer of at least 0, got None", id="pearson_statistic-observed"),
+    pytest.param(lambda: pearson_statistic([[1]], [["1"]]), "expected count must be a float or an int, got '1'",
+                 id="pearson_statistic-expected"),
+    pytest.param(lambda: check_vanishing([Invariant("a", None)], ProbTable(2, _QUARTERS)),
+                 "the poly of item 1 must be a CellPolynomial, got None", id="check_vanishing-poly"),
+])
+def test_entries_inside_arguments_are_checked(call, message):
+    # the junk probe fills argument slots; these entries sit one level inside
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call()
 
 

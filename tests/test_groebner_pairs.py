@@ -1,0 +1,169 @@
+"""The Buchberger engine's pair update and filed reduction against the plain
+scans they replace, at sizes the I = 2, 3 differential tests never reach.
+
+`reference_update` is the pair update as it was: every new lcm compared
+with every other lcm, and the chain criterion over a copy of the live
+pairs.  `groebner._update_pairs` must keep the same new pairs and leave the
+same live pairs, for 50 to 400 random packed leads.  The order in which
+the new pairs come back does not matter: the heap orders pairs by (degree,
+key, i, j), which no two pairs share.  Reduction through `_Filed` must give
+the plain scan's normal form, and a whole run through it the plain run's
+S-pairs, remainders and basis.
+"""
+
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diagonal_effect import BudgetExceededError, CellPolynomial, TermOrder, groebner
+
+W = groebner._WIDTH
+
+
+def reference_update(leads, t, alive, guards):
+    """The quadratic pair update: `alive` loses the chain-criterion pairs
+    and gains the kept pairs (i, t), which are returned as (i, lcm)."""
+    lt = leads[t]
+    lcms = [groebner._lcm(a, lt, guards) for a in leads[:t]]
+    for (i, j), lcm_ij in list(alive.items()):
+        if ((lcm_ij | guards) - lt) & guards == guards:  # lt divides lcm_ij
+            if lcm_ij not in (lcms[i], lcms[j]):
+                del alive[(i, j)]
+    keep = []
+    for i, lcm_i in enumerate(lcms):
+        if lcm_i == leads[i] + lt:
+            continue  # coprime leads
+        lcm_i_g = lcm_i | guards
+        if any((lcm_i_g - lcm_j) & guards == guards and lcm_j != lcm_i for lcm_j in lcms):
+            continue  # properly divisible lcm
+        if any(lcms[j] == lcm_i for j in keep):
+            continue  # one representative per lcm
+        keep.append(i)
+    for i in keep:
+        alive[(i, t)] = lcms[i]
+    return [(i, lcms[i]) for i in keep]
+
+
+def _random_monomial(rng, n, top, density):
+    """A packed monomial over n fields, each nonzero with chance `density`
+    and then at most `top`."""
+    return sum(rng.randint(1, top) << (k * W) for k in range(n) if rng.random() < density)
+
+
+def _random_leads(rng, n, count, top, density):
+    """`count` nonconstant packed leads; about one in ten repeats an
+    earlier lead, so that equal lcms are common."""
+    leads = []
+    while len(leads) < count:
+        if leads and rng.random() < 0.1:
+            leads.append(rng.choice(leads))
+        elif lead := _random_monomial(rng, n, top, density):
+            leads.append(lead)
+    return leads
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 25), count=st.integers(50, 400), top=st.integers(1, 3),
+       density=st.sampled_from([0.1, 0.25, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_pair_update_matches_the_quadratic_scan(n, count, top, density, seed):
+    rng = random.Random(seed)
+    leads = _random_leads(rng, n, count, top, density)
+    guards = groebner._guards(TermOrder.grevlex(range(n)))
+    # live pairs among the leads before the last three, as a run would
+    # leave some of them, then the updates for the last three leads
+    start = count - 3
+    pairs = {(i, j) for _ in range(2 * count) for i, j in [sorted(rng.sample(range(start), 2))]}
+    alive = {(i, j): groebner._lcm(leads[i], leads[j], guards) for i, j in sorted(pairs)}
+    theirs = dict(alive)
+    for t in range(start, count):
+        got = groebner._update_pairs(leads, t, alive, guards)
+        want = reference_update(leads, t, theirs, guards)
+        assert sorted(got) == sorted(want)
+        assert alive == theirs
+
+
+def _order(kind, variables):
+    if kind == "grevlex":
+        return TermOrder.grevlex(variables)
+    if kind == "grevlex_last":
+        return TermOrder.grevlex_last(variables, variables[len(variables) // 2])
+    return TermOrder.elimination(variables[:2], variables[2:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 25), count=st.integers(16, 200), top=st.integers(1, 2),
+       kind=st.sampled_from(["grevlex", "grevlex_last", "elimination"]), seed=st.integers(0, 2**32 - 1))
+def test_filed_reduction_matches_the_plain_scan(n, count, top, kind, seed):
+    # a random binomial set is seldom a Groebner basis, so a term often has
+    # several reducers, and its normal form shows which one was taken
+    rng = random.Random(seed)
+    order = _order(kind, list(range(n)))
+    guards = groebner._guards(order)
+    basis = []
+    while len(basis) < count:
+        g = groebner._binomial(_random_monomial(rng, n, top, 0.3), _random_monomial(rng, n, top, 0.3), order)
+        if g is not None and g.lead:
+            basis.append(g)
+    filed = groebner._Filed(basis, order)
+    assert list(filed) == basis
+    for _ in range(50):
+        m = _random_monomial(rng, n, 2 * top, 0.4)
+        assert groebner._reduce(m, filed, guards) == groebner._reduce(m, basis, guards)
+
+
+def _steps(name, *args):
+    """(result, S-pair steps) of groebner's `name` on `args`."""
+    steps = []
+    step = groebner._s_remainder
+
+    def recorded(f, g, basis, order):
+        r = step(f, g, basis, order)
+        steps.append((f.lead, g.lead, r))
+        return r
+
+    with mock.patch.object(groebner, "_s_remainder", recorded):
+        return getattr(groebner, name)(*args), steps
+
+
+@st.composite
+def binomial_sets(draw):
+    """(variables, generators): 4 to 12 homogeneous or inhomogeneous
+    binomials of degree at most 3 over the cells of a 3x3 or 4x4 table."""
+    size = draw(st.sampled_from([3, 4]))
+    variables = draw(st.permutations(range(size * size)))
+    monomials = st.lists(st.sampled_from(variables), min_size=1, max_size=3).map(lambda m: tuple(sorted(m)))
+    gens = [CellPolynomial(size, {a: 1, b: -1})
+            for a, b in draw(st.lists(st.tuples(monomials, monomials), min_size=4, max_size=12)) if a != b]
+    return variables, gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(binomial_sets(), st.sampled_from(["grevlex", "grevlex_last", "elimination"]))
+def test_filed_run_matches_the_plain_run(case, kind):
+    variables, gens = case
+    order = _order(kind, variables)
+    with mock.patch.object(groebner, "MAX_PAIRS", 400):
+        with mock.patch.object(groebner, "_FILE_FROM", 10**9):
+            try:
+                plain = _steps("buchberger", gens, order)
+            except BudgetExceededError:
+                return  # a runaway draw; the filed run is not compared
+        with mock.patch.object(groebner, "_FILE_FROM", 0):
+            assert _steps("buchberger", gens, order) == plain
+
+
+def test_filed_reduction_step_past_a_lowered_limit_raises(monkeypatch):
+    # under the block (s, t), s^2 - s*t has lead s^2 and t - x^2 lead t;
+    # tail-reducing s*t by t gives s*x^2, of degree 3
+    S, T, X = range(3)
+    order = TermOrder.elimination([S, T], [X])
+    gens = [CellPolynomial(3, {(S, S): 1, (S, T): -1}), CellPolynomial(3, {(T,): 1, (X, X): -1})]
+    monkeypatch.setattr(groebner, "_FILE_FROM", 0)
+    assert groebner.reduce_basis(gens, order) == [CellPolynomial(3, {(T,): 1, (X, X): -1}),
+                                                  CellPolynomial(3, {(S, S): 1, (S, X, X): -1})]
+    monkeypatch.setattr(groebner, "MAX_DEGREE", 2)
+    with pytest.raises(BudgetExceededError, match="degree 3 passes the engine's limit of 2"):
+        groebner.reduce_basis(gens, order)

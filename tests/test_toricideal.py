@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -601,3 +603,22 @@ def test_processed_s_pairs_are_pinned(monkeypatch, family, I, method, pairs):
     calls = count_s_pairs(monkeypatch)
     toric_ideal(model(family, I), method=method)
     assert len(calls) == pairs
+
+
+# The move ideal of the common-diagonal family at I = 5 with cell 0 last:
+# one of the two Buchberger runs of the Markov-basis certificate (ROADMAP
+# item 3).  Its counts and the basis hash were recorded on the engine's
+# earlier pair update, which compared each new lcm with every other lcm.
+CERTIFICATE_RUN_SHA256 = "d1f83b2879b2f5f1ecb6fb6c581d53b48729b4fccebe6566ad5d267f426d7e0e"
+
+
+def test_certificate_sized_run_is_pinned(monkeypatch):
+    calls = count_s_pairs(monkeypatch)
+    order = TermOrder.grevlex_last(range(25), 0)
+    basis = buchberger(moves_to_binomials(moves_common_diag(5)), order)
+    assert (len(calls), len(basis)) == (5479, 401)
+    # no lead is divisible by the last variable, so the move ideal is
+    # saturated by cell 0
+    assert not any(0 in max(p.terms, key=order.key) for p in basis)
+    text = json.dumps([str(p) for p in basis], separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_RUN_SHA256
