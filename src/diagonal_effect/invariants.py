@@ -23,7 +23,7 @@ from .errors import InputError
 from .polynomials import (
     CellPolynomial,
     Monomial,
-    binomial_from_vector,
+    binomial_from_entries,
     cell_var,
     clear_denominators,
     mono_from_cells,
@@ -322,9 +322,8 @@ def gens_common_mixture_families(I: int) -> List[Invariant]:
 # ---------------------------------------------------------------------------
 
 def moves_to_binomials(moves: Sequence[Move]) -> List[CellPolynomial]:
-    """The pure binomial p^{m+} - p^{m-} of each move."""
-    return [binomial_from_vector([x for row in move.cells for x in row], move.size)
-            for move in require_moves(moves)]
+    """The pure binomial p^{m+} - p^{m-} of each move, from its entries."""
+    return [binomial_from_entries(move.entries, move.size) for move in require_moves(moves)]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from itertools import chain, combinations, permutations
 from operator import add, getitem, itemgetter, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -54,29 +54,26 @@ from .tables import (
 # ---------------------------------------------------------------------------
 
 def _family(I: int, candidates: Iterable[Tuple[str, Dict[Tuple[int, int], int]]]) -> List[Move]:
-    """One Move per distinct candidate up to sign, in order of first
-    appearance and with that appearance's label.  A candidate is a label
-    and a balanced move's nonzero entries {(i, j): v}, 1-based; its sign is
-    fixed by its first nonzero cell in row-major order, which the move
-    makes positive.  Only a first appearance is made a grid."""
-    seen = set()
+    """One Move per candidate, in order and with its label: the factories
+    list each move once up to sign.  A candidate is a label and a balanced
+    move's nonzero entries {(i, j): v}, 1-based; its sign is fixed by its
+    first nonzero cell in row-major order, which the move makes positive."""
+    zero = (0,) * I  # the row of every move's grid that holds no entry
     moves = []
-    for label, entries in candidates:
-        items = sorted(entries.items())
-        if items[0][1] < 0:
-            items = [(cell, -v) for cell, v in items]
-        key = tuple(items)
-        if key in seen:
-            continue
-        seen.add(key)
-        grid = [[0] * I for _ in range(I)]
-        degree = 0
-        for (i, j), v in items:
-            grid[i - 1][j - 1] = v
-            if v > 0:
-                degree += v
-        # a balanced candidate: its positive and negative parts both sum to degree
-        moves.append(_unchecked(Move, size=I, cells=tuple(map(tuple, grid)), label=label, degree=degree))
+    for label, candidate in candidates:
+        entries = sorted([(I * i + j - I - 1, v) for (i, j), v in candidate.items()])
+        if entries[0][1] < 0:
+            entries = [(k, -v) for k, v in entries]
+        grid = [zero] * I
+        for k, v in entries:
+            i, j = divmod(k, I)
+            if grid[i] is zero:
+                grid[i] = [0] * I
+            grid[i][j] = v
+        cells = tuple([row if row is zero else tuple(row) for row in grid])
+        # a balanced candidate: its positive and negative parts each sum to degree
+        moves.append(_unchecked(Move, size=I, cells=cells, label=label,
+                                degree=sum(map(abs, candidate.values())) // 2, entries=tuple(entries)))
     return moves
 
 
@@ -121,8 +118,9 @@ def moves_common_diag(I: int) -> List[Move]:
     candidates = list(_diag_effect_candidates(I))
     idx = range(1, I + 1)
 
-    for (a, b, c) in permutations(idx, 3):
-        # the three diagonal-shift variants on rows/columns (a, b, c)
+    for (a, b, c) in combinations(idx, 3):
+        # the three diagonal-shift variants on rows/columns (a, b, c); on
+        # any other order of the triple each is one of these up to sign
         candidates.append(("diag-shift", {
             (a, a): 1, (a, c): -1,
             (b, b): -1, (b, c): 1,
@@ -139,13 +137,14 @@ def moves_common_diag(I: int) -> List[Move]:
             (c, a): 1, (c, c): -1,
         }))
 
-    for (i, k, j, h) in permutations(idx, 4):
-        # rows (i, k, h), columns (i, k, j)
-        candidates.append(("diag-shift-rect", {
-            (i, i): 1, (i, j): -1,
-            (k, k): -1, (k, j): 1,
-            (h, i): -1, (h, k): 1,
-        }))
+    for i, k in combinations(idx, 2):
+        for j, h in permutations([x for x in idx if x not in (i, k)], 2):
+            # rows (i, k, h), columns (i, k, j); swapping i and k negates it
+            candidates.append(("diag-shift-rect", {
+                (i, i): 1, (i, j): -1,
+                (k, k): -1, (k, j): 1,
+                (h, i): -1, (h, k): 1,
+            }))
 
     candidates += _with_transposes("diag-double", [
         {
@@ -165,7 +164,9 @@ def moves_common_diag(I: int) -> List[Move]:
 
 
 def moves_for_model(model: ModelSpec) -> List[Move]:
-    if require_instance(model, ModelSpec, "model").family is ModelFamily.DIAGONAL_EFFECT:
+    if require_instance(model, ModelSpec, "model").form is not ModelForm.TORIC:
+        raise InputError("move families exist only for toric-form models")
+    if model.family is ModelFamily.DIAGONAL_EFFECT:
         return moves_diag_effect(model.size)
     if model.family is ModelFamily.COMMON_DIAGONAL_EFFECT:
         return moves_common_diag(model.size)
@@ -397,15 +398,14 @@ def is_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
 
 
 def _move_deltas(moves: Sequence[Move], I: int) -> List[tuple]:
-    """Each move's nonzero flat entries as (cell, change) pairs, followed
-    by the same entries negated: deltas[2k] and deltas[2k + 1] are move k
-    in its two signs, so deltas[::2] holds one sign of every move."""
+    """Each move's `entries`, followed by the same entries negated:
+    deltas[2k] and deltas[2k + 1] are move k in its two signs, so
+    deltas[::2] holds one sign of every move."""
     deltas = []
     for m in require_moves(moves):
-        flat = [x for row in require_sized(m, Move, "move", I, "table").cells for x in row]
-        entries = tuple((k, v) for k, v in enumerate(flat) if v)
+        entries = require_sized(m, Move, "move", I, "table").entries
         deltas.append(entries)
-        deltas.append(tuple((k, -v) for k, v in entries))
+        deltas.append(tuple([(k, -v) for k, v in entries]))
     return deltas
 
 
@@ -548,21 +548,20 @@ def _walk_plans(moves: Sequence[Move], I: int) -> List[tuple]:
     ..., (cell, d - 1), and one it raises by u gives ups (cell, 1), ...,
     (cell, u): the products of f - j over downs and of f + j over ups are
     prod f!/f'! over the lowered counts and prod f'!/f! over the raised
-    ones.  A move's negative sign lowers what its positive sign raises, so
-    both plans come from one split of its entries."""
-    deltas = _move_deltas(moves, I)
+    ones.  The factors of each (cell, change) are built once per call and
+    shared by every plan that holds it."""
+    shared: Dict[tuple, tuple] = {}
     plans = []
-    for entries, negated in zip(deltas[::2], deltas[1::2]):
-        lowered = [(cell, -v) for cell, v in entries if v < 0]
-        raised = [(cell, v) for cell, v in entries if v > 0]
-        plans.append((_factors(lowered, 0), _factors(raised, 1), entries))
-        plans.append((_factors(raised, 0), _factors(lowered, 1), negated))
+    for delta in _move_deltas(moves, I):
+        downs, ups = [], []
+        for entry in delta:
+            k, v = entry
+            factors = shared.get(entry)
+            if factors is None:
+                factors = shared[entry] = tuple([(k, j) for j in (range(-v) if v < 0 else range(1, v + 1))])
+            (downs if v < 0 else ups).extend(factors)
+        plans.append((tuple(downs), tuple(ups), delta))
     return plans
-
-
-def _factors(amounts: List[Tuple[int, int]], first: int) -> tuple:
-    """(cell, j) for j = first, ..., first + amount - 1, for each (cell, amount)."""
-    return tuple((cell, j) for cell, amount in amounts for j in range(first, first + amount))
 
 
 # The walk's proposal tables (`fiber_walk`) and the MCMC test's scores
@@ -800,16 +799,26 @@ def _pearson_term(o: int, e: float) -> float:
     return 0.0 if o == 0 else math.inf
 
 
-def _pearson_flat(terms: Sequence[dict], flat: Sequence[int]) -> float:
-    """`pearson_statistic` of a flat row-major table, from one `_Memo` of
-    `_pearson_term`s per cell, summed left to right in the same order."""
+def _pearson_flat(terms: Sequence[dict], flat: Iterable[int]) -> float:
+    """`pearson_statistic` of a flat row-major table, from one dict of
+    `_pearson_term`s per cell, summed left to right in the same order.  A
+    count whose term its cell's dict lacks raises KeyError (`_add_terms`)."""
     chi2 = 0.0
     for term, o in zip(terms, flat):
         chi2 += term[o]
     return chi2
 
 
-def _tail_weights(fiber: Fiber, terms: Sequence[dict], threshold: float) -> Tuple[int, int]:
+def _add_terms(fit: Sequence[float], terms: List[dict], counts: Iterable[int]) -> List[dict]:
+    """`terms`, each cell's dict given the `_pearson_term` of its count in
+    `counts` against its fit if it lacks it: the one place a term is made."""
+    for e, term, o in zip(fit, terms, counts):
+        if o not in term:
+            term[o] = _pearson_term(o, e)
+    return terms
+
+
+def _tail_weights(fiber: Fiber, fit: Sequence[float], terms: List[dict], threshold: float) -> Tuple[int, int]:
     """The total weight of the fiber's tables whose Pearson statistic is at
     least `threshold`, and that of all its tables, a table weighing
     prod_i r_i!/prod_j f_ij! for row sums r_i.
@@ -817,9 +826,9 @@ def _tail_weights(fiber: Fiber, terms: Sequence[dict], threshold: float) -> Tupl
     These weights are n!/prod f! times the constant prod_i r_i!/n!, so the
     two totals stand in the ratio of the hypergeometric law.  The network
     is summed forward row by row, each state holding a dict from partial
-    statistic to weight: a row adds its cells' `terms` left to right and
-    multiplies by its row's factor r_i!/prod_j f_ij!.  Every table's
-    statistic takes the float operations of `_pearson_flat` on its flat
+    statistic to weight: a row adds its cells' `terms` (`_add_terms`) left
+    to right and multiplies by its row's factor r_i!/prod_j f_ij!.  Every
+    table's statistic takes the float operations of `_pearson_flat` on its flat
     tuple, and equal partial sums are merged exactly, so each table meets
     the threshold exactly when it does table by table.
     """
@@ -829,14 +838,17 @@ def _tail_weights(fiber: Fiber, terms: Sequence[dict], threshold: float) -> Tupl
     dists: Dict[tuple, Dict[float, int]] = {root: {0.0: 1} for root in fiber.layers[0]}
     hit = total = 0
     for i, layer in enumerate(fiber.layers):
-        row_terms = terms[i * I:]
+        row_fit, row_terms = fit[i * I:], terms[i * I:]
         # the last layer's rows run through rows i and i + 1, to no state
         numerator = fact(rows[i]) * fact(rows[i + 1]) if i == last else fact(rows[i])
         below: Dict[tuple, Dict[float, int]] = {}
         for state, edges in layer.items():
             dist = dists[state]
             for row, child in edges:
-                added = tuple(map(getitem, row_terms, row))
+                try:
+                    added = tuple(map(getitem, row_terms, row))
+                except KeyError:
+                    added = tuple(map(getitem, _add_terms(row_fit, row_terms, row), row))
                 factor = numerator // math.prod(map(fact, row))
                 if child is None:
                     for chi2, w in dist.items():
@@ -891,7 +903,7 @@ def exact_test(
     if method not in ("auto", "mcmc", "enumerate"):
         raise InputError(f"unknown method {method!r}")
     require_int(node_budget, "node_budget", 0)
-    terms, observed_stat = _fit_terms(table, model)
+    fit, terms, observed_stat = _fit_terms(table, model)
 
     if method in ("auto", "enumerate"):
         try:
@@ -901,7 +913,7 @@ def exact_test(
                 raise
             fiber = None
         if fiber is not None:
-            hit_weight, total_weight = _tail_weights(fiber, terms, _chi2_threshold(observed_stat))
+            hit_weight, total_weight = _tail_weights(fiber, fit, terms, _chi2_threshold(observed_stat))
             p = hit_weight / total_weight  # int true division rounds correctly
             return TestResult(
                 statistic_observed=observed_stat,
@@ -914,24 +926,25 @@ def exact_test(
 
     if config is None:
         config = WalkConfig(steps=50_000, stationary=Stationary.HYPERGEOMETRIC)
-    return _mcmc_test(table, model, terms, observed_stat, [config])
+    return _mcmc_test(table, model, fit, terms, observed_stat, [config])
 
 
-def _fit_terms(table: CountTable, model: ModelSpec) -> Tuple[List[_Memo], float]:
-    """One `_Memo` of Pearson terms per cell against the model fit, and the
-    table's statistic from them."""
+def _fit_terms(table: CountTable, model: ModelSpec) -> Tuple[List[float], List[dict], float]:
+    """The model fit as a flat row-major list, one dict of Pearson terms per
+    cell holding the table's terms (`_add_terms`), and the table's
+    statistic from them."""
     if table.n == 0:
         raise InputError("exact test needs a nonzero table")
-    expected = expected_counts(table, model)
-    terms = [_Memo(partial(_pearson_term, e=e)) for row in expected for e in row]
-    return terms, _pearson_flat(terms, chain.from_iterable(table.cells))
+    fit = list(chain.from_iterable(expected_counts(table, model)))
+    terms = _add_terms(fit, [{} for _ in fit], chain.from_iterable(table.cells))
+    return fit, terms, _pearson_flat(terms, chain.from_iterable(table.cells))
 
 
-def _mcmc_test(table: CountTable, model: ModelSpec, terms: List[_Memo], observed_stat: float,
-               configs: Sequence[WalkConfig]) -> TestResult:
+def _mcmc_test(table: CountTable, model: ModelSpec, fit: List[float], terms: List[dict],
+               observed_stat: float, configs: Sequence[WalkConfig]) -> TestResult:
     """The MCMC test pooled over one walk per configuration, all of one
-    length and from one fit (`terms`) and one move family: the indicator of
-    each state's statistic reaching the observed one, averaged over every
+    length and from one fit (`fit`, `terms`) and one move family: the
+    indicator of each state's statistic reaching the observed one, averaged over every
     walk, with the batch-means standard error of all walks together.  Each
     distinct table is scored once per call while the memo has room: its
     indicator is kept by its cells for all the walks, one lookup per state
@@ -954,7 +967,12 @@ def _mcmc_test(table: CountTable, model: ModelSpec, terms: List[_Memo], observed
                 last = state
                 indicator = None if scores is None else scores.get(state.cells)
                 if indicator is None:
-                    indicator = 1.0 if _pearson_flat(terms, chain.from_iterable(state.cells)) >= threshold else 0.0
+                    try:
+                        chi2 = _pearson_flat(terms, chain.from_iterable(state.cells))
+                    except KeyError:
+                        chi2 = _pearson_flat(_add_terms(fit, terms, chain.from_iterable(state.cells)),
+                                             chain.from_iterable(state.cells))
+                    indicator = 1.0 if chi2 >= threshold else 0.0
                     if scores is not None:
                         if len(scores) < most:
                             scores[state.cells] = indicator
@@ -992,8 +1010,8 @@ def exact_test_chains(
     require_instance(model, ModelSpec, "model")
     require_instance(config, WalkConfig, "config")
     require_int(chains, "chains", 1)
-    terms, observed_stat = _fit_terms(table, model)
-    result = _mcmc_test(table, model, terms, observed_stat,
+    fit, terms, observed_stat = _fit_terms(table, model)
+    result = _mcmc_test(table, model, fit, terms, observed_stat,
                         [replace(config, seed=config.seed + k) for k in range(chains)])
     return result if chains == 1 else replace(result, config=dict(result.config, chains=chains))
 

@@ -367,6 +367,8 @@ def common_diagonal_fit(table: CountTable) -> List[List[float]]:
 def expected_counts(table: CountTable, model: ModelSpec) -> List[List[float]]:
     """The model's fitted expected counts for `table`, a list of rows."""
     require_sized(table, CountTable, "table", require_instance(model, ModelSpec, "model").size, "model")
+    if model.form is not ModelForm.TORIC:
+        raise InputError("expected-count fits exist only for toric-form models")
     if model.family is ModelFamily.DIAGONAL_EFFECT:
         return quasi_independence_fit(table)
     if model.family is ModelFamily.COMMON_DIAGONAL_EFFECT:

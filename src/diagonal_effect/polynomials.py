@@ -317,12 +317,17 @@ def binomial_from_vector(flat: Sequence[int], size: int) -> CellPolynomial:
     """p^{v+} - p^{v-} for an integer cell vector in row-major order."""
     if len(flat) != size * size:
         raise SizeMismatchError(f"expected {size * size} entries, got {len(flat)}")
+    return binomial_from_entries([(v, x) for v, x in enumerate(flat) if x], size)
+
+
+def binomial_from_entries(entries: Sequence[Tuple[int, int]], size: int) -> CellPolynomial:
+    """`binomial_from_vector` of the nonzero entries (v, x), v ascending."""
     pos: List[int] = []
     neg: List[int] = []
-    for v, x in enumerate(flat):
+    for v, x in entries:
         if x > 0:
             pos += [v] * x
-        elif x < 0:
+        else:
             neg += [v] * -x
     if not pos and not neg:
         raise InputError("the zero vector has no binomial")

@@ -236,7 +236,9 @@ def normalize(table: CountTable) -> ProbTable:
 
 @dataclass(frozen=True)
 class Move:
-    """An integer table with balanced positive and negative parts.
+    """An integer table with balanced positive and negative parts and a str
+    label.  `entries`, derived from `cells` like `degree`, holds the nonzero
+    cells as row-major (cell, change) pairs, cell i * size + j from 0.
 
     Moves generated by the factories in `markov` additionally lie in the
     kernel of the matching design-matrix transpose; that property is checked
@@ -247,9 +249,11 @@ class Move:
     cells: Grid
     label: str = ""
     degree: int = field(init=False)
+    entries: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cells = _square_grid(self.cells, require_int(self.size, "table size"))
+        require_instance(self.label, str, "move label")
         net = mass = 0
         for i, row in enumerate(cells):
             for j, x in enumerate(row):
@@ -262,6 +266,8 @@ class Move:
             raise InputError("the zero move is not a valid move")
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "degree", pos)
+        object.__setattr__(self, "entries", tuple((i * self.size + j, x) for i, row in enumerate(cells)
+                                                  for j, x in enumerate(row) if x))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], label: str = "") -> "Move":

@@ -48,7 +48,7 @@ for _I in (3, 4, 5, 6):
     SOURCES[f"gens_common_mixture_families/{_I}"] = (
         lambda I=_I: _gens(invariants.gens_common_mixture_families(I))
     )
-for _I in (3, 4, 5):
+for _I in (3, 4, 5, 6):
     SOURCES[f"moves_diag_effect/{_I}"] = lambda I=_I: _moves(markov.moves_diag_effect(I))
     SOURCES[f"moves_common_diag/{_I}"] = lambda I=_I: _moves(markov.moves_common_diag(I))
     SOURCES[f"moves_to_binomials/diag/{_I}"] = lambda I=_I: _binomials(markov.moves_diag_effect(I))

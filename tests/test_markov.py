@@ -4,7 +4,7 @@ import time
 from collections import Counter, deque
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 from typing import List
 from unittest import mock
@@ -21,6 +21,7 @@ from diagonal_effect import (
     InputError,
     InvariantViolationError,
     ModelFamily,
+    ModelForm,
     ModelSpec,
     Move,
     SizeMismatchError,
@@ -213,6 +214,23 @@ def small_tables(draw):
     for k in picks:
         cells[k // size][k % size] += 1
     return cells
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+def test_mixture_form_has_no_moves_fit_or_test(family):
+    # the conditional tests condition on the toric model's sufficient statistic
+    spec = model(family, 3, ModelForm.MIXTURE)
+    t = CountTable.from_rows([[1, 2, 0], [0, 1, 1], [2, 0, 1]])
+    with pytest.raises(InputError, match="^move families exist only for toric-form models$"):
+        moves_for_model(spec)
+    fit_only = "^expected-count fits exist only for toric-form models$"
+    with pytest.raises(InputError, match=fit_only):
+        expected_counts(t, spec)
+    for method in ("auto", "mcmc", "enumerate"):
+        with pytest.raises(InputError, match=fit_only):
+            exact_test(t, spec, WalkConfig(steps=10, seed=1), method=method)
+    with pytest.raises(InputError, match=fit_only):
+        exact_test_chains(t, spec, WalkConfig(steps=10, seed=1), 2)
 
 
 class TestMoveFactories:
@@ -758,12 +776,13 @@ class TestPearsonStatistic:
         table = CountTable.from_rows(cells)
         m = model(FAMILY_NAMES[family], table.size)
         expected = expected_counts(table, m)
-        terms = [markov._Memo(partial(markov._pearson_term, e=e)) for row in expected for e in row]
+        fit = [e for row in expected for e in row]
+        terms = [{} for _ in fit]
         fiber = enumerate_fiber(sufficient_statistic(table, m), m)
         assert len(fiber.tables) > 1
         for t in fiber.tables:
             assert (markov.pearson_statistic(t.cells, expected).hex()
-                    == markov._pearson_flat(terms, flat(t)).hex())
+                    == markov._pearson_flat(markov._add_terms(fit, terms, flat(t)), flat(t)).hex())
 
     def test_positive_count_on_zero_fit_is_infinite(self):
         expected = [[0.0, 2.0], [1.5, 0.5]]
@@ -923,8 +942,8 @@ def reference_enumeration_test(table: CountTable, m: ModelSpec) -> tuple:
     `cell_by_cell_search` weighted by the integer n!/prod f!, its Pearson
     statistic from `_pearson_flat`, and the p-value as an int division;
     (statistic, p-value, tables)."""
-    expected = fit_for(m.family)(table, m)
-    terms = [markov._Memo(partial(markov._pearson_term, e=e)) for row in expected for e in row]
+    fit = [e for row in fit_for(m.family)(table, m) for e in row]
+    terms = markov._add_terms(fit, [{} for _ in fit], flat(table))
     observed = markov._pearson_flat(terms, flat(table))
     threshold = markov._chi2_threshold(observed)
     flats, _ = cell_by_cell_search(sufficient_statistic(table, m), m)
@@ -933,20 +952,23 @@ def reference_enumeration_test(table: CountTable, m: ModelSpec) -> tuple:
     for state in flats:
         w = n_fact // math.prod(map(math.factorial, state))
         total += w
-        if markov._pearson_flat(terms, state) >= threshold:
+        if markov._pearson_flat(markov._add_terms(fit, terms, state), state) >= threshold:
             hit += w
     return observed, hit / total, len(flats)
 
 
 def spy_pearson(monkeypatch) -> List[tuple]:
-    """The flat tables `markov._pearson_flat` is called on, in call order."""
+    """The flat tables `markov._pearson_flat` scores, in call order.  A call
+    that meets a count without a term raises KeyError and scores nothing:
+    the caller makes the terms (`_add_terms`) and calls again."""
     calls = []
     real = markov._pearson_flat
 
     def counted(terms, state):
         state = tuple(state)
+        chi2 = real(terms, state)
         calls.append(state)
-        return real(terms, state)
+        return chi2
 
     monkeypatch.setattr(markov, "_pearson_flat", counted)
     return calls
@@ -1114,6 +1136,35 @@ class TestExactTest:
         walked = calls[1:]
         assert len(walked) == len(set(walked)) == len(visited)
         assert set(walked) == visited
+
+    def test_term_dicts_hold_only_the_counts_met(self, monkeypatch):
+        # n = 10^6: a term for every count a cell could hold would be up to
+        # 10^6 terms per cell; the walk meets at most one count per state
+        t = CountTable.from_rows([[400_000, 50_000, 30_000], [60_000, 200_000, 40_000],
+                                  [20_000, 70_000, 130_000]])
+        assert t.n == 10**6
+        fits, walked = [], []
+        real_fit, real_walk = markov._fit_terms, markov.fiber_walk
+
+        def fit_terms(*args):
+            fits.append(real_fit(*args))
+            return fits[-1]
+
+        def walk(*args):
+            for state in real_walk(*args):
+                walked.append(flat(state))
+                yield state
+
+        monkeypatch.setattr(markov, "_fit_terms", fit_terms)
+        monkeypatch.setattr(markov, "fiber_walk", walk)
+        config = WalkConfig(steps=1_000, seed=3)
+        result = exact_test(t, COMMON3, config, method="mcmc")
+        [(fit, terms, _)] = fits
+        assert len(walked) == 1_000 and len(set(walked)) > 1
+        assert [set(term) for term in terms] == [{flat(t)[k]} | {s[k] for s in walked} for k in range(9)]
+        assert all(term[o] == markov._pearson_term(o, e) for e, term in zip(fit, terms) for o in term)
+        monkeypatch.undo()
+        assert exact_test(t, COMMON3, config, method="mcmc") == result
 
     def test_infinite_statistic_threshold(self):
         assert markov._chi2_threshold(math.inf) == math.inf

@@ -155,6 +155,18 @@ def _move_deltas(moves: Sequence[Move]) -> List[tuple]:
     return deltas
 
 
+def reference_walk_plans(moves: Sequence[Move]) -> List[tuple]:
+    """One plan (downs, ups, delta) per signed move, from its grid: downs
+    holds (cell, j) for j < d for each count the move lowers by d, and ups
+    (cell, j) for 1 <= j <= u for each count it raises by u."""
+    plans = []
+    for delta in _move_deltas(moves):
+        downs = tuple((k, j) for k, v in delta if v < 0 for j in range(-v))
+        ups = tuple((k, j) for k, v in delta if v > 0 for j in range(1, v + 1))
+        plans.append((downs, ups, delta))
+    return plans
+
+
 def reference_fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig,
                          trace: Optional[list] = None) -> Iterator[CountTable]:
     """The walk's emitted states; `trace`, when given, gets each step's
@@ -229,6 +241,43 @@ def test_factories_match_reference_builders(family, size):
     for m in moves:
         checked = Move(size, m.cells, m.label)
         assert (m, hash(m), repr(m)) == (checked, hash(checked), repr(checked))
+
+
+@pytest.mark.parametrize("family", list(FACTORIES), ids=lambda f: f.value)
+@pytest.mark.parametrize("size", range(3, 7))
+def test_factory_entries_are_the_nonzero_cells(family, size):
+    for m in FACTORIES[family][0](size):
+        flat = [x for row in m.cells for x in row]
+        assert m.entries == tuple((k, x) for k, x in enumerate(flat) if x)
+        assert type(m.entries) is tuple and all(type(e) is tuple for e in m.entries)
+
+
+@pytest.mark.parametrize("family", list(FACTORIES), ids=lambda f: f.value)
+@pytest.mark.parametrize("size", range(3, 7))
+def test_walk_plans_of_factory_moves_match_reference(family, size):
+    moves = FACTORIES[family][0](size)
+    assert markov._walk_plans(moves, size) == reference_walk_plans(moves)
+
+
+@st.composite
+def user_moves(draw) -> Tuple[int, List[Move]]:
+    """A size and a list of balanced moves of that size, entries -3..3."""
+    size = draw(st.integers(2, 5))
+    moves = []
+    for _ in range(draw(st.integers(1, 6))):
+        flat = draw(st.lists(st.integers(-3, 3), min_size=size * size - 1, max_size=size * size - 1)
+                    .filter(any))
+        flat.append(-sum(flat))
+        moves.append(Move.from_rows([flat[i * size:(i + 1) * size] for i in range(size)]))
+    return size, moves
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=user_moves())
+@example(case=(2, [Move.from_rows([[3, -3], [-3, 3]]), Move.from_rows([[-1, 1], [1, -1]])]))
+def test_walk_plans_of_user_moves_match_reference(case):
+    size, moves = case
+    assert markov._walk_plans(moves, size) == reference_walk_plans(moves)
 
 
 ZERO_ROW = [[0, 0, 0, 0], [1, 3, 0, 2], [2, 1, 4, 0], [3, 0, 2, 1]]

@@ -1,3 +1,4 @@
+import re
 from enum import IntEnum
 from fractions import Fraction
 
@@ -332,6 +333,26 @@ class TestApplyMove:
     def test_non_integer_move_rejected(self, x):
         with pytest.raises(InputError, match=r"^move entry at \(1,1\) must be an integer, got "):
             Move(size=2, cells=((x, -1), (-1, 1)))
+
+    @pytest.mark.parametrize("label", [5, None, b"rect", ["rect"]], ids=repr)
+    def test_non_str_label_rejected(self, label):
+        with pytest.raises(InputError, match=f"^move label must be a str, got {re.escape(repr(label))}$"):
+            Move(size=2, cells=((1, -1), (-1, 1)), label=label)
+        with pytest.raises(InputError, match="^move label must be a str"):
+            Move.from_rows([[1, -1], [-1, 1]], label=label)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), size=st.integers(2, 5))
+    def test_entries_are_the_nonzero_row_major_cells(self, data, size):
+        flat = data.draw(st.lists(st.integers(-3, 3), min_size=size * size - 1, max_size=size * size - 1)
+                         .filter(any))
+        flat.append(-sum(flat))
+        rows = [flat[i * size:(i + 1) * size] for i in range(size)]
+        move = Move.from_rows(rows, label="any")
+        assert move.entries == tuple((k, x) for k, x in enumerate(flat) if x)
+        # derived from the cells, it takes no part in repr, equality or hash
+        assert "entries" not in repr(move)
+        assert move == Move(size, tuple(map(tuple, rows)), "any") and hash(move) == hash(Move(size, rows, "any"))
 
 
 class TestLikelihood:
