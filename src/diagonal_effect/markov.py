@@ -37,7 +37,6 @@ from .tables import (
     SufficientStat,
     _Memo,
     _unchecked,
-    flat_rows,
     rectangle_indices,
     require_instance,
     require_int,
@@ -58,22 +57,14 @@ def _family(I: int, candidates: Iterable[Tuple[str, Dict[Tuple[int, int], int]]]
     list each move once up to sign.  A candidate is a label and a balanced
     move's nonzero entries {(i, j): v}, 1-based; its sign is fixed by its
     first nonzero cell in row-major order, which the move makes positive."""
-    zero = (0,) * I  # the row of every move's grid that holds no entry
     moves = []
     for label, candidate in candidates:
         entries = sorted([(I * i + j - I - 1, v) for (i, j), v in candidate.items()])
         if entries[0][1] < 0:
             entries = [(k, -v) for k, v in entries]
-        grid = [zero] * I
-        for k, v in entries:
-            i, j = divmod(k, I)
-            if grid[i] is zero:
-                grid[i] = [0] * I
-            grid[i][j] = v
-        cells = tuple([row if row is zero else tuple(row) for row in grid])
         # a balanced candidate: its positive and negative parts each sum to degree
-        moves.append(_unchecked(Move, size=I, cells=cells, label=label,
-                                degree=sum(map(abs, candidate.values())) // 2, entries=tuple(entries)))
+        moves.append(_unchecked(Move, size=I, entries=tuple(entries), label=label,
+                                degree=sum(map(abs, candidate.values())) // 2))
     return moves
 
 
@@ -220,7 +211,7 @@ class Fiber:
     def tables(self) -> tuple:
         I, n = self.stat.size, sum(self.stat.rows)
         # each path is a table of the fiber: nonnegative counts summing to n
-        return tuple(_unchecked(CountTable, size=I, cells=flat_rows(f, I), n=n) for f in self.flats)
+        return tuple(_unchecked(CountTable, size=I, flat=f, n=n) for f in self.flats)
 
 
 def _paths(layers: tuple, i: int, state: tuple, prefix: tuple, found: List[tuple]) -> None:
@@ -259,6 +250,8 @@ def enumerate_fiber(
     family = require_instance(model, ModelSpec, "model").family
     if require_instance(stat, SufficientStat, "statistic").family is not family:
         raise InputError("statistic and model families differ")
+    if model.form is not ModelForm.TORIC:
+        raise InputError("sufficient statistics exist only for toric-form models")
     require_sized(stat, SufficientStat, "statistic", model.size, "model")
     require_int(node_budget, "node_budget", 0)
     I = stat.size
@@ -640,7 +633,6 @@ def fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkConfig) -> 
 def _walk(start: CountTable, plans: List[tuple], config: WalkConfig) -> Iterator[CountTable]:
     """The kernel of `fiber_walk`, on checked arguments and the moves' plans."""
     I, n = start.size, start.n
-    rows = [slice(i * I, (i + 1) * I) for i in range(I)]
     rng = random.Random(f"fiber-walk|{config.seed}")
     getrandbits, rand, count = rng.getrandbits, rng.random, len(plans)
     bits = count.bit_length()
@@ -649,7 +641,7 @@ def _walk(start: CountTable, plans: List[tuple], config: WalkConfig) -> Iterator
     until_emit = config.burn_in
 
     # with tables: flats, props and built are indexed by state id
-    flats = [tuple(x for row in start.cells for x in row)]
+    flats = [start.flat]
     ids = {flats[0]: 0}
     props: List[dict] = [{}]
     built: List[Optional[CountTable]] = [None]
@@ -710,16 +702,15 @@ def _walk(start: CountTable, plans: List[tuple], config: WalkConfig) -> Iterator
         until_emit = thinning - 1
         state = built[sid]
         if state is None:
-            out = flats[sid]
             # accepted moves keep every count nonnegative and the total
-            state = built[sid] = _unchecked(CountTable, size=I, cells=tuple(map(out.__getitem__, rows)), n=n)
+            state = built[sid] = _unchecked(CountTable, size=I, flat=flats[sid], n=n)
         yield state
     else:
         return
 
     # without tables, from state sid with the draw r pending
     flat = list(flats[sid])
-    last = None if state is None else tuple(chain.from_iterable(state.cells))
+    last = None if state is None else state.flat
     flats = ids = props = built = prop = None
     moved = True
     for step in range(step, total):
@@ -745,7 +736,7 @@ def _walk(start: CountTable, plans: List[tuple], config: WalkConfig) -> Iterator
                 if out != last:
                     last = out
                     # accepted moves keep every count nonnegative and the total
-                    state = _unchecked(CountTable, size=I, cells=tuple(map(out.__getitem__, rows)), n=n)
+                    state = _unchecked(CountTable, size=I, flat=out, n=n)
                 moved = False
             yield state
         # the next step's draw; the one after the last step goes unused
@@ -936,8 +927,8 @@ def _fit_terms(table: CountTable, model: ModelSpec) -> Tuple[List[float], List[d
     if table.n == 0:
         raise InputError("exact test needs a nonzero table")
     fit = list(chain.from_iterable(expected_counts(table, model)))
-    terms = _add_terms(fit, [{} for _ in fit], chain.from_iterable(table.cells))
-    return fit, terms, _pearson_flat(terms, chain.from_iterable(table.cells))
+    terms = _add_terms(fit, [{} for _ in fit], table.flat)
+    return fit, terms, _pearson_flat(terms, table.flat)
 
 
 def _mcmc_test(table: CountTable, model: ModelSpec, fit: List[float], terms: List[dict],
@@ -947,7 +938,7 @@ def _mcmc_test(table: CountTable, model: ModelSpec, fit: List[float], terms: Lis
     indicator of each state's statistic reaching the observed one, averaged over every
     walk, with the batch-means standard error of all walks together.  Each
     distinct table is scored once per call while the memo has room: its
-    indicator is kept by its cells for all the walks, one lookup per state
+    indicator is kept by its `flat` for all the walks, one lookup per state
     change, and the memo is dropped for good at the first miss once it
     holds `_CELL_BUDGET` // I^2 tables.  The result echoes the first
     configuration."""
@@ -965,17 +956,17 @@ def _mcmc_test(table: CountTable, model: ModelSpec, fit: List[float], terms: Lis
             # the walk re-emits an unmoved state as the same object
             if state is not last:
                 last = state
-                indicator = None if scores is None else scores.get(state.cells)
+                flat = state.flat
+                indicator = None if scores is None else scores.get(flat)
                 if indicator is None:
                     try:
-                        chi2 = _pearson_flat(terms, chain.from_iterable(state.cells))
+                        chi2 = _pearson_flat(terms, flat)
                     except KeyError:
-                        chi2 = _pearson_flat(_add_terms(fit, terms, chain.from_iterable(state.cells)),
-                                             chain.from_iterable(state.cells))
+                        chi2 = _pearson_flat(_add_terms(fit, terms, flat), flat)
                     indicator = 1.0 if chi2 >= threshold else 0.0
                     if scores is not None:
                         if len(scores) < most:
-                            scores[state.cells] = indicator
+                            scores[flat] = indicator
                         else:
                             scores = None
             indicators.append(indicator)
@@ -1192,7 +1183,7 @@ def verify_connectivity(
     disconnected = []
     for least in sorted(found, key=lambda t: (sum(t), t)):
         # a swept table: nonnegative counts
-        table = _unchecked(CountTable, size=I, cells=flat_rows(least, I), n=sum(least))
+        table = _unchecked(CountTable, size=I, flat=least, n=sum(least))
         stat = sufficient_statistic(table, model)
         disconnected.append(((stat.rows, stat.cols, stat.diag), found[least]))
 

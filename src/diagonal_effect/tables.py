@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import collections.abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, SizeMismatchError
@@ -122,10 +123,10 @@ def require_mapping(value, what: str):
 
 
 def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass `cls` holding `fields`, built
-    without `__post_init__`'s checks.  It is the one way the package builds
-    a table or a move it has made itself; each call site states why the
-    checks would pass."""
+    """An instance of the frozen dataclass `cls` holding `fields` (a table's
+    or a move's stored form), built without its constructor's checks.  It
+    is the one way the package builds a table or a move it has made itself;
+    each call site states why the checks would pass."""
     value = object.__new__(cls)
     value.__dict__.update(fields)
     return value
@@ -133,7 +134,7 @@ def _unchecked(cls, **fields):
 
 def flat_rows(flat: Sequence[int], size: int) -> Grid:
     """The row-major cells `flat` as a tuple of `size` row tuples."""
-    return tuple(tuple(flat[k:k + size]) for k in range(0, size * size, size))
+    return tuple([tuple(flat[k:k + size]) for k in range(0, size * size, size)])
 
 
 def _square_grid(cells, size: int) -> Grid:
@@ -152,41 +153,49 @@ def _square_grid(cells, size: int) -> Grid:
     return cells if frozen else tuple(map(tuple, cells))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class CountTable:
-    """A square table of observed nonnegative `int` counts (`require_int`)."""
+    """A square table of observed nonnegative `int` counts (`require_int`),
+    stored as `flat`, row-major, with their total `n`.  The grid `cells` is
+    built from `flat` on first read and kept; equality and hash follow the
+    stored form (size, flat, n), which decides what the grid does."""
 
     size: int
-    cells: Grid
-    n: int = field(init=False)
+    flat: tuple
+    n: int
 
-    def __post_init__(self):
-        cells = _square_grid(self.cells, require_int(self.size, "table size"))
-        total = 0
-        for i, row in enumerate(cells):
-            for j, x in enumerate(row):
-                total += require_int(x, f"count at ({i + 1},{j + 1})", 0)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "n", total)
+    def __init__(self, size: int, cells: Grid):
+        cells = _square_grid(cells, require_int(size, "table size"))
+        flat = tuple([require_int(x, f"count at ({i + 1},{j + 1})", 0)
+                      for i, row in enumerate(cells) for j, x in enumerate(row)])
+        # the grid given is the one `cells` would build
+        self.__dict__.update(size=size, flat=flat, n=sum(flat), cells=cells)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "CountTable":
         return cls(size=len(require_sequence(rows, "cells")), cells=rows)
 
+    @cached_property
+    def cells(self) -> Grid:
+        return flat_rows(self.flat, self.size)
+
+    def __repr__(self) -> str:
+        return f"CountTable(size={self.size!r}, cells={self.cells!r}, n={self.n!r})"
+
     def row_margins(self) -> tuple:
-        return tuple(sum(row) for row in self.cells)
+        return tuple(map(sum, flat_rows(self.flat, self.size)))
 
     def col_margins(self) -> tuple:
-        return tuple(sum(self.cells[i][j] for i in range(self.size)) for j in range(self.size))
+        return tuple(sum(self.flat[j::self.size]) for j in range(self.size))
 
     def diag_vector(self) -> tuple:
-        return tuple(self.cells[i][i] for i in range(self.size))
+        return self.flat[::self.size + 1]
 
     def diag_sum(self) -> int:
-        return sum(self.cells[i][i] for i in range(self.size))
+        return sum(self.flat[::self.size + 1])
 
     def to_lists(self):
-        return [list(row) for row in self.cells]
+        return list(map(list, flat_rows(self.flat, self.size)))
 
 
 @dataclass(frozen=True)
@@ -229,16 +238,18 @@ def normalize(table: CountTable) -> ProbTable:
     their total sum to exactly 1."""
     if require_instance(table, CountTable, "table").n == 0:
         raise InputError("cannot normalize an all-zero count table")
-    n = table.n
-    return _unchecked(ProbTable, size=table.size,
-                      cells=tuple(tuple(Fraction(x, n) for x in row) for row in table.cells))
+    n, size = table.n, table.size
+    return _unchecked(ProbTable, size=size, cells=flat_rows([Fraction(x, n) for x in table.flat], size))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Move:
     """An integer table with balanced positive and negative parts and a str
-    label.  `entries`, derived from `cells` like `degree`, holds the nonzero
-    cells as row-major (cell, change) pairs, cell i * size + j from 0.
+    label, stored as `entries`, its nonzero cells as row-major (cell,
+    change) pairs, cell i * size + j from 0, and `degree`, the sum of its
+    positive part.  The grid `cells` is built from `entries` on first read
+    and kept; equality and hash follow the stored form (size, entries,
+    label, degree), which decides what the grid does.
 
     Moves generated by the factories in `markov` additionally lie in the
     kernel of the matching design-matrix transpose; that property is checked
@@ -246,32 +257,34 @@ class Move:
     """
 
     size: int
-    cells: Grid
-    label: str = ""
-    degree: int = field(init=False)
-    entries: tuple = field(init=False, repr=False, compare=False)
+    entries: tuple
+    label: str
+    degree: int
 
-    def __post_init__(self):
-        cells = _square_grid(self.cells, require_int(self.size, "table size"))
-        require_instance(self.label, str, "move label")
-        net = mass = 0
-        for i, row in enumerate(cells):
-            for j, x in enumerate(row):
-                net += require_int(x, f"move entry at ({i + 1},{j + 1})")
-                mass += abs(x)
-        pos, neg = (mass + net) // 2, (mass - net) // 2
+    def __init__(self, size: int, cells: Grid, label: str = ""):
+        cells = _square_grid(cells, require_int(size, "table size"))
+        require_instance(label, str, "move label")
+        entries = tuple([(i * size + j, x) for i, row in enumerate(cells) for j, x in enumerate(row)
+                         if require_int(x, f"move entry at ({i + 1},{j + 1})")])
+        pos, neg = sum(x for _, x in entries if x > 0), -sum(x for _, x in entries if x < 0)
         if pos != neg:
             raise InputError(f"unbalanced move: positive part {pos}, negative part {neg}")
         if pos == 0:
             raise InputError("the zero move is not a valid move")
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "degree", pos)
-        object.__setattr__(self, "entries", tuple((i * self.size + j, x) for i, row in enumerate(cells)
-                                                  for j, x in enumerate(row) if x))
+        # the grid given is the one `cells` would build
+        self.__dict__.update(size=size, entries=entries, label=label, degree=pos, cells=cells)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], label: str = "") -> "Move":
         return cls(size=len(require_sequence(rows, "cells")), cells=rows, label=label)
+
+    @cached_property
+    def cells(self) -> Grid:
+        nonzero = dict(self.entries)
+        return flat_rows([nonzero.get(k, 0) for k in range(self.size * self.size)], self.size)
+
+    def __repr__(self) -> str:
+        return f"Move(size={self.size!r}, cells={self.cells!r}, label={self.label!r}, degree={self.degree!r})"
 
 
 def require_moves(moves) -> Sequence[Move]:
@@ -340,6 +353,8 @@ class SufficientStat:
 def sufficient_statistic(table: CountTable, model: ModelSpec) -> SufficientStat:
     """Map a count table to its sufficient statistic under `model`."""
     require_sized(table, CountTable, "table", require_instance(model, ModelSpec, "model").size, "model")
+    if model.form is not ModelForm.TORIC:
+        raise InputError("sufficient statistics exist only for toric-form models")
     if model.family is ModelFamily.DIAGONAL_EFFECT:
         diag: Union[tuple, int, None] = table.diag_vector()
     elif model.family is ModelFamily.COMMON_DIAGONAL_EFFECT:
@@ -358,12 +373,13 @@ def apply_move(table: CountTable, move: Move, sign: int = 1) -> Optional[CountTa
     require_sized(table, CountTable, "table", require_instance(move, Move, "move").size, "move")
     if require_int(sign, "sign") not in (1, -1):
         raise InputError(f"sign must be +1 or -1, got {sign}")
-    cells = tuple(tuple(t + sign * m for t, m in zip(trow, mrow))
-                  for trow, mrow in zip(table.cells, move.cells))
-    if any(x < 0 for row in cells for x in row):
-        return None
+    flat = list(table.flat)
+    for k, x in move.entries:
+        flat[k] += sign * x
+        if flat[k] < 0:
+            return None
     # a balanced move keeps the total
-    return _unchecked(CountTable, size=table.size, cells=cells, n=table.n)
+    return _unchecked(CountTable, size=table.size, flat=tuple(flat), n=table.n)
 
 
 def likelihood(prob: ProbTable, table: CountTable) -> Fraction:
@@ -373,12 +389,11 @@ def likelihood(prob: ProbTable, table: CountTable) -> Fraction:
     """
     require_sized(prob, ProbTable, "prob", require_instance(table, CountTable, "table").size, "table")
     value = Fraction(1)
-    for prow, frow in zip(prob.cells, table.cells):
-        for p, f in zip(prow, frow):
-            if f == 0:
-                continue
-            if p == 0:
-                return Fraction(0)
-            value *= p ** f
+    for p, f in zip(chain.from_iterable(prob.cells), table.flat):
+        if f == 0:
+            continue
+        if p == 0:
+            return Fraction(0)
+        value *= p ** f
     return value
 

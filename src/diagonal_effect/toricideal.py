@@ -17,12 +17,13 @@ independent cross-check of that rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, InvariantViolationError
 from .groebner import buchberger, reduce_basis, saturate
 from .polynomials import CellPolynomial, TermOrder, binomial_from_vector, require_polynomials
-from .tables import ModelFamily, ModelForm, ModelSpec, _square_grid, flat_rows
+from .tables import CountTable, ModelFamily, ModelForm, ModelSpec, Move, _square_grid, flat_rows
 from .tables import require_instance, require_int, require_sequence
 
 
@@ -73,21 +74,31 @@ def design_matrix(model: ModelSpec) -> DesignMatrix:
 
 
 def transpose_apply(A: DesignMatrix, grid) -> tuple:
-    """A^t applied to an integer table (count table, move, or raw grid)."""
+    """A^t applied to an integer table: a CountTable, a Move, or a raw grid."""
     size = require_instance(A, DesignMatrix, "A").size
-    cells = _square_grid(grid.cells if hasattr(grid, "cells") else grid, size)
-    flat = [require_int(x, "grid entry") for row in cells for x in row]
+    if isinstance(grid, (CountTable, Move)):
+        if grid.size != size:
+            raise InputError("cells must form a size x size grid")
+        entries = grid.entries if isinstance(grid, Move) else enumerate(grid.flat)
+    else:
+        entries = enumerate([require_int(x, "grid entry") for row in _square_grid(grid, size) for x in row])
     out = [0] * A.num_params
-    for value, row in zip(flat, A.rows):
+    for k, value in entries:
         if value:
-            for h, a in enumerate(row):
+            for h, a in enumerate(A.rows[k]):
                 if a:
                     out[h] += value * a
     return tuple(out)
 
 
 def integer_kernel(A: DesignMatrix) -> List[tuple]:
-    """Lattice basis of the integer kernel of A^t, as I x I grids.
+    """Lattice basis of the integer kernel of A^t: the sorted I x I grids of `_kernel_vectors`."""
+    return [flat_rows(vec, A.size) for vec in _kernel_vectors(A)]
+
+
+def _kernel_vectors(A: DesignMatrix) -> List[List[int]]:
+    """Lattice basis of the integer kernel of A^t, as sorted row-major cell
+    vectors.
 
     Row-reduces [A | identity] with unimodular integer row operations; the
     identity-side rows opposite the zero rows of the reduced A form a basis
@@ -118,8 +129,7 @@ def integer_kernel(A: DesignMatrix) -> List[tuple]:
                     if aug[piv][col] < 0:
                         aug[piv] = [-x for x in aug[piv]]
         piv += 1
-    I = A.size
-    basis = []
+    basis, columns = [], list(zip(*A.rows))
     for r in range(piv, n):
         if any(aug[r][:s]):
             raise InvariantViolationError("row echelon left a nonzero row above the kernel block")
@@ -127,16 +137,11 @@ def integer_kernel(A: DesignMatrix) -> List[tuple]:
         first = next((x for x in vec if x != 0), 0)
         if first < 0:
             vec = [-x for x in vec]
-        grid = flat_rows(vec, I)
-        if transpose_apply(A, grid) != (0,) * s:
+        if any(sum(map(mul, vec, column)) for column in columns):
             raise InvariantViolationError("kernel vector fails A^t v = 0")
-        basis.append(grid)
+        basis.append(vec)
     basis.sort()
     return basis
-
-
-def _flat(grid) -> List[int]:
-    return [x for row in grid for x in row]
 
 
 def pivot_basis(A: DesignMatrix) -> Tuple[List[List[int]], List[Optional[int]]]:
@@ -158,8 +163,8 @@ def pivot_basis(A: DesignMatrix) -> Tuple[List[List[int]], List[Optional[int]]]:
     `saturation_cells` says which cells the rows' binomials must then be
     saturated by.
     """
+    rows = _kernel_vectors(A)  # checks A before A.size is read
     I = A.size
-    rows = [_flat(grid) for grid in integer_kernel(A)]
     pivots: List[Optional[int]] = [None] * len(rows)
     while True:
         # (number of eligible cells, row, the cells) of each row still without a pivot
@@ -226,8 +231,8 @@ def saturation_cells(rows: Sequence[list], pivots: Sequence[Optional[int]], size
 
 
 def lattice_binomials(A: DesignMatrix) -> List[CellPolynomial]:
-    # `integer_kernel` checks A before A.size is read
-    return [binomial_from_vector(_flat(grid), A.size) for grid in integer_kernel(A)]
+    # `_kernel_vectors` checks A before A.size is read
+    return [binomial_from_vector(vec, A.size) for vec in _kernel_vectors(A)]
 
 
 def toric_ideal(model: ModelSpec, method: str = "saturation") -> List[CellPolynomial]:

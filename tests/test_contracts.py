@@ -257,6 +257,12 @@ _UNIFORM = WalkConfig(steps=10, stationary=Stationary.UNIFORM)
                  "cannot normalize an all-zero count table", id="normalize-zero"),
     pytest.param(lambda: SufficientStat(ModelFamily.INDEPENDENCE, (1, 1), (1, 1), 0),
                  "independence statistic carries no diagonal component", id="SufficientStat-independence"),
+    # a mixture-form model has no sufficient statistic, so no fiber
+    pytest.param(lambda: sufficient_statistic(CountTable.from_rows([[1, 0], [0, 1]]),
+                                              model(ModelFamily.INDEPENDENCE, 2, ModelForm.MIXTURE)),
+                 "sufficient statistics exist only for toric-form models", id="sufficient_statistic-mixture"),
+    pytest.param(lambda: enumerate_fiber(_STAT, model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3, ModelForm.MIXTURE)),
+                 "sufficient statistics exist only for toric-form models", id="enumerate_fiber-mixture"),
 ])
 def test_one_message_per_rule(call, message):
     # each rule has one implementation in `tables`, so each site prints its message

@@ -31,7 +31,7 @@ from diagonal_effect import (
     moves_diag_effect,
 )
 from diagonal_effect import markov
-from diagonal_effect.tables import _unchecked, rectangle_indices, require_int, triple_indices
+from diagonal_effect.tables import rectangle_indices, require_int, triple_indices
 
 # ---------------------------------------------------------------------------
 # reference move builders
@@ -213,7 +213,7 @@ def reference_fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkC
             out = tuple(flat)
             if out != last:
                 last = out
-                state = _unchecked(CountTable, size=I, cells=tuple(map(out.__getitem__, rows)), n=start.n)
+                state = CountTable(size=I, cells=tuple(map(out.__getitem__, rows)))
             moved = False
         yield state
 

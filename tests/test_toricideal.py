@@ -34,7 +34,7 @@ from diagonal_effect import (
 from diagonal_effect.groebner import _encode, _move, _s_remainder, _WIDTH, buchberger, reduce_basis, saturate
 from diagonal_effect.markov import moves_common_diag, moves_diag_effect
 from diagonal_effect.polynomials import binomial_from_vector
-from diagonal_effect.toricideal import _flat, pivot_basis, saturation_cells
+from diagonal_effect.toricideal import _kernel_vectors, pivot_basis, saturation_cells
 
 from conftest import model, random_count_table
 
@@ -130,6 +130,7 @@ class TestDesignMatrix:
         pytest.param(lambda: toric_ideal(7), "model must be a ModelSpec, got 7", id="toric_ideal"),
         pytest.param(lambda: integer_kernel(None), "A must be a DesignMatrix, got None", id="integer_kernel"),
         pytest.param(lambda: lattice_binomials("x"), "A must be a DesignMatrix, got 'x'", id="lattice_binomials"),
+        pytest.param(lambda: pivot_basis(None), "A must be a DesignMatrix, got None", id="pivot_basis"),
         pytest.param(lambda: transpose_apply([[1]], [[1]]), "A must be a DesignMatrix, got [[1]]",
                      id="transpose_apply"),
         pytest.param(lambda: toric_ideal(model(ModelFamily.INDEPENDENCE, 2), "groebner"),
@@ -174,7 +175,9 @@ class TestPivotBasis:
         rows = pivot_basis(A)[0]
         assert all(transpose_apply(A, [v[k:k + I] for k in range(0, I * I, I)]) == (0,) * A.num_params
                    for v in rows)
-        echelon = [_flat(grid) for grid in integer_kernel(A)]
+        # the flat kernel vectors are the rows of `integer_kernel`'s grids
+        echelon = _kernel_vectors(A)
+        assert integer_kernel(A) == [tuple(tuple(v[k:k + I]) for k in range(0, I * I, I)) for v in echelon]
         assert len(rows) == len(echelon)
         assert all(in_lattice(v, echelon) for v in rows)
         assert all(in_lattice(v, rows) for v in echelon)
