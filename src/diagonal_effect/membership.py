@@ -140,27 +140,21 @@ class BoundaryReport:
 def boundary_membership_check(P: ProbTable) -> BoundaryReport:
     """Necessary-condition support checks for tables with zero cells.
 
-    A zero diagonal cell with nonzero row and column (and a non-diagonal
-    table) cannot come from the mixture form; a zero off-diagonal cell
-    with nonzero row and column cannot come from the toric form.  Strictly
-    positive tables are inconclusive here; classify a parametrization
-    instead.
+    A zero diagonal cell with nonzero row and column cannot come from the
+    mixture form (such a table is never diagonal); a zero off-diagonal
+    cell with nonzero row and column cannot come from the toric form.
+    Strictly positive tables are inconclusive here; classify a
+    parametrization instead.
     """
     I = require_instance(P, ProbTable, "P").size
-    rows_nonzero = [any(x != 0 for x in P.cells[i]) for i in range(I)]
-    cols_nonzero = [any(P.cells[i][j] != 0 for i in range(I)) for j in range(I)]
-    is_diagonal = all(P.cells[i][j] == 0 for i in range(I) for j in range(I) if i != j)
+    nums = P.nums  # cell (i, j) is nums[i * I + j] / P.den
+    rows_nonzero = [any(nums[i * I:(i + 1) * I]) for i in range(I)]
+    cols_nonzero = [any(nums[j::I]) for j in range(I)]
 
-    mixture_exclusions = []
-    if not is_diagonal:
-        for i in range(I):
-            if P.cells[i][i] == 0 and rows_nonzero[i] and cols_nonzero[i]:
-                mixture_exclusions.append(i + 1)
-    toric_exclusions = []
-    for i in range(I):
-        for j in range(I):
-            if i != j and P.cells[i][j] == 0 and rows_nonzero[i] and cols_nonzero[j]:
-                toric_exclusions.append((i + 1, j + 1))
+    mixture_exclusions = [i + 1 for i in range(I)
+                          if nums[i * (I + 1)] == 0 and rows_nonzero[i] and cols_nonzero[i]]
+    toric_exclusions = [(i + 1, j + 1) for i in range(I) for j in range(I)
+                        if i != j and nums[i * I + j] == 0 and rows_nonzero[i] and cols_nonzero[j]]
 
     if I >= 3:
         vanish = check_vanishing(gens_diag_effect(I), P).all_zero

@@ -3,15 +3,17 @@
 The toric form uses three nonnegative parameter vectors (row, column,
 diagonal); the mixture form blends a rank-one table with a diagonal table.
 All points are exact.  Each parameter vector is held as integer numerators
-over the lcm of its denominators, the point arithmetic runs on those
-integers, and each output `Fraction` is built once, from its numerator and
-denominator.  The outputs are the values, types and reduced forms that one
-`Fraction` operation at a time gives, at one gcd per output instead of one
-per operation.  The iterative proportional fit at the bottom is the one
-deliberately floating-point computation: its limit is irrational in
-general, and it only feeds the chi-square statistic of the exact tests,
-never the exact algebra.  It is one trace-constrained fit; the
-diagonal-effect fit is its trace-0 case.
+over the lcm of its denominators, and the point arithmetic runs on those
+integers.  A point leaves as its cell numerators over one denominator,
+both divided by their gcd, which is the stored form of `ProbTable`: no
+cell `Fraction` exists until its `cells` are read.  The cells read back
+and the normalizers are the values, types and reduced forms that one
+`Fraction` operation at a time gives, at one gcd per point (and one per
+cell read) instead of one per operation.  The iterative proportional fit
+at the bottom is the one deliberately floating-point computation: its
+limit is irrational in general, and it only feeds the chi-square
+statistic of the exact tests, never the exact algebra.  It is one
+trace-constrained fit; the diagonal-effect fit is its trace-0 case.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .tables import (
     ModelForm,
     ModelSpec,
     ProbTable,
-    _unchecked,
+    _point,
     over_lcm,
     require_instance,
     require_int,
@@ -173,13 +175,12 @@ def toric_point(params: ToricParams) -> Tuple[ProbTable, Normalizers]:
     a, b, c, C, _, T, norms = toric_numerators(params)
     if T <= 0:
         raise InputError("degenerate parameters: N_T must be positive")
+    I = params.size
     bC = [bj * C for bj in b]
-    rows = []
-    for i, ai in enumerate(a):
-        row = [ai * x for x in bC]
-        row[i] = ai * b[i] * c[i]
-        rows.append(tuple(Fraction(x, T) for x in row))
-    return _unchecked(ProbTable, size=params.size, cells=tuple(rows)), norms
+    nums = [ai * x for ai in a for x in bC]
+    for i in range(I):
+        nums[i * (I + 1)] = a[i] * b[i] * c[i]
+    return _point(I, nums, T), norms
 
 
 def mixture_point(params: MixtureParams) -> ProbTable:
@@ -197,14 +198,12 @@ def mixture_point(params: MixtureParams) -> ProbTable:
     rho, R = over_lcm(params.r)
     gamma, G = over_lcm(params.c)
     delta, D = over_lcm(params.d)
-    den = q * R * G * D
+    I = params.size
     gammaD = [x * p * D for x in gamma]
-    rows = []
-    for i, ri in enumerate(rho):
-        row = [ri * x for x in gammaD]
-        row[i] += (q - p) * delta[i] * R * G
-        rows.append(tuple(Fraction(x, den) for x in row))
-    return _unchecked(ProbTable, size=params.size, cells=tuple(rows))
+    nums = [ri * x for ri in rho for x in gammaD]
+    for i in range(I):
+        nums[i * (I + 1)] += (q - p) * delta[i] * R * G
+    return _point(I, nums, q * R * G * D)
 
 
 def random_rational_point(model: ModelSpec, seed: int) -> Union[ToricParams, MixtureParams]:

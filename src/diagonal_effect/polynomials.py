@@ -123,25 +123,25 @@ def require_point(point):
     return point if isinstance(point, ProbTable) else require_mapping(point, "point")
 
 
-def clear_denominators(point, size: int) -> Tuple[List[int], int]:
+def clear_denominators(point, size: int) -> Tuple[Sequence[int], int]:
     """(N, D): cell variable v is N[v] / D at a ProbTable or a {(i, j): value}
-    mapping `point`, with D the lcm of the cell denominators.  A mapping's
-    values must be ints or Fractions: a float is already rounded, so its
-    exact value would make a vanishing polynomial look nonzero.  It must
-    name every cell, as a table does: a cell left out is not read as 0."""
+    mapping `point`, with D the lcm of the cell denominators: a table's
+    stored form (`nums`, `den`), as it is.  A mapping's values must be ints
+    or Fractions: a float is already rounded, so its exact value would make
+    a vanishing polynomial look nonzero.  It must name every cell, as a
+    table does: a cell left out is not read as 0."""
     if isinstance(require_point(point), ProbTable):
         if point.size != size:
             raise SizeMismatchError(
                 f"polynomial over {size}x{size} cells, table is {point.size}x{point.size}"
             )
-        flat = [p for row in point.cells for p in row]
-    else:
-        flat = [None] * (size * size)
-        for cell, value in point.items():
-            i, j = _cell(cell)
-            flat[cell_var(i, j, size)] = Fraction(require_rational(value, f"value at ({i},{j})"))
-        if None in flat:
-            raise InputError("point has no value at ({},{})".format(*var_cell(flat.index(None), size)))
+        return point.nums, point.den
+    flat = [None] * (size * size)
+    for cell, value in point.items():
+        i, j = _cell(cell)
+        flat[cell_var(i, j, size)] = Fraction(require_rational(value, f"value at ({i},{j})"))
+    if None in flat:
+        raise InputError("point has no value at ({},{})".format(*var_cell(flat.index(None), size)))
     return over_lcm(flat)
 
 

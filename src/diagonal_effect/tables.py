@@ -1,8 +1,9 @@
 """Exact-arithmetic table types: counts, probabilities, moves, statistics.
 
-Every type is an immutable value; probabilities are `fractions.Fraction`
-throughout so that model-membership and invariant-vanishing questions are
-decidable exactly.  No floating point enters here.
+Every type is an immutable value; probabilities are exact rationals, kept
+as integer numerators over one denominator and read as
+`fractions.Fraction`s, so that model-membership and invariant-vanishing
+questions are decidable exactly.  No floating point enters here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, SizeMismatchError
@@ -198,39 +199,55 @@ class CountTable:
         return list(map(list, flat_rows(self.flat, self.size)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ProbTable:
     """A square table of exact rational cell probabilities summing to one,
-    given as ints or Fractions (`require_rational`) and kept as Fractions."""
+    given as ints or Fractions (`require_rational`).  It stores `nums`, the
+    row-major cell numerators over `den`, the lcm of the cell denominators:
+    the form `over_lcm` gives, unique since gcd(*nums, den) = 1.  The grid
+    of Fractions `cells` is built from it on first read and kept; equality
+    and hash follow the stored form (size, nums, den), which decides what
+    the grid does."""
 
     size: int
-    cells: Grid
+    nums: tuple
+    den: int
 
-    def __post_init__(self):
-        grid = _square_grid(self.cells, require_int(self.size, "table size"))
-        cells = []
-        for i, row in enumerate(grid):
-            out = []
+    def __init__(self, size: int, cells: Grid):
+        flat = []
+        for i, row in enumerate(_square_grid(cells, require_int(size, "table size"))):
             for j, p in enumerate(row):
                 if p.__class__ is not Fraction:
                     p = Fraction(require_rational(p, f"probability at ({i + 1},{j + 1})"))
                 if p.numerator < 0:
                     raise InputError(f"probability at ({i + 1},{j + 1}) is negative: {p}")
-                out.append(p)
-            cells.append(tuple(out))
-        cells = tuple(cells)
-        numerators, den = over_lcm([p for row in cells for p in row])
-        total = sum(numerators)
-        if total != den:
-            raise InputError(f"probabilities sum to {Fraction(total, den)}, expected exactly 1")
-        object.__setattr__(self, "cells", cells)
+                flat.append(p)
+        nums, den = over_lcm(flat)
+        if sum(nums) != den:
+            raise InputError(f"probabilities sum to {Fraction(sum(nums), den)}, expected exactly 1")
+        self.__dict__.update(size=size, nums=tuple(nums), den=den)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "ProbTable":
         return cls(size=len(require_sequence(rows, "cells")), cells=rows)
 
+    @cached_property
+    def cells(self) -> Grid:
+        return flat_rows([Fraction(x, self.den) for x in self.nums], self.size)
+
+    def __repr__(self) -> str:
+        return f"ProbTable(size={self.size!r}, cells={self.cells!r})"
+
     def to_strings(self):
         return [[str(p) for p in row] for row in self.cells]
+
+
+def _point(size: int, nums: Sequence[int], den: int) -> ProbTable:
+    """The ProbTable whose row-major cells are nums[k] / den, for
+    nonnegative `nums` that sum to `den`, built without the constructor's
+    checks: both divided by their gcd are its stored form."""
+    g = math.gcd(den, *nums)
+    return _unchecked(ProbTable, size=size, nums=tuple([x // g for x in nums]), den=den // g)
 
 
 def normalize(table: CountTable) -> ProbTable:
@@ -238,8 +255,7 @@ def normalize(table: CountTable) -> ProbTable:
     their total sum to exactly 1."""
     if require_instance(table, CountTable, "table").n == 0:
         raise InputError("cannot normalize an all-zero count table")
-    n, size = table.n, table.size
-    return _unchecked(ProbTable, size=size, cells=flat_rows([Fraction(x, n) for x in table.flat], size))
+    return _point(table.size, table.flat, table.n)
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -383,17 +399,17 @@ def apply_move(table: CountTable, move: Move, sign: int = 1) -> Optional[CountTa
 
 
 def likelihood(prob: ProbTable, table: CountTable) -> Fraction:
-    """Exact likelihood prod_{i,j} p_{i,j}^{f_{i,j}}.
+    """Exact likelihood prod_{i,j} p_{i,j}^{f_{i,j}}, the product of the
+    numerators' powers over den^n.
 
     A zero probability at a cell with a positive count yields an exact zero.
     """
     require_sized(prob, ProbTable, "prob", require_instance(table, CountTable, "table").size, "table")
-    value = Fraction(1)
-    for p, f in zip(chain.from_iterable(prob.cells), table.flat):
-        if f == 0:
-            continue
-        if p == 0:
-            return Fraction(0)
-        value *= p ** f
-    return value
+    value = 1
+    for x, f in zip(prob.nums, table.flat):
+        if f:
+            if x == 0:
+                return Fraction(0)
+            value *= x ** f
+    return Fraction(value, prob.den ** table.n)
 

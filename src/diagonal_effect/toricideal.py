@@ -24,7 +24,7 @@ from .errors import InputError, InvariantViolationError
 from .groebner import buchberger, reduce_basis, saturate
 from .polynomials import CellPolynomial, TermOrder, binomial_from_vector, require_polynomials
 from .tables import CountTable, ModelFamily, ModelForm, ModelSpec, Move, _square_grid, flat_rows
-from .tables import require_instance, require_int, require_sequence
+from .tables import require_instance, require_int, require_sequence, require_sized
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,10 @@ def design_matrix(model: ModelSpec) -> DesignMatrix:
 def transpose_apply(A: DesignMatrix, grid) -> tuple:
     """A^t applied to an integer table: a CountTable, a Move, or a raw grid."""
     size = require_instance(A, DesignMatrix, "A").size
-    if isinstance(grid, (CountTable, Move)):
-        if grid.size != size:
-            raise InputError("cells must form a size x size grid")
-        entries = grid.entries if isinstance(grid, Move) else enumerate(grid.flat)
+    if isinstance(grid, Move):
+        entries = require_sized(grid, Move, "move", size, "A").entries
+    elif isinstance(grid, CountTable):
+        entries = enumerate(require_sized(grid, CountTable, "table", size, "A").flat)
     else:
         entries = enumerate([require_int(x, "grid entry") for row in _square_grid(grid, size) for x in row])
     out = [0] * A.num_params

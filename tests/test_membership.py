@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,9 @@ from diagonal_effect import (
     ToricParams,
     VerdictKind,
     boundary_membership_check,
+    check_vanishing,
     classify_toric_point,
+    gens_diag_effect,
     mixture_point,
     mixture_to_toric,
     normalize,
@@ -166,3 +171,86 @@ class TestBoundaryCheck:
     def test_strictly_positive_inconclusive(self):
         table = ProbTable.from_rows([[Fraction(1, 9)] * 3] * 3)
         assert boundary_membership_check(table).verdict is BoundaryVerdict.INCONCLUSIVE
+
+
+@pytest.fixture(scope="module")
+def harness_boundary_tables():
+    """`boundary_tables` of the benchmark's invariants workload, read from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.boundary_tables
+
+
+def reference_boundary(P: ProbTable) -> tuple:
+    """(verdict, invariants_vanish, toric_exclusions, mixture_exclusions)
+    from the Fraction grid, cell by cell, with the invariants evaluated at
+    the point given as a {(i, j): value} mapping."""
+    I, cells = P.size, P.cells
+    rows_nonzero = [any(x != 0 for x in cells[i]) for i in range(I)]
+    cols_nonzero = [any(cells[i][j] != 0 for i in range(I)) for j in range(I)]
+    is_diagonal = all(cells[i][j] == 0 for i in range(I) for j in range(I) if i != j)
+    mixture = tuple(i + 1 for i in range(I)
+                    if not is_diagonal and cells[i][i] == 0 and rows_nonzero[i] and cols_nonzero[i])
+    toric = tuple((i + 1, j + 1) for i in range(I) for j in range(I)
+                  if i != j and cells[i][j] == 0 and rows_nonzero[i] and cols_nonzero[j])
+    point = {(i + 1, j + 1): cells[i][j] for i in range(I) for j in range(I)}
+    vanish = I < 3 or check_vanishing(gens_diag_effect(I), point).all_zero
+    verdict = {(True, True): BoundaryVerdict.RULED_OUT_BOTH, (True, False): BoundaryVerdict.RULED_OUT_M1,
+               (False, True): BoundaryVerdict.RULED_OUT_M2,
+               (False, False): BoundaryVerdict.INCONCLUSIVE}[bool(toric), bool(mixture)]
+    return verdict, vanish, toric, mixture
+
+
+def _report(P: ProbTable) -> tuple:
+    r = boundary_membership_check(P)
+    return r.verdict, r.invariants_vanish, r.toric_exclusions, r.mixture_exclusions
+
+
+class TestBoundaryCheckReference:
+    @pytest.mark.parametrize("size", [3, 4, 5])
+    def test_harness_tables(self, harness_boundary_tables, size):
+        # the harness's zero patterns need a third row, so they start at I = 3
+        tables = [normalize(CountTable.from_rows(c)) for c in harness_boundary_tables(size)]
+        reports = [_report(t) for t in tables]
+        assert reports == [reference_boundary(t) for t in tables]
+        assert [r[0] for r in reports] == [BoundaryVerdict.RULED_OUT_M2, BoundaryVerdict.RULED_OUT_M1,
+                                           BoundaryVerdict.RULED_OUT_BOTH, BoundaryVerdict.INCONCLUSIVE]
+
+    def test_harness_patterns_that_fit_two_by_two(self):
+        # the zeros at (1,1) and (1,2), and none; the (2,3) zero needs I >= 3
+        tables = [normalize(CountTable.from_rows(c)) for c in ([[0, 1], [1, 1]], [[1, 0], [1, 1]], [[1, 1], [1, 1]])]
+        assert [_report(t) for t in tables] == [reference_boundary(t) for t in tables]
+        assert [_report(t)[0] for t in tables] == [BoundaryVerdict.RULED_OUT_M2, BoundaryVerdict.RULED_OUT_M1,
+                                                   BoundaryVerdict.INCONCLUSIVE]
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0], [0, 3]],
+        [[0, 0, 0], [0, 2, 0], [0, 0, 5]],
+        [[0, 0, 0, 0], [0, 1, 2, 0], [0, 3, 0, 0], [0, 1, 1, 0]],
+        [[2, 0, 1], [0, 0, 0], [1, 0, 0]],
+        [[0, 1], [0, 1]],
+        [[0, 0, 0, 0, 0], [0, 1, 0, 0, 2], [0, 0, 0, 0, 0], [0, 3, 0, 1, 0], [0, 0, 0, 0, 0]],
+    ], ids=["diag-2", "diag-3", "zero-row-and-col-4", "zero-row-and-col-3", "zero-col-2", "zero-rows-5"])
+    def test_diagonal_and_zero_line_tables(self, rows):
+        table = normalize(CountTable.from_rows(rows))
+        assert _report(table) == reference_boundary(table)
+
+    def test_diagonal_only_table(self):
+        # a zero diagonal cell of a diagonal table has a zero row, so it
+        # excludes nothing, with or without the reference's diagonal test
+        table = normalize(CountTable.from_rows([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 3]]))
+        assert _report(table) == reference_boundary(table)
+        assert table.den == 6 and _report(table)[3] == ()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda I: st.lists(
+        st.lists(st.integers(0, 3), min_size=I, max_size=I), min_size=I, max_size=I)).filter(
+        lambda rows: any(map(any, rows))))
+    def test_normalized_tables(self, rows):
+        table = normalize(CountTable.from_rows(rows))
+        assert _report(table) == reference_boundary(table)

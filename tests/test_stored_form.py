@@ -1,8 +1,10 @@
-"""One stored form per table and per move: the grid is built on first read.
+"""One stored form per table, per move and per point: the grid is built on
+first read.
 
-A `CountTable` stores its counts as the row-major tuple `flat` and a `Move`
-its nonzero cells as `entries`; `cells` is built from them the first time
-it is read, and kept.  The values the package builds itself hold no grid
+A `CountTable` stores its counts as the row-major tuple `flat`, a `Move`
+its nonzero cells as `entries` and a `ProbTable` its row-major cell
+numerators `nums` over one denominator `den`; `cells` is built from them
+the first time it is read, and kept.  The values the package builds itself hold no grid
 until it is read, and the grid they then give must be the one the package
 built eagerly before.  `golden/stored_grids.json` holds, for each source,
 the number of values and the SHA-256 of the JSON list of their grids
@@ -15,29 +17,39 @@ and say so in CHANGES.md:
 
 import hashlib
 import json
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diagonal_effect import (
     CountTable,
     InputError,
+    MixtureParams,
     ModelFamily,
     Move,
+    ProbTable,
+    ToricParams,
     WalkConfig,
     apply_move,
     design_matrix,
     enumerate_fiber,
     fiber_walk,
+    likelihood,
+    mixture_point,
+    normalize,
     sufficient_statistic,
+    toric_point,
     transpose_apply,
     verify_connectivity,
 )
 from diagonal_effect import markov
-from diagonal_effect.tables import _unchecked
+from diagonal_effect.polynomials import clear_denominators
+from diagonal_effect.tables import _unchecked, over_lcm
 
 from conftest import model
 
@@ -189,6 +201,97 @@ def test_transpose_apply_rejects_an_object_with_only_cells():
 
     with pytest.raises(InputError, match="^cells is not a sequence: got Grid$"):
         transpose_apply(design_matrix(model(COMMON, 3)), Grid())
+
+
+def _fractions(draw, size):
+    return tuple(Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 7))) for _ in range(size))
+
+
+def _simplex(draw, size):
+    weights = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size).filter(any))
+    return tuple(Fraction(x, sum(weights)) for x in weights)
+
+
+@st.composite
+def points(draw):
+    """A point from one of the three builders, zero cells allowed: a
+    normalized count table, or a toric or a mixture parametrization."""
+    size = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["normalize", "toric", "mixture"]))
+    if kind == "normalize":
+        return normalize(CountTable.from_rows(draw(grids(0, 4, size).filter(lambda g: any(map(any, g))))))
+    if kind == "mixture":
+        alpha = Fraction(draw(st.integers(0, 6)), 6)
+        return mixture_point(MixtureParams(alpha, _simplex(draw, size), _simplex(draw, size), _simplex(draw, size)))
+    r, c = _fractions(draw, size), _fractions(draw, size)
+    assume(any(r) and any(c))
+    try:
+        return toric_point(ToricParams(r, c, _fractions(draw, size)))[0]
+    except InputError:  # N_T = 0: all the mass on zero diagonal parameters
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points(), st.data())
+def test_points_keep_their_numerators_over_one_denominator(point, data):
+    assert "cells" not in vars(point)
+    nums, den = over_lcm([p for row in point.cells for p in row])
+    assert (point.nums, point.den) == (tuple(nums), den)
+    assert math.gcd(den, *nums) == 1 and den > 0
+    assert point.cells is point.cells
+    # equality, hash and repr agree with the checked constructor's rebuild
+    rebuilt = ProbTable(point.size, point.cells)
+    assert (rebuilt, hash(rebuilt), repr(rebuilt)) == (point, hash(point), repr(point))
+    assert repr(point).startswith(f"ProbTable(size={point.size}, cells=((Fraction(")
+    # and decide what equality of the grids decides
+    other = data.draw(st.just(rebuilt) | points())
+    assert (point == other) is (point.cells == other.cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points())
+def test_clear_denominators_reads_the_stored_form(point):
+    nums, den = clear_denominators(point, point.size)
+    assert (list(nums), den) == over_lcm([p for row in point.cells for p in row])
+
+
+def test_normalize_divides_by_the_common_factor():
+    point = normalize(CountTable.from_rows([[2, 4], [0, 6]]))
+    assert (point.nums, point.den) == ((1, 2, 0, 3), 6)
+    assert point == normalize(CountTable.from_rows([[1, 2], [0, 3]]))
+    assert "cells" not in vars(point)
+    assert point.cells == ((Fraction(1, 6), Fraction(1, 3)), (Fraction(0), Fraction(1, 2)))
+
+
+def _reference_likelihood(prob, table):
+    """prod p ** f, one Fraction operation at a time, cell by cell."""
+    value = Fraction(1)
+    for prow, frow in zip(prob.cells, table.cells):
+        for p, f in zip(prow, frow):
+            if f:
+                if p == 0:
+                    return Fraction(0)
+                value *= p ** f
+    return value
+
+
+@settings(max_examples=150, deadline=None)
+@given(points(), st.data())
+def test_likelihood_matches_the_fraction_reference(point, data):
+    table = CountTable.from_rows(data.draw(grids(0, 3, point.size)))
+    value = likelihood(point, table)
+    assert value.__class__ is Fraction and value == _reference_likelihood(point, table)
+
+
+def test_likelihood_is_zero_under_a_positive_count_at_a_million():
+    point = ProbTable.from_rows([[0, Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 3)]])
+    table = CountTable.from_rows([[1, 333_333], [333_333, 333_333]])
+    assert table.n == 10 ** 6
+    assert likelihood(point, table) == _reference_likelihood(point, table) == 0
+    # a zero cell read last gives an exact zero too, and no count gives 1
+    flipped = ProbTable.from_rows([[Fraction(1, 3), Fraction(1, 3)], [Fraction(1, 3), 0]])
+    assert likelihood(flipped, CountTable.from_rows([[333_333, 333_333], [333_333, 1]])) == 0
+    assert likelihood(flipped, CountTable.from_rows([[0, 0], [0, 0]])) == 1
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from diagonal_effect import (
     InputError,
     ModelFamily,
     ModelForm,
+    Move,
     SizeMismatchError,
     TermOrder,
     design_matrix,
@@ -119,9 +120,14 @@ class TestDesignMatrix:
         A = design_matrix(model(ModelFamily.INDEPENDENCE, 2))
         assert transpose_apply(A, [[1, 0], [0, 1]]) == transpose_apply(A, ((1, 0), (0, 1))) == (1, 1, 1, 1)
         assert transpose_apply(A, [[1, -2], [0, 0]]) == (-1, 0, 1, -2)
-        for grid in ([1, 2, 3, 4], [[1, 0, 0], [0, 1, 0]], CountTable.from_rows([[1, 0, 0]] * 3)):
+        for grid in ([1, 2, 3, 4], [[1, 0, 0], [0, 1, 0]]):
             with pytest.raises(InputError, match="^cells must form a size x size grid$"):
                 transpose_apply(A, grid)
+        # a table or a move of another size fails the one size rule
+        with pytest.raises(SizeMismatchError, match="^table size 3 != A size 2$"):
+            transpose_apply(A, CountTable.from_rows([[1, 0, 0]] * 3))
+        with pytest.raises(SizeMismatchError, match="^move size 3 != A size 2$"):
+            transpose_apply(A, Move.from_rows([[1, -1, 0], [-1, 1, 0], [0, 0, 0]]))
         with pytest.raises(InputError, match="^grid entry must be an integer, got 1.5$"):
             transpose_apply(A, [[1.5, 0], [0, 0]])
 
