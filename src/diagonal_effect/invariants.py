@@ -23,6 +23,8 @@ from .errors import InputError
 from .polynomials import (
     CellPolynomial,
     Monomial,
+    _ZERO,
+    _monomial_value,
     binomial_from_entries,
     cell_var,
     clear_denominators,
@@ -43,29 +45,53 @@ class Invariant:
 IdGrid = List[List[int]]
 
 
-def _family_poly(I: int) -> Tuple[Callable[..., CellPolynomial], IdGrid, Dict[tuple, Monomial]]:
+def _sorted3(a: int, b: int, c: int) -> Monomial:
+    """The monomial of the ids a, b and c: the three sorted by compare-and-swap."""
+    if a > b:
+        a, b = b, a
+    if b > c:
+        b, c = c, b
+        if a > b:
+            a, b = b, a
+    return a, b, c
+
+
+def _family_poly(I: int) -> Tuple[Callable[..., CellPolynomial], IdGrid, Dict[Monomial, Monomial]]:
     """The polynomial builder of one family build at size I, its id grid
-    and its monomial memo.
+    and its monomials.
 
     The grid `v[i][j]` is the variable id of cell (i, j), 1-based (row and
     column 0 are padding), made once through `cell_var`, so each cell is
     range-checked once per build rather than once per term.  The factories
     look their ids up in it and hand the builder (coefficient, ids) pairs,
-    `ids` a tuple of ints with repeats as powers.  The memo `monos[ids]`
-    sorts each distinct id tuple into a monomial once, keyed by the
-    unsorted tuple: the 2870 I = 5 mixture polynomials have 11,720 terms
-    but only 2,050 distinct monomials.  Coefficients of one monomial add
-    up, and a product that cancels drops out.  The coefficients are ints
-    and the sums that stay are nonzero, so the builder makes each
-    polynomial without the constructor's checks."""
+    `ids` a tuple of ints with repeats as powers.  The builder sorts each
+    tuple into its monomial where it meets it: two or three ids, the
+    products the families use, by compare-and-swap, and longer ones by
+    `sorted`.  `monos` maps each monomial of the build to the one tuple
+    that stands for it, so the build's polynomials share their monomials:
+    the 2,870 I = 5 mixture polynomials have 11,720 terms but only 2,050
+    distinct monomials.  The diagbal loop of
+    `gens_common_mixture_families` sorts and shares its monomials the same
+    way, without the builder.  Coefficients of one monomial add up, and a
+    product that cancels drops out.  The coefficients are ints and the
+    sums that stay are nonzero, so the builder makes each polynomial
+    without the constructor's checks."""
     idx = range(1, I + 1)
     v = [None] + [[None] + [cell_var(i, j, I) for j in idx] for i in idx]
-    monos = _Memo(lambda ids: tuple(sorted(ids)))
+    monos: Dict[Monomial, Monomial] = {}
+    shared = monos.setdefault
 
     def poly(terms) -> CellPolynomial:
         out: Dict[Monomial, int] = {}
         for c, ids in terms:
-            m = monos[ids]
+            if len(ids) == 3:
+                m = _sorted3(*ids)
+            elif len(ids) == 2:
+                a, b = ids
+                m = ids if a <= b else (b, a)
+            else:
+                m = tuple(sorted(ids))
+            m = shared(m, m)
             out[m] = out.get(m, 0) + c
         if 0 in out.values():
             out = {m: c for m, c in out.items() if c}
@@ -284,32 +310,40 @@ def gens_common_mixture_families(I: int) -> List[Invariant]:
     out = _offdiag_minors_and_cycles(I, poly, v)
     idx = range(1, I + 1)
     new = CellPolynomial._nonzero_ints
+    shared = monos.setdefault
     for i, j in permutations(idx, 2):
         vij = v[i][j]
         for k, l in permutations(idx, 2):
             if (k, l) == (i, j):
                 continue
             vkl = v[k][l]
+            # the monomials that do not depend on m, for each n: p[i,j]*p[k,l]*p[n,n],
+            # which is also the third monomial at n = m, and p[i,j]*p[n,l]*p[k,n]
+            diag = [None] * (I + 1)
+            cross = [None] * (I + 1)
+            for n in idx:
+                t = _sorted3(vij, vkl, v[n][n])
+                diag[n] = shared(t, t)
+                if n != k and n != l:
+                    t = _sorted3(vij, v[n][l], v[k][n])
+                    cross[n] = shared(t, t)
+            head = f"diagbal[{i},{j};{k},{l};"
             for m in idx:
-                if m in (i, j):
+                if m == i or m == j:
                     continue
-                t3 = monos[vij, vkl, v[m][m]]
-                t4 = monos[vkl, v[m][j], v[i][m]]
-                name = f"diagbal[{i},{j};{k},{l};{m},"
+                t = _sorted3(vkl, v[m][j], v[i][m])
+                t4 = shared(t, t)
+                name = f"{head}{m},"
                 for n in idx:
-                    if n in (k, l) or n == m:
+                    if n == k or n == l or n == m:
                         continue
                     # The four monomials are distinct, so none adds to or
                     # cancels another: i != j, k != l and m not in {i, j}
                     # leave p[n,n] and p[m,m] the only diagonal cells, and
                     # n != m tells them apart; p[k,l] is in the fourth but
                     # not the second, as n not in {k, l} and (k, l) != (i, j).
-                    out.append(Invariant(f"{name}{n}]", new(I, {
-                        monos[vij, vkl, v[n][n]]: 1,
-                        monos[vij, v[n][l], v[k][n]]: -1,
-                        t3: -1,
-                        t4: 1,
-                    })))
+                    terms = {diag[n]: 1, cross[n]: -1, diag[m]: -1, t4: 1}
+                    out.append(Invariant(f"{name}{n}]", new(I, terms)))
     for i, j, k in permutations(idx, 3):
         out.append(Invariant(f"mixed8[{i},{j},{k}]", _mixed8_poly(poly, v, i, j, k)))
     for a, b, c in triple_indices(I):
@@ -367,21 +401,43 @@ def check_vanishing(polys, P: ProbTable) -> VanishingReport:
 
     `polys` is a sequence of `Invariant`s or bare `CellPolynomial`s, which
     are named "poly #k" by position; anything else, or a P that is neither
-    a ProbTable nor a mapping, raises InputError, whatever `polys` holds.
-    """
+    a ProbTable nor a mapping, raises InputError, whatever `polys` holds,
+    and every item is checked before any is evaluated.  P's cleared values
+    (N, D), N[v] / D at variable v, are taken once per table size, when the
+    size changes.  Each N^m is computed once per call, at the first
+    polynomial that holds m, and each D^d once per degree d.  A polynomial
+    whose terms all have degree d, as every invariant does, is the sum of
+    its c * N^m over D^d, in one integer loop; one of mixed degrees goes
+    through `CellPolynomial.evaluate_cleared`.  Every zero value is the
+    one shared `Fraction(0)`: an invariant at a point of its model builds
+    no Fraction."""
     require_point(P)
     require_sequence(polys, "polys")
-    cleared = {}  # per table size: (N, D) and the monomial values at them
+    cleared = {}  # per table size: N, D, the N^m met at them and D^d by d
     entries = []
-    size = at = None
+    size = None
     for inv in _as_invariants(polys):
         poly = inv.poly
-        if at is None or poly.size != size:
+        if poly.size != size:
             size = poly.size
             if size not in cleared:
-                cleared[size] = (*clear_denominators(P, size), {})
-            at = nums, den, monomials = cleared[size]
-        entries.append((inv.name, poly.evaluate_cleared(nums, den, monomials)))
+                nums, den = clear_denominators(P, size)
+                cleared[size] = nums, den, {}, _Memo(den.__pow__)
+            nums, den, monomials, powers = cleared[size]
+        terms = poly.terms
+        d = len(next(iter(terms), ()))  # 0 for the zero polynomial, whose sum is 0
+        total = 0
+        for m, c in terms.items():
+            if len(m) != d:
+                value = poly.evaluate_cleared(nums, den, monomials)
+                break
+            x = monomials.get(m)
+            if x is None:
+                x = monomials[m] = _monomial_value(m, nums)
+            total += c * x
+        else:
+            value = Fraction(total, powers[d]) if total else _ZERO
+        entries.append((inv.name, value))
     return VanishingReport(entries=tuple(entries))
 
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -123,6 +122,23 @@ def require_mapping(value, what: str):
     return value
 
 
+class _lazy:
+    """An attribute that `fn` computes from the instance on its first
+    read and stores in the instance's `__dict__`, where every later
+    read finds it before this descriptor: `functools.cached_property`
+    without the lock that Python 3.11 takes on each first read."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass `cls` holding `fields` (a table's
     or a move's stored form), built without its constructor's checks.  It
@@ -176,7 +192,7 @@ class CountTable:
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "CountTable":
         return cls(size=len(require_sequence(rows, "cells")), cells=rows)
 
-    @cached_property
+    @_lazy
     def cells(self) -> Grid:
         return flat_rows(self.flat, self.size)
 
@@ -231,7 +247,7 @@ class ProbTable:
     def from_rows(cls, rows: Sequence[Sequence]) -> "ProbTable":
         return cls(size=len(require_sequence(rows, "cells")), cells=rows)
 
-    @cached_property
+    @_lazy
     def cells(self) -> Grid:
         return flat_rows([Fraction(x, self.den) for x in self.nums], self.size)
 
@@ -294,7 +310,7 @@ class Move:
     def from_rows(cls, rows: Sequence[Sequence[int]], label: str = "") -> "Move":
         return cls(size=len(require_sequence(rows, "cells")), cells=rows, label=label)
 
-    @cached_property
+    @_lazy
     def cells(self) -> Grid:
         nonzero = dict(self.entries)
         return flat_rows([nonzero.get(k, 0) for k in range(self.size * self.size)], self.size)
