@@ -23,8 +23,6 @@ from .errors import InputError
 from .polynomials import (
     CellPolynomial,
     Monomial,
-    _ZERO,
-    _monomial_value,
     binomial_from_entries,
     cell_var,
     clear_denominators,
@@ -32,7 +30,7 @@ from .polynomials import (
     require_point,
 )
 from .tables import (
-    Move, ProbTable, _Memo, rectangle_indices, require_int, require_moves, require_sequence, triple_indices,
+    Move, ProbTable, rectangle_indices, require_int, require_moves, require_sequence, triple_indices,
 )
 
 
@@ -64,10 +62,10 @@ def _family_poly(I: int) -> Tuple[Callable[..., CellPolynomial], IdGrid, Dict[Mo
     column 0 are padding), made once through `cell_var`, so each cell is
     range-checked once per build rather than once per term.  The factories
     look their ids up in it and hand the builder (coefficient, ids) pairs,
-    `ids` a tuple of ints with repeats as powers.  The builder sorts each
-    tuple into its monomial where it meets it: two or three ids, the
-    products the families use, by compare-and-swap, and longer ones by
-    `sorted`.  `monos` maps each monomial of the build to the one tuple
+    `ids` a tuple of ints with repeats as powers; the families hand it
+    products of two or three ids only.  The builder sorts each tuple into
+    its monomial where it meets it, three ids by compare-and-swap and two
+    by `sorted`.  `monos` maps each monomial of the build to the one tuple
     that stands for it, so the build's polynomials share their monomials:
     the 2,870 I = 5 mixture polynomials have 11,720 terms but only 2,050
     distinct monomials.  The diagbal loop of
@@ -84,13 +82,7 @@ def _family_poly(I: int) -> Tuple[Callable[..., CellPolynomial], IdGrid, Dict[Mo
     def poly(terms) -> CellPolynomial:
         out: Dict[Monomial, int] = {}
         for c, ids in terms:
-            if len(ids) == 3:
-                m = _sorted3(*ids)
-            elif len(ids) == 2:
-                a, b = ids
-                m = ids if a <= b else (b, a)
-            else:
-                m = tuple(sorted(ids))
+            m = _sorted3(*ids) if len(ids) == 3 else tuple(sorted(ids))
             m = shared(m, m)
             out[m] = out.get(m, 0) + c
         if 0 in out.values():
@@ -403,17 +395,12 @@ def check_vanishing(polys, P: ProbTable) -> VanishingReport:
     are named "poly #k" by position; anything else, or a P that is neither
     a ProbTable nor a mapping, raises InputError, whatever `polys` holds,
     and every item is checked before any is evaluated.  P's cleared values
-    (N, D), N[v] / D at variable v, are taken once per table size, when the
-    size changes.  Each N^m is computed once per call, at the first
-    polynomial that holds m, and each D^d once per degree d.  A polynomial
-    whose terms all have degree d, as every invariant does, is the sum of
-    its c * N^m over D^d, in one integer loop; one of mixed degrees goes
-    through `CellPolynomial.evaluate_cleared`.  Every zero value is the
-    one shared `Fraction(0)`: an invariant at a point of its model builds
-    no Fraction."""
+    (N, D), N[v] / D at variable v, are taken once per table size, and
+    each polynomial goes through `CellPolynomial.evaluate_cleared` with
+    the N^m already met at them, so each N^m is computed once per call."""
     require_point(P)
     require_sequence(polys, "polys")
-    cleared = {}  # per table size: N, D, the N^m met at them and D^d by d
+    cleared = {}  # per table size: (N, D) and the monomial values at them
     entries = []
     size = None
     for inv in _as_invariants(polys):
@@ -421,23 +408,9 @@ def check_vanishing(polys, P: ProbTable) -> VanishingReport:
         if poly.size != size:
             size = poly.size
             if size not in cleared:
-                nums, den = clear_denominators(P, size)
-                cleared[size] = nums, den, {}, _Memo(den.__pow__)
-            nums, den, monomials, powers = cleared[size]
-        terms = poly.terms
-        d = len(next(iter(terms), ()))  # 0 for the zero polynomial, whose sum is 0
-        total = 0
-        for m, c in terms.items():
-            if len(m) != d:
-                value = poly.evaluate_cleared(nums, den, monomials)
-                break
-            x = monomials.get(m)
-            if x is None:
-                x = monomials[m] = _monomial_value(m, nums)
-            total += c * x
-        else:
-            value = Fraction(total, powers[d]) if total else _ZERO
-        entries.append((inv.name, value))
+                cleared[size] = (*clear_denominators(P, size), {})
+            nums, den, monomials = cleared[size]
+        entries.append((inv.name, poly.evaluate_cleared(nums, den, monomials)))
     return VanishingReport(entries=tuple(entries))
 
 

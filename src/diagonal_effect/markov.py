@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, combinations, permutations
 from operator import add, getitem, itemgetter, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -36,7 +36,6 @@ from .tables import (
     Move,
     SufficientStat,
     _Memo,
-    _lazy,
     _unchecked,
     rectangle_indices,
     require_instance,
@@ -201,14 +200,14 @@ class Fiber:
     def __hash__(self) -> int:
         return hash((self.stat, self.nodes, self.count))
 
-    @_lazy
+    @cached_property
     def flats(self) -> tuple:
         found: List[tuple] = []
         for root in self.layers[0]:
             _paths(self.layers, 0, root, (), found)
         return tuple(found)
 
-    @_lazy
+    @cached_property
     def tables(self) -> tuple:
         I, n = self.stat.size, sum(self.stat.rows)
         # each path is a table of the fiber: nonnegative counts summing to n

@@ -245,10 +245,9 @@ class CellPolynomial:
         homogeneous polynomial, as every invariant is, takes no power of D
         until the final division.  `monomials` holds N^m for each monomial m
         already met at these `nums` and gains the ones this polynomial adds,
-        so that a batch of polynomials evaluated at one point shares them;
-        `check_vanishing` sums the homogeneous ones itself and hands this
-        the others.  Every zero value is the one shared `Fraction(0)`: an
-        invariant at a point of its model builds no Fraction."""
+        so that a batch of polynomials evaluated at one point shares them.
+        Every zero value is the one shared `Fraction(0)`: an invariant at a
+        point of its model builds no Fraction."""
         total = deg = 0
         for m, c in self.terms.items():
             x = monomials.get(m)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -122,28 +123,12 @@ def require_mapping(value, what: str):
     return value
 
 
-class _lazy:
-    """An attribute that `fn` computes from the instance on its first
-    read and stores in the instance's `__dict__`, where every later
-    read finds it before this descriptor: `functools.cached_property`
-    without the lock that Python 3.11 takes on each first read."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass `cls` holding `fields` (a table's
-    or a move's stored form), built without its constructor's checks.  It
-    is the one way the package builds a table or a move it has made itself;
-    each call site states why the checks would pass."""
+    or a move's stored form, or a `TermOrder`'s fields), built without its
+    constructor's checks.  It is the one way the package builds a table, a
+    move or a term order from values it has made and checked itself; each
+    call site states why the checks would pass."""
     value = object.__new__(cls)
     value.__dict__.update(fields)
     return value
@@ -192,7 +177,7 @@ class CountTable:
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "CountTable":
         return cls(size=len(require_sequence(rows, "cells")), cells=rows)
 
-    @_lazy
+    @cached_property
     def cells(self) -> Grid:
         return flat_rows(self.flat, self.size)
 
@@ -247,7 +232,7 @@ class ProbTable:
     def from_rows(cls, rows: Sequence[Sequence]) -> "ProbTable":
         return cls(size=len(require_sequence(rows, "cells")), cells=rows)
 
-    @_lazy
+    @cached_property
     def cells(self) -> Grid:
         return flat_rows([Fraction(x, self.den) for x in self.nums], self.size)
 
@@ -310,7 +295,7 @@ class Move:
     def from_rows(cls, rows: Sequence[Sequence[int]], label: str = "") -> "Move":
         return cls(size=len(require_sequence(rows, "cells")), cells=rows, label=label)
 
-    @_lazy
+    @cached_property
     def cells(self) -> Grid:
         nonzero = dict(self.entries)
         return flat_rows([nonzero.get(k, 0) for k in range(self.size * self.size)], self.size)

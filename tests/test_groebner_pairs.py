@@ -167,10 +167,3 @@ def test_filed_reduction_step_past_a_lowered_limit_raises(monkeypatch):
     monkeypatch.setattr(groebner, "MAX_DEGREE", 2)
     with pytest.raises(BudgetExceededError, match="degree 3 passes the engine's limit of 2"):
         groebner.reduce_basis(gens, order)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 16, 36, 63, 64, 65, 100])
-def test_guards_have_one_bit_under_each_field(n):
-    # read from the table up to 64 variables, computed past it
-    order = TermOrder.grevlex(range(n))
-    assert groebner._guards(order) == sum(1 << (k * W + W - 1) for k in range(n))

@@ -6,7 +6,7 @@ The reference builders write each family from its definition as
 package's builders sort each product where they make it and share one
 tuple per monomial, and must give the same names, the same term dicts in
 the same insertion order and the same text.  `check_vanishing` evaluates
-a homogeneous polynomial in one integer loop and must give what
+a batch at one point, sharing the monomial values, and must give what
 `CellPolynomial.evaluate` gives one polynomial at a time.
 `reference_str` renders a polynomial as `CellPolynomial.__str__` did
 with a checked grevlex order and `var_cell` on every variable.
@@ -231,9 +231,9 @@ def test_zero_values_share_one_fraction():
 
 
 @pytest.mark.parametrize("aux", [
-    {(9,): 1},                         # homogeneous, one integer loop
+    {(9,): 1},                         # homogeneous, the only term
     {(0, 9): 1, (4, 8): -1},           # homogeneous, the second term
-    {(9,): 1, (): Fraction(2, 3)},     # mixed degrees, through evaluate_cleared
+    {(9,): 1, (): Fraction(2, 3)},     # mixed degrees
 ], ids=["degree-1", "degree-2", "mixed"])
 def test_auxiliary_variable_raises_input_error(aux):
     table = ProbTable(3, [[Fraction(1, 9)] * 3] * 3)

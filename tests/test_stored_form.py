@@ -49,7 +49,7 @@ from diagonal_effect import (
 )
 from diagonal_effect import markov
 from diagonal_effect.polynomials import clear_denominators
-from diagonal_effect.tables import _lazy, _unchecked, over_lcm
+from diagonal_effect.tables import _unchecked, over_lcm
 
 from conftest import model
 
@@ -127,29 +127,6 @@ def test_grids_are_built_on_first_read(golden, key):
     assert fingerprint(values) == golden[key]
     # the grid is kept once built
     assert all(x.cells is x.cells for x in values)
-
-
-def test_a_lazy_attribute_is_computed_once_into_the_instance_dict():
-    calls = []
-
-    class Box:
-        @_lazy
-        def value(self):
-            calls.append(self)
-            return object()
-
-    box = Box()
-    assert "value" not in vars(box)
-    first = box.value
-    assert box.value is first and vars(box)["value"] is first
-    assert calls == [box]
-    assert isinstance(Box.value, _lazy)
-
-
-@pytest.mark.parametrize("cls, name", [(CountTable, "cells"), (Move, "cells"), (ProbTable, "cells"),
-                                       (markov.Fiber, "flats"), (markov.Fiber, "tables")])
-def test_stored_form_grids_are_lazy_attributes(cls, name):
-    assert isinstance(vars(cls)[name], _lazy)
 
 
 def _reference_apply(table, move, sign):
