@@ -24,8 +24,9 @@ proof.  Pairs follow the normal selection strategy with the Gebauer-Moller
 criteria (J. Symb. Comput. 1988): a new lead's pairs are kept one per
 minimal lcm, found by comparing each distinct lcm, in increasing degree,
 with the minimal lcms before it, and the chain criterion takes one pass
-over the live pairs.  From `_FILE_FROM` elements on, reduction tests only
-the leads filed under the nonzero fields of the term (`_Filed`).  The
+over the live pairs.  Every basis is filed (`_Filed`), so one search,
+`_first_divisor`, tests only the leads filed under the nonzero fields of
+the term, both to reduce a term and to minimalize the basis.  The
 S-pair budget `MAX_PAIRS` turns a runaway computation into a loud error
 rather than silent truncation.  Common-diagonal I = 4 saturation, 2,812
 S-pairs over 4 steps, takes about 0.19 s of process time on a 2-core x86
@@ -48,12 +49,6 @@ MAX_PAIRS = 100_000  # S-pairs one basis computation may process
 _WIDTH = 16  # bits per exponent field, its guard bit included
 _FIELD = (1 << _WIDTH) - 1  # one field of ones; m % _FIELD is the degree of m
 MAX_DEGREE = (1 << (_WIDTH - 1)) - 1  # highest degree of a term the engine forms
-# basis size from which `_reduce` tests only the filed leads (`_Filed`).
-# Timed per S-pair on the runs of the toric workload and of the common
-# move ideals at I = 4 and 5 (2-core x86, Python 3.11): the plain scan is
-# faster below 16 elements (10 against 11 us at 12 to 15), the filed one
-# from 16 on (11 against 12 us at 16 to 19, 29 against 137 us past 64).
-_FILE_FROM = 16
 
 
 class _Binomial(NamedTuple):
@@ -69,11 +64,6 @@ class _Binomial(NamedTuple):
 def _guards(order: TermOrder) -> int:
     """G: the guard bit of each of the order's exponent fields."""
     return ((1 << (len(order.variables) * _WIDTH)) - 1) // _FIELD << (_WIDTH - 1)
-
-
-def _divides(a: int, m: int, guards: int) -> bool:
-    """x^a divides x^m."""
-    return ((m | guards) - a) & guards == guards
 
 
 def _lcm(a: int, b: int, guards: int) -> int:
@@ -155,93 +145,76 @@ def _decode(basis: Sequence[_Binomial], order: TermOrder, size: int) -> List[Cel
 
 class _Filed(list):
     """A basis list whose elements are also filed, as (index, lead, tail,
-    rise), by the lowest nonzero field of their leads.  A lead divides x^m
-    only if m is nonzero in that field, so `_reduce` tests only the files
-    of m's nonzero fields, and the lowest index it meets is the first
-    divisor in basis order."""
+    rise), by the lowest nonzero field of their leads.  It keeps `guards`,
+    the G of its order, computed once, and `filed`, a mask of ones over
+    every field whose file is not empty.  A lead divides x^m only if m is
+    nonzero in the lead's field, so `_first_divisor` tests only the files
+    of the nonzero fields of m & filed."""
 
-    __slots__ = ("files",)
+    __slots__ = ("files", "filed", "guards")
 
     def __init__(self, basis: Sequence[_Binomial], order: TermOrder):
         super().__init__()
         self.files: List[list] = [[] for _ in order.variables]
+        self.filed = 0
+        self.guards = _guards(order)
         for g in basis:
             self.append(g)
 
     def append(self, g: _Binomial) -> None:
-        self.files[((g.lead & -g.lead).bit_length() - 1) // _WIDTH].append((len(self), *g))
+        k = ((g.lead & -g.lead).bit_length() - 1) // _WIDTH
+        self.files[k].append((len(self), *g))
+        self.filed |= _FIELD << (k * _WIDTH)
         super().append(g)
 
 
-def _filed(basis: List[_Binomial], order: TermOrder) -> List[_Binomial]:
-    """`basis` as a `_Filed` list once it holds `_FILE_FROM` elements."""
-    if len(basis) < _FILE_FROM or basis.__class__ is _Filed:
-        return basis
-    return _Filed(basis, order)
+def _first_divisor(m: int, basis: _Filed) -> Optional[tuple]:
+    """The filed entry (index, lead, tail, rise) of the first element, in
+    basis order, whose lead divides x^m, or None: for each nonzero field of
+    m with a file, the first lead in it that divides m and comes before
+    every divisor found so far."""
+    files, guards = basis.files, basis.guards
+    mg = m | guards
+    first, found = len(basis), None
+    rest, k = m & basis.filed, 0  # those fields from field k up, shifted down
+    while rest:
+        skip = ((rest & -rest).bit_length() - 1) // _WIDTH  # zero fields
+        k += skip
+        for entry in files[k]:
+            if entry[0] >= first:
+                break
+            if (mg - entry[1]) & guards == guards:  # its lead divides m
+                first, found = entry[0], entry
+                break
+        rest >>= (skip + 1) * _WIDTH
+        k += 1
+    return found
 
 
-def _reduce(m: int, basis: Sequence[_Binomial], guards: int) -> int:
+def _reduce(m: int, basis: _Filed) -> int:
     """Normal form of the monomial x^m: while the lead of a basis element
     divides it, the first such element in basis order replaces that lead
     by its tail."""
-    if basis.__class__ is _Filed:
-        return _reduce_filed(m, basis, guards)
-    while True:
-        mg = m | guards
-        for lead, tail, rise in basis:
-            if (mg - lead) & guards == guards:  # lead divides m
-                m = m - lead + tail
-                # a rise of at most MAX_DEGREE leaves every field below
-                # 2^W and the degree below 2^W - 1, so m % _FIELD is exact
-                if rise > 0 and m % _FIELD > MAX_DEGREE:
-                    raise BudgetExceededError(_past_limit(m % _FIELD))
-                break
-        else:
-            return m
-
-
-def _reduce_filed(m: int, basis: _Filed, guards: int) -> int:
-    """`_reduce` through the files of `basis`: for each nonzero field of m,
-    the first lead in its file that divides m and comes before every
-    divisor found so far."""
-    files = basis.files
-    n = len(basis)
-    while True:
-        mg = m | guards
-        first, found = n, None
-        rest, k = m, 0  # the fields of m from field k up, shifted down
-        while rest:
-            skip = ((rest & -rest).bit_length() - 1) // _WIDTH  # zero fields
-            k += skip
-            for entry in files[k]:
-                if entry[0] >= first:
-                    break
-                if (mg - entry[1]) & guards == guards:  # its lead divides m
-                    first, found = entry[0], entry
-                    break
-            rest >>= (skip + 1) * _WIDTH
-            k += 1
-        if found is None:
-            return m
+    while (found := _first_divisor(m, basis)) is not None:
         _, lead, tail, rise = found
         m = m - lead + tail
-        if rise > 0 and m % _FIELD > MAX_DEGREE:  # exact, as in `_reduce`
+        # a rise of at most MAX_DEGREE leaves every field below 2^W and the
+        # degree below 2^W - 1, so m % _FIELD is exact
+        if rise > 0 and m % _FIELD > MAX_DEGREE:
             raise BudgetExceededError(_past_limit(m % _FIELD))
+    return m
 
 
-def _s_remainder(
-    f: _Binomial, g: _Binomial, basis: Sequence[_Binomial], order: TermOrder
-) -> Optional[_Binomial]:
+def _s_remainder(f: _Binomial, g: _Binomial, basis: _Filed, order: TermOrder) -> Optional[_Binomial]:
     """Normal form of the S-polynomial of f and g modulo `basis`, or None
     when it is zero.  The lcm terms cancel, leaving each lcm with its lead
     replaced by its tail; a binomial basis reduces each term on its own."""
-    guards = _guards(order)
-    lcm = _lcm(f.lead, g.lead, guards)
+    lcm = _lcm(f.lead, g.lead, basis.guards)
     degree = lcm % _FIELD + max(f.rise, g.rise)  # exact: lcm's degree is below 2^W - 1
     if degree > MAX_DEGREE:
         raise BudgetExceededError(_past_limit(degree))
-    u = _reduce(lcm - f.lead + f.tail, basis, guards)
-    return _binomial(u, _reduce(lcm - g.lead + g.tail, basis, guards), order)
+    u = _reduce(lcm - f.lead + f.tail, basis)
+    return _binomial(u, _reduce(lcm - g.lead + g.tail, basis), order)
 
 
 def buchberger(gens: Sequence[CellPolynomial], order: TermOrder) -> List[CellPolynomial]:
@@ -307,9 +280,10 @@ def _update_pairs(leads: List[int], t: int, alive: dict, guards: int) -> List[Tu
     return new
 
 
-def _groebner(basis: List[_Binomial], order: TermOrder) -> List[_Binomial]:
+def _groebner(basis: Sequence[_Binomial], order: TermOrder) -> List[_Binomial]:
     """The reduced basis of the ideal generated by `basis`."""
-    guards = _guards(order)
+    basis = _Filed(basis, order)
+    guards = basis.guards
     leads = [g.lead for g in basis]  # basis[k].lead, kept beside the basis
     heap: List[tuple] = []
     alive = {}  # (i, j) -> lcm of the two leads, pairs not yet discarded
@@ -329,7 +303,6 @@ def _groebner(basis: List[_Binomial], order: TermOrder) -> List[_Binomial]:
         processed += 1
         if processed > MAX_PAIRS:
             raise BudgetExceededError(f"S-pair budget of {MAX_PAIRS} pairs exceeded")
-        basis = _filed(basis, order)
         r = _s_remainder(basis[i], basis[j], basis, order)
         if r is not None:
             basis.append(r)
@@ -411,16 +384,14 @@ def reduce_basis(basis: Sequence[CellPolynomial], order: TermOrder) -> List[Cell
 
 
 def _reduced(basis: Sequence[_Binomial], order: TermOrder) -> List[_Binomial]:
-    guards = _guards(order)
     # drop duplicates and any generator whose leading monomial another divides
-    minimal: List[_Binomial] = []
+    minimal = _Filed((), order)
     for g in sorted(basis, key=lambda g: _key(g.lead, order)):
-        if not any(_divides(other.lead, g.lead, guards) for other in minimal):
+        if _first_divisor(g.lead, minimal) is None:
             minimal.append(g)
     # no other lead divides a minimal lead, so tail reduction keeps every
     # lead and the basis stays sorted by leading term.  Every term met while
     # reducing g's tail is below g's lead in the order, so g's own lead,
     # which divides only terms at or above it, is never the reducer: reducing
     # by all of `minimal` is reducing by the others
-    reducers = _filed(minimal, order)
-    return [_binomial(g.lead, _reduce(g.tail, reducers, guards), order) for g in minimal]
+    return [_binomial(g.lead, _reduce(g.tail, minimal), order) for g in minimal]

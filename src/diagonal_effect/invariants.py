@@ -395,21 +395,21 @@ def check_vanishing(polys, P: ProbTable) -> VanishingReport:
     are named "poly #k" by position; anything else, or a P that is neither
     a ProbTable nor a mapping, raises InputError, whatever `polys` holds,
     and every item is checked before any is evaluated.  P's cleared values
-    (N, D), N[v] / D at variable v, are taken once per table size, and
+    (N, D), N[v] / D at variable v, are taken at the first polynomial, and
     each polynomial goes through `CellPolynomial.evaluate_cleared` with
-    the N^m already met at them, so each N^m is computed once per call."""
+    the N^m already met at them, so each N^m is computed once per call.  P
+    holds the cells of one size, so a polynomial of another size raises
+    where `clear_denominators` is called again for it."""
     require_point(P)
     require_sequence(polys, "polys")
-    cleared = {}  # per table size: (N, D) and the monomial values at them
     entries = []
     size = None
     for inv in _as_invariants(polys):
         poly = inv.poly
         if poly.size != size:
             size = poly.size
-            if size not in cleared:
-                cleared[size] = (*clear_denominators(P, size), {})
-            nums, den, monomials = cleared[size]
+            nums, den = clear_denominators(P, size)
+            monomials = {}  # the value N^m of each monomial m met so far
         entries.append((inv.name, poly.evaluate_cleared(nums, den, monomials)))
     return VanishingReport(entries=tuple(entries))
 

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import chain, combinations, permutations
 from operator import add, getitem, itemgetter, sub
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -35,7 +35,6 @@ from .tables import (
     ModelSpec,
     Move,
     SufficientStat,
-    _Memo,
     _unchecked,
     rectangle_indices,
     require_instance,
@@ -824,7 +823,7 @@ def _tail_weights(fiber: Fiber, fit: Sequence[float], terms: List[dict], thresho
     the threshold exactly when it does table by table.
     """
     I, rows = fiber.stat.size, fiber.stat.rows
-    fact = _Memo(math.factorial).__getitem__
+    fact = cache(math.factorial)  # the same few counts recur; cached for this call only
     last = len(fiber.layers) - 1
     dists: Dict[tuple, Dict[float, int]] = {root: {0.0: 1} for root in fiber.layers[0]}
     hit = total = 0

@@ -93,17 +93,6 @@ def over_lcm(values: Sequence[Fraction]) -> Tuple[List[int], int]:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-class _Memo(dict):
-    """`fn(key)` for each key, computed on its first lookup."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def require_sequence(value, what: str):
     """`value` itself when it is a sequence, such as a list or a tuple;
     anything else raises InputError naming `what`, before any entry is

@@ -1,5 +1,6 @@
-"""The Buchberger engine's pair update and filed reduction against the plain
-scans they replace, at sizes the I = 2, 3 differential tests never reach.
+"""The Buchberger engine's pair update and filed divisor search against the
+plain scans they replace, at sizes the I = 2, 3 differential tests never
+reach.
 
 `reference_update` is the pair update as it was: every new lcm compared
 with every other lcm, and the chain criterion over a copy of the live
@@ -7,18 +8,20 @@ pairs.  `groebner._update_pairs` must keep the same new pairs and leave the
 same live pairs, for 50 to 400 random packed leads.  The order in which
 the new pairs come back does not matter: the heap orders pairs by (degree,
 key, i, j), which no two pairs share.  Reduction through `_Filed` must give
-the plain scan's normal form, and a whole run through it the plain run's
-S-pairs, remainders and basis.
+the plain first-divisor scan's normal form for bases of 1 to 200
+elements, the minimalization the plain scan's reduced basis, and a whole
+run the reference engine's S-pairs, remainders and basis.
 """
 
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagonal_effect import BudgetExceededError, CellPolynomial, TermOrder, groebner
+
+from test_groebner_reference import _run_both
 
 W = groebner._WIDTH
 
@@ -93,8 +96,42 @@ def _order(kind, variables):
     return TermOrder.elimination(variables[:2], variables[2:])
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(3, 25), count=st.integers(16, 200), top=st.integers(1, 2),
+def reference_reduce(m, basis, guards):
+    """The plain scan: while some lead divides x^m, the first in basis
+    order replaces it by its tail."""
+    while True:
+        for lead, tail, _ in basis:
+            if ((m | guards) - lead) & guards == guards:  # lead divides m
+                m = m - lead + tail
+                break
+        else:
+            return m
+
+
+def reference_reduced(basis, order):
+    """The minimalization and tail reduction by plain scans: leads in
+    increasing order, each kept unless a kept lead divides it, then every
+    kept tail reduced by the kept elements."""
+    guards = groebner._guards(order)
+    minimal = []
+    for g in sorted(basis, key=lambda g: groebner._key(g.lead, order)):
+        if not any(((g.lead | guards) - other.lead) & guards == guards for other in minimal):
+            minimal.append(g)
+    return [groebner._binomial(g.lead, reference_reduce(g.tail, minimal, guards), order) for g in minimal]
+
+
+def _random_basis(rng, n, count, top, order):
+    """`count` random binomials with nonconstant leads."""
+    basis = []
+    while len(basis) < count:
+        g = groebner._binomial(_random_monomial(rng, n, top, 0.3), _random_monomial(rng, n, top, 0.3), order)
+        if g is not None and g.lead:
+            basis.append(g)
+    return basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 25), count=st.integers(1, 200), top=st.integers(1, 2),
        kind=st.sampled_from(["grevlex", "grevlex_last", "elimination"]), seed=st.integers(0, 2**32 - 1))
 def test_filed_reduction_matches_the_plain_scan(n, count, top, kind, seed):
     # a random binomial set is seldom a Groebner basis, so a term often has
@@ -102,30 +139,33 @@ def test_filed_reduction_matches_the_plain_scan(n, count, top, kind, seed):
     rng = random.Random(seed)
     order = _order(kind, list(range(n)))
     guards = groebner._guards(order)
-    basis = []
-    while len(basis) < count:
-        g = groebner._binomial(_random_monomial(rng, n, top, 0.3), _random_monomial(rng, n, top, 0.3), order)
-        if g is not None and g.lead:
-            basis.append(g)
+    basis = _random_basis(rng, n, count, top, order)
     filed = groebner._Filed(basis, order)
-    assert list(filed) == basis
+    assert list(filed) == basis and filed.guards == guards
     for _ in range(50):
         m = _random_monomial(rng, n, 2 * top, 0.4)
-        assert groebner._reduce(m, filed, guards) == groebner._reduce(m, basis, guards)
+        assert groebner._reduce(m, filed) == reference_reduce(m, basis, guards)
 
 
-def _steps(name, *args):
-    """(result, S-pair steps) of groebner's `name` on `args`."""
-    steps = []
-    step = groebner._s_remainder
-
-    def recorded(f, g, basis, order):
-        r = step(f, g, basis, order)
-        steps.append((f.lead, g.lead, r))
-        return r
-
-    with mock.patch.object(groebner, "_s_remainder", recorded):
-        return getattr(groebner, name)(*args), steps
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 25), count=st.integers(1, 120), top=st.integers(1, 2),
+       kind=st.sampled_from(["grevlex", "grevlex_last", "elimination"]), seed=st.integers(0, 2**32 - 1))
+def test_minimalization_matches_the_plain_scan(n, count, top, kind, seed):
+    # about one element in five repeats an earlier lead, and one in five
+    # has an earlier lead times a random monomial, so that many leads are
+    # dropped as divisible
+    rng = random.Random(seed)
+    order = _order(kind, list(range(n)))
+    basis = _random_basis(rng, n, count, top, order)
+    for k in range(1, count):
+        roll = rng.random()
+        if roll < 0.4:
+            lead = rng.choice(basis[:k]).lead + (_random_monomial(rng, n, 1, 0.2) if roll >= 0.2 else 0)
+            tail = _random_monomial(rng, n, top, 0.3)
+            if groebner._key(tail, order) >= groebner._key(lead, order):
+                tail = 0  # the constant 1, below every other term
+            basis[k] = groebner._binomial(lead, tail, order)
+    assert groebner._reduced(basis, order) == reference_reduced(basis, order)
 
 
 @st.composite
@@ -143,16 +183,11 @@ def binomial_sets(draw):
 @settings(max_examples=40, deadline=None)
 @given(binomial_sets(), st.sampled_from(["grevlex", "grevlex_last", "elimination"]))
 def test_filed_run_matches_the_plain_run(case, kind):
+    # the reference engine reduces by a plain scan of its basis: the same
+    # S-pairs, remainders and basis, or the same error, on 3x3 and 4x4 draws
     variables, gens = case
-    order = _order(kind, variables)
-    with mock.patch.object(groebner, "MAX_PAIRS", 400):
-        with mock.patch.object(groebner, "_FILE_FROM", 10**9):
-            try:
-                plain = _steps("buchberger", gens, order)
-            except BudgetExceededError:
-                return  # a runaway draw; the filed run is not compared
-        with mock.patch.object(groebner, "_FILE_FROM", 0):
-            assert _steps("buchberger", gens, order) == plain
+    ours, theirs = _run_both("buchberger", gens, _order(kind, variables))
+    assert ours == theirs
 
 
 def test_filed_reduction_step_past_a_lowered_limit_raises(monkeypatch):
@@ -161,7 +196,6 @@ def test_filed_reduction_step_past_a_lowered_limit_raises(monkeypatch):
     S, T, X = range(3)
     order = TermOrder.elimination([S, T], [X])
     gens = [CellPolynomial(3, {(S, S): 1, (S, T): -1}), CellPolynomial(3, {(T,): 1, (X, X): -1})]
-    monkeypatch.setattr(groebner, "_FILE_FROM", 0)
     assert groebner.reduce_basis(gens, order) == [CellPolynomial(3, {(T,): 1, (X, X): -1}),
                                                   CellPolynomial(3, {(S, S): 1, (S, X, X): -1})]
     monkeypatch.setattr(groebner, "MAX_DEGREE", 2)

@@ -295,8 +295,12 @@ def test_packed_primitives_match_tuples(case):
     order, a, b = case
     guards = groebner._guards(order)
     pa, pb = _pack(a), _pack(b)
-    assert groebner._divides(pa, pb, guards) == all(map(le, a, b))
-    assert groebner._divides(pb, pa, guards) == all(map(le, b, a))
+    # a lead is never the constant 1, which every order puts below any
+    # other term, so only a nonconstant one is filed
+    for (lead, x), (m, y) in (((pa, a), (pb, b)), ((pb, b), (pa, a))):
+        if lead:
+            filed = groebner._Filed([groebner._Binomial(lead, 0, 0)], order)
+            assert (groebner._first_divisor(m, filed) is not None) == all(map(le, x, y))
     assert groebner._lcm(pa, pb, guards) == _pack(tuple(map(max, a, b)))
     assert pa % groebner._FIELD == sum(a)
     assert _sign(groebner._key(pa, order), groebner._key(pb, order)) == _sign(
@@ -463,7 +467,7 @@ def test_s_remainder_matches_reference(case, data):
     # has several reducers, and the remainder shows which one was taken
     size, variables, gens = case
     order = data.draw(orders(variables))
-    ours, theirs = groebner._encode(gens, order), _encode(gens, order, size)
+    ours, theirs = groebner._Filed(groebner._encode(gens, order), order), _encode(gens, order, size)
     for i, j in combinations(range(len(ours)), 2):
         got = groebner._s_remainder(ours[i], ours[j], ours, order)
         want = _s_remainder(theirs[i], theirs[j], theirs, order)

@@ -12,6 +12,7 @@ a batch at one point, sharing the monomial values, and must give what
 with a checked grevlex order and `var_cell` on every variable.
 """
 
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -244,11 +245,18 @@ def test_auxiliary_variable_raises_input_error(aux):
 
 def test_mixed_sizes_raise_size_mismatch():
     table = ProbTable(3, [[Fraction(1, 9)] * 3] * 3)
+    point = {(i, j): Fraction(1, 9) for i in range(1, 4) for j in range(1, 4)}
     gens = [inv.poly for inv in gens_diag_effect(3)]
-    for stray in (CellPolynomial(4, {(0, 1, 2): 1}), CellPolynomial(2, {(): 1, (0,): 1})):
+    # a mapping names the cells of one size: at another it lacks a cell or
+    # names one outside the table, a plain InputError
+    for stray, message in ((CellPolynomial(4, {(0, 1, 2): 1}), "point has no value at (1,4)"),
+                           (CellPolynomial(2, {(): 1, (0,): 1}), "cell (1,3) outside a 2x2 table")):
         for batch in ([stray, *gens], [*gens, stray], [*gens, stray, *gens]):
             with pytest.raises(SizeMismatchError):
                 check_vanishing(batch, table)
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$") as raised:
+                check_vanishing(batch, point)
+            assert raised.type is InputError
 
 
 def test_items_are_checked_before_any_is_evaluated():

@@ -48,7 +48,7 @@ def spoly_reductions_all_zero(groebner_basis, order) -> bool:
     pairs reduces to zero."""
     if not groebner_basis:
         return True
-    basis = _encode(groebner_basis, order)
+    basis = groebner._Filed(_encode(groebner_basis, order), order)
     return all(_s_remainder(f, g, basis, order) is None for f, g in combinations(basis, 2))
 
 
