@@ -127,18 +127,28 @@ def clear_denominators(point, size: int) -> Tuple[Sequence[int], int]:
     mapping `point`, with D the lcm of the cell denominators: a table's
     stored form (`nums`, `den`), as it is.  A mapping's values must be ints
     or Fractions: a float is already rounded, so its exact value would make
-    a vanishing polynomial look nonzero.  It must name every cell, as a
-    table does: a cell left out is not read as 0."""
+    a vanishing polynomial look nonzero.  Its size is the largest index it
+    names, and another size than `size` raises SizeMismatchError, as a
+    table's does.  It must name every cell, as a table does: a cell left
+    out is not read as 0."""
     if isinstance(require_point(point), ProbTable):
         if point.size != size:
             raise SizeMismatchError(
                 f"polynomial over {size}x{size} cells, table is {point.size}x{point.size}"
             )
         return point.nums, point.den
-    flat = [None] * (size * size)
+    values = {}
     for cell, value in point.items():
         i, j = _cell(cell)
-        flat[cell_var(i, j, size)] = Fraction(require_rational(value, f"value at ({i},{j})"))
+        if min(require_int(i, "cell row"), require_int(j, "cell column")) < 1:
+            cell_var(i, j, size)  # raises InputError: no size has this cell
+        values[i, j] = Fraction(require_rational(value, f"value at ({i},{j})"))
+    named = max(map(max, values), default=size)  # an empty mapping names no size
+    if named != size:
+        raise SizeMismatchError(f"polynomial over {size}x{size} cells, point is {named}x{named}")
+    flat = [None] * (size * size)
+    for (i, j), value in values.items():
+        flat[cell_var(i, j, size)] = value
     if None in flat:
         raise InputError("point has no value at ({},{})".format(*var_cell(flat.index(None), size)))
     return over_lcm(flat)

@@ -10,7 +10,10 @@ the new pairs come back does not matter: the heap orders pairs by (degree,
 key, i, j), which no two pairs share.  Reduction through `_Filed` must give
 the plain first-divisor scan's normal form for bases of 1 to 200
 elements, the minimalization the plain scan's reduced basis, and a whole
-run the reference engine's S-pairs, remainders and basis.
+run the reference engine's S-pairs, remainders and basis.  The joint
+reduction of an S-binomial's two terms must give the remainder of
+`reference_s_remainder`, which reduces each term to its normal form on
+its own.
 """
 
 import random
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 from diagonal_effect import BudgetExceededError, CellPolynomial, TermOrder, groebner
 
 from test_groebner_reference import _run_both
+from test_toricideal import count_divisor_searches
 
 W = groebner._WIDTH
 
@@ -201,3 +205,72 @@ def test_filed_reduction_step_past_a_lowered_limit_raises(monkeypatch):
     monkeypatch.setattr(groebner, "MAX_DEGREE", 2)
     with pytest.raises(BudgetExceededError, match="degree 3 passes the engine's limit of 2"):
         groebner.reduce_basis(gens, order)
+
+
+def reference_s_remainder(f, g, basis, order):
+    """The S-remainder with each of its two terms reduced to its normal
+    form on its own: the engine's remainder, with no early stop."""
+    lcm = groebner._lcm(f.lead, g.lead, basis.guards)
+    u = groebner._reduce(lcm - f.lead + f.tail, basis)
+    return groebner._binomial(u, groebner._reduce(lcm - g.lead + g.tail, basis), order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 12), count=st.integers(1, 80), top=st.integers(1, 2),
+       kind=st.sampled_from(["grevlex", "grevlex_last", "elimination"]), seed=st.integers(0, 2**32 - 1))
+def test_joint_reduction_matches_two_normal_forms(n, count, top, kind, seed):
+    # f and g are drawn from the basis and from binomials outside it; on
+    # such draws about a quarter of the remainders are zero, and a quarter
+    # of those meet at a term that reduces further
+    rng = random.Random(seed)
+    order = _order(kind, list(range(n)))
+    basis = groebner._Filed(_random_basis(rng, n, count, top, order), order)
+    others = _random_basis(rng, n, 10, top, order)
+    for _ in range(40):
+        f, g = (rng.choice(rng.choice((basis, others))) for _ in range(2))
+        assert groebner._s_remainder(f, g, basis, order) == reference_s_remainder(f, g, basis, order)
+
+
+def test_chains_that_meet_stop_before_their_normal_form(monkeypatch):
+    # grevlex over (w, x, y, z): the S-binomial of w - x and w - y is x - y,
+    # and x - y reduces x to y, where the chains meet; y would reduce on to z
+    order = TermOrder.grevlex(range(4))
+    w, x, y, z = (1 << (k * W) for k in range(4))
+    basis = groebner._Filed([groebner._binomial(x, y, order), groebner._binomial(y, z, order)], order)
+    f, g = groebner._binomial(w, x, order), groebner._binomial(w, y, order)
+    assert groebner._first_divisor(y, basis) is not None
+    calls = count_divisor_searches(monkeypatch)
+    assert groebner._s_remainder(f, g, basis, order) is None
+    assert len(calls) == 1
+    assert reference_s_remainder(f, g, basis, order) is None
+
+
+# the elimination order of t over (x, y, z): the S-binomial of t*x - t*y and
+# x - z is t*y - t*z, whose terms reduce by t - x^3 to a degree-4 term
+T_XYZ = TermOrder.elimination([0], [1, 2, 3])
+_T, _X, _Y, _Z = (1 << (k * W) for k in range(4))
+_F, _G = groebner._binomial(_T + _X, _T + _Y, T_XYZ), groebner._binomial(_X, _Z, T_XYZ)
+_RISE = groebner._binomial(_T, 3 * _X, T_XYZ)  # t - x^3
+
+
+def test_a_step_in_the_shared_tail_is_not_taken(monkeypatch):
+    # t*y - t*z reduces t*y to t*z, where the chains meet; their shared
+    # step t*z -> x^3*z would pass a limit of 3, but it is never taken
+    basis = groebner._Filed([groebner._binomial(_T + _Y, _T + _Z, T_XYZ), _RISE], T_XYZ)
+    assert groebner._s_remainder(_F, _G, basis, T_XYZ) is None
+    assert reference_s_remainder(_F, _G, basis, T_XYZ) is None
+    monkeypatch.setattr(groebner, "MAX_DEGREE", 3)
+    calls = count_divisor_searches(monkeypatch)
+    assert groebner._s_remainder(_F, _G, basis, T_XYZ) is None
+    assert len(calls) == 1
+    with pytest.raises(BudgetExceededError, match="degree 4 passes the engine's limit of 3"):
+        reference_s_remainder(_F, _G, basis, T_XYZ)
+
+
+def test_a_joint_step_past_a_lowered_limit_raises(monkeypatch):
+    # t*y, the larger term, is reduced first, to x^3*y
+    basis = groebner._Filed([_RISE], T_XYZ)
+    assert groebner._s_remainder(_F, _G, basis, T_XYZ) == groebner._binomial(3 * _X + _Y, 3 * _X + _Z, T_XYZ)
+    monkeypatch.setattr(groebner, "MAX_DEGREE", 3)
+    with pytest.raises(BudgetExceededError, match="degree 4 passes the engine's limit of 3"):
+        groebner._s_remainder(_F, _G, basis, T_XYZ)

@@ -177,6 +177,22 @@ class TestExactEvaluation:
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             binomial_from_vector([1, -1, -1, 1], 2).evaluate(point)
 
+    @pytest.mark.parametrize("point, error, message", [
+        # a mapping's size is the largest index it names
+        ({(i, j): 1 for i in (1, 2, 3) for j in (1, 2, 3)}, SizeMismatchError,
+         "polynomial over 2x2 cells, point is 3x3"),
+        ({(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1, (1, 3): 1}, SizeMismatchError,
+         "polynomial over 2x2 cells, point is 3x3"),
+        ({(1, 1): 1}, SizeMismatchError, "polynomial over 2x2 cells, point is 1x1"),
+        # an index below 1 is in no table
+        ({(0, 1): 1, (2, 2): 1}, InputError, "cell (0,1) outside a 2x2 table"),
+        ({(0, 0): 1}, InputError, "cell (0,0) outside a 2x2 table"),
+    ])
+    def test_a_point_of_another_size(self, point, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+            binomial_from_vector([1, -1, -1, 1], 2).evaluate(point)
+        assert raised.type is error
+
     def test_zero_values_share_one_fraction(self):
         # every zero value is one shared Fraction, equal to any other zero
         minor = binomial_from_vector([1, -1, -1, 1], 2)

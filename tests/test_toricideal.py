@@ -69,17 +69,28 @@ def in_lattice(v, basis) -> bool:
     return consistent and all(row[k].denominator == 1 for row in system[:k])
 
 
-def count_s_pairs(monkeypatch) -> list:
-    """A list that grows by one for each S-pair the engine processes."""
+def count_calls(monkeypatch, name: str) -> list:
+    """A list that grows by one for each call of `groebner.<name>`."""
     calls = []
-    step = groebner._s_remainder
+    step = getattr(groebner, name)
 
     def counted(*args):
         calls.append(None)
         return step(*args)
 
-    monkeypatch.setattr(groebner, "_s_remainder", counted)
+    monkeypatch.setattr(groebner, name, counted)
     return calls
+
+
+def count_s_pairs(monkeypatch) -> list:
+    """A list that grows by one for each S-pair the engine processes."""
+    return count_calls(monkeypatch, "_s_remainder")
+
+
+def count_divisor_searches(monkeypatch) -> list:
+    """A list that grows by one for each search for the first basis lead
+    that divides a term: each reduction step, and each lead minimalized."""
+    return count_calls(monkeypatch, "_first_divisor")
 
 
 class TestDesignMatrix:
@@ -596,36 +607,42 @@ class TestBinomialBoundary:
 # processes the same pairs.  The saturation rows start from the unit-pivot
 # basis and make a step only for the cells of saturation_cells: they skip
 # the pivots, the cells no basis row touches and the touched cells with a
-# witness row.
+# witness row.  Beside them, the divisor searches of the run: the two terms
+# of an S-binomial are reduced together and stop where their chains meet,
+# and reducing each term to its normal form would search about twice as
+# often, so a change that loses the joint reduction fails here.
 S_PAIRS = [
-    (ModelFamily.DIAGONAL_EFFECT, 4, "saturation", 249),
-    (ModelFamily.COMMON_DIAGONAL_EFFECT, 3, "saturation", 85),
-    (ModelFamily.COMMON_DIAGONAL_EFFECT, 3, "elimination", 83),
-    (ModelFamily.INDEPENDENCE, 3, "elimination", 67),
-    (ModelFamily.INDEPENDENCE, 4, "saturation", 939),
-    (ModelFamily.COMMON_DIAGONAL_EFFECT, 4, "saturation", 2812),
+    (ModelFamily.DIAGONAL_EFFECT, 4, "saturation", 249, 612),
+    (ModelFamily.COMMON_DIAGONAL_EFFECT, 3, "saturation", 85, 221),
+    (ModelFamily.COMMON_DIAGONAL_EFFECT, 3, "elimination", 83, 206),
+    (ModelFamily.INDEPENDENCE, 3, "elimination", 67, 174),
+    (ModelFamily.INDEPENDENCE, 4, "saturation", 939, 1972),
+    (ModelFamily.COMMON_DIAGONAL_EFFECT, 4, "saturation", 2812, 5800),
 ]
 
 
-@pytest.mark.parametrize("family, I, method, pairs", S_PAIRS)
-def test_processed_s_pairs_are_pinned(monkeypatch, family, I, method, pairs):
+@pytest.mark.parametrize("family, I, method, pairs, searches", S_PAIRS)
+def test_processed_s_pairs_are_pinned(monkeypatch, family, I, method, pairs, searches):
     calls = count_s_pairs(monkeypatch)
+    divisor_searches = count_divisor_searches(monkeypatch)
     toric_ideal(model(family, I), method=method)
-    assert len(calls) == pairs
+    assert (len(calls), len(divisor_searches)) == (pairs, searches)
 
 
 # The move ideal of the common-diagonal family at I = 5 with cell 0 last:
 # one of the two Buchberger runs of the Markov-basis certificate (ROADMAP
 # item 3).  Its counts and the basis hash were recorded on the engine's
 # earlier pair update, which compared each new lcm with every other lcm.
+# Its divisor searches pin the joint reduction of S-binomials, as above.
 CERTIFICATE_RUN_SHA256 = "d1f83b2879b2f5f1ecb6fb6c581d53b48729b4fccebe6566ad5d267f426d7e0e"
 
 
 def test_certificate_sized_run_is_pinned(monkeypatch):
     calls = count_s_pairs(monkeypatch)
+    divisor_searches = count_divisor_searches(monkeypatch)
     order = TermOrder.grevlex_last(range(25), 0)
     basis = buchberger(moves_to_binomials(moves_common_diag(5)), order)
-    assert (len(calls), len(basis)) == (5479, 401)
+    assert (len(calls), len(basis), len(divisor_searches)) == (5479, 401, 10963)
     # no lead is divisible by the last variable, so the move ideal is
     # saturated by cell 0
     assert not any(0 in max(p.terms, key=order.key) for p in basis)
