@@ -8,8 +8,8 @@ node count of its subtree is kept, so node counts and budgets are those of
 the cell-by-cell search.  The exact test sums that network forward, from
 partial Pearson sums to integer weights, without building a table.  A
 fiber's tables exist as row-major flat tuples only once a caller reads
-them; the connectivity sweep builds its tables row by row, and the
-connectivity searches step between flat tuples.  `CountTable`s are built
+them; the connectivity sweep builds its tables row by row as ints, and
+the connectivity searches step between ints.  `CountTable`s are built
 only for callers that ask for them.  Enumeration remains the oracle
 against which the sampler is calibrated.
 """
@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import cache, cached_property, reduce
 from itertools import chain, combinations, permutations
-from operator import add, getitem, itemgetter, sub
+from operator import add, getitem, itemgetter, lshift
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, InputError, InvariantViolationError, SizeMismatchError
@@ -383,9 +384,12 @@ class ConnectivityReport:
 
 
 def is_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
-    """Graph connectivity of the fiber under single-move transitions."""
-    adjacency = _adjacency(moves, require_instance(fiber, Fiber, "fiber").stat.size)
-    components = tuple(tuple(fiber.tables[k] for k in comp) for comp in _components(fiber.flats, *adjacency))
+    """Graph connectivity of the fiber under single-move transitions, its
+    tables and the moves compared as ints (`_encoding`)."""
+    I = require_instance(fiber, Fiber, "fiber").stat.size
+    shifts, steps, deltas = _encoding(_move_deltas(moves, I), I, sum(fiber.stat.rows))
+    members = [sum(map(lshift, flat, shifts)) for flat in fiber.flats]
+    components = tuple(tuple(fiber.tables[k] for k in comp) for comp in _components(members, steps, deltas))
     return ConnectivityReport(connected=len(components) <= 1, components=components)
 
 
@@ -401,85 +405,64 @@ def _move_deltas(moves: Sequence[Move], I: int) -> List[tuple]:
     return deltas
 
 
-def _adjacency(moves: Sequence[Move], I: int) -> Tuple[Dict[int, List[list]], set]:
-    """The move deltas as a set of dense flat tuples of both signs, and
-    filed by `_by_cell` in one sign (the even entries of `_move_deltas`):
-    applied to every member, one sign finds each adjacent pair from one of
-    its two ends."""
-    deltas = _move_deltas(moves, I)
-    dense = set()
-    for delta in deltas:
-        flat = [0] * (I * I)
-        for k, v in delta:
-            flat[k] = v
-        dense.add(tuple(flat))
-    return _by_cell(deltas[::2]), dense
+def _encoding(deltas: Sequence[tuple], I: int, n: int) -> Tuple[List[int], List[int], set]:
+    """The shift of each cell, and the `_move_deltas` `deltas` as ints: one
+    sign of each move, and the set of both signs.  A table t of counts at
+    most n is the int sum of t[k] << shifts[k]: cell k takes w bits, cell 0
+    the highest, so ints order tables lexicographically and t + d is coded
+    as t's code plus d's.  w is the least width with 2^w > n + s, s the
+    largest |entry| of a delta.  Then u - t - d, when not 0, has entries of
+    size at most n + s, and its lowest nonzero one is not a multiple of
+    2^w, so its code is not 0: u's code is t's plus d's only when u = t + d."""
+    w = (n + max([abs(v) for d in deltas for _, v in d], default=0)).bit_length()
+    shifts = [w * k for k in range(I * I - 1, -1, -1)]
+    codes = [sum([v << shifts[k] for k, v in d]) for d in deltas]
+    return shifts, codes[::2], set(codes)
 
 
-def _by_cell(deltas: Sequence[tuple]) -> Dict[int, List[list]]:
-    """The deltas, entries sorted by change, filed under the cell of their
-    largest decrement (a move is balanced, so it has one): only tables
-    that occupy that cell can take them."""
-    by_cell: Dict[int, List[list]] = {}
-    for delta in deltas:
-        delta = sorted(delta, key=itemgetter(1))
-        by_cell.setdefault(delta[0][0], []).append(delta)
-    return by_cell
-
-
-def _edges_by_difference(members: Sequence[tuple], dense: set) -> Iterator[Tuple[int, int]]:
+def _edges_by_difference(members: Sequence[int], deltas: set) -> Iterator[Tuple[int, int]]:
     """The adjacent pairs of `members`, found by looking up each pair's
-    difference among the dense deltas."""
+    difference among the deltas."""
     for a, t in enumerate(members):
         for b in range(a + 1, len(members)):
-            if tuple(map(sub, members[b], t)) in dense:
+            if members[b] - t in deltas:
                 yield a, b
 
 
-def _edges_by_move(members: Sequence[tuple], by_cell: Dict[int, List[list]]) -> Iterator[Tuple[int, int]]:
-    """The adjacent pairs of `members`, found by applying to each member the
-    deltas filed under its occupied cells and looking the result up."""
+def _edges_by_move(members: Sequence[int], steps: Sequence[int]) -> Iterator[Tuple[int, int]]:
+    """The adjacent pairs of `members`, found by adding each step to every
+    member and looking the sums up among the members."""
     index = {m: k for k, m in enumerate(members)}
-    for a, flat in enumerate(members):
-        for cell, x in enumerate(flat):
-            for delta in by_cell.get(cell, ()) if x else ():
-                for pos, v in delta:
-                    if flat[pos] + v < 0:
-                        break
-                else:
-                    out = list(flat)
-                    for pos, v in delta:
-                        out[pos] += v
-                    b = index.get(tuple(out))
-                    if b is not None:
-                        yield a, b
+    for d in steps:
+        for u in filter(index.__contains__, map(d.__add__, members)):
+            yield index[u - d], index[u]
 
 
 # The largest fiber whose members are compared pairwise; larger fibers
-# apply the moves.  Timed per fiber size on enumerated fibers (Python
-# 3.11), the pairwise search stops being faster at 7 members for
-# diagonal-effect I = 4, 8 at I = 5, and 13, 14 and 20 for common-diagonal
-# I = 3, 4 and 5.  Up to 8 members it costs at most 17% more (diagonal
-# effect, I = 4) and up to 3 times less (common diagonal, I = 5).
-_PAIRWISE_MAX = 8
+# apply the moves.  Timed per fiber size on enumerated fibers (Python 3.11),
+# the pairwise search stops being faster at 11 members for common-diagonal
+# I = 3, about 23 and 80 for diagonal-effect I = 4 and 5, 50 for common I = 4
+# and past 120 for common I = 5.  Up to 16 members it costs at most 1.4 times
+# more (common, I = 3) and as little as a seventh (common, I = 5).
+_PAIRWISE_MAX = 16
 
 
-def _components(members: Sequence[tuple], by_cell: Dict[int, List[list]], dense: set) -> List[List[int]]:
-    """Connected components of the flat tables `members`, all of one total,
-    as lists of member indices: t and u are adjacent when u - t is a delta.
-    A fiber of at most `_PAIRWISE_MAX` members compares its members
-    pairwise, a larger one applies the deltas.  Union-find joins the pairs
-    and stops once everything is joined; each root is its component's
-    least member, so the components come ordered by least member, members
-    ascending."""
+def _components(members: Sequence[int], steps: Sequence[int], deltas: set) -> List[List[int]]:
+    """Connected components of the tables coded `members` (`_encoding`), all
+    of one total, as lists of member indices: t and u are adjacent when
+    u - t is in `deltas`.  A fiber of at most `_PAIRWISE_MAX` members tests
+    each pair, a larger one adds `steps` to each member.  Union-find joins
+    the pairs and stops once everything is joined; each root is its
+    component's least member, so the components come ordered by least
+    member, members ascending."""
     count = len(members)
     parent = list(range(count))  # parent[k] <= k, so a root is its tree's least member
     joins_left = count - 1
     if joins_left > 0:
         if count <= _PAIRWISE_MAX:
-            edges = _edges_by_difference(members, dense)
+            edges = _edges_by_difference(members, deltas)
         else:
-            edges = _edges_by_move(members, by_cell)
+            edges = _edges_by_move(members, steps)
         for a, b in edges:
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
@@ -1063,40 +1046,48 @@ def _relabel_flat(perm: tuple, I: int) -> itemgetter:
     return itemgetter(*(perm[i] * I + perm[j] for i in range(I) for j in range(I)))
 
 
-def _relabellings(dense: set, I: int) -> List[tuple]:
+def _relabellings(deltas: Sequence[tuple], I: int, shifts: Sequence[int], coded: set) -> List[tuple]:
     """Every permutation of range(I) when the simultaneous row/column
-    relabellings keep the delta set `dense`, else the identity alone.  The
-    adjacent swaps generate the symmetric group, so they are the ones
-    checked."""
+    relabellings keep the `_move_deltas` `deltas`, coded as the set `coded`
+    by `shifts` (`_encoding`), else the identity alone.  The adjacent swaps
+    generate the symmetric group, so they are the ones checked, on one sign
+    of each move: a relabelling commutes with negation."""
     for i in range(I - 1):
         swap = list(range(I))
         swap[i], swap[i + 1] = i + 1, i
-        relabel = _relabel_flat(swap, I)
-        if not all(relabel(d) in dense for d in dense):
+        moved = [shifts[swap[k // I] * I + swap[k % I]] for k in range(I * I)]
+        if not all(sum([v << moved[k] for k, v in d]) in coded for d in deltas[::2]):
             return [tuple(range(I))]
     return list(permutations(range(I)))
 
 
-def _file_tables(fibers, levels, descending, cap, flat, row_sums, col_sums, diag, left) -> None:
-    """File under its statistic every table that the rows `flat` start, and
-    that holds `left` more counts in rows of sum at most `cap`.  When
-    `descending`, each row's sum caps the next row's, so only tables with
-    non-increasing row sums are built.  levels[k][s] holds row k's choices
-    of sum s with their diagonal parts; the row sums, column sums and
-    diagonal part so far come along, so each key is assembled from its
-    prefix."""
-    k = len(row_sums)
-    rows_left = len(levels) - k
-    if rows_left == 1:  # the last row takes what is left: at most `cap`, by the bound below
-        row_sums += (left,)
-        for row, d in levels[k][left]:
-            fibers.setdefault((row_sums, tuple(map(add, col_sums, row)), diag + d), []).append(flat + row)
-        return
-    # when descending, the rows after this one hold at most s each, so s >= left / rows_left
-    for s in range(-(-left // rows_left) if descending else 0, min(cap, left) + 1):
-        for row, d in levels[k][s]:
-            _file_tables(fibers, levels, descending, s if descending else cap, flat + row,
-                         row_sums + (s,), tuple(map(add, col_sums, row)), diag + d, left - s)
+def _file_tables(fibers, levels, descending, n) -> None:
+    """File every table of total n: its code under its row sums, then under
+    its key, the rest of its statistic.  When `descending`, each row's sum
+    caps the next row's, so only tables with non-increasing row sums are
+    built.  levels[k][s] holds the codes and keys of row k's choices of sum
+    s; a table's code and key are the sums of its rows', built row by row
+    over the prefixes of each row-sum vector."""
+    I = len(levels)
+    prefixes = {(): ([0], [0])}  # row sums -> the codes and the keys of the rows with them
+    for k in range(I - 1):
+        grown = {}
+        for sums, (codes, keys) in prefixes.items():
+            left = n - sum(sums)
+            top = min(sums[-1], left) if descending and sums else left
+            # when descending, the rows after this one hold at most s each, so s >= left / rows_left
+            for s in range(-(-left // (I - k)) if descending else 0, top + 1):
+                row_codes, row_keys = levels[k][s]
+                grown[sums + (s,)] = ([c + r for c in codes for r in row_codes],
+                                      [x + r for x in keys for r in row_keys])
+        prefixes = grown
+    for sums, (codes, keys) in prefixes.items():
+        left = n - sum(sums)  # the last row takes what is left: at most sums[-1], by the bound above
+        bucket = fibers[sums + (left,)]
+        row_codes, row_keys = levels[-1][left]
+        for c, x in zip(row_codes, row_keys):
+            for code, key in zip(codes, keys):
+                bucket[key + x].append(code + c)
 
 
 def verify_connectivity(
@@ -1110,7 +1101,11 @@ def verify_connectivity(
 
     Grouping tables by sufficient statistic yields each complete fiber
     directly, independently of `enumerate_fiber`; a disconnected fiber is
-    reported with its component sizes, never patched.  A sweep of more
+    reported with its component sizes, never patched.  Tables, moves and
+    the rest of each statistic are ints (`_encoding`), w bits a cell with
+    2^w > max_n + s for move entries up to s, so a table's int plus a
+    move's is another table's only when the move takes the one to the
+    other; only a disconnected fiber's tables are decoded.  A sweep of more
     than DEFAULT_NODE_BUDGET tables raises BudgetExceededError before any
     is built.
 
@@ -1142,39 +1137,43 @@ def verify_connectivity(
                 f"the {DEFAULT_NODE_BUDGET}-table budget")
     if moves is None:
         moves = moves_for_model(model)
-    by_cell, dense = _adjacency(moves, I)
-    perms = _relabellings(dense, I)
+    signed = _move_deltas(moves, I)
+    shifts, steps, deltas = _encoding(signed, I, max_n)
+    perms = _relabellings(signed, I, shifts, deltas)
 
-    # the diagonal part of a key: the diagonal vector, its sum, or nothing
-    # (independence)
+    # a key codes the rest of a statistic as a table: the column sums in
+    # row 0, and in row 1 the diagonal, its sum at cell (1, 0) for the
+    # common diagonal, or nothing (independence)
     common = family is ModelFamily.COMMON_DIAGONAL_EFFECT
     on_diag = family is not ModelFamily.INDEPENDENCE
     by_sum = _rows_by_sum(I, max_n)
-    levels = [[[(row, row[k] if common else row[k:k + on_diag]) for row in rows] for rows in by_sum]
-              for k in range(I)]
-    fibers: Dict[tuple, List[tuple]] = {}
+    tops = [[sum(map(lshift, row, shifts)) for row in rows] for rows in by_sum]  # each row coded as row 0
+    levels = [[([top >> (shifts[0] - shifts[k * I]) for top in row_tops],
+                [top + (row[k] * on_diag << shifts[I + (0 if common else k)]) for top, row in zip(row_tops, rows)])
+               for row_tops, rows in zip(tops, by_sum)] for k in range(I)]
+    fibers: Dict[tuple, Dict[int, List[int]]] = defaultdict(lambda: defaultdict(list))
     for n in range(max_n + 1):
-        _file_tables(fibers, levels, len(perms) > 1, max_n, (), (), (0,) * I, 0 if common else (), n)
+        _file_tables(fibers, levels, len(perms) > 1, n)
 
     row_relabels = [itemgetter(*p) for p in perms]
     flat_relabels = [_relabel_flat(p, I) for p in perms]
-    weights: Dict[tuple, int] = {}  # row sums -> their distinct relabellings
+    mask = (1 << shifts[-2]) - 1  # a cell's w bits
     fibers_checked = tables_seen = largest = 0
     found: Dict[tuple, tuple] = {}  # least member of a disconnected fiber -> component sizes
-    for key, members in fibers.items():
-        weight = weights.get(key[0])
-        if weight is None:
-            weight = weights[key[0]] = len({relabel(key[0]) for relabel in row_relabels})
-        fibers_checked += weight
-        tables_seen += weight * len(members)
-        largest = max(largest, len(members))
-        if len(members) <= 1:
-            continue
-        components = _components(members, by_cell, dense)
-        if len(components) > 1:
-            sizes = tuple(sorted(map(len, components)))
-            for relabel in flat_relabels:
-                found[min(map(relabel, members))] = sizes
+    for row_sums, bucket in fibers.items():
+        weight = len({relabel(row_sums) for relabel in row_relabels})
+        sizes = list(map(len, bucket.values()))
+        fibers_checked += weight * len(sizes)
+        tables_seen += weight * sum(sizes)
+        largest = max(largest, *sizes)
+        for members in bucket.values():
+            # two tables one move apart are connected
+            if len(members) > 2 or len(members) == 2 and members[1] - members[0] not in deltas:
+                components = _components(members, steps, deltas)
+                if len(components) > 1:
+                    flats = [tuple([m >> s & mask for s in shifts]) for m in members]
+                    for relabel in flat_relabels:
+                        found[min(map(relabel, flats))] = tuple(sorted(map(len, components)))
     if tables_seen != count:
         raise InvariantViolationError(
             f"the sweep weighted {tables_seen} tables, not C({max_n} + {cells}, {cells}) = {count}")

@@ -102,6 +102,12 @@ def fibers_by_grouping(family: ModelFamily, size: int, n: int) -> dict:
     return {stat: sorted(members) for stat, members in groups.items()}
 
 
+def encode(flats, shifts) -> List[int]:
+    """Each flat table as the int whose bits from shifts[k] on hold its
+    count k, the coding of `markov._encoding`."""
+    return [sum(x << s for x, s in zip(f, shifts)) for f in flats]
+
+
 def components_by_bfs(fiber, moves) -> tuple:
     """Connected components by breadth-first search over `apply_move`, each
     in fiber order, ordered by their first table."""
@@ -451,7 +457,7 @@ class TestConnectivity:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_move_deltas_pair_each_move_with_its_negation(self, family):
-        # `_adjacency` files deltas[::2] as one sign of every move
+        # `_encoding` codes deltas[::2] as the steps, one sign of every move
         moves = moves_for_model(model(family, 4))
         deltas = markov._move_deltas(moves, 4)
         assert len(deltas) == 2 * len(moves)
@@ -459,18 +465,26 @@ class TestConnectivity:
             flat = [x for row in move.cells for x in row]
             assert deltas[2 * k] == tuple((c, v) for c, v in enumerate(flat) if v)
             assert deltas[2 * k + 1] == tuple((c, -v) for c, v in deltas[2 * k])
+        shifts, steps, codes = markov._encoding(deltas, 4, 5)
+        dense = [[0] * 16 for _ in deltas]
+        for flat, delta in zip(dense, deltas):
+            for c, v in delta:
+                flat[c] = v
+        assert steps == encode(dense[::2], shifts)
+        assert codes == set(encode(dense, shifts))
 
     def test_search_follows_size_limit(self):
         # a path of tables one move apart, as long as the largest fiber
         # compared pairwise and one table longer
         moves = moves_diag_effect(4)
-        by_cell, dense = markov._adjacency(moves, 4)
         step = [x for row in moves[0].cells for x in row]
         for size, other in [(markov._PAIRWISE_MAX, "_edges_by_move"),
                             (markov._PAIRWISE_MAX + 1, "_edges_by_difference")]:
             path = [tuple(size + k * x for x in step) for k in range(size)]
+            # counts of the path are below 2 * size
+            shifts, steps, deltas = markov._encoding(markov._move_deltas(moves, 4), 4, 2 * size)
             with mock.patch.object(markov, other, side_effect=AssertionError(f"{other} ran")):
-                assert markov._components(path, by_cell, dense) == [list(range(size))]
+                assert markov._components(encode(path, shifts), steps, deltas) == [list(range(size))]
 
     def test_sweep_rejects_malformed_family(self):
         with pytest.raises(InputError, match="ModelFamily"):
@@ -510,10 +524,11 @@ class TestConnectivity:
         other search raises if it runs."""
         limit, other = {"difference": (len(fiber), "_edges_by_move"),
                         "move": (0, "_edges_by_difference")}[search]
-        by_cell, dense = markov._adjacency(moves, fiber.stat.size)
+        I, n = fiber.stat.size, sum(fiber.stat.rows)
+        shifts, steps, deltas = markov._encoding(markov._move_deltas(moves, I), I, n)
         with mock.patch.object(markov, "_PAIRWISE_MAX", limit), \
                 mock.patch.object(markov, other, side_effect=AssertionError(f"{other} ran")):
-            components = markov._components(fiber.flats, by_cell, dense)
+            components = markov._components(encode(fiber.flats, shifts), steps, deltas)
         return tuple(tuple(fiber.tables[k] for k in comp) for comp in components)
 
     # a benchmark base table, the move labels kept (None: all), and the
@@ -651,15 +666,17 @@ class TestConnectivity:
         family_moves = moves_for_model(model(family, I))
         for label in sorted({m.label for m in family_moves}):
             moves = [m for m in family_moves if m.label != label]
-            assert len(markov._relabellings(markov._adjacency(moves, I)[1], I)) == math.factorial(I)
+            deltas = markov._move_deltas(moves, I)
+            shifts, _, coded = markov._encoding(deltas, I, max_n)
+            assert len(markov._relabellings(deltas, I, shifts, coded)) == math.factorial(I)
             report = verify_connectivity(family, I, max_n, moves)
-            with mock.patch.object(markov, "_relabellings", lambda dense, size: [tuple(range(size))]):
+            with mock.patch.object(markov, "_relabellings", lambda deltas, size, *coding: [tuple(range(size))]):
                 assert verify_connectivity(family, I, max_n, moves) == report, label
 
     def test_sweep_refuses_wrong_weights(self, monkeypatch):
         # one swap besides the identity builds the tables with non-increasing
         # row sums, but weighs them by a group that is not S_3
-        monkeypatch.setattr(markov, "_relabellings", lambda dense, I: [(0, 1, 2), (1, 0, 2)])
+        monkeypatch.setattr(markov, "_relabellings", lambda deltas, I, *coding: [(0, 1, 2), (1, 0, 2)])
         with pytest.raises(InvariantViolationError, match=r"= 5005$"):
             verify_connectivity(ModelFamily.DIAGONAL_EFFECT, 3, 6)
 

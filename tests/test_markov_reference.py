@@ -1,4 +1,5 @@
-"""The fiber walk and the move factories against their earlier forms.
+"""The fiber walk, the move factories and the connectivity sweep against
+their earlier or plainer forms.
 
 `reference_fiber_walk` is the walk as it drew proposals with
 `Random.randrange` and branched on each move entry for its sign and the
@@ -7,12 +8,17 @@ grid, fixed its sign on the grid and checked every `Move`.  The package's
 kernel and factories must give exactly what these give: the same states
 from the same seeds, and the same moves in the same order.  The kernel
 must give them whether it keeps its proposal tables or has dropped them,
-wherever it drops them.
+wherever it drops them.  `reference_sweep` builds every table as a tuple,
+groups the tables by `sufficient_statistic` and finds components by
+breadth-first search; `verify_connectivity` must report what it reports.
 """
 
 import math
 import random
+from collections import deque
+from functools import lru_cache
 from itertools import combinations, permutations
+from operator import add
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from unittest import mock
 
@@ -23,12 +29,17 @@ from hypothesis import strategies as st
 from diagonal_effect import (
     CountTable,
     ModelFamily,
+    ModelForm,
+    ModelSpec,
     Move,
     Stationary,
+    SweepReport,
     WalkConfig,
     fiber_walk,
     moves_common_diag,
     moves_diag_effect,
+    sufficient_statistic,
+    verify_connectivity,
 )
 from diagonal_effect import markov
 from diagonal_effect.tables import rectangle_indices, require_int, triple_indices
@@ -218,6 +229,83 @@ def reference_fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkC
         yield state
 
 
+# ---------------------------------------------------------------------------
+# reference connectivity sweep
+# ---------------------------------------------------------------------------
+
+
+def tables_of_total(cells: int, n: int) -> Iterator[tuple]:
+    """Every flat nonnegative table of `cells` counts summing to n, in
+    lexicographic order."""
+    if cells == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in tables_of_total(cells - 1, n - first):
+            yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def fibers_by_statistic(family: ModelFamily, I: int, max_n: int) -> dict:
+    """Every table of total at most max_n, grouped by its statistic, in the
+    order a sweep by total and then lexicographically first meets each."""
+    model = ModelSpec(family=family, form=ModelForm.TORIC, size=I)
+    fibers: Dict[object, List[tuple]] = {}
+    for n in range(max_n + 1):
+        for flat in tables_of_total(I * I, n):
+            table = CountTable.from_rows([flat[i * I:(i + 1) * I] for i in range(I)])
+            fibers.setdefault(sufficient_statistic(table, model), []).append(flat)
+    return fibers
+
+
+def component_sizes(members: List[tuple], moves: Sequence[Move]) -> List[int]:
+    """The sizes of the components of `members` by breadth-first search:
+    each table's neighbours are itself plus or minus a move's dense grid."""
+    deltas = []
+    for m in moves:
+        flat = tuple(x for row in m.cells for x in row)
+        deltas += [flat, tuple(-x for x in flat)]
+    present = set(members)
+    seen: set = set()
+    sizes = []
+    for start in members:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, size = deque([start]), 0
+        while queue:
+            table = queue.popleft()
+            size += 1
+            for delta in deltas:
+                nxt = tuple(map(add, table, delta))
+                if nxt in present and nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        sizes.append(size)
+    return sizes
+
+
+def reference_sweep(family: ModelFamily, I: int, max_n: int, moves: Sequence[Move]) -> SweepReport:
+    """The report of a sweep of every table: each statistic is a fiber, and
+    a disconnected fiber is listed with its sorted component sizes, in the
+    order the sweep first meets it."""
+    fibers = fibers_by_statistic(family, I, max_n)
+    disconnected = []
+    for stat, members in fibers.items():
+        sizes = component_sizes(members, moves)
+        if len(sizes) > 1:
+            disconnected.append(((stat.rows, stat.cols, stat.diag), tuple(sorted(sizes))))
+    return SweepReport(
+        family=family,
+        size=I,
+        max_n=max_n,
+        fibers_checked=len(fibers),
+        tables_seen=sum(map(len, fibers.values())),
+        largest_fiber=max(map(len, fibers.values())),
+        disconnected=tuple(disconnected),
+    )
+
+
 def emitted(states: Iterable[CountTable]) -> Tuple[list, list]:
     """The cells of each state, and for each state after the first whether
     it is the previous state's object."""
@@ -352,3 +440,64 @@ def test_chance_compares_a_draw_exactly(den, data):
     for m in range(max(0, nearest - 2), min(1 << 53, nearest + 3)):
         a, b = (m / (1 << 53)).as_integer_ratio()
         assert (m / (1 << 53) < chance) == (a * den < num * b)
+
+
+# (family, size, largest max_n) of the sweeps compared with the reference
+SWEEP_SIZES = [
+    (ModelFamily.DIAGONAL_EFFECT, 3, 4),
+    (ModelFamily.COMMON_DIAGONAL_EFFECT, 3, 4),
+    (ModelFamily.DIAGONAL_EFFECT, 4, 3),
+    (ModelFamily.COMMON_DIAGONAL_EFFECT, 4, 3),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(range(len(SWEEP_SIZES))), data=st.data())
+@example(case=1, data=None)  # the common family's diag-double moves alone, entries +-2
+@example(case=3, data=None)
+def test_sweep_matches_reference_sweep(case, data):
+    family, I, top = SWEEP_SIZES[case]
+    family_moves = FACTORIES[family][0](I)
+    if data is None:
+        max_n, moves = top, [m for m in family_moves if m.label.startswith("diag-double")]
+    else:
+        max_n = data.draw(st.integers(0, top), label="max_n")
+        keep = data.draw(st.lists(st.booleans(), min_size=len(family_moves), max_size=len(family_moves)),
+                         label="keep")
+        moves = [m for m, kept in zip(family_moves, keep) if kept]
+    expected = reference_sweep(family, I, max_n, moves)
+    assert verify_connectivity(family, I, max_n, moves) == expected
+    with mock.patch.object(markov, "_PAIRWISE_MAX", 0):  # every fiber by the move search
+        assert verify_connectivity(family, I, max_n, moves) == expected
+
+
+@pytest.mark.parametrize("case", range(len(SWEEP_SIZES)))
+@pytest.mark.parametrize("subset", ["all", "none"])
+def test_sweep_matches_reference_sweep_at_the_ends(case, subset):
+    # every move, and the empty set, at each size's largest max_n
+    family, I, max_n = SWEEP_SIZES[case]
+    moves = FACTORIES[family][0](I) if subset == "all" else []
+    report = verify_connectivity(family, I, max_n, moves)
+    assert report == reference_sweep(family, I, max_n, moves)
+    assert report.all_connected == (subset == "all")
+
+
+def test_encoding_width_separates_a_borrow():
+    # t holds max_n = 4 at cell 1, and a diag-double move d lowers cell 2 by
+    # s = 2, so t + d is infeasible there.  In 3 bits a cell (2^3 > n + s)
+    # nothing collides; in one bit fewer the borrow from cell 1 makes t + d
+    # code as u, which is not t plus or minus a move.
+    moves = moves_common_diag(3)
+    d = next(m for m in moves if m.entries == ((0, 1), (1, 1), (2, -2), (3, -1), (4, -1), (5, 2)))
+    t = (0, 4, 0, 1, 1, 0, 0, 0, 0)
+    u = (1, 4, 2, 0, 0, 2, 0, 0, 0)
+
+    def code(flat, w):
+        return sum(x << w * (8 - k) for k, x in enumerate(flat))
+
+    assert code(u, 2) == code(t, 2) + code([x for row in d.cells for x in row], 2)
+    shifts, steps, deltas = markov._encoding(markov._move_deltas(moves, 3), 3, 4)
+    members = [sum(x << s for x, s in zip(flat, shifts)) for flat in (t, u)]
+    assert markov._components(members, steps, deltas) == [[0], [1]]
+    with mock.patch.object(markov, "_PAIRWISE_MAX", 0):  # the move search
+        assert markov._components(members, steps, deltas) == [[0], [1]]
