@@ -384,8 +384,10 @@ class ConnectivityReport:
 
 
 def is_connected(fiber: Fiber, moves: Sequence[Move]) -> ConnectivityReport:
-    """Graph connectivity of the fiber under single-move transitions, its
-    tables and the moves compared as ints (`_encoding`)."""
+    """Graph connectivity of the fiber under single-move transitions.  Its
+    tables and the moves are ints (`_encoding`), w bits a cell with 2^w
+    above the fiber's total plus the largest move entry, so two tables'
+    ints differ by a move's exactly when the tables do."""
     I = require_instance(fiber, Fiber, "fiber").stat.size
     shifts, steps, deltas = _encoding(_move_deltas(moves, I), I, sum(fiber.stat.rows))
     members = [sum(map(lshift, flat, shifts)) for flat in fiber.flats]
@@ -448,13 +450,13 @@ _PAIRWISE_MAX = 16
 
 
 def _components(members: Sequence[int], steps: Sequence[int], deltas: set) -> List[List[int]]:
-    """Connected components of the tables coded `members` (`_encoding`), all
-    of one total, as lists of member indices: t and u are adjacent when
-    u - t is in `deltas`.  A fiber of at most `_PAIRWISE_MAX` members tests
-    each pair, a larger one adds `steps` to each member.  Union-find joins
-    the pairs and stops once everything is joined; each root is its
-    component's least member, so the components come ordered by least
-    member, members ascending."""
+    """Connected components of the tables coded `members`, all of one
+    total, as lists of member indices: t and u are adjacent when u - t is
+    in `deltas`, which the coding makes exact (`_encoding`).  A fiber of at
+    most `_PAIRWISE_MAX` members tests each pair, a larger one adds `steps`
+    to each member.  Union-find joins the pairs and stops once everything
+    is joined; each root is its component's least member, so the
+    components come ordered by least member, members ascending."""
     count = len(members)
     parent = list(range(count))  # parent[k] <= k, so a root is its tree's least member
     joins_left = count - 1
@@ -1048,10 +1050,10 @@ def _relabel_flat(perm: tuple, I: int) -> itemgetter:
 
 def _relabellings(deltas: Sequence[tuple], I: int, shifts: Sequence[int], coded: set) -> List[tuple]:
     """Every permutation of range(I) when the simultaneous row/column
-    relabellings keep the `_move_deltas` `deltas`, coded as the set `coded`
-    by `shifts` (`_encoding`), else the identity alone.  The adjacent swaps
-    generate the symmetric group, so they are the ones checked, on one sign
-    of each move: a relabelling commutes with negation."""
+    relabellings keep the `_move_deltas` `deltas` (coded `coded` by
+    `shifts`), else the identity alone.  Only the adjacent swaps, which
+    generate S_I, are checked, on one sign of each move: swaps commute with
+    negation."""
     for i in range(I - 1):
         swap = list(range(I))
         swap[i], swap[i + 1] = i + 1, i
@@ -1084,8 +1086,7 @@ def _file_tables(fibers, levels, descending, n) -> None:
     for sums, (codes, keys) in prefixes.items():
         left = n - sum(sums)  # the last row takes what is left: at most sums[-1], by the bound above
         bucket = fibers[sums + (left,)]
-        row_codes, row_keys = levels[-1][left]
-        for c, x in zip(row_codes, row_keys):
+        for c, x in zip(*levels[-1][left]):
             for code, key in zip(codes, keys):
                 bucket[key + x].append(code + c)
 
@@ -1141,9 +1142,8 @@ def verify_connectivity(
     shifts, steps, deltas = _encoding(signed, I, max_n)
     perms = _relabellings(signed, I, shifts, deltas)
 
-    # a key codes the rest of a statistic as a table: the column sums in
-    # row 0, and in row 1 the diagonal, its sum at cell (1, 0) for the
-    # common diagonal, or nothing (independence)
+    # a key codes the rest of a statistic as a table: the column sums in row 0, in row 1
+    # the diagonal, its sum at cell (1, 0) for the common diagonal, or nothing (independence)
     common = family is ModelFamily.COMMON_DIAGONAL_EFFECT
     on_diag = family is not ModelFamily.INDEPENDENCE
     by_sum = _rows_by_sum(I, max_n)

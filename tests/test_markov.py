@@ -622,6 +622,8 @@ class TestConnectivity:
             report = verify_connectivity(spec.family, 3, max_n, moves)
         # moves kept by the relabellings build only tables with non-increasing row sums
         assert {call.args[2] for call in spy.call_args_list} == {closed}
+        # one call builds the tables of each total
+        assert [call.args[3] for call in spy.call_args_list] == list(range(max_n + 1))
         # every statistic, in the order a sweep of every table by total and
         # then lexicographically first meets it
         stats = dict.fromkeys(sufficient_statistic(t, spec) for n in range(max_n + 1) for t in all_tables(3, n))
