@@ -440,28 +440,24 @@ def _edges_by_move(members: Sequence[int], steps: Sequence[int]) -> Iterator[Tup
             yield index[u - d], index[u]
 
 
-# The largest fiber whose members are compared pairwise; larger fibers
-# apply the moves.  Timed per fiber size on enumerated fibers (Python 3.11),
-# the pairwise search stops being faster at 11 members for common-diagonal
-# I = 3, about 23 and 80 for diagonal-effect I = 4 and 5, 50 for common I = 4
-# and past 120 for common I = 5.  Up to 16 members it costs at most 1.4 times
-# more (common, I = 3) and as little as a seventh (common, I = 5).
-_PAIRWISE_MAX = 16
-
-
 def _components(members: Sequence[int], steps: Sequence[int], deltas: set) -> List[List[int]]:
     """Connected components of the tables coded `members`, all of one
     total, as lists of member indices: t and u are adjacent when u - t is
-    in `deltas`, which the coding makes exact (`_encoding`).  A fiber of at
-    most `_PAIRWISE_MAX` members tests each pair, a larger one adds `steps`
-    to each member.  Union-find joins the pairs and stops once everything
-    is joined; each root is its component's least member, so the
-    components come ordered by least member, members ascending."""
+    in `deltas`, which the coding makes exact (`_encoding`).  Two members
+    one move apart are joined at once.  A fiber of k <= len(steps) members
+    tests its k(k - 1)/2 pairs, a larger one adds each of `steps` to each
+    member: a pair test costs about twice a step, and on enumerated fibers
+    with 10 or more moves the crossover lies at 0.6 to 2 times len(steps)
+    members.  Union-find joins the pairs and stops once everything is
+    joined; each root is its component's least member, so the components
+    come ordered by least member, members ascending."""
     count = len(members)
+    if count == 2 and members[1] - members[0] in deltas:
+        return [[0, 1]]
     parent = list(range(count))  # parent[k] <= k, so a root is its tree's least member
     joins_left = count - 1
     if joins_left > 0:
-        if count <= _PAIRWISE_MAX:
+        if count <= len(steps):
             edges = _edges_by_difference(members, deltas)
         else:
             edges = _edges_by_move(members, steps)
@@ -1167,8 +1163,7 @@ def verify_connectivity(
         tables_seen += weight * sum(sizes)
         largest = max(largest, *sizes)
         for members in bucket.values():
-            # two tables one move apart are connected
-            if len(members) > 2 or len(members) == 2 and members[1] - members[0] not in deltas:
+            if len(members) > 1:
                 components = _components(members, steps, deltas)
                 if len(components) > 1:
                     flats = [tuple([m >> s & mask for s in shifts]) for m in members]

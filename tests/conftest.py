@@ -1,12 +1,20 @@
 import random
+from unittest import mock
 
 import pytest
 
-from diagonal_effect import CountTable, ModelFamily, ModelForm, ModelSpec
+from diagonal_effect import CountTable, ModelFamily, ModelForm, ModelSpec, markov
 
 
 def model(family: ModelFamily, size: int, form: ModelForm = ModelForm.TORIC) -> ModelSpec:
     return ModelSpec(family=family, form=form, size=size)
+
+
+def move_search_only(steps):
+    """A patch under which `markov._components` adds `steps` to each member
+    also where it would test each pair: every fiber by the move search."""
+    return mock.patch.object(markov, "_edges_by_difference",
+                             lambda members, deltas: markov._edges_by_move(members, steps))
 
 
 def random_count_table(rng: random.Random, size: int, n: int) -> CountTable:

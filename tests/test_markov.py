@@ -43,7 +43,7 @@ from diagonal_effect import (
     verify_connectivity,
 )
 
-from conftest import all_tables, model, random_count_table
+from conftest import all_tables, model, move_search_only, random_count_table
 
 DIAG3 = model(ModelFamily.DIAGONAL_EFFECT, 3)
 COMMON3 = model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3)
@@ -475,11 +475,11 @@ class TestConnectivity:
 
     def test_search_follows_size_limit(self):
         # a path of tables one move apart, as long as the largest fiber
-        # compared pairwise and one table longer
+        # compared pairwise, one table a move, and one table longer
         moves = moves_diag_effect(4)
         step = [x for row in moves[0].cells for x in row]
-        for size, other in [(markov._PAIRWISE_MAX, "_edges_by_move"),
-                            (markov._PAIRWISE_MAX + 1, "_edges_by_difference")]:
+        for size, other in [(len(moves), "_edges_by_move"),
+                            (len(moves) + 1, "_edges_by_difference")]:
             path = [tuple(size + k * x for x in step) for k in range(size)]
             # counts of the path are below 2 * size
             shifts, steps, deltas = markov._encoding(markov._move_deltas(moves, 4), 4, 2 * size)
@@ -519,15 +519,18 @@ class TestConnectivity:
     @staticmethod
     def components_by_search(fiber, moves, search) -> tuple:
         """`markov._components` with one neighbour search forced, in the
-        form `components_by_bfs` returns: the size limit of the difference
-        search is set so that this fiber takes the forced search, and the
-        other search raises if it runs."""
-        limit, other = {"difference": (len(fiber), "_edges_by_move"),
-                        "move": (0, "_edges_by_difference")}[search]
+        form `components_by_bfs` returns: for the difference search the
+        steps are padded to as many as the members, which selects it, and
+        the move search raises if it runs; the move search runs in place of
+        the difference search."""
         I, n = fiber.stat.size, sum(fiber.stat.rows)
         shifts, steps, deltas = markov._encoding(markov._move_deltas(moves, I), I, n)
-        with mock.patch.object(markov, "_PAIRWISE_MAX", limit), \
-                mock.patch.object(markov, other, side_effect=AssertionError(f"{other} ran")):
+        if search == "difference":
+            steps = steps + [0] * len(fiber)
+            patch = mock.patch.object(markov, "_edges_by_move", side_effect=AssertionError("_edges_by_move ran"))
+        else:
+            patch = move_search_only(steps)
+        with patch:
             components = markov._components(encode(fiber.flats, shifts), steps, deltas)
         return tuple(tuple(fiber.tables[k] for k in comp) for comp in components)
 

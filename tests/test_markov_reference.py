@@ -44,6 +44,8 @@ from diagonal_effect import (
 from diagonal_effect import markov
 from diagonal_effect.tables import rectangle_indices, require_int, triple_indices
 
+from conftest import move_search_only
+
 # ---------------------------------------------------------------------------
 # reference move builders
 # ---------------------------------------------------------------------------
@@ -467,7 +469,8 @@ def test_sweep_matches_reference_sweep(case, data):
         moves = [m for m, kept in zip(family_moves, keep) if kept]
     expected = reference_sweep(family, I, max_n, moves)
     assert verify_connectivity(family, I, max_n, moves) == expected
-    with mock.patch.object(markov, "_PAIRWISE_MAX", 0):  # every fiber by the move search
+    steps = markov._encoding(markov._move_deltas(moves, I), I, max_n)[1]
+    with move_search_only(steps):
         assert verify_connectivity(family, I, max_n, moves) == expected
 
 
@@ -499,5 +502,5 @@ def test_encoding_width_separates_a_borrow():
     shifts, steps, deltas = markov._encoding(markov._move_deltas(moves, 3), 3, 4)
     members = [sum(x << s for x, s in zip(flat, shifts)) for flat in (t, u)]
     assert markov._components(members, steps, deltas) == [[0], [1]]
-    with mock.patch.object(markov, "_PAIRWISE_MAX", 0):  # the move search
+    with move_search_only(steps):
         assert markov._components(members, steps, deltas) == [[0], [1]]

@@ -2,11 +2,11 @@
 
     python3 tools/bench_pairs.py --workload fibers --seeds 11 12 13 --seconds 25
 
-The change is this checkout as it stands; the parent is a commit (default
-`HEAD^`), checked out with `git worktree add --detach` in a temporary
-directory and removed afterwards.  `--parent-dir` names a checkout of the
-parent made another way (for example with `git archive`) and skips the
-worktree.  Each seed is one pair: both checkouts run their own
+The change is the commit `HEAD` and the parent a commit named by `--parent`
+(default `HEAD^`).  Each is exported with `git archive` into its own
+temporary directory, removed afterwards, so both sides are committed trees
+and the row names the commits it measured; uncommitted edits are not
+measured.  Each seed is one pair: both checkouts run their own
 `perfbench/run.py` for the workload and seed, parent first in even pairs
 and change first in odd ones.  The script appends one row to
 `BENCH_<workload>.json` at the repository root: the commits, the seeds and
@@ -19,10 +19,11 @@ library only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 from statistics import median, quantiles
@@ -36,6 +37,15 @@ MACHINE = ("nproc", "cpu_count", "machine", "python", "numpy")
 def git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True,
                           check=True).stdout.strip()
+
+
+def export(commit: str, dest: Path) -> Path:
+    """The tree of `commit`, extracted from `git archive` into `dest`."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], capture_output=True,
+                             check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest)
+    return dest
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -98,27 +108,18 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=int, default=25)
     parser.add_argument("--parent", default="HEAD^", help="the parent commit (default HEAD^)")
-    parser.add_argument("--parent-dir", type=Path, help="an existing checkout of the parent")
     args = parser.parse_args()
 
     commit, parent = git("rev-parse", "HEAD"), git("rev-parse", args.parent)
-    worktree = None
-    if args.parent_dir is None:
-        worktree = Path(tempfile.mkdtemp(prefix="bench-parent-"))
-        git("worktree", "add", "--detach", str(worktree), parent)
-    parent_dir = args.parent_dir or worktree
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
-    try:
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        order = [("parent", export(parent, Path(tmp, "parent"))),
+                 ("change", export(commit, Path(tmp, "change")))]
         for k, seed in enumerate(args.seeds):
-            order = [("parent", parent_dir), ("change", ROOT)]
             for side, checkout in order if k % 2 == 0 else order[::-1]:
                 runs[side].append(run_bench(checkout, args.workload, seed, args.seconds))
                 print(f"pair {k + 1}/{len(args.seeds)} seed {seed} {side}: "
                       f"{json.dumps(runs[side][-1]['metrics'])}", file=sys.stderr, flush=True)
-    finally:
-        if worktree is not None:
-            git("worktree", "remove", "--force", str(worktree))
-            shutil.rmtree(worktree, ignore_errors=True)
     row = build_row(commit, parent, args.workload, args.seeds, args.seconds, runs)
     print(f"appended a row to {append_row(args.workload, row)}")
     return 0
