@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import cache, cached_property, reduce
@@ -1044,19 +1044,18 @@ def _relabel_flat(perm: tuple, I: int) -> itemgetter:
     return itemgetter(*(perm[i] * I + perm[j] for i in range(I) for j in range(I)))
 
 
-def _relabellings(deltas: Sequence[tuple], I: int, shifts: Sequence[int], coded: set) -> List[tuple]:
-    """Every permutation of range(I) when the simultaneous row/column
-    relabellings keep the `_move_deltas` `deltas` (coded `coded` by
-    `shifts`), else the identity alone.  Only the adjacent swaps, which
-    generate S_I, are checked, on one sign of each move: swaps commute with
-    negation."""
+def _symmetric(deltas: Sequence[tuple], I: int, shifts: Sequence[int], coded: set) -> bool:
+    """Whether the simultaneous row/column relabellings keep the
+    `_move_deltas` `deltas` (coded `coded` by `shifts`).  Only the adjacent
+    swaps, which generate S_I, are checked, on one sign of each move: swaps
+    commute with negation."""
     for i in range(I - 1):
         swap = list(range(I))
         swap[i], swap[i + 1] = i + 1, i
         moved = [shifts[swap[k // I] * I + swap[k % I]] for k in range(I * I)]
         if not all(sum([v << moved[k] for k, v in d]) in coded for d in deltas[::2]):
-            return [tuple(range(I))]
-    return list(permutations(range(I)))
+            return False
+    return True
 
 
 def _file_tables(fibers, levels, descending, n) -> None:
@@ -1136,7 +1135,7 @@ def verify_connectivity(
         moves = moves_for_model(model)
     signed = _move_deltas(moves, I)
     shifts, steps, deltas = _encoding(signed, I, max_n)
-    perms = _relabellings(signed, I, shifts, deltas)
+    symmetric = _symmetric(signed, I, shifts, deltas)
 
     # a key codes the rest of a statistic as a table: the column sums in row 0, in row 1
     # the diagonal, its sum at cell (1, 0) for the common diagonal, or nothing (independence)
@@ -1149,15 +1148,15 @@ def verify_connectivity(
                for row_tops, rows in zip(tops, by_sum)] for k in range(I)]
     fibers: Dict[tuple, Dict[int, List[int]]] = defaultdict(lambda: defaultdict(list))
     for n in range(max_n + 1):
-        _file_tables(fibers, levels, len(perms) > 1, n)
+        _file_tables(fibers, levels, symmetric, n)
 
-    row_relabels = [itemgetter(*p) for p in perms]
-    flat_relabels = [_relabel_flat(p, I) for p in perms]
+    relabels = [] if symmetric else [tuple]  # tuple: the identity; S_I's at the first disconnected fiber
     mask = (1 << shifts[-2]) - 1  # a cell's w bits
     fibers_checked = tables_seen = largest = 0
     found: Dict[tuple, tuple] = {}  # least member of a disconnected fiber -> component sizes
     for row_sums, bucket in fibers.items():
-        weight = len({relabel(row_sums) for relabel in row_relabels})
+        weight = (math.factorial(I) // math.prod(map(math.factorial, Counter(row_sums).values()))
+                  if symmetric else 1)  # I!/prod m_v!: the distinct rearrangements of row_sums
         sizes = list(map(len, bucket.values()))
         fibers_checked += weight * len(sizes)
         tables_seen += weight * sum(sizes)
@@ -1167,7 +1166,8 @@ def verify_connectivity(
                 components = _components(members, steps, deltas)
                 if len(components) > 1:
                     flats = [tuple([m >> s & mask for s in shifts]) for m in members]
-                    for relabel in flat_relabels:
+                    relabels = relabels or [_relabel_flat(p, I) for p in permutations(range(I))]
+                    for relabel in relabels:
                         found[min(map(relabel, flats))] = tuple(sorted(map(len, components)))
     if tables_seen != count:
         raise InvariantViolationError(

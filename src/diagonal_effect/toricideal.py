@@ -126,8 +126,6 @@ def _kernel_vectors(A: DesignMatrix) -> List[List[int]]:
                     aug[r] = [a - q * b for a, b in zip(aug[r], aug[piv])]
                 if aug[r][col] != 0:
                     aug[piv], aug[r] = aug[r], aug[piv]
-                    if aug[piv][col] < 0:
-                        aug[piv] = [-x for x in aug[piv]]
         piv += 1
     basis, columns = [], list(zip(*A.rows))
     for r in range(piv, n):

@@ -31,13 +31,12 @@ from diagonal_effect import (
     mixture_to_toric,
     nonvanishing_variants_report,
     random_rational_point,
-    sufficient_statistic,
     toric_ideal,
     toric_point,
     verify_connectivity,
 )
 
-from conftest import all_tables
+from conftest import fibers_by_statistic, table_of
 
 
 def _diag(I, form=ModelForm.TORIC):
@@ -227,11 +226,8 @@ def test_criterion_09_exact_test_calibration():
 
 def test_criterion_10_sufficiency_property():
     diag_model = _diag(3)
-    groups = {}
-    for n in range(7):
-        for t in all_tables(3, n):
-            groups.setdefault(sufficient_statistic(t, diag_model), []).append(t)
-    multi = [members for members in groups.values() if len(members) > 1]
+    groups = fibers_by_statistic(ModelFamily.DIAGONAL_EFFECT, 3, 6)
+    multi = [list(map(table_of, members)) for members in groups.values() if len(members) > 1]
     assert multi, "pool must contain nontrivial fibers"
     pairs = sum(len(m) - 1 for m in multi)
     for seed in range(100):

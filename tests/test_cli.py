@@ -10,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagonal_effect import InputError, MixtureParams, ModelFamily, ModelForm, ModelSpec, ToricParams
-from diagonal_effect import toricideal
+from diagonal_effect import markov, toricideal
 from diagonal_effect.cli import main, parse_count_table, parse_params
+
+from conftest import model
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -243,6 +245,19 @@ class TestSubcommands:
         record = json.loads(out)
         assert record["outputs"]["all_connected"] is True
 
+    def test_check_connectivity_lists_a_disconnected_fiber(self, capsys, monkeypatch):
+        # the command reads verify_connectivity from its module when it runs
+        sweep = markov.verify_connectivity
+        monkeypatch.setattr(markov, "verify_connectivity", lambda family, I, max_n: sweep(
+            family, I, max_n, [m for m in markov.moves_for_model(model(family, I)) if m.label != "diag-shift"]))
+        code, out, _ = run_cli(
+            capsys, "check-connectivity", "--model", "common", "--size", "3", "--max-n", "3"
+        )
+        outputs = json.loads(out)["outputs"]
+        assert code == 0
+        assert outputs["all_connected"] is False
+        assert outputs["disconnected"] == [{"stat": "((1, 1, 1), (1, 1, 1), 1)", "component_sizes": [1, 1, 1]}]
+
     def test_sample_stream(self, capsys, tmp_path):
         table = tmp_path / "t.csv"
         table.write_text("0,1,0\n0,0,1\n1,0,0\n")
@@ -438,6 +453,15 @@ class TestExitCodes:
         )
         assert code == 3
         assert "10000000-table budget" in err
+        assert out == ""
+
+    def test_invariant_violation_is_4(self, capsys, unweighted_sweep):
+        code, out, err = run_cli(
+            capsys, "check-connectivity", "--model", "diag", "--size", "3", "--max-n", "3",
+        )
+        assert code == 4
+        assert err.startswith("internal invariant violation: the sweep weighted ")
+        assert err.endswith("= 220\n")
         assert out == ""
 
     def test_negative_budget_is_2(self, capsys, tmp_path):

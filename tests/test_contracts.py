@@ -1,6 +1,5 @@
 """Cross-module contract checks that don't belong to a single module."""
 
-import ast
 import importlib
 import inspect
 import json
@@ -462,35 +461,3 @@ def test_public_entry_points_raise_only_package_errors_on_junk(junk):
                 pass
             except Exception as exc:
                 pytest.fail(f"{name} with {junk!r} in slot {slot}: {type(exc).__name__}: {exc}")
-
-
-def _unused_imports(source: str) -> list:
-    """Names a module imports and never reads, also in quoted annotations."""
-    tree = ast.parse(source)
-    imported, used = {}, set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
-        elif isinstance(node, ast.Name):
-            used.add(node.id)
-        annotations = []
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            annotations.append(node.returns)
-        elif isinstance(node, ast.arg):
-            annotations.append(node.annotation)
-        elif isinstance(node, ast.AnnAssign):
-            annotations.append(node.annotation)
-        for note in annotations:
-            if isinstance(note, ast.Constant) and isinstance(note.value, str):
-                used.update(n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
-                            if isinstance(n, ast.Name))
-    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
-
-
-@pytest.mark.parametrize("path", sorted(Path(diagonal_effect.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.name)
-def test_every_import_is_used(path):
-    assert _unused_imports(path.read_text()) == []

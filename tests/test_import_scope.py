@@ -118,7 +118,9 @@ class TestImportScope:
 
 def unused_imports(source: str) -> set:
     """The names that `source` imports and never reads; `from __future__`
-    imports bind no name."""
+    imports bind no name.  A name read only inside a quoted annotation
+    counts as unread: under `from __future__ import annotations` no
+    imported name needs quoting."""
     tree = ast.parse(source)
     imported, read = set(), set()
     for node in ast.walk(tree):
@@ -139,6 +141,7 @@ class TestImports:
     def test_an_unused_import_is_found(self):
         source = "from collections import Counter\nfrom typing import Optional\nx: Optional[int] = None\n"
         assert unused_imports(source) == {"Counter"}
+        assert unused_imports("from m import A\ndef f() -> 'A':\n    pass\n") == {"A"}
 
 
 def constructor_calls(source: str) -> list:

@@ -1,7 +1,7 @@
 import math
 import random
 import time
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +43,7 @@ from diagonal_effect import (
     verify_connectivity,
 )
 
-from conftest import all_tables, model, move_search_only, random_count_table
+from conftest import components_by_bfs, encode, fibers_by_statistic, model, move_search_only, random_count_table
 
 DIAG3 = model(ModelFamily.DIAGONAL_EFFECT, 3)
 COMMON3 = model(ModelFamily.COMMON_DIAGONAL_EFFECT, 3)
@@ -69,10 +69,6 @@ FAMILY_NAMES = {"diag": ModelFamily.DIAGONAL_EFFECT, "common": ModelFamily.COMMO
 LARGEST = CountTable.from_rows(FIBER_BASE_TABLES[-1][1])
 
 
-def flat(table: CountTable) -> tuple:
-    return tuple(x for row in table.cells for x in row)
-
-
 def basic_moves(size: int) -> List[Move]:
     """Every 2 x 2 swap, the moves of independence: +1 at (i, j) and
     (k, h), -1 at (i, h) and (k, j), for rows i < k and columns j < h."""
@@ -90,45 +86,6 @@ def without_first(moves: List[Move], label: str) -> List[Move]:
     """`moves` less the first move labelled `label`."""
     k = next(k for k, m in enumerate(moves) if m.label == label)
     return moves[:k] + moves[k + 1:]
-
-
-@lru_cache(maxsize=None)
-def fibers_by_grouping(family: ModelFamily, size: int, n: int) -> dict:
-    """Every fiber of total n, as sorted flat tables, by grouping all tables."""
-    m = model(family, size)
-    groups = {}
-    for t in all_tables(size, n):
-        groups.setdefault(sufficient_statistic(t, m), []).append(flat(t))
-    return {stat: sorted(members) for stat, members in groups.items()}
-
-
-def encode(flats, shifts) -> List[int]:
-    """Each flat table as the int whose bits from shifts[k] on hold its
-    count k, the coding of `markov._encoding`."""
-    return [sum(x << s for x, s in zip(f, shifts)) for f in flats]
-
-
-def components_by_bfs(fiber, moves) -> tuple:
-    """Connected components by breadth-first search over `apply_move`, each
-    in fiber order, ordered by their first table."""
-    position = {t.cells: k for k, t in enumerate(fiber.tables)}
-    component = {}
-    for start in range(len(fiber)):
-        if start in component:
-            continue
-        component[start] = start
-        queue = deque([fiber.tables[start]])
-        while queue:
-            table = queue.popleft()
-            for move in moves:
-                for sign in (1, -1):
-                    nxt = apply_move(table, move, sign)
-                    k = position.get(nxt.cells) if nxt is not None else None
-                    if k is not None and k not in component:
-                        component[k] = start
-                        queue.append(nxt)
-    return tuple(tuple(fiber.tables[k] for k in range(len(fiber)) if component[k] == root)
-                 for root in sorted(set(component.values())))
 
 
 def cell_by_cell_search(
@@ -307,15 +264,10 @@ class TestEnumerateFiber:
         assert len(fiber) == 2
 
     def test_matches_grouping_oracle(self, rng):
-        # group all tables of a fixed total by statistic: complete fibers
+        # group all tables of total at most 4 by statistic: complete fibers
         for family in (ModelFamily.DIAGONAL_EFFECT, ModelFamily.COMMON_DIAGONAL_EFFECT):
-            m = model(family, 3)
-            groups = {}
-            for t in all_tables(3, 4):
-                groups.setdefault(sufficient_statistic(t, m), []).append(t)
-            for stat, members in list(groups.items())[::7]:
-                fiber = enumerate_fiber(stat, m)
-                assert sorted(t.cells for t in fiber.tables) == sorted(t.cells for t in members)
+            for stat, members in list(fibers_by_statistic(family, 3, 4).items())[::7]:
+                assert list(enumerate_fiber(stat, model(family, 3)).flats) == members
 
     def test_budget_error(self):
         t = CountTable.from_rows([[3, 3, 3], [3, 3, 3], [3, 3, 3]])
@@ -373,7 +325,7 @@ class TestEnumerateFiber:
         stat = sufficient_statistic(table, m)
         fiber = enumerate_fiber(stat, m)
         assert (fiber.flats, fiber.nodes) == cell_by_cell_search(stat, m)
-        assert flat(table) in fiber.flats
+        assert table.flat in fiber.flats
         # the node count is the smallest budget that enumerates the fiber
         assert enumerate_fiber(stat, m, node_budget=fiber.nodes) == fiber
         with pytest.raises(BudgetExceededError, match=f"the {fiber.nodes - 1}-node budget"):
@@ -394,7 +346,7 @@ class TestEnumerateFiber:
     def test_tables_built_once_from_flats(self):
         fiber = enumerate_fiber(sufficient_statistic(DERANGEMENT, COMMON3), COMMON3)
         assert fiber.tables is fiber.tables
-        assert tuple(flat(t) for t in fiber.tables) == fiber.flats
+        assert tuple(t.flat for t in fiber.tables) == fiber.flats
 
     @settings(max_examples=100, deadline=None)
     @given(family=st.sampled_from(FAMILIES + [ModelFamily.INDEPENDENCE]),
@@ -407,7 +359,7 @@ class TestEnumerateFiber:
             cells[k // size][k % size] += 1
         m = model(family, size)
         stat = sufficient_statistic(CountTable.from_rows(cells), m)
-        assert list(enumerate_fiber(stat, m).flats) == fibers_by_grouping(family, size, n)[stat]
+        assert list(enumerate_fiber(stat, m).flats) == fibers_by_statistic(family, size, n)[stat]
 
 
 class TestConnectivity:
@@ -499,8 +451,7 @@ class TestConnectivity:
     @given(family=st.sampled_from(FAMILIES), size=st.integers(3, 4), data=st.data())
     def test_components_match_naive_bfs(self, family, size, data):
         n = data.draw(st.integers(2, 6 if size == 3 else 4), label="n")
-        fibers = fibers_by_grouping(family, size, n)
-        stat = data.draw(st.sampled_from(sorted(fibers, key=repr)), label="stat")
+        stat = data.draw(st.sampled_from(sorted(fibers_by_statistic(family, size, n), key=repr)), label="stat")
         m = model(family, size)
         family_moves = moves_for_model(m)
         keep = data.draw(st.lists(st.booleans(), min_size=len(family_moves),
@@ -508,8 +459,8 @@ class TestConnectivity:
         moves = [mv for mv, kept in zip(family_moves, keep) if kept]
         fiber = enumerate_fiber(stat, m)
         report = is_connected(fiber, moves)
-        expected = components_by_bfs(fiber, moves)
-        assert report.components == expected
+        expected = components_by_bfs(fiber.flats, moves)
+        assert report.components == tuple(tuple(fiber.tables[k] for k in comp) for comp in expected)
         assert report.connected == (len(report.components) <= 1)
         for search in self.SEARCHES:
             assert self.components_by_search(fiber, moves, search) == expected
@@ -517,12 +468,11 @@ class TestConnectivity:
     SEARCHES = ["difference", "move"]
 
     @staticmethod
-    def components_by_search(fiber, moves, search) -> tuple:
-        """`markov._components` with one neighbour search forced, in the
-        form `components_by_bfs` returns: for the difference search the
-        steps are padded to as many as the members, which selects it, and
-        the move search raises if it runs; the move search runs in place of
-        the difference search."""
+    def components_by_search(fiber, moves, search) -> List[List[int]]:
+        """`markov._components` with one neighbour search forced: for the
+        difference search the steps are padded to as many as the members,
+        which selects it, and the move search raises if it runs; the move
+        search runs in place of the difference search."""
         I, n = fiber.stat.size, sum(fiber.stat.rows)
         shifts, steps, deltas = markov._encoding(markov._move_deltas(moves, I), I, n)
         if search == "difference":
@@ -531,8 +481,7 @@ class TestConnectivity:
         else:
             patch = move_search_only(steps)
         with patch:
-            components = markov._components(encode(fiber.flats, shifts), steps, deltas)
-        return tuple(tuple(fiber.tables[k] for k in comp) for comp in components)
+            return markov._components(encode(fiber.flats, shifts), steps, deltas)
 
     # a benchmark base table, the move labels kept (None: all), and the
     # number of components of its fiber under those moves
@@ -555,7 +504,7 @@ class TestConnectivity:
         moves = [mv for mv in moves_for_model(m) if labels is None or mv.label in labels]
         fiber = enumerate_fiber(sufficient_statistic(CountTable.from_rows(cells), m), m)
         components = self.components_by_search(fiber, moves, search)
-        assert components == components_by_bfs(fiber, moves)
+        assert components == components_by_bfs(fiber.flats, moves)
         assert len(components) == count
 
     def test_sweep_wrong_move_size_rejected(self):
@@ -621,15 +570,18 @@ class TestConnectivity:
     def test_sweep_agrees_with_is_connected(self, case):
         spec, moves, connects, closed = self.SWEEP_CASES[case]
         max_n = 3
-        with mock.patch.object(markov, "_file_tables", wraps=markov._file_tables) as spy:
+        with mock.patch.object(markov, "_file_tables", wraps=markov._file_tables) as spy, \
+                mock.patch.object(markov, "_relabel_flat", wraps=markov._relabel_flat) as relabel:
             report = verify_connectivity(spec.family, 3, max_n, moves)
         # moves kept by the relabellings build only tables with non-increasing row sums
         assert {call.args[2] for call in spy.call_args_list} == {closed}
         # one call builds the tables of each total
         assert [call.args[3] for call in spy.call_args_list] == list(range(max_n + 1))
+        # the 3! relabellings, once, and only for a disconnected fiber of a symmetric sweep
+        assert relabel.call_count == (6 if closed and not connects else 0)
         # every statistic, in the order a sweep of every table by total and
         # then lexicographically first meets it
-        stats = dict.fromkeys(sufficient_statistic(t, spec) for n in range(max_n + 1) for t in all_tables(3, n))
+        stats = fibers_by_statistic(spec.family, 3, max_n)
         disconnected = {}
         largest = 0
         for stat in stats:
@@ -644,8 +596,8 @@ class TestConnectivity:
         assert report.disconnected == tuple(disconnected.items())
         assert bool(disconnected) != connects
 
-    # (fibers_checked, tables_seen, largest_fiber) of the acceptance sweeps,
-    # as the sweep of every table counts them
+    # (fibers_checked, tables_seen, largest_fiber) of the acceptance sweeps
+    # and at I = 7 and 8, as the sweep of every table counts them
     ACCEPTANCE_SWEEPS = {
         "diag-3-6": (ModelFamily.DIAGONAL_EFFECT, 3, 6, (4785, 5005, 3)),
         "diag-4-5": (ModelFamily.DIAGONAL_EFFECT, 4, 5, (14547, 20349, 10)),
@@ -653,12 +605,18 @@ class TestConnectivity:
         "common-3-6": (ModelFamily.COMMON_DIAGONAL_EFFECT, 3, 6, (4138, 5005, 6)),
         "common-4-5": (ModelFamily.COMMON_DIAGONAL_EFFECT, 4, 5, (12219, 20349, 12)),
         "common-5-4": (ModelFamily.COMMON_DIAGONAL_EFFECT, 5, 4, (13521, 23751, 11)),
+        "diag-7-2": (ModelFamily.DIAGONAL_EFFECT, 7, 2, (1065, 1275, 2)),
+        "common-7-2": (ModelFamily.COMMON_DIAGONAL_EFFECT, 7, 2, (1065, 1275, 2)),
+        "diag-8-2": (ModelFamily.DIAGONAL_EFFECT, 8, 2, (1725, 2145, 2)),
+        "common-8-2": (ModelFamily.COMMON_DIAGONAL_EFFECT, 8, 2, (1725, 2145, 2)),
     }
 
     @pytest.mark.parametrize("case", list(ACCEPTANCE_SWEEPS))
     def test_acceptance_sweep_counts_pinned(self, case):
         family, I, max_n, counts = self.ACCEPTANCE_SWEEPS[case]
-        report = verify_connectivity(family, I, max_n)
+        # every fiber is connected, so no relabelling is built
+        with mock.patch.object(markov, "_relabel_flat", side_effect=AssertionError("_relabel_flat ran")):
+            report = verify_connectivity(family, I, max_n)
         assert (report.fibers_checked, report.tables_seen, report.largest_fiber) == counts
         assert report.disconnected == ()
 
@@ -667,21 +625,18 @@ class TestConnectivity:
     def test_symmetric_sweep_matches_full_sweep(self, family, I, max_n):
         # each label's moves are kept by the relabellings, so every move set
         # here takes the symmetric sweep; the full sweep is forced by
-        # offering the identity alone
+        # denying the symmetry
         family_moves = moves_for_model(model(family, I))
         for label in sorted({m.label for m in family_moves}):
             moves = [m for m in family_moves if m.label != label]
             deltas = markov._move_deltas(moves, I)
             shifts, _, coded = markov._encoding(deltas, I, max_n)
-            assert len(markov._relabellings(deltas, I, shifts, coded)) == math.factorial(I)
+            assert markov._symmetric(deltas, I, shifts, coded)
             report = verify_connectivity(family, I, max_n, moves)
-            with mock.patch.object(markov, "_relabellings", lambda deltas, size, *coding: [tuple(range(size))]):
+            with mock.patch.object(markov, "_symmetric", return_value=False):
                 assert verify_connectivity(family, I, max_n, moves) == report, label
 
-    def test_sweep_refuses_wrong_weights(self, monkeypatch):
-        # one swap besides the identity builds the tables with non-increasing
-        # row sums, but weighs them by a group that is not S_3
-        monkeypatch.setattr(markov, "_relabellings", lambda deltas, I, *coding: [(0, 1, 2), (1, 0, 2)])
+    def test_sweep_refuses_wrong_weights(self, unweighted_sweep):
         with pytest.raises(InvariantViolationError, match=r"= 5005$"):
             verify_connectivity(ModelFamily.DIAGONAL_EFFECT, 3, 6)
 
@@ -804,7 +759,7 @@ class TestPearsonStatistic:
         assert len(fiber.tables) > 1
         for t in fiber.tables:
             assert (markov.pearson_statistic(t.cells, expected).hex()
-                    == markov._pearson_flat(markov._add_terms(fit, terms, flat(t)), flat(t)).hex())
+                    == markov._pearson_flat(markov._add_terms(fit, terms, t.flat), t.flat).hex())
 
     def test_positive_count_on_zero_fit_is_infinite(self):
         expected = [[0.0, 2.0], [1.5, 0.5]]
@@ -965,8 +920,8 @@ def reference_enumeration_test(table: CountTable, m: ModelSpec) -> tuple:
     statistic from `_pearson_flat`, and the p-value as an int division;
     (statistic, p-value, tables)."""
     fit = [e for row in fit_for(m.family)(table, m) for e in row]
-    terms = markov._add_terms(fit, [{} for _ in fit], flat(table))
-    observed = markov._pearson_flat(terms, flat(table))
+    terms = markov._add_terms(fit, [{} for _ in fit], table.flat)
+    observed = markov._pearson_flat(terms, table.flat)
     threshold = markov._chi2_threshold(observed)
     flats, _ = cell_by_cell_search(sufficient_statistic(table, m), m)
     n_fact = math.factorial(table.n)
@@ -1074,10 +1029,10 @@ class TestExactTest:
         calls = spy_pearson(monkeypatch)
         assert exact_test(t, COMMON3, config, method="mcmc") == unpatched
         states = list(fiber_walk(t, moves_common_diag(3), config))
-        distinct = list(dict.fromkeys(flat(s) for s in states))
+        distinct = list(dict.fromkeys(s.flat for s in states))
         changes = sum(a is not b for a, b in zip(states, states[1:]))
         assert len(distinct) < changes  # the walk revisits tables
-        assert calls == [flat(t)] + distinct  # the observed table, then each table once
+        assert calls == [t.flat] + distinct  # the observed table, then each table once
         # a revisited table is the same object
         by_cells = {s.cells: s for s in states}
         assert all(s is by_cells[s.cells] for s in states)
@@ -1134,7 +1089,7 @@ class TestExactTest:
         t = CountTable.from_rows(cells)
         spec, moves = model(ModelFamily.COMMON_DIAGONAL_EFFECT, t.size), moves_common_diag(t.size)
         unpatched = exact_test(t, spec, config, method="mcmc")
-        states = [flat(s) for s in fiber_walk(t, moves, config)]
+        states = [s.flat for s in fiber_walk(t, moves, config)]
         changes = [s for k, s in enumerate(states) if k == 0 or s != states[k - 1]]
         for name, value in patch.items():
             monkeypatch.setattr(markov, name, value)
@@ -1145,16 +1100,16 @@ class TestExactTest:
         # on every state change is scored again.
         first = list(dict.fromkeys(changes))[:kept]
         assert drop == next(k for k, s in enumerate(changes) if s not in first)
-        assert calls == [flat(t)] + first + changes[drop:]
+        assert calls == [t.flat] + first + changes[drop:]
 
     def test_pearson_once_per_distinct_state_over_chains(self, monkeypatch):
         t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
         config = WalkConfig(steps=2_000, seed=4)
         calls = spy_pearson(monkeypatch)
         exact_test_chains(t, COMMON3, config, chains=3)
-        visited = {flat(s) for k in range(3)
+        visited = {s.flat for k in range(3)
                    for s in fiber_walk(t, moves_common_diag(3), replace(config, seed=config.seed + k))}
-        assert calls[0] == flat(t)  # the observed table
+        assert calls[0] == t.flat  # the observed table
         walked = calls[1:]
         assert len(walked) == len(set(walked)) == len(visited)
         assert set(walked) == visited
@@ -1174,7 +1129,7 @@ class TestExactTest:
 
         def walk(*args):
             for state in real_walk(*args):
-                walked.append(flat(state))
+                walked.append(state.flat)
                 yield state
 
         monkeypatch.setattr(markov, "_fit_terms", fit_terms)
@@ -1183,7 +1138,7 @@ class TestExactTest:
         result = exact_test(t, COMMON3, config, method="mcmc")
         [(fit, terms, _)] = fits
         assert len(walked) == 1_000 and len(set(walked)) > 1
-        assert [set(term) for term in terms] == [{flat(t)[k]} | {s[k] for s in walked} for k in range(9)]
+        assert [set(term) for term in terms] == [{t.flat[k]} | {s[k] for s in walked} for k in range(9)]
         assert all(term[o] == markov._pearson_term(o, e) for e, term in zip(fit, terms) for o in term)
         monkeypatch.undo()
         assert exact_test(t, COMMON3, config, method="mcmc") == result
@@ -1217,6 +1172,14 @@ class TestExactTest:
         assert result.method == "MCMC"
         assert result.samples_used == 50_000
         assert result.config == WalkConfig(steps=50_000).to_dict()
+
+    def test_enumerate_past_the_budget_raises_where_auto_walks(self):
+        # the fiber takes 397 nodes
+        t = CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
+        config = WalkConfig(steps=100, seed=1)
+        with pytest.raises(BudgetExceededError, match="the 396-node budget"):
+            exact_test(t, COMMON3, config, method="enumerate", node_budget=396)
+        assert exact_test(t, COMMON3, config, method="auto", node_budget=396).method == "MCMC"
 
     def test_zero_table_rejected(self):
         with pytest.raises(InputError):

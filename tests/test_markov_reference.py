@@ -15,10 +15,7 @@ breadth-first search; `verify_connectivity` must report what it reports.
 
 import math
 import random
-from collections import deque
-from functools import lru_cache
 from itertools import combinations, permutations
-from operator import add
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from unittest import mock
 
@@ -29,8 +26,6 @@ from hypothesis import strategies as st
 from diagonal_effect import (
     CountTable,
     ModelFamily,
-    ModelForm,
-    ModelSpec,
     Move,
     Stationary,
     SweepReport,
@@ -38,13 +33,12 @@ from diagonal_effect import (
     fiber_walk,
     moves_common_diag,
     moves_diag_effect,
-    sufficient_statistic,
     verify_connectivity,
 )
 from diagonal_effect import markov
 from diagonal_effect.tables import rectangle_indices, require_int, triple_indices
 
-from conftest import move_search_only
+from conftest import components_by_bfs, encode, fibers_by_statistic, move_search_only
 
 # ---------------------------------------------------------------------------
 # reference move builders
@@ -236,57 +230,6 @@ def reference_fiber_walk(start: CountTable, moves: Sequence[Move], config: WalkC
 # ---------------------------------------------------------------------------
 
 
-def tables_of_total(cells: int, n: int) -> Iterator[tuple]:
-    """Every flat nonnegative table of `cells` counts summing to n, in
-    lexicographic order."""
-    if cells == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in tables_of_total(cells - 1, n - first):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=None)
-def fibers_by_statistic(family: ModelFamily, I: int, max_n: int) -> dict:
-    """Every table of total at most max_n, grouped by its statistic, in the
-    order a sweep by total and then lexicographically first meets each."""
-    model = ModelSpec(family=family, form=ModelForm.TORIC, size=I)
-    fibers: Dict[object, List[tuple]] = {}
-    for n in range(max_n + 1):
-        for flat in tables_of_total(I * I, n):
-            table = CountTable.from_rows([flat[i * I:(i + 1) * I] for i in range(I)])
-            fibers.setdefault(sufficient_statistic(table, model), []).append(flat)
-    return fibers
-
-
-def component_sizes(members: List[tuple], moves: Sequence[Move]) -> List[int]:
-    """The sizes of the components of `members` by breadth-first search:
-    each table's neighbours are itself plus or minus a move's dense grid."""
-    deltas = []
-    for m in moves:
-        flat = tuple(x for row in m.cells for x in row)
-        deltas += [flat, tuple(-x for x in flat)]
-    present = set(members)
-    seen: set = set()
-    sizes = []
-    for start in members:
-        if start in seen:
-            continue
-        seen.add(start)
-        queue, size = deque([start]), 0
-        while queue:
-            table = queue.popleft()
-            size += 1
-            for delta in deltas:
-                nxt = tuple(map(add, table, delta))
-                if nxt in present and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        sizes.append(size)
-    return sizes
-
-
 def reference_sweep(family: ModelFamily, I: int, max_n: int, moves: Sequence[Move]) -> SweepReport:
     """The report of a sweep of every table: each statistic is a fiber, and
     a disconnected fiber is listed with its sorted component sizes, in the
@@ -294,7 +237,7 @@ def reference_sweep(family: ModelFamily, I: int, max_n: int, moves: Sequence[Mov
     fibers = fibers_by_statistic(family, I, max_n)
     disconnected = []
     for stat, members in fibers.items():
-        sizes = component_sizes(members, moves)
+        sizes = list(map(len, components_by_bfs(members, moves)))
         if len(sizes) > 1:
             disconnected.append(((stat.rows, stat.cols, stat.diag), tuple(sorted(sizes))))
     return SweepReport(
@@ -485,6 +428,17 @@ def test_sweep_matches_reference_sweep_at_the_ends(case, subset):
     assert report.all_connected == (subset == "all")
 
 
+def test_sweep_past_size_5_matches_reference_sweep():
+    # without the rect moves 90 fibers are disconnected, and the sweep
+    # builds the 6! relabellings once, at the first of them
+    moves = [m for m in moves_diag_effect(6) if m.label != "rect"]
+    with mock.patch.object(markov, "_relabel_flat", wraps=markov._relabel_flat) as relabel:
+        report = verify_connectivity(ModelFamily.DIAGONAL_EFFECT, 6, 2, moves)
+    assert relabel.call_count == math.factorial(6)
+    assert len(report.disconnected) == 90
+    assert report == reference_sweep(ModelFamily.DIAGONAL_EFFECT, 6, 2, moves)
+
+
 def test_encoding_width_separates_a_borrow():
     # t holds max_n = 4 at cell 1, and a diag-double move d lowers cell 2 by
     # s = 2, so t + d is infeasible there.  In 3 bits a cell (2^3 > n + s)
@@ -494,13 +448,10 @@ def test_encoding_width_separates_a_borrow():
     d = next(m for m in moves if m.entries == ((0, 1), (1, 1), (2, -2), (3, -1), (4, -1), (5, 2)))
     t = (0, 4, 0, 1, 1, 0, 0, 0, 0)
     u = (1, 4, 2, 0, 0, 2, 0, 0, 0)
-
-    def code(flat, w):
-        return sum(x << w * (8 - k) for k, x in enumerate(flat))
-
-    assert code(u, 2) == code(t, 2) + code([x for row in d.cells for x in row], 2)
+    coded_u, coded_t, coded_d = encode([u, t, [x for row in d.cells for x in row]], range(16, -1, -2))
+    assert coded_u == coded_t + coded_d
     shifts, steps, deltas = markov._encoding(markov._move_deltas(moves, 3), 3, 4)
-    members = [sum(x << s for x, s in zip(flat, shifts)) for flat in (t, u)]
+    members = encode([t, u], shifts)
     assert markov._components(members, steps, deltas) == [[0], [1]]
     with move_search_only(steps):
         assert markov._components(members, steps, deltas) == [[0], [1]]
