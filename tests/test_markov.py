@@ -620,12 +620,14 @@ class TestConnectivity:
         assert (report.fibers_checked, report.tables_seen, report.largest_fiber) == counts
         assert report.disconnected == ()
 
-    @pytest.mark.parametrize("I, max_n", [(3, 5), (4, 3)])
+    @pytest.mark.parametrize("I, max_n", [(3, 5), (4, 3), (5, 3), (6, 2)])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_symmetric_sweep_matches_full_sweep(self, family, I, max_n):
         # each label's moves are kept by the relabellings, so every move set
         # here takes the symmetric sweep; the full sweep is forced by
-        # denying the symmetry
+        # denying the symmetry.  Past I = 4 the orbit weights I!/prod m_v!
+        # meet row sums with up to I - 1 equal entries, and dropping "rect"
+        # leaves disconnected fibers, whose relabellings are built on demand
         family_moves = moves_for_model(model(family, I))
         for label in sorted({m.label for m in family_moves}):
             moves = [m for m in family_moves if m.label != label]
