@@ -1058,32 +1058,31 @@ def _symmetric(deltas: Sequence[tuple], I: int, shifts: Sequence[int], coded: se
     return True
 
 
-def _file_tables(fibers, levels, descending, n) -> None:
-    """File every table of total n: its code under its row sums, then under
-    its key, the rest of its statistic.  When `descending`, each row's sum
-    caps the next row's, so only tables with non-increasing row sums are
-    built.  levels[k][s] holds the codes and keys of row k's choices of sum
-    s; a table's code and key are the sums of its rows', built row by row
-    over the prefixes of each row-sum vector."""
+def _file_tables(fibers, levels, descending, max_n) -> None:
+    """File every table of total at most max_n: its code under its row
+    sums, then under its key, the rest of its statistic.  A row's sum is at
+    most what is left of max_n and, when `descending`, at most the previous
+    row's, so only tables with non-increasing row sums are built.
+    levels[k][s] holds the codes and keys of row k's choices of sum s; a
+    table's code and key are the sums of its rows', built row by row over
+    the prefixes of each row-sum vector."""
     I = len(levels)
     prefixes = {(): ([0], [0])}  # row sums -> the codes and the keys of the rows with them
-    for k in range(I - 1):
+    for k in range(I):
         grown = {}
         for sums, (codes, keys) in prefixes.items():
-            left = n - sum(sums)
-            top = min(sums[-1], left) if descending and sums else left
-            # when descending, the rows after this one hold at most s each, so s >= left / rows_left
-            for s in range(-(-left // (I - k)) if descending else 0, top + 1):
+            left = max_n - sum(sums)
+            for s in range((min(sums[-1], left) if descending and sums else left) + 1):
                 row_codes, row_keys = levels[k][s]
-                grown[sums + (s,)] = ([c + r for c in codes for r in row_codes],
-                                      [x + r for x in keys for r in row_keys])
+                if k < I - 1:
+                    grown[sums + (s,)] = ([c + r for c in codes for r in row_codes],
+                                          [x + r for x in keys for r in row_keys])
+                    continue
+                bucket = fibers[sums + (s,)]
+                for c, x in zip(row_codes, row_keys):
+                    for code, key in zip(codes, keys):
+                        bucket[key + x].append(code + c)
         prefixes = grown
-    for sums, (codes, keys) in prefixes.items():
-        left = n - sum(sums)  # the last row takes what is left: at most sums[-1], by the bound above
-        bucket = fibers[sums + (left,)]
-        for c, x in zip(*levels[-1][left]):
-            for code, key in zip(codes, keys):
-                bucket[key + x].append(code + c)
 
 
 def verify_connectivity(
@@ -1147,8 +1146,7 @@ def verify_connectivity(
                 [top + (row[k] * on_diag << shifts[I + (0 if common else k)]) for top, row in zip(row_tops, rows)])
                for row_tops, rows in zip(tops, by_sum)] for k in range(I)]
     fibers: Dict[tuple, Dict[int, List[int]]] = defaultdict(lambda: defaultdict(list))
-    for n in range(max_n + 1):
-        _file_tables(fibers, levels, symmetric, n)
+    _file_tables(fibers, levels, symmetric, max_n)
 
     relabels = [] if symmetric else [tuple]  # tuple: the identity; S_I's at the first disconnected fiber
     mask = (1 << shifts[-2]) - 1  # a cell's w bits

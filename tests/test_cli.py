@@ -165,17 +165,36 @@ class TestSubcommands:
         assert record["outputs"]["verdict"] == "EQUAL"
         assert record["outputs"]["count"] == 9
 
-    def test_classify_witness(self, capsys, tmp_path):
-        params = tmp_path / "params.json"
-        params.write_text(
-            json.dumps({"zeta_r": [1, 1, 1], "zeta_c": [1, 1, 1], "zeta_gamma": ["2", "2", "2"]})
-        )
-        code, out, _ = run_cli(capsys, "classify", "--params", str(params))
+    # one input per membership verdict, each compared with its full outputs; those
+    # of the first four boundary-check tables were recorded while a ProbTable still
+    # held a grid of Fractions (a diagonal-only table, and a diagonal-effect toric table)
+    @pytest.mark.parametrize("command, flag, text, outputs", [
+        ("classify", "--params", '{"zeta_r": [1, 1, 1], "zeta_c": [1, 1, 1], "zeta_gamma": [2, 2, 2]}',
+         {"verdict": "InBothWithWitness", "case": None, "N": "9", "N_T": "12",
+          "witness": {"alpha": "3/4", "r": ["1/3"] * 3, "c": ["1/3"] * 3, "d": ["1/3"] * 3}}),
+        # a diagonal parameter below 1 with N_T > N has no mixture witness
+        ("classify", "--params", '{"zeta_r": [1, 1, 1], "zeta_c": [1, 1, 1], "zeta_gamma": [2, 1, "1/2"]}',
+         {"verdict": "ToricOnly", "case": "iii", "N": "9", "N_T": "19/2"}),
+        ("boundary-check", "--table", "1,0,0\n0,2,0\n0,0,3\n",
+         {"verdict": "RuledOutM1", "invariants_vanish": True,
+          "toric_exclusions": [[1, 2], [1, 3], [2, 1], [2, 3], [3, 1], [3, 2]], "mixture_exclusions": []}),
+        ("boundary-check", "--table", "0,2,1,3\n1,3,2,1\n2,1,4,1\n1,2,1,0\n",
+         {"verdict": "RuledOutM2", "invariants_vanish": False, "toric_exclusions": [], "mixture_exclusions": [1, 4]}),
+        ("boundary-check", "--table", "0,1,2,1\n3,1,0,2\n1,2,2,1\n2,1,1,3\n",
+         {"verdict": "RuledOutBoth", "invariants_vanish": False, "toric_exclusions": [[2, 3]],
+          "mixture_exclusions": [1]}),
+        ("boundary-check", "--table", "4,1,1,1\n4,2,2,2\n2,1,3,1\n6,3,3,3\n",
+         {"verdict": "Inconclusive", "invariants_vanish": True, "toric_exclusions": [], "mixture_exclusions": []}),
+        ("boundary-check", "--table", "0,1,1\n1,0,1\n1,1,0\n",
+         {"verdict": "RuledOutM2", "invariants_vanish": True, "toric_exclusions": [], "mixture_exclusions": [1, 2, 3]}),
+    ], ids=["InBothWithWitness", "ToricOnly", "RuledOutM1", "RuledOutM2", "RuledOutBoth", "Inconclusive",
+            "RuledOutM2-size-3"])
+    def test_one_input_per_verdict(self, capsys, tmp_path, command, flag, text, outputs):
+        path = tmp_path / "input"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, command, flag, str(path))
         assert code == 0
-        record = json.loads(out)
-        assert record["outputs"]["verdict"] == "InBothWithWitness"
-        assert record["outputs"]["witness"]["alpha"] == "3/4"
-        assert record["outputs"]["N_T"] == "12"
+        assert json.loads(out)["outputs"] == outputs
 
     def test_exact_test_enumerate(self, capsys, tmp_path):
         table = tmp_path / "t.csv"
@@ -203,14 +222,6 @@ class TestSubcommands:
         assert repr(outputs["p_value"]) == golden["p_value"]
         assert outputs["samples_used"] == golden["samples_used"]
         assert outputs["config"] == {"node_budget": 10_000_000, "nodes_visited": 352_789}
-
-    def test_boundary_check(self, capsys, tmp_path):
-        table = tmp_path / "t.csv"
-        table.write_text("0,1,1\n1,0,1\n1,1,0\n")
-        code, out, _ = run_cli(capsys, "boundary-check", "--table", str(table))
-        record = json.loads(out)
-        assert record["outputs"]["verdict"] == "RuledOutM2"
-        assert record["outputs"]["invariants_vanish"] is True
 
     def test_enumerate_fiber(self, capsys, tmp_path):
         table = tmp_path / "t.csv"
@@ -392,7 +403,7 @@ class TestExitCodes:
             proc.stderr.close()
         assert first == b"{\n"
         assert code == 1
-        assert "Traceback" not in err
+        assert err == ""
 
     def test_zero_thinning_is_2(self, capsys, tmp_path):
         table = tmp_path / "t.csv"
@@ -404,12 +415,16 @@ class TestExitCodes:
         assert code == 2
         assert "thinning" in err
 
-    def test_negative_max_n_is_2(self, capsys):
-        code, out, err = run_cli(
-            capsys, "check-connectivity", "--model", "diag", "--size", "3", "--max-n", "-1",
-        )
+    @pytest.mark.parametrize("argv, name", [
+        (["check-connectivity", "--model", "diag", "--size", "3", "--max-n", "-1"], "max_n"),
+        (["exact-test", "--model", "common", "--table", "demos/table3.csv", "--samples", "0", "--seed", "1"],
+         "steps"),
+    ], ids=["max-n", "samples"])
+    def test_count_below_its_floor_is_2(self, capsys, monkeypatch, argv, name):
+        monkeypatch.chdir(ROOT)
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
-        assert "max_n" in err
+        assert f"{name} must be an integer of at least" in err
         assert out == ""
 
     # each integer flag in a command that runs with it; int() would read

@@ -5,10 +5,14 @@
 Each stdout is pinned by its length and SHA-256, and is also kept verbatim
 when it has at most INLINE_MAX bytes (the I = 4 and 5 mixture invariants
 print about 0.9 MB between them).
-The commands are those of the CI console-script step plus `classify`,
-`boundary-check`, the listed-generator checks and one exit-2 and one exit-3
-case.  Each runs in-process from the repository root with repo-relative
-paths, because the RunRecord config echoes the paths it was given.
+This file is the one home of the console script's output pins: every
+subcommand at the acceptance sizes and on the demo inputs, the largest
+outputs (the I = 5 sweeps and moves, the 9,480 tables of demos/table5.csv,
+the size-4 toric ideals, the 11,890 invariants of size 6 and two
+5,000-step sample streams), the listed-generator checks, two exit-2 cases
+and one exit-3 case.  Each runs in-process from the repository root with
+repo-relative paths, because the RunRecord config echoes the paths it was
+given.
 Regenerate the file only for a change that is meant to alter a RunRecord,
 and say so in CHANGES.md:
 
@@ -32,19 +36,29 @@ GOLDEN = Path(__file__).parent / "golden" / "cli_runrecords.json"
 INLINE_MAX = 16_384
 
 COMMANDS = [
-    # the CI console-script step
+    # each subcommand at the acceptance sizes, on the demo inputs and past them
     "markov-moves --model diag --size 3",
+    "markov-moves --model common --size 5",
+    "markov-moves --model diag --size 5",
     "check-connectivity --model diag --size 3 --max-n 4",
     "check-connectivity --model common --size 3 --max-n 6",
     "check-connectivity --model diag --size 4 --max-n 5",
     "check-connectivity --model common --size 4 --max-n 5",
+    "check-connectivity --model diag --size 5 --max-n 4",
+    "check-connectivity --model common --size 5 --max-n 4",
     "enumerate-fiber --model common --table demos/table3.csv",
+    "enumerate-fiber --model common --table demos/table5.csv",
     "toric-ideal --model common --size 3 --verify-against listed",
     "toric-ideal --model common --size 3 --method elimination",
+    "toric-ideal --model common --size 4",
+    "toric-ideal --model indep --size 4",
+    "toric-ideal --model diag --size 4",
+    "toric-ideal --model diag --size 4 --verify-against listed",
     "invariants --model diag --form toric --size 3",
     "invariants --model common --form mixture --size 4",
     "invariants --model common --form mixture --size 4 --evaluate demos/mixture4.json",
     "invariants --model common --form mixture --size 5 --evaluate demos/mixture5.json",
+    "invariants --model common --form mixture --size 6",
     "invariants --model common --form toric --size 4",
     "exact-test --model common --table demos/table3.csv --samples 2000 --seed 1",
     "exact-test --model common --table demos/table3.csv --samples 2000 --seed 1 --chains 2",
@@ -53,6 +67,9 @@ COMMANDS = [
     "exact-test --model common --table demos/table5.csv --enumerate --seed 0",
     "exact-test --model common --table demos/table3.csv --samples 20000 --seed 1",
     "sample --model common --table demos/table3.csv --steps 50 --seed 1",
+    # on table3 the walk keeps its proposal tables, on table5 it drops them
+    "sample --model common --table demos/table3.csv --steps 5000 --thinning 3 --seed 1",
+    "sample --model common --table demos/table5.csv --steps 5000 --thinning 3 --seed 1",
     "sample --model diag --table demos/table3.csv --steps 50 --seed 1 --stationary uniform",
     # the other commands and record shapes
     "classify --params tests/golden/cli_toric3.json",
@@ -61,7 +78,8 @@ COMMANDS = [
     "toric-ideal --model diag --size 3 --verify-against listed",
     "invariants --model common --form toric --size 3 --listed --evaluate tests/golden/cli_toric3.json",
     "invariants --model common --form mixture --size 3 --listed",
-    # an input error (mixture parameters) and a budget error
+    # input errors (no listed generators for diag, mixture parameters) and a budget error
+    "invariants --model diag --form toric --size 3 --listed",
     "classify --params demos/mixture4.json",
     "enumerate-fiber --model common --table demos/table5.csv --budget 10",
 ]
@@ -93,6 +111,18 @@ def golden():
 @pytest.mark.parametrize("command", COMMANDS)
 def test_runrecord(golden, command):
     assert run(command) == golden[command]
+
+
+def test_mcmc_p_values_near_the_exact_p(golden):
+    # one chain and two pooled chains, each within 0.05 + 4 stderr of the exact p
+    def outputs(command):
+        return json.loads(golden[command]["stdout"])["outputs"]
+
+    exact = outputs("exact-test --model common --table demos/table3.csv --seed 1 --enumerate")
+    for command in ("exact-test --model common --table demos/table3.csv --samples 20000 --seed 1",
+                    "exact-test --model common --table demos/table3.csv --samples 2000 --seed 1 --chains 2"):
+        mcmc = outputs(command)
+        assert abs(mcmc["p_value"] - exact["p_value"]) <= 0.05 + 4 * mcmc["monte_carlo_stderr"]
 
 
 def test_golden_pins_exactly_these_commands(golden):

@@ -573,10 +573,9 @@ class TestConnectivity:
         with mock.patch.object(markov, "_file_tables", wraps=markov._file_tables) as spy, \
                 mock.patch.object(markov, "_relabel_flat", wraps=markov._relabel_flat) as relabel:
             report = verify_connectivity(spec.family, 3, max_n, moves)
-        # moves kept by the relabellings build only tables with non-increasing row sums
-        assert {call.args[2] for call in spy.call_args_list} == {closed}
-        # one call builds the tables of each total
-        assert [call.args[3] for call in spy.call_args_list] == list(range(max_n + 1))
+        # one call builds the tables of every total, and moves kept by the
+        # relabellings build only tables with non-increasing row sums
+        assert [call.args[2:] for call in spy.call_args_list] == [(closed, max_n)]
         # the 3! relabellings, once, and only for a disconnected fiber of a symmetric sweep
         assert relabel.call_count == (6 if closed and not connects else 0)
         # every statistic, in the order a sweep of every table by total and
