@@ -35,6 +35,7 @@ from .tables import (
     ModelForm,
     ModelSpec,
     normalize,
+    require_int,
     sufficient_statistic,
 )
 
@@ -316,6 +317,7 @@ def _cmd_exact_test(args) -> dict:
     from .markov import Stationary, WalkConfig, exact_test, exact_test_chains
 
     table, model = _table_and_model(args)
+    require_int(args.samples, "--samples", 1)
     config = WalkConfig(steps=args.samples, seed=args.seed, stationary=Stationary.HYPERGEOMETRIC)
     if args.enumerate:
         if args.chains != 1:

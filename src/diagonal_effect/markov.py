@@ -21,7 +21,7 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from itertools import chain, combinations, permutations
 from operator import add, getitem, itemgetter, lshift
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -239,9 +239,9 @@ def enumerate_fiber(
     A search over row states: each state of rows 0..I-2 is expanded once,
     its rows built cell by cell with column-remainder pruning (for the
     common-diagonal family the remaining diagonal total is bounded by the
-    remaining margins), and the node count of its subtree is kept.  The
-    column remainders force the last row, so its nodes are counted, not
-    visited.  `nodes` is the count of the cell-by-cell search, a repeated
+    remaining margins, a bound made once per state), and the node count of
+    its subtree is kept.  The column remainders force the last row, so its
+    nodes are counted, not visited.  `nodes` is the count of the cell-by-cell search, a repeated
     state adding its kept count.  The count only grows, so the search
     raises BudgetExceededError as soon as it passes `node_budget` (switch
     to the sampler in that case): exactly when the cell-by-cell search
@@ -262,7 +262,7 @@ def enumerate_fiber(
     row = [0] * I  # every cell is written before a row is read
     colrem = list(cols)
     on_diag = 0 if stat.diag is None else 1  # independence leaves the diagonal free
-    nodes = 0
+    nodes = cap = 0
     last = I - 1
     layers: List[Dict[tuple, list]] = [{} for _ in range(last)]
     seen: List[Dict[tuple, tuple]] = [{} for _ in range(last)]  # state -> (nodes, tables)
@@ -285,11 +285,11 @@ def enumerate_fiber(
                     return
                 lo = hi = diag_vec[i]
             elif common:
-                # the later diagonal cells can absorb at most their margin bounds
-                cap = 0
-                for k in range(i + 1, I):
-                    cap += min(rows[k], colrem[k])
-                lo, hi = max(0, diagrem - cap), min(hi, diagrem)
+                # the later diagonal cells can absorb at most `cap` (`visit`)
+                if diagrem > cap:
+                    lo = diagrem - cap
+                if diagrem < hi:
+                    hi = diagrem
         if j < I - 2:
             for v in range(lo, hi + 1):
                 row[j], colrem[j] = v, c - v
@@ -299,9 +299,12 @@ def enumerate_fiber(
         # The row's last cell is forced to rowrem - v: a node for each v,
         # and a row-end node for each v that leaves it within its column.
         rest = colrem[last]
-        fits = max(lo, rowrem - rest)
+        fits = rowrem - rest
+        if fits < lo:
+            fits = lo
         if fits > hi:
-            nodes += max(0, hi - lo + 1)
+            if hi >= lo:
+                nodes += hi - lo + 1
             return
         fitting = hi - fits + 1
         nodes += (hi - lo + 1) + fitting
@@ -341,7 +344,7 @@ def enumerate_fiber(
         # the search from node (i, 0) in `state`: counts its nodes, files
         # the state's rows if a table passes through it, and returns the
         # number of tables that do
-        nonlocal nodes
+        nonlocal nodes, cap
         kept = seen[i].get(state)
         if kept is not None:
             nodes += kept[0]
@@ -351,6 +354,10 @@ def enumerate_fiber(
         start = nodes
         edges: list = []
         colrem[:] = state[0]
+        if common:
+            # the later diagonal cells' margin bounds: fixed for the state,
+            # since row i's cells before its diagonal change no colrem[k], k > i
+            cap = sum(map(min, rows[i + 1:], colrem[i + 1:]))
         fill(i, 0, rows[i], state[1], edges)
         if nodes > node_budget:  # the counts after the checks in `fill`
             raise _over_budget(node_budget)
@@ -798,13 +805,14 @@ def _tail_weights(fiber: Fiber, fit: Sequence[float], terms: List[dict], thresho
     two totals stand in the ratio of the hypergeometric law.  The network
     is summed forward row by row, each state holding a dict from partial
     statistic to weight: a row adds its cells' `terms` (`_add_terms`) left
-    to right and multiplies by its row's factor r_i!/prod_j f_ij!.  Every
-    table's statistic takes the float operations of `_pearson_flat` on its flat
-    tuple, and equal partial sums are merged exactly, so each table meets
-    the threshold exactly when it does table by table.
+    to right and multiplies by its row's factor r_i!/prod_j f_ij!, both made
+    once for each distinct row of a layer.  Every table's statistic takes
+    the float operations of `_pearson_flat` on its flat tuple, and equal
+    partial sums are merged exactly, so each table meets the threshold
+    exactly when it does table by table.
     """
     I, rows = fiber.stat.size, fiber.stat.rows
-    fact = cache(math.factorial)  # the same few counts recur; cached for this call only
+    fact = math.factorial
     last = len(fiber.layers) - 1
     dists: Dict[tuple, Dict[float, int]] = {root: {0.0: 1} for root in fiber.layers[0]}
     hit = total = 0
@@ -813,20 +821,23 @@ def _tail_weights(fiber: Fiber, fit: Sequence[float], terms: List[dict], thresho
         # the last layer's rows run through rows i and i + 1, to no state
         numerator = fact(rows[i]) * fact(rows[i + 1]) if i == last else fact(rows[i])
         below: Dict[tuple, Dict[float, int]] = {}
+        made: Dict[tuple, tuple] = {}  # row -> (its cells' terms, its factor)
         for state, edges in layer.items():
             dist = dists[state]
             for row, child in edges:
-                try:
-                    added = tuple(map(getitem, row_terms, row))
-                except KeyError:
-                    added = tuple(map(getitem, _add_terms(row_fit, row_terms, row), row))
-                factor = numerator // math.prod(map(fact, row))
+                kept = made.get(row)
+                if kept is None:
+                    try:
+                        added = tuple(map(getitem, row_terms, row))
+                    except KeyError:
+                        added = tuple(map(getitem, _add_terms(row_fit, row_terms, row), row))
+                    kept = made[row] = added, numerator // math.prod(map(fact, row))
+                added, factor = kept
                 if child is None:
+                    total += sum(dist.values()) * factor
                     for chi2, w in dist.items():
-                        w *= factor
-                        total += w
                         if reduce(add, added, chi2) >= threshold:
-                            hit += w
+                            hit += w * factor
                     continue
                 out = below.get(child)
                 if out is None:

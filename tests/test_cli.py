@@ -418,7 +418,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, name", [
         (["check-connectivity", "--model", "diag", "--size", "3", "--max-n", "-1"], "max_n"),
         (["exact-test", "--model", "common", "--table", "demos/table3.csv", "--samples", "0", "--seed", "1"],
-         "steps"),
+         "--samples"),
     ], ids=["max-n", "samples"])
     def test_count_below_its_floor_is_2(self, capsys, monkeypatch, argv, name):
         monkeypatch.chdir(ROOT)

@@ -67,6 +67,8 @@ FIBER_BASE_TABLES = [
 FAMILY_NAMES = {"diag": ModelFamily.DIAGONAL_EFFECT, "common": ModelFamily.COMMON_DIAGONAL_EFFECT}
 # the largest of them: a common-diagonal fiber of 9,480 tables
 LARGEST = CountTable.from_rows(FIBER_BASE_TABLES[-1][1])
+# those of at most 1,598 tables, and their transposes
+SMALLER_FIBERS = [(f, c) for f, cells in FIBER_BASE_TABLES[:7] for c in (cells, [list(r) for r in zip(*cells)])]
 
 
 def basic_moves(size: int) -> List[Move]:
@@ -335,6 +337,11 @@ class TestEnumerateFiber:
     @given(family=st.sampled_from(FAMILIES + [ModelFamily.INDEPENDENCE]), cells=small_tables())
     @example(family=ModelFamily.COMMON_DIAGONAL_EFFECT, cells=[[3, 3, 3], [3, 3, 3], [3, 3, 3]])
     @example(family=ModelFamily.DIAGONAL_EFFECT, cells=[[0, 0], [0, 0]])
+    # the common-diagonal cap binds in rows whose earlier cells have
+    # changed the column remainders
+    @example(family=ModelFamily.COMMON_DIAGONAL_EFFECT, cells=[[1, 0, 2, 2], [2, 2, 0, 2], [2, 2, 0, 3], [0, 1, 0, 1]])
+    @example(family=ModelFamily.COMMON_DIAGONAL_EFFECT,
+             cells=[[0, 1, 0, 0, 0], [1, 0, 0, 1, 0], [0, 0, 0, 0, 0], [1, 0, 1, 2, 0], [0, 0, 0, 0, 1]])
     def test_flats_and_nodes_match_cell_by_cell_search(self, family, cells):
         self.check_against_cell_by_cell_search(family, cells)
 
@@ -920,6 +927,13 @@ def reference_enumeration_test(table: CountTable, m: ModelSpec) -> tuple:
     `cell_by_cell_search` weighted by the integer n!/prod f!, its Pearson
     statistic from `_pearson_flat`, and the p-value as an int division;
     (statistic, p-value, tables)."""
+    observed, hit, total, tables = reference_weights(table, m)
+    return observed, hit / total, tables
+
+
+def reference_weights(table: CountTable, m: ModelSpec) -> tuple:
+    """`reference_enumeration_test`'s integers: (statistic, weight of the
+    tables at least as extreme, weight of all tables, tables)."""
     fit = [e for row in fit_for(m.family)(table, m) for e in row]
     terms = markov._add_terms(fit, [{} for _ in fit], table.flat)
     observed = markov._pearson_flat(terms, table.flat)
@@ -932,7 +946,7 @@ def reference_enumeration_test(table: CountTable, m: ModelSpec) -> tuple:
         total += w
         if markov._pearson_flat(markov._add_terms(fit, terms, state), state) >= threshold:
             hit += w
-    return observed, hit / total, len(flats)
+    return observed, hit, total, len(flats)
 
 
 def spy_pearson(monkeypatch) -> List[tuple]:
@@ -1007,6 +1021,20 @@ class TestExactTest:
                              ids=[f"{f}-{len(c)}-{k}" for k, (f, c) in enumerate(FIBER_BASE_TABLES)])
     def test_benchmark_p_values_match_table_by_table_weighting(self, family, cells):
         self.check_against_reference(FAMILY_NAMES[family], cells)
+
+    @pytest.mark.parametrize("family, cells", SMALLER_FIBERS,
+                             ids=[f"{f}-{len(c)}-{k}" for k, (f, c) in enumerate(SMALLER_FIBERS)])
+    def test_forward_sum_weights_match_table_by_table_weighting(self, family, cells):
+        table = CountTable.from_rows(cells)
+        m = model(FAMILY_NAMES[family], table.size)
+        fit, terms, observed = markov._fit_terms(table, m)
+        fiber = enumerate_fiber(sufficient_statistic(table, m), m)
+        hit, total = markov._tail_weights(fiber, fit, terms, markov._chi2_threshold(observed))
+        _, ref_hit, ref_total, _ = reference_weights(table, m)
+        assert Fraction(hit, total) == Fraction(ref_hit, ref_total)
+        # a table weighs prod_i r_i!/prod f! in the forward sum and n!/prod f! here
+        scale = math.factorial(table.n), math.prod(math.factorial(sum(row)) for row in cells)
+        assert (hit * scale[0], total * scale[0]) == (ref_hit * scale[1], ref_total * scale[1])
 
     def test_pvalue_in_unit_interval(self, rng):
         for _ in range(5):
