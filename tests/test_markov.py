@@ -1032,9 +1032,9 @@ class TestExactTest:
         hit, total = markov._tail_weights(fiber, fit, terms, markov._chi2_threshold(observed))
         _, ref_hit, ref_total, _ = reference_weights(table, m)
         assert Fraction(hit, total) == Fraction(ref_hit, ref_total)
-        # a table weighs prod_i r_i!/prod f! in the forward sum and n!/prod f! here
-        scale = math.factorial(table.n), math.prod(math.factorial(sum(row)) for row in cells)
-        assert (hit * scale[0], total * scale[0]) == (ref_hit * scale[1], ref_total * scale[1])
+        # a table weighs prod_i r_i!/prod f! in the forward sum, n!/prod f! in the reference
+        n_fact, row_facts = math.factorial(table.n), math.prod(math.factorial(sum(r)) for r in cells)
+        assert (hit * n_fact, total * n_fact) == (ref_hit * row_facts, ref_total * row_facts)
 
     def test_pvalue_in_unit_interval(self, rng):
         for _ in range(5):
