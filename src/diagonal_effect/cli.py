@@ -296,7 +296,7 @@ def _cmd_sample(args) -> dict:
     table, model = _table_and_model(args)
     config = WalkConfig(
         steps=args.steps,
-        burn_in=args.burnin,
+        burn_in=args.burnin if args.burnin is None else require_int(args.burnin, "--burnin", 0),
         thinning=args.thinning,
         seed=args.seed,
         stationary=Stationary(args.stationary),
@@ -333,7 +333,7 @@ def _cmd_enumerate_fiber(args) -> dict:
     from .markov import enumerate_fiber
 
     table, model = _table_and_model(args)
-    fiber = enumerate_fiber(sufficient_statistic(table, model), model, args.budget)
+    fiber = enumerate_fiber(sufficient_statistic(table, model), model, require_int(args.budget, "--budget", 0))
     return {
         "size": len(fiber),
         "tables": [t.to_lists() for t in fiber.tables],

@@ -25,12 +25,12 @@ from .polynomials import (
     Monomial,
     binomial_from_entries,
     cell_var,
-    clear_denominators,
     mono_from_cells,
-    require_point,
+    table_size_error,
 )
 from .tables import (
-    Move, ProbTable, rectangle_indices, require_int, require_moves, require_sequence, triple_indices,
+    Move, ProbTable, rectangle_indices, require_instance, require_int, require_moves, require_sequence,
+    triple_indices,
 )
 
 
@@ -389,27 +389,25 @@ def _as_invariants(polys) -> List[Invariant]:
 
 
 def check_vanishing(polys, P: ProbTable) -> VanishingReport:
-    """Evaluate every polynomial exactly at P; pass iff every value is 0.
+    """Evaluate every polynomial exactly at the ProbTable P; pass iff every
+    value is 0.
 
     `polys` is a sequence of `Invariant`s or bare `CellPolynomial`s, which
-    are named "poly #k" by position; anything else, or a P that is neither
-    a ProbTable nor a mapping, raises InputError, whatever `polys` holds,
-    and every item is checked before any is evaluated.  P's cleared values
-    (N, D), N[v] / D at variable v, are taken at the first polynomial, and
-    each polynomial goes through `CellPolynomial.evaluate_cleared` with
-    the N^m already met at them, so each N^m is computed once per call.  P
-    holds the cells of one size, so a polynomial of another size raises
-    where `clear_denominators` is called again for it."""
-    require_point(P)
+    are named "poly #k" by position; anything else, or a P that is not a
+    ProbTable, raises InputError, whatever `polys` holds, and every item is
+    checked before any is evaluated.  Each polynomial goes through
+    `CellPolynomial.evaluate_cleared` at P's stored form (`nums`, `den`)
+    with the N^m already met, so each N^m is computed once per call.  A
+    polynomial of another size than P raises SizeMismatchError."""
+    size = require_instance(P, ProbTable, "point").size
     require_sequence(polys, "polys")
+    nums, den = P.nums, P.den
+    monomials = {}  # the value N^m of each monomial m met so far
     entries = []
-    size = None
     for inv in _as_invariants(polys):
         poly = inv.poly
         if poly.size != size:
-            size = poly.size
-            nums, den = clear_denominators(P, size)
-            monomials = {}  # the value N^m of each monomial m met so far
+            raise table_size_error(poly.size, P)
         entries.append((inv.name, poly.evaluate_cleared(nums, den, monomials)))
     return VanishingReport(entries=tuple(entries))
 

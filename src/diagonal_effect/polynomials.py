@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials over exact rationals in cell variables.
+"""Sparse multivariate polynomials with integer coefficients in cell variables.
 
 A variable is an integer id; the cell (i, j) of an I x I table, 1-based,
 gets id (i-1)*I + (j-1).  Ids at or above I*I are auxiliary variables used
@@ -6,7 +6,8 @@ only inside elimination computations.  A monomial is the cell product
 itself: the ascending tuple of its variable ids, each repeated as often as
 its exponent, so p[1,1]^2*p[1,2] at I = 2 is (0, 0, 1) and the constant 1
 is ().  Degree is `len`, coprimality is set disjointness, and the tuple is
-hashable and cheap to compare.
+hashable and cheap to compare.  A polynomial is evaluated exactly at a
+`ProbTable`, from its stored form: cell v is nums[v] / den.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from operator import neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, SizeMismatchError
-from .tables import ProbTable, over_lcm, require_instance, require_int, require_mapping, require_rational
+from .tables import ProbTable, require_instance, require_int, require_mapping
 from .tables import _unchecked, require_sequence
 
 Monomial = Tuple[int, ...]
@@ -32,12 +33,6 @@ def cell_var(i: int, j: int, size: int) -> int:
     if not (1 <= i <= size and 1 <= j <= size):
         raise InputError(f"cell ({i},{j}) outside a {size}x{size} table")
     return (i - 1) * size + (j - 1)
-
-
-def var_cell(v: int, size: int) -> Tuple[int, int]:
-    if not (0 <= v < size * size):
-        raise InputError(f"variable {v} is not a cell of a {size}x{size} table")
-    return v // size + 1, v % size + 1
 
 
 def _cell(cell) -> Tuple[int, int]:
@@ -116,70 +111,25 @@ class TermOrder:
         return (sum(dense), tuple(map(neg, reversed(dense))))
 
 
-def require_point(point):
-    """`point` itself when it is a ProbTable or a {(i, j): value} mapping;
-    anything else raises InputError."""
-    return point if isinstance(point, ProbTable) else require_mapping(point, "point")
-
-
-def clear_denominators(point, size: int) -> Tuple[Sequence[int], int]:
-    """(N, D): cell variable v is N[v] / D at a ProbTable or a {(i, j): value}
-    mapping `point`, with D the lcm of the cell denominators: a table's
-    stored form (`nums`, `den`), as it is.  A mapping's values must be ints
-    or Fractions: a float is already rounded, so its exact value would make
-    a vanishing polynomial look nonzero.  Its size is the largest index it
-    names, and another size than `size` raises SizeMismatchError, as a
-    table's does.  It must name every cell, as a table does: a cell left
-    out is not read as 0."""
-    if isinstance(require_point(point), ProbTable):
-        if point.size != size:
-            raise SizeMismatchError(
-                f"polynomial over {size}x{size} cells, table is {point.size}x{point.size}"
-            )
-        return point.nums, point.den
-    values = {}
-    for cell, value in point.items():
-        i, j = _cell(cell)
-        if min(require_int(i, "cell row"), require_int(j, "cell column")) < 1:
-            cell_var(i, j, size)  # raises InputError: no size has this cell
-        values[i, j] = Fraction(require_rational(value, f"value at ({i},{j})"))
-    named = max(map(max, values), default=size)  # an empty mapping names no size
-    if named != size:
-        raise SizeMismatchError(f"polynomial over {size}x{size} cells, point is {named}x{named}")
-    flat = [None] * (size * size)
-    for (i, j), value in values.items():
-        flat[cell_var(i, j, size)] = value
-    if None in flat:
-        raise InputError("point has no value at ({},{})".format(*var_cell(flat.index(None), size)))
-    return over_lcm(flat)
-
-
-def _rational(c):
-    """The coefficient `c`, an int or a Fraction, as an int when integral."""
-    c = require_rational(c, "coefficient")
-    return c.numerator if c.denominator == 1 else c
-
-
 class CellPolynomial:
     """Immutable-by-convention sparse polynomial: `terms` maps each monomial,
     the ascending tuple of its variable ids with repeats as powers, to its
-    nonzero coefficient; integral coefficients are ints.  A size below 1, a
-    non-mapping `terms` or a key not such a tuple of ints >= 0 raises InputError."""
+    nonzero int coefficient.  A size below 1, a non-mapping `terms`, a key
+    not such a tuple of ints >= 0 or a coefficient not an int (a Fraction
+    or a float included) raises InputError."""
 
     __slots__ = ("size", "terms")
 
-    def __init__(self, size: int, terms: Optional[Dict[Monomial, Fraction]] = None):
+    def __init__(self, size: int, terms: Optional[Dict[Monomial, int]] = None):
         self.size = require_int(size, "polynomial size", 1)
-        clean: Dict[Monomial, Fraction] = {}
+        clean: Dict[Monomial, int] = {}
         if terms is not None:
             for m, c in require_mapping(terms, "polynomial terms").items():
                 for v in require_instance(m, tuple, "monomial"):
                     require_int(v, "variable id", 0)
                 if list(m) != sorted(m):
                     raise InputError(f"monomial {m!r} is not in ascending order")
-                if c.__class__ is not int:
-                    c = _rational(c)
-                if c != 0:
+                if require_int(c, "coefficient") != 0:
                     clean[m] = c
         self.terms = clean
 
@@ -198,15 +148,16 @@ class CellPolynomial:
 
     @classmethod
     def from_cell_terms(cls, size: int, cell_terms) -> "CellPolynomial":
-        """Build from (coefficient, [(i, j), ...]) pairs with repeats as powers."""
+        """Build from (coefficient, [(i, j), ...]) pairs with repeats as
+        powers; each coefficient is an int."""
         require_int(size, "polynomial size", 1)
-        terms: Dict[Monomial, Fraction] = {}
+        terms: Dict[Monomial, int] = {}
         for term in require_sequence(cell_terms, "cell terms"):
             if len(require_sequence(term, "a cell term")) != 2:
                 raise InputError(f"a cell term is a (coefficient, cells) pair, got {term!r}")
             coeff, cells = term
             m = mono_from_cells(cells, size)
-            terms[m] = terms.get(m, 0) + (coeff if coeff.__class__ is int else _rational(coeff))
+            terms[m] = terms.get(m, 0) + require_int(coeff, "coefficient")
         return cls(size, terms)
 
     def __neg__(self) -> "CellPolynomial":
@@ -242,9 +193,12 @@ class CellPolynomial:
 
     # ---- evaluation and rendering ----
 
-    def evaluate(self, point) -> Fraction:
-        """Exact value at a ProbTable or a {(i, j): Fraction} mapping."""
-        return self.evaluate_cleared(*clear_denominators(point, self.size), {})
+    def evaluate(self, P: ProbTable) -> Fraction:
+        """Exact value at the ProbTable P.  Anything else raises InputError,
+        and a P of another size SizeMismatchError."""
+        if require_instance(P, ProbTable, "point").size != self.size:
+            raise table_size_error(self.size, P)
+        return self.evaluate_cleared(P.nums, P.den, {})
 
     def evaluate_cleared(self, nums: Sequence[int], den: int,
                          monomials: Dict[Monomial, int]) -> Fraction:
@@ -313,6 +267,12 @@ class CellPolynomial:
 
     def __repr__(self) -> str:
         return f"CellPolynomial(size={self.size}, {str(self)})"
+
+
+def table_size_error(size: int, P: ProbTable) -> SizeMismatchError:
+    """The error for a polynomial over size x size cells evaluated at the
+    ProbTable P, of another size."""
+    return SizeMismatchError(f"polynomial over {size}x{size} cells, table is {P.size}x{P.size}")
 
 
 def _monomial_value(m: Monomial, nums: Sequence[int]) -> int:

@@ -23,8 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import InputError, InvariantViolationError
 from .groebner import buchberger, reduce_basis, saturate
 from .polynomials import CellPolynomial, TermOrder, binomial_from_vector, require_polynomials
-from .tables import CountTable, ModelFamily, ModelForm, ModelSpec, Move, _square_grid, flat_rows
-from .tables import require_instance, require_int, require_sequence, require_sized
+from .tables import CountTable, ModelFamily, ModelForm, ModelSpec, Move, flat_rows
+from .tables import require_instance, require_sequence, require_sized
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,13 @@ def design_matrix(model: ModelSpec) -> DesignMatrix:
 
 
 def transpose_apply(A: DesignMatrix, grid) -> tuple:
-    """A^t applied to an integer table: a CountTable, a Move, or a raw grid."""
+    """A^t applied to an integer table: a CountTable or a Move.  Anything
+    else raises InputError, and one of another size SizeMismatchError."""
     size = require_instance(A, DesignMatrix, "A").size
     if isinstance(grid, Move):
         entries = require_sized(grid, Move, "move", size, "A").entries
-    elif isinstance(grid, CountTable):
-        entries = enumerate(require_sized(grid, CountTable, "table", size, "A").flat)
     else:
-        entries = enumerate([require_int(x, "grid entry") for row in _square_grid(grid, size) for x in row])
+        entries = enumerate(require_sized(grid, CountTable, "table", size, "A").flat)
     out = [0] * A.num_params
     for k, value in entries:
         if value:

@@ -419,7 +419,9 @@ class TestExitCodes:
         (["check-connectivity", "--model", "diag", "--size", "3", "--max-n", "-1"], "max_n"),
         (["exact-test", "--model", "common", "--table", "demos/table3.csv", "--samples", "0", "--seed", "1"],
          "--samples"),
-    ], ids=["max-n", "samples"])
+        (["sample", "--model", "diag", "--table", "demos/table3.csv", "--steps", "5", "--burnin", "-1",
+          "--seed", "1"], "--burnin"),
+    ], ids=["max-n", "samples", "burnin"])
     def test_count_below_its_floor_is_2(self, capsys, monkeypatch, argv, name):
         monkeypatch.chdir(ROOT)
         code, out, err = run_cli(capsys, *argv)
@@ -487,7 +489,7 @@ class TestExitCodes:
             "--budget", "-1",
         )
         assert code == 2
-        assert "node_budget" in err
+        assert "--budget must be an integer of at least 0, got -1" in err
         assert out == ""
 
     def test_budget_error_is_3(self, capsys, tmp_path):

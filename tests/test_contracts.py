@@ -51,6 +51,7 @@ from diagonal_effect import (
     mixture_to_toric,
     moves_for_model,
     moves_to_binomials,
+    nonvanishing_variants_report,
     normalize,
     normalizers,
     pearson_statistic,
@@ -320,7 +321,6 @@ def test_one_size_rule(call, message):
                  id="from_cell_terms-cells"),
     pytest.param(lambda: CellPolynomial.from_cell_terms(2, [(1, [(1, 2, 1)])]),
                  "a cell is an (i, j) pair, got (1, 2, 1)", id="from_cell_terms-cell"),
-    pytest.param(lambda: _MINOR2.evaluate({1: 1}), "a cell is not a sequence: got int", id="evaluate-key"),
     pytest.param(lambda: pearson_statistic([[None]], [[1.0]]),
                  "observed count must be an integer of at least 0, got None", id="pearson_statistic-observed"),
     pytest.param(lambda: pearson_statistic([[1]], [["1"]]), "expected count must be a float or an int, got '1'",
@@ -332,6 +332,36 @@ def test_entries_inside_arguments_are_checked(call, message):
     # the junk probe fills argument slots; these entries sit one level inside
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def _cell_map(size: int) -> dict:
+    return {(i, j): Fraction(1, size * size) for i in range(1, size + 1) for j in range(1, size + 1)}
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda P: _MINOR2.evaluate(P), id="evaluate"),
+    pytest.param(lambda P: check_vanishing([_MINOR2], P), id="check_vanishing"),
+    pytest.param(lambda P: nonvanishing_variants_report(P), id="nonvanishing_variants_report"),
+])
+def test_a_point_is_a_prob_table(call):
+    # a {(i, j): value} mapping is no point, whatever its size; a table of
+    # another size than the polynomials is a size mismatch
+    for size in (2, 3):
+        with pytest.raises(InputError, match=r"^point must be a ProbTable, got \{\(1, 1\): Fraction\(1, "):
+            call(_cell_map(size))
+    with pytest.raises(SizeMismatchError, match=r"^polynomial over (\d)x\1 cells, table is 4x4$"):
+        call(normalize(_TABLE4))
+
+
+@pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(2), Fraction(0), 0.5, 2.0], ids=repr)
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda c: CellPolynomial(2, {(0,): c}), id="CellPolynomial"),
+    pytest.param(lambda c: CellPolynomial.from_cell_terms(2, [(c, [(1, 1)])]), id="from_cell_terms"),
+])
+def test_a_coefficient_is_an_int(build, coeff):
+    # an integral Fraction is no int either: every polynomial has int coefficients
+    with pytest.raises(InputError, match=f"^coefficient must be an integer, got {re.escape(repr(coeff))}$"):
+        build(coeff)
 
 
 # the junk of the public-API probe; 7 and the other valid sizes are left
@@ -418,7 +448,7 @@ VALID = {
     "sufficient_statistic": (_TABLE, _COMMON3),
     "toric_ideal": (_INDEPENDENCE2, "saturation"),
     "toric_point": (_TORIC,),
-    "transpose_apply": (_A2, [[1, 0], [0, 1]]),
+    "transpose_apply": (_A2, CountTable.from_rows([[1, 0], [0, 1]])),
     "verify_connectivity": (ModelFamily.DIAGONAL_EFFECT, 3, 2),
 }
 

@@ -9,7 +9,7 @@ the same insertion order and the same text.  `check_vanishing` evaluates
 a batch at one point, sharing the monomial values, and must give what
 `CellPolynomial.evaluate` gives one polynomial at a time.
 `reference_str` renders a polynomial as `CellPolynomial.__str__` did
-with a checked grevlex order and `var_cell` on every variable.
+with a checked grevlex order and each cell's indices from its variable id.
 """
 
 from fractions import Fraction
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from diagonal_effect import (
     CellPolynomial,
+    CountTable,
     InputError,
     Invariant,
     ProbTable,
@@ -29,8 +30,9 @@ from diagonal_effect import (
     gens_common_mixture_families,
     gens_diag_effect,
     gens_independence,
+    normalize,
 )
-from diagonal_effect.polynomials import TermOrder, var_cell
+from diagonal_effect.polynomials import TermOrder
 
 # ---------------------------------------------------------------------------
 # reference families
@@ -102,7 +104,7 @@ def reference_terms(I, cell_terms):
 
 def reference_str(poly):
     """`CellPolynomial.__str__` as it was: a checked grevlex order over the
-    polynomial's variables, and each cell's name through `var_cell`."""
+    polynomial's variables, and each cell's name from its variable id."""
     if not poly.terms:
         return "0"
     order = TermOrder.grevlex(sorted(poly.variables()) or [0])
@@ -114,8 +116,8 @@ def reference_str(poly):
         parts = []
         for v in sorted(set(m)):
             if v < size * size:
-                i, j = var_cell(v, size)
-                name = f"p[{i},{j}]"
+                i, j = divmod(v, size)
+                name = f"p[{i + 1},{j + 1}]"
             else:
                 name = f"t{v - size * size}"
             e = m.count(v)
@@ -165,39 +167,31 @@ def test_a_build_keeps_one_tuple_per_monomial(I):
 # check_vanishing against one-at-a-time evaluation
 # ---------------------------------------------------------------------------
 
-rationals = st.one_of(
-    st.integers(-5, 5),
-    st.fractions(min_value=-3, max_value=3, max_denominator=7),
-)
+coefficients = st.integers(-5, 5)
 
 
 @st.composite
 def polynomials(draw, size, aux=0):
     """A polynomial over the size x size cells, and `aux` auxiliary
-    variables when asked: constants, mixed degrees and Fraction
-    coefficients, up to five terms of degree at most 4."""
+    variables when asked: constants, mixed degrees and int coefficients,
+    up to five terms of degree at most 4."""
     ids = st.integers(0, size * size - 1 + aux)
     monomial = st.lists(ids, max_size=4).map(lambda m: tuple(sorted(m)))
     homogeneous = draw(st.booleans())
     if homogeneous:
         d = draw(st.integers(0, 3))
         monomial = st.lists(ids, min_size=d, max_size=d).map(lambda m: tuple(sorted(m)))
-    terms = draw(st.dictionaries(monomial, rationals.filter(bool), max_size=5))
+    terms = draw(st.dictionaries(monomial, coefficients.filter(bool), max_size=5))
     return CellPolynomial(size, terms)
 
 
 @st.composite
 def points(draw, size):
-    """A ProbTable with some zero cells, or a mapping of any rationals."""
-    if draw(st.booleans()):
-        weights = draw(st.lists(st.integers(0, 6), min_size=size * size, max_size=size * size))
-        if not any(weights):
-            weights[0] = 1
-        total = sum(weights)
-        return ProbTable(size, [[Fraction(weights[i * size + j], total) for j in range(size)]
-                                for i in range(size)])
-    values = draw(st.lists(rationals, min_size=size * size, max_size=size * size))
-    return {(i + 1, j + 1): values[i * size + j] for i in range(size) for j in range(size)}
+    """A ProbTable with some zero cells: a normalized grid of counts."""
+    weights = draw(st.lists(st.integers(0, 6), min_size=size * size, max_size=size * size))
+    if not any(weights):
+        weights[0] = 1
+    return normalize(CountTable.from_rows([weights[k:k + size] for k in range(0, size * size, size)]))
 
 
 @st.composite
@@ -224,7 +218,7 @@ def test_check_vanishing_matches_evaluate(case):
 
 def test_zero_values_share_one_fraction():
     gens = gens_common_mixture_families(3)
-    point = {(i, j): Fraction(1, 9) for i in range(1, 4) for j in range(1, 4)}
+    point = ProbTable(3, [[Fraction(1, 9)] * 3] * 3)
     values = [v for _, v in check_vanishing(gens + [CellPolynomial(3)], point).entries]
     assert all(v == 0 for v in values)
     assert len({id(v) for v in values}) == 1
@@ -233,7 +227,7 @@ def test_zero_values_share_one_fraction():
 @pytest.mark.parametrize("aux", [
     {(9,): 1},                         # homogeneous, the only term
     {(0, 9): 1, (4, 8): -1},           # homogeneous, the second term
-    {(9,): 1, (): Fraction(2, 3)},     # mixed degrees
+    {(9,): 1, (): 2},                  # mixed degrees
 ], ids=["degree-1", "degree-2", "mixed"])
 def test_auxiliary_variable_raises_input_error(aux):
     table = ProbTable(3, [[Fraction(1, 9)] * 3] * 3)
@@ -243,18 +237,14 @@ def test_auxiliary_variable_raises_input_error(aux):
 
 
 def test_mixed_sizes_raise_size_mismatch():
-    table = ProbTable(3, [[Fraction(1, 9)] * 3] * 3)
-    point = {(i, j): Fraction(1, 9) for i in range(1, 4) for j in range(1, 4)}
+    table = normalize(CountTable.from_rows([[1, 2, 0], [0, 1, 2], [2, 0, 1]]))
     gens = [inv.poly for inv in gens_diag_effect(3)]
-    # a mapping's size is the largest index it names, so a polynomial of
-    # another size raises SizeMismatchError for a mapping as for a table
+    # a polynomial of another size than the table raises wherever it stands in the batch
     for stray in (CellPolynomial(4, {(0, 1, 2): 1}), CellPolynomial(2, {(): 1, (0,): 1})):
         n = stray.size
         for batch in ([stray, *gens], [*gens, stray], [*gens, stray, *gens]):
-            for P, kind in ((table, "table"), (point, "point")):
-                with pytest.raises(SizeMismatchError,
-                                   match=f"^polynomial over {n}x{n} cells, {kind} is 3x3$"):
-                    check_vanishing(batch, P)
+            with pytest.raises(SizeMismatchError, match=f"^polynomial over {n}x{n} cells, table is 3x3$"):
+                check_vanishing(batch, table)
 
 
 def test_items_are_checked_before_any_is_evaluated():
@@ -283,7 +273,7 @@ def test_str_matches_the_reference_renderer(poly):
 
 @pytest.mark.parametrize("poly, text", [
     (CellPolynomial(2, {(4,): 1, (): 3}), "t0 + 3"),
-    (CellPolynomial(2, {(0, 5, 5): Fraction(-1, 2), (1, 2): 2}), "-1/2*p[1,1]*t1^2 + 2*p[1,2]*p[2,1]"),
+    (CellPolynomial(2, {(0, 5, 5): -5, (1, 2): 2}), "-5*p[1,1]*t1^2 + 2*p[1,2]*p[2,1]"),
     (CellPolynomial(3, {(): -1}), "-1"),
     (CellPolynomial(3), "0"),
 ])

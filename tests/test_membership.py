@@ -189,7 +189,7 @@ def harness_boundary_tables():
 def reference_boundary(P: ProbTable) -> tuple:
     """(verdict, invariants_vanish, toric_exclusions, mixture_exclusions)
     from the Fraction grid, cell by cell, with the invariants evaluated at
-    the point given as a {(i, j): value} mapping."""
+    the ProbTable rebuilt from that grid."""
     I, cells = P.size, P.cells
     rows_nonzero = [any(x != 0 for x in cells[i]) for i in range(I)]
     cols_nonzero = [any(cells[i][j] != 0 for i in range(I)) for j in range(I)]
@@ -198,8 +198,7 @@ def reference_boundary(P: ProbTable) -> tuple:
                     if not is_diagonal and cells[i][i] == 0 and rows_nonzero[i] and cols_nonzero[i])
     toric = tuple((i + 1, j + 1) for i in range(I) for j in range(I)
                   if i != j and cells[i][j] == 0 and rows_nonzero[i] and cols_nonzero[j])
-    point = {(i + 1, j + 1): cells[i][j] for i in range(I) for j in range(I)}
-    vanish = I < 3 or check_vanishing(gens_diag_effect(I), point).all_zero
+    vanish = I < 3 or check_vanishing(gens_diag_effect(I), ProbTable(I, cells)).all_zero
     verdict = {(True, True): BoundaryVerdict.RULED_OUT_BOTH, (True, False): BoundaryVerdict.RULED_OUT_M1,
                (False, True): BoundaryVerdict.RULED_OUT_M2,
                (False, False): BoundaryVerdict.INCONCLUSIVE}[bool(toric), bool(mixture)]

@@ -48,7 +48,7 @@ from diagonal_effect import (
     verify_connectivity,
 )
 from diagonal_effect import markov
-from diagonal_effect.polynomials import clear_denominators
+from diagonal_effect.polynomials import CellPolynomial
 from diagonal_effect.tables import _unchecked, over_lcm
 
 from conftest import model
@@ -199,7 +199,7 @@ def test_transpose_apply_rejects_an_object_with_only_cells():
     class Grid:
         cells = tuple(map(tuple, TABLE3))
 
-    with pytest.raises(InputError, match="^cells is not a sequence: got Grid$"):
+    with pytest.raises(InputError, match="^table must be a CountTable, got <"):
         transpose_apply(design_matrix(model(COMMON, 3)), Grid())
 
 
@@ -250,9 +250,12 @@ def test_points_keep_their_numerators_over_one_denominator(point, data):
 
 @settings(max_examples=100, deadline=None)
 @given(points())
-def test_clear_denominators_reads_the_stored_form(point):
-    nums, den = clear_denominators(point, point.size)
-    assert (list(nums), den) == over_lcm([p for row in point.cells for p in row])
+def test_evaluation_reads_the_stored_form(point):
+    # each cell variable evaluates to nums[v] / den, and no grid is built
+    values = [CellPolynomial(point.size, {(v,): 1}).evaluate(point) for v in range(point.size ** 2)]
+    assert values == [Fraction(x, point.den) for x in point.nums]
+    assert "cells" not in vars(point)
+    assert values == [p for row in point.cells for p in row]
 
 
 def test_normalize_divides_by_the_common_factor():
