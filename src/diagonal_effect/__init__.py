@@ -62,21 +62,14 @@ _EXPORTS = {
         "moves_to_binomials",
         "nonvanishing_variants_report",
     ),
+    "moves": ("moves_common_diag", "moves_diag_effect", "moves_for_model"),
+    "fibers": ("ConnectivityReport", "Fiber", "enumerate_fiber", "is_connected"),
+    "walk": ("Stationary", "WalkConfig", "fiber_walk"),
     "markov": (
-        "ConnectivityReport",
-        "Fiber",
-        "Stationary",
         "SweepReport",
         "TestResult",
-        "WalkConfig",
-        "enumerate_fiber",
         "exact_test",
         "exact_test_chains",
-        "fiber_walk",
-        "is_connected",
-        "moves_common_diag",
-        "moves_diag_effect",
-        "moves_for_model",
         "pearson_statistic",
         "verify_connectivity",
     ),

@@ -222,7 +222,7 @@ def _cmd_invariants(args) -> dict:
         # toric and mixture forms of this family share their invariants
         gens = gens_diag_effect(args.size)
     elif model.form is ModelForm.TORIC:
-        from .markov import moves_for_model
+        from .moves import moves_for_model
 
         gens = [
             Invariant(f"move-binomial #{k}", poly)
@@ -291,7 +291,8 @@ def _cmd_boundary_check(args) -> dict:
 
 
 def _cmd_sample(args) -> dict:
-    from .markov import Stationary, WalkConfig, fiber_walk, moves_for_model
+    from .moves import moves_for_model
+    from .walk import Stationary, WalkConfig, fiber_walk
 
     table, model = _table_and_model(args)
     config = WalkConfig(
@@ -314,7 +315,8 @@ def _cmd_sample(args) -> dict:
 
 
 def _cmd_exact_test(args) -> dict:
-    from .markov import Stationary, WalkConfig, exact_test, exact_test_chains
+    from .markov import exact_test, exact_test_chains
+    from .walk import Stationary, WalkConfig
 
     table, model = _table_and_model(args)
     require_int(args.samples, "--samples", 1)
@@ -325,12 +327,12 @@ def _cmd_exact_test(args) -> dict:
         result = exact_test(table, model, config, method="enumerate",
                             node_budget=DEFAULT_NODE_BUDGET)
     else:
-        result = exact_test_chains(table, model, config, args.chains)
+        result = exact_test_chains(table, model, config, require_int(args.chains, "--chains", 1))
     return asdict(result)
 
 
 def _cmd_enumerate_fiber(args) -> dict:
-    from .markov import enumerate_fiber
+    from .fibers import enumerate_fiber
 
     table, model = _table_and_model(args)
     fiber = enumerate_fiber(sufficient_statistic(table, model), model, require_int(args.budget, "--budget", 0))
@@ -341,7 +343,7 @@ def _cmd_enumerate_fiber(args) -> dict:
 
 
 def _cmd_markov_moves(args) -> dict:
-    from .markov import moves_for_model
+    from .moves import moves_for_model
 
     model = ModelSpec(family=_FAMILIES[args.model], form=ModelForm.TORIC, size=args.size)
     moves = moves_for_model(model)
@@ -386,7 +388,7 @@ def _cmd_toric_ideal(args) -> dict:
 def _cmd_check_connectivity(args) -> dict:
     from .markov import verify_connectivity
 
-    report = verify_connectivity(_FAMILIES[args.model], args.size, args.max_n)
+    report = verify_connectivity(_FAMILIES[args.model], args.size, require_int(args.max_n, "--max-n", 0))
     return {
         "fibers_checked": report.fibers_checked,
         "tables_seen": report.tables_seen,

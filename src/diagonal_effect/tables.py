@@ -21,8 +21,8 @@ from .errors import InputError, SizeMismatchError
 
 Grid = tuple
 
-# the default node budget of fiber enumeration, which `markov` reads under
-# its own name; it is here so that the CLI's parser need not load `markov`
+# the default node budget of fiber enumeration, which `fibers` and `markov`
+# read under their own names; it is here so that the CLI's parser loads neither
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
@@ -257,7 +257,7 @@ class Move:
     and kept; equality and hash follow the stored form (size, entries,
     label, degree), which decides what the grid does.
 
-    Moves generated by the factories in `markov` additionally lie in the
+    Moves generated by the factories in `moves` additionally lie in the
     kernel of the matching design-matrix transpose; that property is checked
     there (and in the test suite), not by this constructor.
     """

@@ -15,6 +15,7 @@ from diagonal_effect import (
     ModelSpec,
     Move,
     SufficientStat,
+    fibers,
     markov,
     sufficient_statistic,
 )
@@ -25,10 +26,10 @@ def model(family: ModelFamily, size: int, form: ModelForm = ModelForm.TORIC) -> 
 
 
 def move_search_only(steps):
-    """A patch under which `markov._components` adds `steps` to each member
+    """A patch under which `fibers._components` adds `steps` to each member
     also where it would test each pair: every fiber by the move search."""
-    return mock.patch.object(markov, "_edges_by_difference",
-                             lambda members, deltas: markov._edges_by_move(members, steps))
+    return mock.patch.object(fibers, "_edges_by_difference",
+                             lambda members, deltas: fibers._edges_by_move(members, steps))
 
 
 def random_count_table(rng: random.Random, size: int, n: int) -> CountTable:
@@ -100,7 +101,7 @@ def components_by_bfs(members: Sequence[tuple], moves: Sequence[Move]) -> List[L
 
 def encode(flats: Iterable[Sequence[int]], shifts: Sequence[int]) -> List[int]:
     """Each flat table as the int whose bits from shifts[k] on hold its
-    count k, the coding of `markov._encoding`."""
+    count k, the coding of `fibers._encoding`."""
     return [sum(x << s for x, s in zip(f, shifts)) for f in flats]
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from diagonal_effect import InputError, MixtureParams, ModelFamily, ModelForm, ModelSpec, ToricParams
 from diagonal_effect import markov, toricideal
+from diagonal_effect.moves import moves_for_model
 from diagonal_effect.cli import main, parse_count_table, parse_params
 
 from conftest import model
@@ -260,7 +261,7 @@ class TestSubcommands:
         # the command reads verify_connectivity from its module when it runs
         sweep = markov.verify_connectivity
         monkeypatch.setattr(markov, "verify_connectivity", lambda family, I, max_n: sweep(
-            family, I, max_n, [m for m in markov.moves_for_model(model(family, I)) if m.label != "diag-shift"]))
+            family, I, max_n, [m for m in moves_for_model(model(family, I)) if m.label != "diag-shift"]))
         code, out, _ = run_cli(
             capsys, "check-connectivity", "--model", "common", "--size", "3", "--max-n", "3"
         )
@@ -416,12 +417,14 @@ class TestExitCodes:
         assert "thinning" in err
 
     @pytest.mark.parametrize("argv, name", [
-        (["check-connectivity", "--model", "diag", "--size", "3", "--max-n", "-1"], "max_n"),
+        (["check-connectivity", "--model", "diag", "--size", "3", "--max-n", "-1"], "--max-n"),
         (["exact-test", "--model", "common", "--table", "demos/table3.csv", "--samples", "0", "--seed", "1"],
          "--samples"),
+        (["exact-test", "--model", "common", "--table", "demos/table3.csv", "--samples", "100", "--seed", "1",
+          "--chains", "0"], "--chains"),
         (["sample", "--model", "diag", "--table", "demos/table3.csv", "--steps", "5", "--burnin", "-1",
           "--seed", "1"], "--burnin"),
-    ], ids=["max-n", "samples", "burnin"])
+    ], ids=["max-n", "samples", "chains", "burnin"])
     def test_count_below_its_floor_is_2(self, capsys, monkeypatch, argv, name):
         monkeypatch.chdir(ROOT)
         code, out, err = run_cli(capsys, *argv)

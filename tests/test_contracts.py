@@ -62,7 +62,7 @@ from diagonal_effect import (
     verify_connectivity,
 )
 from diagonal_effect.cli import parse_count_table, parse_params
-from diagonal_effect.markov import moves_common_diag, moves_diag_effect
+from diagonal_effect.moves import moves_common_diag, moves_diag_effect
 from diagonal_effect.polynomials import binomial_from_vector
 
 from conftest import model, random_count_table

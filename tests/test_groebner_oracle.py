@@ -17,7 +17,7 @@ from diagonal_effect import (
     toric_ideal,
 )
 from diagonal_effect.groebner import buchberger
-from diagonal_effect.markov import moves_common_diag, moves_diag_effect
+from diagonal_effect.moves import moves_common_diag, moves_diag_effect
 
 from conftest import model
 

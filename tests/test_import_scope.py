@@ -34,19 +34,22 @@ EXPORTS = [
     "ToricOnlyCase", "ToricParams", "VanishingReport", "VerdictKind", "WalkConfig",
     "apply_move", "boundary_membership_check", "check_vanishing",
     "classify_toric_point", "common_diagonal_fit", "design_matrix", "enumerate_fiber",
-    "errors", "exact_test", "exact_test_chains", "expected_counts", "fiber_walk",
+    "errors", "exact_test", "exact_test_chains", "expected_counts", "fiber_walk", "fibers",
     "gens_common_mixture_families", "gens_common_mixture_listed3",
     "gens_common_toric_listed3", "gens_diag_effect", "gens_independence", "groebner",
     "ideal_equal", "integer_kernel", "invariants", "is_connected", "lattice_binomials",
     "likelihood", "markov", "membership", "mixture_point", "mixture_to_toric",
-    "moves_common_diag", "moves_diag_effect", "moves_for_model", "moves_to_binomials",
+    "moves", "moves_common_diag", "moves_diag_effect", "moves_for_model", "moves_to_binomials",
     "nonvanishing_variants_report", "normalize", "normalizers", "params",
     "pearson_statistic", "polynomials", "quasi_independence_fit",
     "random_rational_point", "sufficient_statistic", "tables", "toric_ideal",
-    "toric_point", "toricideal", "transpose_apply", "verify_connectivity",
+    "toric_point", "toricideal", "transpose_apply", "verify_connectivity", "walk",
 ]
-SUBMODULES = {"errors", "tables", "params", "polynomials", "invariants", "markov",
-              "membership", "toricideal", "groebner"}
+SUBMODULES = {"errors", "tables", "params", "polynomials", "invariants", "moves", "fibers",
+              "walk", "markov", "membership", "toricideal", "groebner"}
+# what `markov` loads: its exact tests and sweep call the fit, the
+# enumeration, the move factory and the walk
+MARKOV = {"errors", "tables", "params", "moves", "fibers", "walk", "markov"}
 
 
 def loaded_after(code: str) -> set:
@@ -90,6 +93,7 @@ class TestNamespace:
         exec("from diagonal_effect import *", namespace)
         assert set(namespace) - {"__builtins__"} == set(EXPORTS)
         assert namespace["exact_test"] is diagonal_effect.markov.exact_test
+        assert namespace["fiber_walk"] is diagonal_effect.walk.fiber_walk
 
 
 class TestImportScope:
@@ -103,11 +107,26 @@ class TestImportScope:
     def test_exact_test(self, extra):
         loaded = after_command("exact-test", "--model", "common", "--table", TABLE3,
                                "--seed", "1", *extra)
-        assert loaded == {"cli", "errors", "tables", "params", "markov"}
+        assert loaded == {"cli"} | MARKOV
 
     def test_check_connectivity(self):
         loaded = after_command("check-connectivity", "--model", "diag", "--size", "3", "--max-n", "2")
-        assert loaded == {"cli", "errors", "tables", "params", "markov"}
+        assert loaded == {"cli"} | MARKOV
+
+    # the commands that neither test nor sweep load neither `markov` nor the fit
+    @pytest.mark.parametrize("argv, expected", [
+        (["sample", "--model", "common", "--table", TABLE3, "--steps", "5", "--seed", "1"],
+         {"cli", "errors", "tables", "moves", "walk"}),
+        (["enumerate-fiber", "--model", "diag", "--table", TABLE3],
+         {"cli", "errors", "tables", "moves", "fibers"}),
+        (["markov-moves", "--model", "common", "--size", "3"], {"cli", "errors", "tables", "moves"}),
+        (["invariants", "--model", "common", "--form", "toric", "--size", "3"],
+         {"cli", "errors", "tables", "polynomials", "invariants", "moves"}),
+    ], ids=["sample", "enumerate-fiber", "markov-moves", "invariants-common-toric"])
+    def test_command_without_markov(self, argv, expected):
+        loaded = after_command(*argv)
+        assert loaded == expected
+        assert loaded.isdisjoint({"markov", "params"})
 
     def test_toric_ideal(self):
         loaded = after_command("toric-ideal", "--model", "diag", "--size", "3",

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from diagonal_effect import invariants, markov
+from diagonal_effect import invariants
+from diagonal_effect.moves import moves_common_diag, moves_diag_effect
 
 GOLDEN = Path(__file__).parent / "golden" / "index_order.json"
 
@@ -49,10 +50,10 @@ for _I in (3, 4, 5, 6):
         lambda I=_I: _gens(invariants.gens_common_mixture_families(I))
     )
 for _I in (3, 4, 5, 6):
-    SOURCES[f"moves_diag_effect/{_I}"] = lambda I=_I: _moves(markov.moves_diag_effect(I))
-    SOURCES[f"moves_common_diag/{_I}"] = lambda I=_I: _moves(markov.moves_common_diag(I))
-    SOURCES[f"moves_to_binomials/diag/{_I}"] = lambda I=_I: _binomials(markov.moves_diag_effect(I))
-    SOURCES[f"moves_to_binomials/common/{_I}"] = lambda I=_I: _binomials(markov.moves_common_diag(I))
+    SOURCES[f"moves_diag_effect/{_I}"] = lambda I=_I: _moves(moves_diag_effect(I))
+    SOURCES[f"moves_common_diag/{_I}"] = lambda I=_I: _moves(moves_common_diag(I))
+    SOURCES[f"moves_to_binomials/diag/{_I}"] = lambda I=_I: _binomials(moves_diag_effect(I))
+    SOURCES[f"moves_to_binomials/common/{_I}"] = lambda I=_I: _binomials(moves_common_diag(I))
 
 
 def fingerprint(entries: list) -> dict:

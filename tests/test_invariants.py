@@ -38,7 +38,7 @@ from diagonal_effect.invariants import (
     _sign_flipped,
 )
 from diagonal_effect import toricideal
-from diagonal_effect.markov import moves_common_diag, moves_diag_effect
+from diagonal_effect.moves import moves_common_diag, moves_diag_effect
 from diagonal_effect.polynomials import cell_var, mono_from_cells
 
 from conftest import model
@@ -266,7 +266,7 @@ class TestMovesToBinomials:
         # `toric-ideal --model diag --verify-against listed` compares the
         # toric ideal with these generators, which are the moves' binomials,
         # in order, and open the common-diagonal mixture families.
-        # `markov._diag_effect_candidates` and
+        # `moves._diag_effect_candidates` and
         # `invariants._offdiag_minors_and_cycles` write the same binomials
         # twice; this keeps the two writings equal.
         gens = [inv.poly for inv in gens_diag_effect(I)]

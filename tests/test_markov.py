@@ -13,7 +13,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from diagonal_effect import markov
+from diagonal_effect import fibers, markov, walk
+from diagonal_effect.moves import _move_deltas
 from diagonal_effect.params import expected_counts
 from diagonal_effect import (
     BudgetExceededError,
@@ -420,13 +421,13 @@ class TestConnectivity:
     def test_move_deltas_pair_each_move_with_its_negation(self, family):
         # `_encoding` codes deltas[::2] as the steps, one sign of every move
         moves = moves_for_model(model(family, 4))
-        deltas = markov._move_deltas(moves, 4)
+        deltas = _move_deltas(moves, 4)
         assert len(deltas) == 2 * len(moves)
         for k, move in enumerate(moves):
             flat = [x for row in move.cells for x in row]
             assert deltas[2 * k] == tuple((c, v) for c, v in enumerate(flat) if v)
             assert deltas[2 * k + 1] == tuple((c, -v) for c, v in deltas[2 * k])
-        shifts, steps, codes = markov._encoding(deltas, 4, 5)
+        shifts, steps, codes = fibers._encoding(deltas, 4, 5)
         dense = [[0] * 16 for _ in deltas]
         for flat, delta in zip(dense, deltas):
             for c, v in delta:
@@ -443,9 +444,9 @@ class TestConnectivity:
                             (len(moves) + 1, "_edges_by_difference")]:
             path = [tuple(size + k * x for x in step) for k in range(size)]
             # counts of the path are below 2 * size
-            shifts, steps, deltas = markov._encoding(markov._move_deltas(moves, 4), 4, 2 * size)
-            with mock.patch.object(markov, other, side_effect=AssertionError(f"{other} ran")):
-                assert markov._components(encode(path, shifts), steps, deltas) == [list(range(size))]
+            shifts, steps, deltas = fibers._encoding(_move_deltas(moves, 4), 4, 2 * size)
+            with mock.patch.object(fibers, other, side_effect=AssertionError(f"{other} ran")):
+                assert fibers._components(encode(path, shifts), steps, deltas) == [list(range(size))]
 
     def test_sweep_rejects_malformed_family(self):
         with pytest.raises(InputError, match="ModelFamily"):
@@ -478,19 +479,19 @@ class TestConnectivity:
 
     @staticmethod
     def components_by_search(fiber, moves, search) -> List[List[int]]:
-        """`markov._components` with one neighbour search forced: for the
+        """`fibers._components` with one neighbour search forced: for the
         difference search the steps are padded to as many as the members,
         which selects it, and the move search raises if it runs; the move
         search runs in place of the difference search."""
         I, n = fiber.stat.size, sum(fiber.stat.rows)
-        shifts, steps, deltas = markov._encoding(markov._move_deltas(moves, I), I, n)
+        shifts, steps, deltas = fibers._encoding(_move_deltas(moves, I), I, n)
         if search == "difference":
             steps = steps + [0] * len(fiber)
-            patch = mock.patch.object(markov, "_edges_by_move", side_effect=AssertionError("_edges_by_move ran"))
+            patch = mock.patch.object(fibers, "_edges_by_move", side_effect=AssertionError("_edges_by_move ran"))
         else:
             patch = move_search_only(steps)
         with patch:
-            return markov._components(encode(fiber.flats, shifts), steps, deltas)
+            return fibers._components(encode(fiber.flats, shifts), steps, deltas)
 
     # a benchmark base table, the move labels kept (None: all), and the
     # number of components of its fiber under those moves
@@ -639,8 +640,8 @@ class TestConnectivity:
         family_moves = moves_for_model(model(family, I))
         for label in sorted({m.label for m in family_moves}):
             moves = [m for m in family_moves if m.label != label]
-            deltas = markov._move_deltas(moves, I)
-            shifts, _, coded = markov._encoding(deltas, I, max_n)
+            deltas = _move_deltas(moves, I)
+            shifts, _, coded = fibers._encoding(deltas, I, max_n)
             assert markov._symmetric(deltas, I, shifts, coded)
             report = verify_connectivity(family, I, max_n, moves)
             with mock.patch.object(markov, "_symmetric", return_value=False):
@@ -951,6 +952,13 @@ def reference_weights(table: CountTable, m: ModelSpec) -> tuple:
     return observed, hit, total, len(flats)
 
 
+def shrink_cell_budget(monkeypatch, cells: int) -> None:
+    """`_CELL_BUDGET` set to `cells` in both modules that read it: `walk`
+    for the walk's numbered states and `markov` for the MCMC test's scores."""
+    for module in (walk, markov):
+        monkeypatch.setattr(module, "_CELL_BUDGET", cells)
+
+
 def spy_pearson(monkeypatch) -> List[tuple]:
     """The flat tables `markov._pearson_flat` scores, in call order.  A call
     that meets a count without a term raises KeyError and scores nothing:
@@ -1080,13 +1088,13 @@ class TestExactTest:
 
         # a walk past the probe that keeps its tables: a revisit is the same object
         states, test, chains = run(config)
-        assert config.burn_in + config.steps > markov._PROBE
+        assert config.burn_in + config.steps > walk._PROBE
         by_cells = {s.cells: s for s in states}
         assert len(by_cells) > 3 and all(s is by_cells[s.cells] for s in states)
         # Room for two states: numbering a third one drops the tables, here
         # within the burn-in.  The stream stays, and from then on each change
         # builds a new table.
-        monkeypatch.setattr(markov, "_CELL_BUDGET", 2 * 9)
+        shrink_cell_budget(monkeypatch, 2 * 9)
         dropped, dropped_test, dropped_chains = run(config)
         assert [s.cells for s in dropped] == [s.cells for s in states]
         assert (dropped_test, dropped_chains) == (test, chains)
@@ -1097,7 +1105,7 @@ class TestExactTest:
         config = replace(config, burn_in=0)
         monkeypatch.undo()
         kept = list(fiber_walk(t, moves, config))
-        monkeypatch.setattr(markov, "_CELL_BUDGET", 2 * 9)
+        shrink_cell_budget(monkeypatch, 2 * 9)
         dropped = list(fiber_walk(t, moves, config))
         assert [s.cells for s in dropped] == [s.cells for s in kept]
         cells = [s.cells for s in dropped]
@@ -1109,21 +1117,21 @@ class TestExactTest:
         changes = sum(a is not b for a, b in zip(tail, tail[1:]))
         assert len({s.cells for s in tail}) < 1 + changes == len({id(s) for s in tail})
 
-    @pytest.mark.parametrize("cells, config, patch, kept, drop", [
-        ([[1, 2, 0], [0, 1, 2], [2, 0, 1]], WalkConfig(steps=2_000, seed=4), {"_CELL_BUDGET": 2 * 9}, 2, 3),
+    @pytest.mark.parametrize("cells, config, cell_budget, kept, drop", [
+        ([[1, 2, 0], [0, 1, 2], [2, 0, 1]], WalkConfig(steps=2_000, seed=4), 2 * 9, 2, 3),
         # the benchmark's common I = 5 table under the shipped constants:
         # 8,192 // 25 = 327 tables
         ([[1, 0, 0, 0, 1], [1, 0, 1, 0, 1], [2, 2, 0, 0, 0], [0, 1, 0, 1, 0], [1, 0, 0, 2, 0]],
-         WalkConfig(steps=10_000, seed=1), {}, 327, 356),
+         WalkConfig(steps=10_000, seed=1), None, 327, 356),
     ], ids=["budget", "shipped"])
-    def test_scores_memo_dropped_by_the_rule(self, monkeypatch, cells, config, patch, kept, drop):
+    def test_scores_memo_dropped_by_the_rule(self, monkeypatch, cells, config, cell_budget, kept, drop):
         t = CountTable.from_rows(cells)
         spec, moves = model(ModelFamily.COMMON_DIAGONAL_EFFECT, t.size), moves_common_diag(t.size)
         unpatched = exact_test(t, spec, config, method="mcmc")
         states = [s.flat for s in fiber_walk(t, moves, config)]
         changes = [s for k, s in enumerate(states) if k == 0 or s != states[k - 1]]
-        for name, value in patch.items():
-            monkeypatch.setattr(markov, name, value)
+        if cell_budget is not None:
+            shrink_cell_budget(monkeypatch, cell_budget)
         calls = spy_pearson(monkeypatch)
         assert exact_test(t, spec, config, method="mcmc") == unpatched
         # The memo keeps the scores of the first `kept` tables and is dropped
@@ -1158,13 +1166,13 @@ class TestExactTest:
             fits.append(real_fit(*args))
             return fits[-1]
 
-        def walk(*args):
+        def recording_walk(*args):
             for state in real_walk(*args):
                 walked.append(state.flat)
                 yield state
 
         monkeypatch.setattr(markov, "_fit_terms", fit_terms)
-        monkeypatch.setattr(markov, "fiber_walk", walk)
+        monkeypatch.setattr(markov, "fiber_walk", recording_walk)
         config = WalkConfig(steps=1_000, seed=3)
         result = exact_test(t, COMMON3, config, method="mcmc")
         [(fit, terms, _)] = fits

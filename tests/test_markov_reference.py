@@ -35,7 +35,8 @@ from diagonal_effect import (
     moves_diag_effect,
     verify_connectivity,
 )
-from diagonal_effect import markov
+from diagonal_effect import fibers, markov, walk
+from diagonal_effect.moves import _move_deltas as package_move_deltas
 from diagonal_effect.tables import rectangle_indices, require_int, triple_indices
 
 from conftest import components_by_bfs, encode, fibers_by_statistic, move_search_only
@@ -289,7 +290,7 @@ def test_factory_entries_are_the_nonzero_cells(family, size):
 @pytest.mark.parametrize("size", range(3, 7))
 def test_walk_plans_of_factory_moves_match_reference(family, size):
     moves = FACTORIES[family][0](size)
-    assert markov._walk_plans(moves, size) == reference_walk_plans(moves)
+    assert walk._walk_plans(moves, size) == reference_walk_plans(moves)
 
 
 @st.composite
@@ -310,7 +311,7 @@ def user_moves(draw) -> Tuple[int, List[Move]]:
 @example(case=(2, [Move.from_rows([[3, -3], [-3, 3]]), Move.from_rows([[-1, 1], [1, -1]])]))
 def test_walk_plans_of_user_moves_match_reference(case):
     size, moves = case
-    assert markov._walk_plans(moves, size) == reference_walk_plans(moves)
+    assert walk._walk_plans(moves, size) == reference_walk_plans(moves)
 
 
 ZERO_ROW = [[0, 0, 0, 0], [1, 3, 0, 2], [2, 1, 4, 0], [3, 0, 2, 1]]
@@ -347,7 +348,7 @@ def test_kernel_emits_the_reference_states(family, size, data, zero_row, station
     trace: list = []
     expected = emitted(reference_fiber_walk(start, moves, config, trace))
     # shorter than the probe, the walk keeps its tables to the end
-    assert len(trace) <= markov._PROBE
+    assert len(trace) <= walk._PROBE
     assert emitted(fiber_walk(start, moves, config)) == expected
 
     # The walk drops its tables at its (m + 1)-th miss, the first draw of a
@@ -364,11 +365,11 @@ def test_kernel_emits_the_reference_states(family, size, data, zero_row, station
                       ("an emission", emits)]:
         drops.update((where, m) for m, step in enumerate(misses) if at(step) and where not in drops)
     for where, m in drops.items():
-        with mock.patch.object(markov, "_PROBE_HITS", markov._PROBE - m):
+        with mock.patch.object(walk, "_PROBE_HITS", walk._PROBE - m):
             assert emitted(fiber_walk(start, moves, config)) == expected, where
     # an empty probe, then the budgets: half the misses' entries, and two states
     for budget in [{"_ENTRY_BUDGET": len(misses) // 2}, {"_CELL_BUDGET": 2 * size * size}]:
-        with mock.patch.multiple(markov, _PROBE=0, _PROBE_HITS=0, **budget):
+        with mock.patch.multiple(walk, _PROBE=0, _PROBE_HITS=0, **budget):
             assert emitted(fiber_walk(start, moves, config)) == expected, budget
 
 
@@ -380,7 +381,7 @@ def test_chance_compares_a_draw_exactly(den, data):
     # when a * den < num * b for a / b = random(): they must agree for every
     # draw, a multiple of 2^-53, and most of all next to num / den
     num = den - 1 if data is None else data.draw(st.integers(1, den - 1))
-    chance = markov._chance(num, den)
+    chance = walk._chance(num, den)
     nearest = (num << 53) // den
     for m in range(max(0, nearest - 2), min(1 << 53, nearest + 3)):
         a, b = (m / (1 << 53)).as_integer_ratio()
@@ -412,7 +413,7 @@ def test_sweep_matches_reference_sweep(case, data):
         moves = [m for m, kept in zip(family_moves, keep) if kept]
     expected = reference_sweep(family, I, max_n, moves)
     assert verify_connectivity(family, I, max_n, moves) == expected
-    steps = markov._encoding(markov._move_deltas(moves, I), I, max_n)[1]
+    steps = fibers._encoding(package_move_deltas(moves, I), I, max_n)[1]
     with move_search_only(steps):
         assert verify_connectivity(family, I, max_n, moves) == expected
 
@@ -450,8 +451,8 @@ def test_encoding_width_separates_a_borrow():
     u = (1, 4, 2, 0, 0, 2, 0, 0, 0)
     coded_u, coded_t, coded_d = encode([u, t, [x for row in d.cells for x in row]], range(16, -1, -2))
     assert coded_u == coded_t + coded_d
-    shifts, steps, deltas = markov._encoding(markov._move_deltas(moves, 3), 3, 4)
+    shifts, steps, deltas = fibers._encoding(package_move_deltas(moves, 3), 3, 4)
     members = encode([t, u], shifts)
-    assert markov._components(members, steps, deltas) == [[0], [1]]
+    assert fibers._components(members, steps, deltas) == [[0], [1]]
     with move_search_only(steps):
-        assert markov._components(members, steps, deltas) == [[0], [1]]
+        assert fibers._components(members, steps, deltas) == [[0], [1]]

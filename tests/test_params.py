@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,7 +21,9 @@ from diagonal_effect import (
     toric_point,
 )
 
-from conftest import model, random_count_table
+from diagonal_effect.params import _trace_constrained_support
+
+from conftest import model, random_count_table, tables_of_total
 
 third = Fraction(1, 3)
 
@@ -232,3 +235,39 @@ class TestFits:
     def test_expected_counts_of_other_objects_rejected(self, table, m, message):
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             expected_counts(table, m)
+
+
+def half_integral_supports(I: int, n: int) -> dict:
+    """For each statistic (rows, cols, trace) of total n, the cells that
+    some half-integral table with that statistic makes positive: the
+    integer tables of the doubled statistic.  A cell is positive somewhere
+    on the real polytope of a statistic exactly when it is positive at one
+    of its vertices; at these sizes the half-integral tables find every
+    such cell, as a linear-programming maximisation of each cell agreed."""
+    rows_of = {2 * s: list(tables_of_total(I, 2 * s)) for s in range(n + 1)}
+    supports: dict = {}
+    for sums in tables_of_total(I, n):
+        for rows in product(*(rows_of[2 * s] for s in sums)):
+            cols = [sum(col) for col in zip(*rows)]
+            trace = sum(rows[k][k] for k in range(I))
+            if trace % 2 or any(c % 2 for c in cols):
+                continue
+            cells = supports.setdefault((sums, tuple(c // 2 for c in cols), trace // 2), set())
+            cells.update((i, j) for i in range(I) for j in range(I) if rows[i][j])
+    return supports
+
+
+class TestTraceConstrainedSupport:
+    @pytest.mark.parametrize("I, max_n", [(2, 6), (3, 6), (4, 4)])
+    def test_support_matches_half_integral_search(self, I, max_n):
+        # every statistic of a table of total at most max_n, trace 0 (the
+        # quasi-independence fit's call) among them
+        for n in range(max_n + 1):
+            for (rows, cols, trace), cells in half_integral_supports(I, n).items():
+                assert _trace_constrained_support(rows, cols, trace) == cells, (rows, cols, trace)
+
+    def test_a_support_no_integer_table_reaches(self):
+        # margins (1, 1) and trace 1: no integer table has them, but
+        # [[1/2, 1/2], [1/2, 1/2]] does, so every cell can be positive
+        assert half_integral_supports(2, 2)[((1, 1), (1, 1), 1)] == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert _trace_constrained_support((1, 1), (1, 1), 1) == {(0, 0), (0, 1), (1, 0), (1, 1)}

@@ -41,6 +41,9 @@ from diagonal_effect import (
     fiber_walk,
     likelihood,
     mixture_point,
+    moves_common_diag,
+    moves_diag_effect,
+    moves_for_model,
     normalize,
     sufficient_statistic,
     toric_point,
@@ -62,7 +65,7 @@ TABLE5 = [[0, 0, 1, 2, 0], [0, 0, 2, 0, 1], [2, 0, 0, 1, 0], [1, 0, 0, 0, 2], [0
 def _walk(family, rows, steps):
     # table3 keeps the walk's proposal tables to the end, table5 drops them
     start = CountTable.from_rows(rows)
-    return list(fiber_walk(start, markov.moves_for_model(model(family, start.size)),
+    return list(fiber_walk(start, moves_for_model(model(family, start.size)),
                            WalkConfig(steps=steps, seed=1)))
 
 
@@ -84,7 +87,7 @@ def _swept():
         return real(table, spec)
     markov.sufficient_statistic = record
     try:
-        report = verify_connectivity(DIAG, 4, 3, [m for m in markov.moves_diag_effect(4) if m.label == "rect"])
+        report = verify_connectivity(DIAG, 4, 3, [m for m in moves_diag_effect(4) if m.label == "rect"])
     finally:
         markov.sufficient_statistic = real
     assert len(seen) == len(report.disconnected) > 0
@@ -100,8 +103,8 @@ SOURCES = {
     "sweep_disconnected/diag/4": _swept,
 }
 for _I in range(3, 9):
-    SOURCES[f"moves_diag_effect/{_I}"] = lambda I=_I: markov.moves_diag_effect(I)
-    SOURCES[f"moves_common_diag/{_I}"] = lambda I=_I: markov.moves_common_diag(I)
+    SOURCES[f"moves_diag_effect/{_I}"] = lambda I=_I: moves_diag_effect(I)
+    SOURCES[f"moves_common_diag/{_I}"] = lambda I=_I: moves_common_diag(I)
 
 
 def fingerprint(values: list) -> dict:

@@ -24,7 +24,7 @@ from diagonal_effect import (
     sufficient_statistic,
     toric_point,
 )
-from diagonal_effect.markov import moves_diag_effect
+from diagonal_effect.moves import moves_diag_effect
 
 from conftest import model, random_count_table
 

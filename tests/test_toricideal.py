@@ -33,7 +33,7 @@ from diagonal_effect import (
     transpose_apply,
 )
 from diagonal_effect.groebner import _encode, _move, _s_remainder, _WIDTH, buchberger, reduce_basis, saturate
-from diagonal_effect.markov import moves_common_diag, moves_diag_effect
+from diagonal_effect.moves import moves_common_diag, moves_diag_effect
 from diagonal_effect.polynomials import binomial_from_vector
 from diagonal_effect.toricideal import _kernel_vectors, pivot_basis, saturation_cells
 

@@ -28,8 +28,9 @@ from diagonal_effect import (
     ModelSpec,
     check_vanishing,
     invariants,
-    markov,
     mixture_point,
+    moves_common_diag,
+    moves_diag_effect,
     random_rational_point,
     toric_point,
 )
@@ -48,7 +49,7 @@ def batch(I: int) -> tuple:
     gens += invariants.gens_common_mixture_families(I)
     if I == 3:
         gens += invariants.gens_common_toric_listed3() + invariants.gens_common_mixture_listed3()
-    for moves in (markov.moves_diag_effect(I), markov.moves_common_diag(I)):
+    for moves in (moves_diag_effect(I), moves_common_diag(I)):
         gens += [Invariant(f"move-binomial[{m.label}]", p)
                  for m, p in zip(moves, invariants.moves_to_binomials(moves))]
     return tuple(gens)
