@@ -6,9 +6,9 @@ table, or estimates the p-value by the fiber walk (`walk.fiber_walk`) over
 the model's move family (`moves.moves_for_model`).  The connectivity sweep
 builds every table of a bounded total row by row as an int, files the
 tables by statistic and checks each fiber's connectivity with the int
-searches of `fibers`.  These are the callers of the fit, the enumeration,
-the move factory and the walk, which this module binds under their own
-names.
+searches of `fibers`.  It holds the callers of the fit, the enumeration,
+the move factory and the walk, and binds each callee under its own name,
+so a patch of `markov.enumerate_fiber` reaches every call of the test.
 """
 
 from __future__ import annotations
